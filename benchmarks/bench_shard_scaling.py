@@ -27,7 +27,9 @@ cores and are reported as skipped — with the core count — otherwise.
 Env knobs:
 
 * ``SHARD_BENCH_SMOKE=1`` — small corpus, 2-worker leg only;
-* ``SHARD_BENCH_JSON=path`` — dump the measured rows as JSON.
+* ``SHARD_BENCH_JSON=path`` — dump the measured rows as JSON: numeric
+  fields plus one ``context`` block (cores, versions, git sha, smoke
+  flag), the schema ROADMAP item 1(a) asks of every bench.
 
 Also runnable directly: ``python benchmarks/bench_shard_scaling.py
 [--smoke]`` wraps the pytest invocation.
@@ -38,8 +40,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import platform
+import subprocess
 import time
 
+import numpy as np
 import pytest
 
 from repro.service import RecommendationService, ServiceConfig
@@ -98,17 +103,44 @@ def _replay_sharded(n_workers, dataset, retweets):
     return delivered, elapsed, snapshot
 
 
-def _dump_json(name, rows, header):
+def _context() -> dict:
+    """Hardware / software context recorded beside the rows."""
+    try:
+        import numba
+
+        numba_version = numba.__version__
+    except ImportError:
+        numba_version = None
+
+    def git(*args):
+        try:
+            return subprocess.run(
+                ["git", "-C", os.path.dirname(__file__), *args],
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numba": numba_version,
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": bool(git("status", "--porcelain")),
+        "smoke": SMOKE,
+    }
+
+
+def _dump_json(name, rows):
     path = os.environ.get("SHARD_BENCH_JSON")
     if not path:
         return
-    payload = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    payload[name] = [dict(zip(header, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(
+            {"context": _context(), name: rows}, handle,
+            indent=2, sort_keys=True,
+        )
         handle.write("\n")
 
 
@@ -120,11 +152,12 @@ def test_shard_replay_scaling(benchmark, emit):
     def measure():
         expected, t_single = _replay_single(dataset, retweets)
         single_rate = len(retweets) / max(t_single, 1e-9)
-        rows = [[
-            "single", f"{len(retweets)}", f"{t_single:.2f}",
-            f"{single_rate:.1f}", "1.00x", "-", "-",
-        ]]
-        rates = {}
+        rows = [{
+            "service": "single", "workers": 0, "events": len(retweets),
+            "elapsed_s": t_single, "events_per_s": single_rate,
+            "speedup": 1.0, "fanouts_per_event": 0.0,
+            "boundary_edge_fraction": 0.0,
+        }]
         for n_workers in WORKER_COUNTS:
             delivered, elapsed, snapshot = _replay_sharded(
                 n_workers, dataset, retweets
@@ -134,33 +167,41 @@ def test_shard_replay_scaling(benchmark, emit):
                 f"single-process service"
             )
             rate = len(retweets) / max(elapsed, 1e-9)
-            rates[n_workers] = rate
             counters = snapshot["counters"]
             routed = counters.get("shard.events_routed", 0)
             fanouts = counters.get("shard.cross_shard_fanouts", 0)
-            boundary = snapshot["gauges"].get(
-                "shard.boundary_edge_fraction", 0.0
-            )
-            rows.append([
-                f"{n_workers} workers", f"{len(retweets)}", f"{elapsed:.2f}",
-                f"{rate:.1f}", f"{rate / single_rate:.2f}x",
-                f"{fanouts / max(routed, 1):.2f}", f"{boundary:.3f}",
-            ])
-        return rows, rates, single_rate
+            rows.append({
+                "service": f"{n_workers} workers", "workers": n_workers,
+                "events": len(retweets), "elapsed_s": elapsed,
+                "events_per_s": rate, "speedup": rate / single_rate,
+                "fanouts_per_event": fanouts / max(routed, 1),
+                "boundary_edge_fraction": snapshot["gauges"].get(
+                    "shard.boundary_edge_fraction", 0.0
+                ),
+            })
+        return rows
 
-    rows, rates, single_rate = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    header = [
-        "service", "events", "elapsed (s)", "events/s", "speedup",
-        "fanouts/event", "boundary edge frac",
-    ]
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    single_rate = rows[0]["events_per_s"]
+    rates = {row["workers"]: row["events_per_s"] for row in rows[1:]}
     emit(render_table(
-        header, rows,
+        [
+            "service", "events", "elapsed (s)", "events/s", "speedup",
+            "fanouts/event", "boundary edge frac",
+        ],
+        [
+            [
+                row["service"], row["events"], f"{row['elapsed_s']:.2f}",
+                f"{row['events_per_s']:.1f}", f"{row['speedup']:.2f}x",
+                f"{row['fanouts_per_event']:.2f}",
+                f"{row['boundary_edge_fraction']:.3f}",
+            ]
+            for row in rows
+        ],
         title=f"Sharded replay throughput ({CONFIG.n_users} users, "
               f"{cores} cores)",
     ))
-    _dump_json("shard_replay_scaling", rows, header)
+    _dump_json("shard_replay_scaling", rows)
 
     if SMOKE:
         if cores >= 2:

@@ -51,7 +51,6 @@ from repro.core.topics import (
 )
 from repro.core.update import (
     ALL_STRATEGIES,
-    SCOPED_STRATEGIES,
     STRATEGIES,
     apply_strategy,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "PropagationResult",
     "PropagationTask",
     "RetweetProfiles",
-    "SCOPED_STRATEGIES",
     "STRATEGIES",
     "SimGraph",
     "SimGraphBuilder",

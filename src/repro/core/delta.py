@@ -131,6 +131,15 @@ class DeltaReport:
     affected_users: frozenset[int]
     topology_changed: bool
 
+    @classmethod
+    def empty(cls) -> "DeltaReport":
+        """The report of a run whose plan was empty: nothing touched."""
+        return cls(
+            noop=True, core_size=0, fringe_size=0, rows_recomputed=0,
+            rows_patched=0, pairs_rescored=0, changed_users=frozenset(),
+            affected_users=frozenset(), topology_changed=False,
+        )
+
 
 def affected_region(
     profiles: RetweetProfiles,
@@ -322,12 +331,7 @@ def apply_delta(
     metrics.counter("maintenance.dirty_users").inc(len(plan.dirty_users))
     metrics.counter("maintenance.dirty_tweets").inc(len(plan.dirty_tweets))
     if plan.is_empty:
-        report = DeltaReport(
-            noop=True, core_size=0, fringe_size=0, rows_recomputed=0,
-            rows_patched=0, pairs_rescored=0, changed_users=frozenset(),
-            affected_users=frozenset(), topology_changed=False,
-        )
-        return old, report
+        return old, DeltaReport.empty()
 
     core = set(plan.core)
     needed = plan.needed

@@ -321,34 +321,13 @@ def _fixpoint_many_py(
         stats2[t, 3] = cv
 
 
-def _row_values(indptr, indices, weights, p, rows, out):
-    """Def. 4.2 score of each requested CSR row against dense ``p``.
-
-    In-order sequential accumulation per row — the shard workers use
-    this to replace their per-user dict walks bit-identically.
-    """
-    for i in range(rows.shape[0]):
-        r = rows[i]
-        lo = indptr[r]
-        hi = indptr[r + 1]
-        total = 0.0
-        for e in range(lo, hi):
-            total += weights[e] * p[indices[e]]
-        if hi > lo:
-            out[i] = total / (hi - lo)
-        else:
-            out[i] = 0.0
-
-
 _PY_IMPLS = {
     "fixpoint": _fixpoint,
     "fixpoint_many": _fixpoint_many_py,
-    "row_values": _row_values,
 }
 
 if NUMBA_AVAILABLE:  # pragma: no cover - exercised via the CI numba leg
     _fixpoint_jit = njit(nogil=True)(_fixpoint)
-    _row_values_jit = njit(nogil=True)(_row_values)
 
     @njit(parallel=True, nogil=True)
     def _fixpoint_many_jit(
@@ -404,7 +383,6 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised via the CI numba leg
     _JIT_IMPLS = {
         "fixpoint": _fixpoint_jit,
         "fixpoint_many": _fixpoint_many_jit,
-        "row_values": _row_values_jit,
     }
 else:
     _JIT_IMPLS = _PY_IMPLS
@@ -466,20 +444,6 @@ def describe_backends() -> str:
     )
 
 
-def warn_kernel_fallback(
-    metrics: MetricsRegistry = NULL, context: str = "propagation"
-) -> None:
-    """Record (counter + one-line warning) a numba→csr fallback."""
-    metrics.counter("prop.kernel.fallback").inc()
-    warnings.warn(
-        f"prop_backend='numba' requested for {context} but numba is not "
-        "importable; falling back to the numpy csr engine "
-        "(set REPRO_PROP_KERNEL=python to run the interpreted kernels)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 def resolve_prop_backend(
     prop_backend: str, metrics: MetricsRegistry = NULL,
     context: str = "propagation",
@@ -494,7 +458,14 @@ def resolve_prop_backend(
     if prop_backend == "auto":
         return "numba" if kernel_mode() != "off" else "csr"
     if prop_backend == "numba" and kernel_mode() == "off":
-        warn_kernel_fallback(metrics, context)
+        metrics.counter("prop.kernel.fallback").inc()
+        warnings.warn(
+            f"prop_backend='numba' requested for {context} but numba is not "
+            "importable; falling back to the numpy csr engine "
+            "(set REPRO_PROP_KERNEL=python to run the interpreted kernels)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return "csr"
     return prop_backend
 
@@ -532,10 +503,6 @@ def _warm_kernels(impls: dict) -> None:
         np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.float64),
         _EMPTY_F64, np.zeros((1, 2), dtype=bool),
         np.zeros((1, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64),
-    )
-    out = np.empty(1, dtype=np.float64)
-    impls["row_values"](
-        indptr, indices, weights, p, np.array([0], dtype=np.int64), out
     )
 
 

@@ -17,18 +17,13 @@ evaluating on the final 5%:
   region — dirty users, co-retweeters of weight-changed tweets and
   their exploration fringe — is rescored; everything else is copied
   through untouched.
-
-The *scoped* registry holds delta-accelerated variants of the two
-incremental strategies: they consume the same affected region to skip
-every pair whose similarity cannot have changed, instead of scanning
-all users.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.delta import affected_region, apply_delta
+from repro.core.delta import apply_delta
 from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data.models import Retweet
@@ -40,10 +35,7 @@ __all__ = [
     "crossfold",
     "update_weights",
     "delta",
-    "crossfold_scoped",
-    "update_weights_scoped",
     "STRATEGIES",
-    "SCOPED_STRATEGIES",
     "ALL_STRATEGIES",
     "UpdateStrategy",
     "apply_strategy",
@@ -133,67 +125,6 @@ def delta(
     return refreshed
 
 
-def update_weights_scoped(
-    old: SimGraph,
-    follow_graph: DiGraph,
-    profiles: RetweetProfiles,
-    builder: SimGraphBuilder,
-) -> SimGraph:
-    """:func:`update_weights` restricted to the pairs that can change.
-
-    An edge (u, v) keeps its stored weight unless ``u`` or ``v`` is in
-    the affected-region core — exactly the pairs Def. 3.1 allows to
-    move.  Equivalent to the full scan up to last-ulp round-off (the
-    full scan recomputes unchanged pairs through ``similarity`` while
-    this keeps the builder-accumulated weight; both orderings of the
-    same sum).  With an empty delta it returns ``old`` unchanged.
-    """
-    from repro.core.similarity import similarity
-
-    plan = affected_region(profiles, old.graph, hops=builder.hops)
-    if plan.is_empty:
-        return old
-    core = plan.core
-    refreshed = DiGraph()
-    refreshed.add_nodes(old.graph.nodes())
-    for u, v, w in old.graph.edges():
-        if u in core or v in core:
-            w = similarity(profiles, u, v)
-        refreshed.add_edge(u, v, weight=w)
-    return SimGraph(refreshed, tau=old.tau)
-
-
-def crossfold_scoped(
-    old: SimGraph,
-    follow_graph: DiGraph,
-    profiles: RetweetProfiles,
-    builder: SimGraphBuilder,
-) -> SimGraph:
-    """:func:`crossfold` restricted to the affected region.
-
-    Sources in the core or its SimGraph 2-hop in-fringe get their full
-    crossfold row (identical to the full scan's row for those sources);
-    untouched sources keep their previous rows — their pair scores are
-    unchanged, so the only thing deferred is pure transitive
-    *densification* of clean users, which the next full build (or their
-    own future dirt) picks up.  The scoped result is therefore an
-    edge-subset of the full crossfold with equal weights on every
-    shared edge.  With an empty delta it returns ``old`` unchanged
-    (the full scan would densify even then).
-    """
-    plan = affected_region(profiles, old.graph, hops=builder.hops)
-    if plan.is_empty:
-        return old
-    recompute = {u for u in plan.affected if u in old.graph}
-    rebuilt = builder.build(old.graph, profiles, users=sorted(recompute))
-    result = DiGraph()
-    for u in old.graph.nodes():
-        row = rebuilt.row(u) if u in recompute else old.row(u)
-        for w, score in row.items():
-            result.add_edge(u, w, weight=score)
-    return SimGraph(result, tau=old.tau)
-
-
 #: Name -> strategy map in the order Figure 16 plots them (the four
 #: paper strategies plus the delta engine's from-scratch-equivalent).
 STRATEGIES: dict[str, UpdateStrategy] = {
@@ -204,18 +135,8 @@ STRATEGIES: dict[str, UpdateStrategy] = {
     "delta": delta,
 }
 
-#: Delta-accelerated variants of the incremental strategies: same
-#: refresh decisions, restricted to the affected region.
-SCOPED_STRATEGIES: dict[str, UpdateStrategy] = {
-    "crossfold scoped": crossfold_scoped,
-    "SimGraph updated scoped": update_weights_scoped,
-}
-
 #: Every strategy name the service and ``apply_strategy`` accept.
-ALL_STRATEGIES: dict[str, UpdateStrategy] = {
-    **STRATEGIES,
-    **SCOPED_STRATEGIES,
-}
+ALL_STRATEGIES = STRATEGIES
 
 
 def apply_strategy(

@@ -168,6 +168,16 @@ class _Pending:
         self.enqueued_at = enqueued_at
 
 
+def _propagated(notifications: list[Recommendation]) -> tuple[str, object]:
+    """The outcome of a fully served retweet."""
+    return (
+        "ok",
+        ServeResponse(
+            status="ok", served_from="propagation", notifications=notifications
+        ),
+    )
+
+
 class AsyncRecommendationServer:
     """In-process asyncio front-end (module docstring).
 
@@ -406,38 +416,22 @@ class AsyncRecommendationServer:
                 per_event = self.service.ingest_batch(
                     [(p.request.user, p.request.tweet, p.request.at) for p in run]
                 )
+            except DatasetError:
+                # ingest_batch rejects a bad event before touching state:
+                # replay the run per event so only that request fails.
+                pass
             except Exception as exc:
                 return [("error", exc)] * len(run)
-            return [
-                (
-                    "ok",
-                    ServeResponse(
-                        status="ok",
-                        served_from="propagation",
-                        notifications=notifications,
-                    ),
-                )
-                for notifications in per_event
-            ]
+            else:
+                return [_propagated(notifications) for notifications in per_event]
         outcomes = []
         for p in run:
             try:
-                notifications = self.service.retweet(
+                outcomes.append(_propagated(self.service.retweet(
                     p.request.user, p.request.tweet, p.request.at
-                )
+                )))
             except Exception as exc:
                 outcomes.append(("error", exc))
-                continue
-            outcomes.append(
-                (
-                    "ok",
-                    ServeResponse(
-                        status="ok",
-                        served_from="propagation",
-                        notifications=notifications,
-                    ),
-                )
-            )
         return outcomes
 
     def _run_scores(self, run: list[_Pending]) -> list[tuple[str, object]]:

@@ -22,13 +22,19 @@ Example
 >>> service.add_follow(2, 1); service.add_follow(3, 1)
 >>> service.post_tweet(tweet_id=7, author=1, at=0.0)
 >>> notifications = service.retweet(user=2, tweet=7, at=60.0)
+
+The serving loop itself — clock, scheduler, 72h rule, daily budget,
+periodic maintenance — lives once, in :class:`ServiceCore`.
+:class:`RecommendationService` plugs a local propagation engine and
+SimGraph builder into it; :class:`repro.shard.ShardedRecommendationService`
+plugs in worker shards.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from repro.baselines.base import Recommendation
 from repro.core.csr import ArraySimGraph, CSRSimGraph
@@ -40,7 +46,7 @@ from repro.core.propagation_kernel import resolve_prop_backend
 from repro.core.scheduler import DelayPolicy, PostponedScheduler, PropagationTask
 from repro.core.simgraph import BACKENDS, DEFAULT_TAU, SimGraph, SimGraphBuilder
 from repro.core.thresholds import DynamicThreshold, ThresholdPolicy
-from repro.core.delta import DeltaReport, affected_region, apply_delta
+from repro.core.delta import DeltaPlan, DeltaReport, affected_region, apply_delta
 from repro.core.update import ALL_STRATEGIES
 from repro.core.warmcache import DEFAULT_CAPACITY, WarmStateCache
 from repro.data.models import Retweet, Tweet
@@ -48,7 +54,12 @@ from repro.exceptions import ConfigError, DatasetError
 from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry
 
-__all__ = ["ServiceConfig", "ServiceStats", "RecommendationService"]
+__all__ = [
+    "ServiceConfig",
+    "ServiceStats",
+    "ServiceCore",
+    "RecommendationService",
+]
 
 DAY = 86400.0
 HOUR = 3600.0
@@ -140,23 +151,44 @@ class ServiceStats:
     queue_depth: int = 0
 
 
-class RecommendationService:
-    """Stateful online recommender (see module docstring).
+class ServiceCore:
+    """The online serving loop, wherever scoring and building happen.
+
+    Owns the simulated clock, event ingestion, the postponed scheduler,
+    the 72h rule, warm-cache bookkeeping, the online daily budget,
+    periodic maintenance and health reporting.  A deployment subclasses
+    it and supplies only:
+
+    * :meth:`_score_runnable` — propagate a batch of runnable tasks;
+    * :meth:`_build_from_scratch`, :meth:`_apply_delta`,
+      :meth:`_apply_strategy` — the build step of :meth:`rebuild` for
+      each kind of strategy — and :meth:`_adopt`, which installs what
+      they built;
+    * :meth:`_adopt_snapshot` — the load step of :meth:`load_snapshot`;
+    * :attr:`edge_count` and the accepted :attr:`_strategies`;
+    * :meth:`_check_open`, for deployments that can be shut down.
 
     The service always carries a live :class:`~repro.obs.MetricsRegistry`
     (pass your own to share one across components): every subsystem it
-    owns — scheduler, propagation engine, SimGraph builder — reports into
-    it, and :meth:`metrics_snapshot` exposes the aggregate.
+    owns reports into it, and :meth:`metrics_snapshot` exposes the
+    aggregate.
     """
+
+    #: Rebuild strategy names this deployment accepts.
+    _strategies: Collection[str] = ()
+    #: Exploration radius rows are built with (``ServiceConfig`` does not
+    #: expose it; this is :class:`SimGraphBuilder`'s default).
+    _hops = 2
 
     def __init__(
         self,
-        config: ServiceConfig | None = None,
+        config: ServiceConfig,
         threshold: ThresholdPolicy | None = None,
         delay_policy: DelayPolicy | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        self.config = config if config is not None else ServiceConfig()
+        self.config = config
+        self._check_strategy(config.rebuild_strategy)
         self.threshold = threshold if threshold is not None else DynamicThreshold()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.follow_graph = DiGraph()
@@ -167,20 +199,6 @@ class RecommendationService:
         #: their exploration neighbourhoods changed without any profile
         #: dirt, so the delta strategy must treat them as extra sources.
         self._new_follow_sources: set[int] = set()
-        self._builder = SimGraphBuilder(
-            tau=self.config.tau,
-            backend=self.config.backend,
-            workers=self.config.build_workers,
-            metrics=self.metrics,
-        )
-        self._simgraph = SimGraph(DiGraph(), tau=self.config.tau)
-        self._csr: CSRSimGraph | None = None
-        # Resolve "numba"/"auto" to a concrete backend once per service:
-        # the fallback warning/counter fires here, not on every rebuild.
-        self._prop_resolved = resolve_prop_backend(
-            self.config.prop_backend, metrics=self.metrics, context="service"
-        )
-        self._engine = self._make_engine(self._simgraph)
         self._scheduler = (
             PostponedScheduler(delay_policy or DelayPolicy(), metrics=self.metrics)
             if self.config.use_scheduler
@@ -195,6 +213,48 @@ class RecommendationService:
         self._known: set[tuple[int, int]] = set()
         self._clock = 0.0
         self.stats = ServiceStats()
+
+    # ------------------------------------------------------------------
+    # Deployment hooks
+    # ------------------------------------------------------------------
+    def _check_open(self) -> None:
+        """Raise when the deployment can no longer serve (never, here)."""
+
+    def _score_runnable(
+        self, runnable: list[tuple[PropagationTask, float | None, set[int]]]
+    ) -> list[list[Recommendation]]:
+        """Candidate notifications of each ``(task, created_at, seeds)``.
+
+        One joint propagation over the batch: reads every task's warm
+        state from ``self._warm`` before storing any new one.  Candidates
+        exclude seeds and scores below ``min_score``, sorted by user.
+        """
+        raise NotImplementedError
+
+    def _build_from_scratch(self):
+        """Build every row from the follow graph; return what was built."""
+        raise NotImplementedError
+
+    def _apply_delta(self, plan: DeltaPlan) -> tuple[object, DeltaReport]:
+        """Rescore ``plan``'s region; return ``(built, report)``."""
+        raise NotImplementedError
+
+    def _apply_strategy(self, name: str):
+        """Refresh with a strategy other than from-scratch and delta."""
+        raise NotImplementedError
+
+    def _adopt(self, built, report: DeltaReport | None) -> None:
+        """Install what a build step returned as the serving graph."""
+        raise NotImplementedError
+
+    def _adopt_snapshot(self, path, mmap: bool) -> None:
+        """Load the snapshot at ``path`` as the serving graph."""
+        raise NotImplementedError
+
+    @property
+    def edge_count(self) -> int:
+        """Edges of the current SimGraph."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -212,6 +272,7 @@ class RecommendationService:
 
     def post_tweet(self, tweet_id: int, author: int, at: float) -> None:
         """Register an original post."""
+        self._check_open()
         if tweet_id in self.tweets:
             raise DatasetError(f"duplicate tweet id {tweet_id}")
         self._advance(at)
@@ -224,6 +285,7 @@ class RecommendationService:
         propagation, applies the online budget, and updates profiles —
         so similarity data is always current for the next maintenance.
         """
+        self._check_open()
         if tweet not in self.tweets:
             raise DatasetError(f"unknown tweet id {tweet}")
         started = time.perf_counter()
@@ -245,6 +307,303 @@ class RecommendationService:
         self._refresh_health()
         return delivered
 
+    def absorb_retweet(self, user: int, tweet: int) -> None:
+        """Absorb a retweet into profiles without clock or propagation.
+
+        The bulk warm-up path: history replayed this way is visible to
+        the next :meth:`rebuild` and to future propagations of ``tweet``,
+        but triggers no scoring, delivery or scheduler work, and needs no
+        tweet registration.
+        """
+        self._absorb(Retweet(user=user, tweet=tweet, time=self._clock))
+
+    def flush(self, now: float | None = None) -> list[Recommendation]:
+        """Drain the scheduler (end of stream / shutdown)."""
+        self._check_open()
+        if self._scheduler is None:
+            return []
+        if now is not None:
+            self._advance(now)
+        # The whole drained backlog is scored by one batched invocation.
+        released = self._run_tasks(self._scheduler.flush(now=self._clock))
+        delivered = self._deliver(released)
+        self._refresh_health()
+        return delivered
+
+    # ------------------------------------------------------------------
+    # Maintenance
+    # ------------------------------------------------------------------
+    def rebuild(self, strategy: str | None = None) -> None:
+        """Refresh the SimGraph now with ``strategy`` (default from config).
+
+        The ``"delta"`` strategy rescores only the affected region
+        (:func:`repro.core.delta.affected_region`): users whose profiles
+        changed since the last rebuild, co-retweeters of weight-changed
+        tweets, followers whose candidate sets grew, and their
+        exploration fringe.  Its report then scopes the warm-cache
+        invalidation to tweets whose seeds intersect the affected users.
+        """
+        name = strategy if strategy is not None else self.config.rebuild_strategy
+        self._check_strategy(name)
+        started = time.perf_counter()
+        report: DeltaReport | None = None
+        with self.metrics.span("service.rebuild"):
+            if (
+                self.stats.rebuilds == 0
+                or name == "from scratch"
+                or self.edge_count == 0
+            ):
+                # First build, explicit rebuild, or bootstrap from an empty
+                # graph must come from the follow graph: the incremental
+                # strategies need a previous SimGraph with edges to refresh.
+                used = "from scratch"
+                built = self._build_from_scratch()
+            elif name == "delta":
+                used = name
+                extra: set[int] = set()
+                for follower in self._new_follow_sources:
+                    extra.add(follower)
+                    if follower in self.follow_graph:
+                        # The new edge also extends the 2-hop reach of
+                        # everyone already following the follower.
+                        extra.update(self.follow_graph.predecessors(follower))
+                plan = affected_region(
+                    self.profiles,
+                    self.follow_graph,
+                    extra_sources=sorted(extra),
+                    hops=self._hops,
+                )
+                built, report = self._apply_delta(plan)
+            else:
+                used = name
+                built = self._apply_strategy(name)
+        self.metrics.counter(f"service.rebuild[{used}]").inc()
+        self.metrics.histogram(
+            f"service.rebuild_seconds[{used}]", timing=True
+        ).observe(time.perf_counter() - started)
+        # Dirt consumed: every strategy has now seen the accumulated
+        # profile changes and follow additions.
+        self.profiles.mark_clean()
+        self._new_follow_sources.clear()
+        self._invalidate_warm(report)
+        self._adopt(built, report)
+        self.stats.rebuilds += 1
+        self.stats.last_rebuild_at = self._clock
+
+    def load_snapshot(self, path, mmap: bool = True) -> None:
+        """Adopt a persisted SimGraph snapshot as the current graph.
+
+        The paper-scale warm-start path: instead of replaying history
+        and rebuilding, a service instance boots from a binary v2
+        snapshot (:func:`repro.core.persistence.load_simgraph`) —
+        memory-mapped by default, so adoption is milliseconds even at
+        millions of edges.  The load counts as a rebuild: all warm state
+        is dropped, current profile dirt is considered consumed (the
+        snapshot is presumed built from equivalent state) and the next
+        maintenance run is scheduled one ``rebuild_interval`` out rather
+        than immediately, which would discard the loaded graph.
+        """
+        self._adopt_snapshot(path, mmap)
+        self._invalidate_warm(None)
+        self.profiles.mark_clean()
+        self._new_follow_sources.clear()
+        self.stats.rebuilds += 1
+        self.stats.last_rebuild_at = self._clock
+        self.metrics.counter("service.snapshot_loads").inc()
+
+    def _check_strategy(self, name: str) -> None:
+        if name not in self._strategies:
+            raise ConfigError(
+                f"{type(self).__name__} supports rebuild strategies "
+                f"{sorted(self._strategies)}, not {name!r}"
+            )
+
+    def _invalidate_warm(self, report: DeltaReport | None) -> None:
+        """Drop warm propagation state made stale by a rebuild.
+
+        Without a delta report (any non-delta strategy) or after a
+        topology change, every cached fixpoint may reference rows that
+        no longer exist — full flush.  A weights-only delta keeps all
+        topology, so only tweets whose seed sets intersect the affected
+        users are evicted; a cached fixpoint can also *transitively*
+        touch re-weighed rows, but warm state is only ever a starting
+        point for further propagation, so the bounded staleness trades
+        a deterministic, strictly-scoped flush for recomputation work.
+        """
+        if report is None or report.topology_changed:
+            self._warm.clear()
+            return
+        if report.noop:
+            return
+        affected = report.affected_users
+        stale = [
+            tweet
+            for tweet in self._warm.tweets()
+            if not self._retweeters.get(tweet, set()).isdisjoint(affected)
+        ]
+        dropped = self._warm.invalidate_tweets(stale)
+        self.metrics.counter("maintenance.cache_invalidations").inc(dropped)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def metrics_snapshot(self, deterministic: bool = False) -> dict:
+        """JSON-ready snapshot of every metric the service accumulated.
+
+        With ``deterministic=True`` wall-clock measurements are stripped
+        so two runs over the same event stream compare byte-identical.
+        """
+        self._refresh_health()
+        return self.metrics.snapshot(deterministic=deterministic)
+
+    def _refresh_health(self) -> None:
+        """Mirror warm-cache and backlog state into stats and gauges.
+
+        Every ingestion path and :meth:`metrics_snapshot` call this, so
+        ``service.warm_hits`` / ``service.warm_misses`` /
+        ``service.queue_depth`` are always current when the serving
+        layer's load harness reads a snapshot mid-stream.
+        """
+        self.stats.warm_hits = self._warm.hits
+        self.stats.warm_misses = self._warm.misses
+        self.stats.queue_depth = (
+            self._scheduler.pending_count if self._scheduler is not None else 0
+        )
+        self.metrics.gauge("service.warm_hits").set(self.stats.warm_hits)
+        self.metrics.gauge("service.warm_misses").set(self.stats.warm_misses)
+        self.metrics.gauge("service.queue_depth").set(self.stats.queue_depth)
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _rebuild_due(self, at: float) -> bool:
+        """Would advancing the clock to ``at`` trigger maintenance?
+
+        Exposed as a predicate (not just inlined in :meth:`_advance`)
+        because batched ingestion must flush deferred propagation
+        *before* a rebuild invalidates the warm cache and recompiles the
+        engine mid-batch.
+        """
+        due = self.stats.last_rebuild_at + self.config.rebuild_interval
+        if self.stats.rebuilds == 0 or at >= due:
+            return self.profiles.user_count > 0 or self.stats.rebuilds == 0
+        return False
+
+    def _advance(self, at: float) -> None:
+        if at < self._clock:
+            raise DatasetError(
+                f"time must be monotone: {at} < current clock {self._clock}"
+            )
+        rebuild = self._rebuild_due(at)
+        self._clock = at
+        if rebuild:
+            self.rebuild()
+
+    def _absorb(self, event: Retweet) -> None:
+        self.profiles.add(event.user, event.tweet)
+        self._retweeters.setdefault(event.tweet, set()).add(event.user)
+        self._known.add((event.user, event.tweet))
+
+    def _run_tasks(self, tasks: list[PropagationTask]) -> list[Recommendation]:
+        """Score every released task in one batched invocation."""
+        released: list[Recommendation] = []
+        for recs in self._score_tasks(tasks):
+            released.extend(recs)
+        return released
+
+    def _score_tasks(
+        self, tasks: list[PropagationTask]
+    ) -> list[list[Recommendation]]:
+        """Per-task candidate notifications, one joint invocation.
+
+        Returns a list aligned with ``tasks`` (age-skipped tasks yield an
+        empty list) so batched ingestion can attribute each task's
+        candidates back to the event that released it.
+        """
+        per_task: list[list[Recommendation]] = [[] for _ in tasks]
+        slots: list[int] = []
+        runnable: list[tuple[PropagationTask, float | None, set[int]]] = []
+        for i, task in enumerate(tasks):
+            tweet = self.tweets.get(task.tweet)
+            created_at = tweet.created_at if tweet is not None else None
+            if created_at is not None:
+                if task.due_time - created_at > self.config.max_tweet_age:
+                    self._warm.pop(task.tweet)
+                    continue
+            seeds = set(self._retweeters.get(task.tweet, set()))
+            seeds.update(task.users)
+            self._retweeters[task.tweet] = seeds
+            slots.append(i)
+            runnable.append((task, created_at, seeds))
+        if runnable:
+            for i, recs in zip(slots, self._score_runnable(runnable)):
+                per_task[i] = recs
+            self.stats.propagations_run += len(runnable)
+        return per_task
+
+    def _deliver(self, released: list[Recommendation]) -> list[Recommendation]:
+        delivered: list[Recommendation] = []
+        with self.metrics.span("budget"):
+            for rec in sorted(released, key=lambda r: (-r.score, r.user, r.tweet)):
+                if (rec.user, rec.tweet) in self._known:
+                    continue
+                day = int(rec.time // DAY)
+                used = self._delivered.get((rec.user, day), 0)
+                if used >= self.config.daily_budget:
+                    self.stats.notifications_suppressed += 1
+                    continue
+                self._delivered[(rec.user, day)] = used + 1
+                self._known.add((rec.user, rec.tweet))
+                delivered.append(rec)
+                self.stats.notifications_delivered += 1
+        self.metrics.counter("budget.delivered").inc(len(delivered))
+        self.metrics.counter("budget.rejections").inc(
+            len(released) - len(delivered)
+        )
+        return delivered
+
+
+class RecommendationService(ServiceCore):
+    """The single-process service: local SimGraph, builder and engine.
+
+    Adds what only a local engine can offer: in-place CSR patching at
+    maintenance, batched ingestion (:meth:`ingest_batch`), warm-cache
+    reads (:meth:`warm_answer`, :meth:`warm_scores`) and pure batch
+    scoring (:meth:`score_batch`).
+    """
+
+    _strategies = ALL_STRATEGIES
+
+    def __init__(
+        self,
+        config: ServiceConfig | None = None,
+        threshold: ThresholdPolicy | None = None,
+        delay_policy: DelayPolicy | None = None,
+        metrics: MetricsRegistry | None = None,
+    ):
+        super().__init__(
+            config if config is not None else ServiceConfig(),
+            threshold, delay_policy, metrics,
+        )
+        self._builder = SimGraphBuilder(
+            tau=self.config.tau,
+            backend=self.config.backend,
+            hops=self._hops,
+            workers=self.config.build_workers,
+            metrics=self.metrics,
+        )
+        self._simgraph = SimGraph(DiGraph(), tau=self.config.tau)
+        self._csr: CSRSimGraph | None = None
+        # Resolve "numba"/"auto" to a concrete backend once per service:
+        # the fallback warning/counter fires here, not on every rebuild.
+        self._prop_resolved = resolve_prop_backend(
+            self.config.prop_backend, metrics=self.metrics, context="service"
+        )
+        self._engine = self._make_engine(self._simgraph)
+
+    # ------------------------------------------------------------------
+    # Batched and degraded ingestion
+    # ------------------------------------------------------------------
     def ingest_batch(
         self, events: Sequence[tuple[int, int, float]]
     ) -> list[list[Recommendation]]:
@@ -281,13 +640,22 @@ class RecommendationService:
         writes instead of interleaved); entries never outlive their 72h
         horizon either way.
 
-        Unknown tweet ids raise :class:`DatasetError` before any state
-        changes (the per-event path validates the same way, just one
-        event at a time).
+        Unknown tweet ids and timestamps that run backwards (within the
+        batch or against the service clock) raise :class:`DatasetError`
+        before any state changes — the per-event path validates the same
+        way, just one event at a time, so a caller can replay a rejected
+        batch through :meth:`retweet` to isolate the offending event.
         """
         unknown = sorted({t for _, t, _ in events if t not in self.tweets})
         if unknown:
             raise DatasetError(f"unknown tweet ids {unknown}")
+        clock = self._clock
+        for _, _, at in events:
+            if at < clock:
+                raise DatasetError(
+                    f"time must be monotone: {at} < current clock {clock}"
+                )
+            clock = at
         delivered: list[list[Recommendation]] = [[] for _ in events]
         pending: list[tuple[int, PropagationTask]] = []
         pending_tweets: set[int] = set()
@@ -335,16 +703,6 @@ class RecommendationService:
         flush_pending()
         self._refresh_health()
         return delivered
-
-    def absorb_retweet(self, user: int, tweet: int) -> None:
-        """Absorb a retweet into profiles without clock or propagation.
-
-        The bulk warm-up path (mirroring the sharded coordinator's method
-        of the same name): history replayed this way is visible to the
-        next :meth:`rebuild` and to future propagations of ``tweet``, but
-        triggers no scoring, delivery or scheduler work.
-        """
-        self._absorb(Retweet(user=user, tweet=tweet, time=self._clock))
 
     def warm_answer(
         self, user: int, tweet: int, at: float
@@ -420,112 +778,54 @@ class RecommendationService:
             return scores
         return dict(state)
 
-    def flush(self, now: float | None = None) -> list[Recommendation]:
-        """Drain the scheduler (end of stream / shutdown)."""
-        if self._scheduler is None:
-            return []
-        if now is not None:
-            self._advance(now)
-        # The whole drained backlog is scored by one batched engine
-        # invocation (the CSR backend advances every task jointly).
-        released = self._run_tasks(self._scheduler.flush(now=self._clock))
-        delivered = self._deliver(released)
-        self._refresh_health()
-        return delivered
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def rebuild(self, strategy: str | None = None) -> SimGraph:
-        """Refresh the SimGraph now with ``strategy`` (default from config).
+        """:meth:`ServiceCore.rebuild`, returning the refreshed graph.
 
-        The ``"delta"`` strategy runs the scoped maintenance engine
-        (:mod:`repro.core.delta`): only the affected region — users
-        whose profiles changed since the last rebuild, co-retweeters of
-        weight-changed tweets, followers whose candidate sets grew, and
-        their exploration fringe — is rescored.  Its report then drives
-        two further scoped paths: in-place CSR row patching
+        On the compiled propagation backends a delta report also drives
+        in-place CSR row patching
         (:meth:`~repro.core.csr.CSRSimGraph.patch_rows`) when no row
-        changed topology, and warm-cache invalidation restricted to
-        tweets whose seeds intersect the affected users.
+        changed topology.
         """
-        name = strategy if strategy is not None else self.config.rebuild_strategy
-        if name not in ALL_STRATEGIES:
-            raise ConfigError(f"unknown rebuild strategy {name!r}")
-        started = time.perf_counter()
-        report: DeltaReport | None = None
-        with self.metrics.span("service.rebuild"):
-            if (
-                self.stats.rebuilds == 0
-                or name == "from scratch"
-                or self._simgraph.edge_count == 0
-            ):
-                # First build, explicit rebuild, or bootstrap from an empty
-                # graph must come from the follow graph: the incremental
-                # strategies need a previous SimGraph with edges to refresh.
-                used = "from scratch"
-                refreshed = self._builder.build(self.follow_graph, self.profiles)
-            elif name == "delta":
-                used = name
-                extra: set[int] = set()
-                for follower in self._new_follow_sources:
-                    extra.add(follower)
-                    if follower in self.follow_graph:
-                        # The new edge also extends the 2-hop reach of
-                        # everyone already following the follower.
-                        extra.update(self.follow_graph.predecessors(follower))
-                plan = affected_region(
-                    self.profiles,
-                    self.follow_graph,
-                    extra_sources=sorted(extra),
-                    hops=self._builder.hops,
-                )
-                refreshed, report = apply_delta(
-                    self._simgraph,
-                    self.follow_graph,
-                    self.profiles,
-                    self._builder,
-                    plan=plan,
-                    metrics=self.metrics,
-                )
-            else:
-                used = name
-                refreshed = ALL_STRATEGIES[name](
-                    self._simgraph, self.follow_graph, self.profiles, self._builder
-                )
-        self.metrics.counter(f"service.rebuild[{used}]").inc()
-        self.metrics.histogram(
-            f"service.rebuild_seconds[{used}]", timing=True
-        ).observe(time.perf_counter() - started)
-        # Dirt consumed: every strategy has now seen the accumulated
-        # profile changes and follow additions.
-        self.profiles.mark_clean()
-        self._new_follow_sources.clear()
-        self._simgraph = refreshed
-        self._engine = self._make_engine(refreshed, report=report)
-        self._invalidate_warm(report)
-        self.stats.rebuilds += 1
-        self.stats.last_rebuild_at = self._clock
-        return refreshed
+        super().rebuild(strategy)
+        return self._simgraph
 
     def load_snapshot(self, path, mmap: bool = True) -> SimGraph:
-        """Adopt a persisted SimGraph snapshot as the current graph.
-
-        The paper-scale warm-start path: instead of replaying history
-        and rebuilding, a service instance boots from a binary v2
-        snapshot (:func:`repro.core.persistence.load_simgraph`) —
-        memory-mapped by default, so adoption is milliseconds even at
-        millions of edges.  The load counts as a rebuild: current
-        profile dirt is considered consumed (the snapshot is presumed
-        built from equivalent state) and the next maintenance run is
-        scheduled one ``rebuild_interval`` out rather than immediately,
-        which would discard the loaded graph.
+        """:meth:`ServiceCore.load_snapshot`, returning the loaded graph.
 
         On the ``csr`` propagation backend a memory-mapped graph
         compiles zero-copy; its arrays are read-only, so later
         maintenance recompiles instead of patching in place (the patch
         paths detect this themselves).
         """
+        super().load_snapshot(path, mmap)
+        return self._simgraph
+
+    def _build_from_scratch(self) -> SimGraph:
+        return self._builder.build(self.follow_graph, self.profiles)
+
+    def _apply_delta(self, plan: DeltaPlan) -> tuple[SimGraph, DeltaReport]:
+        return apply_delta(
+            self._simgraph,
+            self.follow_graph,
+            self.profiles,
+            self._builder,
+            plan=plan,
+            metrics=self.metrics,
+        )
+
+    def _apply_strategy(self, name: str) -> SimGraph:
+        return ALL_STRATEGIES[name](
+            self._simgraph, self.follow_graph, self.profiles, self._builder
+        )
+
+    def _adopt(self, built: SimGraph, report: DeltaReport | None) -> None:
+        self._simgraph = built
+        self._engine = self._make_engine(built, report=report)
+
+    def _adopt_snapshot(self, path, mmap: bool) -> None:
         from repro.core.persistence import load_simgraph
 
         simgraph = load_simgraph(path, mmap=mmap)
@@ -544,39 +844,6 @@ class RecommendationService:
             metrics=self.metrics,
             csr=self._csr,
         )
-        self._warm.clear()
-        self.profiles.mark_clean()
-        self._new_follow_sources.clear()
-        self.stats.rebuilds += 1
-        self.stats.last_rebuild_at = self._clock
-        self.metrics.counter("service.snapshot_loads").inc()
-        return simgraph
-
-    def _invalidate_warm(self, report: DeltaReport | None) -> None:
-        """Drop warm propagation state made stale by a rebuild.
-
-        Without a delta report (any non-delta strategy) or after a
-        topology change, every cached fixpoint may reference rows that
-        no longer exist — full flush.  A weights-only delta keeps all
-        topology, so only tweets whose seed sets intersect the affected
-        users are evicted; a cached fixpoint can also *transitively*
-        touch re-weighed rows, but warm state is only ever a starting
-        point for further propagation, so the bounded staleness trades
-        a deterministic, strictly-scoped flush for recomputation work.
-        """
-        if report is None or report.topology_changed:
-            self._warm.clear()
-            return
-        if report.noop:
-            return
-        affected = report.affected_users
-        stale = [
-            tweet
-            for tweet in self._warm.tweets()
-            if not self._retweeters.get(tweet, set()).isdisjoint(affected)
-        ]
-        dropped = self._warm.invalidate_tweets(stale)
-        self.metrics.counter("maintenance.cache_invalidations").inc(dropped)
 
     def _make_engine(
         self, simgraph: SimGraph, report: DeltaReport | None = None
@@ -624,35 +891,42 @@ class RecommendationService:
         """The current similarity graph."""
         return self._simgraph
 
-    def metrics_snapshot(self, deterministic: bool = False) -> dict:
-        """JSON-ready snapshot of every metric the service accumulated.
+    @property
+    def edge_count(self) -> int:
+        return self._simgraph.edge_count
 
-        With ``deterministic=True`` wall-clock measurements are stripped
-        so two runs over the same event stream compare byte-identical.
-        """
-        self._refresh_health()
-        return self.metrics.snapshot(deterministic=deterministic)
-
-    def _refresh_health(self) -> None:
-        """Mirror warm-cache and backlog state into stats and gauges.
-
-        Every ingestion path and :meth:`metrics_snapshot` call this, so
-        ``service.warm_hits`` / ``service.warm_misses`` /
-        ``service.queue_depth`` are always current when the serving
-        layer's load harness reads a snapshot mid-stream.
-        """
-        self.stats.warm_hits = self._warm.hits
-        self.stats.warm_misses = self._warm.misses
-        self.stats.queue_depth = (
-            self._scheduler.pending_count if self._scheduler is not None else 0
+    # ------------------------------------------------------------------
+    # Scoring
+    # ------------------------------------------------------------------
+    def _score_runnable(
+        self, runnable: list[tuple[PropagationTask, float | None, set[int]]]
+    ) -> list[list[Recommendation]]:
+        results = self._engine.propagate_many(
+            [seeds for _, _, seeds in runnable],
+            popularities=[len(seeds) for _, _, seeds in runnable],
+            initials=[
+                self._warm.get(task.tweet, now=task.due_time)
+                for task, _, _ in runnable
+            ],
         )
-        self.metrics.gauge("service.warm_hits").set(self.stats.warm_hits)
-        self.metrics.gauge("service.warm_misses").set(self.stats.warm_misses)
-        self.metrics.gauge("service.queue_depth").set(self.stats.queue_depth)
+        scored: list[list[Recommendation]] = []
+        for (task, created_at, seeds), result, state in zip(
+            runnable, results, self._engine.take_states()
+        ):
+            self._warm.put(
+                task.tweet, state, created_at=created_at, now=task.due_time
+            )
+            # Sorted so the emission order is identical on both
+            # propagation backends (their result dicts differ in order).
+            scored.append([
+                Recommendation(
+                    user=u, tweet=task.tweet, score=p, time=task.due_time
+                )
+                for u, p in sorted(result.nonseed_scores(seeds).items())
+                if p >= self.config.min_score
+            ])
+        return scored
 
-    # ------------------------------------------------------------------
-    # Batch scoring
-    # ------------------------------------------------------------------
     def score_batch(self, tweet_ids: list[int]) -> dict[int, dict[int, float]]:
         """Score several live tweets in one batched invocation.
 
@@ -696,112 +970,3 @@ class RecommendationService:
             }
             for tweet, seeds, probabilities in zip(tweet_ids, seed_sets, scored)
         }
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _rebuild_due(self, at: float) -> bool:
-        """Would advancing the clock to ``at`` trigger maintenance?
-
-        Exposed as a predicate (not just inlined in :meth:`_advance`)
-        because batched ingestion must flush deferred propagation
-        *before* a rebuild invalidates the warm cache and recompiles the
-        engine mid-batch.
-        """
-        due = self.stats.last_rebuild_at + self.config.rebuild_interval
-        if self.stats.rebuilds == 0 or at >= due:
-            return self.profiles.user_count > 0 or self.stats.rebuilds == 0
-        return False
-
-    def _advance(self, at: float) -> None:
-        if at < self._clock:
-            raise DatasetError(
-                f"time must be monotone: {at} < current clock {self._clock}"
-            )
-        rebuild = self._rebuild_due(at)
-        self._clock = at
-        if rebuild:
-            self.rebuild()
-
-    def _absorb(self, event) -> None:
-        self.profiles.add(event.user, event.tweet)
-        self._retweeters.setdefault(event.tweet, set()).add(event.user)
-        self._known.add((event.user, event.tweet))
-
-    def _run_tasks(self, tasks: list[PropagationTask]) -> list[Recommendation]:
-        """Score every released task in one batched engine invocation."""
-        released: list[Recommendation] = []
-        for recs in self._score_tasks(tasks):
-            released.extend(recs)
-        return released
-
-    def _score_tasks(
-        self, tasks: list[PropagationTask]
-    ) -> list[list[Recommendation]]:
-        """Per-task candidate notifications, one joint engine invocation.
-
-        Returns a list aligned with ``tasks`` (age-skipped tasks yield an
-        empty list) so batched ingestion can attribute each task's
-        candidates back to the event that released it.
-        """
-        per_task: list[list[Recommendation]] = [[] for _ in tasks]
-        runnable: list[tuple[int, PropagationTask, float | None, set[int]]] = []
-        for i, task in enumerate(tasks):
-            tweet = self.tweets.get(task.tweet)
-            created_at = tweet.created_at if tweet is not None else None
-            if created_at is not None:
-                if task.due_time - created_at > self.config.max_tweet_age:
-                    self._warm.pop(task.tweet)
-                    continue
-            seeds = set(self._retweeters.get(task.tweet, set()))
-            seeds.update(task.users)
-            self._retweeters[task.tweet] = seeds
-            runnable.append((i, task, created_at, seeds))
-        if not runnable:
-            return per_task
-        results = self._engine.propagate_many(
-            [seeds for _, _, _, seeds in runnable],
-            popularities=[len(seeds) for _, _, _, seeds in runnable],
-            initials=[
-                self._warm.get(task.tweet, now=task.due_time)
-                for _, task, _, _ in runnable
-            ],
-        )
-        self.stats.propagations_run += len(runnable)
-        for (i, task, created_at, seeds), result, state in zip(
-            runnable, results, self._engine.take_states()
-        ):
-            self._warm.put(
-                task.tweet, state, created_at=created_at, now=task.due_time
-            )
-            # Sorted so the emission order is identical on both
-            # propagation backends (their result dicts differ in order).
-            per_task[i] = [
-                Recommendation(
-                    user=u, tweet=task.tweet, score=p, time=task.due_time
-                )
-                for u, p in sorted(result.nonseed_scores(seeds).items())
-                if p >= self.config.min_score
-            ]
-        return per_task
-
-    def _deliver(self, released: list[Recommendation]) -> list[Recommendation]:
-        delivered: list[Recommendation] = []
-        with self.metrics.span("budget"):
-            for rec in sorted(released, key=lambda r: (-r.score, r.user, r.tweet)):
-                if (rec.user, rec.tweet) in self._known:
-                    continue
-                day = int(rec.time // DAY)
-                used = self._delivered.get((rec.user, day), 0)
-                if used >= self.config.daily_budget:
-                    self.stats.notifications_suppressed += 1
-                    continue
-                self._delivered[(rec.user, day)] = used + 1
-                self._known.add((rec.user, rec.tweet))
-                delivered.append(rec)
-                self.stats.notifications_delivered += 1
-        self.metrics.counter("budget.delivered").inc(len(delivered))
-        self.metrics.counter("budget.rejections").inc(
-            len(released) - len(delivered)
-        )
-        return delivered

@@ -1,20 +1,24 @@
 """Sharded recommendation service: coordinator, dispatch and global merge.
 
-:class:`ShardedRecommendationService` speaks the same API as the
-single-process :class:`~repro.service.engine.RecommendationService` and
-produces **bit-identical output** — the differential suite
-(``tests/test_shard_differential.py``) pins delivered notifications,
-service stats and the assembled SimGraph across shard counts.
+:class:`ShardedRecommendationService` is a
+:class:`~repro.service.engine.ServiceCore` like the single-process
+:class:`~repro.service.engine.RecommendationService` — the serving loop
+is the same code — that replaces the scorer and the build steps with
+requests to worker shards, and produces **bit-identical output**: the
+differential suite (``tests/test_shard_differential.py``) pins delivered
+notifications, service stats and the assembled SimGraph across shard
+counts.
 
 Division of labour
 ------------------
-The coordinator owns everything cheap and sequential: the follow graph,
-retweet profiles, tweet registry, the postponed scheduler, the online
-budget, and the *decisions* of the warm-state cache (a token LRU whose
-get/put/evict call sequence exactly mirrors the single-process cache, so
-eviction — which changes warm-vs-cold starts and therefore output — stays
-centralized).  Workers own the expensive state: SimGraph rows of their
-users, inverted indexes, propagation values and warm slices.
+The core keeps everything cheap and sequential in the coordinator
+process: the follow graph, retweet profiles, tweet registry, the
+postponed scheduler, the online budget, and the *decisions* of the
+warm-state cache (here a token LRU fed the same get/put/evict call
+sequence as the single-process cache, so eviction — which changes
+warm-vs-cold starts and therefore output — stays centralized).  Workers
+own the expensive state: SimGraph rows of their users, inverted indexes,
+propagation values and warm slices.
 
 Per retweet event the coordinator routes the propagation task to the
 shards whose rows reference a newly pinned seed (usually one, thanks to
@@ -42,18 +46,15 @@ import time as _time
 from typing import Any, Iterable
 
 from repro.baselines.base import Recommendation
-from repro.core.delta import DeltaReport, affected_region
-from repro.core.scheduler import DelayPolicy, PostponedScheduler, PropagationTask
-from repro.core.profiles import RetweetProfiles
+from repro.core.delta import DeltaPlan, DeltaReport
+from repro.core.scheduler import DelayPolicy, PropagationTask
 from repro.core.simgraph import SimGraph
-from repro.core.thresholds import DynamicThreshold, ThresholdPolicy
-from repro.core.warmcache import WarmStateCache
-from repro.data.models import Retweet, Tweet
-from repro.exceptions import ConfigError, DatasetError, ShardError
+from repro.core.thresholds import ThresholdPolicy
+from repro.data.models import Retweet
+from repro.exceptions import ConfigError, ShardError
 from repro.graph.digraph import DiGraph
-from repro.core.propagation_kernel import kernel_mode, warn_kernel_fallback
-from repro.obs import NULL, MetricsRegistry
-from repro.service.engine import DAY, ServiceConfig, ServiceStats
+from repro.obs import MetricsRegistry
+from repro.service.engine import ServiceConfig, ServiceCore
 from repro.shard.partition import (
     DEFAULT_BALANCE_TOLERANCE,
     ShardPlan,
@@ -63,10 +64,8 @@ from repro.shard.worker import ShardWorkerState, shard_worker_main
 
 __all__ = ["ShardedRecommendationService"]
 
-#: Exploration radius and influencer cap the workers build rows with;
-#: fixed to the service builder's defaults (ServiceConfig does not expose
-#: them either).
-_HOPS = 2
+#: Influencer cap the workers build rows with; fixed to the service
+#: builder's default (ServiceConfig does not expose it either).
 _MAX_INFLUENCERS = None
 _TOLERANCE = 1e-10
 _MAX_ITERATIONS = 200
@@ -91,7 +90,6 @@ class _InProcessWorker:
             max_iterations=init["max_iterations"],
             hops=init["hops"],
             max_influencers=init["max_influencers"],
-            prop_backend=init.get("prop_backend", "reference"),
         )
         self.state.apply_events(init.get("events", []))
         self._result: Any = None
@@ -184,8 +182,8 @@ class _ProcessWorker:
         self._conn.close()
 
 
-class ShardedRecommendationService:
-    """A :class:`RecommendationService` sharded over worker processes.
+class ShardedRecommendationService(ServiceCore):
+    """The service core with scoring and building sharded over workers.
 
     Parameters beyond the single-process service:
 
@@ -209,12 +207,12 @@ class ShardedRecommendationService:
     explores the previous SimGraph, which no longer exists in one piece);
     the build backend must be ``"reference"`` (the vectorized builder is
     only weight-identical to 1e-12, which would break the bit-exactness
-    contract); the propagation backend must be ``"reference"``,
-    ``"numba"`` or ``"auto"`` — workers always run the distributed
-    frontier engine, but on the kernel backends each worker replaces its
-    per-user dict walks with compiled CSR row sums over its owned rows
-    (identical float sequence, so the bit-exactness contract holds).
+    contract).  ``config.prop_backend`` is not read: the coordinator
+    never builds a propagation engine, and workers always run the
+    distributed frontier rounds of :mod:`repro.shard.worker`.
     """
+
+    _strategies = ("delta", "from scratch")
 
     def __init__(
         self,
@@ -230,85 +228,32 @@ class ShardedRecommendationService:
     ):
         if n_shards < 1:
             raise ConfigError(f"n_shards must be at least 1, got {n_shards}")
-        self.config = (
+        super().__init__(
             config
             if config is not None
-            else ServiceConfig(rebuild_strategy="delta")
+            else ServiceConfig(rebuild_strategy="delta"),
+            threshold, delay_policy, metrics,
         )
-        if self.config.rebuild_strategy not in ("delta", "from scratch"):
-            raise ConfigError(
-                "sharded service supports rebuild strategies 'delta' and "
-                f"'from scratch', not {self.config.rebuild_strategy!r} "
-                "(crossfold explores the previous SimGraph, which is "
-                "distributed across workers)"
-            )
         if self.config.backend != "reference":
             raise ConfigError(
                 "sharded service requires backend='reference': the "
                 "vectorized builder is only weight-identical to 1e-12, "
                 "which breaks the shard-vs-single bit-exactness contract"
             )
-        if self.config.prop_backend not in ("reference", "numba", "auto"):
-            raise ConfigError(
-                "sharded service supports prop_backend 'reference', "
-                "'numba' and 'auto', not "
-                f"{self.config.prop_backend!r}: workers run their own "
-                "distributed frontier engine (pinned bit-identical to the "
-                "reference), optionally with kernel-compiled row sums; "
-                "per-process CSR batching ('csr') does not apply"
-            )
-        # Workers either run the dict-based reference round or the
-        # kernel-compiled row sums (bit-identical float sequence).  An
-        # explicit 'numba' request without a runnable kernel falls back
-        # with the standard warning + counter; 'auto' falls back silently.
-        self._worker_prop_backend = "reference"
-        if self.config.prop_backend in ("numba", "auto"):
-            if kernel_mode() != "off":
-                self._worker_prop_backend = "numba"
-            elif self.config.prop_backend == "numba":
-                warn_kernel_fallback(
-                    metrics if metrics is not None else NULL,
-                    context="shard workers",
-                )
         self._n_shards = n_shards
-        self.threshold = threshold if threshold is not None else DynamicThreshold()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._delay_policy = delay_policy
         self._partition_seed = partition_seed
         self._balance_tolerance = balance_tolerance
         self._start_method = start_method
         self._request_timeout = request_timeout
 
-        self.follow_graph = DiGraph()
-        self.profiles = RetweetProfiles()
-        self.tweets: dict[int, Tweet] = {}
-        self._retweeters: dict[int, set[int]] = {}
-        self._new_follow_sources: set[int] = set()
-        self._scheduler = (
-            PostponedScheduler(
-                delay_policy or DelayPolicy(), metrics=self.metrics
-            )
-            if self.config.use_scheduler
-            else None
-        )
-        #: Token mirror of the single-process warm cache: same capacity,
-        #: same age rule, same call sequence — its payload is the set of
-        #: users whose stored fixpoint value is exactly 1.0 (the warm
-        #: "already seeded" test), while the value slices live on the
-        #: workers and only follow this cache's eviction decisions.
-        self._warm = WarmStateCache(
-            capacity=self.config.warm_cache_size,
-            max_age=self.config.max_tweet_age,
-            metrics=self.metrics,
-        )
+        # ``self._warm`` holds tokens, not fixpoints: its payload is the
+        # set of users whose stored value is exactly 1.0 (the warm
+        # "already seeded" test), while the value slices live on the
+        # workers and only follow this cache's eviction decisions.
         self._token_view: set[int] = set()
         #: tweet -> shard -> last finalized score map (non-seed, owned,
         #: >= min_score).  Reused for shards a task never engaged.
         self._score_cache: dict[int, dict[int, dict[int, float]]] = {}
-        self._delivered: dict[tuple[int, int], int] = {}
-        self._known: set[tuple[int, int]] = set()
-        self._clock = 0.0
-        self.stats = ServiceStats()
 
         #: Append-only replica event log; workers consume it via a
         #: single shared cursor (all replica syncs are broadcasts).
@@ -348,17 +293,15 @@ class ShardedRecommendationService:
             "min_score": self.config.min_score,
             "tolerance": _TOLERANCE,
             "max_iterations": _MAX_ITERATIONS,
-            "hops": _HOPS,
+            "hops": self._hops,
             "max_influencers": _MAX_INFLUENCERS,
-            "prop_backend": self._worker_prop_backend,
             "events": list(self._event_log),
         }
 
     def _ensure_workers(self) -> None:
         if self._workers is not None:
             return
-        if self._closed:
-            raise ShardError("service is closed")
+        self._check_open()
         self._plan = partition_users(
             self.follow_graph,
             self._n_shards,
@@ -391,6 +334,10 @@ class ShardedRecommendationService:
                 )
         self._workers = workers
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ShardError("service is closed")
+
     def _sync_evictions(self) -> None:
         """Queue token-cache evictions for delivery to every worker."""
         current = set(self._warm.tweets())
@@ -404,6 +351,7 @@ class ShardedRecommendationService:
 
     def _send(self, shard: int, op: str, payload: dict) -> None:
         """Ship a request, prepending any pending slice evictions."""
+        self._check_open()
         self._sync_evictions()
         pending = self._pending_evict[shard]
         if pending:
@@ -431,105 +379,19 @@ class ShardedRecommendationService:
         )
 
     # ------------------------------------------------------------------
-    # Ingestion (mirrors RecommendationService)
+    # Replica event log (what the core's ingestion adds for the workers)
     # ------------------------------------------------------------------
     def add_user(self, user: int) -> None:
-        """Register an account."""
-        self.follow_graph.add_node(user)
+        super().add_user(user)
         self._event_log.append(("user", user))
 
     def add_follow(self, follower: int, followee: int) -> None:
-        """Register a follow edge (auto-registers unknown accounts)."""
-        if self.follow_graph.has_edge(follower, followee):
-            return
-        self.follow_graph.add_edge(follower, followee)
-        self._new_follow_sources.add(follower)
-        self._event_log.append(("follow", follower, followee))
-
-    def post_tweet(self, tweet_id: int, author: int, at: float) -> None:
-        """Register an original post."""
-        if tweet_id in self.tweets:
-            raise DatasetError(f"duplicate tweet id {tweet_id}")
-        self._advance(at)
-        self.tweets[tweet_id] = Tweet(id=tweet_id, author=author, created_at=at)
-
-    def retweet(self, user: int, tweet: int, at: float) -> list[Recommendation]:
-        """Ingest a sharing action; return the notifications it released."""
-        if tweet not in self.tweets:
-            raise DatasetError(f"unknown tweet id {tweet}")
-        started = _time.perf_counter()
-        self._advance(at)
-        self.stats.events_ingested += 1
-        self.metrics.counter("service.events").inc()
-        event = Retweet(user=user, tweet=tweet, time=at)
-        if self._scheduler is not None:
-            released = self._run_tasks(self._scheduler.offer(event))
-            self._absorb(event)
-        else:
-            self._absorb(event)
-            task = PropagationTask(tweet=tweet, users=(user,), due_time=at)
-            released = self._run_tasks([task])
-        delivered = self._deliver(released)
-        self._refresh_health()
-        self.metrics.histogram("service.retweet_seconds", timing=True).observe(
-            _time.perf_counter() - started
-        )
-        return delivered
-
-    def flush(self, now: float | None = None) -> list[Recommendation]:
-        """Drain the scheduler (end of stream / shutdown)."""
-        if self._scheduler is None:
-            return []
-        if now is not None:
-            self._advance(now)
-        released = self._run_tasks(self._scheduler.flush(now=self._clock))
-        delivered = self._deliver(released)
-        self._refresh_health()
-        return delivered
-
-    def _refresh_health(self) -> None:
-        """Mirror of the reference service's health gauges.
-
-        The token cache replays the reference warm cache's exact
-        get/put sequence, so its hit/miss counters — and therefore
-        these stats — stay equal to the single-process service's, which
-        the shard differential suite asserts.
-        """
-        self.stats.warm_hits = self._warm.hits
-        self.stats.warm_misses = self._warm.misses
-        self.stats.queue_depth = (
-            self._scheduler.pending_count if self._scheduler is not None else 0
-        )
-        self.metrics.gauge("service.warm_hits").set(self.stats.warm_hits)
-        self.metrics.gauge("service.warm_misses").set(self.stats.warm_misses)
-        self.metrics.gauge("service.queue_depth").set(self.stats.queue_depth)
-
-    def _advance(self, at: float) -> None:
-        if at < self._clock:
-            raise DatasetError(
-                f"time must be monotone: {at} < current clock {self._clock}"
-            )
-        self._clock = at
-        due = self.stats.last_rebuild_at + self.config.rebuild_interval
-        if self.stats.rebuilds == 0 or at >= due:
-            if self.profiles.user_count > 0 or self.stats.rebuilds == 0:
-                self.rebuild()
-
-    def absorb_retweet(self, user: int, tweet: int) -> None:
-        """Absorb a sharing action without scoring it.
-
-        The offline maintenance path (``simgraph maintain --shards``)
-        measures distributed SimGraph upkeep in isolation: profiles and
-        the worker event log are updated exactly as :meth:`retweet`
-        would, but no propagation task is scheduled and no tweet
-        registration is required.
-        """
-        self._absorb(Retweet(user=user, tweet=tweet, time=self._clock))
+        if not self.follow_graph.has_edge(follower, followee):
+            self._event_log.append(("follow", follower, followee))
+        super().add_follow(follower, followee)
 
     def _absorb(self, event: Retweet) -> None:
-        self.profiles.add(event.user, event.tweet)
-        self._retweeters.setdefault(event.tweet, set()).add(event.user)
-        self._known.add((event.user, event.tweet))
+        super()._absorb(event)
         self._event_log.append(("rt", event.user, event.tweet))
 
     def _drain_events(self) -> list[tuple]:
@@ -538,67 +400,21 @@ class ShardedRecommendationService:
         return chunk
 
     # ------------------------------------------------------------------
-    # Maintenance
+    # Maintenance (the build steps of ServiceCore.rebuild)
     # ------------------------------------------------------------------
-    def rebuild(self, strategy: str | None = None) -> None:
-        """Refresh every shard's SimGraph slice (mirrors the reference)."""
-        name = strategy if strategy is not None else self.config.rebuild_strategy
-        if name not in ("delta", "from scratch"):
-            raise ConfigError(
-                f"sharded rebuild supports 'delta' and 'from scratch', "
-                f"not {name!r}"
-            )
+    def _build_from_scratch(self) -> dict[int, Any]:
         self._ensure_workers()
-        started = _time.perf_counter()
-        report: DeltaReport | None = None
-        with self.metrics.span("service.rebuild"):
-            if (
-                self.stats.rebuilds == 0
-                or name == "from scratch"
-                or self._edge_count == 0
-            ):
-                used = "from scratch"
-                replies = self._broadcast(
-                    "rebuild_full", {"events": self._drain_events()}
-                )
-            else:
-                used = "delta"
-                extra: set[int] = set()
-                for follower in self._new_follow_sources:
-                    extra.add(follower)
-                    if follower in self.follow_graph:
-                        extra.update(self.follow_graph.predecessors(follower))
-                plan = affected_region(
-                    self.profiles,
-                    self.follow_graph,
-                    extra_sources=sorted(extra),
-                    hops=_HOPS,
-                )
-                if plan.is_empty:
-                    report = DeltaReport(
-                        noop=True, core_size=0, fringe_size=0,
-                        rows_recomputed=0, rows_patched=0, pairs_rescored=0,
-                        changed_users=frozenset(),
-                        affected_users=frozenset(), topology_changed=False,
-                    )
-                    events = self._drain_events()
-                    self._broadcast(
-                        "events", {"events": events, "mark_clean": True}
-                    )
-                    replies = None
-                else:
-                    replies, report = self._delta_phases(plan)
-        self.metrics.counter(f"service.rebuild[{used}]").inc()
-        self.metrics.histogram(
-            f"service.rebuild_seconds[{used}]", timing=True
-        ).observe(_time.perf_counter() - started)
-        self.profiles.mark_clean()
-        self._new_follow_sources.clear()
-        self._invalidate_warm(report)
-        if replies is not None:
-            self._adopt_topology(replies, clear_warm=self._should_clear(report))
-        self.stats.rebuilds += 1
-        self.stats.last_rebuild_at = self._clock
+        return self._broadcast("rebuild_full", {"events": self._drain_events()})
+
+    def _apply_delta(
+        self, plan: DeltaPlan
+    ) -> tuple[dict[int, Any] | None, DeltaReport]:
+        if plan.is_empty:
+            self._broadcast(
+                "events", {"events": self._drain_events(), "mark_clean": True}
+            )
+            return None, DeltaReport.empty()
+        return self._delta_phases(plan)
 
     def _delta_phases(self, plan) -> tuple[dict[int, Any], DeltaReport]:
         """Run the two-phase distributed delta and aggregate its report."""
@@ -701,27 +517,20 @@ class ShardedRecommendationService:
             self.metrics.counter("shard.delta_rows_changed").inc(rows_changed)
         return replies, report
 
-    @staticmethod
-    def _should_clear(report: DeltaReport | None) -> bool:
-        return report is None or report.topology_changed
-
     def _invalidate_warm(self, report: DeltaReport | None) -> None:
-        """Token-cache mirror of the reference warm invalidation."""
+        super()._invalidate_warm(report)
         if report is None or report.topology_changed:
-            self._warm.clear()
             self._score_cache.clear()
             self._token_view = set()
-            return
-        if report.noop:
-            return
-        affected = report.affected_users
-        stale = [
-            tweet
-            for tweet in self._warm.tweets()
-            if not self._retweeters.get(tweet, set()).isdisjoint(affected)
-        ]
-        dropped = self._warm.invalidate_tweets(stale)
-        self.metrics.counter("maintenance.cache_invalidations").inc(dropped)
+
+    def _adopt(
+        self, replies: dict[int, Any] | None, report: DeltaReport | None
+    ) -> None:
+        if replies is not None:
+            self._adopt_topology(
+                replies,
+                clear_warm=report is None or report.topology_changed,
+            )
 
     def _adopt_topology(
         self, replies: dict[int, Any], clear_warm: bool
@@ -762,14 +571,9 @@ class ShardedRecommendationService:
             },
         )
 
-    def load_snapshot(self, path, mmap: bool = True) -> None:
-        """Adopt a persisted SimGraph snapshot across all workers.
-
-        Every worker memory-maps the same v2 snapshot (shared pages) and
-        keeps its owned rows.  Bookkeeping mirrors the single-process
-        service: the load counts as a rebuild, consumes profile dirt and
-        clears all warm state.
-        """
+    def _adopt_snapshot(self, path, mmap: bool) -> None:
+        """Every worker memory-maps the same v2 snapshot (shared pages)
+        and keeps its owned rows."""
         self._ensure_workers()
         events = self._drain_events()
         if events:
@@ -777,15 +581,7 @@ class ShardedRecommendationService:
         replies = self._broadcast(
             "load_snapshot", {"path": str(path), "mmap": mmap}
         )
-        self._warm.clear()
-        self._score_cache.clear()
-        self._token_view = set()
-        self.profiles.mark_clean()
-        self._new_follow_sources.clear()
         self._adopt_topology(replies, clear_warm=True)
-        self.stats.rebuilds += 1
-        self.stats.last_rebuild_at = self._clock
-        self.metrics.counter("service.snapshot_loads").inc()
 
     def export_simgraph(self) -> SimGraph:
         """Assemble the distributed rows into one in-memory SimGraph.
@@ -806,25 +602,14 @@ class ShardedRecommendationService:
     # ------------------------------------------------------------------
     # Propagation dispatch
     # ------------------------------------------------------------------
-    def _run_tasks(self, tasks: list[PropagationTask]) -> list[Recommendation]:
-        runnable: list[tuple[PropagationTask, float | None, set[int]]] = []
-        for task in tasks:
-            tweet = self.tweets.get(task.tweet)
-            created_at = tweet.created_at if tweet is not None else None
-            if created_at is not None:
-                if task.due_time - created_at > self.config.max_tweet_age:
-                    self._warm.pop(task.tweet)
-                    continue
-            seeds = set(self._retweeters.get(task.tweet, set()))
-            seeds.update(task.users)
-            self._retweeters[task.tweet] = seeds
-            runnable.append((task, created_at, seeds))
-        if not runnable:
-            return []
+    def _score_runnable(
+        self, runnable: list[tuple[PropagationTask, float | None, set[int]]]
+    ) -> list[list[Recommendation]]:
+        """Route tasks to shards, pace lock-step rounds, merge the scores."""
         self.metrics.counter("shard.events_routed").inc(len(runnable))
 
-        # Mirror the reference's warm gets (one per runnable task, before
-        # any put) so the token cache replays the exact LRU sequence.
+        # One warm get per runnable task, before any put, so the token
+        # cache sees the LRU sequence of the single-process cache.
         prepared = []
         for task, created_at, seeds in runnable:
             token = self._warm.get(task.tweet, now=task.due_time)
@@ -853,7 +638,6 @@ class ShardedRecommendationService:
                 "solo": len(active) == 1,
             }
             prepared.append((task, created_at, seeds, token, spec, active))
-        self.stats.propagations_run += len(runnable)
 
         states: dict[int, dict] = {}
         dispatch_specs: dict[int, list[dict]] = {}
@@ -939,7 +723,7 @@ class ShardedRecommendationService:
             },
         )
 
-        released: list[Recommendation] = []
+        scored: list[list[Recommendation]] = []
         for task, created_at, seeds, token, spec, active in prepared:
             st = states[task.tweet]
             engaged = st["engaged"]
@@ -967,47 +751,21 @@ class ShardedRecommendationService:
                 created_at=created_at,
                 now=task.due_time,
             )
-            released.extend(
+            scored.append([
                 Recommendation(
                     user=u, tweet=task.tweet, score=p, time=task.due_time
                 )
                 for u, p in sorted(merged.items())
                 if u not in seeds
-            )
+            ])
         self.metrics.histogram("shard.merge_seconds", timing=True).observe(
             _time.perf_counter() - merge_started
         )
-        return released
-
-    def _deliver(self, released: list[Recommendation]) -> list[Recommendation]:
-        delivered: list[Recommendation] = []
-        with self.metrics.span("budget"):
-            for rec in sorted(released, key=lambda r: (-r.score, r.user, r.tweet)):
-                if (rec.user, rec.tweet) in self._known:
-                    continue
-                day = int(rec.time // DAY)
-                used = self._delivered.get((rec.user, day), 0)
-                if used >= self.config.daily_budget:
-                    self.stats.notifications_suppressed += 1
-                    continue
-                self._delivered[(rec.user, day)] = used + 1
-                self._known.add((rec.user, rec.tweet))
-                delivered.append(rec)
-                self.stats.notifications_delivered += 1
-        self.metrics.counter("budget.delivered").inc(len(delivered))
-        self.metrics.counter("budget.rejections").inc(
-            len(released) - len(delivered)
-        )
-        return delivered
+        return scored
 
     # ------------------------------------------------------------------
-    # Introspection & lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-    def metrics_snapshot(self, deterministic: bool = False) -> dict:
-        """JSON-ready snapshot of the coordinator's metrics registry."""
-        self._refresh_health()
-        return self.metrics.snapshot(deterministic=deterministic)
-
     def close(self) -> None:
         """Shut down every worker (idempotent)."""
         if self._closed:

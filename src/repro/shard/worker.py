@@ -31,19 +31,6 @@ community-local): the coordinator grants the single active worker a
 the first cross-shard emission, at which point the computation degrades
 gracefully to coordinator-paced lock-step rounds.
 
-Kernel-accelerated row sums (``prop_backend="numba"``)
-------------------------------------------------------
-When the coordinator ships ``prop_backend="numba"`` (and the kernel of
-:mod:`repro.core.propagation_kernel` can run), each worker compiles its
-owned rows into a local CSR at every :meth:`ShardWorkerState._reindex`
-and keeps a dense float64 mirror of each task's value dict.  The dirty
-users of a round are then scored by the ``row_values`` kernel instead of
-per-user dict walks.  The kernel iterates each row's influencers in CSR
-order — the dict insertion order — and accumulates sequentially, so the
-float sequence is *identical* to the reference loop and the bit-exactness
-contract is preserved; everything outside the row sum (frontier, muting,
-emissions, warm slices) still runs on the plain dicts.
-
 The worker state object is plain Python and fully usable in-process
 (the differential suite runs the whole protocol without processes);
 :func:`shard_worker_main` wraps it in a pipe-served loop for
@@ -54,8 +41,6 @@ from __future__ import annotations
 
 import traceback
 from typing import Any
-
-import numpy as np
 
 from repro.core.delta import _reference_core_state
 from repro.core.profiles import RetweetProfiles
@@ -69,10 +54,7 @@ __all__ = ["ShardWorkerState", "shard_worker_main"]
 class _TaskState:
     """In-flight propagation state of one task on one worker."""
 
-    __slots__ = (
-        "values", "frontier", "muted", "seeds", "beta", "rounds",
-        "dense", "epoch",
-    )
+    __slots__ = ("values", "frontier", "muted", "seeds", "beta", "rounds")
 
     def __init__(self, values: dict[int, float], seeds: frozenset[int], beta: float):
         self.values = values
@@ -81,10 +63,6 @@ class _TaskState:
         self.seeds = seeds
         self.beta = beta
         self.rounds = 0
-        #: Dense mirror of ``values`` over the local CSR column index
-        #: (kernel path only; rebuilt lazily when ``epoch`` goes stale).
-        self.dense: np.ndarray | None = None
-        self.epoch = -1
 
 
 class ShardWorkerState:
@@ -105,31 +83,12 @@ class ShardWorkerState:
         max_iterations: int = 200,
         hops: int = 2,
         max_influencers: int | None = None,
-        prop_backend: str = "reference",
     ):
         self.shard_id = shard_id
         self.plan = plan
         self.min_score = min_score
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.prop_backend = prop_backend
-        #: Kernel implementations for row sums, or ``None`` (dict path).
-        self._impls: dict | None = None
-        if prop_backend == "numba":
-            from repro.core.propagation_kernel import (
-                ensure_compiled,
-                get_impls,
-                kernel_mode,
-            )
-
-            if kernel_mode() != "off":
-                self._impls, jitted = get_impls()
-                if jitted:
-                    # Compile once at spawn, not inside the first round.
-                    ensure_compiled()
-                    # A broken compile downgrades the whole worker.
-                    if kernel_mode() == "off":
-                        self._impls = None
         self.builder = SimGraphBuilder(
             tau=tau, hops=hops, max_influencers=max_influencers
         )
@@ -147,12 +106,6 @@ class ShardWorkerState:
         self.slices: dict[int, dict[int, float]] = {}
         #: In-flight propagation tasks, keyed by tweet id.
         self.tasks: dict[int, _TaskState] = {}
-        #: Local CSR of the owned rows (kernel path only), rebuilt at
-        #: every :meth:`_reindex`: indptr/indices/weights over a column
-        #: index covering every influencer, plus user -> row position.
-        self._csr: dict | None = None
-        #: Bumped per CSR rebuild; stale task mirrors are recomputed.
-        self._csr_epoch = 0
 
     # ------------------------------------------------------------------
     # Replica ingestion
@@ -188,56 +141,6 @@ class ShardWorkerState:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _compile_rows(self) -> None:
-        """Compile the owned rows into a local CSR for the kernel path.
-
-        Row order is the ``rows`` dict order and each row's edge order is
-        its dict insertion order, so the kernel's sequential accumulation
-        replays the exact float sequence of the reference loop.  The
-        column index covers every influencer (owned or mirrored remote).
-        """
-        self._csr_epoch += 1
-        if self._impls is None or not self.rows:
-            self._csr = None
-            return
-        index: dict[int, int] = {}
-        row_of: dict[int, int] = {}
-        indptr = np.zeros(len(self.rows) + 1, dtype=np.int64)
-        cols: list[int] = []
-        sims: list[float] = []
-        for r, (u, row) in enumerate(self.rows.items()):
-            row_of[u] = r
-            for v, sim in row.items():
-                j = index.get(v)
-                if j is None:
-                    j = len(index)
-                    index[v] = j
-                cols.append(j)
-                sims.append(sim)
-            indptr[r + 1] = len(cols)
-        self._csr = {
-            "indptr": indptr,
-            "indices": np.asarray(cols, dtype=np.int64),
-            "weights": np.asarray(sims, dtype=np.float64),
-            "row_of": row_of,
-            "index": index,
-        }
-
-    def _ensure_dense(self, state: _TaskState) -> np.ndarray:
-        """The task's dense value mirror, rebuilt if the CSR changed."""
-        csr = self._csr
-        assert csr is not None
-        if state.dense is None or state.epoch != self._csr_epoch:
-            dense = np.zeros(len(csr["index"]), dtype=np.float64)
-            index = csr["index"]
-            for user, p in state.values.items():
-                j = index.get(user)
-                if j is not None:
-                    dense[j] = p
-            state.dense = dense
-            state.epoch = self._csr_epoch
-        return state.dense
-
     def _reindex(self) -> dict:
         """Rebuild the inverted index; report edges and referenced users."""
         in_index: dict[int, set[int]] = {}
@@ -247,7 +150,6 @@ class ShardWorkerState:
             for v in row:
                 in_index.setdefault(v, set()).add(u)
         self.in_index = in_index
-        self._compile_rows()
         boundary = sum(
             1
             for u, row in self.rows.items()
@@ -463,17 +365,10 @@ class ShardWorkerState:
         local frontier for dirty-set expansion.
         """
         values = state.values
-        csr = self._csr
-        dense = self._ensure_dense(state) if csr is not None else None
-        col_index = csr["index"] if csr is not None else None
         frontier = set(state.frontier)
         for user, (p, in_frontier) in external.items():
             if user not in state.seeds:
                 values[user] = p
-                if dense is not None:
-                    j = col_index.get(user)
-                    if j is not None:
-                        dense[j] = p
             if in_frontier:
                 frontier.add(user)
         if not frontier:
@@ -488,31 +383,13 @@ class ShardWorkerState:
             if hit:
                 dirty.update(u for u in hit if u not in seeds)
         get = values.get
-        if dense is not None and dirty:
-            # Kernel path: score every dirty row in one call.  The kernel
-            # walks each row in CSR (== dict insertion) order with the
-            # same sequential accumulation, so each sum is bit-identical
-            # to the dict loop below.
-            dirty_users = list(dirty)
-            row_of = csr["row_of"]
-            rows_arr = np.fromiter(
-                (row_of[u] for u in dirty_users),
-                dtype=np.int64, count=len(dirty_users),
-            )
-            out = np.empty(len(dirty_users), dtype=np.float64)
-            self._impls["row_values"](
-                csr["indptr"], csr["indices"], csr["weights"],
-                dense, rows_arr, out,
-            )
-            scored = [(u, float(out[i])) for i, u in enumerate(dirty_users)]
-        else:
-            scored = []
-            for user in dirty:
-                row = self.rows[user]
-                total = 0.0
-                for v, sim in row.items():
-                    total += get(v, 0.0) * sim
-                scored.append((user, total / len(row)))
+        scored = []
+        for user in dirty:
+            row = self.rows[user]
+            total = 0.0
+            for v, sim in row.items():
+                total += get(v, 0.0) * sim
+            scored.append((user, total / len(row)))
         new_values: dict[int, float] = {}
         next_frontier: set[int] = set()
         tolerance = self.tolerance
@@ -530,11 +407,6 @@ class ShardWorkerState:
             elif beta > 0.0:
                 muted.add(user)
         values.update(new_values)
-        if dense is not None:
-            for user, p in new_values.items():
-                j = col_index.get(user)
-                if j is not None:
-                    dense[j] = p
         state.frontier = next_frontier
         emissions: dict[int, dict[int, tuple[float, bool]]] = {}
         remote_refs = self.remote_refs
@@ -682,7 +554,6 @@ def shard_worker_main(conn, init: dict) -> None:
         max_iterations=init["max_iterations"],
         hops=init["hops"],
         max_influencers=init["max_influencers"],
-        prop_backend=init.get("prop_backend", "reference"),
     )
     state.apply_events(init.get("events", []))
     while True:

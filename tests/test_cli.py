@@ -135,7 +135,7 @@ class TestMaintain:
     def test_all_strategies_accepted(self, dataset_dir):
         code = main([
             "maintain", str(dataset_dir),
-            "--rebuild-strategy", "crossfold scoped",
+            "--rebuild-strategy", "crossfold",
         ])
         assert code == 0
 

@@ -6,7 +6,6 @@ from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import SimGraphBuilder
 from repro.core.update import (
     ALL_STRATEGIES,
-    SCOPED_STRATEGIES,
     STRATEGIES,
     apply_strategy,
     crossfold,
@@ -37,11 +36,7 @@ class TestStrategies:
             "SimGraph updated",
             "delta",
         }
-        assert set(SCOPED_STRATEGIES) == {
-            "crossfold scoped",
-            "SimGraph updated scoped",
-        }
-        assert set(ALL_STRATEGIES) == set(STRATEGIES) | set(SCOPED_STRATEGIES)
+        assert ALL_STRATEGIES is STRATEGIES
 
     def test_old_simgraph_is_identity(self, world):
         dataset, split, mid, builder, old = world
@@ -102,13 +97,6 @@ class TestStrategies:
         profiles = RetweetProfiles(split.train)
         profiles.mark_clean()
         assert delta(old, dataset.follow_graph, profiles, builder) is old
-
-    def test_scoped_strategies_empty_delta_identity(self, world):
-        dataset, split, _, builder, old = world
-        for strategy in SCOPED_STRATEGIES.values():
-            profiles = RetweetProfiles(split.train)
-            profiles.mark_clean()
-            assert strategy(old, dataset.follow_graph, profiles, builder) is old
 
     def test_crossfold_explores_old_simgraph(self, world):
         dataset, split, mid, builder, old = world

@@ -1,16 +1,11 @@
 """Differential harness for the delta maintenance engine.
 
-Pins the exactness contract of :mod:`repro.core.delta` and the scoped
-strategy variants of :mod:`repro.core.update`:
+Pins the exactness contract of :mod:`repro.core.delta`:
 
 * ``delta`` produces the *same edge set* as ``from scratch`` with
   weights equal within 1e-12 (fringe pairs are accumulated from the
   other side of the symmetric measure), on both build backends, with
   and without a row cap;
-* ``SimGraph updated scoped`` matches the full weight rescan;
-* ``crossfold scoped`` is an edge-subset of the full crossfold with
-  equal weights on shared edges and bit-equal rows for affected
-  sources;
 * an empty delta is the identity (same object, no work);
 * the service's ``delta`` rebuild agrees with a from-scratch service on
   both propagation backends.
@@ -27,13 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RetweetProfiles, SimGraphBuilder
-from repro.core.update import (
-    apply_strategy,
-    crossfold,
-    crossfold_scoped,
-    update_weights,
-    update_weights_scoped,
-)
+from repro.core.update import apply_strategy
 from repro.data import temporal_split
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
@@ -129,61 +118,6 @@ class TestDeltaMatchesFromScratch:
             "delta", old, dataset.follow_graph, split.train, []
         )
         assert refreshed is old
-
-
-class TestScopedStrategies:
-    def test_update_weights_scoped_matches_full(self):
-        dataset, split = corpus()
-        old, builder = old_graph("reference")
-        profiles = RetweetProfiles(split.train)
-        profiles.mark_clean()
-        profiles.extend(held_out_slice(120))
-        scoped = update_weights_scoped(
-            old, dataset.follow_graph, profiles, builder
-        )
-        full = update_weights(old, dataset.follow_graph, profiles, builder)
-        assert_same_edges(scoped, full)
-        assert set(scoped.graph.nodes()) == set(full.graph.nodes())
-
-    def test_crossfold_scoped_subset_of_full(self):
-        dataset, split = corpus()
-        old, builder = old_graph("reference")
-        profiles = RetweetProfiles(split.train)
-        profiles.mark_clean()
-        profiles.extend(held_out_slice(120))
-        scoped = crossfold_scoped(old, dataset.follow_graph, profiles, builder)
-        full = crossfold(old, dataset.follow_graph, profiles, builder)
-        scoped_edges, full_edges = edge_map(scoped), edge_map(full)
-        assert set(scoped_edges) <= set(full_edges)
-        for pair, weight in scoped_edges.items():
-            assert weight == pytest.approx(full_edges[pair], abs=WEIGHT_ATOL)
-
-    def test_crossfold_scoped_rebuilds_affected_rows_exactly(self):
-        from repro.core.delta import affected_region
-
-        dataset, split = corpus()
-        old, builder = old_graph("reference")
-        profiles = RetweetProfiles(split.train)
-        profiles.mark_clean()
-        profiles.extend(held_out_slice(120))
-        plan = affected_region(profiles, old.graph, hops=builder.hops)
-        scoped = crossfold_scoped(old, dataset.follow_graph, profiles, builder)
-        full = crossfold(old, dataset.follow_graph, profiles, builder)
-        for source in sorted(plan.affected):
-            if source in old.graph:
-                assert scoped.row(source) == full.row(source)
-
-    def test_scoped_strategies_empty_delta_identity(self):
-        dataset, split = corpus()
-        old, builder = old_graph("reference")
-        profiles = RetweetProfiles(split.train)
-        profiles.mark_clean()
-        assert update_weights_scoped(
-            old, dataset.follow_graph, profiles, builder
-        ) is old
-        assert crossfold_scoped(
-            old, dataset.follow_graph, profiles, builder
-        ) is old
 
 
 @settings(max_examples=12, deadline=None)

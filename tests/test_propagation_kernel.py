@@ -75,7 +75,7 @@ class TestKernelMode:
             pk.get_impls(jit=True)
         impls, jitted = pk.get_impls(jit=False)
         assert not jitted
-        assert set(impls) == {"fixpoint", "fixpoint_many", "row_values"}
+        assert set(impls) == {"fixpoint", "fixpoint_many"}
 
 
 class TestResolution:

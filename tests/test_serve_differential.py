@@ -14,6 +14,8 @@ not counts):
   front-end over the single-process service.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.serve import RetweetRequest, PostRequest, ServeConfig, serve_stream
@@ -136,6 +138,57 @@ class TestIngestBatchEquality:
             service.ingest_batch(bad)
         assert set(service._known) == known_before
         assert service.stats.events_ingested == 0
+
+    @pytest.mark.parametrize("use_scheduler", [False, True])
+    def test_stale_event_batch_matches_sequential(self, use_scheduler):
+        """A batch with a timestamp running backwards is rejected whole,
+        before any state changes; replayed per event (what the server
+        does) it ends exactly where sequential ingestion ends."""
+        from repro.exceptions import DatasetError
+
+        kwargs = {"use_scheduler": use_scheduler, "prop_backend": "csr"}
+        sequential = build_service(**kwargs)
+        batched = build_service(**kwargs)
+        events = live_stream(sequential, n_events=9)
+        live_stream(batched)
+        events.insert(6, (events[0][0], events[0][1], events[0][2] - 1.0))
+
+        def replay(service):
+            out = []
+            for user, tweet, at in events:
+                try:
+                    out.append(as_tuples(service.retweet(user, tweet, at)))
+                except DatasetError:
+                    out.append("error")
+            return out
+
+        expected = replay(sequential)
+        assert expected.count("error") == 1
+
+        stats_before = dataclasses.replace(batched.stats)
+        known_before = set(batched._known)
+        with pytest.raises(DatasetError, match="monotone"):
+            batched.ingest_batch(events)
+        assert batched.stats == stats_before
+        assert batched._known == known_before
+        assert batched._clock == 0.0
+
+        responses = serve_stream(
+            batched,
+            [RetweetRequest(user=u, tweet=t, at=at) for u, t, at in events],
+            ServeConfig(max_batch=16, max_linger=0.0),
+            return_exceptions=True,
+        )
+        got = [
+            "error" if isinstance(r, DatasetError)
+            else as_tuples(r.notifications)
+            for r in responses
+        ]
+        assert got == expected
+        assert batched.stats == sequential.stats
+        assert batched._known == sequential._known
+        assert batched._clock == sequential._clock
+        assert as_tuples(batched.flush()) == as_tuples(sequential.flush())
 
     def test_empty_batch(self):
         service = build_service(use_scheduler=False)

@@ -240,6 +240,26 @@ class TestServeStream:
         assert isinstance(results[0], DatasetError)
         assert service.stats.events_ingested == 6  # history only
 
+    def test_stale_event_fails_alone_in_its_batch(self):
+        service = warm_service()
+        results = serve_stream(
+            service,
+            [
+                RetweetRequest(user=0, tweet=200, at=600.0),
+                RetweetRequest(user=1, tweet=200, at=601.0),
+                RetweetRequest(user=2, tweet=200, at=10.0),  # runs backwards
+                RetweetRequest(user=2, tweet=200, at=602.0),
+            ],
+            ServeConfig(max_batch=8, max_linger=0.0),
+            return_exceptions=True,
+        )
+        assert [getattr(r, "status", None) for r in results] == [
+            "ok", "ok", None, "ok",
+        ]
+        assert isinstance(results[2], DatasetError)
+        assert results[0].notifications  # the good requests were scored
+        assert service.stats.events_ingested == 6 + 3
+
     def test_unknown_request_type_rejected(self):
         service = warm_service()
         results = serve_stream(

@@ -5,8 +5,6 @@ import pytest
 from repro.exceptions import ConfigError, DatasetError
 from repro.service import RecommendationService, ServiceConfig
 
-DAY = 86400.0
-
 
 def warm_service(**config_kwargs) -> RecommendationService:
     """A service with three co-retweeting users and one fresh tweet."""
@@ -56,94 +54,15 @@ class TestConfig:
 
 
 class TestIngestion:
-    def test_duplicate_tweet_rejected(self):
-        service = warm_service()
-        with pytest.raises(DatasetError):
-            service.post_tweet(tweet_id=200, author=3, at=600.0)
-
-    def test_unknown_tweet_rejected(self):
-        service = warm_service()
-        with pytest.raises(DatasetError):
-            service.retweet(user=0, tweet=999, at=600.0)
-
-    def test_time_must_be_monotone(self):
-        service = warm_service()
-        service.retweet(user=0, tweet=200, at=600.0)
-        with pytest.raises(DatasetError):
-            service.retweet(user=1, tweet=200, at=10.0)
-
+    # Validation, delivery, budget, 72h and scheduler cases live in
+    # tests/test_service_contract.py, which runs them over this service
+    # and the sharded coordinator alike.
     def test_stats_counted(self):
         service = warm_service()
         before = service.stats.events_ingested
         service.retweet(user=0, tweet=200, at=600.0)
         assert service.stats.events_ingested == before + 1
         assert service.stats.propagations_run > 0
-
-
-class TestDelivery:
-    def test_similar_users_notified(self):
-        service = warm_service()
-        notifications = service.retweet(user=0, tweet=200, at=600.0)
-        users = {n.user for n in notifications}
-        assert users & {1, 2}
-        assert 0 not in users
-
-    def test_no_duplicate_notifications(self):
-        service = warm_service()
-        first = service.retweet(user=0, tweet=200, at=600.0)
-        second = service.retweet(user=1, tweet=200, at=700.0)
-        first_pairs = {(n.user, n.tweet) for n in first}
-        second_pairs = {(n.user, n.tweet) for n in second}
-        assert not first_pairs & second_pairs
-
-    def test_retweeting_user_never_renotified(self):
-        service = warm_service()
-        service.retweet(user=0, tweet=200, at=600.0)
-        notifications = service.retweet(user=1, tweet=200, at=700.0)
-        assert all(n.user != 1 for n in notifications)
-
-    def test_daily_budget_enforced(self):
-        service = warm_service(daily_budget=1)
-        # Two fresh tweets shared in one day: only one notification each
-        # for the other users.
-        service.post_tweet(tweet_id=201, author=3, at=650.0)
-        day_recs = []
-        day_recs += service.retweet(user=0, tweet=200, at=700.0)
-        day_recs += service.retweet(user=0, tweet=201, at=800.0)
-        per_user: dict[int, int] = {}
-        for n in day_recs:
-            per_user[n.user] = per_user.get(n.user, 0) + 1
-        assert all(count <= 1 for count in per_user.values())
-        assert service.stats.notifications_suppressed > 0
-
-    def test_budget_resets_next_day(self):
-        service = warm_service(daily_budget=1)
-        service.post_tweet(tweet_id=201, author=3, at=650.0)
-        service.retweet(user=0, tweet=200, at=700.0)
-        # Next day: budget refreshed, new tweet notifies again.
-        service.post_tweet(tweet_id=202, author=3, at=700.0 + DAY)
-        notifications = service.retweet(user=0, tweet=202, at=800.0 + DAY)
-        assert notifications
-
-    def test_old_tweets_not_propagated(self):
-        service = warm_service(max_tweet_age=3600.0)
-        notifications = service.retweet(user=0, tweet=200, at=500.0 + 7200.0)
-        assert notifications == []
-
-
-class TestScheduledMode:
-    def test_flush_drains_buffered_work(self):
-        service = warm_service(use_scheduler=True)
-        immediate = service.retweet(user=0, tweet=200, at=600.0)
-        flushed = service.flush(now=600.0 + 5 * 3600.0)
-        assert immediate == []
-        assert flushed
-
-    def test_flush_idempotent(self):
-        service = warm_service(use_scheduler=True)
-        service.retweet(user=0, tweet=200, at=600.0)
-        service.flush(now=700.0 + 4 * 3600.0)
-        assert service.flush() == []
 
 
 class TestVectorizedBackend:
@@ -274,15 +193,6 @@ class TestHealthGauges:
         assert gauges["service.warm_misses"] == service.stats.warm_misses
         assert service.stats.warm_hits >= 1
         assert service.stats.warm_misses >= 1
-
-    def test_queue_depth_tracks_scheduler_backlog(self):
-        service = warm_service(use_scheduler=True)
-        service.retweet(user=0, tweet=200, at=600.0)
-        buffered = service.metrics_snapshot()["gauges"]["service.queue_depth"]
-        assert buffered == service.stats.queue_depth >= 1
-        service.flush(10_000_000.0)
-        drained = service.metrics_snapshot()["gauges"]["service.queue_depth"]
-        assert drained == service.stats.queue_depth == 0
 
 
 def two_group_service() -> RecommendationService:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import time
+import warnings
 
 import pytest
 
 from repro.data.builders import DatasetBuilder
-from repro.exceptions import ConfigError, DatasetError, ShardError
+from repro.exceptions import ConfigError, ShardError
 from repro.service import RecommendationService, ServiceConfig
 from repro.shard import ShardedRecommendationService
 from repro.shard.replay import drive_service, ingest_graph
@@ -65,41 +67,25 @@ def test_rejects_non_reference_backends():
                 rebuild_strategy="delta", backend="vectorized"
             ),
         )
-    with pytest.raises(ConfigError, match="prop_backend 'reference'"):
-        ShardedRecommendationService(
-            2,
-            config=ServiceConfig(rebuild_strategy="delta", prop_backend="csr"),
-        )
 
 
-def test_worker_prop_backend_resolution(monkeypatch):
-    """'numba'/'auto' ship kernel workers only when the kernel can run."""
-    monkeypatch.setenv("REPRO_PROP_KERNEL", "python")
-    for requested in ("numba", "auto"):
-        service = ShardedRecommendationService(
-            2,
-            config=ServiceConfig(
-                rebuild_strategy="delta", prop_backend=requested
-            ),
-        )
-        assert service._worker_prop_backend == "numba"
-        service.close()
+def test_prop_backend_is_not_consulted(monkeypatch):
+    """Any propagation backend is accepted, silently: workers never use it."""
     monkeypatch.setenv("REPRO_PROP_KERNEL", "off")
-    # 'auto' degrades silently; explicit 'numba' warns and counts.
-    service = ShardedRecommendationService(
-        2, config=ServiceConfig(rebuild_strategy="delta", prop_backend="auto")
-    )
-    assert service._worker_prop_backend == "reference"
-    service.close()
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        service = ShardedRecommendationService(
-            2,
-            config=ServiceConfig(
-                rebuild_strategy="delta", prop_backend="numba"
-            ),
-        )
-    assert service._worker_prop_backend == "reference"
-    service.close()
+    for prop_backend in ("reference", "csr", "numba", "auto"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            service = ShardedRecommendationService(
+                2,
+                config=_config(prop_backend=prop_backend),
+                start_method="inprocess",
+            )
+        service.add_user(1)
+        service.post_tweet(7, author=1, at=0.0)
+        assert service.retweet(user=1, tweet=7, at=1.0) == []
+        counters = service.metrics_snapshot()["counters"]
+        assert "prop.kernel.fallback" not in counters
+        service.close()
 
 
 def test_explicit_rebuild_strategy_validated():
@@ -109,19 +95,6 @@ def test_explicit_rebuild_strategy_validated():
     service.add_user(1)
     with pytest.raises(ConfigError):
         service.rebuild("crossfold")
-    service.close()
-
-
-def test_duplicate_tweet_and_unknown_tweet_errors():
-    service = ShardedRecommendationService(
-        2, config=_config(), start_method="inprocess"
-    )
-    service.add_user(1)
-    service.post_tweet(7, author=1, at=0.0)
-    with pytest.raises(DatasetError):
-        service.post_tweet(7, author=1, at=1.0)
-    with pytest.raises(DatasetError):
-        service.retweet(user=1, tweet=99, at=2.0)
     service.close()
 
 
@@ -189,20 +162,34 @@ def test_worker_exception_reports_traceback():
     service.close()
 
 
-def test_close_is_idempotent_and_blocks_reuse():
+@pytest.mark.parametrize("started", [False, True])
+def test_close_is_idempotent_and_blocks_reuse(started):
+    """A closed service refuses every request before touching state —
+    whether or not its workers had ever started."""
     service = ShardedRecommendationService(
         2, config=_config(), start_method="inprocess"
     )
-    service.add_user(1)
-    service.post_tweet(0, author=1, at=0.0)
+    ingest_graph(service, _dataset())
+    if started:
+        service.post_tweet(0, author=1, at=0.0)  # first rebuild starts workers
+        service.retweet(user=0, tweet=0, at=50.0)
+        assert service._workers is not None
     service.close()
     service.close()
-    fresh = ShardedRecommendationService(
-        2, config=_config(), start_method="inprocess"
-    )
-    fresh.close()
-    with pytest.raises(ShardError, match="closed"):
-        fresh.post_tweet(0, author=1, at=0.0)
+    stats = dataclasses.replace(service.stats)
+    known = set(service._known)
+    for request in (
+        lambda: service.retweet(user=2, tweet=0, at=90.0),
+        lambda: service.post_tweet(1, author=4, at=90.0),
+        lambda: service.flush(90.0),
+        lambda: service.rebuild(),
+        lambda: service.export_simgraph(),
+    ):
+        with pytest.raises(ShardError, match="service is closed"):
+            request()
+    assert service.stats == stats
+    assert service._known == known
+    assert 1 not in service.tweets
 
 
 @needs_fork

@@ -167,26 +167,6 @@ def test_fork_multiprocessing_leg():
     _assert_identical(single, sharded)
 
 
-def test_numba_kernel_workers_identical(corpus, monkeypatch):
-    """Workers with kernel-compiled row sums stay bit-identical.
-
-    ``REPRO_PROP_KERNEL=python`` guarantees the workers genuinely run
-    the kernels (interpreted here; CI's numba leg compiles them) rather
-    than silently falling back to the dict path when numba is absent.
-    """
-    monkeypatch.setenv("REPRO_PROP_KERNEL", "python")
-    dataset, retweets = corpus
-    single = _run_single(
-        _config(prop_backend="reference"), dataset, retweets
-    )
-    for prop_backend in ("numba", "auto"):
-        sharded = _run_sharded(
-            4, _config(prop_backend=prop_backend), dataset, retweets
-        )
-        assert sharded[2]._worker_prop_backend == "numba"
-        _assert_identical(single, sharded)
-
-
 def test_sharded_metrics_report_routing(corpus):
     """shard.* observability counters are populated during a replay."""
     dataset, retweets = corpus
