@@ -10,9 +10,6 @@ Both must produce *identical* edge sets (the differential suite pins
 this down to 1e-12); this bench records the wall-clock gap on three
 synthetic corpora and asserts the vectorized build is at least 3x
 faster on the largest, paper-sparsity-matched configuration.
-
-Also timed: the multi-RHS direct solve (``solve_many_direct``) against
-a loop of single ``solve_direct`` calls on the same seed sets.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import time
 
 from conftest import BENCH_CONFIG
 from repro.core import RetweetProfiles, SimGraphBuilder
-from repro.core.linear import LinearSystem
 from repro.synth import SynthConfig, generate_dataset
 from repro.utils.tables import render_table
 
@@ -43,7 +39,6 @@ SPEEDUP_CONFIGS = [
 
 MAX_INFLUENCERS = 6
 TAU = 0.001
-SOLVE_TWEETS = 80
 
 
 def _timed(fn):
@@ -95,40 +90,3 @@ def test_vectorized_build_speedup(benchmark, emit):
         f"vectorized build only {large_speedup:.1f}x faster on the "
         "largest corpus (acceptance floor is 3x)"
     )
-
-
-def test_batch_solve_speedup(benchmark, bench_dataset, bench_profiles,
-                             sparse_simgraph, emit):
-    """Multi-RHS block solve vs a loop of single direct solves."""
-    tweets = sorted(
-        bench_profiles.tweets(),
-        key=bench_profiles.popularity,
-        reverse=True,
-    )[:SOLVE_TWEETS]
-    seed_sets = [bench_profiles.retweeters(t) for t in tweets]
-    system = LinearSystem(sparse_simgraph)
-
-    def measure():
-        singles, t_loop = _timed(
-            lambda: [system.solve_direct(s).probabilities for s in seed_sets]
-        )
-        batch, t_batch = _timed(lambda: system.solve_many_direct(seed_sets))
-        return singles, t_loop, batch, t_batch
-
-    singles, t_loop, batch, t_batch = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-    for single, solved in zip(singles, batch):
-        assert set(single) == set(solved)
-        for user, p in single.items():
-            assert abs(solved[user] - p) < 1e-9
-    emit(render_table(
-        ["path", "seed sets", "time (ms)"],
-        [
-            ["solve_direct loop", len(seed_sets), f"{t_loop * 1000:.0f}"],
-            ["solve_many_direct", len(seed_sets), f"{t_batch * 1000:.0f}"],
-        ],
-        title="Direct solve: loop vs multi-RHS block solve",
-    ))
-    # The batch path must never lose to the loop by more than noise.
-    assert t_batch <= t_loop * 1.5

@@ -6,36 +6,29 @@ gathers and in-order segment sums instead of a Python loop over dict
 adjacency, and ``propagate_many`` advances a whole batch of tweets
 jointly through shared sparse products.
 
-All engines must produce *identical* results (the differential suite
+Both engines must produce *identical* results (the differential suite
 pins them bit-for-bit); this bench records the wall-clock gap on three
-synthetic corpora across up to five paths —
+synthetic corpora across three paths —
 
 * ``reference``   — one ``PropagationEngine.propagate`` per tweet;
 * ``csr``         — one ``CSRPropagationEngine.propagate`` per tweet;
-* ``csr batch``   — all tweets in one ``propagate_many`` invocation;
-* ``numba``       — one ``NumbaPropagationEngine.propagate`` per tweet
-  (jit-compiled kernel; measured only when numba is importable);
-* ``numba batch`` — the kernel's ``propagate_many`` (prange across
-  tasks) —
+* ``csr batch``   — all tweets in one ``propagate_many`` invocation —
 
 and asserts the CSR single path is at least 3x faster on the largest
-corpus, plus (when the jitted kernel can run and the machine has the
-cores) the kernel batch path at least 5x faster than the CSR batch.
-JIT warm-up is excluded from every timing: :func:`ensure_compiled` runs
-first and its cost is reported as a separate ``compile_seconds`` figure.
-The measured matrix (per-path seconds, events/s, speedups, numba
-availability) is *always* persisted to ``benchmarks/BENCH_prop_speedup.json``
-— including on machines without numba, where the kernel rows record as
-unavailable.  A second bench measures the warm-state cache: every tweet
-is scored twice (half its retweeters, then all of them), once cold both
+corpus.  A second bench measures the warm-state cache: every tweet is
+scored twice (half its retweeters, then all of them), once cold both
 times and once resuming from the cached fixpoint.
+
+A full run rewrites ``benchmarks/BENCH_prop_speedup.json`` — numeric
+rows per bench plus one ``context`` block (cores, versions, git sha,
+smoke flag).  A smoke run never touches that committed record.
 
 Env knobs (used by the CI smoke step):
 
 * ``PROP_BENCH_SMOKE=1`` — run the smallest corpus only and relax the
-  speedup floors to "not slower" (1.0x);
-* ``PROP_BENCH_JSON=path`` — additionally dump the measured rows as
-  JSON for archival.
+  speedup floor to "not slower" (1.0x);
+* ``PROP_BENCH_JSON=path`` — where a smoke run writes its rows (nowhere
+  when unset).
 """
 
 from __future__ import annotations
@@ -44,17 +37,13 @@ import json
 import os
 import time
 
-from conftest import BENCH_CONFIG
+from conftest import BENCH_CONFIG, bench_context
 from repro.core import (
     CSRPropagationEngine,
-    NUMBA_AVAILABLE,
-    NumbaPropagationEngine,
     PropagationEngine,
     RetweetProfiles,
     SimGraphBuilder,
-    kernel_mode,
 )
-from repro.core.propagation_kernel import ensure_compiled
 from repro.core.warmcache import WarmStateCache
 from repro.synth import SynthConfig, generate_dataset
 from repro.utils.tables import render_table
@@ -81,14 +70,9 @@ SMOKE = os.environ.get("PROP_BENCH_SMOKE") == "1"
 #: Acceptance floor for the single-task CSR path on the largest corpus;
 #: the smoke run only guards against a regression below parity.
 SPEEDUP_FLOOR = 1.0 if SMOKE else 3.0
-#: Acceptance floor for the kernel batch path vs the CSR batch path on
-#: the largest corpus — only enforced when the jitted kernel can run and
-#: the machine has enough cores for the prange fan-out to matter.
-KERNEL_FLOOR = 1.0 if SMOKE else 5.0
-KERNEL_FLOOR_MIN_CORES = 2 if SMOKE else 4
 CONFIGS = PROP_CONFIGS[:1] if SMOKE else PROP_CONFIGS
 
-#: The measured matrix is always archived here (numba present or not).
+#: The committed record; only a full run writes it.
 MATRIX_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_prop_speedup.json"
 )
@@ -113,55 +97,27 @@ def _workload(config, n_tweets):
     return simgraph, [profiles.retweeters(t) for t in tweets]
 
 
-def _dump_json(name, rows, header):
-    path = os.environ.get("PROP_BENCH_JSON")
+def _record(name, rows) -> None:
+    """Merge one bench's numeric rows (and the context) into the record."""
+    path = os.environ.get("PROP_BENCH_JSON") if SMOKE else MATRIX_PATH
     if not path:
         return
     payload = {}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    payload[name] = [dict(zip(header, row)) for row in rows]
+    payload["context"] = bench_context(SMOKE)
+    payload[name] = rows
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _path_entry(seconds, n_events, baseline=None):
-    """One matrix cell: wall time, throughput and speedup vs baseline."""
-    entry = {
-        "seconds": round(seconds, 6),
-        "events_per_s": round(n_events / seconds, 2) if seconds > 0 else None,
-    }
-    if baseline is not None:
-        entry["speedup"] = (
-            round(baseline / seconds, 2) if seconds > 0 else float("inf")
-        )
-    return entry
-
-
-def _persist_matrix(matrix) -> None:
-    with open(MATRIX_PATH, "w", encoding="utf-8") as handle:
-        json.dump(matrix, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def test_csr_propagation_speedup(benchmark, emit):
-    # The kernel is benched only when it runs jit-compiled: interpreted
-    # kernels (REPRO_PROP_KERNEL=python) exist for differential testing,
-    # not speed, so timing them would only pollute the archive.
-    bench_kernel = NUMBA_AVAILABLE and kernel_mode() == "jit"
-    compile_seconds = ensure_compiled() if bench_kernel else None
-
     def measure():
         rows = []
-        kernel_rows = []
-        corpora = []
-        largest_speedup = 0.0
-        largest_kernel_speedup = None
         for label, config, n_tweets in CONFIGS:
             simgraph, seed_sets = _workload(config, n_tweets)
-            n_tasks = len(seed_sets)
             reference = PropagationEngine(simgraph)
             singles, t_ref = _timed(
                 lambda: [reference.propagate(s) for s in seed_sets]
@@ -179,117 +135,44 @@ def test_csr_propagation_speedup(benchmark, emit):
                 assert set(a.probabilities) == set(b.probabilities)
                 for user, p in a.probabilities.items():
                     assert abs(b.probabilities[user] - p) < 1e-9
-            speedup = t_ref / t_csr if t_csr > 0 else float("inf")
-            batch_speedup = t_ref / t_batch if t_batch > 0 else float("inf")
-            rows.append([
-                label, simgraph.node_count, simgraph.edge_count,
-                n_tasks, f"{t_ref * 1000:.0f}",
-                f"{t_csr * 1000:.0f}", f"{speedup:.1f}x",
-                f"{t_batch * 1000:.0f}", f"{batch_speedup:.1f}x",
-            ])
-            largest_speedup = speedup
-            paths = {
-                "reference_single": _path_entry(t_ref, n_tasks),
-                "csr_single": _path_entry(t_csr, n_tasks, baseline=t_ref),
-                "csr_batch": _path_entry(t_batch, n_tasks, baseline=t_ref),
-                "numba_single": None,
-                "numba_batch": None,
-            }
-            if bench_kernel:
-                kern = NumbaPropagationEngine(simgraph)
-                kern_singles, t_kern = _timed(
-                    lambda: [kern.propagate(s) for s in seed_sets]
-                )
-                kern_batch, t_kern_batch = _timed(
-                    lambda: kern.propagate_many(seed_sets)
-                )
-                # The kernel is bit-identical to the reference, batched
-                # or not (prange runs across tasks, never inside a sum).
-                for a, b in zip(singles, kern_singles):
-                    assert a.probabilities == b.probabilities, (
-                        f"kernel divergence on {label}"
-                    )
-                for a, b in zip(kern_singles, kern_batch):
-                    assert a.probabilities == b.probabilities, (
-                        f"kernel batch divergence on {label}"
-                    )
-                paths["numba_single"] = _path_entry(
-                    t_kern, n_tasks, baseline=t_csr
-                )
-                paths["numba_batch"] = _path_entry(
-                    t_kern_batch, n_tasks, baseline=t_batch
-                )
-                kernel_rows.append([
-                    label, n_tasks,
-                    f"{t_csr * 1000:.0f}", f"{t_kern * 1000:.0f}",
-                    f"{t_csr / t_kern if t_kern > 0 else float('inf'):.1f}x",
-                    f"{t_batch * 1000:.0f}", f"{t_kern_batch * 1000:.0f}",
-                    (f"{t_batch / t_kern_batch:.1f}x"
-                     if t_kern_batch > 0 else "inf"),
-                ])
-                largest_kernel_speedup = (
-                    t_batch / t_kern_batch if t_kern_batch > 0
-                    else float("inf")
-                )
-            corpora.append({
+            rows.append({
                 "corpus": label,
                 "nodes": simgraph.node_count,
                 "edges": simgraph.edge_count,
-                "tasks": n_tasks,
-                "paths": paths,
+                "tweets": len(seed_sets),
+                "reference_s": t_ref,
+                "csr_s": t_csr,
+                "csr_speedup": t_ref / t_csr,
+                "csr_batch_s": t_batch,
+                "csr_batch_speedup": t_ref / t_batch,
             })
-        return rows, kernel_rows, corpora, largest_speedup, largest_kernel_speedup
+        return rows
 
-    rows, kernel_rows, corpora, largest_speedup, largest_kernel_speedup = (
-        benchmark.pedantic(measure, rounds=1, iterations=1)
-    )
-    header = [
-        "corpus", "nodes", "edges", "tweets", "reference (ms)",
-        "csr (ms)", "speedup", "csr batch (ms)", "batch speedup",
-    ]
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     emit(render_table(
-        header, rows,
+        [
+            "corpus", "nodes", "edges", "tweets", "reference (ms)",
+            "csr (ms)", "speedup", "csr batch (ms)", "batch speedup",
+        ],
+        [
+            [
+                row["corpus"], row["nodes"], row["edges"], row["tweets"],
+                f"{row['reference_s'] * 1000:.0f}",
+                f"{row['csr_s'] * 1000:.0f}",
+                f"{row['csr_speedup']:.1f}x",
+                f"{row['csr_batch_s'] * 1000:.0f}",
+                f"{row['csr_batch_speedup']:.1f}x",
+            ]
+            for row in rows
+        ],
         title=f"Propagation: reference vs CSR (cap={MAX_INFLUENCERS})",
     ))
-    if kernel_rows:
-        emit(render_table(
-            ["corpus", "tweets", "csr (ms)", "numba (ms)", "speedup",
-             "csr batch (ms)", "numba batch (ms)", "batch speedup"],
-            kernel_rows,
-            title=(
-                "Propagation: CSR vs jitted kernel "
-                f"(compile {compile_seconds:.2f}s excluded)"
-            ),
-        ))
-    _dump_json("csr_propagation_speedup", rows, header)
-    _persist_matrix({
-        "smoke": SMOKE,
-        "cpu_count": os.cpu_count(),
-        "numba": {
-            "available": NUMBA_AVAILABLE,
-            "kernel_mode": kernel_mode(),
-            "benched": bench_kernel,
-            "compile_seconds": (
-                round(compile_seconds, 3)
-                if compile_seconds is not None else None
-            ),
-        },
-        "corpora": corpora,
-    })
+    _record("csr_propagation_speedup", rows)
+    largest_speedup = rows[-1]["csr_speedup"]
     assert largest_speedup >= SPEEDUP_FLOOR, (
         f"CSR propagation only {largest_speedup:.1f}x faster on the "
         f"largest corpus (floor is {SPEEDUP_FLOOR}x)"
     )
-    if (
-        bench_kernel
-        and largest_kernel_speedup is not None
-        and (os.cpu_count() or 1) >= KERNEL_FLOOR_MIN_CORES
-    ):
-        assert largest_kernel_speedup >= KERNEL_FLOOR, (
-            f"jitted kernel batch only {largest_kernel_speedup:.1f}x "
-            f"faster than the CSR batch on the largest corpus "
-            f"(floor is {KERNEL_FLOOR}x)"
-        )
 
 
 #: Growth steps per tweet in the warm-cache bench: each tweet is
@@ -351,11 +234,12 @@ def test_warm_cache_incremental_speedup(benchmark, emit):
         ],
         title="Incremental re-propagation: cold vs warm-state cache",
     ))
-    _dump_json(
-        "warm_cache_incremental",
-        [[label, f"{t_cold * 1000:.0f}", f"{t_warm * 1000:.0f}"]],
-        ["corpus", "cold (ms)", "warm (ms)"],
-    )
+    _record("warm_cache_incremental", [{
+        "corpus": label,
+        "propagations": n_tweets * WAVES,
+        "cold_s": t_cold,
+        "warm_s": t_warm,
+    }])
     # The cache must pay for itself (generous slack for CI runners; the
     # streaming shape above measures ~2.5x locally).
     assert t_warm <= t_cold

@@ -16,13 +16,14 @@ partitioner is minimizing) and the boundary SimGraph edge fraction.
 
 Acceptance is gated on the machine: with fewer physical cores than
 workers the parallel legs cannot win (they pay IPC for no concurrency),
-so the floors below apply only when ``os.cpu_count()`` provides the
-cores and are reported as skipped — with the core count — otherwise.
+so the floor below applies only when ``os.cpu_count()`` provides the
+cores and is reported as skipped — with the core count — otherwise.
 
 * full run: >= 2x single-process throughput at 4 workers (needs >= 4
   cores);
 * smoke run (``SHARD_BENCH_SMOKE=1``, the CI step): 2 workers, small
-  corpus, throughput no worse than single-process (needs >= 2 cores).
+  corpus, no throughput floor — deliveries equal to single-process is
+  what the step checks.
 
 Env knobs:
 
@@ -40,13 +41,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import platform
-import subprocess
 import time
 
-import numpy as np
 import pytest
 
+from conftest import bench_context
 from repro.service import RecommendationService, ServiceConfig
 from repro.shard import ShardedRecommendationService
 from repro.shard.replay import drive_service, ingest_graph
@@ -103,42 +102,13 @@ def _replay_sharded(n_workers, dataset, retweets):
     return delivered, elapsed, snapshot
 
 
-def _context() -> dict:
-    """Hardware / software context recorded beside the rows."""
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
-
-    def git(*args):
-        try:
-            return subprocess.run(
-                ["git", "-C", os.path.dirname(__file__), *args],
-                capture_output=True, text=True, check=True,
-            ).stdout.strip()
-        except (OSError, subprocess.CalledProcessError):
-            return None
-
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "numba": numba_version,
-        "git_sha": git("rev-parse", "HEAD"),
-        "git_dirty": bool(git("status", "--porcelain")),
-        "smoke": SMOKE,
-    }
-
-
 def _dump_json(name, rows):
     path = os.environ.get("SHARD_BENCH_JSON")
     if not path:
         return
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(
-            {"context": _context(), name: rows}, handle,
+            {"context": bench_context(SMOKE), name: rows}, handle,
             indent=2, sort_keys=True,
         )
         handle.write("\n")
@@ -203,15 +173,7 @@ def test_shard_replay_scaling(benchmark, emit):
     ))
     _dump_json("shard_replay_scaling", rows)
 
-    if SMOKE:
-        if cores >= 2:
-            assert rates[2] >= single_rate, (
-                f"2-worker replay slower than single-process "
-                f"({rates[2]:.1f} vs {single_rate:.1f} events/s)"
-            )
-        else:
-            emit(f"throughput floor skipped: {cores} core(s) < 2 workers")
-    else:
+    if not SMOKE:
         if cores >= 4:
             assert rates[4] >= 2.0 * single_rate, (
                 f"4-worker replay only {rates[4] / single_rate:.2f}x "

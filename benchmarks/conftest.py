@@ -13,6 +13,11 @@ in the regime the paper studied.
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -38,6 +43,28 @@ BENCH_CONFIG = SynthConfig(
 )
 
 PER_STRATUM = 250
+
+
+def bench_context(smoke: bool) -> dict:
+    """Hardware / software context recorded beside a bench's rows."""
+
+    def git(*args):
+        try:
+            return subprocess.run(
+                ["git", "-C", os.path.dirname(__file__), *args],
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": bool(git("status", "--porcelain")),
+        "smoke": smoke,
+    }
 
 
 def make_methods() -> list:

@@ -23,7 +23,12 @@ import sys
 import time
 from typing import Sequence
 
-from repro.core import RetweetProfiles, SimGraphBuilder, SimGraphRecommender
+from repro.core import (
+    PROP_BACKENDS,
+    RetweetProfiles,
+    SimGraphBuilder,
+    SimGraphRecommender,
+)
 from repro.core.update import ALL_STRATEGIES
 from repro.baselines import (
     BayesRecommender,
@@ -128,13 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument(
         "--prop-backend",
-        choices=["reference", "csr", "numba", "auto"],
+        choices=PROP_BACKENDS,
         default="reference",
         help="propagation backend used by the simgraph method: "
         "'reference' (pure-Python frontier loop), 'csr' (compiled "
-        "numpy arrays), 'numba' (jitted kernel; falls back to csr "
-        "when numba is absent) or 'auto' (fastest available) — "
-        "identical results on every backend",
+        "numpy arrays) or 'auto' (a name for csr) — identical "
+        "results on every backend",
     )
     ev.add_argument(
         "--metrics-json", default=None, metavar="PATH",
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--prop-backend",
-        choices=["reference", "csr", "numba", "auto"],
+        choices=PROP_BACKENDS,
         default="csr",
         help="propagation backend of the single-process service "
         "(ignored with --shards, which pins the reference backends)",
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lg.add_argument(
         "--prop-backend",
-        choices=["reference", "csr", "numba", "auto"],
+        choices=PROP_BACKENDS,
         default="csr",
     )
     lg.add_argument(

@@ -21,13 +21,6 @@ from repro.core.propagation_csr import (
     CSRWarmState,
     make_propagation_engine,
 )
-from repro.core.propagation_kernel import (
-    NUMBA_AVAILABLE,
-    NumbaPropagationEngine,
-    describe_backends,
-    kernel_mode,
-    resolve_prop_backend,
-)
 from repro.core.recommender import SimGraphRecommender
 from repro.core.scheduler import DelayPolicy, PostponedScheduler, PropagationTask
 from repro.core.simgraph import BACKENDS, DEFAULT_TAU, SimGraph, SimGraphBuilder
@@ -69,9 +62,7 @@ __all__ = [
     "DeltaReport",
     "DynamicThreshold",
     "LinearSystem",
-    "NUMBA_AVAILABLE",
     "NoThreshold",
-    "NumbaPropagationEngine",
     "PROP_BACKENDS",
     "PostponedScheduler",
     "PropagationEngine",
@@ -88,11 +79,8 @@ __all__ = [
     "ThresholdPolicy",
     "TopicAssignment",
     "WarmStateCache",
-    "describe_backends",
-    "kernel_mode",
     "make_propagation_engine",
     "merge_by_coretweeters",
-    "resolve_prop_backend",
     "merge_by_label",
     "topic_profiles",
     "affected_region",

@@ -53,8 +53,7 @@ class LinearSystem:
 
     ``metrics`` (default: the no-op :data:`repro.obs.NULL`) collects one
     ``linear.*`` span per solver entry point, sweep counters for the
-    stationary methods, batch-size histograms for the multi-RHS paths and
-    a last-residual gauge.
+    stationary methods and a last-residual gauge.
     """
 
     def __init__(self, simgraph: SimGraph, metrics: MetricsRegistry | None = None):
@@ -155,114 +154,6 @@ class LinearSystem:
     # ------------------------------------------------------------------
     # Solvers
     # ------------------------------------------------------------------
-    def solve_many_jacobi(
-        self,
-        seed_sets: list[set[int]],
-        tolerance: float = 1e-10,
-        max_iterations: int = 500,
-    ) -> list[dict[int, float]]:
-        """Solve many tweets' systems in one vectorized Jacobi sweep.
-
-        All columns share the matrix ``S``; each column is one tweet's
-        probability vector.  Seed rows are pinned per column by masking,
-        so one sparse mat-mat product per iteration advances every tweet —
-        the batch path for offline scoring of a message backlog.
-        """
-        if not seed_sets:
-            return []
-        metrics = self.metrics
-        metrics.histogram("linear.batch_size").observe(len(seed_sets))
-        n, m = self.size, len(seed_sets)
-        B = np.zeros((n, m), dtype=np.float64)
-        seed_mask = np.zeros((n, m), dtype=bool)
-        for j, seeds in enumerate(seed_sets):
-            for s in seeds:
-                i = self._index.get(s)
-                if i is not None:
-                    B[i, j] = 1.0
-                    seed_mask[i, j] = True
-        P = B.copy()
-        with metrics.span("linear.batch_jacobi"):
-            for iteration in range(max_iterations):
-                P_next = self._S @ P + B
-                P_next[seed_mask] = 1.0
-                delta = float(np.abs(P_next - P).max()) if n else 0.0
-                P = P_next
-                if delta <= tolerance:
-                    break
-            else:
-                raise ConvergenceError(
-                    f"batch Jacobi did not converge in {max_iterations} iterations"
-                )
-        metrics.counter("linear.sweeps").inc(iteration + 1)
-        metrics.gauge("linear.residual").set(delta)
-        results: list[dict[int, float]] = []
-        for j in range(m):
-            column = P[:, j]
-            results.append(
-                {
-                    user: float(column[i])
-                    for user, i in self._index.items()
-                    if column[i] > 0.0
-                }
-            )
-        return results
-
-    #: Past this many stacked unknowns the block-diagonal factorization's
-    #: superlinear ordering/fill cost outweighs the amortized call
-    #: overhead, and per-block solves win.
-    _STACK_LIMIT = 20_000
-
-    def solve_many_direct(
-        self, seed_sets: list[set[int]]
-    ) -> list[dict[int, float]]:
-        """Solve many tweets' systems directly, batched.
-
-        Unlike a classic multi-RHS solve, each seed set pins different
-        rows of ``A`` (seed rows become identity rows), so the per-tweet
-        matrices differ.  Small batches are stacked into one
-        block-diagonal system and handed to a single ``spsolve`` call;
-        when the stacked system would exceed ``_STACK_LIMIT`` unknowns
-        each block is solved on its own (one big factorization costs more
-        than the per-call overhead it saves).  Either way the result is
-        the exact solution — this is the batch path the service uses to
-        score a backlog of live tweets at once (``solve_many_jacobi`` is
-        the iterative counterpart).
-        """
-        if not seed_sets:
-            return []
-        if self.size == 0:
-            return [{} for _ in seed_sets]
-        self.metrics.histogram("linear.batch_size").observe(len(seed_sets))
-        with self.metrics.span("linear.batch_direct"):
-            blocks = []
-            rhs = []
-            for seeds in seed_sets:
-                blocks.append(self.matrix(seeds))
-                rhs.append(self._rhs(self._seed_indexes(seeds)))
-            if self.size * len(seed_sets) <= self._STACK_LIMIT:
-                A = sparse.block_diag(blocks, format="csc")
-                p = np.atleast_1d(spsolve(A, np.concatenate(rhs)))
-                columns = [
-                    p[j * self.size : (j + 1) * self.size]
-                    for j in range(len(seed_sets))
-                ]
-            else:
-                columns = [
-                    np.atleast_1d(spsolve(block.tocsc(), b))
-                    for block, b in zip(blocks, rhs)
-                ]
-        results: list[dict[int, float]] = []
-        for column in columns:
-            results.append(
-                {
-                    user: float(column[i])
-                    for user, i in self._index.items()
-                    if column[i] > 0.0
-                }
-            )
-        return results
-
     def solve_direct(self, seeds: Iterable[int]) -> SolveStats:
         """Sparse LU reference solution (exact up to machine precision)."""
         with self.metrics.span("linear.direct"):

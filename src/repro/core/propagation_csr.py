@@ -27,8 +27,7 @@ Two extras the reference engine does not have:
   task's dirty set, one more scores them, with per-task β/γ(t)
   thresholds, mute masks and iteration budgets.
 
-Select the backend with ``prop_backend="reference" | "csr" | "numba" |
-"auto"`` on
+Select the backend with ``prop_backend="reference" | "csr" | "auto"`` on
 :class:`~repro.core.recommender.SimGraphRecommender`,
 :class:`~repro.service.engine.ServiceConfig` or the CLI — mirroring the
 existing SimGraph ``backend=`` build knob.
@@ -55,12 +54,12 @@ __all__ = [
 
 #: Available propagation backends: ``reference`` is the pure-Python
 #: frontier loop (:mod:`repro.core.propagation`); ``csr`` runs the same
-#: fixpoint over compiled numpy CSR arrays; ``numba`` lowers it into a
-#: jitted kernel (:mod:`repro.core.propagation_kernel`) and falls back
-#: to ``csr`` when numba is absent; ``auto`` picks the fastest rung
-#: available at runtime.  The differential suite pins every backend to
-#: identical results.
-PROP_BACKENDS = ("reference", "csr", "numba", "auto")
+#: fixpoint over compiled numpy CSR arrays; ``auto`` is a name for
+#: ``csr``.  The differential suite pins both engines to identical
+#: results.
+PROP_BACKENDS = ("reference", "csr", "auto")
+#: Backend names that stand for another one; every other name is itself.
+PROP_ALIASES = {"auto": "csr"}
 
 
 class CSRWarmState:
@@ -463,26 +462,11 @@ def make_propagation_engine(
 ) -> PropagationEngine | CSRPropagationEngine:
     """Construct the propagation engine for ``prop_backend``.
 
-    ``csr`` (meaningful for the ``csr`` and ``numba`` backends) reuses
-    an already-compiled structure, e.g. one patched in place by the
-    weights-only maintenance strategy.  ``numba`` resolves to the jitted
-    kernel engine when numba is importable (or the interpreted kernels
-    when forced via ``REPRO_PROP_KERNEL=python``) and otherwise falls
-    back to ``csr`` with a one-line warning and a
-    ``prop.kernel.fallback`` counter bump; ``auto`` silently picks the
-    fastest rung available.
+    ``csr`` (meaningful for the ``csr`` backend only) reuses an
+    already-compiled structure, e.g. one patched in place by the
+    weights-only maintenance strategy.
     """
-    # Deferred import: propagation_kernel subclasses the engine above.
-    from repro.core.propagation_kernel import (
-        NumbaPropagationEngine,
-        describe_backends,
-        resolve_prop_backend,
-    )
-
-    if prop_backend in ("numba", "auto"):
-        prop_backend = resolve_prop_backend(
-            prop_backend, metrics=metrics if metrics is not None else NULL
-        )
+    prop_backend = PROP_ALIASES.get(prop_backend, prop_backend)
     if prop_backend == "reference":
         return PropagationEngine(
             simgraph,
@@ -500,16 +484,7 @@ def make_propagation_engine(
             metrics=metrics,
             csr=csr,
         )
-    if prop_backend == "numba":
-        return NumbaPropagationEngine(
-            simgraph,
-            threshold=threshold,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            metrics=metrics,
-            csr=csr,
-        )
     raise ValueError(
         f"unknown propagation backend {prop_backend!r}; "
-        f"available: {describe_backends()}"
+        f"available: {', '.join(PROP_BACKENDS)}"
     )

@@ -63,12 +63,9 @@ class SimGraphRecommender(Recommender):
         ``"vectorized"`` (sparse matmul; identical edges, faster builds).
     prop_backend:
         Propagation backend: ``"reference"`` (pure-Python frontier
-        loop), ``"csr"`` (compiled numpy CSR arrays),
-        ``"numba"`` (jitted kernel when numba is importable, falling
-        back to ``csr`` otherwise) or ``"auto"`` (fastest available).
-        All backends produce identical results — see
-        :mod:`repro.core.propagation_csr` and
-        :mod:`repro.core.propagation_kernel`.
+        loop), ``"csr"`` (compiled numpy CSR arrays) or ``"auto"``
+        (a name for ``csr``).  Both engines produce identical results
+        — see :mod:`repro.core.propagation_csr`.
     build_workers:
         Process count for the vectorized chunked build.
     warm_cache_size:
@@ -98,11 +95,9 @@ class SimGraphRecommender(Recommender):
         metrics: MetricsRegistry | None = None,
     ):
         if prop_backend not in PROP_BACKENDS:
-            from repro.core.propagation_kernel import describe_backends
-
             raise ValueError(
                 f"unknown propagation backend {prop_backend!r}; "
-                f"available: {describe_backends()}"
+                f"available: {', '.join(PROP_BACKENDS)}"
             )
         self.tau = tau
         self.backend = backend

@@ -39,10 +39,12 @@ from typing import Collection, Iterable, Sequence
 from repro.baselines.base import Recommendation
 from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.propagation_csr import CSRWarmState
-from repro.core.linear import LinearSystem
 from repro.core.profiles import RetweetProfiles
-from repro.core.propagation_csr import PROP_BACKENDS, make_propagation_engine
-from repro.core.propagation_kernel import resolve_prop_backend
+from repro.core.propagation_csr import (
+    PROP_ALIASES,
+    PROP_BACKENDS,
+    make_propagation_engine,
+)
 from repro.core.scheduler import DelayPolicy, PostponedScheduler, PropagationTask
 from repro.core.simgraph import BACKENDS, DEFAULT_TAU, SimGraph, SimGraphBuilder
 from repro.core.thresholds import DynamicThreshold, ThresholdPolicy
@@ -89,8 +91,7 @@ class ServiceConfig:
     #: Process count for vectorized chunked rebuilds.
     build_workers: int = 1
     #: Propagation backend: "reference" (pure-Python frontier loop),
-    #: "csr" (compiled numpy arrays), "numba" (jitted kernel, falls back
-    #: to csr when numba is absent) or "auto" (fastest available).
+    #: "csr" (compiled numpy arrays) or "auto" (a name for "csr").
     #: Identical results on every backend.
     prop_backend: str = "reference"
     #: LRU bound of the per-tweet warm-state cache (entries also expire
@@ -119,11 +120,9 @@ class ServiceConfig:
         if self.build_workers < 1:
             raise ConfigError("build_workers must be at least 1")
         if self.prop_backend not in PROP_BACKENDS:
-            from repro.core.propagation_kernel import describe_backends
-
             raise ConfigError(
                 f"unknown propagation backend {self.prop_backend!r}; "
-                f"available: {describe_backends()}"
+                f"available: {', '.join(PROP_BACKENDS)}"
             )
         if self.warm_cache_size < 1:
             raise ConfigError("warm_cache_size must be at least 1")
@@ -594,10 +593,8 @@ class RecommendationService(ServiceCore):
         )
         self._simgraph = SimGraph(DiGraph(), tau=self.config.tau)
         self._csr: CSRSimGraph | None = None
-        # Resolve "numba"/"auto" to a concrete backend once per service:
-        # the fallback warning/counter fires here, not on every rebuild.
-        self._prop_resolved = resolve_prop_backend(
-            self.config.prop_backend, metrics=self.metrics, context="service"
+        self._prop_resolved = PROP_ALIASES.get(
+            self.config.prop_backend, self.config.prop_backend
         )
         self._engine = self._make_engine(self._simgraph)
 
@@ -831,7 +828,7 @@ class RecommendationService(ServiceCore):
         simgraph = load_simgraph(path, mmap=mmap)
         self._simgraph = simgraph
         self._csr = None
-        if self._prop_resolved in ("csr", "numba"):
+        if self._prop_resolved == "csr":
             if isinstance(simgraph, ArraySimGraph):
                 self._csr = simgraph.csr()
             else:
@@ -850,15 +847,14 @@ class RecommendationService(ServiceCore):
     ):
         """Propagation engine for ``simgraph`` on the configured backend.
 
-        On the compiled backends (``csr`` and the kernel's ``numba``,
-        which shares the same structure) the compiled CSR is refreshed
-        here: a delta report with unchanged topology patches only the
-        changed rows in place
+        On the ``csr`` backend the compiled CSR is refreshed here: a
+        delta report with unchanged topology patches only the changed
+        rows in place
         (:meth:`~repro.core.csr.CSRSimGraph.patch_rows`); a weights-only
         rebuild without a report patches the full weight array; anything
         else recompiles.
         """
-        if self._prop_resolved in ("csr", "numba"):
+        if self._prop_resolved == "csr":
             patched = False
             if (
                 self._csr is not None
@@ -930,18 +926,11 @@ class RecommendationService(ServiceCore):
     def score_batch(self, tweet_ids: list[int]) -> dict[int, dict[int, float]]:
         """Score several live tweets in one batched invocation.
 
-        On the ``reference`` backend every requested tweet's exact
-        linear-system fixpoint is computed from its current retweeters,
-        all systems stacked into a single
-        :meth:`LinearSystem.solve_many_direct` call.  On the compiled
-        backends (``csr`` / ``numba``, including what ``auto`` resolves
-        to) the batch goes through the engine's joint
-        :meth:`propagate_many` path instead — the same cold-start
-        frontier fixpoint the live ingestion path emits, amortized
-        across the batch rather than dispatched per tweet.  Results are
-        identical to scoring each tweet through a single
-        ``engine.propagate`` call (the batched kernel is bit-identical
-        to the singles); the test suite pins both equalities.
+        The batch goes through the engine's :meth:`propagate_many` —
+        the same cold-start frontier fixpoint the live ingestion path
+        emits — so every ``prop_backend`` returns equal results, each
+        identical to scoring the tweet through a single
+        ``engine.propagate`` call; the test suite pins both equalities.
 
         Returns ``{tweet: {user: probability}}`` with seeds removed and
         the configured ``min_score`` floor applied — the offline/backlog
@@ -953,20 +942,15 @@ class RecommendationService(ServiceCore):
         if unknown:
             raise DatasetError(f"unknown tweet ids {unknown}")
         seed_sets = [set(self._retweeters.get(t, set())) for t in tweet_ids]
-        if self._prop_resolved in ("csr", "numba"):
-            results = self._engine.propagate_many(
-                seed_sets,
-                popularities=[len(seeds) for seeds in seed_sets],
-            )
-            scored = [result.probabilities for result in results]
-        else:
-            system = LinearSystem(self._simgraph)
-            scored = system.solve_many_direct(seed_sets)
+        results = self._engine.propagate_many(
+            seed_sets,
+            popularities=[len(seeds) for seeds in seed_sets],
+        )
         return {
             tweet: {
                 user: p
-                for user, p in probabilities.items()
+                for user, p in result.probabilities.items()
                 if user not in seeds and p >= self.config.min_score
             }
-            for tweet, seeds, probabilities in zip(tweet_ids, seed_sets, scored)
+            for tweet, seeds, result in zip(tweet_ids, seed_sets, results)
         }

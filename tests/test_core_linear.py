@@ -145,66 +145,3 @@ def test_every_simgraph_system_is_dominant_and_solvable(data):
             assert stats.probabilities.get(user, 0.0) == pytest.approx(
                 direct.probabilities.get(user, 0.0), abs=1e-7
             )
-
-
-class TestBatchJacobi:
-    def test_matches_single_solves(self, paper_example):
-        system = LinearSystem(paper_example)
-        seed_sets = [{X}, {W}, {X, U}]
-        batch = system.solve_many_jacobi(seed_sets)
-        for seeds, solved in zip(seed_sets, batch):
-            single = system.solve_jacobi(seeds).probabilities
-            for user in set(single) | set(solved):
-                assert solved.get(user, 0.0) == pytest.approx(
-                    single.get(user, 0.0), abs=1e-8
-                )
-
-    def test_empty_batch(self, paper_example):
-        assert LinearSystem(paper_example).solve_many_jacobi([]) == []
-
-    def test_seeds_outside_graph_ignored(self, paper_example):
-        system = LinearSystem(paper_example)
-        batch = system.solve_many_jacobi([{999}])
-        assert batch[0] == {}
-
-    def test_budget_exhaustion_raises(self, paper_example):
-        system = LinearSystem(paper_example)
-        with pytest.raises(ConvergenceError):
-            system.solve_many_jacobi([{X}], max_iterations=1, tolerance=0.0)
-
-
-class TestBatchDirect:
-    def test_matches_single_solves(self, paper_example):
-        system = LinearSystem(paper_example)
-        seed_sets = [{X}, {W}, {X, U}]
-        batch = system.solve_many_direct(seed_sets)
-        for seeds, solved in zip(seed_sets, batch):
-            single = system.solve_direct(seeds).probabilities
-            assert set(solved) == set(single)
-            for user, p in single.items():
-                assert solved[user] == pytest.approx(p, abs=1e-10)
-
-    def test_empty_batch(self, paper_example):
-        assert LinearSystem(paper_example).solve_many_direct([]) == []
-
-    def test_seeds_outside_graph_ignored(self, paper_example):
-        system = LinearSystem(paper_example)
-        assert system.solve_many_direct([{999}])[0] == {}
-
-    def test_empty_system(self):
-        system = LinearSystem(SimGraph(DiGraph(), tau=0.0))
-        assert system.solve_many_direct([{X}, {W}]) == [{}, {}]
-
-    def test_per_block_fallback_matches_stacked(self, paper_example,
-                                                monkeypatch):
-        # Force the large-batch path (per-block solves) and check it is
-        # indistinguishable from the block-diagonal stacking.
-        seed_sets = [{X}, {W}, {X, U}]
-        system = LinearSystem(paper_example)
-        stacked = system.solve_many_direct(seed_sets)
-        monkeypatch.setattr(LinearSystem, "_STACK_LIMIT", 1)
-        looped = system.solve_many_direct(seed_sets)
-        assert [set(s) for s in looped] == [set(s) for s in stacked]
-        for one, other in zip(stacked, looped):
-            for user, p in one.items():
-                assert other[user] == pytest.approx(p, abs=1e-12)

@@ -1,22 +1,16 @@
-"""Differential harness: the compiled propagation engines vs the reference.
+"""Differential harness: the compiled propagation engine vs the reference.
 
-The compiled backends (:mod:`repro.core.propagation_csr` and the kernel
-of :mod:`repro.core.propagation_kernel`) are only trustworthy because
-this suite pins them to the reference frontier loop
+The compiled backend (:mod:`repro.core.propagation_csr`) is only
+trustworthy because this suite pins it to the reference frontier loop
 (:mod:`repro.core.propagation`): on randomized SimGraphs and every
-threshold policy (none / static β / dynamic γ(t)), all engines must
+threshold policy (none / static β / dynamic γ(t)), both engines must
 produce **identical** :class:`PropagationResult`\\ s — same membership,
 probabilities within 1e-12 (the single-task path is bit-identical),
 same iteration/update counts, same convergence flag — for cold starts,
 warm starts (dict or :class:`CSRWarmState`) and batched scoring.  The
 warm-start *equivalence* property (cold fixpoint == incremental
-seed-by-seed resumption) is checked on all backends.  Any change to
-any path that breaks agreement fails here first.
-
-The kernel engine is constructed directly (not through the factory), so
-it runs here even without numba — the interpreted kernels execute the
-same literal source the jit compiles; CI's numba leg runs this file
-with the compiled kernels.
+seed-by-seed resumption) is checked on both backends.  Any change to
+either path that breaks agreement fails here first.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from repro.core import (
     CSRPropagationEngine,
     CSRWarmState,
     DynamicThreshold,
-    NumbaPropagationEngine,
     PropagationEngine,
     SimGraphRecommender,
     StaticThreshold,
@@ -36,20 +29,13 @@ from repro.core import (
 )
 from repro.core.simgraph import SimGraph
 from repro.data import temporal_split
+from repro.exceptions import ConfigError
 from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry
+from repro.service import ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
 
 PROB_TOLERANCE = 1e-12
-
-#: Compiled engines under differential test, each pinned to the
-#: reference loop.  (Both are bit-identical in practice; the 1e-12
-#: tolerance in :func:`assert_same_result` documents the contract the
-#: suite would still accept if a future reduction reorders sums.)
-COMPILED_ENGINES = {
-    "csr": CSRPropagationEngine,
-    "numba": NumbaPropagationEngine,
-}
 
 #: id -> threshold-policy factory (fresh instance per use; DynamicThreshold
 #: caches nothing but symmetry is cheap).
@@ -101,9 +87,13 @@ def simgraph(request):
     return random_graph(50, 170, request.param)
 
 
-@pytest.fixture(params=sorted(COMPILED_ENGINES), ids=str)
+@pytest.fixture(params=["csr"])
 def engine_cls(request):
-    return COMPILED_ENGINES[request.param]
+    """The compiled engine under test, pinned to the reference loop.
+    (Bit-identical in practice; the 1e-12 tolerance in
+    :func:`assert_same_result` documents the contract the suite would
+    still accept if a future reduction reorders sums.)"""
+    return CSRPropagationEngine
 
 
 class TestEngineDifferential:
@@ -202,9 +192,6 @@ class TestEngineDifferential:
             "csr": lambda registry: CSRPropagationEngine(
                 simgraph, threshold=StaticThreshold(0.02), metrics=registry
             ),
-            "numba": lambda registry: NumbaPropagationEngine(
-                simgraph, threshold=StaticThreshold(0.02), metrics=registry
-            ),
         }
         for backend, factory in engines.items():
             registry = MetricsRegistry()
@@ -214,7 +201,6 @@ class TestEngineDifferential:
             snapshot = registry.snapshot()["counters"]
             counts[backend] = {name: snapshot.get(name) for name in names}
         assert counts["reference"] == counts["csr"]
-        assert counts["reference"] == counts["numba"]
 
 
 class TestBatchedDifferential:
@@ -289,7 +275,7 @@ def random_case(draw):
 @settings(max_examples=80, deadline=None)
 @given(random_case())
 def test_differential_property(case):
-    """Property: every compiled engine agrees exactly with the reference
+    """Property: the compiled engine agrees exactly with the reference
     on arbitrary graphs, seed sets, warm starts and threshold policies."""
     simgraph, seeds, warm, policy = case
     ref = PropagationEngine(simgraph, threshold=POLICIES[policy]())
@@ -297,19 +283,18 @@ def test_differential_property(case):
     if warm:
         initial_ref = ref.propagate(warm).probabilities
     a = ref.propagate(seeds, initial=initial_ref)
-    for engine_cls in COMPILED_ENGINES.values():
-        compiled = engine_cls(simgraph, threshold=POLICIES[policy]())
-        initial = None
-        if warm:
-            compiled.propagate(warm)
-            initial = compiled.take_state()
-        b = compiled.propagate(seeds, initial=initial)
-        assert a.probabilities == b.probabilities
-        assert (a.iterations, a.updates, a.converged) == (
-            b.iterations,
-            b.updates,
-            b.converged,
-        )
+    compiled = CSRPropagationEngine(simgraph, threshold=POLICIES[policy]())
+    initial = None
+    if warm:
+        compiled.propagate(warm)
+        initial = compiled.take_state()
+    b = compiled.propagate(seeds, initial=initial)
+    assert a.probabilities == b.probabilities
+    assert (a.iterations, a.updates, a.converged) == (
+        b.iterations,
+        b.updates,
+        b.converged,
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,7 +310,6 @@ def test_warm_start_equivalence_property(case):
     engines = [
         make_propagation_engine(simgraph, prop_backend="reference"),
         CSRPropagationEngine(simgraph),
-        NumbaPropagationEngine(simgraph),
     ]
     for engine in engines:
         cold = engine.propagate(ordered)
@@ -345,40 +329,24 @@ class TestRecommenderDifferential:
 
     @pytest.fixture(scope="class")
     def emissions(self):
-        import os
-
-        from repro.core import kernel_mode
-
         dataset = generate_dataset(
             SynthConfig(n_users=250, n_communities=6, seed=23)
         )
         split = temporal_split(dataset)
         outputs = {}
-        # Without numba the factory would fall "numba" back to csr; force
-        # the interpreted kernels for that leg so the kernel engine is
-        # genuinely the one emitting.  CI's numba leg runs it jitted.
-        force_python = kernel_mode() == "off"
-        for prop_backend in ("reference", "csr", "numba"):
-            forced = prop_backend == "numba" and force_python
-            if forced:
-                os.environ["REPRO_PROP_KERNEL"] = "python"
-            try:
-                recommender = SimGraphRecommender(prop_backend=prop_backend)
-                recommender.fit(dataset, split.train)
-                emitted = []
-                for event in split.test[:120]:
-                    emitted.extend(recommender.on_event(event))
-                emitted.extend(recommender.finalize(split.test[119].time))
-                outputs[prop_backend] = emitted
-            finally:
-                if forced:
-                    del os.environ["REPRO_PROP_KERNEL"]
+        for prop_backend in ("reference", "csr"):
+            recommender = SimGraphRecommender(prop_backend=prop_backend)
+            recommender.fit(dataset, split.train)
+            emitted = []
+            for event in split.test[:120]:
+                emitted.extend(recommender.on_event(event))
+            emitted.extend(recommender.finalize(split.test[119].time))
+            outputs[prop_backend] = emitted
         return outputs
 
     def test_identical_emissions(self, emissions):
         assert len(emissions["reference"]) > 0
         assert emissions["reference"] == emissions["csr"]
-        assert emissions["reference"] == emissions["numba"]
 
     def test_identical_hit_pairs(self, emissions):
         """The hit list — the (user, tweet) pairs delivered — is
@@ -388,4 +356,16 @@ class TestRecommenderDifferential:
             for backend, emitted in emissions.items()
         }
         assert pairs["reference"] == pairs["csr"]
-        assert pairs["reference"] == pairs["numba"]
+
+
+@pytest.mark.parametrize("name", ["numba", "gpu"])
+def test_unknown_backend_rejected_at_every_door(name):
+    """Factory, recommender and service config refuse the same names and
+    say which ones exist."""
+    listing = "reference, csr, auto"
+    with pytest.raises(ValueError, match=listing):
+        make_propagation_engine(random_graph(4, 6, seed=1), prop_backend=name)
+    with pytest.raises(ValueError, match=listing):
+        SimGraphRecommender(prop_backend=name)
+    with pytest.raises(ConfigError, match=listing):
+        ServiceConfig(prop_backend=name)

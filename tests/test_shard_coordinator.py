@@ -9,6 +9,7 @@ import warnings
 
 import pytest
 
+from repro.core import PROP_BACKENDS
 from repro.data.builders import DatasetBuilder
 from repro.exceptions import ConfigError, ShardError
 from repro.service import RecommendationService, ServiceConfig
@@ -69,10 +70,9 @@ def test_rejects_non_reference_backends():
         )
 
 
-def test_prop_backend_is_not_consulted(monkeypatch):
+def test_prop_backend_is_not_consulted():
     """Any propagation backend is accepted, silently: workers never use it."""
-    monkeypatch.setenv("REPRO_PROP_KERNEL", "off")
-    for prop_backend in ("reference", "csr", "numba", "auto"):
+    for prop_backend in PROP_BACKENDS:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             service = ShardedRecommendationService(
@@ -83,8 +83,6 @@ def test_prop_backend_is_not_consulted(monkeypatch):
         service.add_user(1)
         service.post_tweet(7, author=1, at=0.0)
         assert service.retweet(user=1, tweet=7, at=1.0) == []
-        counters = service.metrics_snapshot()["counters"]
-        assert "prop.kernel.fallback" not in counters
         service.close()
 
 

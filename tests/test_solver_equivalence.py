@@ -2,8 +2,7 @@
 
 Jacobi, Gauss-Seidel, SOR and the direct sparse LU factorization must
 agree — on the paper's Figure 6 example (with the Example 4.3 / 5.1
-golden values checked to the digit), on random SimGraphs, and on the two
-batch paths (``solve_many_jacobi`` and ``solve_many_direct``).
+golden values checked to the digit) and on random SimGraphs.
 """
 
 from __future__ import annotations
@@ -50,29 +49,6 @@ class TestPaperExampleGolden:
                 )
 
 
-class TestBatchPathsAgree:
-    SEED_SETS = [{X}, {W}, {X, U}, {V, Y}, set()]
-
-    def test_batch_direct_matches_singles(self, paper_example):
-        system = LinearSystem(paper_example)
-        batch = system.solve_many_direct(self.SEED_SETS)
-        for seeds, solved in zip(self.SEED_SETS, batch):
-            single = system.solve_direct(seeds).probabilities
-            assert set(solved) == set(single)
-            for user, p in single.items():
-                assert solved[user] == pytest.approx(p, abs=1e-10)
-
-    def test_batch_direct_matches_batch_jacobi(self, paper_example):
-        system = LinearSystem(paper_example)
-        direct = system.solve_many_direct(self.SEED_SETS)
-        jacobi = system.solve_many_jacobi(self.SEED_SETS)
-        for direct_solved, jacobi_solved in zip(direct, jacobi):
-            for user in set(direct_solved) | set(jacobi_solved):
-                assert direct_solved.get(user, 0.0) == pytest.approx(
-                    jacobi_solved.get(user, 0.0), abs=1e-8
-                )
-
-
 @st.composite
 def random_simgraph(draw):
     n = draw(st.integers(min_value=2, max_value=8))
@@ -109,17 +85,3 @@ def test_solvers_agree_on_random_simgraphs(data):
             assert solved.get(user, 0.0) == pytest.approx(
                 solutions[0].get(user, 0.0), abs=1e-7
             )
-
-
-@settings(max_examples=25, deadline=None)
-@given(random_simgraph())
-def test_batch_direct_matches_singles_on_random_simgraphs(data):
-    simgraph, seeds = data
-    system = LinearSystem(simgraph)
-    batch = system.solve_many_direct([seeds, set()])
-    single = system.solve_direct(seeds).probabilities
-    for user in set(batch[0]) | set(single):
-        assert batch[0].get(user, 0.0) == pytest.approx(
-            single.get(user, 0.0), abs=1e-9
-        )
-    assert batch[1] == {}
