@@ -3,21 +3,20 @@
 The CSR backend (``repro.core.propagation_csr``) runs Algorithm 1's
 frontier fixpoint over flat numpy arrays: each iteration is a handful of
 gathers and in-order segment sums instead of a Python loop over dict
-adjacency, and ``propagate_many`` advances a whole batch of tweets
-jointly through shared sparse products.
+adjacency.  (``propagate_many`` is a loop over the same kernel, so a
+batch leg would measure nothing the single leg does not.)
 
 Both engines must produce *identical* results (the differential suite
 pins them bit-for-bit); this bench records the wall-clock gap on three
-synthetic corpora across three paths —
+synthetic corpora across two paths —
 
 * ``reference``   — one ``PropagationEngine.propagate`` per tweet;
-* ``csr``         — one ``CSRPropagationEngine.propagate`` per tweet;
-* ``csr batch``   — all tweets in one ``propagate_many`` invocation —
+* ``csr``         — one ``CSRPropagationEngine.propagate`` per tweet —
 
-and asserts the CSR single path is at least 3x faster on the largest
-corpus.  A second bench measures the warm-state cache: every tweet is
-scored twice (half its retweeters, then all of them), once cold both
-times and once resuming from the cached fixpoint.
+and asserts the CSR path is at least 3x faster on the largest corpus.
+A second bench measures the warm-state cache: every tweet is re-scored
+as its last retweeters arrive one at a time, once cold every time and
+once resuming from the cached fixpoint.
 
 A full run rewrites ``benchmarks/BENCH_prop_speedup.json`` — numeric
 rows per bench plus one ``context`` block (cores, versions, git sha,
@@ -67,7 +66,7 @@ MAX_INFLUENCERS = 25
 TAU = 0.001
 
 SMOKE = os.environ.get("PROP_BENCH_SMOKE") == "1"
-#: Acceptance floor for the single-task CSR path on the largest corpus;
+#: Acceptance floor for the CSR path on the largest corpus;
 #: the smoke run only guards against a regression below parity.
 SPEEDUP_FLOOR = 1.0 if SMOKE else 3.0
 CONFIGS = PROP_CONFIGS[:1] if SMOKE else PROP_CONFIGS
@@ -126,15 +125,10 @@ def test_csr_propagation_speedup(benchmark, emit):
             compiled, t_csr = _timed(
                 lambda: [csr.propagate(s) for s in seed_sets]
             )
-            batch, t_batch = _timed(lambda: csr.propagate_many(seed_sets))
             for a, b in zip(singles, compiled):
                 assert a.probabilities == b.probabilities, (
                     f"CSR divergence on {label}"
                 )
-            for a, b in zip(singles, batch):
-                assert set(a.probabilities) == set(b.probabilities)
-                for user, p in a.probabilities.items():
-                    assert abs(b.probabilities[user] - p) < 1e-9
             rows.append({
                 "corpus": label,
                 "nodes": simgraph.node_count,
@@ -143,8 +137,6 @@ def test_csr_propagation_speedup(benchmark, emit):
                 "reference_s": t_ref,
                 "csr_s": t_csr,
                 "csr_speedup": t_ref / t_csr,
-                "csr_batch_s": t_batch,
-                "csr_batch_speedup": t_ref / t_batch,
             })
         return rows
 
@@ -152,7 +144,7 @@ def test_csr_propagation_speedup(benchmark, emit):
     emit(render_table(
         [
             "corpus", "nodes", "edges", "tweets", "reference (ms)",
-            "csr (ms)", "speedup", "csr batch (ms)", "batch speedup",
+            "csr (ms)", "speedup",
         ],
         [
             [
@@ -160,8 +152,6 @@ def test_csr_propagation_speedup(benchmark, emit):
                 f"{row['reference_s'] * 1000:.0f}",
                 f"{row['csr_s'] * 1000:.0f}",
                 f"{row['csr_speedup']:.1f}x",
-                f"{row['csr_batch_s'] * 1000:.0f}",
-                f"{row['csr_batch_speedup']:.1f}x",
             ]
             for row in rows
         ],

@@ -5,7 +5,7 @@ single-worker :class:`~repro.service.RecommendationService`:
 
 * **Saturation** — a closed-loop drain of a uniform retweet stream,
   once with micro-batching on (``max_batch=32``: consecutive events
-  coalesce into one ``ingest_batch`` / joint ``propagate_many``) and
+  coalesce into one ``ingest_batch`` / one ``propagate_many``) and
   once per-request (``max_batch=1``).  The service runs in scheduler
   mode — the paper's own batching insight (§5: delaying propagation
   coalesces a tweet's retweets) is what the micro-batch amortizes — and
@@ -24,14 +24,16 @@ single-worker :class:`~repro.service.RecommendationService`:
 
 The measured matrix — per-path seconds/throughput, the capacity model,
 and the overload report (p50/p95/p99 per status, fractions, drops) — is
-always persisted to ``benchmarks/BENCH_serve_latency.json``.
+written to ``benchmarks/BENCH_serve_latency.json`` by a full run only;
+a smoke run never touches that committed record.
 
 Env knobs (used by the CI smoke step):
 
 * ``SERVE_BENCH_SMOKE=1`` — shrink the corpus/streams and relax the
   throughput floor to "not slower" (the SLO assert stays, with a
   generous smoke ceiling);
-* ``SERVE_BENCH_JSON=path`` — additionally dump the rows as JSON.
+* ``SERVE_BENCH_JSON=path`` — where a smoke run writes its matrix
+  (nowhere when unset).
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ OVERLOAD_SECONDS = 0.75 if SMOKE else 1.5
 MAX_BATCH = 32
 SEED = 11
 
+#: The committed record; only a full run writes it.
 MATRIX_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_serve_latency.json"
 )
@@ -83,14 +86,12 @@ _matrix: dict = {"smoke": SMOKE, "cpu_count": os.cpu_count()}
 
 def _persist(key, payload) -> None:
     _matrix[key] = payload
-    with open(MATRIX_PATH, "w", encoding="utf-8") as handle:
+    path = os.environ.get("SERVE_BENCH_JSON") if SMOKE else MATRIX_PATH
+    if not path:
+        return
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(_matrix, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    extra = os.environ.get("SERVE_BENCH_JSON")
-    if extra:
-        with open(extra, "w", encoding="utf-8") as handle:
-            json.dump(_matrix, handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 def _service_config(use_scheduler: bool) -> ServiceConfig:

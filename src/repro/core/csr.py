@@ -88,8 +88,7 @@ class CSRSimGraph:
 
     __slots__ = (
         "users", "index", "inf_indptr", "inf_indices", "inf_weights",
-        "inf_counts", "out_indptr", "out_indices", "_inf_matrix",
-        "_out_matrix",
+        "inf_counts", "out_indptr", "out_indices",
     )
 
     def __init__(
@@ -115,8 +114,6 @@ class CSRSimGraph:
         out_counts = np.bincount(inf_indices, minlength=n)
         self.out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(out_counts, out=self.out_indptr[1:])
-        self._inf_matrix = None
-        self._out_matrix = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -174,7 +171,6 @@ class CSRSimGraph:
             if pos != row_end:
                 return False
         self.inf_weights[:] = refreshed
-        self._inf_matrix = None
         return True
 
     def patch_rows(self, simgraph: SimGraph, users: Iterable[int]) -> bool:
@@ -222,7 +218,6 @@ class CSRSimGraph:
             updates.append((lo, fresh))
         for lo, fresh in updates:
             self.inf_weights[lo : lo + len(fresh)] = fresh
-        self._inf_matrix = None
         return True
 
     # ------------------------------------------------------------------
@@ -240,42 +235,6 @@ class CSRSimGraph:
 
     def __contains__(self, user: int) -> bool:
         return user in self.index
-
-    def influencer_matrix(self):
-        """``scipy`` CSR with row ``u`` = influencer weights of ``u``.
-
-        ``(W @ P)[u]`` is the Def. 4.2 numerator for every user at once —
-        the batched scoring path's workhorse.  Built lazily and cached.
-        """
-        if self._inf_matrix is None:
-            from scipy import sparse
-
-            n = len(self.users)
-            self._inf_matrix = sparse.csr_matrix(
-                (self.inf_weights, self.inf_indices, self.inf_indptr),
-                shape=(n, n),
-            )
-        return self._inf_matrix
-
-    def influence_matrix(self):
-        """Binarized influencer pattern: ``(M @ f)[u] > 0`` iff some
-        member of the frontier indicator ``f`` influences ``u`` — one
-        sparse product computes the next dirty set for a whole batch of
-        propagations at once.  Built lazily and cached.
-        """
-        if self._out_matrix is None:
-            from scipy import sparse
-
-            n = len(self.users)
-            self._out_matrix = sparse.csr_matrix(
-                (
-                    np.ones(len(self.inf_indices), dtype=np.float64),
-                    self.inf_indices,
-                    self.inf_indptr,
-                ),
-                shape=(n, n),
-            )
-        return self._out_matrix
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -131,6 +131,12 @@ class PropagationEngine:
             popularities = [None] * len(seed_sets)
         if initials is None:
             initials = [None] * len(seed_sets)
+        if not len(seed_sets) == len(popularities) == len(initials):
+            raise ValueError(
+                f"propagate_many needs one popularity and one initial per "
+                f"seed set, got {len(seed_sets)} seed sets, "
+                f"{len(popularities)} popularities and {len(initials)} initials"
+            )
         results = [
             self.propagate(seeds, popularity=popularity, initial=initial)
             for seeds, popularity, initial in zip(

@@ -11,7 +11,7 @@ Glues the pieces of §4-§5 together behind the common
   a tweet's batch becomes due, Algorithm 1 propagates from its current
   retweeters and every positive non-seed probability becomes a
   recommendation — every batch released together is scored by **one**
-  engine invocation (the CSR backend advances them jointly);
+  engine invocation;
 * tweets older than the relevance horizon (72 hours, §3.1.2) are never
   propagated again; per-tweet warm state for the incremental path lives
   in a bounded :class:`~repro.core.warmcache.WarmStateCache` (LRU +

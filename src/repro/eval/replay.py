@@ -117,8 +117,8 @@ def run_replay(
                 if key not in known and key not in first_retweet:
                     first_retweet[key] = event.time
         # The end-of-stream drain releases every still-buffered batch at
-        # once — on the CSR backend a single joint propagation — so it
-        # gets its own span in the call tree.
+        # once — a single ``propagate_many`` — so it gets its own span
+        # in the call tree.
         with metrics.span("replay.finalize"):
             collect(recommender.finalize(test[-1].time))
     elapsed = time.perf_counter() - started

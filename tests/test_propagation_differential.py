@@ -11,10 +11,19 @@ warm starts (dict or :class:`CSRWarmState`) and batched scoring.  The
 warm-start *equivalence* property (cold fixpoint == incremental
 seed-by-seed resumption) is checked on both backends.  Any change to
 either path that breaks agreement fails here first.
+
+The compiled engine keeps ``n``-sized scratch between tasks, so the
+suite also pins its hygiene: one engine driven through an arbitrary
+interleaving of tasks answers like a fresh engine per task, a task that
+dies leaves nothing behind, and a batch allocates for the users it
+touches rather than for ``tasks x n``.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,11 +36,12 @@ from repro.core import (
     StaticThreshold,
     make_propagation_engine,
 )
+from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.simgraph import SimGraph
 from repro.data import temporal_split
 from repro.exceptions import ConfigError
 from repro.graph.digraph import DiGraph
-from repro.obs import MetricsRegistry
+from repro.obs import NULL, MetricsRegistry, NullRegistry
 from repro.service import ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
 
@@ -47,8 +57,6 @@ POLICIES = {
 
 
 def random_graph(n, m, seed):
-    import numpy as np
-
     rng = np.random.RandomState(seed)
     graph = DiGraph()
     graph.add_nodes(range(n))
@@ -60,8 +68,6 @@ def random_graph(n, m, seed):
 
 
 def seed_sets_for(simgraph, seed, count=6, max_size=8):
-    import numpy as np
-
     rng = np.random.RandomState(seed)
     users = sorted(simgraph.users())
     sets = []
@@ -80,6 +86,14 @@ def assert_same_result(reference, csr, tolerance=PROB_TOLERANCE):
     assert set(reference.probabilities) == set(csr.probabilities)
     for user, p in reference.probabilities.items():
         assert csr.probabilities[user] == pytest.approx(p, abs=tolerance)
+
+
+def assert_same_state(got, want):
+    """Two :class:`CSRWarmState`\\ s hold the same arrays, entry for entry."""
+    assert got.graph is want.graph
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.values.tolist() == want.values.tolist()
+    assert list(got.extra.items()) == list(want.extra.items())
 
 
 @pytest.fixture(scope="module", params=[3, 17, 29], ids=lambda s: f"graph{s}")
@@ -249,8 +263,135 @@ class TestBatchedDifferential:
         assert PropagationEngine(simgraph).propagate_many([]) == []
 
 
-@st.composite
-def random_case(draw):
+@pytest.mark.parametrize("backend", ["reference", "csr"])
+@pytest.mark.parametrize(
+    "popularities, initials",
+    [([3], None), (None, [None]), ([1, 2, 3], None), (None, [None] * 3)],
+    ids=[
+        "short-popularities", "short-initials",
+        "long-popularities", "long-initials",
+    ],
+)
+def test_batch_length_mismatch_rejected(backend, popularities, initials):
+    """A ``propagate_many`` whose three lists disagree in length is a
+    caller bug: both engines name the lengths and do no work, instead of
+    silently dropping (or ignoring) the trailing entries."""
+    registry = MetricsRegistry()
+    engine = make_propagation_engine(
+        random_graph(10, 30, seed=4), prop_backend=backend, metrics=registry
+    )
+    with pytest.raises(ValueError, match="2 seed sets"):
+        engine.propagate_many(
+            [{0}, {1}], popularities=popularities, initials=initials
+        )
+    snapshot = registry.snapshot()
+    assert snapshot["counters"] == {} and snapshot["spans"] == []
+
+
+class _RaisingPolicy:
+    def threshold_for(self, popularity):
+        raise RuntimeError("policy down")
+
+
+class _ExplodingFrontier(NullRegistry):
+    """Metrics sink whose ``fuse``-th frontier observation raises — i.e.
+    mid-solve, with seeds, warm entries and updates already in scratch."""
+
+    def __init__(self, fuse):
+        super().__init__()
+        self.fuse = fuse
+
+    def histogram(self, name, base=2.0, timing=False):
+        return self if name == "propagation.frontier" else super().histogram(name)
+
+    def observe(self, value):
+        self.fuse -= 1
+        if self.fuse == 0:
+            raise RuntimeError("metrics sink down")
+
+
+@pytest.mark.parametrize(
+    "failure", ["foreign-warm-state", "raising-policy", "mid-solve", "budget"]
+)
+def test_failed_task_leaves_scratch_clean(simgraph, failure):
+    """The engine's scratch survives a task that dies: whatever the
+    failure, the same engine then answers like a fresh one — for every
+    singleton seed set, so a value leaked at *any* position would show."""
+    policy = StaticThreshold(0.02)
+    engine = CSRPropagationEngine(simgraph, threshold=policy)
+    sets = seed_sets_for(simgraph, seed=89)
+    engine.propagate(sets[0])
+    state = engine.take_state()
+    grown = sets[0] | sets[1] | sets[2]
+    if failure == "foreign-warm-state":
+        donor = CSRPropagationEngine(random_graph(10, 30, seed=99))
+        donor.propagate([0])
+        with pytest.raises(ValueError, match="different CSRSimGraph"):
+            # The first task of the batch completes, the second dies.
+            engine.propagate_many(
+                [grown, sets[3]], initials=[state, donor.take_state()]
+            )
+    elif failure == "raising-policy":
+        engine.threshold = _RaisingPolicy()
+        with pytest.raises(RuntimeError, match="policy down"):
+            engine.propagate(grown, initial=state)
+        engine.threshold = policy
+    elif failure == "mid-solve":
+        probe = CSRPropagationEngine(simgraph, threshold=policy, csr=engine.csr)
+        assert probe.propagate(grown, initial=state).iterations >= 2
+        engine.metrics = _ExplodingFrontier(fuse=2)
+        with pytest.raises(RuntimeError, match="metrics sink down"):
+            engine.propagate(grown, initial=state)
+        engine.metrics = NULL
+    else:
+        engine.max_iterations = 1
+        assert not engine.propagate(grown, initial=state).converged
+        engine.max_iterations = 200
+    fresh = CSRPropagationEngine(simgraph, threshold=policy, csr=engine.csr)
+    probes = [{u} for u in sorted(simgraph.users())] + [grown]
+    initials = [None] * (len(probes) - 1) + [state]
+    assert engine.propagate_many(probes, initials=initials) == (
+        fresh.propagate_many(probes, initials=initials)
+    )
+    for got, want in zip(engine.take_states(), fresh.take_states()):
+        assert_same_state(got, want)
+
+
+def test_batch_memory_follows_touched_users_not_graph_size():
+    """A batch allocates for the users its tasks touch.  On 20,000 users
+    in 20-user ring components a 64-task ``propagate_many`` must peak
+    below ``tasks x n`` bytes — one boolean matrix of the dense joint
+    fixpoint this engine used to run, which allocated a dozen."""
+    n, block, tasks = 20_000, 20, 64
+    users = np.arange(n, dtype=np.int64)
+    offset = users % block
+    base = users - offset
+    indices = np.stack(
+        [base + (offset + 1) % block, base + (offset + 2) % block], axis=1
+    ).ravel()
+    graph = ArraySimGraph(
+        users,
+        np.arange(0, 2 * n + 1, 2, dtype=np.int64),
+        indices,
+        np.full(2 * n, 0.5),
+        tau=0.0,
+    )
+    engine = CSRPropagationEngine(graph, csr=graph.csr())
+    seed_sets = [{7 * block * t, 7 * block * t + 3} for t in range(tasks)]
+    warmed = engine.propagate_many(seed_sets)
+    assert all(len(r.probabilities) == block for r in warmed)
+    tracemalloc.start()
+    try:
+        results = engine.propagate_many(seed_sets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert results == warmed
+    assert peak < tasks * n
+
+
+def draw_simgraph(draw):
+    """A small random SimGraph over users ``0..n-1``; returns (simgraph, n)."""
     n = draw(st.integers(min_value=2, max_value=12))
     edges = draw(
         st.lists(
@@ -266,10 +407,16 @@ def random_case(draw):
     graph.add_nodes(range(n))
     for u, v, w in edges:
         graph.add_edge(u, v, weight=w)
+    return SimGraph(graph, tau=0.0), n
+
+
+@st.composite
+def random_case(draw):
+    simgraph, n = draw_simgraph(draw)
     seeds = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
     warm = draw(st.sets(st.integers(0, n - 1), min_size=0, max_size=3))
     policy = draw(st.sampled_from(sorted(POLICIES)))
-    return SimGraph(graph, tau=0.0), seeds, warm, policy
+    return simgraph, seeds, warm, policy
 
 
 @settings(max_examples=80, deadline=None)
@@ -322,6 +469,94 @@ def test_warm_start_equivalence_property(case):
         assert set(cold.probabilities) <= set(incremental.probabilities)
         for user, p in cold.probabilities.items():
             assert incremental.probabilities[user] == pytest.approx(p, abs=1e-8)
+
+
+OFF_GRAPH = 10**6
+
+
+@st.composite
+def interleaving(draw):
+    """One graph, one policy and a schedule of steps; each step is a few
+    tasks run either one by one (``propagate``) or as one batch."""
+    simgraph, n = draw_simgraph(draw)
+    users = st.integers(0, n - 1)
+    task = st.fixed_dictionaries({
+        "seeds": st.sets(st.one_of(users, st.just(OFF_GRAPH)), max_size=n),
+        "popularity": st.one_of(st.none(), st.integers(1, 400)),
+        "warm": st.sampled_from(["cold", "state", "mapping"]),
+        "warm_seeds": st.sets(users, min_size=1, max_size=3),
+    })
+    steps = draw(
+        st.lists(
+            st.tuples(st.booleans(), st.lists(task, min_size=1, max_size=4)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return simgraph, draw(st.sampled_from(sorted(POLICIES))), steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(interleaving())
+def test_one_engine_interleaving_property(case):
+    """Scratch hygiene: ONE compiled engine driven through any mix of
+    cold, warm (state or mapping), thresholded and off-graph-seed tasks,
+    singly and batched, returns what a fresh engine per task and the
+    reference engine return — results, dict order, warm-state arrays
+    and every metric total."""
+    simgraph, policy, steps = case
+    compiled = CSRSimGraph.from_simgraph(simgraph)
+    registries = {
+        name: MetricsRegistry() for name in ("one", "fresh", "reference")
+    }
+
+    def fresh(metrics=None):
+        return CSRPropagationEngine(
+            simgraph, threshold=POLICIES[policy](), metrics=metrics, csr=compiled
+        )
+
+    def reference(metrics=None):
+        return PropagationEngine(
+            simgraph, threshold=POLICIES[policy](), metrics=metrics
+        )
+
+    one = fresh(registries["one"])
+    for batched, tasks in steps:
+        calls, expected = [], []
+        for task in tasks:
+            initial = ref_initial = None
+            if task["warm"] != "cold":
+                donor = fresh()
+                mapping = donor.propagate(task["warm_seeds"]).probabilities
+                ref_initial = reference().propagate(task["warm_seeds"]).probabilities
+                initial = donor.take_state() if task["warm"] == "state" else mapping
+            alone = fresh(registries["fresh"])
+            result = alone.propagate(task["seeds"], task["popularity"], initial)
+            assert result == reference(registries["reference"]).propagate(
+                task["seeds"], task["popularity"], ref_initial
+            )
+            calls.append((task["seeds"], task["popularity"], initial))
+            expected.append((result, alone.take_state()))
+        if batched:
+            results = one.propagate_many(*map(list, zip(*calls)))
+            states = one.take_states()
+        else:
+            results, states = [], []
+            for call in calls:
+                results.append(one.propagate(*call))
+                states.append(one.take_state())
+        assert len(results) == len(states) == len(expected)
+        for (want, want_state), got, state in zip(expected, results, states):
+            assert got == want
+            assert list(got.probabilities) == list(want.probabilities)
+            assert_same_state(state, want_state)
+    totals = {
+        name: registry.snapshot(deterministic=True)
+        for name, registry in registries.items()
+    }
+    for section in ("counters", "histograms"):
+        assert totals["one"][section] == totals["fresh"][section]
+        assert totals["one"][section] == totals["reference"][section]
 
 
 class TestRecommenderDifferential:
