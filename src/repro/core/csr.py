@@ -98,6 +98,14 @@ class CSRSimGraph:
         inf_indices: np.ndarray,
         inf_weights: np.ndarray,
     ):
+        # Plain-ndarray views: over a memory-mapped snapshot the sections
+        # arrive as ``np.memmap``, whose every fancy index pays for
+        # ``memmap.__getitem__`` + ``__array_finalize__``.  A view is
+        # still zero-copy and still read-only when the file is.
+        users, inf_indptr, inf_indices, inf_weights = (
+            section.view(np.ndarray)
+            for section in (users, inf_indptr, inf_indices, inf_weights)
+        )
         self.users = users
         self.index = {int(u): i for i, u in enumerate(users.tolist())}
         self.inf_indptr = inf_indptr

@@ -18,7 +18,6 @@ propagated further** — exactly the paper's β / γ(t) semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.simgraph import SimGraph
@@ -28,7 +27,6 @@ from repro.obs import NULL, MetricsRegistry
 __all__ = ["PropagationResult", "PropagationEngine"]
 
 
-@dataclass(frozen=True)
 class PropagationResult:
     """Outcome of one propagation run.
 
@@ -36,12 +34,48 @@ class PropagationResult:
     ``updates`` counts probability recomputations (the work metric used by
     the threshold ablation); ``converged`` is False when the iteration
     budget ran out first.
+
+    The compiled engine passes its warm state (anything with a
+    ``probabilities()`` method) in place of the map, which is then built
+    on first read: a caller that works on the state's arrays never pays
+    for the dict.  Results compare equal whichever way they were built.
     """
 
-    probabilities: dict[int, float]
-    iterations: int
-    updates: int
-    converged: bool
+    __slots__ = ("_probabilities", "_state", "iterations", "updates", "converged")
+
+    def __init__(self, probabilities, iterations: int, updates: int, converged: bool):
+        if isinstance(probabilities, dict):
+            self._probabilities, self._state = probabilities, None
+        else:
+            self._probabilities, self._state = None, probabilities
+        self.iterations = iterations
+        self.updates = updates
+        self.converged = converged
+
+    @property
+    def probabilities(self) -> dict[int, float]:
+        if self._probabilities is None:
+            self._probabilities = self._state.probabilities()
+        return self._probabilities
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PropagationResult):
+            return NotImplemented
+        return (
+            self.iterations == other.iterations
+            and self.updates == other.updates
+            and self.converged == other.converged
+            and self.probabilities == other.probabilities
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"PropagationResult(probabilities={self.probabilities!r}, "
+            f"iterations={self.iterations}, updates={self.updates}, "
+            f"converged={self.converged})"
+        )
 
     def score(self, user: int) -> float:
         """p(user, t), 0.0 when the propagation never reached the user."""
@@ -123,9 +157,10 @@ class PropagationEngine:
     ) -> list[PropagationResult]:
         """Propagate a batch of independent tasks (sequentially here).
 
-        The CSR backend overlaps the whole batch in one joint fixpoint;
-        this engine provides the same interface so call sites release a
-        scheduler flush through one invocation on either backend.
+        Both engines run a batch as a loop over their one fixpoint, so
+        call sites release a scheduler flush through one invocation on
+        either backend and each task costs what a lone ``propagate``
+        would.
         """
         if popularities is None:
             popularities = [None] * len(seed_sets)

@@ -24,7 +24,7 @@ task resets by index, and ``propagate_many`` runs that kernel per task.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "CSRWarmState",
     "CSRPropagationEngine",
     "make_propagation_engine",
+    "nonseed_candidates",
 ]
 
 #: ``prop_backend`` values: ``reference`` is the pure-Python frontier
@@ -77,10 +78,74 @@ class CSRWarmState:
     def __len__(self) -> int:
         return len(self.indices) + len(self.extra)
 
+    def probabilities(self) -> dict[int, float]:
+        """The fixpoint as a ``{user: p}`` map (a fresh dict per call)."""
+        scores = dict(
+            zip(self.graph.users[self.indices].tolist(), self.values.tolist())
+        )
+        scores.update(self.extra)
+        return scores
+
     def __bool__(self) -> bool:
         # An empty state must behave like an empty ``initial`` mapping
         # (cold frontier), so truthiness follows content.
         return len(self) > 0
+
+
+def _drop_seeds(
+    keys: np.ndarray, values: np.ndarray, seed_keys: np.ndarray, min_score: float
+) -> np.ndarray:
+    """Mask over ascending unique ``keys``: value at or above the floor
+    and key not among ``seed_keys`` (any order, members or not)."""
+    keep = values >= min_score
+    if len(keys) and len(seed_keys):
+        at = np.searchsorted(keys, seed_keys)
+        at[at == len(keys)] = 0
+        keep[at[keys[at] == seed_keys]] = False
+    return keep
+
+
+def nonseed_candidates(
+    state: Mapping[int, float] | CSRWarmState,
+    seeds: Collection[int],
+    min_score: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The recommendees of a fixpoint, as ``(users, scores)`` arrays.
+
+    The one "non-seed, at or above ``min_score``" rule: every member of
+    ``state`` (a probability map, or a :class:`CSRWarmState`, which is
+    filtered on its arrays without building the map) that is not in
+    ``seeds`` — removed by identity, so a non-seed at exactly 1.0 stays
+    — and scores at least ``min_score``, ascending by user id.
+    """
+    if isinstance(state, CSRWarmState):
+        index = state.graph.index
+        seed_pos = [index[s] for s in seeds if s in index]
+        keep = _drop_seeds(
+            state.indices, state.values,
+            np.array(seed_pos, dtype=np.int64), min_score,
+        )
+        users = state.graph.users[state.indices[keep]]
+        scores = state.values[keep]
+        off = [
+            (u, p) for u, p in state.extra.items()
+            if u not in seeds and p >= min_score
+        ]
+        if off:
+            users = np.concatenate([users, [u for u, _ in off]])
+            scores = np.concatenate([scores, [p for _, p in off]])
+        order = np.argsort(users)
+        return users[order], scores[order]
+    count = len(state)
+    users = np.fromiter(state.keys(), dtype=np.int64, count=count)
+    scores = np.fromiter(state.values(), dtype=np.float64, count=count)
+    order = np.argsort(users)
+    users, scores = users[order], scores[order]
+    keep = _drop_seeds(
+        users, scores, np.fromiter(seeds, dtype=np.int64, count=len(seeds)),
+        min_score,
+    )
+    return users[keep], scores[keep]
 
 
 class CSRPropagationEngine:
@@ -226,9 +291,15 @@ class CSRPropagationEngine:
             popularity = len(seed_set)
         beta = self.threshold.threshold_for(popularity)
         index = csr.index
-        seed_idx = np.fromiter(
-            (index[s] for s in seed_set if s in index), dtype=np.int64
-        )
+        seed_pos: list[int] = []
+        off_seeds: list[int] = []
+        for s in seed_set:
+            i = index.get(s)
+            if i is None:
+                off_seeds.append(s)
+            else:
+                seed_pos.append(i)
+        seed_idx = np.array(seed_pos, dtype=np.int64)
         extra: dict[int, float] = {}
         p, seed_mask, muted = self._p, self._seed_mask, self._muted
         # Every position written below is listed here first, so the
@@ -296,9 +367,7 @@ class CSRPropagationEngine:
             p[touched] = 0.0
             muted[touched] = False
             seed_mask[seed_idx] = False
-        probabilities = dict(zip(csr.users[idx].tolist(), values.tolist()))
-        extra.update((s, 1.0) for s in seed_set if s not in index)
-        probabilities.update(extra)
+        extra.update((s, 1.0) for s in off_seeds)
         metrics.counter("propagation.runs").inc()
         metrics.counter("propagation.iterations").inc(iterations)
         metrics.counter("propagation.updates").inc(updates)
@@ -306,9 +375,9 @@ class CSRPropagationEngine:
         if not converged:
             metrics.counter("propagation.non_converged").inc()
         metrics.histogram("propagation.seeds").observe(len(seed_set))
-        metrics.histogram("propagation.touched").observe(len(probabilities))
-        result = PropagationResult(probabilities, iterations, updates, converged)
-        return result, CSRWarmState(csr, idx, values, extra)
+        state = CSRWarmState(csr, idx, values, extra)
+        metrics.histogram("propagation.touched").observe(len(state))
+        return PropagationResult(state, iterations, updates, converged), state
 
 
 def make_propagation_engine(

@@ -22,7 +22,11 @@ from __future__ import annotations
 
 from repro.baselines.base import Recommendation, Recommender
 from repro.core.profiles import RetweetProfiles
-from repro.core.propagation_csr import PROP_BACKENDS, make_propagation_engine
+from repro.core.propagation_csr import (
+    PROP_BACKENDS,
+    make_propagation_engine,
+    nonseed_candidates,
+)
 from repro.core.scheduler import DelayPolicy, PostponedScheduler, PropagationTask
 from repro.core.simgraph import DEFAULT_TAU, SimGraph, SimGraphBuilder
 from repro.core.thresholds import DynamicThreshold, ThresholdPolicy
@@ -205,7 +209,7 @@ class SimGraphRecommender(Recommender):
             runnable.append((task, created_at, seeds))
         if not runnable:
             return []
-        results = self._engine.propagate_many(
+        self._engine.propagate_many(
             [seeds for _, _, seeds in runnable],
             popularities=[len(seeds) for _, _, seeds in runnable],
             initials=[
@@ -214,18 +218,16 @@ class SimGraphRecommender(Recommender):
             ],
         )
         recommendations: list[Recommendation] = []
-        for (task, created_at, seeds), result, state in zip(
-            runnable, results, self._engine.take_states()
+        for (task, created_at, seeds), state in zip(
+            runnable, self._engine.take_states()
         ):
             self._warm.put(
                 task.tweet, state, created_at=created_at, now=task.due_time
             )
-            # Deterministic user order: the reference engine's dict is
-            # in update order, the CSR engine's in compiled-index order —
-            # sorting makes the emission stream backend-independent.
-            for user, score in sorted(result.nonseed_scores(seeds).items()):
-                if score < self.min_score:
-                    continue
+            # By-user order makes the emission stream backend-independent
+            # (the engines' own membership orders differ).
+            users, scores = nonseed_candidates(state, seeds, self.min_score)
+            for user, score in zip(users.tolist(), scores.tolist()):
                 if self._targets is not None and user not in self._targets:
                     continue
                 recommendations.append(

@@ -34,16 +34,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Sequence
+from itertools import repeat
+from typing import Collection, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.baselines.base import Recommendation
 from repro.core.csr import ArraySimGraph, CSRSimGraph
-from repro.core.propagation_csr import CSRWarmState
 from repro.core.profiles import RetweetProfiles
 from repro.core.propagation_csr import (
     PROP_ALIASES,
     PROP_BACKENDS,
     make_propagation_engine,
+    nonseed_candidates,
 )
 from repro.core.scheduler import DelayPolicy, PostponedScheduler, PropagationTask
 from repro.core.simgraph import BACKENDS, DEFAULT_TAU, SimGraph, SimGraphBuilder
@@ -57,6 +60,7 @@ from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry
 
 __all__ = [
+    "Candidates",
     "ServiceConfig",
     "ServiceStats",
     "ServiceCore",
@@ -126,6 +130,25 @@ class ServiceConfig:
             )
         if self.warm_cache_size < 1:
             raise ConfigError("warm_cache_size must be at least 1")
+
+
+class Candidates(NamedTuple):
+    """What one propagation task would notify, before the budget.
+
+    ``users`` / ``scores`` are aligned arrays (non-seeds at or above
+    ``min_score``); ``tweet`` and ``time`` are the task's.  Candidates
+    stay in this form until :meth:`ServiceCore._deliver` accepts one —
+    only then does a :class:`Recommendation` exist.
+    """
+
+    tweet: int
+    time: float
+    users: np.ndarray
+    scores: np.ndarray
+
+
+_NO_USERS = np.empty(0, dtype=np.int64)
+_NO_SCORES = np.empty(0, dtype=np.float64)
 
 
 @dataclass
@@ -221,12 +244,13 @@ class ServiceCore:
 
     def _score_runnable(
         self, runnable: list[tuple[PropagationTask, float | None, set[int]]]
-    ) -> list[list[Recommendation]]:
-        """Candidate notifications of each ``(task, created_at, seeds)``.
+    ) -> list[Candidates]:
+        """The :class:`Candidates` of each ``(task, created_at, seeds)``.
 
         One joint propagation over the batch: reads every task's warm
         state from ``self._warm`` before storing any new one.  Candidates
-        exclude seeds and scores below ``min_score``, sorted by user.
+        exclude seeds and scores below ``min_score``
+        (:func:`~repro.core.propagation_csr.nonseed_candidates`).
         """
         raise NotImplementedError
 
@@ -293,12 +317,12 @@ class ServiceCore:
         self.metrics.counter("service.events").inc()
         event = Retweet(user=user, tweet=tweet, time=at)
         if self._scheduler is not None:
-            released = self._run_tasks(self._scheduler.offer(event))
+            released = self._score_tasks(self._scheduler.offer(event))
             self._absorb(event)
         else:
             self._absorb(event)
             task = PropagationTask(tweet=tweet, users=(user,), due_time=at)
-            released = self._run_tasks([task])
+            released = self._score_tasks([task])
         delivered = self._deliver(released)
         self.metrics.histogram("service.retweet_seconds", timing=True).observe(
             time.perf_counter() - started
@@ -324,7 +348,7 @@ class ServiceCore:
         if now is not None:
             self._advance(now)
         # The whole drained backlog is scored by one batched invocation.
-        released = self._run_tasks(self._scheduler.flush(now=self._clock))
+        released = self._score_tasks(self._scheduler.flush(now=self._clock))
         delivered = self._deliver(released)
         self._refresh_health()
         return delivered
@@ -503,23 +527,17 @@ class ServiceCore:
         self._retweeters.setdefault(event.tweet, set()).add(event.user)
         self._known.add((event.user, event.tweet))
 
-    def _run_tasks(self, tasks: list[PropagationTask]) -> list[Recommendation]:
-        """Score every released task in one batched invocation."""
-        released: list[Recommendation] = []
-        for recs in self._score_tasks(tasks):
-            released.extend(recs)
-        return released
+    def _score_tasks(self, tasks: list[PropagationTask]) -> list[Candidates]:
+        """Per-task candidates, one joint invocation.
 
-    def _score_tasks(
-        self, tasks: list[PropagationTask]
-    ) -> list[list[Recommendation]]:
-        """Per-task candidate notifications, one joint invocation.
-
-        Returns a list aligned with ``tasks`` (age-skipped tasks yield an
-        empty list) so batched ingestion can attribute each task's
+        Returns a list aligned with ``tasks`` (age-skipped tasks yield
+        no candidates) so batched ingestion can attribute each task's
         candidates back to the event that released it.
         """
-        per_task: list[list[Recommendation]] = [[] for _ in tasks]
+        per_task = [
+            Candidates(task.tweet, task.due_time, _NO_USERS, _NO_SCORES)
+            for task in tasks
+        ]
         slots: list[int] = []
         runnable: list[tuple[PropagationTask, float | None, set[int]]] = []
         for i, task in enumerate(tasks):
@@ -535,30 +553,65 @@ class ServiceCore:
             slots.append(i)
             runnable.append((task, created_at, seeds))
         if runnable:
-            for i, recs in zip(slots, self._score_runnable(runnable)):
-                per_task[i] = recs
+            for i, candidates in zip(slots, self._score_runnable(runnable)):
+                per_task[i] = candidates
             self.stats.propagations_run += len(runnable)
         return per_task
 
-    def _deliver(self, released: list[Recommendation]) -> list[Recommendation]:
+    def _deliver(self, released: list[Candidates]) -> list[Recommendation]:
+        """Pass one event's candidates through the online budget.
+
+        A candidate already notified of — or already sharing — its tweet
+        is dropped first (which candidates those are does not depend on
+        order, so nothing has been sorted yet); the rest are taken best
+        score first (ties by user, then tweet) and one whose user has
+        used up the day's budget is suppressed.  Only what gets through
+        becomes a :class:`Recommendation`.
+        """
         delivered: list[Recommendation] = []
+        known = self._known
         with self.metrics.span("budget"):
-            for rec in sorted(released, key=lambda r: (-r.score, r.user, r.tweet)):
-                if (rec.user, rec.tweet) in self._known:
-                    continue
-                day = int(rec.time // DAY)
-                used = self._delivered.get((rec.user, day), 0)
-                if used >= self.config.daily_budget:
-                    self.stats.notifications_suppressed += 1
-                    continue
-                self._delivered[(rec.user, day)] = used + 1
-                self._known.add((rec.user, rec.tweet))
-                delivered.append(rec)
-                self.stats.notifications_delivered += 1
+            total = 0
+            fresh: list[tuple[Candidates, list[int]]] = []
+            for candidates in released:
+                total += len(candidates.users)
+                pairs = zip(candidates.users.tolist(), repeat(candidates.tweet))
+                unseen = [i for i, pair in enumerate(pairs) if pair not in known]
+                if unseen:
+                    fresh.append((candidates, unseen))
+            if fresh:
+                users = np.concatenate([c.users[unseen] for c, unseen in fresh])
+                scores = np.concatenate([c.scores[unseen] for c, unseen in fresh])
+                task_of = np.repeat(
+                    np.arange(len(fresh)), [len(unseen) for _, unseen in fresh]
+                )
+                tweets = np.array([c.tweet for c, _ in fresh])[task_of]
+                order = np.lexsort((tweets, users, -scores))
+                budget = self.config.daily_budget
+                for user, score, task in zip(
+                    users[order].tolist(),
+                    scores[order].tolist(),
+                    task_of[order].tolist(),
+                ):
+                    tweet, when, _, _ = fresh[task][0]
+                    if (user, tweet) in known:
+                        # Same pair twice in one release: delivered once.
+                        continue
+                    slot = (user, int(when // DAY))
+                    used = self._delivered.get(slot, 0)
+                    if used >= budget:
+                        self.stats.notifications_suppressed += 1
+                        continue
+                    self._delivered[slot] = used + 1
+                    known.add((user, tweet))
+                    delivered.append(
+                        Recommendation(
+                            user=user, tweet=tweet, score=score, time=when
+                        )
+                    )
+            self.stats.notifications_delivered += len(delivered)
         self.metrics.counter("budget.delivered").inc(len(delivered))
-        self.metrics.counter("budget.rejections").inc(
-            len(released) - len(delivered)
-        )
+        self.metrics.counter("budget.rejections").inc(total - len(delivered))
         return delivered
 
 
@@ -661,9 +714,9 @@ class RecommendationService(ServiceCore):
             if not pending:
                 return
             per_task = self._score_tasks([task for _, task in pending])
-            by_owner: dict[int, list[Recommendation]] = {}
-            for (owner, _), recs in zip(pending, per_task):
-                by_owner.setdefault(owner, []).extend(recs)
+            by_owner: dict[int, list[Candidates]] = {}
+            for (owner, _), candidates in zip(pending, per_task):
+                by_owner.setdefault(owner, []).append(candidates)
             # Sequential ingestion delivers each event's released batch
             # in one _deliver call; replay that grouping in event order.
             for owner in sorted(by_owner):
@@ -729,11 +782,10 @@ class RecommendationService(ServiceCore):
         if state is None:
             self.metrics.counter("service.warm_answer_misses").inc()
             return None
-        seeds = self._retweeters.get(tweet, set())
+        users, scores = self._candidates(state, tweet)
         return [
             Recommendation(user=u, tweet=tweet, score=p, time=at)
-            for u, p in sorted(self._state_scores(state).items())
-            if u not in seeds and p >= self.config.min_score
+            for u, p in zip(users.tolist(), scores.tolist())
         ]
 
     def warm_scores(
@@ -754,26 +806,15 @@ class RecommendationService(ServiceCore):
             if state is None:
                 out[tweet] = None
                 continue
-            seeds = self._retweeters.get(tweet, set())
-            out[tweet] = {
-                u: p
-                for u, p in sorted(self._state_scores(state).items())
-                if u not in seeds and p >= self.config.min_score
-            }
+            users, scores = self._candidates(state, tweet)
+            out[tweet] = dict(zip(users.tolist(), scores.tolist()))
         return out
 
-    def _state_scores(self, state) -> dict[int, float]:
-        """Decode a cached warm state into a ``{user: p}`` mapping."""
-        if isinstance(state, CSRWarmState):
-            scores = dict(
-                zip(
-                    state.graph.users[state.indices].tolist(),
-                    state.values.tolist(),
-                )
-            )
-            scores.update(state.extra)
-            return scores
-        return dict(state)
+    def _candidates(self, state, tweet: int) -> tuple[np.ndarray, np.ndarray]:
+        """Recommendees of ``tweet`` in a fixpoint ``state``, by user."""
+        return nonseed_candidates(
+            state, self._retweeters.get(tweet, ()), self.config.min_score
+        )
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -896,8 +937,8 @@ class RecommendationService(ServiceCore):
     # ------------------------------------------------------------------
     def _score_runnable(
         self, runnable: list[tuple[PropagationTask, float | None, set[int]]]
-    ) -> list[list[Recommendation]]:
-        results = self._engine.propagate_many(
+    ) -> list[Candidates]:
+        self._engine.propagate_many(
             [seeds for _, _, seeds in runnable],
             popularities=[len(seeds) for _, _, seeds in runnable],
             initials=[
@@ -905,22 +946,19 @@ class RecommendationService(ServiceCore):
                 for task, _, _ in runnable
             ],
         )
-        scored: list[list[Recommendation]] = []
-        for (task, created_at, seeds), result, state in zip(
-            runnable, results, self._engine.take_states()
+        scored: list[Candidates] = []
+        for (task, created_at, seeds), state in zip(
+            runnable, self._engine.take_states()
         ):
             self._warm.put(
                 task.tweet, state, created_at=created_at, now=task.due_time
             )
-            # Sorted so the emission order is identical on both
-            # propagation backends (their result dicts differ in order).
-            scored.append([
-                Recommendation(
-                    user=u, tweet=task.tweet, score=p, time=task.due_time
+            scored.append(
+                Candidates(
+                    task.tweet, task.due_time,
+                    *nonseed_candidates(state, seeds, self.config.min_score),
                 )
-                for u, p in sorted(result.nonseed_scores(seeds).items())
-                if p >= self.config.min_score
-            ])
+            )
         return scored
 
     def score_batch(self, tweet_ids: list[int]) -> dict[int, dict[int, float]]:
@@ -942,15 +980,12 @@ class RecommendationService(ServiceCore):
         if unknown:
             raise DatasetError(f"unknown tweet ids {unknown}")
         seed_sets = [set(self._retweeters.get(t, set())) for t in tweet_ids]
-        results = self._engine.propagate_many(
+        self._engine.propagate_many(
             seed_sets,
             popularities=[len(seeds) for seeds in seed_sets],
         )
-        return {
-            tweet: {
-                user: p
-                for user, p in result.probabilities.items()
-                if user not in seeds and p >= self.config.min_score
-            }
-            for tweet, seeds, result in zip(tweet_ids, seed_sets, results)
-        }
+        out: dict[int, dict[int, float]] = {}
+        for tweet, state in zip(tweet_ids, self._engine.take_states()):
+            users, scores = self._candidates(state, tweet)
+            out[tweet] = dict(zip(users.tolist(), scores.tolist()))
+        return out

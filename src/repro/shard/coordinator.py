@@ -45,8 +45,8 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Iterable
 
-from repro.baselines.base import Recommendation
 from repro.core.delta import DeltaPlan, DeltaReport
+from repro.core.propagation_csr import nonseed_candidates
 from repro.core.scheduler import DelayPolicy, PropagationTask
 from repro.core.simgraph import SimGraph
 from repro.core.thresholds import ThresholdPolicy
@@ -54,7 +54,7 @@ from repro.data.models import Retweet
 from repro.exceptions import ConfigError, ShardError
 from repro.graph.digraph import DiGraph
 from repro.obs import MetricsRegistry
-from repro.service.engine import ServiceConfig, ServiceCore
+from repro.service.engine import Candidates, ServiceConfig, ServiceCore
 from repro.shard.partition import (
     DEFAULT_BALANCE_TOLERANCE,
     ShardPlan,
@@ -604,7 +604,7 @@ class ShardedRecommendationService(ServiceCore):
     # ------------------------------------------------------------------
     def _score_runnable(
         self, runnable: list[tuple[PropagationTask, float | None, set[int]]]
-    ) -> list[list[Recommendation]]:
+    ) -> list[Candidates]:
         """Route tasks to shards, pace lock-step rounds, merge the scores."""
         self.metrics.counter("shard.events_routed").inc(len(runnable))
 
@@ -723,7 +723,7 @@ class ShardedRecommendationService(ServiceCore):
             },
         )
 
-        scored: list[list[Recommendation]] = []
+        scored: list[Candidates] = []
         for task, created_at, seeds, token, spec, active in prepared:
             st = states[task.tweet]
             engaged = st["engaged"]
@@ -751,13 +751,12 @@ class ShardedRecommendationService(ServiceCore):
                 created_at=created_at,
                 now=task.due_time,
             )
-            scored.append([
-                Recommendation(
-                    user=u, tweet=task.tweet, score=p, time=task.due_time
+            scored.append(
+                Candidates(
+                    task.tweet, task.due_time,
+                    *nonseed_candidates(merged, seeds, self.config.min_score),
                 )
-                for u, p in sorted(merged.items())
-                if u not in seeds
-            ])
+            )
         self.metrics.histogram("shard.merge_seconds", timing=True).observe(
             _time.perf_counter() - merge_started
         )

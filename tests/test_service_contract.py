@@ -188,6 +188,39 @@ def test_scheduler_backlog_shows_in_health_and_drains(warm_service):
     assert service.metrics_snapshot()["gauges"]["service.queue_depth"] == 0
 
 
+def test_released_tasks_share_the_budget_in_score_order(warm_service):
+    """One retweet releases the tasks of tweets 200 and 201.  User 2 is
+    a candidate for both with a single slot and gets the higher score
+    (201); the tie between users 1 and 2 on 200 goes to the lower id."""
+    service = warm_service(use_scheduler=True, daily_budget=1)
+    service.post_tweet(tweet_id=201, author=3, at=501.0)
+    service.post_tweet(tweet_id=202, author=3, at=502.0)
+    assert service.retweet(user=0, tweet=200, at=600.0) == []
+    assert service.retweet(user=0, tweet=201, at=601.0) == []
+    assert service.retweet(user=1, tweet=201, at=602.0) == []
+    delivered = service.retweet(user=3, tweet=202, at=20600.0)
+    assert [(n.user, n.tweet) for n in delivered] == [(2, 201), (1, 200)]
+    assert delivered[0].score > delivered[1].score
+    assert service.stats.notifications_suppressed == 1
+    counters = service.metrics_snapshot(deterministic=True)["counters"]
+    assert counters["budget.delivered"] == 2
+    assert counters["budget.rejections"] == 1
+
+
+def test_own_user_known_at_deliver_time_is_not_notified(warm_service):
+    """Scheduler path: user 1's retweet releases tweet 200's task with
+    seeds {0} — 1 is a candidate — and is absorbed before the budget
+    runs, so 1 is skipped: a rejection, not a budget suppression."""
+    service = warm_service(use_scheduler=True)
+    assert service.retweet(user=0, tweet=200, at=600.0) == []
+    delivered = service.retweet(user=1, tweet=200, at=20600.0)
+    assert [(n.user, n.tweet) for n in delivered] == [(2, 200)]
+    assert service.stats.notifications_suppressed == 0
+    counters = service.metrics_snapshot(deterministic=True)["counters"]
+    assert counters["budget.delivered"] == 1
+    assert counters["budget.rejections"] == 1
+
+
 def test_metric_families_equal_between_single_and_one_shard():
     """Over the pinned golden corpus the shared loop reports the same
     numbers whichever scorer is plugged in."""

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core import CSRPropagationEngine
+from repro.baselines.base import Recommendation
+from repro.core import (
+    CSRPropagationEngine,
+    CSRWarmState,
+    make_propagation_engine,
+)
 from repro.exceptions import ConfigError, DatasetError
 from repro.service import RecommendationService, ServiceConfig
 from repro.shard.replay import drive_service, ingest_graph
@@ -210,14 +215,14 @@ class TestHealthGauges:
         assert service.stats.warm_misses >= 1
 
 
-def two_group_service() -> RecommendationService:
+def two_group_service(**config_kwargs) -> RecommendationService:
     """Two follow-disjoint communities: users 0-2 and users 5-7.
 
     User 8 follows the second group but starts with no retweet profile —
     the lever for a topology-changing delta later on.
     """
     service = RecommendationService(ServiceConfig(
-        use_scheduler=False, min_score=1e-6,
+        use_scheduler=False, min_score=1e-6, **config_kwargs
     ))
     for group in ((0, 1, 2), (5, 6, 7)):
         for u in group:
@@ -316,3 +321,190 @@ class TestMaintenance:
         service.rebuild("from scratch")
         refreshed = service.rebuild("crossfold")
         assert refreshed.node_count > 0
+
+
+BOTH_PROP_BACKENDS = ("reference", "csr")
+
+
+def deliveries(notifications) -> list[tuple]:
+    return [(n.user, n.tweet, n.score, n.time) for n in notifications]
+
+
+class TestCandidatesStayArrays:
+    """Candidates travel as arrays from the engine to the budget; these
+    pin the deliveries that travel could change, per ``prop_backend`` —
+    each scenario must also deliver the same on both."""
+
+    @staticmethod
+    def on_both(scenario) -> list[tuple]:
+        reference, csr = (scenario(name) for name in BOTH_PROP_BACKENDS)
+        assert reference == csr
+        return csr
+
+    def test_off_graph_seed_and_carried_off_graph_entry(self):
+        """Users 3 and 4 are not SimGraph nodes: seed 3 is never
+        notified, the warm entry for 4 is carried and delivered."""
+        states = {}
+
+        def scenario(prop_backend):
+            service = warm_service(prop_backend=prop_backend)
+            service._warm.put(200, {4: 0.5}, created_at=500.0, now=550.0)
+            out = deliveries(service.retweet(user=3, tweet=200, at=600.0))
+            states[prop_backend] = service._warm.get(200)
+            return out + deliveries(service.retweet(user=0, tweet=200, at=601.0))
+
+        delivered = self.on_both(scenario)
+        assert delivered[0] == (4, 200, 0.5, 600.0)
+        assert [(u, t) for u, t, _, _ in delivered[1:]] == [(1, 200), (2, 200)]
+        assert states["csr"].extra == {4: 0.5, 3: 1.0}
+        assert len(states["csr"].indices) == 0
+        assert states["reference"] == {4: 0.5, 3: 1.0}
+
+    @pytest.mark.parametrize("bystander", [4, 6])
+    def test_non_seed_at_exactly_one_is_still_a_candidate(self, bystander):
+        """Seeds leave by identity, never by value: a carried warm
+        entry at exactly 1.0 — off-graph (4) or a SimGraph node the
+        propagation never reaches (6) — is notified."""
+
+        def scenario(prop_backend):
+            service = two_group_service(prop_backend=prop_backend)
+            service._warm.put(200, {bystander: 1.0}, created_at=50.0, now=55.0)
+            return deliveries(service.retweet(user=0, tweet=200, at=60.0))
+
+        delivered = self.on_both(scenario)
+        assert delivered[0] == (bystander, 200, 1.0, 60.0)
+        assert {u for u, _, _, _ in delivered} == {bystander, 1, 2}
+
+    @pytest.mark.parametrize(
+        "daily_budget, expected, suppressed",
+        [
+            (1, [(2, 201), (1, 200)], 1),
+            (30, [(2, 201), (1, 200), (2, 200)], 0),
+        ],
+    )
+    def test_two_released_tasks_share_one_budget_in_score_order(
+        self, daily_budget, expected, suppressed
+    ):
+        """One retweet releases the tasks of tweets 200 and 201.  User 2
+        is a candidate for both and 201 scores higher, so with one slot
+        it gets 201; users 1 and 2 tie on 200 and go lower id first."""
+
+        def scenario(prop_backend):
+            service = warm_service(
+                prop_backend=prop_backend, use_scheduler=True,
+                daily_budget=daily_budget,
+            )
+            service.post_tweet(tweet_id=201, author=3, at=501.0)
+            service.post_tweet(tweet_id=202, author=3, at=502.0)
+            assert service.retweet(user=0, tweet=200, at=600.0) == []
+            assert service.retweet(user=0, tweet=201, at=601.0) == []
+            assert service.retweet(user=1, tweet=201, at=602.0) == []
+            before = service.stats.propagations_run
+            out = service.retweet(user=3, tweet=202, at=20600.0)
+            assert service.stats.propagations_run == before + 2
+            assert service.stats.notifications_suppressed == suppressed
+            counters = service.metrics_snapshot(deterministic=True)["counters"]
+            assert counters["budget.delivered"] == len(expected)
+            assert counters["budget.rejections"] == 3 - len(expected)
+            return deliveries(out)
+
+        delivered = self.on_both(scenario)
+        assert [(u, t) for u, t, _, _ in delivered] == expected
+        scores = {(u, t): s for u, t, s, _ in delivered}
+        assert scores[(2, 201)] > scores[(1, 200)]
+        if (2, 200) in scores:
+            assert scores[(2, 200)] == scores[(1, 200)]
+
+    def test_own_user_known_at_deliver_time_is_not_notified(self):
+        """Scheduler path: user 1's retweet releases tweet 200's task
+        (seeds {0}, so 1 is a candidate) and is absorbed before the
+        budget runs — 1 already shares the tweet and is skipped, which
+        is a rejection but not a budget suppression."""
+
+        def scenario(prop_backend):
+            service = warm_service(prop_backend=prop_backend, use_scheduler=True)
+            assert service.retweet(user=0, tweet=200, at=600.0) == []
+            out = service.retweet(user=1, tweet=200, at=20600.0)
+            assert service.stats.notifications_suppressed == 0
+            counters = service.metrics_snapshot(deterministic=True)["counters"]
+            assert counters["budget.delivered"] == 1
+            assert counters["budget.rejections"] == 1
+            return deliveries(out)
+
+        assert [(u, t) for u, t, _, _ in self.on_both(scenario)] == [(2, 200)]
+
+    @pytest.mark.parametrize("prop_backend", BOTH_PROP_BACKENDS)
+    def test_budget_counters_account_for_every_candidate(self, prop_backend):
+        """delivered + rejections is the candidate count the scorer
+        returned; only budget-exhausted ones count as suppressed."""
+        service = warm_service(prop_backend=prop_backend, daily_budget=1)
+        candidates = 0
+        score_tasks = service._score_tasks
+
+        def counting(tasks):
+            nonlocal candidates
+            scored = score_tasks(tasks)
+            candidates += sum(len(c.users) for c in scored)
+            return scored
+
+        service._score_tasks = counting
+        service.post_tweet(tweet_id=201, author=3, at=501.0)
+        service.retweet(user=0, tweet=200, at=600.0)   # 1, 2 delivered
+        service.retweet(user=0, tweet=201, at=601.0)   # 1, 2 out of budget
+        service.retweet(user=1, tweet=200, at=602.0)   # 2 already notified
+        counters = service.metrics_snapshot(deterministic=True)["counters"]
+        assert candidates == 5
+        assert counters["budget.delivered"] == 2
+        assert counters["budget.delivered"] + counters["budget.rejections"] == 5
+        assert service.stats.notifications_suppressed == 2
+
+    @pytest.mark.parametrize("prop_backend", BOTH_PROP_BACKENDS)
+    def test_recommendations_are_built_only_for_deliveries(
+        self, prop_backend, monkeypatch
+    ):
+        import repro.service.engine as engine_module
+
+        built = []
+
+        def counting(**fields):
+            built.append(fields)
+            return Recommendation(**fields)
+
+        dataset = generate_dataset(SynthConfig(n_users=120, seed=5))
+        service = RecommendationService(ServiceConfig(
+            use_scheduler=False, prop_backend=prop_backend, daily_budget=2,
+        ))
+        ingest_graph(service, dataset)
+        monkeypatch.setattr(engine_module, "Recommendation", counting)
+        delivered = drive_service(service, dataset, dataset.retweets()[:600])
+        counters = service.metrics_snapshot(deterministic=True)["counters"]
+        assert len(delivered) == service.stats.notifications_delivered > 0
+        assert counters["budget.rejections"] > 0
+        assert len(built) == len(delivered)
+
+    def test_csr_result_equals_reference_and_decodes_lazily(self, monkeypatch):
+        graph = warm_service().simgraph
+        reference, csr = (
+            make_propagation_engine(graph, prop_backend=name)
+            for name in BOTH_PROP_BACKENDS
+        )
+        seeds, warm = {0, 3}, {4: 0.25, 1: 0.5}
+        a = reference.propagate_many([seeds, {1}], initials=[warm, None])
+        b = csr.propagate_many([seeds, {1}], initials=[warm, None])
+        assert a == b and b == a
+        assert b[0].probabilities == a[0].probabilities
+        assert set(b[0].probabilities) == {0, 1, 2, 3, 4}
+        assert b[0].probabilities is b[0].probabilities
+        assert b[0] != csr.propagate({0})
+
+        # The service never decodes the map: not on ingestion, not on
+        # the warm-cache reads, not on batch scoring.
+        def refuse(self):
+            raise AssertionError("probability map built on the service path")
+
+        monkeypatch.setattr(CSRWarmState, "probabilities", refuse)
+        service = warm_service(prop_backend="csr")
+        assert service.retweet(user=0, tweet=200, at=600.0)
+        assert service.warm_answer(user=3, tweet=200, at=601.0)
+        assert service.warm_scores([200])[200]
+        assert service.score_batch([200])[200]

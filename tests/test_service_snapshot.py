@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.persistence import save_simgraph
@@ -91,6 +92,42 @@ def test_mmap_loaded_graph_survives_maintenance(tmp_path):
     assert refreshed.node_count > 0
     service.post_tweet(tweet_id=300, author=3, at=800.0)
     service.retweet(user=1, tweet=300, at=900.0)
+
+
+def test_mmap_boot_compiles_plain_read_only_views(tmp_path):
+    """The kernel indexes plain ndarrays, not ``np.memmap`` instances
+    (whose every fancy index pays ``__array_finalize__``) — as
+    zero-copy, read-only views of the mapped file, so the first delta
+    maintenance still recompiles instead of writing through."""
+    source = built_service(prop_backend="csr", rebuild_strategy="delta")
+    path = save_simgraph(source.simgraph, tmp_path / "g.snap", format=2)
+    before = path.read_bytes()
+    service = built_service(prop_backend="csr", rebuild_strategy="delta")
+    service.load_snapshot(path, mmap=True)
+    csr = service._csr
+    for name in ("users", "inf_indptr", "inf_indices", "inf_weights"):
+        section = getattr(csr, name)
+        assert type(section) is np.ndarray, name
+        assert not section.flags.writeable, name
+        base = section
+        while not isinstance(base, np.memmap):
+            base = base.base
+            assert base is not None, f"{name} was copied out of the file"
+    # Weights-only dirt: user 0 shares one more tweet with its group.
+    service.retweet(user=1, tweet=101, at=700.0)
+    service.post_tweet(tweet_id=102, author=3, at=701.0)
+    for at, user in enumerate((0, 1, 2), start=702):
+        service.retweet(user=user, tweet=102, at=float(at))
+    compiled = service.metrics_snapshot()["counters"]["propagation.csr_compiled"]
+    service.rebuild("delta")
+    counters = service.metrics_snapshot()["counters"]
+    assert counters["propagation.csr_compiled"] == compiled + 1
+    assert "propagation.csr_rows_patched" not in counters
+    assert service._csr is not csr
+    assert service._csr.inf_weights.flags.writeable
+    assert path.read_bytes() == before
+    service.post_tweet(tweet_id=300, author=3, at=800.0)
+    assert service.retweet(user=1, tweet=300, at=900.0)
 
 
 def test_missing_snapshot_raises(tmp_path):
