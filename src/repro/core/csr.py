@@ -22,11 +22,14 @@ arXiv:1502.00166; Nguyen & Zheng, arXiv:1307.4264):
 A compiled graph is immutable in structure; the §6.3 *weights-only*
 maintenance strategy (``"SimGraph updated"``) keeps the topology fixed,
 so :meth:`CSRSimGraph.patch_weights` can refresh the weight array in
-place instead of recompiling — the incremental path the service uses at
-rebuild time.  The delta maintenance engine goes one step further: its
-:class:`~repro.core.delta.DeltaReport` names exactly the rows whose
-weights moved, and :meth:`CSRSimGraph.patch_rows` rewrites only those
-row segments — O(changed edges) instead of O(all edges) per rebuild.
+place instead of recompiling.  The delta maintenance engine's
+:class:`~repro.core.delta.DeltaReport` names exactly the rows that
+changed, and :meth:`CSRSimGraph.splice` builds the next compiled graph
+from this one and those rows alone — unchanged row segments are block
+copies, only the named rows are read back from the dict adjacency — so
+a rebuild that moved a few percent of the rows, edges added and removed
+included, never re-walks the rest.  The splice writes new arrays: it
+works from a read-only memory-mapped source as well.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.simgraph import SimGraph
 from repro.graph.digraph import DiGraph
@@ -97,6 +101,7 @@ class CSRSimGraph:
         inf_indptr: np.ndarray,
         inf_indices: np.ndarray,
         inf_weights: np.ndarray,
+        index: dict[int, int] | None = None,
     ):
         # Plain-ndarray views: over a memory-mapped snapshot the sections
         # arrive as ``np.memmap``, whose every fancy index pays for
@@ -107,21 +112,24 @@ class CSRSimGraph:
             for section in (users, inf_indptr, inf_indices, inf_weights)
         )
         self.users = users
-        self.index = {int(u): i for i, u in enumerate(users.tolist())}
+        if index is None:
+            index = {int(u): i for i, u in enumerate(users.tolist())}
+        self.index = index
         self.inf_indptr = inf_indptr
         self.inf_indices = inf_indices
         self.inf_weights = inf_weights
         self.inf_counts = np.diff(inf_indptr)
         n = len(users)
         # Transpose: edge (row u -> influencer v) means "v influences u",
-        # so bucket edge rows by their target position.  The stable sort
-        # keeps each bucket in edge order — deterministic compilation.
-        order = np.argsort(inf_indices, kind="stable")
-        edge_rows = np.repeat(np.arange(n, dtype=np.int64), self.inf_counts)
-        self.out_indices = edge_rows[order]
-        out_counts = np.bincount(inf_indices, minlength=n)
-        self.out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(out_counts, out=self.out_indptr[1:])
+        # so bucket edge rows by their target position.  The conversion
+        # is a counting sort that walks rows in order, so each bucket
+        # stays in edge order — deterministic compilation.
+        transpose = sparse.csr_matrix(
+            (np.ones(len(inf_indices), dtype=np.int8), inf_indices, inf_indptr),
+            shape=(n, n),
+        ).tocsc()
+        self.out_indices = transpose.indices.astype(np.int64, copy=False)
+        self.out_indptr = transpose.indptr.astype(np.int64, copy=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -155,6 +163,8 @@ class CSRSimGraph:
         so a maintenance rebuild can skip recompilation.  Returns False
         (structure untouched) on any mismatch, or when the weight array
         is read-only (a memory-mapped snapshot); the caller recompiles.
+        (Delta maintenance never comes here: its report drives
+        :meth:`splice`.)
         """
         if not self.inf_weights.flags.writeable:
             return False
@@ -181,52 +191,79 @@ class CSRSimGraph:
         self.inf_weights[:] = refreshed
         return True
 
-    def patch_rows(self, simgraph: SimGraph, users: Iterable[int]) -> bool:
-        """Refresh only the named rows' weights in place.
+    def splice(
+        self, simgraph: SimGraph, changed_users: Iterable[int]
+    ) -> "CSRSimGraph | None":
+        """The compiled form of ``simgraph``, built from this one.
 
-        The delta maintenance engine reports exactly which users' rows
-        changed; when no row changed topology, only those segments of
-        ``inf_weights`` need rewriting — O(changed edges) instead of the
-        full-array verify of :meth:`patch_weights`.  Every named row is
-        verified against the compiled structure (same targets, same
-        order) before anything is written; on any mismatch — a named
-        user absent from the graph or the index, or a row whose edge
-        sequence drifted — the structure is left untouched and False is
-        returned so the caller can fall back to the full patch or a
-        recompile.  Global node/edge counts are checked first: a count
-        drift means topology changed somewhere, named or not.  A
-        read-only weight array (memory-mapped snapshot) also returns
-        False — mmap-loaded structures are never patched in place.
+        ``simgraph`` must differ from the compiled graph only in the
+        out-rows of ``changed_users`` (any change: weights, edges added
+        or removed, order) and in nodes appended after the compiled
+        ones — what a :class:`~repro.core.delta.DeltaReport` promises.
+        Runs of unchanged rows are block-copied to their new offsets,
+        the changed rows are read from the dict adjacency, appended
+        nodes take the next positions; the result equals
+        ``from_simgraph(simgraph)`` array for array.  This structure is
+        only read (a memory-mapped one included) and stays valid.
+
+        Returns ``None`` when a compiled node is gone or the node order
+        differs — positions would shift under every row, so the caller
+        recompiles.
         """
-        if not self.inf_weights.flags.writeable:
-            return False
         graph = simgraph.graph
-        if graph.node_count != len(self.users):
-            return False
-        if graph.edge_count != len(self.inf_indices):
-            return False
-        indices = self.inf_indices
-        updates: list[tuple[int, np.ndarray]] = []
-        for u in users:
-            i = self.index.get(u)
-            if i is None or u not in graph:
-                return False
-            lo = int(self.inf_indptr[i])
-            hi = int(self.inf_indptr[i + 1])
-            fresh = np.empty(hi - lo, dtype=np.float64)
-            pos = lo
-            for v, w in graph.out_edges(u):
-                j = self.index.get(v)
-                if j is None or pos >= hi or indices[pos] != j:
-                    return False
-                fresh[pos - lo] = w
-                pos += 1
-            if pos != hi:
-                return False
-            updates.append((lo, fresh))
-        for lo, fresh in updates:
-            self.inf_weights[lo : lo + len(fresh)] = fresh
-        return True
+        n_old = len(self.users)
+        n = graph.node_count
+        if n < n_old:
+            return None
+        users = np.fromiter(graph.nodes(), dtype=np.int64, count=n)
+        if not np.array_equal(users[:n_old], self.users):
+            return None
+        index = self.index
+        if n > n_old:
+            index = dict(index)
+            index.update(zip(users[n_old:].tolist(), range(n_old, n)))
+
+        position_of = index.__getitem__
+        changed = sorted(changed_users, key=position_of)
+        rows = np.fromiter(
+            map(position_of, changed), dtype=np.int64, count=len(changed)
+        )
+        lengths: list[int] = []
+        targets: list[int] = []
+        values: list[float] = []
+        for u in changed:
+            row = graph.out_row(u)
+            lengths.append(len(row))
+            targets.extend(map(position_of, row))
+            values.extend(row.values())
+        counts = np.zeros(n, dtype=np.int64)
+        counts[:n_old] = self.inf_counts
+        counts[rows] = lengths
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        weights = np.empty(len(indices), dtype=np.float64)
+
+        # Unchanged rows: the changed ones cut the old row range into
+        # runs, and a run's edges are contiguous in old and new alike.
+        cuts = rows[rows < n_old]
+        first = np.concatenate(([0], cuts + 1))
+        last = np.concatenate((cuts, [n_old]))
+        source = self.inf_indptr[first]
+        sizes = self.inf_indptr[last] - source
+        moved = np.flatnonzero(sizes)
+        old_indices, old_weights = self.inf_indices, self.inf_weights
+        for lo, size, to in zip(
+            source[moved].tolist(),
+            sizes[moved].tolist(),
+            indptr[first[moved]].tolist(),
+        ):
+            indices[to : to + size] = old_indices[lo : lo + size]
+            weights[to : to + size] = old_weights[lo : lo + size]
+        flat, _, _ = gather_ranges(indptr, rows)
+        indices[flat] = targets
+        weights[flat] = values
+        return CSRSimGraph(users, indptr, indices, weights, index=index)
 
     # ------------------------------------------------------------------
     # Queries

@@ -20,31 +20,56 @@ retweeters(dirty tweets)`` (plus any sources whose exploration
 neighbourhood changed, e.g. new follow edges): every changed pair has at
 least one endpoint there, and pairs between two non-core users are
 bit-for-bit unchanged.  Core users get their whole out-row rebuilt.  A
-non-core user ``u`` can still gain, lose or re-weigh edges *toward*
-core users — but only for candidates in its exploration neighbourhood,
-so the **fringe** is the ``hops``-hop in-neighbourhood of the core, and
-each fringe row is patched in place on exactly its affected candidates.
-Everything else is copied through untouched.
+non-core user ``u`` can still gain, lose or re-weigh edges *toward* the
+core — but only toward its **dirty users**, and only for candidates in
+its exploration neighbourhood.  Take a core user ``w`` that is core
+merely as a co-retweeter of a dirty tweet (or as an extra source):
+
+* ``L_u`` and ``L_w`` are unchanged — neither is a dirty user;
+* every tweet they share has its old ``m(i)`` — a shared *dirty* tweet
+  would make ``u`` one of its retweeters, hence core;
+* ``u``'s exploration neighbourhood is unchanged — else it would be an
+  extra source, hence core.
+
+So ``sim(u, w)`` and ``u``'s candidate set cannot have moved.  The
+**fringe** is therefore the ``hops``-hop in-neighbourhood of the *dirty
+users*, and each fringe row is patched in place on exactly its affected
+candidates.  Everything else is copied through untouched — shared, in
+fact: :meth:`DiGraph.copy` hands the old row objects to the refreshed
+graph and only written rows are duplicated.
 
 Fringe pair scores are computed from the core side (``sim`` is
-symmetric), so the whole run costs one inverted-index walk and two
-bounded BFS per *core* user instead of one walk and one BFS per *graph*
-user — the crossfold-beats-from-scratch bet of Figure 16, taken to its
-limit.  Walking the other side of a pair can reorder the float
-accumulation, so patched weights may differ from a from-scratch build
-by last-ulp round-off (the differential suite pins them within 1e-12;
-edge sets are identical).
+symmetric), so the whole run costs one inverted-index walk per *core*
+user, one bounded BFS per core user and one per dirty user instead of
+one walk and one BFS per *graph* user — the crossfold-beats-from-scratch
+bet of Figure 16, taken to its limit.  Walking the other side of a pair
+can reorder the float accumulation, so patched weights may differ from a
+from-scratch build by last-ulp round-off (the differential suite pins
+them within 1e-12; edge sets are identical).
 
-On the ``vectorized`` backend the fringe scores come from a
-*dirty-submatrix* sparse product
-(:meth:`~repro.core.simmatrix.SimilarityMatrix.similarity_submatrix`):
-``|core| x |fringe|`` instead of the full user-squared Gram.
+On the ``vectorized`` backend every stage is sized by the region too:
+the incidence is built from the inverted index over the core's own
+tweets (:meth:`~repro.core.simmatrix.SimilarityMatrix.around`), core
+rows come from the chunked Gram of the full build times a candidate
+mask, and fringe scores from that same chunk Gram times the ``needed``
+mask — only needed pairs that share a tweet ever become Python objects.
+
+**Edge-order contract.**  Recomputed rows keep the emission order of the
+full build's chunk scorer (:func:`~repro.core.simmatrix._chunk_edges`:
+scipy's first-touch order out of the sparse product, then its
+non-canonical elementwise product — *not* id order); surviving fringe
+edges keep their positions and new ones append.  The compiled CSR
+(:class:`~repro.core.csr.CSRSimGraph`) preserves row order, the
+propagation kernel's segment sums depend on it, and so does the
+end-to-end ledger's delivery digest: never sort a Gram here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
+
+import numpy as np
 
 from repro.core.profiles import RetweetProfiles
 from repro.core.similarity import similarities_from
@@ -68,10 +93,11 @@ class DeltaPlan:
         sources (users whose exploration neighbourhood changed).  Their
         out-rows are rebuilt from scratch.
     fringe:
-        Users outside the core that can reach a core user within the
-        exploration radius — the only other rows that can change.
+        Users outside the core that can reach a *dirty* user within the
+        exploration radius — the only other rows that can change (module
+        docstring: a score toward the rest of the core cannot move).
     needed:
-        core user -> the fringe users that need its score; the exact
+        dirty user -> the fringe users that need its score; the exact
         (fringe, core) pairs patched, stored core-side because both the
         restricted walks and the fringe surgery consume them per core
         user.
@@ -114,11 +140,24 @@ class DeltaPlan:
 class DeltaReport:
     """What one :func:`apply_delta` run actually did.
 
-    ``changed_users`` are the rows whose edge set or weights really
-    moved (a superset check may rescore a pair back to its old value);
+    Four counts, from scheduled to written (each is also a
+    ``maintenance.*`` counter of the same name):
+
+    * ``rows_recomputed`` — core rows rebuilt whole;
+    * ``rows_patched`` — fringe rows *scheduled* for surgery (the size
+      of the fringe), most of which turn out not to move;
+    * ``pairs_needed`` — (fringe, core) pairs the plan asked about,
+      ``pairs_rescored`` — pairs that shared a tweet and had a score
+      computed (core candidates included);
+    * ``len(changed_users)`` (``maintenance.rows_changed``) — rows whose
+      edge set or weights really moved (a superset check may rescore a
+      pair back to its old value), over ``edges_added`` /
+      ``edges_removed`` edges.  This is what the maintenance *cost* the
+      graph; compiled CSR state is spliced from exactly these rows.
+
     ``topology_changed`` is True when any row gained or lost an edge —
-    the signal that compiled CSR state cannot be weight-patched and
-    warm propagation caches cannot be scoped-invalidated.
+    the signal that warm propagation caches cannot be
+    scoped-invalidated.
     """
 
     noop: bool
@@ -130,6 +169,9 @@ class DeltaReport:
     changed_users: frozenset[int]
     affected_users: frozenset[int]
     topology_changed: bool
+    pairs_needed: int = 0
+    edges_added: int = 0
+    edges_removed: int = 0
 
     @classmethod
     def empty(cls) -> "DeltaReport":
@@ -151,8 +193,10 @@ def affected_region(
 
     ``extra_sources`` are users whose *candidate set* changed even
     though their profile did not — the service passes the sources of
-    new follow edges (and their in-neighbours) here.  ``hops`` must
-    match the builder's exploration radius.
+    new follow edges (and their in-neighbours) here; every user whose
+    candidate set changed must be among them, or the dirty-only fringe
+    rule is unsound.  ``hops`` must match the builder's exploration
+    radius.
     """
     dirty_users = profiles.dirty_users
     dirty_tweets = profiles.dirty_tweets
@@ -162,35 +206,46 @@ def affected_region(
         core.update(profiles.retweeters(tweet))
     needed: dict[int, set[int]] = {}
     preds = exploration_graph.predecessors
-    for w in core:
+    # Only a dirty user's scores toward non-core users can have moved
+    # (module docstring): the rest of the core has no fringe.
+    for w in dirty_users:
         if w not in exploration_graph:
             continue
         # u reaches w within `hops` successor-steps iff w is in N_hops(u):
-        # expand the predecessor direction from w, frontier by frontier
-        # (C-level set unions beat a distance-tracking BFS here).
-        seen = {w}
-        frontier: Iterable[int] = (w,)
-        for _ in range(hops):
-            grown = set()
-            for x in frontier:
-                grown.update(preds(x))
-            grown -= seen
-            if not grown:
-                break
-            seen |= grown
-            frontier = grown
-        reaching = seen - core
+        # expand the predecessor direction from w.
+        reaching = _within_hops(preds, w, hops)
+        reaching -= core
         if not reaching:
             continue
         needed[w] = reaching
-    fringe = set().union(*needed.values()) if needed else set()
     return DeltaPlan(
         core=frozenset(core),
-        fringe=frozenset(fringe),
+        fringe=frozenset().union(*needed.values()),
         needed=needed,
         dirty_users=dirty_users,
         dirty_tweets=dirty_tweets,
     )
+
+
+def _within_hops(
+    neighbors: Callable[[int], Iterable[int]], source: int, hops: int
+) -> set[int]:
+    """Everything within ``hops`` steps of ``source`` along ``neighbors``
+    (itself excluded), frontier by frontier: C-level set unions beat a
+    distance-tracking BFS here."""
+    seen = {source}
+    frontier: Iterable[int] = (source,)
+    for _ in range(hops):
+        grown: set[int] = set()
+        for x in frontier:
+            grown.update(neighbors(x))
+        grown -= seen
+        if not grown:
+            break
+        seen |= grown
+        frontier = grown
+    seen.discard(source)
+    return seen
 
 
 def _reference_core_state(
@@ -236,72 +291,106 @@ def _reference_core_state(
 
 def _vectorized_core_state(
     core: list[int],
-    fringe: list[int],
     exploration_graph: DiGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
+    needed: dict[int, set[int]],
 ) -> tuple[dict[int, dict[int, float]], dict[int, dict[int, float]], int]:
-    """Core rows and fringe scores from one shared incidence matrix.
+    """Core rows and fringe scores from one incidence around the core.
 
-    Core rows reuse the chunked scorer of the full vectorized build
-    (:func:`~repro.core.simmatrix._chunk_edges`) against a candidate
-    mask assembled from per-core-user BFS — O(core) rows instead of the
-    full build's whole-graph reachability matmuls.  Fringe scores come
-    from the dirty-submatrix product (|core| x |fringe| instead of the
-    user-squared Gram).
+    The incidence holds only what a core score can read
+    (:meth:`~repro.core.simmatrix.SimilarityMatrix.around`).  Core users
+    are scored in the chunks, and through the op sequence, of the full
+    vectorized build — ``gram_rows``, times a candidate mask, then
+    :func:`~repro.core.simmatrix.edges_from_masked_gram` — so each row
+    keeps the edge order a from-scratch build gives it.  The same chunk
+    Gram times the ``needed`` mask yields the fringe scores: only needed
+    pairs that share a tweet ever become Python objects.  Masks are
+    assembled per chunk, from one BFS per core user.
     """
-    from scipy import sparse
-
-    import numpy as np
-
     from repro.core.simmatrix import (
         DEFAULT_CHUNK_SIZE,
         SimilarityMatrix,
-        _chunk_edges,
+        edges_from_masked_gram,
     )
 
-    matrix = SimilarityMatrix(
-        profiles, extra_users=exploration_graph.nodes()
-    )
     eligible = [
         u
         for u in core
         if u in exploration_graph and profiles.has_profile(u)
     ]
     rows: dict[int, dict[int, float]] = {}
-    pairs = 0
-    if eligible:
-        mask_rows: list[int] = []
-        mask_cols: list[int] = []
-        for u in eligible:
-            i = matrix.position(u)
-            for v in k_hop_neighborhood(exploration_graph, u, builder.hops):
-                mask_rows.append(i)
-                mask_cols.append(matrix.position(v))
-        reach = sparse.csr_matrix(
-            (np.ones(len(mask_rows)), (mask_rows, mask_cols)),
-            shape=(matrix.user_count, matrix.user_count),
-        )
-        state = (matrix, reach, builder.tau, builder.max_influencers)
-        for start in range(0, len(eligible), DEFAULT_CHUNK_SIZE):
-            chunk = eligible[start : start + DEFAULT_CHUNK_SIZE]
-            for u, kept in _chunk_edges(state, chunk):
-                rows[u] = kept
-        pairs = sum(len(row) for row in rows.values())
     sym: dict[int, dict[int, float]] = {}
-    if fringe and eligible:
-        sub = matrix.similarity_submatrix(eligible, fringe)
-        pairs += int(sub.nnz)
-        indptr, indices, data = sub.indptr, sub.indices, sub.data
-        for r, w in enumerate(eligible):
-            lo, hi = indptr[r], indptr[r + 1]
-            if lo == hi:
-                continue
-            sym[w] = {
-                fringe[c]: float(s)
-                for c, s in zip(indices[lo:hi], data[lo:hi])
-            }
+    pairs = 0
+    if not eligible:
+        return rows, sym, pairs
+    matrix = SimilarityMatrix.around(profiles, eligible)
+    successors = exploration_graph.out_row
+    for start in range(0, len(eligible), DEFAULT_CHUNK_SIZE):
+        chunk = eligible[start : start + DEFAULT_CHUNK_SIZE]
+        row_idx, _ = matrix.positions(np.asarray(chunk, dtype=np.int64))
+        gram = matrix.gram_rows(row_idx)
+        # A source is not in its own reach: the mask's diagonal is empty,
+        # which also removes self-similarity entries.
+        reach = _chunk_mask(
+            matrix, chunk, lambda u: _within_hops(successors, u, builder.hops)
+        )
+        masked = gram.multiply(reach).tocsr()
+        pairs += int(masked.nnz)
+        rows.update(
+            edges_from_masked_gram(
+                matrix, chunk, row_idx, masked, builder.tau,
+                builder.max_influencers,
+            )
+        )
+        if needed.keys().isdisjoint(chunk):
+            continue
+        wanted = _chunk_mask(matrix, chunk, lambda u: needed.get(u, ()))
+        hit = gram.multiply(wanted).tocsr()
+        pairs += int(hit.nnz)
+        _, sims = matrix.sims_from_gram(hit, row_idx)
+        users = matrix.users_at(hit.indices)
+        scores = sims.tolist()
+        bounds = hit.indptr.tolist()
+        for j, w in enumerate(chunk):
+            lo, hi = bounds[j], bounds[j + 1]
+            if lo < hi:
+                sym[w] = dict(zip(users[lo:hi], scores[lo:hi]))
     return rows, sym, pairs
+
+
+def _chunk_mask(matrix, chunk, members):
+    """0/1 CSR ``len(chunk) x universe`` marking ``members(u)`` on row
+    ``u``, columns ascending (the canonical form the full build's mask
+    rows have: the elementwise product's emission order depends on it).
+
+    Members outside the matrix's universe share no tweet with a source
+    and are dropped; each member collection becomes an array and is
+    released before the next one is computed.
+    """
+    from scipy import sparse
+
+    found: list[np.ndarray] = []
+    for u in chunk:
+        ids = members(u)
+        found.append(np.fromiter(ids, dtype=np.int64, count=len(ids)))
+    counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+    ids = np.concatenate(found)
+    del found
+    owner = np.repeat(np.arange(len(chunk), dtype=np.int64), counts)
+    cols, keep = matrix.positions(ids)
+    # One sort of (row, column) packed into a single key: row-major,
+    # columns ascending within each row.
+    width = matrix.user_count
+    keys = owner[keep] * width + cols[keep]
+    keys.sort()
+    owner, cols = np.divmod(keys, width)
+    indptr = np.zeros(len(chunk) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=len(chunk)), out=indptr[1:])
+    return sparse.csr_matrix(
+        (np.ones(len(cols)), cols, indptr),
+        shape=(len(chunk), width),
+    )
 
 
 def apply_delta(
@@ -341,7 +430,6 @@ def apply_delta(
         needed = {}
         fringe = frozenset()
     core_sorted = sorted(core)
-    fringe_sorted = sorted(fringe)
     metrics.counter("maintenance.affected_users").inc(
         len(core) + len(fringe)
     )
@@ -350,8 +438,7 @@ def apply_delta(
     with metrics.span("maintenance.delta"):
         if builder.backend == "vectorized":
             rows, sym, pairs_rescored = _vectorized_core_state(
-                core_sorted, fringe_sorted, exploration_graph, profiles,
-                builder,
+                core_sorted, exploration_graph, profiles, builder, needed
             )
         else:
             rows, sym, pairs_rescored = _reference_core_state(
@@ -364,7 +451,7 @@ def apply_delta(
         # per-candidate surgery for fringe rows.
         changed: set[int] = set()
         topology_changed = False
-        rows_patched = len(fringe_sorted)
+        rows_patched = len(fringe)
         maybe_isolated: set[int] = set()
         result = old.graph.copy()
         old_graph = old.graph
@@ -427,9 +514,13 @@ def apply_delta(
             ):
                 result.remove_node(node)
 
-    metrics.counter("maintenance.rows_recomputed").inc(len(core))
-    metrics.counter("maintenance.rows_patched").inc(rows_patched)
-    metrics.counter("maintenance.pairs_rescored").inc(pairs_rescored)
+    edges_added = edges_removed = 0
+    if topology_changed:
+        for u in changed:
+            before, after = old_graph.out_row(u).keys(), result.out_row(u).keys()
+            if before != after:  # most changed rows only re-weighed
+                edges_added += len(after - before)
+                edges_removed += len(before - after)
     report = DeltaReport(
         noop=False,
         core_size=len(core),
@@ -440,5 +531,14 @@ def apply_delta(
         changed_users=frozenset(changed),
         affected_users=frozenset(core) | fringe,
         topology_changed=topology_changed,
+        pairs_needed=sum(map(len, needed.values())),
+        edges_added=edges_added,
+        edges_removed=edges_removed,
     )
+    for name in (
+        "rows_recomputed", "rows_patched", "pairs_needed", "pairs_rescored",
+        "edges_added", "edges_removed",
+    ):
+        metrics.counter(f"maintenance.{name}").inc(getattr(report, name))
+    metrics.counter("maintenance.rows_changed").inc(len(changed))
     return SimGraph(result, tau=old.tau), report

@@ -67,20 +67,90 @@ class SimilarityMatrix:
     ):
         universe = set(profiles.users())
         universe.update(extra_users)
-        self._users: list[int] = sorted(universe)
-        self._users_arr = np.asarray(self._users, dtype=np.int64)
-        self._index: dict[int, int] = {u: i for i, u in enumerate(self._users)}
+        users = sorted(universe)
         tweets = sorted(profiles.tweets())
         tweet_index = {t: j for j, t in enumerate(tweets)}
-        indptr = np.zeros(len(self._users) + 1, dtype=np.int64)
+        indptr = np.zeros(len(users) + 1, dtype=np.int64)
         cols: list[int] = []
-        for i, user in enumerate(self._users):
+        for i, user in enumerate(users):
             cols.extend(tweet_index[t] for t in sorted(profiles.profile(user)))
             indptr[i + 1] = len(cols)
-        indices = np.asarray(cols, dtype=np.int64)
+        self._assemble(
+            profiles,
+            np.asarray(users, dtype=np.int64),
+            tweets,
+            indptr,
+            np.asarray(cols, dtype=np.int64),
+            sizes=np.diff(indptr),
+        )
+
+    @classmethod
+    def around(
+        cls, profiles: RetweetProfiles, sources: Iterable[int]
+    ) -> "SimilarityMatrix":
+        """The part of the incidence a score of ``sources`` can read.
+
+        Every tweet a source shares with anyone is in the source's own
+        profile, so the columns are the tweets of ``sources``' profiles
+        and the universe is their retweeters — built from the inverted
+        index, never from the other users' profiles.  ``sources``' rows
+        are whole; every other row holds only its tweets among those
+        columns, which is all a Gram row of a source multiplies it by,
+        and union sizes come from :meth:`RetweetProfiles.profile_size`.
+        Users and tweets stay in ascending id order, so positions are a
+        monotone relabelling of the full matrix's: :meth:`gram_rows` of
+        a source accumulates each pair over the same tweets in the same
+        order and emits a row's columns in the same order — scores and
+        edge order are the full matrix's, bit for bit.  Rows of
+        non-sources are *not* scoreable.
+        """
+        self = cls.__new__(cls)
+        no_ids = np.empty(0, dtype=np.int64)  # keeps empty inputs legal
+        tweets = np.unique(
+            np.concatenate(
+                [no_ids, *(profiles.profile_array(u) for u in sources)]
+            )
+        )
+        retweeters = [profiles.retweeters_array(t) for t in tweets.tolist()]
+        counts = np.fromiter(
+            map(len, retweeters), dtype=np.int64, count=len(retweeters)
+        )
+        users, rows = np.unique(
+            np.concatenate([no_ids, *retweeters]), return_inverse=True
+        )
+        # Tweet-major pairs to user-major CSR: the stable sort keeps each
+        # user's tweets ascending.
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(len(users) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(users)), out=indptr[1:])
+        self._assemble(
+            profiles,
+            users,
+            tweets.tolist(),
+            indptr,
+            np.repeat(np.arange(len(tweets), dtype=np.int64), counts)[order],
+            sizes=np.fromiter(
+                map(profiles.profile_size, users.tolist()),
+                dtype=np.int64,
+                count=len(users),
+            ),
+        )
+        return self
+
+    def _assemble(
+        self,
+        profiles: RetweetProfiles,
+        users: np.ndarray,
+        tweets: list[int],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        sizes: np.ndarray,
+    ) -> None:
+        self._users_arr = users
+        self._index_cache: dict[int, int] | None = None
         self._B = sparse.csr_matrix(
             (np.ones(len(indices)), indices, indptr),
-            shape=(len(self._users), len(tweets)),
+            shape=(len(users), len(tweets)),
         )
         weights = np.array(
             [profiles.tweet_weight(t) for t in tweets], dtype=np.float64
@@ -88,7 +158,7 @@ class SimilarityMatrix:
         # Complex-weighted incidence: one matmul returns numerator (real)
         # and overlap count (imaginary) on a single sparsity pattern.
         self._Bc = (self._B @ sparse.diags(weights + 1j)).tocsr()
-        self._sizes = np.diff(self._B.indptr)
+        self._sizes = sizes
 
     # ------------------------------------------------------------------
     # Structure
@@ -96,27 +166,50 @@ class SimilarityMatrix:
     @property
     def user_count(self) -> int:
         """Number of users in the universe (rows of the incidence)."""
-        return len(self._users)
+        return len(self._users_arr)
 
     @property
     def index(self) -> Mapping[int, int]:
         """user id -> row position (shared with candidate masks)."""
-        return self._index
+        if self._index_cache is None:
+            self._index_cache = {
+                u: i for i, u in enumerate(self._users_arr.tolist())
+            }
+        return self._index_cache
 
     def position(self, user: int) -> int:
         """Row position of ``user``; raises KeyError when absent."""
-        return self._index[user]
+        return self.index[user]
+
+    def positions(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`position`: ``(positions, present)``.
+
+        ``present`` marks the ids that are in the universe; the position
+        of an absent id is meaningless.  A binary search over the sorted
+        universe — no id dict is built for it — run over the *sorted*
+        queries, which is several times faster than probing in arrival
+        order (each search starts where the last one ended, in cache).
+        """
+        order = np.argsort(users)
+        probes = users[order]
+        found = np.searchsorted(self._users_arr, probes)
+        found[found == len(self._users_arr)] = 0
+        positions = np.empty_like(found)
+        positions[order] = found
+        present = np.empty(len(found), dtype=bool)
+        present[order] = self._users_arr[found] == probes
+        return positions, present
 
     def user_at(self, position: int) -> int:
         """Inverse of :meth:`position`."""
-        return self._users[position]
+        return int(self._users_arr[position])
 
     def users_at(self, positions: np.ndarray) -> list[int]:
         """Vectorized :meth:`user_at` (returns plain Python ints)."""
         return self._users_arr[positions].tolist()
 
     def __contains__(self, user: int) -> bool:
-        return user in self._index
+        return user in self.index
 
     # ------------------------------------------------------------------
     # Similarity
@@ -129,9 +222,9 @@ class SimilarityMatrix:
         removed).  The batched equivalent of ``similarities_from``.
         """
         row_idx = np.asarray(
-            [self._index[u] for u in users], dtype=np.int64
+            [self.index[u] for u in users], dtype=np.int64
         )
-        n = len(self._users)
+        n = self.user_count
         if row_idx.size == 0:
             return sparse.csr_matrix((0, n))
         gram = self.gram_rows(row_idx)
@@ -170,48 +263,16 @@ class SimilarityMatrix:
         )
         return local, gram.data.real / union
 
-    def similarity_submatrix(
-        self, rows: Iterable[int], cols: Iterable[int]
-    ) -> sparse.csr_matrix:
-        """Def. 3.1 scores restricted to ``rows x cols`` — the
-        *dirty-submatrix* product of delta maintenance.
-
-        Entry ``(r, c)`` is ``sim(rows[r], cols[c])`` (0 when no tweet
-        is shared; self-pairs removed).  The product touches only the
-        requested rows and columns of the incidence, so rescoring an
-        affected region of ``k`` users against its fringe costs
-        ``O(k)`` sparse rows instead of the full user-squared Gram.
-        """
-        row_idx = np.asarray([self._index[u] for u in rows], dtype=np.int64)
-        col_idx = np.asarray([self._index[u] for u in cols], dtype=np.int64)
-        if row_idx.size == 0 or col_idx.size == 0:
-            return sparse.csr_matrix((row_idx.size, col_idx.size))
-        gram = (self._B[row_idx] @ self._Bc[col_idx].T).tocsr()
-        counts = np.diff(gram.indptr)
-        local = np.repeat(np.arange(row_idx.size, dtype=np.int64), counts)
-        union = (
-            self._sizes[row_idx[local]]
-            + self._sizes[col_idx[gram.indices]]
-            - gram.data.imag
-        )
-        sims = gram.data.real / union
-        keep = row_idx[local] != col_idx[gram.indices]
-        return sparse.csr_matrix(
-            (sims[keep], (local[keep], gram.indices[keep])),
-            shape=(row_idx.size, col_idx.size),
-        )
-
     def similarities_from(
         self, u: int, candidates: Iterable[int] | None = None
     ) -> dict[int, float]:
         """Drop-in equivalent of :func:`repro.core.similarity.similarities_from`."""
-        if u not in self._index:
+        if u not in self.index:
             return {}
         row = self.similarity_rows([u])
         candidate_set = None if candidates is None else set(candidates)
         scores: dict[int, float] = {}
-        for col, value in zip(row.indices, row.data):
-            v = self._users[col]
+        for v, value in zip(self.users_at(row.indices), row.data):
             if candidate_set is not None and v not in candidate_set:
                 continue
             scores[v] = float(value)
@@ -329,6 +390,27 @@ def _chunk_edges(
     )
     masked = matrix.gram_rows(row_idx).multiply(reach[row_idx]).tocsr()
     metrics.counter("simgraph.pairs_scored").inc(int(masked.nnz))
+    return edges_from_masked_gram(
+        matrix, chunk, row_idx, masked, tau, max_influencers
+    )
+
+
+def edges_from_masked_gram(
+    matrix: SimilarityMatrix,
+    chunk: list[int],
+    row_idx: np.ndarray,
+    masked: sparse.csr_matrix,
+    tau: float,
+    max_influencers: int | None,
+) -> list[tuple[int, dict[int, float]]]:
+    """Score, threshold and cap the rows of one masked chunk Gram.
+
+    ``masked`` is ``gram_rows(row_idx)`` times a candidate mask; row
+    ``j`` becomes ``chunk[j]``'s ``{influencer: sim}`` in the order the
+    product emitted its columns (sources left with no edge are skipped).
+    The full build and delta maintenance both end here, which is what
+    keeps a recomputed row's edge order equal to a from-scratch one's.
+    """
     _, sims = matrix.sims_from_gram(masked, row_idx)
     indptr, cols = masked.indptr, masked.indices
     edges: list[tuple[int, dict[int, float]]] = []

@@ -42,6 +42,13 @@ class DiGraph:
         self._succ: dict[Node, dict[Node, float]] = {}
         self._pred: dict[Node, set[Node]] = {}
         self._edge_count = 0
+        #: Structural sharing (see :meth:`copy`).  ``None``: every row
+        #: dict and predecessor set is this graph's alone.  Otherwise the
+        #: nodes whose row / set this graph has made private since it
+        #: last took part in a copy; anything else may be shared and is
+        #: copied before its first write.
+        self._own_rows: set[Node] | None = None
+        self._own_preds: set[Node] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -67,10 +74,15 @@ class DiGraph:
             raise GraphError(f"self-loop on node {u!r} is not allowed")
         self.add_node(u)
         self.add_node(v)
-        if v not in self._succ[u]:
+        if self._own_rows is None:
+            # Nothing shared (bulk construction): skip the ownership probes.
+            row, preds = self._succ[u], self._pred[v]
+        else:
+            row, preds = self._writable_row(u), self._writable_preds(v)
+        if v not in row:
             self._edge_count += 1
-        self._succ[u][v] = weight
-        self._pred[v].add(u)
+        row[v] = weight
+        preds.add(u)
 
     def set_row(self, u: Node, row: dict[Node, float]) -> None:
         """Replace every outgoing edge of ``u`` with ``row`` in one step.
@@ -84,24 +96,29 @@ class DiGraph:
             raise GraphError(f"self-loop on node {u!r} is not allowed")
         self.add_node(u)
         old = self._succ[u]
+        # The row is replaced, not written: a shared one is left alone.
+        self._succ[u] = dict(row)
+        if self._own_rows is not None:
+            self._own_rows.add(u)
         if row.keys() == old.keys():
             # Weights-only swap: no predecessor bookkeeping to redo.
-            self._succ[u] = dict(row)
             return
-        for v in old:
-            self._pred[v].discard(u)
+        # Only targets that left or joined the row have their
+        # predecessor set written (and so made private).
+        for v in old.keys() - row.keys():
+            self._writable_preds(v).discard(u)
         for v in row:
-            self.add_node(v)
-            self._pred[v].add(u)
+            if v not in old:
+                self.add_node(v)
+                self._writable_preds(v).add(u)
         self._edge_count += len(row) - len(old)
-        self._succ[u] = dict(row)
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Delete the edge ``u -> v``; raises GraphError when absent."""
         if not self.has_edge(u, v):
             raise GraphError(f"edge {u!r} -> {v!r} does not exist")
-        del self._succ[u][v]
-        self._pred[v].discard(u)
+        del self._writable_row(u)[v]
+        self._writable_preds(v).discard(u)
         self._edge_count -= 1
 
     def remove_node(self, node: Node) -> None:
@@ -178,7 +195,7 @@ class DiGraph:
         row = self._succ.get(u)
         if row is None or v not in row:
             raise GraphError(f"edge {u!r} -> {v!r} does not exist")
-        row[v] = weight
+        self._writable_row(u)[v] = weight
 
     def successors(self, node: Node) -> Iterator[Node]:
         """Nodes reachable by one outgoing edge from ``node``."""
@@ -217,6 +234,22 @@ class DiGraph:
         if node not in self._succ:
             raise GraphError(f"node {node!r} does not exist")
 
+    def _writable_row(self, u: Node) -> dict[Node, float]:
+        """``u``'s row dict, made private first if it may be shared."""
+        row = self._succ[u]
+        if self._own_rows is not None and u not in self._own_rows:
+            row = self._succ[u] = dict(row)
+            self._own_rows.add(u)
+        return row
+
+    def _writable_preds(self, v: Node) -> set[Node]:
+        """``v``'s predecessor set, made private first if it may be shared."""
+        preds = self._pred[v]
+        if self._own_preds is not None and v not in self._own_preds:
+            preds = self._pred[v] = set(preds)
+            self._own_preds.add(v)
+        return preds
+
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
@@ -242,17 +275,26 @@ class DiGraph:
         return rev
 
     def copy(self) -> "DiGraph":
-        """Deep copy of the graph structure and weights.
+        """Independent copy of the graph structure and weights.
 
-        Row-level dict/set copies instead of per-edge re-insertion: the
-        delta maintenance engine clones the previous SimGraph on every
-        run, so this is a hot path.  Node and per-row edge orders are
+        Costs two shallow dict copies, not one per row: the copy *shares*
+        every row dict and predecessor set with its source, and either
+        side copies one the first time it writes to it — so a write on
+        one side never shows on the other, and the work is proportional
+        to what is later changed, not to the graph.  The delta
+        maintenance engine clones the previous SimGraph on every run to
+        change a few percent of its rows, and a failed run must leave
+        the previous graph intact.  Node and per-row edge orders are
         preserved exactly.
         """
         dup = DiGraph()
-        dup._succ = {u: dict(targets) for u, targets in self._succ.items()}
-        dup._pred = {v: set(sources) for v, sources in self._pred.items()}
+        dup._succ = dict(self._succ)
+        dup._pred = dict(self._pred)
         dup._edge_count = self._edge_count
+        # Everything is shared from here on, whatever either side had
+        # made private before.
+        self._own_rows, self._own_preds = set(), set()
+        dup._own_rows, dup._own_preds = set(), set()
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -618,7 +618,7 @@ class ServiceCore:
 class RecommendationService(ServiceCore):
     """The single-process service: local SimGraph, builder and engine.
 
-    Adds what only a local engine can offer: in-place CSR patching at
+    Adds what only a local engine can offer: CSR splicing at
     maintenance, batched ingestion (:meth:`ingest_batch`), warm-cache
     reads (:meth:`warm_answer`, :meth:`warm_scores`) and pure batch
     scoring (:meth:`score_batch`).
@@ -822,10 +822,9 @@ class RecommendationService(ServiceCore):
     def rebuild(self, strategy: str | None = None) -> SimGraph:
         """:meth:`ServiceCore.rebuild`, returning the refreshed graph.
 
-        On the compiled propagation backends a delta report also drives
-        in-place CSR row patching
-        (:meth:`~repro.core.csr.CSRSimGraph.patch_rows`) when no row
-        changed topology.
+        On the ``csr`` propagation backend a delta report also drives
+        the refresh of the compiled structure
+        (:meth:`~repro.core.csr.CSRSimGraph.splice`).
         """
         super().rebuild(strategy)
         return self._simgraph
@@ -834,9 +833,9 @@ class RecommendationService(ServiceCore):
         """:meth:`ServiceCore.load_snapshot`, returning the loaded graph.
 
         On the ``csr`` propagation backend a memory-mapped graph
-        compiles zero-copy; its arrays are read-only, so later
-        maintenance recompiles instead of patching in place (the patch
-        paths detect this themselves).
+        compiles zero-copy; its arrays are read-only, and delta
+        maintenance splices new ones from them instead of writing
+        through.
         """
         super().load_snapshot(path, mmap)
         return self._simgraph
@@ -889,32 +888,28 @@ class RecommendationService(ServiceCore):
         """Propagation engine for ``simgraph`` on the configured backend.
 
         On the ``csr`` backend the compiled CSR is refreshed here: a
-        delta report with unchanged topology patches only the changed
-        rows in place
-        (:meth:`~repro.core.csr.CSRSimGraph.patch_rows`); a weights-only
-        rebuild without a report patches the full weight array; anything
-        else recompiles.
+        delta report splices its changed rows into a new structure
+        (:meth:`~repro.core.csr.CSRSimGraph.splice` — edges added and
+        removed included, a read-only memory-mapped source included); a
+        weights-only rebuild without a report patches the weight array
+        in place; anything else recompiles.
         """
         if self._prop_resolved == "csr":
-            patched = False
-            if (
-                self._csr is not None
-                and report is not None
-                and not report.topology_changed
-            ):
-                if report.noop:
-                    patched = True
-                elif self._csr.patch_rows(
-                    simgraph, sorted(report.changed_users)
-                ):
-                    self.metrics.counter("propagation.csr_rows_patched").inc()
-                    patched = True
-            if not patched:
-                if self._csr is not None and self._csr.patch_weights(simgraph):
+            compiled, refreshed = self._csr, None
+            if compiled is not None and report is None:
+                if compiled.patch_weights(simgraph):
+                    refreshed = compiled
                     self.metrics.counter("propagation.csr_patched").inc()
-                else:
-                    self._csr = CSRSimGraph.from_simgraph(simgraph)
-                    self.metrics.counter("propagation.csr_compiled").inc()
+            elif compiled is not None and report.noop:
+                refreshed = compiled
+            elif compiled is not None:
+                refreshed = compiled.splice(simgraph, report.changed_users)
+                if refreshed is not None:
+                    self.metrics.counter("propagation.csr_spliced").inc()
+            if refreshed is None:
+                refreshed = CSRSimGraph.from_simgraph(simgraph)
+                self.metrics.counter("propagation.csr_compiled").inc()
+            self._csr = refreshed
         return make_propagation_engine(
             simgraph,
             prop_backend=self._prop_resolved,

@@ -502,6 +502,8 @@ class ShardedRecommendationService(ServiceCore):
         self.metrics.counter("maintenance.rows_recomputed").inc(len(core))
         self.metrics.counter("maintenance.rows_patched").inc(len(fringe))
         self.metrics.counter("maintenance.pairs_rescored").inc(pairs)
+        pairs_needed = sum(map(len, needed.values()))
+        self.metrics.counter("maintenance.pairs_needed").inc(pairs_needed)
         report = DeltaReport(
             noop=False,
             core_size=len(core),
@@ -512,6 +514,7 @@ class ShardedRecommendationService(ServiceCore):
             changed_users=frozenset(),
             affected_users=frozenset(core) | fringe,
             topology_changed=topology_changed,
+            pairs_needed=pairs_needed,
         )
         if rows_changed:
             self.metrics.counter("shard.delta_rows_changed").inc(rows_changed)

@@ -1,5 +1,7 @@
 """Tests for repro.core.delta — the scoped maintenance engine."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core import RetweetProfiles, SimGraphBuilder
@@ -13,6 +15,21 @@ def follow_chain(*edges) -> DiGraph:
     for u, v in edges:
         graph.add_edge(u, v)
     return graph
+
+
+#: The dirty-only-fringe world.  DIRTY retweets tweet 10, which CLEAN
+#: already shares: m(10) changes, so CLEAN is core — but only as a
+#: co-retweeter.  FOLLOWER follows CLEAN (sharing the untouched tweet 11
+#: with it) and reaches no dirty user within 2 hops; NEAR follows DIRTY.
+DIRTY, CLEAN, FOLLOWER, NEAR, FAR = 1, 2, 3, 4, 5
+DIRTY_ONLY_FOLLOWS = ((FOLLOWER, CLEAN), (FAR, FOLLOWER), (NEAR, DIRTY))
+DIRTY_ONLY_HISTORY = (
+    (CLEAN, 10), (CLEAN, 11), (FOLLOWER, 11), (FAR, 11), (DIRTY, 12), (NEAR, 12),
+)
+
+
+def edge_map(simgraph):
+    return {(u, v): w for u, v, w in simgraph.graph.edges()}
 
 
 class TestDirtyTracking:
@@ -108,6 +125,23 @@ class TestAffectedRegion:
         plan = affected_region(profiles, DiGraph(), extra_sources=[7])
         assert plan.core == {7}
         assert not plan.is_empty
+
+    def test_fringe_is_of_dirty_users_only(self):
+        # CLEAN is core merely as a co-retweeter of dirty tweet 10: every
+        # input of sim(FOLLOWER, CLEAN) is unchanged, so FOLLOWER (and
+        # FAR behind it) has nothing to patch.  Same for an extra source.
+        profiles = RetweetProfiles()
+        for user, tweet in DIRTY_ONLY_HISTORY:
+            profiles.add(user, tweet)
+        profiles.mark_clean()
+        profiles.add(DIRTY, 10)
+        plan = affected_region(
+            profiles, follow_chain(*DIRTY_ONLY_FOLLOWS, (6, 7)),
+            extra_sources=[7],
+        )
+        assert plan.core == {DIRTY, CLEAN, 7}
+        assert plan.needed == {DIRTY: {NEAR}}
+        assert plan.fringe == {NEAR}
 
     def test_empty_delta_is_empty_plan(self):
         profiles = RetweetProfiles()
@@ -216,6 +250,51 @@ class TestApplyDelta:
         assert snapshot["counters"]["maintenance.rows_recomputed"] >= 1
         assert snapshot["counters"]["maintenance.pairs_rescored"] >= 1
 
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_dirty_only_fringe_still_equals_from_scratch(self, backend):
+        graph = follow_chain(*DIRTY_ONLY_FOLLOWS)
+        profiles = RetweetProfiles()
+        for user, tweet in DIRTY_ONLY_HISTORY:
+            profiles.add(user, tweet)
+        builder = SimGraphBuilder(tau=1e-6, backend=backend)
+        old = builder.build(graph, profiles)
+        assert old.graph.has_edge(FOLLOWER, CLEAN)
+        profiles.mark_clean()
+        profiles.add(DIRTY, 10)
+        refreshed, report = apply_delta(old, graph, profiles, builder)
+        assert FOLLOWER not in report.affected_users
+        assert report.rows_patched == 1 and report.pairs_needed == 1
+        expected = edge_map(builder.build(graph, profiles))
+        actual = edge_map(refreshed)
+        assert actual.keys() == expected.keys()
+        for pair, weight in actual.items():
+            assert weight == pytest.approx(expected[pair], abs=1e-12)
+        # The row nobody looked at is the very object the old graph holds.
+        assert refreshed.graph.out_row(FOLLOWER) is old.graph.out_row(FOLLOWER)
+
+    def test_report_says_what_was_written(self):
+        graph, profiles, builder, old = self.build_world()
+        profiles.add(1, 99)
+        metrics = MetricsRegistry()
+        _, report = apply_delta(old, graph, profiles, builder, metrics=metrics)
+        counters = metrics.snapshot()["counters"]
+        assert counters["maintenance.rows_changed"] == len(report.changed_users)
+        assert counters["maintenance.pairs_needed"] == report.pairs_needed == 2
+        assert counters["maintenance.edges_added"] == report.edges_added == 0
+        assert counters["maintenance.edges_removed"] == report.edges_removed == 0
+
+    def test_edge_counts_follow_topology(self):
+        graph = follow_chain((1, 2), (2, 1))
+        profiles = RetweetProfiles()
+        profiles.add(1, 10)
+        profiles.add(2, 11)
+        builder = SimGraphBuilder(tau=1e-6)
+        old = builder.build(graph, profiles)
+        profiles.mark_clean()
+        profiles.add(2, 10)  # 1 and 2 now share a tweet: two new edges
+        _, report = apply_delta(old, graph, profiles, builder)
+        assert (report.edges_added, report.edges_removed) == (2, 0)
+
     def test_max_influencers_promotes_fringe(self):
         graph, profiles, builder, old = self.build_world()
         capped = SimGraphBuilder(tau=1e-6, max_influencers=1)
@@ -253,3 +332,43 @@ class TestApplyDelta:
         profiles.add(1, 99)
         refreshed, _ = apply_delta(old, graph, profiles, builder)
         assert refreshed.tau == old.tau
+
+
+def ring_world(components: int, size: int = 20):
+    """Disjoint ``size``-user follow rings; neighbours share a tweet."""
+    graph, profiles = DiGraph(), RetweetProfiles()
+    for base in range(0, components * size, size):
+        for i in range(size):
+            graph.add_edge(base + i, base + (i + 1) % size)
+            graph.add_edge(base + i, base + (i + 2) % size)
+            profiles.add(base + i, base + i)
+            profiles.add(base + i, base + (i + 1) % size)
+    return graph, profiles
+
+
+@pytest.mark.parametrize("backend", ["reference", "vectorized"])
+def test_delta_memory_follows_the_region_not_the_corpus(backend):
+    """One fixed delta inside the first ring, on a corpus of 100 rings
+    and of 400: what ``apply_delta`` allocates at its peak may grow only
+    by the copied graph's two node tables (a pointer per untouched user
+    and direction, ~75 bytes) — not by a row dict and predecessor set per
+    user (~500 bytes, what a deep copy costs), nor by an incidence row."""
+
+    def peak(components):
+        graph, profiles = ring_world(components)
+        builder = SimGraphBuilder(tau=1e-6, backend=backend)
+        old = builder.build(graph, profiles)
+        profiles.mark_clean()
+        for user in range(5):
+            profiles.add(user, (user + 7) % 20)
+        tracemalloc.start()
+        try:
+            _, report = apply_delta(old, graph, profiles, builder)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.core_size == 11
+        return peak_bytes
+
+    extra_users = 300 * 20
+    assert peak(400) - peak(100) < 100 * extra_users

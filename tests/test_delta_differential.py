@@ -8,7 +8,11 @@ Pins the exactness contract of :mod:`repro.core.delta`:
   and without a row cap;
 * an empty delta is the identity (same object, no work);
 * the service's ``delta`` rebuild agrees with a from-scratch service on
-  both propagation backends.
+  both propagation backends, and the compiled CSR it splices equals a
+  recompile;
+* on the vectorized backend a recomputed row keeps the *edge order* a
+  from-scratch build gives it (the compiled kernel's segment sums, hence
+  the served scores, depend on it).
 
 Property-based cases draw random contiguous slices of the held-out
 stream (run under ``HYPOTHESIS_PROFILE=ci`` in CI for reproducibility).
@@ -22,10 +26,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RetweetProfiles, SimGraphBuilder
+from repro.core.csr import CSRSimGraph
+from repro.core.delta import affected_region, apply_delta
+from repro.core.simmatrix import DEFAULT_CHUNK_SIZE
 from repro.core.update import apply_strategy
 from repro.data import temporal_split
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_propagation_differential import assert_same_compiled
 
 TAU = 0.001
 
@@ -120,6 +128,37 @@ class TestDeltaMatchesFromScratch:
         assert refreshed is old
 
 
+def test_recomputed_rows_keep_from_scratch_edge_order():
+    """More core users than one chunk holds, so a chunk boundary is
+    crossed: every core row out of ``apply_delta`` lists its edges in
+    the order the vectorized from-scratch build lists them.  The order
+    is scipy's (first-touch emission of the chunk Gram, then a
+    non-canonical elementwise product), so sorting the Gram's indices
+    changes it — and with it the compiled kernel's float sums."""
+    dataset = generate_dataset(SynthConfig(n_users=1200, n_communities=4, seed=23))
+    split = temporal_split(dataset)
+    profiles = RetweetProfiles(split.train)
+    builder = SimGraphBuilder(tau=TAU, backend="vectorized")
+    old = builder.build(dataset.follow_graph, profiles)
+    profiles.mark_clean()
+    for event in split.test[:400]:
+        profiles.add(event.user, event.tweet)
+    plan = affected_region(profiles, dataset.follow_graph, hops=builder.hops)
+    assert len(plan.core) > DEFAULT_CHUNK_SIZE
+    refreshed, report = apply_delta(
+        old, dataset.follow_graph, profiles, builder, plan=plan
+    )
+    full = builder.build(dataset.follow_graph, profiles)
+    assert report.topology_changed
+    unsorted_rows = 0
+    for user in sorted(plan.core):
+        row = list(refreshed.graph.out_row(user).items())
+        assert row == list(full.graph.out_row(user).items()), user
+        unsorted_rows += [v for v, _ in row] != sorted(v for v, _ in row)
+    # The property has teeth only if emission order is not id order.
+    assert unsorted_rows > 0
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     start=st.integers(min_value=0, max_value=150),
@@ -193,6 +232,17 @@ class TestServiceDelta:
         _, hits_ref = streams[("delta", "reference")]
         _, hits_csr = streams[("delta", "csr")]
         assert hits_csr == hits_ref
+
+    def test_spliced_csr_equals_recompile(self, streams):
+        """Every delta rebuild refreshed the compiled CSR by splicing the
+        report's changed rows (or recompiled when a node went away);
+        either way it is array for array what a recompile gives."""
+        service, _ = streams[("delta", "csr")]
+        counters = service.metrics_snapshot()["counters"]
+        assert counters.get("propagation.csr_spliced", 0) > 0
+        assert_same_compiled(
+            service._csr, CSRSimGraph.from_simgraph(service.simgraph)
+        )
 
     def test_delta_rebuilds_actually_ran(self, streams):
         service, _ = streams[("delta", "reference")]

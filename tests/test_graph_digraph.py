@@ -176,3 +176,108 @@ def test_reversed_twice_is_identity(edges):
         g.add_edge(u, v)
     double = g.reversed().reversed()
     assert sorted(double.edges()) == sorted(g.edges())
+
+
+# ----------------------------------------------------------------------
+# Structural sharing: copy() shares rows, the first write un-shares one
+# ----------------------------------------------------------------------
+def deep_clone(graph: DiGraph) -> DiGraph:
+    """The oracle's copy: nothing shared, rebuilt edge by edge."""
+    clone = DiGraph()
+    clone.add_nodes(graph.nodes())
+    for u, v, w in graph.edges():
+        clone.add_edge(u, v, weight=w)
+    return clone
+
+
+def observable(graph: DiGraph):
+    """Everything a caller can see: node order, ordered rows, both
+    degree directions and the edge count."""
+    nodes = list(graph.nodes())
+    return (
+        nodes,
+        [(u, list(graph.out_edges(u))) for u in nodes],
+        [(u, sorted(graph.predecessors(u)), graph.in_degree(u)) for u in nodes],
+        graph.edge_count,
+    )
+
+
+def mutate(graph: DiGraph, op) -> str:
+    """Apply one mutation; return how it ended (both sides must agree)."""
+    kind, u, v, w = op
+    try:
+        if kind == "add_edge":
+            graph.add_edge(u, v, weight=w)
+        elif kind == "set_row":
+            graph.set_row(u, {t: w for t in range(v % 4, v) if t != u})
+        elif kind == "update_weight":
+            graph.update_weight(u, v, w)
+        elif kind == "remove_edge":
+            graph.remove_edge(u, v)
+        elif kind == "remove_node":
+            graph.remove_node(u)
+    except GraphError as error:
+        return type(error).__name__
+    return "ok"
+
+
+MUTATIONS = st.tuples(
+    st.sampled_from(
+        ["add_edge", "set_row", "update_weight", "remove_edge", "remove_node"]
+    ),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.floats(min_value=0.01, max_value=0.99),
+)
+
+
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+            lambda e: e[0] != e[1]
+        ),
+        max_size=25,
+    ),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("mutate"), st.integers(0, 3), MUTATIONS),
+            st.tuples(st.just("copy"), st.integers(0, 3), st.none()),
+        ),
+        max_size=30,
+    ),
+)
+def test_copies_never_see_each_others_writes(edges, steps):
+    """Property: whatever is written to a graph, its copies, or copies of
+    copies, each one stays equal to a deep-copied oracle that received
+    the same writes — rows shared by ``copy()`` never leak a write, and
+    ``edge_count`` / ``in_degree`` stay right on every side."""
+    first = DiGraph()
+    for u, v in edges:
+        first.add_edge(u, v, weight=0.5)
+    graphs, oracles = [first], [deep_clone(first)]
+    for action, which, op in steps:
+        which %= len(graphs)
+        if action == "copy":
+            if len(graphs) < 4:
+                graphs.append(graphs[which].copy())
+                oracles.append(deep_clone(oracles[which]))
+        else:
+            assert mutate(graphs[which], op) == mutate(oracles[which], op)
+        for graph, oracle in zip(graphs, oracles):
+            assert observable(graph) == observable(oracle)
+
+
+def test_copy_shares_rows_until_written():
+    """The point of the sharing: an untouched row is the same object on
+    both sides, a written one is not — on whichever side wrote."""
+    g = build_triangle()
+    dup = g.copy()
+    assert dup.out_row(0) is g.out_row(0)
+    dup.update_weight(0, 1, 0.25)
+    assert dup.out_row(0) is not g.out_row(0)
+    assert g.weight(0, 1) == 0.5
+    g.add_edge(1, 0, weight=0.1)
+    assert dup.out_row(1) is not g.out_row(1)
+    assert not dup.has_edge(1, 0)
+    assert dup.in_degree(0) == 1 and g.in_degree(0) == 2
+    assert dup.out_row(2) is g.out_row(2)

@@ -604,3 +604,101 @@ def test_unknown_backend_rejected_at_every_door(name):
         SimGraphRecommender(prop_backend=name)
     with pytest.raises(ConfigError, match=listing):
         ServiceConfig(prop_backend=name)
+
+
+# ----------------------------------------------------------------------
+# CSR splice: the delta path's one way to refresh a compiled graph
+# ----------------------------------------------------------------------
+CSR_ARRAYS = (
+    "users", "inf_indptr", "inf_indices", "inf_weights", "inf_counts",
+    "out_indptr", "out_indices",
+)
+
+
+def assert_same_compiled(actual: CSRSimGraph, expected: CSRSimGraph) -> None:
+    for name in CSR_ARRAYS:
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert actual.index == expected.index
+
+
+@st.composite
+def splice_case(draw):
+    """A SimGraph, and row edits of every kind a delta can make: new
+    weights, edges added (some to brand-new nodes), edges removed, whole
+    rows replaced in a new order."""
+    simgraph, n = draw_simgraph(draw)
+    edits = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["weight", "add", "remove", "row"]),
+                st.integers(0, n - 1),
+                st.integers(0, n + 3),
+                st.floats(min_value=0.01, max_value=0.99),
+            ),
+            max_size=12,
+        )
+    )
+    return simgraph, edits
+
+
+def apply_edits(graph: DiGraph, edits) -> set[int]:
+    """Apply ``edits`` the way delta surgery would; return changed rows."""
+    changed = set()
+    for kind, u, v, w in edits:
+        row = graph.out_row(u)
+        if kind == "weight" and row:
+            graph.update_weight(u, next(iter(row)), w)
+        elif kind == "add" and u != v:
+            graph.add_edge(u, v, weight=w)
+        elif kind == "remove" and row:
+            graph.remove_edge(u, next(reversed(row)))
+        elif kind == "row":
+            graph.set_row(u, dict(reversed(list(row.items()))))
+        else:
+            continue
+        changed.add(u)
+    return changed
+
+
+@settings(max_examples=120, deadline=None)
+@given(splice_case())
+def test_splice_equals_recompile_property(case):
+    """Property: splicing the changed rows into a compiled graph gives
+    the arrays and index a recompile gives — for weight-only, edge-adding,
+    edge-removing, reordering and node-appending deltas — and never
+    writes to its (here read-only) source."""
+    simgraph, edits = case
+    compiled = CSRSimGraph.from_simgraph(simgraph)
+    for name in CSR_ARRAYS:
+        getattr(compiled, name).flags.writeable = False
+    before = {name: getattr(compiled, name).copy() for name in CSR_ARRAYS}
+    index_before = dict(compiled.index)
+    updated = SimGraph(simgraph.graph.copy(), tau=simgraph.tau)
+    changed = apply_edits(updated.graph, edits)
+    spliced = compiled.splice(updated, changed)
+    assert spliced is not None and spliced is not compiled
+    assert_same_compiled(spliced, CSRSimGraph.from_simgraph(updated))
+    assert spliced.inf_weights.flags.writeable
+    for name in CSR_ARRAYS:
+        assert np.array_equal(getattr(compiled, name), before[name]), name
+    assert compiled.index == index_before
+
+
+def test_splice_declines_removed_or_reordered_nodes():
+    """A compiled node that is gone, or a different node order, shifts
+    positions under every row: the splice says so and the caller
+    recompiles."""
+    simgraph = random_graph(8, 20, seed=3)
+    compiled = CSRSimGraph.from_simgraph(simgraph)
+    removed = SimGraph(simgraph.graph.copy(), tau=simgraph.tau)
+    victim = next(iter(removed.graph.nodes()))
+    touched = set(removed.graph.predecessors(victim))
+    removed.graph.remove_node(victim)
+    assert compiled.splice(removed, touched) is None
+    reordered = DiGraph()
+    reordered.add_nodes(reversed(list(simgraph.graph.nodes())))
+    for u, v, w in simgraph.graph.edges():
+        reordered.add_edge(u, v, weight=w)
+    assert compiled.splice(SimGraph(reordered, tau=simgraph.tau), []) is None

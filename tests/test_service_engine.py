@@ -323,6 +323,51 @@ class TestMaintenance:
         assert refreshed.node_count > 0
 
 
+    def test_delta_that_drops_a_node_recompiles_the_csr(self):
+        """A delta that only moves rows splices them into the compiled
+        CSR; one that leaves a node with no edge removes it from the
+        graph, positions shift under every row, and the service falls
+        back to a recompile — either way the compiled structure is what
+        compiling the new graph gives."""
+        from repro.core.csr import CSRSimGraph
+        from tests.test_propagation_differential import assert_same_compiled
+
+        service = RecommendationService(ServiceConfig(
+            tau=0.5, prop_backend="csr", rebuild_strategy="delta",
+            use_scheduler=False,
+        ))
+        for a, b in ((1, 2), (4, 5)):
+            service.add_follow(a, b)
+            service.add_follow(b, a)
+        service.post_tweet(tweet_id=10, author=9, at=0.0)
+        service.post_tweet(tweet_id=11, author=9, at=0.0)
+        for at, (user, tweet) in enumerate(
+            ((1, 10), (2, 10), (4, 11), (5, 11)), start=1
+        ):
+            service.retweet(user=user, tweet=tweet, at=float(at))
+        service.rebuild("from scratch")
+        assert set(service.simgraph.graph.nodes()) == {1, 2, 4, 5}
+
+        def counters():
+            return service.metrics_snapshot()["counters"]
+
+        # One more retweeter of tweet 11: weights move, every node stays.
+        service.retweet(user=6, tweet=11, at=10.0)
+        service.rebuild("delta")
+        assert counters()["propagation.csr_spliced"] == 1
+        compiled = counters()["propagation.csr_compiled"]
+        # Tweet 10 goes viral: sim(1, 2) = 1/log(1 + 8) < tau, both leave.
+        for at, user in enumerate(range(20, 26), start=20):
+            service.retweet(user=user, tweet=10, at=float(at))
+        service.rebuild("delta")
+        assert set(service.simgraph.graph.nodes()) == {4, 5}
+        assert counters()["propagation.csr_spliced"] == 1
+        assert counters()["propagation.csr_compiled"] == compiled + 1
+        assert_same_compiled(
+            service._csr, CSRSimGraph.from_simgraph(service.simgraph)
+        )
+
+
 BOTH_PROP_BACKENDS = ("reference", "csr")
 
 

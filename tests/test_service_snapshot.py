@@ -98,7 +98,8 @@ def test_mmap_boot_compiles_plain_read_only_views(tmp_path):
     """The kernel indexes plain ndarrays, not ``np.memmap`` instances
     (whose every fancy index pays ``__array_finalize__``) — as
     zero-copy, read-only views of the mapped file, so the first delta
-    maintenance still recompiles instead of writing through."""
+    maintenance splices new arrays from them instead of writing
+    through (and without recompiling)."""
     source = built_service(prop_backend="csr", rebuild_strategy="delta")
     path = save_simgraph(source.simgraph, tmp_path / "g.snap", format=2)
     before = path.read_bytes()
@@ -121,8 +122,8 @@ def test_mmap_boot_compiles_plain_read_only_views(tmp_path):
     compiled = service.metrics_snapshot()["counters"]["propagation.csr_compiled"]
     service.rebuild("delta")
     counters = service.metrics_snapshot()["counters"]
-    assert counters["propagation.csr_compiled"] == compiled + 1
-    assert "propagation.csr_rows_patched" not in counters
+    assert counters["propagation.csr_spliced"] == 1
+    assert counters["propagation.csr_compiled"] == compiled
     assert service._csr is not csr
     assert service._csr.inf_weights.flags.writeable
     assert path.read_bytes() == before

@@ -179,3 +179,47 @@ def test_sharded_metrics_report_routing(corpus):
     assert 0.0 <= gauges["shard.boundary_edge_fraction"] <= 1.0
     assert gauges["shard.workers"] == 4
     service.close()
+
+
+def test_dirty_only_fringe_through_the_coordinator():
+    """The coordinator routes the same ``needed`` pairs the single
+    process patches.  In the dirty-only world (see test_core_delta) the
+    follower of a merely co-retweeting core user is in nobody's fringe,
+    and the sharded delta still lands on the from-scratch graph."""
+    from tests.test_core_delta import (
+        DIRTY, DIRTY_ONLY_FOLLOWS, DIRTY_ONLY_HISTORY, FOLLOWER,
+    )
+
+    def replay(service, final_strategy):
+        for follower, followee in DIRTY_ONLY_FOLLOWS:
+            service.add_follow(follower, followee)
+        for tweet in (10, 11, 12):
+            service.post_tweet(tweet_id=tweet, author=9, at=0.0)
+        for at, (user, tweet) in enumerate(DIRTY_ONLY_HISTORY, start=1):
+            service.retweet(user=user, tweet=tweet, at=float(at))
+        service.rebuild("from scratch")
+        service.retweet(user=DIRTY, tweet=10, at=100.0)
+        service.rebuild(final_strategy)
+        return service
+
+    config = _config(tau=1e-6, use_scheduler=False)
+    oracle = replay(RecommendationService(config), "from scratch")
+    single = replay(RecommendationService(config), "delta")
+    sharded = replay(
+        ShardedRecommendationService(2, config=config, start_method="inprocess"),
+        "delta",
+    )
+    try:
+        assert oracle.simgraph.graph.has_edge(FOLLOWER, 2)
+        for service in (single, sharded):
+            counters = service.metrics_snapshot()["counters"]
+            assert counters["maintenance.rows_patched"] == 1
+            assert counters["maintenance.pairs_needed"] == 1
+        exported = sharded.export_simgraph()
+        assert _edge_map(exported) == _edge_map(single.simgraph)
+        expected = _edge_map(oracle.simgraph)
+        assert _edge_map(exported).keys() == expected.keys()
+        for pair, weight in _edge_map(exported).items():
+            assert weight == pytest.approx(expected[pair], abs=1e-12)
+    finally:
+        sharded.close()
