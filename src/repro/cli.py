@@ -60,6 +60,19 @@ METHODS = {
 }
 
 
+def _add_prop_backend(command: argparse.ArgumentParser) -> None:
+    """The one ``--prop-backend`` flag of evaluate / serve / loadgen."""
+    command.add_argument(
+        "--prop-backend",
+        choices=PROP_BACKENDS,
+        default="csr",
+        help="propagation backend of the single-process SimGraph engine: "
+        "'csr' (default; compiled numpy arrays) or 'reference' (the "
+        "Alg. 1 oracle, a pure-Python frontier loop) — identical "
+        "results on both; sharded runs (--shards) never read it",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -96,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'vectorized' (scipy sparse matmul; identical edges, faster)",
     )
     build.add_argument(
-        "--workers", type=int, default=1,
-        help="process count for vectorized chunked builds",
-    )
-    build.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="collect build metrics, print an ASCII report and write the "
         "JSON snapshot to PATH",
@@ -131,15 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="reference",
         help="SimGraph build backend used by the simgraph method",
     )
-    ev.add_argument(
-        "--prop-backend",
-        choices=PROP_BACKENDS,
-        default="reference",
-        help="propagation backend used by the simgraph method: "
-        "'reference' (pure-Python frontier loop), 'csr' (compiled "
-        "numpy arrays) or 'auto' (a name for csr) — identical "
-        "results on every backend",
-    )
+    _add_prop_backend(ev)
     ev.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="collect replay/propagation/budget metrics, print an ASCII "
@@ -215,13 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="token-bucket refill rate in events/sec (default: admission "
         "disabled — every request takes the full path)",
     )
-    srv.add_argument(
-        "--prop-backend",
-        choices=PROP_BACKENDS,
-        default="csr",
-        help="propagation backend of the single-process service "
-        "(ignored with --shards, which pins the reference backends)",
-    )
+    _add_prop_backend(srv)
     srv.add_argument(
         "--shards", type=int, default=0, metavar="N",
         help="serve from the sharded coordinator with N in-process "
@@ -266,11 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo", type=float, default=0.25, metavar="S",
         help="p99 latency target used by --calibrate",
     )
-    lg.add_argument(
-        "--prop-backend",
-        choices=PROP_BACKENDS,
-        default="csr",
-    )
+    _add_prop_backend(lg)
     lg.add_argument(
         "--no-scheduler", action="store_true",
         help="propagate per retweet instead of per delayed tweet batch",
@@ -338,8 +329,7 @@ def _cmd_build_simgraph(args: argparse.Namespace) -> int:
     profiles = RetweetProfiles(dataset.retweets())
     registry = MetricsRegistry() if args.metrics_json else None
     builder = SimGraphBuilder(
-        tau=args.tau, backend=args.backend, workers=args.workers,
-        metrics=registry,
+        tau=args.tau, backend=args.backend, metrics=registry
     )
     simgraph = builder.build(dataset.follow_graph, profiles)
     print(render_table(

@@ -19,17 +19,16 @@ arXiv:1502.00166; Nguyen & Zheng, arXiv:1307.4264):
   users that ``users[i]`` influences, which is what frontier expansion
   consumes.
 
-A compiled graph is immutable in structure; the §6.3 *weights-only*
-maintenance strategy (``"SimGraph updated"``) keeps the topology fixed,
-so :meth:`CSRSimGraph.patch_weights` can refresh the weight array in
-place instead of recompiling.  The delta maintenance engine's
-:class:`~repro.core.delta.DeltaReport` names exactly the rows that
-changed, and :meth:`CSRSimGraph.splice` builds the next compiled graph
-from this one and those rows alone — unchanged row segments are block
-copies, only the named rows are read back from the dict adjacency — so
-a rebuild that moved a few percent of the rows, edges added and removed
-included, never re-walks the rest.  The splice writes new arrays: it
-works from a read-only memory-mapped source as well.
+A compiled graph is immutable: maintenance replaces it.  The delta
+maintenance engine's :class:`~repro.core.delta.DeltaReport` names
+exactly the rows that changed, and :meth:`CSRSimGraph.splice` builds the
+next compiled graph from this one and those rows alone — unchanged row
+segments are block copies, only the named rows are read back from the
+dict adjacency — so a rebuild that moved a few percent of the rows,
+edges added and removed included, never re-walks the rest.  The splice
+writes new arrays: it works from a read-only memory-mapped source as
+well.  A rebuild without a report (the other §6.3 strategies)
+recompiles with :meth:`CSRSimGraph.from_simgraph`.
 """
 
 from __future__ import annotations
@@ -153,43 +152,6 @@ class CSRSimGraph:
                 pos += 1
             indptr[i + 1] = pos
         return cls(users, indptr, indices, weights)
-
-    def patch_weights(self, simgraph: SimGraph) -> bool:
-        """Refresh weights in place when ``simgraph`` has this topology.
-
-        Returns True (and rewrites ``inf_weights``) when the node
-        sequence and every per-row edge sequence match the compiled
-        structure — the §6.3 *weights-only* update keeps topology fixed,
-        so a maintenance rebuild can skip recompilation.  Returns False
-        (structure untouched) on any mismatch, or when the weight array
-        is read-only (a memory-mapped snapshot); the caller recompiles.
-        (Delta maintenance never comes here: its report drives
-        :meth:`splice`.)
-        """
-        if not self.inf_weights.flags.writeable:
-            return False
-        graph = simgraph.graph
-        if graph.node_count != len(self.users):
-            return False
-        if graph.edge_count != len(self.inf_indices):
-            return False
-        refreshed = np.empty_like(self.inf_weights)
-        pos = 0
-        indices = self.inf_indices
-        for i, u in enumerate(self.users.tolist()):
-            if u not in graph:
-                return False
-            row_end = int(self.inf_indptr[i + 1])
-            for v, w in graph.out_edges(u):
-                j = self.index.get(v)
-                if j is None or pos >= row_end or indices[pos] != j:
-                    return False
-                refreshed[pos] = w
-                pos += 1
-            if pos != row_end:
-                return False
-        self.inf_weights[:] = refreshed
-        return True
 
     def splice(
         self, simgraph: SimGraph, changed_users: Iterable[int]

@@ -42,12 +42,11 @@ __all__ = [
     "nonseed_candidates",
 ]
 
-#: ``prop_backend`` values: ``reference`` is the pure-Python frontier
-#: loop (:mod:`repro.core.propagation`); ``csr`` runs the same fixpoint
-#: over compiled numpy CSR arrays; ``auto`` is a name for ``csr``.
-PROP_BACKENDS = ("reference", "csr", "auto")
-#: Backend names that stand for another one; every other name is itself.
-PROP_ALIASES = {"auto": "csr"}
+#: ``prop_backend`` values: ``csr`` (the default everywhere) runs the
+#: frontier fixpoint over compiled numpy CSR arrays; ``reference`` is
+#: the pure-Python loop of :mod:`repro.core.propagation` — the readable
+#: Alg. 1 the differential suites pin ``csr`` against.
+PROP_BACKENDS = ("csr", "reference")
 
 
 class CSRWarmState:
@@ -153,8 +152,8 @@ class CSRPropagationEngine:
 
     Parameters mirror :class:`~repro.core.propagation.PropagationEngine`
     exactly; ``csr`` optionally injects an already-compiled
-    :class:`CSRSimGraph` (e.g. one whose weights were patched in place
-    at maintenance time) so construction skips recompilation.
+    :class:`CSRSimGraph` (e.g. the one a delta rebuild spliced at
+    maintenance time) so construction skips recompilation.
 
     The engine owns three ``n``-sized scratch arrays (probabilities,
     seed mask, mute mask), allocated once and all-zero between tasks: a
@@ -382,7 +381,7 @@ class CSRPropagationEngine:
 
 def make_propagation_engine(
     simgraph: SimGraph,
-    prop_backend: str = "reference",
+    prop_backend: str = "csr",
     threshold: ThresholdPolicy | None = None,
     tolerance: float = 1e-10,
     max_iterations: int = 200,
@@ -392,10 +391,9 @@ def make_propagation_engine(
     """Construct the propagation engine for ``prop_backend``.
 
     ``csr`` (meaningful for the ``csr`` backend only) reuses an
-    already-compiled structure, e.g. one patched in place by the
-    weights-only maintenance strategy.
+    already-compiled structure, e.g. a memory-mapped snapshot's
+    zero-copy one or the splice a delta rebuild produced.
     """
-    prop_backend = PROP_ALIASES.get(prop_backend, prop_backend)
     shared = dict(
         threshold=threshold,
         tolerance=tolerance,

@@ -28,7 +28,7 @@ from repro.core.propagation_csr import (
     nonseed_candidates,
 )
 from repro.core.scheduler import DelayPolicy, PostponedScheduler, PropagationTask
-from repro.core.simgraph import DEFAULT_TAU, SimGraph, SimGraphBuilder
+from repro.core.simgraph import BACKENDS, DEFAULT_TAU, SimGraph, SimGraphBuilder
 from repro.core.thresholds import DynamicThreshold, ThresholdPolicy
 from repro.core.warmcache import DEFAULT_CAPACITY, WarmStateCache
 from repro.data.dataset import TwitterDataset
@@ -66,12 +66,10 @@ class SimGraphRecommender(Recommender):
         SimGraph build backend: ``"reference"`` (pure-Python loop) or
         ``"vectorized"`` (sparse matmul; identical edges, faster builds).
     prop_backend:
-        Propagation backend: ``"reference"`` (pure-Python frontier
-        loop), ``"csr"`` (compiled numpy CSR arrays) or ``"auto"``
-        (a name for ``csr``).  Both engines produce identical results
-        — see :mod:`repro.core.propagation_csr`.
-    build_workers:
-        Process count for the vectorized chunked build.
+        Propagation backend: ``"csr"`` (default; compiled numpy CSR
+        arrays) or ``"reference"`` (the pure-Python frontier loop, the
+        readable Alg. 1 oracle).  Both engines produce identical
+        results — see :mod:`repro.core.propagation_csr`.
     warm_cache_size:
         LRU bound of the per-tweet warm-state cache (incremental
         re-propagation reuses the previous fixpoint; an evicted tweet
@@ -93,11 +91,14 @@ class SimGraphRecommender(Recommender):
         min_score: float = 1e-6,
         simgraph: SimGraph | None = None,
         backend: str = "reference",
-        prop_backend: str = "reference",
-        build_workers: int = 1,
+        prop_backend: str = "csr",
         warm_cache_size: int = DEFAULT_CAPACITY,
         metrics: MetricsRegistry | None = None,
     ):
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
+            )
         if prop_backend not in PROP_BACKENDS:
             raise ValueError(
                 f"unknown propagation backend {prop_backend!r}; "
@@ -106,7 +107,6 @@ class SimGraphRecommender(Recommender):
         self.tau = tau
         self.backend = backend
         self.prop_backend = prop_backend
-        self.build_workers = build_workers
         self.warm_cache_size = warm_cache_size
         self.metrics = metrics if metrics is not None else NULL
         self.threshold = threshold if threshold is not None else DynamicThreshold()
@@ -144,7 +144,6 @@ class SimGraphRecommender(Recommender):
             builder = SimGraphBuilder(
                 tau=self.tau,
                 backend=self.backend,
-                workers=self.build_workers,
                 metrics=self.metrics,
             )
             self.simgraph = builder.build(dataset.follow_graph, self._profiles)

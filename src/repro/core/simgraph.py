@@ -166,16 +166,13 @@ class SimGraphBuilder:
         matrix products (:mod:`repro.core.simmatrix`) in chunks — much
         faster on large corpora, guaranteed edge-identical by the
         differential test suite.
-    workers:
-        Process count for the vectorized chunked build (ignored by the
-        reference backend); 1 keeps the build in-process.
     chunk_size:
         Sources scored per sparse product in the vectorized build.
     metrics:
         Observability registry (default: no-op :data:`repro.obs.NULL`).
         A real registry records the ``simgraph.build`` span, pairs
         scored / edges kept counters, an out-degree histogram and — on
-        the vectorized path — chunk timings and worker fan-out.
+        the vectorized path — chunk timings.
     """
 
     def __init__(
@@ -184,7 +181,6 @@ class SimGraphBuilder:
         hops: int = 2,
         max_influencers: int | None = None,
         backend: str = "reference",
-        workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         metrics: MetricsRegistry | None = None,
     ):
@@ -200,15 +196,12 @@ class SimGraphBuilder:
             raise ValueError(
                 f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
         self.tau = tau
         self.hops = hops
         self.max_influencers = max_influencers
         self.backend = backend
-        self.workers = workers
         self.chunk_size = chunk_size
         self.metrics = metrics if metrics is not None else NULL
 
@@ -240,7 +233,6 @@ class SimGraphBuilder:
                     tau=self.tau,
                     hops=self.hops,
                     max_influencers=self.max_influencers,
-                    workers=self.workers,
                     chunk_size=self.chunk_size,
                     metrics=metrics,
                 )

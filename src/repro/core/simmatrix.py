@@ -17,9 +17,8 @@ batch of ``similarities_from`` rows reduces to a few array operations.
 
 :func:`simgraph_edges` builds on this for SimGraph construction: the
 k-hop candidate sets of *all* sources come from boolean powers of the
-exploration graph's adjacency matrix, and sources are scored in chunks —
-optionally fanned out across worker processes — against the shared
-:class:`SimilarityMatrix`.
+exploration graph's adjacency matrix, and sources are scored in chunks
+against the shared :class:`SimilarityMatrix`.
 
 The backend is locked to the reference implementation by
 ``tests/test_backend_differential.py``: identical SimGraph edge sets,
@@ -29,7 +28,6 @@ similarities within 1e-12.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -323,7 +321,6 @@ def simgraph_edges(
     tau: float,
     hops: int = 2,
     max_influencers: int | None = None,
-    workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     metrics: MetricsRegistry | None = None,
 ) -> list[tuple[int, dict[int, float]]]:
@@ -331,13 +328,11 @@ def simgraph_edges(
 
     Returns ``(source, {influencer: sim})`` pairs for every source that
     gains at least one edge — exactly the edges the reference
-    ``SimGraphBuilder`` would create.  ``workers > 1`` fans chunks out to
-    a process pool (serial fallback when the platform refuses to fork).
+    ``SimGraphBuilder`` would create, scored ``chunk_size`` sources per
+    sparse product.
 
     ``metrics`` records candidate-mask assembly and per-chunk scoring
-    timings, chunk/pair counters and the worker fan-out.  Registries are
-    process-local: on the pool path, per-chunk scoring internals are not
-    aggregated back from the workers — only the dispatch is measured.
+    timings and chunk/pair counters.
     """
     metrics = metrics if metrics is not None else NULL
     eligible = [
@@ -352,30 +347,30 @@ def simgraph_edges(
         reach = reachability_matrix(
             exploration_graph, hops, matrix.index, matrix.user_count
         )
-    state = (matrix, reach, tau, max_influencers)
     chunks = [
         eligible[start : start + chunk_size]
         for start in range(0, len(eligible), chunk_size)
     ]
     metrics.counter("simgraph.chunks").inc(len(chunks))
-    if workers > 1 and len(chunks) > 1:
-        metrics.gauge("simgraph.build_workers").set(min(workers, len(chunks)))
-        with metrics.span("simgraph.chunk_fanout"):
-            chunk_results = _map_parallel(state, chunks, workers)
-    else:
-        metrics.gauge("simgraph.build_workers").set(1)
-        chunk_timings = metrics.histogram("simgraph.chunk_seconds", timing=True)
-        chunk_results = []
-        with metrics.span("simgraph.score_chunks"):
-            for chunk in chunks:
-                started = time.perf_counter()
-                chunk_results.append(_chunk_edges(state, chunk, metrics))
-                chunk_timings.observe(time.perf_counter() - started)
-    return [pair for result in chunk_results for pair in result]
+    chunk_timings = metrics.histogram("simgraph.chunk_seconds", timing=True)
+    edges: list[tuple[int, dict[int, float]]] = []
+    with metrics.span("simgraph.score_chunks"):
+        for chunk in chunks:
+            started = time.perf_counter()
+            edges.extend(
+                _chunk_edges(matrix, reach, chunk, tau, max_influencers, metrics)
+            )
+            chunk_timings.observe(time.perf_counter() - started)
+    return edges
 
 
 def _chunk_edges(
-    state, chunk: list[int], metrics: MetricsRegistry = NULL
+    matrix: SimilarityMatrix,
+    reach: sparse.csr_matrix,
+    chunk: list[int],
+    tau: float,
+    max_influencers: int | None,
+    metrics: MetricsRegistry,
 ) -> list[tuple[int, dict[int, float]]]:
     """Score one chunk of sources and threshold/cap their edges.
 
@@ -384,7 +379,6 @@ def _chunk_edges(
     (source, k-hop candidate) pairs the reference build would score.  The
     mask's diagonal is empty, which also removes self-similarity entries.
     """
-    matrix, reach, tau, max_influencers = state
     row_idx = np.asarray(
         [matrix.position(u) for u in chunk], dtype=np.int64
     )
@@ -434,46 +428,3 @@ def edges_from_masked_gram(
             (u, dict(zip(matrix.users_at(row_cols), row_sims.tolist())))
         )
     return edges
-
-
-#: Per-process build state: on fork platforms it is published here *before*
-#: the pool starts, so children inherit it by copy-on-write and each chunk
-#: submission ships only its user-id list; on spawn platforms the pool
-#: initializer installs a pickled copy instead.
-_POOL_STATE = None
-
-
-def _init_pool(state) -> None:
-    global _POOL_STATE
-    _POOL_STATE = state
-
-
-def _pool_chunk(chunk: list[int]) -> list[tuple[int, dict[int, float]]]:
-    return _chunk_edges(_POOL_STATE, chunk)
-
-
-def _map_parallel(state, chunks, workers: int):
-    global _POOL_STATE
-    import multiprocessing
-
-    try:
-        try:
-            context = multiprocessing.get_context("fork")
-            _POOL_STATE = state
-            initializer, initargs = None, ()
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-            initializer, initargs = _init_pool, (state,)
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks)),
-            mp_context=context,
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            return list(pool.map(_pool_chunk, chunks))
-    except (OSError, PermissionError, RuntimeError, ValueError):
-        # Sandboxes and restricted runtimes may refuse to start worker
-        # processes; the serial chunked path computes identical edges.
-        return [_chunk_edges(state, chunk) for chunk in chunks]
-    finally:
-        _POOL_STATE = None

@@ -43,7 +43,6 @@ from repro.baselines.base import Recommendation
 from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.profiles import RetweetProfiles
 from repro.core.propagation_csr import (
-    PROP_ALIASES,
     PROP_BACKENDS,
     make_propagation_engine,
     nonseed_candidates,
@@ -92,12 +91,10 @@ class ServiceConfig:
     #: SimGraph build backend: "reference" (pure-Python loop) or
     #: "vectorized" (sparse matmul; identical edges, faster rebuilds).
     backend: str = "reference"
-    #: Process count for vectorized chunked rebuilds.
-    build_workers: int = 1
-    #: Propagation backend: "reference" (pure-Python frontier loop),
-    #: "csr" (compiled numpy arrays) or "auto" (a name for "csr").
-    #: Identical results on every backend.
-    prop_backend: str = "reference"
+    #: Propagation backend: "csr" (compiled numpy arrays) or
+    #: "reference" (the pure-Python frontier loop, the readable Alg. 1
+    #: oracle).  Identical results on both.
+    prop_backend: str = "csr"
     #: LRU bound of the per-tweet warm-state cache (entries also expire
     #: with the ``max_tweet_age`` horizon).
     warm_cache_size: int = DEFAULT_CAPACITY
@@ -121,8 +118,6 @@ class ServiceConfig:
                 f"unknown backend {self.backend!r}; "
                 f"available: {', '.join(BACKENDS)}"
             )
-        if self.build_workers < 1:
-            raise ConfigError("build_workers must be at least 1")
         if self.prop_backend not in PROP_BACKENDS:
             raise ConfigError(
                 f"unknown propagation backend {self.prop_backend!r}; "
@@ -641,14 +636,10 @@ class RecommendationService(ServiceCore):
             tau=self.config.tau,
             backend=self.config.backend,
             hops=self._hops,
-            workers=self.config.build_workers,
             metrics=self.metrics,
         )
         self._simgraph = SimGraph(DiGraph(), tau=self.config.tau)
         self._csr: CSRSimGraph | None = None
-        self._prop_resolved = PROP_ALIASES.get(
-            self.config.prop_backend, self.config.prop_backend
-        )
         self._engine = self._make_engine(self._simgraph)
 
     # ------------------------------------------------------------------
@@ -865,22 +856,17 @@ class RecommendationService(ServiceCore):
     def _adopt_snapshot(self, path, mmap: bool) -> None:
         from repro.core.persistence import load_simgraph
 
-        simgraph = load_simgraph(path, mmap=mmap)
-        self._simgraph = simgraph
-        self._csr = None
-        if self._prop_resolved == "csr":
-            if isinstance(simgraph, ArraySimGraph):
-                self._csr = simgraph.csr()
-            else:
-                self._csr = CSRSimGraph.from_simgraph(simgraph)
-            self.metrics.counter("propagation.csr_compiled").inc()
-        self._engine = make_propagation_engine(
-            simgraph,
-            prop_backend=self._prop_resolved,
-            threshold=self.threshold,
-            metrics=self.metrics,
-            csr=self._csr,
-        )
+        self._simgraph = load_simgraph(path, mmap=mmap)
+        self._engine = self._make_engine(self._simgraph)
+
+    def _compile(self, simgraph: SimGraph) -> CSRSimGraph:
+        """Compiled form of ``simgraph``; an array-backed (snapshot)
+        graph shares its sections zero-copy instead of materializing
+        the dict adjacency."""
+        self.metrics.counter("propagation.csr_compiled").inc()
+        if isinstance(simgraph, ArraySimGraph):
+            return simgraph.csr()
+        return CSRSimGraph.from_simgraph(simgraph)
 
     def _make_engine(
         self, simgraph: SimGraph, report: DeltaReport | None = None
@@ -890,29 +876,24 @@ class RecommendationService(ServiceCore):
         On the ``csr`` backend the compiled CSR is refreshed here: a
         delta report splices its changed rows into a new structure
         (:meth:`~repro.core.csr.CSRSimGraph.splice` — edges added and
-        removed included, a read-only memory-mapped source included); a
-        weights-only rebuild without a report patches the weight array
-        in place; anything else recompiles.
+        removed included, a read-only memory-mapped source included);
+        anything else compiles.
         """
-        if self._prop_resolved == "csr":
-            compiled, refreshed = self._csr, None
-            if compiled is not None and report is None:
-                if compiled.patch_weights(simgraph):
-                    refreshed = compiled
-                    self.metrics.counter("propagation.csr_patched").inc()
-            elif compiled is not None and report.noop:
-                refreshed = compiled
-            elif compiled is not None:
-                refreshed = compiled.splice(simgraph, report.changed_users)
-                if refreshed is not None:
-                    self.metrics.counter("propagation.csr_spliced").inc()
-            if refreshed is None:
-                refreshed = CSRSimGraph.from_simgraph(simgraph)
-                self.metrics.counter("propagation.csr_compiled").inc()
-            self._csr = refreshed
+        if self.config.prop_backend == "csr":
+            refreshed = None
+            if self._csr is not None and report is not None:
+                if report.noop:
+                    refreshed = self._csr
+                else:
+                    refreshed = self._csr.splice(simgraph, report.changed_users)
+                    if refreshed is not None:
+                        self.metrics.counter("propagation.csr_spliced").inc()
+            self._csr = (
+                refreshed if refreshed is not None else self._compile(simgraph)
+            )
         return make_propagation_engine(
             simgraph,
-            prop_backend=self._prop_resolved,
+            prop_backend=self.config.prop_backend,
             threshold=self.threshold,
             metrics=self.metrics,
             csr=self._csr,

@@ -104,16 +104,16 @@ class TestSimGraphDifferential:
         )
         assert_same_simgraph(reference, vectorized)
 
-    def test_parallel_workers_identical(self, corpus):
-        """Chunked multi-process builds return the exact serial edges."""
+    def test_chunked_build_identical(self, corpus):
+        """A build cut into many small chunks returns the exact edges."""
         dataset, profiles = corpus
         reference = SimGraphBuilder(tau=0.001).build(
             dataset.follow_graph, profiles
         )
-        parallel = SimGraphBuilder(
-            tau=0.001, backend="vectorized", workers=2, chunk_size=32
+        chunked = SimGraphBuilder(
+            tau=0.001, backend="vectorized", chunk_size=32
         ).build(dataset.follow_graph, profiles)
-        assert_same_simgraph(reference, parallel)
+        assert_same_simgraph(reference, chunked)
 
 
 class TestRecommenderDifferential:

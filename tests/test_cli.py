@@ -70,7 +70,7 @@ class TestBuildSimgraph:
     def test_vectorized_backend_runs(self, dataset_dir, capsys):
         code = main([
             "build-simgraph", str(dataset_dir), "--tau", "0.001",
-            "--backend", "vectorized", "--workers", "1",
+            "--backend", "vectorized",
         ])
         out = capsys.readouterr().out
         assert code == 0

@@ -41,10 +41,6 @@ class TestBuilderValidation:
         with pytest.raises(ValueError):
             SimGraphBuilder(backend="gpu")
 
-    def test_bad_workers_rejected(self):
-        with pytest.raises(ValueError):
-            SimGraphBuilder(workers=0)
-
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError):
             SimGraphBuilder(chunk_size=0)

@@ -207,13 +207,12 @@ def test_no_tmp_after_successful_save(tmp_path):
 
 
 def test_mmap_arrays_are_readonly(tmp_path):
-    """A mapped snapshot can never be patched in place — the in-place
-    weight patch must refuse it."""
+    """A mapped snapshot can never be written through: maintenance
+    builds new arrays from it."""
     path = save_simgraph(_small_graph(), tmp_path / "g.v2", format=2)
     mapped = load_simgraph(path, mmap=True)
     csr = mapped.csr()
     assert not csr.inf_weights.flags.writeable
-    assert csr.patch_weights(_small_graph()) is False
 
 
 def test_v2_preserves_isolated_nodes(tmp_path):

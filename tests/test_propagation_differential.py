@@ -36,8 +36,9 @@ from repro.core import (
     StaticThreshold,
     make_propagation_engine,
 )
+from repro.cli import build_parser
 from repro.core.csr import ArraySimGraph, CSRSimGraph
-from repro.core.simgraph import SimGraph
+from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data import temporal_split
 from repro.exceptions import ConfigError
 from repro.graph.digraph import DiGraph
@@ -593,17 +594,30 @@ class TestRecommenderDifferential:
         assert pairs["reference"] == pairs["csr"]
 
 
-@pytest.mark.parametrize("name", ["numba", "gpu"])
-def test_unknown_backend_rejected_at_every_door(name):
-    """Factory, recommender and service config refuse the same names and
-    say which ones exist."""
-    listing = "reference, csr, auto"
+@pytest.mark.parametrize("name", ["numba", "gpu", "auto"])
+def test_unknown_backend_rejected_at_every_door(name, capsys):
+    """Factory, recommender, service config and CLI refuse the same
+    names — the retired "auto" alias included — and say which two
+    exist; the recommender also refuses an unknown *build* backend at
+    construction, like the builder and the service config do."""
+    listing = "available: csr, reference$"
     with pytest.raises(ValueError, match=listing):
         make_propagation_engine(random_graph(4, 6, seed=1), prop_backend=name)
     with pytest.raises(ValueError, match=listing):
         SimGraphRecommender(prop_backend=name)
     with pytest.raises(ConfigError, match=listing):
         ServiceConfig(prop_backend=name)
+    for command in (["evaluate", "ds"], ["serve", "ds"], ["loadgen"]):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*command, "--prop-backend", name])
+        assert exit_info.value.code == 2
+        assert "'csr', 'reference'" in capsys.readouterr().err
+    builds = "available: reference, vectorized$"
+    with pytest.raises(ValueError, match=builds) as from_builder:
+        SimGraphBuilder(backend=name)
+    with pytest.raises(ValueError, match=builds) as from_recommender:
+        SimGraphRecommender(backend=name)
+    assert str(from_recommender.value) == str(from_builder.value)
 
 
 # ----------------------------------------------------------------------

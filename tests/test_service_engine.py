@@ -50,7 +50,7 @@ class TestConfig:
             {"tau": -1.0},
             {"min_score": 0.0},
             {"backend": "gpu"},
-            {"build_workers": 0},
+            {"warm_cache_size": 0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -85,10 +85,6 @@ class TestVectorizedBackend:
         assert {(n.user, n.tweet) for n in vec_notes} == {
             (n.user, n.tweet) for n in ref_notes
         }
-
-    def test_build_workers_accepted(self):
-        service = warm_service(backend="vectorized", build_workers=2)
-        assert service.simgraph.edge_count > 0
 
 
 class TestScoreBatch:
@@ -136,7 +132,7 @@ class TestScoreBatchCompiled:
         service.retweet(user=0, tweet=200, at=600.0)
         return service
 
-    @pytest.mark.parametrize("prop_backend", ["csr", "auto"])
+    @pytest.mark.parametrize("prop_backend", ["csr"])
     def test_matches_reference_backend(self, prop_backend):
         compiled = self.ready(prop_backend)
         assert type(compiled._engine) is CSRPropagationEngine
@@ -161,7 +157,7 @@ class TestScoreBatchCompiled:
             drive_service(service, dataset, head)
             return service.score_batch(tweets)
 
-        assert scored("reference") == scored("csr") == scored("auto")
+        assert scored("reference") == scored("csr")
 
     def test_matches_per_tweet_propagate(self):
         # The joint propagate_many kernel is bit-identical to dispatching
@@ -322,6 +318,58 @@ class TestMaintenance:
         refreshed = service.rebuild("crossfold")
         assert refreshed.node_count > 0
 
+    @pytest.mark.parametrize(
+        "strategy", ["crossfold", "SimGraph updated", "old SimGraph"]
+    )
+    def test_report_less_rebuild_recompiles_the_csr(self, strategy):
+        """The §6.3 strategies that produce no delta report have one CSR
+        refresh: compile the graph they returned.  The compiled engine
+        then delivers exactly what the reference loop delivers."""
+        from repro.core.csr import CSRSimGraph
+        from tests.test_propagation_differential import assert_same_compiled
+
+        dataset = generate_dataset(SynthConfig(n_users=300, seed=5))
+        retweets = dataset.retweets()
+        third = len(retweets) // 3
+
+        def maintained(prop_backend: str) -> RecommendationService:
+            service = RecommendationService(ServiceConfig(
+                use_scheduler=False, prop_backend=prop_backend,
+                rebuild_interval=1e12,
+            ))
+            ingest_graph(service, dataset)
+            drive_service(service, dataset, retweets[:third])
+            service.rebuild("from scratch")
+            drive_service(service, dataset, retweets[third : 2 * third])
+            return service
+
+        def next_50(service) -> list[list[tuple]]:
+            per_event: list[list[tuple]] = []
+            drive_service(
+                service, dataset, retweets[2 * third : 2 * third + 50],
+                on_delivered=lambda _, recs: per_event.append(deliveries(recs)),
+            )
+            return per_event
+
+        compiled = maintained("csr")
+        before = compiled.metrics_snapshot()["counters"]
+        compiled.rebuild(strategy)
+        after = compiled.metrics_snapshot()["counters"]
+        assert compiled.simgraph.edge_count > 0
+        assert_same_compiled(
+            compiled._csr, CSRSimGraph.from_simgraph(compiled.simgraph)
+        )
+        assert (
+            after["propagation.csr_compiled"]
+            == before["propagation.csr_compiled"] + 1
+        )
+        assert after.get("propagation.csr_spliced", 0) == 0
+
+        reference = maintained("reference")
+        reference.rebuild(strategy)
+        delivered = next_50(compiled)
+        assert any(delivered)
+        assert delivered == next_50(reference)
 
     def test_delta_that_drops_a_node_recompiles_the_csr(self):
         """A delta that only moves rows splices them into the compiled
