@@ -16,7 +16,10 @@ synthetic corpora across two paths —
 and asserts the CSR path is at least 3x faster on the largest corpus.
 A second bench measures the warm-state cache: every tweet is re-scored
 as its last retweeters arrive one at a time, once cold every time and
-once resuming from the cached fixpoint.
+once resuming from the cached fixpoint — and then what one more retweet
+costs a tweet whose fixpoint already holds ~300 and ~3,000 users, by
+where the retweeter sits: outside the SimGraph (the fixpoint is
+re-emitted), inside it (a frontier of one), or with no warm state (cold).
 
 A full run rewrites ``benchmarks/BENCH_prop_speedup.json`` — numeric
 rows per bench plus one ``context`` block (cores, versions, git sha,
@@ -32,6 +35,7 @@ Env knobs (used by the CI smoke step):
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -39,6 +43,7 @@ import time
 from conftest import BENCH_CONFIG, bench_context
 from repro.core import (
     CSRPropagationEngine,
+    DynamicThreshold,
     PropagationEngine,
     RetweetProfiles,
     SimGraphBuilder,
@@ -83,6 +88,7 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
+@functools.lru_cache(maxsize=None)
 def _workload(config, n_tweets):
     """SimGraph + the seed sets of the corpus's most popular tweets."""
     dataset = generate_dataset(config)
@@ -172,6 +178,55 @@ def test_csr_propagation_speedup(benchmark, emit):
 WAVES = 4
 
 
+#: Fixpoint sizes (members) of the per-retweet cases, and how many
+#: distinct retweeters each case is averaged over.
+STATE_SIZES = (300, 3000)
+CASE_REPEATS = 30
+OFF_GRAPH = 10**9
+
+
+def _one_more_retweet(label, simgraph):
+    """Per-task microseconds of one more retweet on a warm tweet.
+
+    The engine runs the service's γ(t) policy; the tweet's seeds are the
+    shortest prefix of the user list whose fixpoint reaches the target
+    size (the whole list on a corpus too small for it).
+    """
+    engine = CSRPropagationEngine(simgraph, threshold=DynamicThreshold())
+    users = sorted(simgraph.users())
+    rows = []
+    for target in STATE_SIZES:
+        count, most = 1, len(users) - CASE_REPEATS
+        while True:
+            seeds = set(users[:count])
+            engine.propagate(seeds)
+            state = engine.take_state()
+            if len(state) >= target or count == most:
+                break
+            count = min(count + max(1, count // 8), most)
+        inside = [u for u in users if u not in seeds][-CASE_REPEATS:]
+        cases = {
+            "cold_us": [(seeds | {u}, None) for u in inside],
+            "warm_in_graph_us": [(seeds | {u}, state) for u in inside],
+            "warm_off_graph_us": [
+                (seeds | {OFF_GRAPH + k}, state) for k in range(CASE_REPEATS)
+            ],
+        }
+        row = {
+            "corpus": label,
+            "members": len(state),
+            "seeds": len(seeds),
+            "repeats": CASE_REPEATS,
+        }
+        for name, tasks in cases.items():
+            _, elapsed = _timed(
+                lambda: [engine.propagate(s, initial=i) for s, i in tasks]
+            )
+            row[name] = elapsed / len(tasks) * 1e6
+        rows.append(row)
+    return rows
+
+
 def test_warm_cache_incremental_speedup(benchmark, emit):
     """Re-scoring a growing tweet: cold restarts vs cached warm state."""
     label, config, n_tweets = CONFIGS[-1] if SMOKE else CONFIGS[1]
@@ -233,3 +288,27 @@ def test_warm_cache_incremental_speedup(benchmark, emit):
     # The cache must pay for itself (generous slack for CI runners; the
     # streaming shape above measures ~2.5x locally).
     assert t_warm <= t_cold
+
+    case_label, case_config, case_tweets = CONFIGS[-1]
+    cases = _one_more_retweet(
+        case_label, _workload(case_config, case_tweets)[0]
+    )
+    emit(render_table(
+        ["corpus", "members", "seeds", "cold (us)", "in-graph (us)",
+         "off-graph (us)"],
+        [
+            [
+                row["corpus"], row["members"], row["seeds"],
+                f"{row['cold_us']:.0f}", f"{row['warm_in_graph_us']:.0f}",
+                f"{row['warm_off_graph_us']:.0f}",
+            ]
+            for row in cases
+        ],
+        title="One more retweet on a warm tweet, per task",
+    ))
+    _record("warm_cache_one_more_retweet", cases)
+    for row in cases:
+        # A retweeter outside the graph changes nothing: it must cost
+        # less than one who starts a frontier, who costs less than cold.
+        assert row["warm_off_graph_us"] <= row["warm_in_graph_us"]
+        assert row["warm_in_graph_us"] <= row["cold_us"]

@@ -46,27 +46,22 @@ __all__ = ["ArraySimGraph", "CSRSimGraph", "gather_ranges"]
 
 def gather_ranges(
     indptr: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat element positions of CSR ``rows``, plus segment layout.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat element positions of CSR ``rows``, plus their lengths.
 
-    Returns ``(flat, seg_starts, lengths)`` where ``flat`` indexes the
-    CSR data arrays for every element of every requested row (rows
-    concatenated in the order given), ``seg_starts`` are the offsets of
-    each row's segment inside ``flat`` (ready for ``np.add.reduceat``)
-    and ``lengths`` are the per-row element counts.
+    Returns ``(flat, lengths)`` where ``flat`` indexes the CSR data
+    arrays for every element of every requested row (rows concatenated
+    in the order given) and ``lengths`` are the per-row element counts.
     """
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
-    total = int(lengths.sum())
-    seg_starts = np.zeros(len(rows), dtype=np.int64)
-    if len(rows) > 1:
-        np.cumsum(lengths[:-1], out=seg_starts[1:])
-    if total == 0:
-        return np.empty(0, dtype=np.int64), seg_starts, lengths
-    flat = np.repeat(starts - seg_starts, lengths) + np.arange(
-        total, dtype=np.int64
-    )
-    return flat, seg_starts, lengths
+    ends = lengths.cumsum()
+    if not len(ends) or not ends[-1]:
+        return np.empty(0, dtype=np.int64), lengths
+    # Element k of row r sits at starts[r] + (k - elements before r).
+    flat = np.arange(ends[-1], dtype=np.int64)
+    flat += (starts - ends + lengths).repeat(lengths)
+    return flat, lengths
 
 
 class CSRSimGraph:
@@ -222,7 +217,7 @@ class CSRSimGraph:
         ):
             indices[to : to + size] = old_indices[lo : lo + size]
             weights[to : to + size] = old_weights[lo : lo + size]
-        flat, _, _ = gather_ranges(indptr, rows)
+        flat, _ = gather_ranges(indptr, rows)
         indices[flat] = targets
         weights[flat] = values
         return CSRSimGraph(users, indptr, indices, weights, index=index)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -146,6 +145,47 @@ _NO_USERS = np.empty(0, dtype=np.int64)
 _NO_SCORES = np.empty(0, dtype=np.float64)
 
 
+class _KnownUsers:
+    """Who must not be notified of one tweet: its retweeters and
+    everyone already notified of it.
+
+    Adding is a list append; the ascending array the budget probes is
+    brought up to date when it is next read, by merging what was added
+    since (a user added twice is held twice, which a probe cannot see).
+    """
+
+    __slots__ = ("_sorted", "_added")
+
+    def __init__(self) -> None:
+        self._sorted = _NO_USERS
+        self._added: list[int] = []
+
+    def add(self, user: int) -> None:
+        self._added.append(user)
+
+    def sorted(self) -> np.ndarray:
+        """Every user added so far, ascending."""
+        if self._added:
+            merged = np.concatenate((self._sorted, self._added))
+            # Stable = timsort: one merge of the sorted run and the tail.
+            merged.sort(kind="stable")
+            self._sorted = merged
+            self._added = []
+        return self._sorted
+
+    def unseen(self, users: np.ndarray) -> np.ndarray:
+        """Positions in ``users`` of those not added yet."""
+        known = self.sorted()
+        if not len(known):
+            return np.arange(len(users))
+        at = known.searchsorted(users)
+        np.minimum(at, len(known) - 1, out=at)
+        return (known[at] != users).nonzero()[0]
+
+    def __contains__(self, user: int) -> bool:
+        return len(self.unseen(np.array([user]))) == 0
+
+
 @dataclass
 class ServiceStats:
     """Running counters of one service instance.
@@ -227,7 +267,8 @@ class ServiceCore:
             metrics=self.metrics,
         )
         self._delivered: dict[tuple[int, int], int] = {}
-        self._known: set[tuple[int, int]] = set()
+        #: tweet -> users that already share it or were notified of it.
+        self._known: dict[int, _KnownUsers] = {}
         self._clock = 0.0
         self.stats = ServiceStats()
 
@@ -474,6 +515,20 @@ class ServiceCore:
         self._refresh_health()
         return self.metrics.snapshot(deterministic=deterministic)
 
+    def knows(self, user: int, tweet: int) -> bool:
+        """Is ``user`` past notifying of ``tweet`` — already sharing it
+        or already notified of it?"""
+        known = self._known.get(tweet)
+        return known is not None and user in known
+
+    def known_pairs(self) -> set[tuple[int, int]]:
+        """Every ``(user, tweet)`` :meth:`knows` answers True for."""
+        return {
+            (user, tweet)
+            for tweet, known in self._known.items()
+            for user in known.sorted().tolist()
+        }
+
     def _refresh_health(self) -> None:
         """Mirror warm-cache and backlog state into stats and gauges.
 
@@ -520,7 +575,13 @@ class ServiceCore:
     def _absorb(self, event: Retweet) -> None:
         self.profiles.add(event.user, event.tweet)
         self._retweeters.setdefault(event.tweet, set()).add(event.user)
-        self._known.add((event.user, event.tweet))
+        self._known_of(event.tweet).add(event.user)
+
+    def _known_of(self, tweet: int) -> _KnownUsers:
+        known = self._known.get(tweet)
+        if known is None:
+            known = self._known[tweet] = _KnownUsers()
+        return known
 
     def _score_tasks(self, tasks: list[PropagationTask]) -> list[Candidates]:
         """Per-task candidates, one joint invocation.
@@ -564,32 +625,32 @@ class ServiceCore:
         becomes a :class:`Recommendation`.
         """
         delivered: list[Recommendation] = []
-        known = self._known
         with self.metrics.span("budget"):
             total = 0
-            fresh: list[tuple[Candidates, list[int]]] = []
+            fresh: list[tuple[Candidates, np.ndarray, _KnownUsers]] = []
             for candidates in released:
                 total += len(candidates.users)
-                pairs = zip(candidates.users.tolist(), repeat(candidates.tweet))
-                unseen = [i for i, pair in enumerate(pairs) if pair not in known]
-                if unseen:
-                    fresh.append((candidates, unseen))
+                known = self._known_of(candidates.tweet)
+                unseen = known.unseen(candidates.users)
+                if len(unseen):
+                    fresh.append((candidates, unseen, known))
             if fresh:
-                users = np.concatenate([c.users[unseen] for c, unseen in fresh])
-                scores = np.concatenate([c.scores[unseen] for c, unseen in fresh])
+                users = np.concatenate([c.users[unseen] for c, unseen, _ in fresh])
+                scores = np.concatenate([c.scores[unseen] for c, unseen, _ in fresh])
                 task_of = np.repeat(
-                    np.arange(len(fresh)), [len(unseen) for _, unseen in fresh]
+                    np.arange(len(fresh)), [len(unseen) for _, unseen, _ in fresh]
                 )
-                tweets = np.array([c.tweet for c, _ in fresh])[task_of]
+                tweets = np.array([c.tweet for c, _, _ in fresh])[task_of]
                 order = np.lexsort((tweets, users, -scores))
                 budget = self.config.daily_budget
+                taken: set[tuple[int, int]] = set()
                 for user, score, task in zip(
                     users[order].tolist(),
                     scores[order].tolist(),
                     task_of[order].tolist(),
                 ):
-                    tweet, when, _, _ = fresh[task][0]
-                    if (user, tweet) in known:
+                    (tweet, when, _, _), _, known = fresh[task]
+                    if (user, tweet) in taken:
                         # Same pair twice in one release: delivered once.
                         continue
                     slot = (user, int(when // DAY))
@@ -598,7 +659,8 @@ class ServiceCore:
                         self.stats.notifications_suppressed += 1
                         continue
                     self._delivered[slot] = used + 1
-                    known.add((user, tweet))
+                    taken.add((user, tweet))
+                    known.add(user)
                     delivered.append(
                         Recommendation(
                             user=user, tweet=tweet, score=score, time=when

@@ -193,9 +193,7 @@ def replay_service(rebuild_strategy: str, prop_backend: str):
     for u, v, _ in dataset.follow_graph.edges():
         service.add_follow(u, v)
     for event in split.train:
-        service.profiles.add(event.user, event.tweet)
-        service._retweeters.setdefault(event.tweet, set()).add(event.user)
-        service._known.add((event.user, event.tweet))
+        service.absorb_retweet(event.user, event.tweet)
     tweets = sorted(
         dataset.tweets.values(), key=lambda t: (t.created_at, t.id)
     )

@@ -151,9 +151,7 @@ def run_service_pipeline(prop_backend: str) -> tuple[str, str]:
     for u, v, _ in dataset.follow_graph.edges():
         service.add_follow(u, v)
     for event in split.train:
-        service.profiles.add(event.user, event.tweet)
-        service._retweeters.setdefault(event.tweet, set()).add(event.user)
-        service._known.add((event.user, event.tweet))
+        service.absorb_retweet(event.user, event.tweet)
     base = split.test[0].time if split.test else 0.0
     for tweet in sorted(
         dataset.tweets.values(), key=lambda t: (t.created_at, t.id)

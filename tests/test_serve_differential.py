@@ -99,7 +99,7 @@ class TestIngestBatchEquality:
         assert as_tuples(batched.flush(final_at)) == as_tuples(
             sequential.flush(final_at)
         )
-        assert batched._known == sequential._known
+        assert batched.known_pairs() == sequential.known_pairs()
 
     def test_mid_stream_rebuild(self):
         # A rebuild interval shorter than the stream span forces at
@@ -130,13 +130,13 @@ class TestIngestBatchEquality:
     def test_unknown_tweet_rejected_before_any_state_change(self):
         service = build_service(use_scheduler=False, prop_backend="csr")
         events = live_stream(service, n_events=6)
-        known_before = set(service._known)
+        known_before = service.known_pairs()
         bad = events[:3] + [(0, 10**9, events[-1][2])]
         from repro.exceptions import DatasetError
 
         with pytest.raises(DatasetError):
             service.ingest_batch(bad)
-        assert set(service._known) == known_before
+        assert service.known_pairs() == known_before
         assert service.stats.events_ingested == 0
 
     @pytest.mark.parametrize("use_scheduler", [False, True])
@@ -166,11 +166,11 @@ class TestIngestBatchEquality:
         assert expected.count("error") == 1
 
         stats_before = dataclasses.replace(batched.stats)
-        known_before = set(batched._known)
+        known_before = batched.known_pairs()
         with pytest.raises(DatasetError, match="monotone"):
             batched.ingest_batch(events)
         assert batched.stats == stats_before
-        assert batched._known == known_before
+        assert batched.known_pairs() == known_before
         assert batched._clock == 0.0
 
         responses = serve_stream(
@@ -186,7 +186,7 @@ class TestIngestBatchEquality:
         ]
         assert got == expected
         assert batched.stats == sequential.stats
-        assert batched._known == sequential._known
+        assert batched.known_pairs() == sequential.known_pairs()
         assert batched._clock == sequential._clock
         assert as_tuples(batched.flush()) == as_tuples(sequential.flush())
 

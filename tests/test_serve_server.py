@@ -319,7 +319,7 @@ class TestServeStream:
         counters = metrics.snapshot()["counters"]
         assert counters["serve.admission[degraded]"] == 1
         # The degraded event still landed in the profiles.
-        assert (4, 200) in service._known
+        assert service.knows(4, 200)
 
     def test_degraded_miss_labeled(self):
         service = warm_service()

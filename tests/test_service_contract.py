@@ -78,7 +78,7 @@ def state_of(service: ServiceCore) -> tuple:
     return (
         dataclasses.replace(service.stats),
         service._clock,
-        set(service._known),
+        service.known_pairs(),
         set(service.tweets),
         service.profiles.user_count,
     )
@@ -142,7 +142,7 @@ def test_72h_old_task_is_skipped_and_its_warm_entry_dropped(warm_service):
     assert service.stats.propagations_run == ran
     assert 200 not in service._warm.tweets()
     # The event itself still counts and still lands in the profiles.
-    assert (1, 200) in service._known
+    assert service.knows(1, 200)
 
 
 def test_daily_budget_suppression_counted(warm_service):

@@ -175,7 +175,7 @@ def test_close_is_idempotent_and_blocks_reuse(started):
     service.close()
     service.close()
     stats = dataclasses.replace(service.stats)
-    known = set(service._known)
+    known = service.known_pairs()
     for request in (
         lambda: service.retweet(user=2, tweet=0, at=90.0),
         lambda: service.post_tweet(1, author=4, at=90.0),
@@ -186,7 +186,7 @@ def test_close_is_idempotent_and_blocks_reuse(started):
         with pytest.raises(ShardError, match="service is closed"):
             request()
     assert service.stats == stats
-    assert service._known == known
+    assert service.known_pairs() == known
     assert 1 not in service.tweets
 
 
