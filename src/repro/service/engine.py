@@ -142,6 +142,9 @@ class Candidates(NamedTuple):
     scores: np.ndarray
 
 
+#: A released task and its seed set, fixed when it was released.
+Seeded = tuple[PropagationTask, set[int]]
+
 _NO_USERS = np.empty(0, dtype=np.int64)
 _NO_SCORES = np.empty(0, dtype=np.float64)
 
@@ -300,21 +303,8 @@ class RecommendationService:
         propagation, applies the online budget, and updates profiles —
         so similarity data is always current for the next maintenance.
         """
-        if tweet not in self.tweets:
-            raise DatasetError(f"unknown tweet id {tweet}")
         started = time.perf_counter()
-        self._advance(at)
-        self.stats.events_ingested += 1
-        self.metrics.counter("service.events").inc()
-        event = Retweet(user=user, tweet=tweet, time=at)
-        if self._scheduler is not None:
-            released = self._score_tasks(self._scheduler.offer(event))
-            self._absorb(event)
-        else:
-            self._absorb(event)
-            task = PropagationTask(tweet=tweet, users=(user,), due_time=at)
-            released = self._score_tasks([task])
-        delivered = self._deliver(released)
+        delivered = self._deliver(self._ingest(user, tweet, at))
         self.metrics.histogram("service.retweet_seconds", timing=True).observe(
             time.perf_counter() - started
         )
@@ -335,13 +325,30 @@ class RecommendationService:
         """Drain the scheduler (end of stream / shutdown)."""
         if self._scheduler is None:
             return []
-        if now is not None:
-            self._advance(now)
-        # The whole drained backlog is scored by one batched invocation.
-        released = self._score_tasks(self._scheduler.flush(now=self._clock))
-        delivered = self._deliver(released)
+        delivered = self._deliver(self._drain(now))
         self._refresh_health()
         return delivered
+
+    def _ingest(self, user: int, tweet: int, at: float) -> list[Candidates]:
+        """One retweet up to the candidates it released, undelivered.
+
+        :meth:`retweet` passes them through the budget; the offline
+        :class:`~repro.core.recommender.SimGraphRecommender` takes them
+        as they are.
+        """
+        if tweet not in self.tweets:
+            raise DatasetError(f"unknown tweet id {tweet}")
+        self._tick(at)
+        event = Retweet(user=user, tweet=tweet, time=at)
+        return self._score_tasks(self._release(event))
+
+    def _drain(self, now: float | None) -> list[Candidates]:
+        """The scheduler's whole backlog, scored by one batched
+        invocation, undelivered (scheduler mode only)."""
+        if now is not None:
+            self._advance(now)
+        tasks = self._scheduler.flush(now=self._clock)
+        return self._score_tasks(self._seeded(tasks))
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -430,15 +437,24 @@ class RecommendationService:
         """
         from repro.core.persistence import load_simgraph
 
-        self._simgraph = load_simgraph(path, mmap=mmap)
-        self._engine = self._make_engine(self._simgraph)
+        adopted = self._adopt(load_simgraph(path, mmap=mmap))
+        self.metrics.counter("service.snapshot_loads").inc()
+        return adopted
+
+    def _adopt(self, simgraph: SimGraph) -> SimGraph:
+        """Make ``simgraph`` the current graph without building it.
+
+        Counts as a rebuild (see :meth:`load_snapshot`); the offline
+        recommender adopts an injected SimGraph the same way.
+        """
+        self._simgraph = simgraph
+        self._engine = self._make_engine(simgraph)
         self._invalidate_warm(None)
         self.profiles.mark_clean()
         self._new_follow_sources.clear()
         self.stats.rebuilds += 1
         self.stats.last_rebuild_at = self._clock
-        self.metrics.counter("service.snapshot_loads").inc()
-        return self._simgraph
+        return simgraph
 
     def _invalidate_warm(self, report: DeltaReport | None) -> None:
         """Drop warm propagation state made stale by a rebuild.
@@ -535,6 +551,40 @@ class RecommendationService:
         if rebuild:
             self.rebuild()
 
+    def _tick(self, at: float) -> None:
+        """Advance the clock to a retweet at ``at`` and count it."""
+        self._advance(at)
+        self.stats.events_ingested += 1
+        self.metrics.counter("service.events").inc()
+
+    def _release(self, event: Retweet) -> list[Seeded]:
+        """Offer ``event``, fix the seeds of what it released, absorb it.
+
+        The one place the per-event order lives.  A released task is
+        seeded with its tweet's retweeters *before* the releasing event
+        plus its batch's users, whether it is scored at once
+        (:meth:`retweet`) or deferred (:meth:`ingest_batch`); the event
+        itself is absorbed before anything it released is delivered.
+        """
+        if self._scheduler is not None:
+            tasks = self._scheduler.offer(event)
+        else:
+            tasks = [
+                PropagationTask(
+                    tweet=event.tweet, users=(event.user,), due_time=event.time
+                )
+            ]
+        released = self._seeded(tasks)
+        self._absorb(event)
+        return released
+
+    def _seeded(self, tasks: list[PropagationTask]) -> list[Seeded]:
+        """Pair each task with its seed set as of now."""
+        return [
+            (task, self._retweeters.get(task.tweet, set()).union(task.users))
+            for task in tasks
+        ]
+
     def _absorb(self, event: Retweet) -> None:
         self.profiles.add(event.user, event.tweet)
         self._retweeters.setdefault(event.tweet, set()).add(event.user)
@@ -546,32 +596,29 @@ class RecommendationService:
             known = self._known[tweet] = _KnownUsers()
         return known
 
-    def _score_tasks(self, tasks: list[PropagationTask]) -> list[Candidates]:
+    def _score_tasks(self, released: list[Seeded]) -> list[Candidates]:
         """Per-task candidates, one joint invocation.
 
-        Returns a list aligned with ``tasks`` (age-skipped tasks yield
-        no candidates) so batched ingestion can attribute each task's
-        candidates back to the event that released it.  Every runnable
-        task's warm state is read before any new one is stored;
+        Returns a list aligned with ``released`` (age-skipped tasks
+        yield no candidates) so batched ingestion can attribute each
+        task's candidates back to the event that released it.  Every
+        runnable task's warm state is read before any new one is stored;
         candidates exclude seeds and scores below ``min_score``
         (:func:`~repro.core.propagation_csr.nonseed_candidates`).
         """
         per_task = [
             Candidates(task.tweet, task.due_time, _NO_USERS, _NO_SCORES)
-            for task in tasks
+            for task, _ in released
         ]
         slots: list[int] = []
         runnable: list[tuple[PropagationTask, float | None, set[int]]] = []
-        for i, task in enumerate(tasks):
+        for i, (task, seeds) in enumerate(released):
             tweet = self.tweets.get(task.tweet)
             created_at = tweet.created_at if tweet is not None else None
             if created_at is not None:
                 if task.due_time - created_at > self.config.max_tweet_age:
                     self._warm.pop(task.tweet)
                     continue
-            seeds = set(self._retweeters.get(task.tweet, set()))
-            seeds.update(task.users)
-            self._retweeters[task.tweet] = seeds
             slots.append(i)
             runnable.append((task, created_at, seeds))
         if not runnable:
@@ -673,15 +720,19 @@ class RecommendationService:
         amortizes the engine dispatch that per-request ingestion pays
         per event.
 
-        Deferral never crosses a correctness boundary; the pending batch
-        is flushed before
+        A deferred task keeps the seeds it was released with (see
+        :meth:`_release`).  Deferral never crosses a correctness
+        boundary; the pending batch is flushed before
 
         * an event whose tweet already has a deferred task (its absorb
-          would retroactively grow that task's seed set, and its own
-          delivery dedup could collide with the task's notifications);
-        * any released task for a tweet already deferred (same reason,
-          defensive — the scheduler cannot actually re-release a tweet
-          buffered in this run without the previous rule firing first);
+          would reach the task's delivery dedup early, and its own task
+          must warm-start from the deferred one's fixpoint);
+        * the tasks an event releases, if any of them is for a tweet
+          already deferred (it must warm-start from that fixpoint).  An
+          event can release another tweet's batch whose previous batch an
+          earlier event of this run released; the flush comes before any
+          of the event's tasks is deferred, so its release is still
+          delivered by one ``_deliver`` call, as sequentially;
         * an event whose timestamp makes maintenance due (the rebuild
           recompiles the engine and invalidates warm state, so deferred
           work must be scored against the pre-rebuild graph it was
@@ -710,13 +761,13 @@ class RecommendationService:
                 )
             clock = at
         delivered: list[list[Recommendation]] = [[] for _ in events]
-        pending: list[tuple[int, PropagationTask]] = []
+        pending: list[tuple[int, Seeded]] = []
         pending_tweets: set[int] = set()
 
         def flush_pending() -> None:
             if not pending:
                 return
-            per_task = self._score_tasks([task for _, task in pending])
+            per_task = self._score_tasks([seeded for _, seeded in pending])
             by_owner: dict[int, list[Candidates]] = {}
             for (owner, _), candidates in zip(pending, per_task):
                 by_owner.setdefault(owner, []).append(candidates)
@@ -733,23 +784,14 @@ class RecommendationService:
             if tweet in pending_tweets:
                 flush_pending()
             started = time.perf_counter()
-            self._advance(at)
-            self.stats.events_ingested += 1
-            self.metrics.counter("service.events").inc()
+            self._tick(at)
             event = Retweet(user=user, tweet=tweet, time=at)
-            if self._scheduler is not None:
-                released = self._scheduler.offer(event)
-                self._absorb(event)
-            else:
-                self._absorb(event)
-                released = [
-                    PropagationTask(tweet=tweet, users=(user,), due_time=at)
-                ]
-            for task in released:
-                if task.tweet in pending_tweets:
-                    flush_pending()
-                pending.append((i, task))
-                pending_tweets.add(task.tweet)
+            released = self._release(event)
+            if any(task.tweet in pending_tweets for task, _ in released):
+                flush_pending()
+            for seeded in released:
+                pending.append((i, seeded))
+                pending_tweets.add(seeded[0].tweet)
             self.metrics.histogram(
                 "service.retweet_seconds", timing=True
             ).observe(time.perf_counter() - started)
@@ -775,9 +817,7 @@ class RecommendationService:
         """
         if tweet not in self.tweets:
             raise DatasetError(f"unknown tweet id {tweet}")
-        self._advance(at)
-        self.stats.events_ingested += 1
-        self.metrics.counter("service.events").inc()
+        self._tick(at)
         self.metrics.counter("service.warm_answers").inc()
         self._absorb(Retweet(user=user, tweet=tweet, time=at))
         state = self._warm.get(tweet, now=at)

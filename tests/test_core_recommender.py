@@ -7,6 +7,7 @@ from repro.core.scheduler import DelayPolicy
 from repro.core.simgraph import SimGraph
 from repro.data.builders import DatasetBuilder
 from repro.data.models import Retweet
+from repro.exceptions import ConfigError, DatasetError
 from repro.graph.digraph import DiGraph
 
 
@@ -47,6 +48,11 @@ class TestFit:
         rec = SimGraphRecommender(simgraph=injected)
         rec.fit(dataset, train)
         assert rec.simgraph is injected
+
+    def test_min_score_outside_unit_interval_rejected(self):
+        for floor in (0.0, 1.0, 2.0):
+            with pytest.raises(ConfigError, match=r"min_score must be in \(0, 1\)"):
+                SimGraphRecommender(min_score=floor)
 
     def test_unfitted_rejected(self):
         rec = SimGraphRecommender()
@@ -90,9 +96,17 @@ class TestOnEvent:
 
     def test_min_score_floor(self):
         dataset, train = co_retweet_world()
-        rec = SimGraphRecommender(tau=0.0, min_score=2.0)  # impossible floor
+        # Inside (0, 1), above every non-seed score of this world (< 0.46).
+        rec = SimGraphRecommender(tau=0.0, min_score=0.99)
         rec.fit(dataset, train)
         assert rec.on_event(Retweet(user=0, tweet=10, time=1010.0)) == []
+
+    def test_unknown_tweet_rejected(self):
+        dataset, train = co_retweet_world()
+        rec = SimGraphRecommender(tau=0.0)
+        rec.fit(dataset, train)
+        with pytest.raises(DatasetError, match="unknown tweet id 99"):
+            rec.on_event(Retweet(user=0, tweet=99, time=1010.0))
 
     def test_seeds_accumulate_across_events(self):
         dataset, train = co_retweet_world()
@@ -155,9 +169,9 @@ class TestWarmStartConsistency:
         incremental.on_event(Retweet(user=0, tweet=10, time=1010.0))
         last = incremental.on_event(Retweet(user=1, tweet=10, time=1020.0))
 
-        fresh = SimGraphRecommender(tau=0.0)
-        fresh.fit(dataset, train)
-        fresh._retweeters.setdefault(10, set()).add(0)
+        # User 0's share arrives as history; the graph is the same one.
+        fresh = SimGraphRecommender(simgraph=incremental.simgraph)
+        fresh.fit(dataset, train + [Retweet(user=0, tweet=10, time=1010.0)])
         direct = fresh.on_event(Retweet(user=1, tweet=10, time=1020.0))
 
         assert {r.user: pytest.approx(r.score, abs=1e-8) for r in last} == {

@@ -12,11 +12,14 @@ tripwire.
 Both SimGraph build backends and both propagation backends are
 exercised; since the differential suites pin each pair to identical
 outputs, the *hit lists* of every variant must also agree with each
-other (their work metrics legitimately differ).
+other (their work metrics legitimately differ), and hash to a digest
+recorded at an earlier commit, so a change that moves recommendation
+quality cannot hide behind self-consistency.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -42,6 +45,11 @@ VARIANTS = [
 ]
 
 VARIANT_IDS = [f"{build}-{prop}" for build, prop in VARIANTS]
+
+#: sha256 of every variant's hits JSON as recorded at commit 5577740, the
+#: last commit whose recommender ran its own copy of the scoring loop:
+#: the adapter over the service must reproduce it byte for byte.
+HITS_SHA256 = "09bcbdfe61cd03e8f1566f8b02ecc3dbc09636edb4935e61159ddce24a215a87"
 
 
 def run_pipeline(backend: str, prop_backend: str) -> tuple[str, str]:
@@ -115,6 +123,13 @@ def test_variants_agree_on_hits(runs, variant):
     """Identical edges + identical propagation (differential suites)
     imply byte-identical hit lists across every backend combination."""
     assert runs[VARIANTS[0]][0][1] == runs[variant][0][1]
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
+def test_hit_lists_match_the_recorded_digest(runs, variant):
+    """Pinned across commits, not only within one."""
+    hits = runs[variant][0][1]
+    assert hashlib.sha256(hits.encode()).hexdigest() == HITS_SHA256
 
 
 def test_prop_backends_agree_on_propagation_counters(runs):

@@ -5,8 +5,9 @@ not counts):
 
 * ``RecommendationService.ingest_batch`` delivers, event for event, what
   the same stream produces through sequential ``retweet`` calls — across
-  scheduler on/off, reference/csr propagation, same-tweet repeats and a
-  mid-stream SimGraph rebuild;
+  scheduler on/off, reference/csr propagation, same-tweet repeats, an
+  event releasing its own tweet's batch and a mid-stream SimGraph
+  rebuild;
 * the asyncio front-end at low load (no degradation, micro-batching on)
   returns the sequential responses for the same mixed post/retweet
   stream;
@@ -198,6 +199,45 @@ class TestIngestBatchEquality:
     def test_empty_batch(self):
         service = build_service(use_scheduler=False)
         assert service.ingest_batch([]) == []
+
+    @pytest.mark.parametrize("prop_backend", ["reference", "csr"])
+    def test_event_releasing_its_own_tweets_batch(self, prop_backend):
+        """The event at t=100 releases the batch tweet 7 collected at
+        t=10 and t=20.  That batch is seeded with the retweeters before
+        the event: batched ingestion must not fold user 3 into it."""
+        from repro.core import DelayPolicy
+
+        def world():
+            service = RecommendationService(
+                ServiceConfig(
+                    min_score=1e-6, rebuild_interval=1e9,
+                    prop_backend=prop_backend,
+                ),
+                delay_policy=DelayPolicy(60, 60, 60),
+            )
+            for user in range(1, 9):
+                service.add_user(user)
+            for follower, followee in [
+                (2, 1), (3, 2), (4, 3), (5, 4), (6, 1), (7, 6), (8, 7),
+                (3, 1), (5, 3), (7, 1), (8, 6),
+            ]:
+                service.add_follow(follower, followee)
+            for tweet in range(100, 104):
+                for user in range(1, 9):
+                    if (user + tweet) % 3:
+                        service.absorb_retweet(user, tweet)
+            service.post_tweet(7, 1, 0.0)
+            service.rebuild("from scratch")
+            return service
+
+        events = [(2, 7, 10.0), (6, 7, 20.0), (3, 7, 100.0), (8, 7, 300.0)]
+        sequential, batched = world(), world()
+        expected = [as_tuples(sequential.retweet(*event)) for event in events]
+        got = [as_tuples(recs) for recs in batched.ingest_batch(events)]
+        assert got == expected
+        scores = {user: score for user, _, _, score in expected[2]}
+        assert scores[5] == pytest.approx(0.1380, abs=1e-4)
+        assert batched.known_pairs() == sequential.known_pairs()
 
 
 class TestServerVsDirect:
