@@ -14,10 +14,12 @@ in a process of its own — split into the four stages of the pause:
 
 * ``affected_region`` — dirty sets to core / fringe / needed pairs;
 * ``core_state``      — restricted incidence, masked Gram, core rows;
-* ``copy_surgery``    — graph copy, row swaps, fringe surgery (the rest
-  of ``apply_delta``);
+* ``copy_surgery``    — the rest of ``apply_delta``: old rows read from
+  the compiled arrays, row swaps, fringe surgery and the splice (a dict
+  graph copy instead, on a checkout that still keeps one);
 * ``csr_refresh``     — bringing the compiled CSR up to date and making
-  the engine over it.
+  the engine over it (``RecommendationService._install``, or
+  ``_make_engine`` on such a checkout).
 
 Each stage carries ``resource.getrusage(RUSAGE_THREAD)`` minor faults
 and system time beside its wall time: on a cold arena a page fault costs
@@ -34,6 +36,7 @@ unless ``--out`` is given.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import resource
 import subprocess
@@ -106,7 +109,8 @@ def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict:
         "core_state", delta_module._vectorized_core_state
     )
     engine_module.apply_delta = clock.wrap("apply_delta", engine_module.apply_delta)
-    service._make_engine = clock.wrap("csr_refresh", service._make_engine)
+    refresh = "_install" if hasattr(service, "_install") else "_make_engine"
+    setattr(service, refresh, clock.wrap("csr_refresh", getattr(service, refresh)))
     reports = []
     apply_delta = service._apply_delta
 
@@ -156,21 +160,19 @@ def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict:
 
 
 def weights_only_refresh(csr_class, simgraph, changed: list[int]) -> dict:
-    """Each way this checkout can refresh a compiled CSR whose topology
-    did not move, on the real run's changed rows (best of three)."""
+    """Splicing the real run's changed rows into the compiled graph of
+    the refreshed one (best of three): given the rows as a mapping, or,
+    on a checkout whose splice reads them from a dict graph, given that
+    graph."""
     compiled = csr_class.from_simgraph(simgraph)
-    out = {}
-    for name in ("patch_rows", "splice"):
-        refresh = getattr(compiled, name, None)
-        if refresh is None:
-            continue
-        best = float("inf")
-        for _ in range(3):
-            started = time.perf_counter()
-            assert refresh(simgraph, changed)
-            best = min(best, (time.perf_counter() - started) * 1e3)
-        out[name] = best
-    return out
+    takes_rows = "rows" in inspect.signature(compiled.splice).parameters
+    args = (compiled.rows(changed),) if takes_rows else (simgraph, changed)
+    best = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        assert compiled.splice(*args)
+        best = min(best, (time.perf_counter() - started) * 1e3)
+    return {"splice": best}
 
 
 def main() -> int:

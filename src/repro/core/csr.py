@@ -19,21 +19,22 @@ arXiv:1502.00166; Nguyen & Zheng, arXiv:1307.4264):
   users that ``users[i]`` influences, which is what frontier expansion
   consumes.
 
-A compiled graph is immutable: maintenance replaces it.  The delta
-maintenance engine's :class:`~repro.core.delta.DeltaReport` names
-exactly the rows that changed, and :meth:`CSRSimGraph.splice` builds the
-next compiled graph from this one and those rows alone — unchanged row
-segments are block copies, only the named rows are read back from the
-dict adjacency — so a rebuild that moved a few percent of the rows,
-edges added and removed included, never re-walks the rest.  The splice
-writes new arrays: it works from a read-only memory-mapped source as
-well.  A rebuild without a report (the other §6.3 strategies)
-recompiles with :meth:`CSRSimGraph.from_simgraph`.
+A compiled graph is immutable: maintenance replaces it.  Delta
+maintenance (:func:`~repro.core.delta.apply_delta`) reads the old rows
+it rescores from these arrays and hands :meth:`CSRSimGraph.splice` only
+the rows that changed — unchanged row segments are block copies, nodes
+left without an edge drop out through a position remap and new ones
+append — so a rebuild that moved a few percent of the rows never
+re-walks the rest and never builds a dict adjacency.  The splice writes
+new arrays: it works from a read-only memory-mapped source as well.  A
+rebuild without a report (the other §6.3 strategies) recompiles with
+:meth:`CSRSimGraph.from_simgraph`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -130,97 +131,123 @@ class CSRSimGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_simgraph(cls, simgraph: SimGraph) -> "CSRSimGraph":
-        """Compile ``simgraph`` (one pass over its nodes and edges)."""
+        """Compile ``simgraph`` (one pass over its nodes and edges): the
+        splice of all of its rows into an empty graph."""
         graph = simgraph.graph
-        n = graph.node_count
-        users = np.fromiter(graph.nodes(), dtype=np.int64, count=n)
-        index = {int(u): i for i, u in enumerate(users.tolist())}
-        m = graph.edge_count
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = np.empty(m, dtype=np.int64)
-        weights = np.empty(m, dtype=np.float64)
-        pos = 0
-        for i, u in enumerate(users.tolist()):
-            for v, w in graph.out_edges(u):
-                indices[pos] = index[v]
-                weights[pos] = w
-                pos += 1
-            indptr[i + 1] = pos
-        return cls(users, indptr, indices, weights)
+        nodes = list(graph.nodes())
+        none = np.empty(0, dtype=np.int64)
+        empty = cls(none, np.zeros(1, dtype=np.int64), none, none.astype(float))
+        return empty.splice({u: graph.out_row(u) for u in nodes}, appended=nodes)
 
     def splice(
-        self, simgraph: SimGraph, changed_users: Iterable[int]
-    ) -> "CSRSimGraph | None":
-        """The compiled form of ``simgraph``, built from this one.
+        self,
+        rows: Mapping[int, Mapping[int, float]],
+        removed: Iterable[int] = (),
+        appended: Sequence[int] = (),
+    ) -> "CSRSimGraph":
+        """This graph with ``rows`` replaced, ``removed`` nodes dropped
+        and ``appended`` nodes added.
 
-        ``simgraph`` must differ from the compiled graph only in the
-        out-rows of ``changed_users`` (any change: weights, edges added
-        or removed, order) and in nodes appended after the compiled
-        ones — what a :class:`~repro.core.delta.DeltaReport` promises.
-        Runs of unchanged rows are block-copied to their new offsets,
-        the changed rows are read from the dict adjacency, appended
-        nodes take the next positions; the result equals
-        ``from_simgraph(simgraph)`` array for array.  This structure is
-        only read (a memory-mapped one included) and stays valid.
-
-        Returns ``None`` when a compiled node is gone or the node order
-        differs — positions would shift under every row, so the caller
-        recompiles.
+        ``rows`` maps a user to its whole new ``{influencer: similarity}``
+        row, in edge order (any change: weights, edges added or removed,
+        order); every other row is kept.  A removed node must have no
+        edge left in either direction.  Surviving nodes keep their order
+        and appended ones follow, in the order given — the order a
+        :class:`DiGraph` gets from the same edits, whose node removal
+        keeps the rest in place and whose node creation appends.  Runs of
+        unchanged rows are block-copied to their new offsets (their
+        targets remapped when a node before them went); the result
+        equals ``from_simgraph`` of the edited graph array for array.
+        This structure is only read (a memory-mapped one included) and
+        stays valid.
         """
-        graph = simgraph.graph
         n_old = len(self.users)
-        n = graph.node_count
-        if n < n_old:
-            return None
-        users = np.fromiter(graph.nodes(), dtype=np.int64, count=n)
-        if not np.array_equal(users[:n_old], self.users):
-            return None
-        index = self.index
-        if n > n_old:
-            index = dict(index)
-            index.update(zip(users[n_old:].tolist(), range(n_old, n)))
+        gone = np.fromiter((self.index[u] for u in removed), dtype=np.int64)
+        keep = np.ones(n_old, dtype=bool)
+        keep[gone] = False
+        remap = None
+        users, index = self.users, self.index
+        if len(gone) or len(appended):
+            users = np.concatenate(
+                (self.users[keep], np.asarray(appended, dtype=np.int64))
+            )
+            index = dict(zip(users.tolist(), range(len(users))))
+            if len(gone):
+                remap = np.cumsum(keep) - 1
+        n = len(users)
 
         position_of = index.__getitem__
-        changed = sorted(changed_users, key=position_of)
-        rows = np.fromiter(
+        changed = sorted(rows, key=position_of)
+        at = np.fromiter(
             map(position_of, changed), dtype=np.int64, count=len(changed)
         )
         lengths: list[int] = []
         targets: list[int] = []
         values: list[float] = []
         for u in changed:
-            row = graph.out_row(u)
+            row = rows[u]
             lengths.append(len(row))
             targets.extend(map(position_of, row))
             values.extend(row.values())
         counts = np.zeros(n, dtype=np.int64)
-        counts[:n_old] = self.inf_counts
-        counts[rows] = lengths
+        counts[: int(keep.sum())] = self.inf_counts[keep]
+        counts[at] = lengths
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
         weights = np.empty(len(indices), dtype=np.float64)
 
-        # Unchanged rows: the changed ones cut the old row range into
-        # runs, and a run's edges are contiguous in old and new alike.
-        cuts = rows[rows < n_old]
+        # Unchanged rows: the changed and removed ones cut the old row
+        # range into runs, and a run's edges are contiguous in old and
+        # new alike.
+        old_at = np.fromiter(
+            (self.index[u] for u in changed if u in self.index),
+            dtype=np.int64,
+        )
+        cuts = np.union1d(old_at, gone)
         first = np.concatenate(([0], cuts + 1))
         last = np.concatenate((cuts, [n_old]))
         source = self.inf_indptr[first]
         sizes = self.inf_indptr[last] - source
         moved = np.flatnonzero(sizes)
+        new_first = first[moved] if remap is None else remap[first[moved]]
         old_indices, old_weights = self.inf_indices, self.inf_weights
         for lo, size, to in zip(
             source[moved].tolist(),
             sizes[moved].tolist(),
-            indptr[first[moved]].tolist(),
+            indptr[new_first].tolist(),
         ):
-            indices[to : to + size] = old_indices[lo : lo + size]
+            run = old_indices[lo : lo + size]
+            indices[to : to + size] = run if remap is None else remap[run]
             weights[to : to + size] = old_weights[lo : lo + size]
-        flat, _ = gather_ranges(indptr, rows)
+        flat, _ = gather_ranges(indptr, at)
         indices[flat] = targets
         weights[flat] = values
         return CSRSimGraph(users, indptr, indices, weights, index=index)
+
+    def rows(self, users: Iterable[int]) -> dict[int, dict[int, float]]:
+        """``{user: {influencer: similarity}}`` of the compiled
+        ``users``, each row in edge order, read in position order
+        (users the graph does not hold are left out)."""
+        index = self.index
+        at = np.array(
+            sorted({index[u] for u in users if u in index}), dtype=np.int64
+        )
+        flat, lengths = gather_ranges(self.inf_indptr, at)
+        targets = iter(self.users[self.inf_indices[flat]].tolist())
+        weights = iter(self.inf_weights[flat].tolist())
+        return {
+            user: dict(zip(islice(targets, length), islice(weights, length)))
+            for user, length in zip(self.users[at].tolist(), lengths.tolist())
+        }
+
+    def influenced(self, user: int) -> list[int]:
+        """Users whose rows hold ``user``, by ascending position."""
+        i = self.index.get(user)
+        if i is None:
+            return []
+        row = self.out_indices[self.out_indptr[i] : self.out_indptr[i + 1]]
+        return self.users[row].tolist()
 
     # ------------------------------------------------------------------
     # Queries
@@ -251,17 +278,20 @@ class ArraySimGraph(SimGraph):
     load_simgraph` with ``mmap=True``) and the scale benchmarks build
     graphs directly from ``(users, indptr, indices, weights)`` arrays —
     possibly ``np.memmap``-backed, so a million-edge graph "loads" in
-    the time it takes to parse a header.  This class is the SimGraph
-    face of those arrays:
+    the time it takes to parse a header — and delta maintenance returns
+    the graph it spliced as one (:meth:`from_csr`).  This class is the
+    SimGraph face of those arrays:
 
     * count/membership/row queries are answered from the arrays (plus a
       lazily built id index) without ever touching a dict adjacency;
     * :meth:`csr` compiles the :class:`CSRSimGraph` the ``csr``
-      propagation backend consumes — sharing the arrays zero-copy;
+      propagation backend and delta maintenance consume — sharing the
+      arrays zero-copy;
     * ``.graph`` materializes the dict-of-dict :class:`DiGraph` on
       first access, so every legacy consumer (reference propagation,
-      delta maintenance, Table-4 reporting) still works — it just pays
-      the materialization cost once, and only if it really needs it.
+      the other §6.3 strategies, Table-4 reporting) still works — it
+      just pays the materialization cost once, and only if it really
+      needs it.
 
     Rows keep the array order, so ``csr()`` and
     ``CSRSimGraph.from_simgraph(self)`` (via the materialized DiGraph)
@@ -294,6 +324,16 @@ class ArraySimGraph(SimGraph):
         self._graph_cache: DiGraph | None = None
         self._csr_cache: CSRSimGraph | None = None
         self._id_index: dict[int, int] | None = None
+
+    @classmethod
+    def from_csr(cls, csr: CSRSimGraph, tau: float) -> "ArraySimGraph":
+        """The SimGraph face of an already compiled graph (its arrays
+        and its :meth:`csr`)."""
+        graph = cls(
+            csr.users, csr.inf_indptr, csr.inf_indices, csr.inf_weights, tau
+        )
+        graph._csr_cache = csr
+        return graph
 
     # ------------------------------------------------------------------
     # Array-native queries (no DiGraph materialization)
@@ -334,9 +374,6 @@ class ArraySimGraph(SimGraph):
         if i is None:
             return 0
         return int(self._indptr[i + 1] - self._indptr[i])
-
-    def row(self, user: int) -> dict[int, float]:
-        return dict(self.influencers(user))
 
     def similarity(self, u: int, v: int) -> float:
         for target, weight in self.influencers(u):

@@ -33,19 +33,23 @@ merely as a co-retweeter of a dirty tweet (or as an extra source):
 
 So ``sim(u, w)`` and ``u``'s candidate set cannot have moved.  The
 **fringe** is therefore the ``hops``-hop in-neighbourhood of the *dirty
-users*, and each fringe row is patched in place on exactly its affected
-candidates.  Everything else is copied through untouched — shared, in
-fact: :meth:`DiGraph.copy` hands the old row objects to the refreshed
-graph and only written rows are duplicated.
+users*, and each fringe row is patched on exactly its affected
+candidates.  Everything else is carried over untouched, as arrays: the
+old rows the run rescores are read from the compiled graph
+(:class:`~repro.core.csr.CSRSimGraph`), only the rows that change become
+dicts, and :meth:`~repro.core.csr.CSRSimGraph.splice` block-copies the
+rest into the refreshed graph — no dict SimGraph is built.
 
 Fringe pair scores are computed from the core side (``sim`` is
 symmetric), so the whole run costs one inverted-index walk per *core*
-user, one bounded BFS per core user and one per dirty user instead of
-one walk and one BFS per *graph* user — the crossfold-beats-from-scratch
-bet of Figure 16, taken to its limit.  Walking the other side of a pair
-can reorder the float accumulation, so patched weights may differ from a
-from-scratch build by last-ulp round-off (the differential suite pins
-them within 1e-12; edge sets are identical).
+user and the bounded walks of the core and dirty users instead of one
+walk and one BFS per *graph* user — the crossfold-beats-from-scratch bet
+of Figure 16, taken to its limit.  The walks read the follow graph's CSR
+in bulk (:meth:`~repro.graph.followgraph.FollowGraph.reach`: one sparse
+product per hop for all sources together).  Walking the other side of a
+pair can reorder the float accumulation, so patched weights may differ
+from a from-scratch build by last-ulp round-off (the differential suite
+pins them within 1e-12; edge sets are identical).
 
 On the ``vectorized`` backend every stage is sized by the region too:
 the incidence is built from the inverted index over the core's own
@@ -66,20 +70,26 @@ end-to-end ledger's delivery digest: never sort a Gram here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
+from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.profiles import RetweetProfiles
 from repro.core.similarity import similarities_from
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.graph.digraph import DiGraph
+from repro.graph.followgraph import FollowGraph
 from repro.graph.traversal import k_hop_neighborhood
-from repro.obs import NULL, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.utils.topk import top_k_items
 
 __all__ = ["DeltaPlan", "DeltaReport", "affected_region", "apply_delta"]
+
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -185,7 +195,7 @@ class DeltaReport:
 
 def affected_region(
     profiles: RetweetProfiles,
-    exploration_graph: DiGraph,
+    exploration_graph: FollowGraph | DiGraph,
     extra_sources: Iterable[int] = (),
     hops: int = 2,
 ) -> DeltaPlan:
@@ -198,26 +208,28 @@ def affected_region(
     rule is unsound.  ``hops`` must match the builder's exploration
     radius.
     """
+    graph = FollowGraph.of(exploration_graph)
     dirty_users = profiles.dirty_users
     dirty_tweets = profiles.dirty_tweets
     core: set[int] = set(dirty_users)
     core.update(extra_sources)
     for tweet in dirty_tweets:
         core.update(profiles.retweeters(tweet))
-    needed: dict[int, set[int]] = {}
-    preds = exploration_graph.predecessors
     # Only a dirty user's scores toward non-core users can have moved
-    # (module docstring): the rest of the core has no fringe.
-    for w in dirty_users:
-        if w not in exploration_graph:
-            continue
-        # u reaches w within `hops` successor-steps iff w is in N_hops(u):
-        # expand the predecessor direction from w.
-        reaching = _within_hops(preds, w, hops)
+    # (module docstring): the rest of the core has no fringe.  u reaches
+    # w within `hops` successor-steps iff w is in N_hops(u): walk the
+    # predecessor direction from every dirty user at once.
+    sources = [w for w in dirty_users if w in graph]
+    at, _ = graph.positions(sources)
+    owner, found = graph.reach(at, hops, reverse=True)
+    reached = graph.ids[found].tolist()
+    bounds = np.searchsorted(owner, np.arange(len(sources) + 1)).tolist()
+    needed: dict[int, set[int]] = {}
+    for w, lo, hi in zip(sources, bounds, bounds[1:]):
+        reaching = set(reached[lo:hi])
         reaching -= core
-        if not reaching:
-            continue
-        needed[w] = reaching
+        if reaching:
+            needed[w] = reaching
     return DeltaPlan(
         core=frozenset(core),
         fringe=frozenset().union(*needed.values()),
@@ -227,30 +239,9 @@ def affected_region(
     )
 
 
-def _within_hops(
-    neighbors: Callable[[int], Iterable[int]], source: int, hops: int
-) -> set[int]:
-    """Everything within ``hops`` steps of ``source`` along ``neighbors``
-    (itself excluded), frontier by frontier: C-level set unions beat a
-    distance-tracking BFS here."""
-    seen = {source}
-    frontier: Iterable[int] = (source,)
-    for _ in range(hops):
-        grown: set[int] = set()
-        for x in frontier:
-            grown.update(neighbors(x))
-        grown -= seen
-        if not grown:
-            break
-        seen |= grown
-        frontier = grown
-    seen.discard(source)
-    return seen
-
-
 def _reference_core_state(
     core: list[int],
-    exploration_graph: DiGraph,
+    exploration_graph: FollowGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
     needed: dict[int, set[int]],
@@ -291,7 +282,7 @@ def _reference_core_state(
 
 def _vectorized_core_state(
     core: list[int],
-    exploration_graph: DiGraph,
+    exploration_graph: FollowGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
     needed: dict[int, set[int]],
@@ -301,17 +292,18 @@ def _vectorized_core_state(
     The incidence holds only what a core score can read
     (:meth:`~repro.core.simmatrix.SimilarityMatrix.around`).  Core users
     are scored in the chunks, and through the op sequence, of the full
-    vectorized build — ``gram_rows``, times a candidate mask, then
+    vectorized build — ``gram_rows``, times the chunk's rows of the
+    reachability matrix, then
     :func:`~repro.core.simmatrix.edges_from_masked_gram` — so each row
     keeps the edge order a from-scratch build gives it.  The same chunk
     Gram times the ``needed`` mask yields the fringe scores: only needed
-    pairs that share a tweet ever become Python objects.  Masks are
-    assembled per chunk, from one BFS per core user.
+    pairs that share a tweet ever become Python objects.
     """
     from repro.core.simmatrix import (
         DEFAULT_CHUNK_SIZE,
         SimilarityMatrix,
         edges_from_masked_gram,
+        reachability_matrix,
     )
 
     eligible = [
@@ -325,15 +317,13 @@ def _vectorized_core_state(
     if not eligible:
         return rows, sym, pairs
     matrix = SimilarityMatrix.around(profiles, eligible)
-    successors = exploration_graph.out_row
+    columns = matrix.positions(exploration_graph.ids)
     for start in range(0, len(eligible), DEFAULT_CHUNK_SIZE):
         chunk = eligible[start : start + DEFAULT_CHUNK_SIZE]
         row_idx, _ = matrix.positions(np.asarray(chunk, dtype=np.int64))
         gram = matrix.gram_rows(row_idx)
-        # A source is not in its own reach: the mask's diagonal is empty,
-        # which also removes self-similarity entries.
-        reach = _chunk_mask(
-            matrix, chunk, lambda u: _within_hops(successors, u, builder.hops)
+        reach = reachability_matrix(
+            exploration_graph, builder.hops, matrix, chunk, columns
         )
         masked = gram.multiply(reach).tocsr()
         pairs += int(masked.nnz)
@@ -363,39 +353,22 @@ def _chunk_mask(matrix, chunk, members):
     """0/1 CSR ``len(chunk) x universe`` marking ``members(u)`` on row
     ``u``, columns ascending (the canonical form the full build's mask
     rows have: the elementwise product's emission order depends on it).
-
     Members outside the matrix's universe share no tweet with a source
-    and are dropped; each member collection becomes an array and is
-    released before the next one is computed.
-    """
+    and are dropped."""
     from scipy import sparse
 
-    found: list[np.ndarray] = []
-    for u in chunk:
-        ids = members(u)
-        found.append(np.fromiter(ids, dtype=np.int64, count=len(ids)))
-    counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
-    ids = np.concatenate(found)
-    del found
-    owner = np.repeat(np.arange(len(chunk), dtype=np.int64), counts)
-    cols, keep = matrix.positions(ids)
-    # One sort of (row, column) packed into a single key: row-major,
-    # columns ascending within each row.
-    width = matrix.user_count
-    keys = owner[keep] * width + cols[keep]
-    keys.sort()
-    owner, cols = np.divmod(keys, width)
-    indptr = np.zeros(len(chunk) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=len(chunk)), out=indptr[1:])
+    found = [np.fromiter(members(u), dtype=np.int64) for u in chunk]
+    owner = np.repeat(np.arange(len(chunk)), [len(ids) for ids in found])
+    cols, keep = matrix.positions(np.concatenate([_NO_IDS, *found]))
     return sparse.csr_matrix(
-        (np.ones(len(cols)), cols, indptr),
-        shape=(len(chunk), width),
+        (np.ones(int(keep.sum())), (owner[keep], cols[keep])),
+        shape=(len(chunk), matrix.user_count),
     )
 
 
 def apply_delta(
     old: SimGraph,
-    exploration_graph: DiGraph,
+    exploration_graph: FollowGraph | DiGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
     plan: DeltaPlan | None = None,
@@ -404,19 +377,25 @@ def apply_delta(
     """Scoped maintenance: rescore only the affected region of ``old``.
 
     Returns ``(refreshed, report)``.  With an empty delta the *same*
-    graph object is returned and the report is a no-op.  The refreshed
-    graph's edges are identical to ``builder.build(exploration_graph,
+    graph object is returned and the report is a no-op.  Otherwise
+    ``refreshed`` is an :class:`~repro.core.csr.ArraySimGraph` over the
+    arrays :meth:`~repro.core.csr.CSRSimGraph.splice` made from the
+    compiled ``old`` (a dict-backed ``old`` is compiled first), and its
+    edges are identical to ``builder.build(exploration_graph,
     profiles)`` — a full from-scratch rebuild — with weights equal up
     to last-ulp float round-off on patched fringe pairs (see module
-    docstring); the differential suite pins both properties.
+    docstring); the differential suite pins both properties.  Nodes
+    keep the order the dict graph's edits give them: survivors in
+    place, new ones appended as they gain their first edge.
 
     With ``max_influencers`` set, a single rescored candidate can evict
     or admit *other* edges of a fringe row, so partial patching is
     unsound — fringe rows are promoted to full recomputation instead.
     """
     metrics = metrics if metrics is not None else builder.metrics
+    graph = FollowGraph.of(exploration_graph)
     if plan is None:
-        plan = affected_region(profiles, exploration_graph, hops=builder.hops)
+        plan = affected_region(profiles, graph, hops=builder.hops)
     metrics.counter("maintenance.dirty_users").inc(len(plan.dirty_users))
     metrics.counter("maintenance.dirty_tweets").inc(len(plan.dirty_tweets))
     if plan.is_empty:
@@ -433,31 +412,56 @@ def apply_delta(
     metrics.counter("maintenance.affected_users").inc(
         len(core) + len(fringe)
     )
+    compiled = (
+        old.csr()
+        if isinstance(old, ArraySimGraph)
+        else CSRSimGraph.from_simgraph(old)
+    )
 
     tau = builder.tau
     with metrics.span("maintenance.delta"):
         if builder.backend == "vectorized":
             rows, sym, pairs_rescored = _vectorized_core_state(
-                core_sorted, exploration_graph, profiles, builder, needed
+                core_sorted, graph, profiles, builder, needed
             )
         else:
             rows, sym, pairs_rescored = _reference_core_state(
-                core_sorted, exploration_graph, profiles, builder, needed
+                core_sorted, graph, profiles, builder, needed
             )
 
-        # Start from a clone of the old graph (unaffected pairs are
-        # bit-identical under from-scratch, so their rows stay) and
-        # apply only the changes: whole-row swaps for core users,
-        # per-candidate surgery for fringe rows.
+        # The only (fringe u, core w) pairs that can need work either
+        # score non-zero now (u appears in w's walk) or carried an edge
+        # before — both found by C-level set intersection, skipping the
+        # no-op majority of candidate pairs.
+        attention: dict[int, set[int]] = {}
+        for w in core_sorted:
+            wanted = needed.get(w)
+            if wanted:
+                near = (sym.get(w) or {}).keys() & wanted
+                near |= wanted.intersection(compiled.influenced(w))
+                attention[w] = near
+        # Old rows are read from the arrays once; only the rows that
+        # change become dicts of their own (``written``).  Nodes the
+        # refreshed graph gains are appended in the order a dict graph
+        # creates them: when they first end an edge.
+        before = compiled.rows(chain(core_sorted, *attention.values()))
+        written: dict[int, dict[int, float]] = {}
+        appended: dict[int, None] = {}
+
+        def create(*nodes: int) -> None:
+            for node in nodes:
+                if node not in compiled.index:
+                    appended.setdefault(node)
+
         changed: set[int] = set()
         topology_changed = False
-        rows_patched = len(fringe)
         maybe_isolated: set[int] = set()
-        result = old.graph.copy()
-        old_graph = old.graph
+        # Unaffected pairs are bit-identical under from-scratch, so their
+        # rows stay: whole-row swaps for core users, per-candidate
+        # surgery for fringe rows.
         for u in core_sorted:
             row = rows.get(u, {})
-            old_row = old_graph.out_row(u)
+            old_row = before.get(u, {})
             if row == old_row:
                 continue
             changed.add(u)
@@ -467,66 +471,71 @@ def apply_delta(
                 maybe_isolated.update(old_row.keys() - row.keys())
                 if not row:
                     maybe_isolated.add(u)
-            if u in result or row:
-                result.set_row(u, row)
-        # Fringe surgery runs core-side: for each core user w, the only
-        # (fringe u, w) pairs that can need work either score non-zero
-        # now (u appears in w's walk) or carried an edge before — both
-        # found by C-level set intersection, skipping the no-op majority
-        # of candidate pairs.  For a fixed w every fringe row is touched
-        # at most once, so the inner order is immaterial: surviving
-        # edges keep their positions and new edges append in
+                create(u, *(v for v in row if v not in old_row))
+            written[u] = row
+        # For a fixed w every fringe row is touched at most once, so
+        # surviving edges keep their positions and new edges append in
         # ascending-w outer order.
-        get_weight = result.get_weight
-        update_weight = result.update_weight
-        mark_changed = changed.add
-        for w in core_sorted:
-            wanted = needed.get(w)
-            if not wanted:
-                continue
+        for w, near in attention.items():
             scores = sym.get(w) or {}
-            attention = scores.keys() & wanted
-            if w in old_graph:
-                attention |= wanted.intersection(old_graph.predecessors(w))
-            for u in attention:
+            for u in near:
                 score = scores.get(u, 0.0)
-                old_weight = get_weight(u, w)
-                if score >= tau:
+                row = written.get(u, before.get(u, {}))
+                old_weight = row.get(w)
+                kept = score >= tau
+                if (old_weight == score) if kept else (old_weight is None):
+                    continue
+                if u not in written:
+                    row = written[u] = dict(row)
+                changed.add(u)
+                if kept:
                     if old_weight is None:
-                        result.add_edge(u, w, weight=score)
-                        mark_changed(u)
+                        create(u, w)
                         topology_changed = True
-                    elif old_weight != score:
-                        update_weight(u, w, score)
-                        mark_changed(u)
-                elif old_weight is not None:
-                    result.remove_edge(u, w)
-                    mark_changed(u)
+                    row[w] = score
+                else:
+                    del row[w]
                     topology_changed = True
                     maybe_isolated.update((u, w))
         # A from-scratch build holds exactly the endpoints of kept
-        # edges; drop any node the surgery left with no edge at all.
-        for node in sorted(maybe_isolated):
-            if (
-                node in result
-                and result.out_degree(node) == 0
-                and result.in_degree(node) == 0
-            ):
-                result.remove_node(node)
+        # edges; drop any node the surgery left with no edge at all (an
+        # appended node ends an edge, so only compiled ones can go).
+        gained: Counter[int] = Counter()
+        for u, row in written.items():
+            old_targets = before.get(u, {}).keys()
+            gained.update(row.keys() - old_targets)
+            gained.subtract(old_targets - row.keys())
+
+        def degree(node: int) -> int:
+            at = compiled.index[node]
+            out = len(written[node]) if node in written else compiled.inf_counts[at]
+            return out + len(compiled.influenced(node)) + gained[node]
+
+        removed = [
+            node
+            for node in sorted(maybe_isolated)
+            if node in compiled.index and not degree(node)
+        ]
+        for node in removed:
+            written.pop(node, None)
+        spliced = compiled.splice(
+            written, removed=removed, appended=list(appended)
+        )
 
     edges_added = edges_removed = 0
     if topology_changed:
         for u in changed:
-            before, after = old_graph.out_row(u).keys(), result.out_row(u).keys()
-            if before != after:  # most changed rows only re-weighed
-                edges_added += len(after - before)
-                edges_removed += len(before - after)
+            old_targets = before.get(u, {}).keys()
+            targets = written.get(u, {}).keys()
+            if old_targets != targets:  # most changed rows only re-weighed
+                edges_added += len(targets - old_targets)
+                edges_removed += len(old_targets - targets)
     report = DeltaReport(
         noop=False,
         core_size=len(core),
         fringe_size=len(fringe),
         rows_recomputed=len(core),
-        rows_patched=rows_patched,
+        rows_patched=len(fringe),
         pairs_rescored=pairs_rescored,
         changed_users=frozenset(changed),
         affected_users=frozenset(core) | fringe,
@@ -541,4 +550,4 @@ def apply_delta(
     ):
         metrics.counter(f"maintenance.{name}").inc(getattr(report, name))
     metrics.counter("maintenance.rows_changed").inc(len(changed))
-    return SimGraph(result, tau=old.tau), report
+    return ArraySimGraph.from_csr(spliced, old.tau), report

@@ -22,6 +22,7 @@ from repro.core.profiles import RetweetProfiles
 from repro.core.similarity import similarities_from
 from repro.core.simmatrix import DEFAULT_CHUNK_SIZE, simgraph_edges
 from repro.graph.digraph import DiGraph
+from repro.graph.followgraph import FollowGraph
 from repro.graph.metrics import GraphSummary, summarize_graph
 from repro.graph.traversal import k_hop_neighborhood
 from repro.obs import NULL, MetricsRegistry
@@ -87,18 +88,6 @@ class SimGraph:
         if user not in self.graph:
             return 0
         return self.graph.out_degree(user)
-
-    def row(self, user: int) -> dict[int, float]:
-        """F_u as a fresh ``{influencer: similarity}`` dict.
-
-        Preserves the graph's edge insertion order (which the CSR
-        compiler relies on) and is safe to mutate — the delta
-        maintenance engine copies unaffected rows and patches fringe
-        rows through this accessor.  Empty when ``user`` is absent.
-        """
-        if user not in self.graph:
-            return {}
-        return dict(self.graph.out_edges(user))
 
     def influenced(self, user: int) -> tuple[int, ...]:
         """Users that ``user`` influences (in-neighbours), as a snapshot."""
@@ -207,7 +196,7 @@ class SimGraphBuilder:
 
     def build(
         self,
-        exploration_graph: DiGraph,
+        exploration_graph: FollowGraph | DiGraph,
         profiles: RetweetProfiles,
         users: Iterable[int] | None = None,
     ) -> SimGraph:
@@ -254,7 +243,7 @@ class SimGraphBuilder:
     def edges_for_user(
         self,
         user: int,
-        exploration_graph: DiGraph,
+        exploration_graph: FollowGraph | DiGraph,
         profiles: RetweetProfiles,
     ) -> dict[int, float]:
         """The would-be out-edges of one user (used by :meth:`build`)."""

@@ -15,10 +15,10 @@ same sparsity pattern, so no index alignment between two products is ever
 needed.  Union sizes follow from the profile-size vector, and a whole
 batch of ``similarities_from`` rows reduces to a few array operations.
 
-:func:`simgraph_edges` builds on this for SimGraph construction: the
-k-hop candidate sets of *all* sources come from boolean powers of the
-exploration graph's adjacency matrix, and sources are scored in chunks
-against the shared :class:`SimilarityMatrix`.
+:func:`simgraph_edges` builds on this for SimGraph construction: sources
+are scored in chunks against the shared :class:`SimilarityMatrix`, and a
+chunk's k-hop candidate sets come from boolean sparse products over the
+exploration graph's CSR (:func:`reachability_matrix`).
 
 The backend is locked to the reference implementation by
 ``tests/test_backend_differential.py``: identical SimGraph edge sets,
@@ -35,6 +35,7 @@ from scipy import sparse
 
 from repro.core.profiles import RetweetProfiles
 from repro.graph.digraph import DiGraph
+from repro.graph.followgraph import FollowGraph
 from repro.obs import NULL, MetricsRegistry
 
 __all__ = [
@@ -278,44 +279,45 @@ class SimilarityMatrix:
 
 
 def reachability_matrix(
-    graph: DiGraph, hops: int, index: Mapping[int, int], size: int
+    graph: FollowGraph | DiGraph,
+    hops: int,
+    matrix: SimilarityMatrix,
+    sources: Iterable[int],
+    columns: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> sparse.csr_matrix:
-    """0/1 CSR of "within ``hops`` successor-steps" for every graph node.
+    """0/1 CSR of "within ``hops`` successor-steps", in ``matrix``'s
+    universe column space.
 
-    Row ``index[u]`` marks exactly ``k_hop_neighborhood(graph, u, hops)``
-    (source excluded) in the shared universe column space — the candidate
-    masks of the whole SimGraph build from ``hops - 1`` boolean sparse
-    matmuls instead of one BFS per user.
+    Row ``r`` marks ``k_hop_neighborhood(graph, sources[r], hops)``
+    (source excluded) intersected with the universe; a source outside
+    the graph gets an empty row.  Passing the whole universe in position
+    order gives the candidate masks of the whole SimGraph build; a build
+    or a delta asks for one chunk of sources at a time.  The walk is
+    :meth:`~repro.graph.followgraph.FollowGraph.reach` over the follow
+    CSR — one boolean sparse product per hop, with intermediate users
+    outside the universe included — and rows come out canonical
+    (columns ascending), the form the elementwise product with a Gram
+    chunk depends on for its emission order.
+
+    ``columns`` is ``matrix.positions(graph.ids)``; a caller scoring
+    many chunks against one graph computes it once.
     """
-    rows: list[int] = []
-    cols: list[int] = []
-    for u in graph.nodes():
-        i = index[u]
-        for v in graph.successors(u):
-            rows.append(i)
-            cols.append(index[v])
-    adjacency = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(size, size)
-    )
-    reach = adjacency.copy()
-    frontier = adjacency
-    for _ in range(hops - 1):
-        frontier = (frontier @ adjacency).tocsr()
-        if frontier.nnz == 0:
-            break
-        frontier.data[:] = 1.0
-        reach = (reach + frontier).tocsr()
-        reach.data[:] = 1.0
-    coo = reach.tocoo()
-    off_diagonal = coo.row != coo.col
+    graph = FollowGraph.of(graph)
+    if columns is None:
+        columns = matrix.positions(graph.ids)
+    at, inside = graph.positions(sources)
+    owner, found = graph.reach(at[inside], hops)
+    cols, present = columns
+    keep = present[found]
+    rows = np.flatnonzero(inside)[owner[keep]]
     return sparse.csr_matrix(
-        (coo.data[off_diagonal], (coo.row[off_diagonal], coo.col[off_diagonal])),
-        shape=(size, size),
+        (np.ones(len(rows)), (rows, cols[found[keep]])),
+        shape=(len(inside), matrix.user_count),
     )
 
 
 def simgraph_edges(
-    exploration_graph: DiGraph,
+    exploration_graph: FollowGraph | DiGraph,
     profiles: RetweetProfiles,
     sources: Iterable[int],
     tau: float,
@@ -335,18 +337,17 @@ def simgraph_edges(
     timings and chunk/pair counters.
     """
     metrics = metrics if metrics is not None else NULL
+    graph = FollowGraph.of(exploration_graph)
     eligible = [
         u
         for u in sources
-        if u in exploration_graph and profiles.has_profile(u)
+        if u in graph and profiles.has_profile(u)
     ]
     if not eligible:
         return []
     with metrics.span("simgraph.candidate_masks"):
-        matrix = SimilarityMatrix(profiles, extra_users=exploration_graph.nodes())
-        reach = reachability_matrix(
-            exploration_graph, hops, matrix.index, matrix.user_count
-        )
+        matrix = SimilarityMatrix(profiles, extra_users=graph.nodes())
+        columns = matrix.positions(graph.ids)
     chunks = [
         eligible[start : start + chunk_size]
         for start in range(0, len(eligible), chunk_size)
@@ -357,6 +358,7 @@ def simgraph_edges(
     with metrics.span("simgraph.score_chunks"):
         for chunk in chunks:
             started = time.perf_counter()
+            reach = reachability_matrix(graph, hops, matrix, chunk, columns)
             edges.extend(
                 _chunk_edges(matrix, reach, chunk, tau, max_influencers, metrics)
             )
@@ -374,15 +376,16 @@ def _chunk_edges(
 ) -> list[tuple[int, dict[int, float]]]:
     """Score one chunk of sources and threshold/cap their edges.
 
-    The candidate mask is applied to the *complex Gram* rows before any
-    score is computed, so similarities are only ever evaluated for the
-    (source, k-hop candidate) pairs the reference build would score.  The
-    mask's diagonal is empty, which also removes self-similarity entries.
+    The candidate mask (``reach``, one row per source) is applied to the
+    *complex Gram* rows before any score is computed, so similarities
+    are only ever evaluated for the (source, k-hop candidate) pairs the
+    reference build would score.  The mask's diagonal is empty, which
+    also removes self-similarity entries.
     """
     row_idx = np.asarray(
         [matrix.position(u) for u in chunk], dtype=np.int64
     )
-    masked = matrix.gram_rows(row_idx).multiply(reach[row_idx]).tocsr()
+    masked = matrix.gram_rows(row_idx).multiply(reach).tocsr()
     metrics.counter("simgraph.pairs_scored").inc(int(masked.nnz))
     return edges_from_masked_gram(
         matrix, chunk, row_idx, masked, tau, max_influencers

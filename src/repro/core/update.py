@@ -28,6 +28,7 @@ from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data.models import Retweet
 from repro.graph.digraph import DiGraph
+from repro.graph.followgraph import FollowGraph
 
 __all__ = [
     "from_scratch",
@@ -44,13 +45,13 @@ __all__ = [
 #: Signature shared by all strategies: (old graph, follow graph, updated
 #: profiles, builder) -> refreshed graph.
 UpdateStrategy = Callable[
-    [SimGraph, DiGraph, RetweetProfiles, SimGraphBuilder], SimGraph
+    [SimGraph, FollowGraph | DiGraph, RetweetProfiles, SimGraphBuilder], SimGraph
 ]
 
 
 def from_scratch(
     old: SimGraph,
-    follow_graph: DiGraph,
+    follow_graph: FollowGraph | DiGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> SimGraph:
@@ -60,7 +61,7 @@ def from_scratch(
 
 def old_simgraph(
     old: SimGraph,
-    follow_graph: DiGraph,
+    follow_graph: FollowGraph | DiGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> SimGraph:
@@ -70,7 +71,7 @@ def old_simgraph(
 
 def crossfold(
     old: SimGraph,
-    follow_graph: DiGraph,
+    follow_graph: FollowGraph | DiGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> SimGraph:
@@ -88,7 +89,7 @@ def crossfold(
 
 def update_weights(
     old: SimGraph,
-    follow_graph: DiGraph,
+    follow_graph: FollowGraph | DiGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> SimGraph:
@@ -109,7 +110,7 @@ def update_weights(
 
 def delta(
     old: SimGraph,
-    follow_graph: DiGraph,
+    follow_graph: FollowGraph | DiGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> SimGraph:
@@ -142,7 +143,7 @@ ALL_STRATEGIES = STRATEGIES
 def apply_strategy(
     name: str,
     old: SimGraph,
-    follow_graph: DiGraph,
+    follow_graph: FollowGraph | DiGraph,
     train: list[Retweet],
     extra: list[Retweet],
     builder: SimGraphBuilder | None = None,

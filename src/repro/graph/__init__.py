@@ -1,9 +1,10 @@
-"""Graph substrate: directed graph, traversal, metrics, bipartite
-interaction graph and social-graph generators."""
+"""Graph substrate: directed graph, array-backed follow graph, traversal,
+metrics, bipartite interaction graph and social-graph generators."""
 
 from repro.graph.bipartite import Interaction, InteractionGraph
 from repro.graph.communities import label_propagation_communities, modularity
 from repro.graph.digraph import DiGraph
+from repro.graph.followgraph import FollowGraph
 from repro.graph.generators import community_preferential_graph
 from repro.graph.metrics import (
     GraphSummary,
@@ -19,6 +20,7 @@ from repro.graph.traversal import (
 
 __all__ = [
     "DiGraph",
+    "FollowGraph",
     "label_propagation_communities",
     "modularity",
     "GraphSummary",

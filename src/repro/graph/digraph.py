@@ -42,13 +42,6 @@ class DiGraph:
         self._succ: dict[Node, dict[Node, float]] = {}
         self._pred: dict[Node, set[Node]] = {}
         self._edge_count = 0
-        #: Structural sharing (see :meth:`copy`).  ``None``: every row
-        #: dict and predecessor set is this graph's alone.  Otherwise the
-        #: nodes whose row / set this graph has made private since it
-        #: last took part in a copy; anything else may be shared and is
-        #: copied before its first write.
-        self._own_rows: set[Node] | None = None
-        self._own_preds: set[Node] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -74,51 +67,41 @@ class DiGraph:
             raise GraphError(f"self-loop on node {u!r} is not allowed")
         self.add_node(u)
         self.add_node(v)
-        if self._own_rows is None:
-            # Nothing shared (bulk construction): skip the ownership probes.
-            row, preds = self._succ[u], self._pred[v]
-        else:
-            row, preds = self._writable_row(u), self._writable_preds(v)
+        row = self._succ[u]
         if v not in row:
             self._edge_count += 1
         row[v] = weight
-        preds.add(u)
+        self._pred[v].add(u)
 
     def set_row(self, u: Node, row: dict[Node, float]) -> None:
         """Replace every outgoing edge of ``u`` with ``row`` in one step.
 
-        The delta maintenance engine swaps whole recomputed rows into a
-        copied graph; ``row``'s iteration order becomes the new edge
-        order (which the CSR compiler preserves).  ``u`` is created if
-        absent; targets are auto-created like :meth:`add_edge`.
+        ``row``'s iteration order becomes the new edge order (which the
+        CSR compiler preserves).  ``u`` is created if absent; targets are
+        auto-created like :meth:`add_edge`.
         """
         if u in row:
             raise GraphError(f"self-loop on node {u!r} is not allowed")
         self.add_node(u)
         old = self._succ[u]
-        # The row is replaced, not written: a shared one is left alone.
         self._succ[u] = dict(row)
-        if self._own_rows is not None:
-            self._own_rows.add(u)
         if row.keys() == old.keys():
             # Weights-only swap: no predecessor bookkeeping to redo.
             return
-        # Only targets that left or joined the row have their
-        # predecessor set written (and so made private).
         for v in old.keys() - row.keys():
-            self._writable_preds(v).discard(u)
+            self._pred[v].discard(u)
         for v in row:
             if v not in old:
                 self.add_node(v)
-                self._writable_preds(v).add(u)
+                self._pred[v].add(u)
         self._edge_count += len(row) - len(old)
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Delete the edge ``u -> v``; raises GraphError when absent."""
         if not self.has_edge(u, v):
             raise GraphError(f"edge {u!r} -> {v!r} does not exist")
-        del self._writable_row(u)[v]
-        self._writable_preds(v).discard(u)
+        del self._succ[u][v]
+        self._pred[v].discard(u)
         self._edge_count -= 1
 
     def remove_node(self, node: Node) -> None:
@@ -172,31 +155,6 @@ class DiGraph:
         except KeyError:
             raise GraphError(f"edge {u!r} -> {v!r} does not exist") from None
 
-    def get_weight(
-        self, u: Node, v: Node, default: float | None = None
-    ) -> float | None:
-        """Weight of ``u -> v``, or ``default`` when the edge is absent.
-
-        One lookup instead of a ``has_edge`` + ``weight`` pair — the
-        delta maintenance engine probes every patched pair this way.
-        """
-        row = self._succ.get(u)
-        if row is None:
-            return default
-        return row.get(v, default)
-
-    def update_weight(self, u: Node, v: Node, weight: float) -> None:
-        """Overwrite the weight of the *existing* edge ``u -> v``.
-
-        Skips the endpoint bookkeeping of :meth:`add_edge` (both nodes
-        and the predecessor link already exist); raises GraphError when
-        the edge does not.
-        """
-        row = self._succ.get(u)
-        if row is None or v not in row:
-            raise GraphError(f"edge {u!r} -> {v!r} does not exist")
-        self._writable_row(u)[v] = weight
-
     def successors(self, node: Node) -> Iterator[Node]:
         """Nodes reachable by one outgoing edge from ``node``."""
         self._check_node(node)
@@ -234,22 +192,6 @@ class DiGraph:
         if node not in self._succ:
             raise GraphError(f"node {node!r} does not exist")
 
-    def _writable_row(self, u: Node) -> dict[Node, float]:
-        """``u``'s row dict, made private first if it may be shared."""
-        row = self._succ[u]
-        if self._own_rows is not None and u not in self._own_rows:
-            row = self._succ[u] = dict(row)
-            self._own_rows.add(u)
-        return row
-
-    def _writable_preds(self, v: Node) -> set[Node]:
-        """``v``'s predecessor set, made private first if it may be shared."""
-        preds = self._pred[v]
-        if self._own_preds is not None and v not in self._own_preds:
-            preds = self._pred[v] = set(preds)
-            self._own_preds.add(v)
-        return preds
-
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
@@ -275,26 +217,12 @@ class DiGraph:
         return rev
 
     def copy(self) -> "DiGraph":
-        """Independent copy of the graph structure and weights.
-
-        Costs two shallow dict copies, not one per row: the copy *shares*
-        every row dict and predecessor set with its source, and either
-        side copies one the first time it writes to it — so a write on
-        one side never shows on the other, and the work is proportional
-        to what is later changed, not to the graph.  The delta
-        maintenance engine clones the previous SimGraph on every run to
-        change a few percent of its rows, and a failed run must leave
-        the previous graph intact.  Node and per-row edge orders are
-        preserved exactly.
-        """
+        """Independent copy of the graph structure and weights; node and
+        per-row edge orders are preserved exactly."""
         dup = DiGraph()
-        dup._succ = dict(self._succ)
-        dup._pred = dict(self._pred)
+        dup._succ = {u: dict(row) for u, row in self._succ.items()}
+        dup._pred = {v: set(preds) for v, preds in self._pred.items()}
         dup._edge_count = self._edge_count
-        # Everything is shared from here on, whatever either side had
-        # made private before.
-        self._own_rows, self._own_preds = set(), set()
-        dup._own_rows, dup._own_preds = set(), set()
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -53,6 +53,7 @@ from repro.core.warmcache import DEFAULT_CAPACITY, WarmStateCache
 from repro.data.models import Retweet, Tweet
 from repro.exceptions import ConfigError, DatasetError
 from repro.graph.digraph import DiGraph
+from repro.graph.followgraph import FollowGraph
 from repro.obs import MetricsRegistry
 
 __all__ = [
@@ -143,7 +144,7 @@ class Candidates(NamedTuple):
 
 
 #: A released task and its seed set, fixed when it was released.
-Seeded = tuple[PropagationTask, set[int]]
+Seeded = tuple[PropagationTask, frozenset[int]]
 
 _NO_USERS = np.empty(0, dtype=np.int64)
 _NO_SCORES = np.empty(0, dtype=np.float64)
@@ -242,14 +243,9 @@ class RecommendationService:
         self.config = config if config is not None else ServiceConfig()
         self.threshold = threshold if threshold is not None else DynamicThreshold()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.follow_graph = DiGraph()
+        self.follow_graph = FollowGraph()
         self.profiles = RetweetProfiles()
         self.tweets: dict[int, Tweet] = {}
-        self._retweeters: dict[int, set[int]] = {}
-        #: Followers who gained a follow edge since the last rebuild —
-        #: their exploration neighbourhoods changed without any profile
-        #: dirt, so the delta strategy must treat them as extra sources.
-        self._new_follow_sources: set[int] = set()
         self._scheduler = (
             PostponedScheduler(delay_policy or DelayPolicy(), metrics=self.metrics)
             if self.config.use_scheduler
@@ -271,9 +267,8 @@ class RecommendationService:
             hops=self._hops,
             metrics=self.metrics,
         )
-        self._simgraph = SimGraph(DiGraph(), tau=self.config.tau)
         self._csr: CSRSimGraph | None = None
-        self._engine = self._make_engine(self._simgraph)
+        self._install(SimGraph(DiGraph(), tau=self.config.tau))
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -283,11 +278,9 @@ class RecommendationService:
         self.follow_graph.add_node(user)
 
     def add_follow(self, follower: int, followee: int) -> None:
-        """Register a follow edge (auto-registers unknown accounts)."""
-        if self.follow_graph.has_edge(follower, followee):
-            return
+        """Register a follow edge (auto-registers unknown accounts; a
+        repeated follow changes nothing)."""
         self.follow_graph.add_edge(follower, followee)
-        self._new_follow_sources.add(follower)
 
     def post_tweet(self, tweet_id: int, author: int, at: float) -> None:
         """Register an original post."""
@@ -362,9 +355,11 @@ class RecommendationService:
         changed since the last rebuild, co-retweeters of weight-changed
         tweets, followers whose candidate sets grew, and their
         exploration fringe.  Its report then scopes the warm-cache
-        invalidation to tweets whose seeds intersect the affected users
-        and, on the ``csr`` propagation backend, drives the refresh of
-        the compiled structure (:meth:`~repro.core.csr.CSRSimGraph.splice`).
+        invalidation to tweets whose seeds intersect the affected users,
+        and the refreshed graph it returns is already compiled
+        (:meth:`~repro.core.csr.CSRSimGraph.splice`).  On the ``csr``
+        propagation backend the service keeps only the compiled graph
+        after any rebuild.
         """
         name = strategy if strategy is not None else self.config.rebuild_strategy
         _check_strategy(name)
@@ -383,17 +378,15 @@ class RecommendationService:
                 built = self._builder.build(self.follow_graph, self.profiles)
             elif name == "delta":
                 used = name
-                extra: set[int] = set()
-                for follower in self._new_follow_sources:
-                    extra.add(follower)
-                    if follower in self.follow_graph:
-                        # The new edge also extends the 2-hop reach of
-                        # everyone already following the follower.
-                        extra.update(self.follow_graph.predecessors(follower))
+                graph = self.follow_graph
+                fresh = graph.new_sources()
+                # A new edge also extends the 2-hop reach of everyone
+                # already following its source.
+                _, followers = graph.reach(fresh, 1, reverse=True)
                 plan = affected_region(
                     self.profiles,
-                    self.follow_graph,
-                    extra_sources=sorted(extra),
+                    graph,
+                    extra_sources=graph.ids[np.union1d(fresh, followers)].tolist(),
                     hops=self._hops,
                 )
                 built, report = self._apply_delta(plan)
@@ -409,10 +402,9 @@ class RecommendationService:
         # Dirt consumed: every strategy has now seen the accumulated
         # profile changes and follow additions.
         self.profiles.mark_clean()
-        self._new_follow_sources.clear()
+        self.follow_graph.mark_clean()
         self._invalidate_warm(report)
-        self._simgraph = built
-        self._engine = self._make_engine(built, report=report)
+        built = self._install(built, report=report)
         self.stats.rebuilds += 1
         self.stats.last_rebuild_at = self._clock
         return built
@@ -445,16 +437,16 @@ class RecommendationService:
         """Make ``simgraph`` the current graph without building it.
 
         Counts as a rebuild (see :meth:`load_snapshot`); the offline
-        recommender adopts an injected SimGraph the same way.
+        recommender adopts an injected SimGraph the same way.  Returns
+        the graph the service now holds (:meth:`_install`).
         """
-        self._simgraph = simgraph
-        self._engine = self._make_engine(simgraph)
+        adopted = self._install(simgraph)
         self._invalidate_warm(None)
         self.profiles.mark_clean()
-        self._new_follow_sources.clear()
+        self.follow_graph.mark_clean()
         self.stats.rebuilds += 1
         self.stats.last_rebuild_at = self._clock
-        return simgraph
+        return adopted
 
     def _invalidate_warm(self, report: DeltaReport | None) -> None:
         """Drop warm propagation state made stale by a rebuild.
@@ -477,7 +469,7 @@ class RecommendationService:
         stale = [
             tweet
             for tweet in self._warm.tweets()
-            if not self._retweeters.get(tweet, set()).isdisjoint(affected)
+            if not self.profiles.retweeters(tweet).isdisjoint(affected)
         ]
         dropped = self._warm.invalidate_tweets(stale)
         self.metrics.counter("maintenance.cache_invalidations").inc(dropped)
@@ -579,15 +571,15 @@ class RecommendationService:
         return released
 
     def _seeded(self, tasks: list[PropagationTask]) -> list[Seeded]:
-        """Pair each task with its seed set as of now."""
+        """Pair each task with its seed set as of now: the tweet's
+        retweeters plus the task's users."""
         return [
-            (task, self._retweeters.get(task.tweet, set()).union(task.users))
+            (task, self.profiles.retweeters(task.tweet).union(task.users))
             for task in tasks
         ]
 
     def _absorb(self, event: Retweet) -> None:
         self.profiles.add(event.user, event.tweet)
-        self._retweeters.setdefault(event.tweet, set()).add(event.user)
         self._known_of(event.tweet).add(event.user)
 
     def _known_of(self, tweet: int) -> _KnownUsers:
@@ -611,7 +603,7 @@ class RecommendationService:
             for task, _ in released
         ]
         slots: list[int] = []
-        runnable: list[tuple[PropagationTask, float | None, set[int]]] = []
+        runnable: list[tuple[PropagationTask, float | None, frozenset[int]]] = []
         for i, (task, seeds) in enumerate(released):
             tweet = self.tweets.get(task.tweet)
             created_at = tweet.created_at if tweet is not None else None
@@ -856,7 +848,7 @@ class RecommendationService:
     def _candidates(self, state, tweet: int) -> tuple[np.ndarray, np.ndarray]:
         """Recommendees of ``tweet`` in a fixpoint ``state``, by user."""
         return nonseed_candidates(
-            state, self._retweeters.get(tweet, ()), self.config.min_score
+            state, self.profiles.retweeters(tweet), self.config.min_score
         )
 
     # ------------------------------------------------------------------
@@ -873,45 +865,36 @@ class RecommendationService:
             metrics=self.metrics,
         )
 
-    def _compile(self, simgraph: SimGraph) -> CSRSimGraph:
-        """Compiled form of ``simgraph``; an array-backed (snapshot)
-        graph shares its sections zero-copy instead of materializing
-        the dict adjacency."""
-        self.metrics.counter("propagation.csr_compiled").inc()
-        if isinstance(simgraph, ArraySimGraph):
-            return simgraph.csr()
-        return CSRSimGraph.from_simgraph(simgraph)
-
-    def _make_engine(
+    def _install(
         self, simgraph: SimGraph, report: DeltaReport | None = None
-    ):
-        """Propagation engine for ``simgraph`` on the configured backend.
+    ) -> SimGraph:
+        """Make ``simgraph`` current and build the engine over it.
 
-        On the ``csr`` backend the compiled CSR is refreshed here: a
-        delta report splices its changed rows into a new structure
-        (:meth:`~repro.core.csr.CSRSimGraph.splice` — edges added and
-        removed included, a read-only memory-mapped source included);
-        anything else compiles.
+        On the ``csr`` backend the compiled graph is all the service
+        keeps: a delta (``report``) hands back the graph it spliced, and
+        anything else is compiled here — an array-backed (snapshot)
+        graph zero-copy — in place of its dict form.  Returns the graph
+        the service now holds.
         """
         if self.config.prop_backend == "csr":
-            refreshed = None
-            if self._csr is not None and report is not None:
-                if report.noop:
-                    refreshed = self._csr
-                else:
-                    refreshed = self._csr.splice(simgraph, report.changed_users)
-                    if refreshed is not None:
-                        self.metrics.counter("propagation.csr_spliced").inc()
-            self._csr = (
-                refreshed if refreshed is not None else self._compile(simgraph)
-            )
-        return make_propagation_engine(
+            if report is None:
+                self.metrics.counter("propagation.csr_compiled").inc()
+                if not isinstance(simgraph, ArraySimGraph):
+                    simgraph = ArraySimGraph.from_csr(
+                        CSRSimGraph.from_simgraph(simgraph), simgraph.tau
+                    )
+            elif not report.noop:
+                self.metrics.counter("propagation.csr_spliced").inc()
+            self._csr = simgraph.csr()
+        self._simgraph = simgraph
+        self._engine = make_propagation_engine(
             simgraph,
             prop_backend=self.config.prop_backend,
             threshold=self.threshold,
             metrics=self.metrics,
             csr=self._csr,
         )
+        return simgraph
 
     @property
     def simgraph(self) -> SimGraph:
@@ -944,7 +927,7 @@ class RecommendationService:
         unknown = [t for t in tweet_ids if t not in self.tweets]
         if unknown:
             raise DatasetError(f"unknown tweet ids {unknown}")
-        seed_sets = [set(self._retweeters.get(t, set())) for t in tweet_ids]
+        seed_sets = [self.profiles.retweeters(t) for t in tweet_ids]
         self._engine.propagate_many(
             seed_sets,
             popularities=[len(seeds) for seeds in seed_sets],

@@ -5,8 +5,9 @@ import tracemalloc
 import pytest
 
 from repro.core import RetweetProfiles, SimGraphBuilder
+from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.delta import DeltaPlan, affected_region, apply_delta
-from repro.graph import DiGraph
+from repro.graph import DiGraph, FollowGraph
 from repro.obs import MetricsRegistry
 
 
@@ -269,8 +270,11 @@ class TestApplyDelta:
         assert actual.keys() == expected.keys()
         for pair, weight in actual.items():
             assert weight == pytest.approx(expected[pair], abs=1e-12)
-        # The row nobody looked at is the very object the old graph holds.
-        assert refreshed.graph.out_row(FOLLOWER) is old.graph.out_row(FOLLOWER)
+        # The row nobody looked at is carried over as it was.
+        assert FOLLOWER not in report.changed_users
+        assert list(refreshed.influencers(FOLLOWER)) == list(
+            old.influencers(FOLLOWER)
+        )
 
     def test_report_says_what_was_written(self):
         graph, profiles, builder, old = self.build_world()
@@ -336,7 +340,7 @@ class TestApplyDelta:
 
 def ring_world(components: int, size: int = 20):
     """Disjoint ``size``-user follow rings; neighbours share a tweet."""
-    graph, profiles = DiGraph(), RetweetProfiles()
+    graph, profiles = FollowGraph(), RetweetProfiles()
     for base in range(0, components * size, size):
         for i in range(size):
             graph.add_edge(base + i, base + (i + 1) % size)
@@ -349,15 +353,17 @@ def ring_world(components: int, size: int = 20):
 @pytest.mark.parametrize("backend", ["reference", "vectorized"])
 def test_delta_memory_follows_the_region_not_the_corpus(backend):
     """One fixed delta inside the first ring, on a corpus of 100 rings
-    and of 400: what ``apply_delta`` allocates at its peak may grow only
-    by the copied graph's two node tables (a pointer per untouched user
-    and direction, ~75 bytes) — not by a row dict and predecessor set per
-    user (~500 bytes, what a deep copy costs), nor by an incidence row."""
+    and of 400, from the compiled graph a service holds: what
+    ``apply_delta`` allocates at its peak may grow only by the spliced
+    arrays (a few words per untouched user and edge) — not by a row
+    dict per user, nor by an incidence row, nor by a walk over the
+    whole follow graph."""
 
     def peak(components):
         graph, profiles = ring_world(components)
         builder = SimGraphBuilder(tau=1e-6, backend=backend)
-        old = builder.build(graph, profiles)
+        built = builder.build(graph, profiles)
+        old = ArraySimGraph.from_csr(CSRSimGraph.from_simgraph(built), built.tau)
         profiles.mark_clean()
         for user in range(5):
             profiles.add(user, (user + 7) % 20)

@@ -179,7 +179,7 @@ def test_reversed_twice_is_identity(edges):
 
 
 # ----------------------------------------------------------------------
-# Structural sharing: copy() shares rows, the first write un-shares one
+# Copies are independent
 # ----------------------------------------------------------------------
 def deep_clone(graph: DiGraph) -> DiGraph:
     """The oracle's copy: nothing shared, rebuilt edge by edge."""
@@ -210,8 +210,6 @@ def mutate(graph: DiGraph, op) -> str:
             graph.add_edge(u, v, weight=w)
         elif kind == "set_row":
             graph.set_row(u, {t: w for t in range(v % 4, v) if t != u})
-        elif kind == "update_weight":
-            graph.update_weight(u, v, w)
         elif kind == "remove_edge":
             graph.remove_edge(u, v)
         elif kind == "remove_node":
@@ -223,7 +221,7 @@ def mutate(graph: DiGraph, op) -> str:
 
 MUTATIONS = st.tuples(
     st.sampled_from(
-        ["add_edge", "set_row", "update_weight", "remove_edge", "remove_node"]
+        ["add_edge", "set_row", "remove_edge", "remove_node"]
     ),
     st.integers(0, 7),
     st.integers(0, 7),
@@ -249,7 +247,7 @@ MUTATIONS = st.tuples(
 def test_copies_never_see_each_others_writes(edges, steps):
     """Property: whatever is written to a graph, its copies, or copies of
     copies, each one stays equal to a deep-copied oracle that received
-    the same writes — rows shared by ``copy()`` never leak a write, and
+    the same writes — no write leaks across a ``copy()``, and
     ``edge_count`` / ``in_degree`` stay right on every side."""
     first = DiGraph()
     for u, v in edges:
@@ -265,19 +263,3 @@ def test_copies_never_see_each_others_writes(edges, steps):
             assert mutate(graphs[which], op) == mutate(oracles[which], op)
         for graph, oracle in zip(graphs, oracles):
             assert observable(graph) == observable(oracle)
-
-
-def test_copy_shares_rows_until_written():
-    """The point of the sharing: an untouched row is the same object on
-    both sides, a written one is not — on whichever side wrote."""
-    g = build_triangle()
-    dup = g.copy()
-    assert dup.out_row(0) is g.out_row(0)
-    dup.update_weight(0, 1, 0.25)
-    assert dup.out_row(0) is not g.out_row(0)
-    assert g.weight(0, 1) == 0.5
-    g.add_edge(1, 0, weight=0.1)
-    assert dup.out_row(1) is not g.out_row(1)
-    assert not dup.has_edge(1, 0)
-    assert dup.in_degree(0) == 1 and g.in_degree(0) == 2
-    assert dup.out_row(2) is g.out_row(2)

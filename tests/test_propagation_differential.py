@@ -663,7 +663,7 @@ def apply_edits(graph: DiGraph, edits) -> set[int]:
     for kind, u, v, w in edits:
         row = graph.out_row(u)
         if kind == "weight" and row:
-            graph.update_weight(u, next(iter(row)), w)
+            graph.add_edge(u, next(iter(row)), weight=w)
         elif kind == "add" and u != v:
             graph.add_edge(u, v, weight=w)
         elif kind == "remove" and row:
@@ -681,8 +681,9 @@ def apply_edits(graph: DiGraph, edits) -> set[int]:
 def test_splice_equals_recompile_property(case):
     """Property: splicing the changed rows into a compiled graph gives
     the arrays and index a recompile gives — for weight-only, edge-adding,
-    edge-removing, reordering and node-appending deltas — and never
-    writes to its (here read-only) source."""
+    edge-removing, reordering, node-appending and node-removing deltas
+    (every node left without an edge goes, as after delta surgery) — and
+    never writes to its (here read-only) source."""
     simgraph, edits = case
     compiled = CSRSimGraph.from_simgraph(simgraph)
     for name in CSR_ARRAYS:
@@ -690,29 +691,22 @@ def test_splice_equals_recompile_property(case):
     before = {name: getattr(compiled, name).copy() for name in CSR_ARRAYS}
     index_before = dict(compiled.index)
     updated = SimGraph(simgraph.graph.copy(), tau=simgraph.tau)
-    changed = apply_edits(updated.graph, edits)
-    spliced = compiled.splice(updated, changed)
-    assert spliced is not None and spliced is not compiled
+    graph = updated.graph
+    changed = apply_edits(graph, edits)
+    removed = [
+        u for u in list(graph.nodes())
+        if graph.out_degree(u) == 0 and graph.in_degree(u) == 0
+    ]
+    for u in removed:
+        graph.remove_node(u)
+    spliced = compiled.splice(
+        {u: graph.out_row(u) for u in changed if u in graph},
+        removed=[u for u in removed if u in compiled],
+        appended=[u for u in graph.nodes() if u not in compiled],
+    )
+    assert spliced is not compiled
     assert_same_compiled(spliced, CSRSimGraph.from_simgraph(updated))
     assert spliced.inf_weights.flags.writeable
     for name in CSR_ARRAYS:
         assert np.array_equal(getattr(compiled, name), before[name]), name
     assert compiled.index == index_before
-
-
-def test_splice_declines_removed_or_reordered_nodes():
-    """A compiled node that is gone, or a different node order, shifts
-    positions under every row: the splice says so and the caller
-    recompiles."""
-    simgraph = random_graph(8, 20, seed=3)
-    compiled = CSRSimGraph.from_simgraph(simgraph)
-    removed = SimGraph(simgraph.graph.copy(), tau=simgraph.tau)
-    victim = next(iter(removed.graph.nodes()))
-    touched = set(removed.graph.predecessors(victim))
-    removed.graph.remove_node(victim)
-    assert compiled.splice(removed, touched) is None
-    reordered = DiGraph()
-    reordered.add_nodes(reversed(list(simgraph.graph.nodes())))
-    for u, v, w in simgraph.graph.edges():
-        reordered.add_edge(u, v, weight=w)
-    assert compiled.splice(SimGraph(reordered, tau=simgraph.tau), []) is None

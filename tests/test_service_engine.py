@@ -165,7 +165,7 @@ class TestScoreBatchCompiled:
         service = self.ready("csr")
         batch = service.score_batch(self.TWEETS)
         for tweet in self.TWEETS:
-            seeds = set(service._retweeters.get(tweet, set()))
+            seeds = service.profiles.retweeters(tweet)
             single = service._engine.propagate(
                 seeds, popularity=len(seeds)
             ).probabilities
@@ -371,11 +371,11 @@ class TestMaintenance:
         assert any(delivered)
         assert delivered == next_50(reference)
 
-    def test_delta_that_drops_a_node_recompiles_the_csr(self):
+    def test_delta_that_drops_a_node_splices_the_csr(self):
         """A delta that only moves rows splices them into the compiled
-        CSR; one that leaves a node with no edge removes it from the
-        graph, positions shift under every row, and the service falls
-        back to a recompile — either way the compiled structure is what
+        CSR; so does one that leaves a node with no edge, which drops out
+        of the graph while every later position shifts down — either way
+        nothing is recompiled, and the compiled structure is what
         compiling the new graph gives."""
         from repro.core.csr import CSRSimGraph
         from tests.test_propagation_differential import assert_same_compiled
@@ -409,8 +409,8 @@ class TestMaintenance:
             service.retweet(user=user, tweet=10, at=float(at))
         service.rebuild("delta")
         assert set(service.simgraph.graph.nodes()) == {4, 5}
-        assert counters()["propagation.csr_spliced"] == 1
-        assert counters()["propagation.csr_compiled"] == compiled + 1
+        assert counters()["propagation.csr_spliced"] == 2
+        assert counters()["propagation.csr_compiled"] == compiled
         assert_same_compiled(
             service._csr, CSRSimGraph.from_simgraph(service.simgraph)
         )

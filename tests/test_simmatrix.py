@@ -88,28 +88,32 @@ class TestSimilarityMatrix:
         assert matrix.users_at(positions) == [1, 3, 5]
 
 
+def universe_of(graph: DiGraph) -> SimilarityMatrix:
+    """A matrix whose universe is exactly the graph's nodes."""
+    return SimilarityMatrix(RetweetProfiles(), extra_users=graph.nodes())
+
+
 class TestReachabilityMatrix:
     @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_matches_bfs_khop(self, hops):
         graph = random_digraph(40, edge_probability=0.08, seed=3)
-        index = {u: i for i, u in enumerate(sorted(graph.nodes()))}
+        matrix = universe_of(graph)
         users = sorted(graph.nodes())
-        reach = reachability_matrix(graph, hops, index, len(users))
+        reach = reachability_matrix(graph, hops, matrix, users)
         for u in users:
-            row = reach.getrow(index[u])
+            row = reach.getrow(matrix.position(u))
             reached = {users[c] for c in row.indices}
             assert reached == k_hop_neighborhood(graph, u, hops)
 
     def test_empty_graph(self):
-        reach = reachability_matrix(DiGraph(), 2, {}, 0)
+        reach = reachability_matrix(DiGraph(), 2, universe_of(DiGraph()), [])
         assert reach.shape == (0, 0)
 
     def test_cycle_excludes_source(self):
         graph = DiGraph()
         graph.add_edge(0, 1)
         graph.add_edge(1, 0)
-        index = {0: 0, 1: 1}
-        reach = reachability_matrix(graph, 2, index, 2)
+        reach = reachability_matrix(graph, 2, universe_of(graph), [0, 1])
         # 0 -> 1 -> 0 closes a cycle, but N2(0) never contains 0 itself.
         assert reach[0, 0] == 0.0
         assert reach[0, 1] == 1.0
