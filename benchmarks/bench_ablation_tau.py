@@ -16,10 +16,7 @@ def test_ablation_tau_sweep(benchmark, bench_dataset, bench_profiles, emit):
     users = sorted(bench_profiles.users())[:50]
 
     def build_for_users():
-        for user in users:
-            builder.edges_for_user(
-                user, bench_dataset.follow_graph, bench_profiles
-            )
+        builder.build(bench_dataset.follow_graph, bench_profiles, users=users)
 
     benchmark(build_for_users)
 

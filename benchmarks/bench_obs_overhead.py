@@ -6,9 +6,9 @@ real :class:`MetricsRegistry` is passed (the default is the shared
 :data:`NULL` no-op registry, whose metric calls are empty methods on
 reusable singletons).
 
-This bench runs the heaviest workload of the suite — a vectorized
-SimGraph build on the largest ``bench_backend_speedup`` corpus followed
-by a propagation sweep over the most popular tweets — once per registry
+This bench runs the heaviest workload of the suite — a SimGraph build
+on a 4,000-user corpus followed by a propagation sweep over the most
+popular tweets — once per registry
 variant, best-of-``ROUNDS`` to suppress scheduler noise, and asserts the
 fully-recording registry stays within 5% of the no-op wall clock.
 """
@@ -23,7 +23,7 @@ from repro.obs import NULL, MetricsRegistry
 from repro.synth import SynthConfig, generate_dataset
 from repro.utils.tables import render_table
 
-#: The "large" corpus of bench_backend_speedup.py.
+#: The largest bench corpus (paper sparsity with the cap below).
 LARGE_CONFIG = SynthConfig(
     n_users=4000, tweets_alpha=1.2, min_tweets_per_user=2,
     max_tweets_per_user=250, seed=42,
@@ -40,8 +40,7 @@ def workload(dataset, profiles, seed_sets, metrics) -> float:
     """One full build + propagation pass; returns wall-clock seconds."""
     start = time.perf_counter()
     builder = SimGraphBuilder(
-        tau=TAU, max_influencers=MAX_INFLUENCERS, backend="vectorized",
-        metrics=metrics,
+        tau=TAU, max_influencers=MAX_INFLUENCERS, metrics=metrics
     )
     simgraph = builder.build(dataset.follow_graph, profiles)
     engine = PropagationEngine(simgraph, metrics=metrics)

@@ -93,9 +93,9 @@ def _workload(config, n_tweets):
     """SimGraph + the seed sets of the corpus's most popular tweets."""
     dataset = generate_dataset(config)
     profiles = RetweetProfiles(dataset.retweets())
-    simgraph = SimGraphBuilder(
-        tau=TAU, max_influencers=MAX_INFLUENCERS, backend="vectorized"
-    ).build(dataset.follow_graph, profiles)
+    simgraph = SimGraphBuilder(tau=TAU, max_influencers=MAX_INFLUENCERS).build(
+        dataset.follow_graph, profiles
+    )
     tweets = sorted(
         profiles.tweets(), key=profiles.popularity, reverse=True
     )[:n_tweets]

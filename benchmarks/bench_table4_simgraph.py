@@ -20,10 +20,7 @@ def test_table4_simgraph_characteristics(
     users = sorted(sparse_simgraph.users())[:50]
 
     def per_user_init():
-        for user in users:
-            builder.edges_for_user(
-                user, bench_dataset.follow_graph, bench_profiles
-            )
+        builder.build(bench_dataset.follow_graph, bench_profiles, users=users)
 
     benchmark(per_user_init)
     emit(render_table(

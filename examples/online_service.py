@@ -6,7 +6,7 @@ Drives :class:`repro.service.RecommendationService` with a simulated
 event stream: accounts and follows register first, then tweets and
 retweets arrive in time order; the service batches propagation, enforces
 a per-user daily notification budget, and refreshes its SimGraph
-periodically with the crossfold strategy.
+periodically by delta maintenance (the default strategy).
 """
 
 from repro.service import RecommendationService, ServiceConfig
@@ -20,7 +20,6 @@ def main() -> None:
     config = ServiceConfig(
         daily_budget=10,
         rebuild_interval=10 * DAY,
-        rebuild_strategy="crossfold",
         use_scheduler=True,
     )
     service = RecommendationService(config)

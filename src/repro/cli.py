@@ -29,7 +29,7 @@ from repro.core import (
     SimGraphBuilder,
     SimGraphRecommender,
 )
-from repro.core.update import ALL_STRATEGIES
+from repro.core.update import STRATEGIES
 from repro.baselines import (
     BayesRecommender,
     CollaborativeFilteringRecommender,
@@ -102,13 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("dataset", help="dataset directory")
     build.add_argument("--tau", type=float, default=0.001)
     build.add_argument(
-        "--backend",
-        choices=["reference", "vectorized"],
-        default="reference",
-        help="similarity backend: 'reference' (pure-Python loops) or "
-        "'vectorized' (scipy sparse matmul; identical edges, faster)",
-    )
-    build.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="collect build metrics, print an ASCII report and write the "
         "JSON snapshot to PATH",
@@ -134,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated top-k values")
     ev.add_argument("--per-stratum", type=int, default=200)
     ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument(
-        "--backend",
-        choices=["reference", "vectorized"],
-        default="reference",
-        help="SimGraph build backend used by the simgraph method",
-    )
     _add_prop_backend(ev)
     ev.add_argument(
         "--metrics-json", default=None, metavar="PATH",
@@ -154,19 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     mnt.add_argument("dataset", help="dataset directory")
     mnt.add_argument(
         "--rebuild-strategy",
-        choices=sorted(ALL_STRATEGIES),
+        choices=sorted(STRATEGIES),
         default="delta",
         help="update strategy applied to the delta window; 'delta' is "
         "the scoped engine (from-scratch-identical edges at a fraction "
         "of the cost)",
     )
     mnt.add_argument("--tau", type=float, default=0.001)
-    mnt.add_argument(
-        "--backend",
-        choices=["reference", "vectorized"],
-        default="reference",
-        help="similarity backend used for the base build and recomputes",
-    )
     mnt.add_argument(
         "--window", default="0.90,0.95", metavar="LO,HI",
         help="delta window as fractions of the full stream; the base "
@@ -310,13 +291,11 @@ def _cmd_build_simgraph(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     profiles = RetweetProfiles(dataset.retweets())
     registry = MetricsRegistry() if args.metrics_json else None
-    builder = SimGraphBuilder(
-        tau=args.tau, backend=args.backend, metrics=registry
-    )
+    builder = SimGraphBuilder(tau=args.tau, metrics=registry)
     simgraph = builder.build(dataset.follow_graph, profiles)
     print(render_table(
         ["feature", "value"], simgraph.table4_rows(),
-        title=f"SimGraph (tau={args.tau}, backend={args.backend})",
+        title=f"SimGraph (tau={args.tau})",
     ))
     if args.save_snapshot:
         from repro.core.persistence import save_simgraph
@@ -345,11 +324,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     )
     registry = MetricsRegistry() if args.metrics_json else None
     recommenders: list[Recommender] = [
-        METHODS[name](
-            backend=args.backend,
-            prop_backend=args.prop_backend,
-            metrics=registry,
-        )
+        METHODS[name](prop_backend=args.prop_backend, metrics=registry)
         if name == "simgraph"
         else METHODS[name]()
         for name in names
@@ -388,9 +363,7 @@ def _cmd_maintain(args: argparse.Namespace) -> int:
         return 2
     extra = split.slice_test(lo, hi)
     registry = MetricsRegistry() if args.metrics_json else None
-    builder = SimGraphBuilder(
-        tau=args.tau, backend=args.backend, metrics=registry
-    )
+    builder = SimGraphBuilder(tau=args.tau, metrics=registry)
     profiles = RetweetProfiles(split.train)
     t0 = time.perf_counter()
     old = builder.build(dataset.follow_graph, profiles)
@@ -399,7 +372,7 @@ def _cmd_maintain(args: argparse.Namespace) -> int:
     profiles.extend(extra)
     dirty_users = len(profiles.dirty_users)
     t0 = time.perf_counter()
-    refreshed = ALL_STRATEGIES[args.rebuild_strategy](
+    refreshed = STRATEGIES[args.rebuild_strategy](
         old, dataset.follow_graph, profiles, builder
     )
     update_cost = time.perf_counter() - t0

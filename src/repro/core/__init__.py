@@ -23,7 +23,7 @@ from repro.core.propagation_csr import (
 )
 from repro.core.recommender import SimGraphRecommender
 from repro.core.scheduler import DelayPolicy, PostponedScheduler, PropagationTask
-from repro.core.simgraph import BACKENDS, DEFAULT_TAU, SimGraph, SimGraphBuilder
+from repro.core.simgraph import DEFAULT_TAU, SimGraph, SimGraphBuilder
 from repro.core.simmatrix import SimilarityMatrix
 from repro.core.similarity import (
     pairwise_similarities,
@@ -42,16 +42,10 @@ from repro.core.topics import (
     merge_by_label,
     topic_profiles,
 )
-from repro.core.update import (
-    ALL_STRATEGIES,
-    STRATEGIES,
-    apply_strategy,
-)
+from repro.core.update import STRATEGIES, apply_strategy
 from repro.core.warmcache import WarmStateCache
 
 __all__ = [
-    "ALL_STRATEGIES",
-    "BACKENDS",
     "CSRPropagationEngine",
     "CSRSimGraph",
     "CSRWarmState",

@@ -41,22 +41,22 @@ dicts, and :meth:`~repro.core.csr.CSRSimGraph.splice` block-copies the
 rest into the refreshed graph — no dict SimGraph is built.
 
 Fringe pair scores are computed from the core side (``sim`` is
-symmetric), so the whole run costs one inverted-index walk per *core*
-user and the bounded walks of the core and dirty users instead of one
-walk and one BFS per *graph* user — the crossfold-beats-from-scratch bet
-of Figure 16, taken to its limit.  The walks read the follow graph's CSR
-in bulk (:meth:`~repro.graph.followgraph.FollowGraph.reach`: one sparse
-product per hop for all sources together).  Walking the other side of a
-pair can reorder the float accumulation, so patched weights may differ
-from a from-scratch build by last-ulp round-off (the differential suite
-pins them within 1e-12; edge sets are identical).
+symmetric), so the whole run scores the core users' rows over the
+bounded walks of the core and dirty users, not every *graph* user's row
+— the crossfold-beats-from-scratch bet of Figure 16, taken to its
+limit.  The walks read the follow graph's CSR in bulk
+(:meth:`~repro.graph.followgraph.FollowGraph.reach`: one sparse product
+per hop for all sources together).  Scoring a pair from the other side
+can reorder the float accumulation, so patched weights may differ from
+a from-scratch build by last-ulp round-off (the differential suite pins
+them within 1e-12; edge sets are identical).
 
-On the ``vectorized`` backend every stage is sized by the region too:
-the incidence is built from the inverted index over the core's own
-tweets (:meth:`~repro.core.simmatrix.SimilarityMatrix.around`), core
-rows come from the chunked Gram of the full build times a candidate
-mask, and fringe scores from that same chunk Gram times the ``needed``
-mask — only needed pairs that share a tweet ever become Python objects.
+Every stage is sized by the region: the incidence is built from the
+inverted index over the core's own tweets
+(:meth:`~repro.core.simmatrix.SimilarityMatrix.around`), core rows come
+from the chunked Gram of the full build times a candidate mask, and
+fringe scores from that same chunk Gram times the ``needed`` mask —
+only needed pairs that share a tweet ever become Python objects.
 
 **Edge-order contract.**  Recomputed rows keep the emission order of the
 full build's chunk scorer (:func:`~repro.core.simmatrix._chunk_edges`:
@@ -76,16 +76,20 @@ from itertools import chain
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.profiles import RetweetProfiles
-from repro.core.similarity import similarities_from
 from repro.core.simgraph import SimGraph, SimGraphBuilder
+from repro.core.simmatrix import (
+    DEFAULT_CHUNK_SIZE,
+    SimilarityMatrix,
+    edges_from_masked_gram,
+    reachability_matrix,
+)
 from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
-from repro.graph.traversal import k_hop_neighborhood
 from repro.obs import MetricsRegistry
-from repro.utils.topk import top_k_items
 
 __all__ = ["DeltaPlan", "DeltaReport", "affected_region", "apply_delta"]
 
@@ -239,47 +243,6 @@ def affected_region(
     )
 
 
-def _reference_core_state(
-    core: list[int],
-    exploration_graph: FollowGraph,
-    profiles: RetweetProfiles,
-    builder: SimGraphBuilder,
-    needed: dict[int, set[int]],
-) -> tuple[dict[int, dict[int, float]], dict[int, dict[int, float]], int]:
-    """Core rows + symmetric score maps via one index walk per core user.
-
-    Each walk is restricted to the user's k-hop neighbourhood plus the
-    fringe users that need its score (``needed[w]``, the reverse of the
-    plan's candidate map).  The candidate filter skips pairs without
-    reordering the per-pair tweet accumulation, so the thresholded rows
-    reproduce ``builder.edges_for_user`` bit-for-bit while the same
-    walk yields every ``sim(w, ·)`` the fringe patches consume.
-    """
-    rows: dict[int, dict[int, float]] = {}
-    sym: dict[int, dict[int, float]] = {}
-    pairs = 0
-    for w in core:
-        if w not in exploration_graph or not profiles.has_profile(w):
-            continue
-        reach = k_hop_neighborhood(exploration_graph, w, builder.hops)
-        wanted = needed.get(w)
-        scores = similarities_from(
-            profiles, w, candidates=reach | wanted if wanted else reach
-        )
-        sym[w] = scores
-        pairs += len(scores)
-        kept = {
-            x: s for x, s in scores.items() if x in reach and s >= builder.tau
-        }
-        if (
-            builder.max_influencers is not None
-            and len(kept) > builder.max_influencers
-        ):
-            kept = dict(top_k_items(kept, builder.max_influencers))
-        rows[w] = kept
-    return rows, sym, pairs
-
-
 def _vectorized_core_state(
     core: list[int],
     exploration_graph: FollowGraph,
@@ -292,20 +255,13 @@ def _vectorized_core_state(
     The incidence holds only what a core score can read
     (:meth:`~repro.core.simmatrix.SimilarityMatrix.around`).  Core users
     are scored in the chunks, and through the op sequence, of the full
-    vectorized build — ``gram_rows``, times the chunk's rows of the
+    build — ``gram_rows``, times the chunk's rows of the
     reachability matrix, then
     :func:`~repro.core.simmatrix.edges_from_masked_gram` — so each row
     keeps the edge order a from-scratch build gives it.  The same chunk
     Gram times the ``needed`` mask yields the fringe scores: only needed
     pairs that share a tweet ever become Python objects.
     """
-    from repro.core.simmatrix import (
-        DEFAULT_CHUNK_SIZE,
-        SimilarityMatrix,
-        edges_from_masked_gram,
-        reachability_matrix,
-    )
-
     eligible = [
         u
         for u in core
@@ -355,8 +311,6 @@ def _chunk_mask(matrix, chunk, members):
     rows have: the elementwise product's emission order depends on it).
     Members outside the matrix's universe share no tweet with a source
     and are dropped."""
-    from scipy import sparse
-
     found = [np.fromiter(members(u), dtype=np.int64) for u in chunk]
     owner = np.repeat(np.arange(len(chunk)), [len(ids) for ids in found])
     cols, keep = matrix.positions(np.concatenate([_NO_IDS, *found]))
@@ -420,14 +374,9 @@ def apply_delta(
 
     tau = builder.tau
     with metrics.span("maintenance.delta"):
-        if builder.backend == "vectorized":
-            rows, sym, pairs_rescored = _vectorized_core_state(
-                core_sorted, graph, profiles, builder, needed
-            )
-        else:
-            rows, sym, pairs_rescored = _reference_core_state(
-                core_sorted, graph, profiles, builder, needed
-            )
+        rows, sym, pairs_rescored = _vectorized_core_state(
+            core_sorted, graph, profiles, builder, needed
+        )
 
         # The only (fringe u, core w) pairs that can need work either
         # score non-zero now (u appears in w's walk) or carried an edge

@@ -9,7 +9,7 @@ import numpy as np
 from repro.baselines.base import Recommendation, Recommender
 from repro.core.propagation_csr import PROP_BACKENDS
 from repro.core.scheduler import DelayPolicy
-from repro.core.simgraph import BACKENDS, DEFAULT_TAU, SimGraph
+from repro.core.simgraph import DEFAULT_TAU, SimGraph
 from repro.core.thresholds import ThresholdPolicy
 from repro.core.warmcache import DEFAULT_CAPACITY
 from repro.data.columnar import ColumnarDataset
@@ -39,20 +39,19 @@ class SimGraphRecommender(Recommender):
         self, tau: float = DEFAULT_TAU, threshold: ThresholdPolicy | None = None,
         delay_policy: DelayPolicy | None = None,
         max_tweet_age: float = 72 * 3600.0, min_score: float = 1e-6,
-        simgraph: SimGraph | None = None, backend: str = "reference",
-        prop_backend: str = "csr", warm_cache_size: int = DEFAULT_CAPACITY,
+        simgraph: SimGraph | None = None, prop_backend: str = "csr",
+        warm_cache_size: int = DEFAULT_CAPACITY,
         metrics: MetricsRegistry | None = None,
     ):
-        for kind, value, known in (("backend", backend, BACKENDS),
-                                   ("propagation backend", prop_backend, PROP_BACKENDS)):
-            if value not in known:
-                raise ValueError(
-                    f"unknown {kind} {value!r}; available: {', '.join(known)}"
-                )
+        if prop_backend not in PROP_BACKENDS:
+            raise ValueError(
+                f"unknown propagation backend {prop_backend!r}; "
+                f"available: {', '.join(PROP_BACKENDS)}"
+            )
         self.config = service_engine.ServiceConfig(
             tau=tau, min_score=min_score, max_tweet_age=max_tweet_age,
             rebuild_interval=float("inf"), use_scheduler=delay_policy is not None,
-            backend=backend, prop_backend=prop_backend, warm_cache_size=warm_cache_size,
+            prop_backend=prop_backend, warm_cache_size=warm_cache_size,
         )
         self.prop_backend = prop_backend
         metrics = NULL if metrics is None else metrics

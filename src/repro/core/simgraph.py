@@ -7,9 +7,13 @@ Def. 3.1 similarity, and keep an edge ``u -> w`` whenever
 ``F_u`` are u's *influential users* — the only users the propagation model
 ever consults, which is the paper's dimensionality reduction.
 
-The builder takes the exploration graph as a parameter because the §6.3
-*crossfold* update strategy re-runs the same 2-hop construction **on the
-previous SimGraph** instead of the follow graph.
+:class:`SimGraphBuilder` computes that construction for chunks of users
+at once through sparse products (:mod:`repro.core.simmatrix`); the
+per-user loop that states it line by line lives in the test suite as the
+oracle the build is pinned against.  The builder takes the exploration
+graph as a parameter because the §6.3 *crossfold* update strategy re-runs
+the same 2-hop construction **on the previous SimGraph** instead of the
+follow graph.
 """
 
 from __future__ import annotations
@@ -19,22 +23,13 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.profiles import RetweetProfiles
-from repro.core.similarity import similarities_from
 from repro.core.simmatrix import DEFAULT_CHUNK_SIZE, simgraph_edges
 from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
 from repro.graph.metrics import GraphSummary, summarize_graph
-from repro.graph.traversal import k_hop_neighborhood
 from repro.obs import NULL, MetricsRegistry
-from repro.utils.topk import top_k_items
 
-__all__ = ["SimGraph", "SimGraphBuilder", "BACKENDS", "DEFAULT_TAU"]
-
-#: Available similarity/build backends: ``reference`` is the pure-Python
-#: per-user loop; ``vectorized`` computes the same edges via scipy sparse
-#: products (see :mod:`repro.core.simmatrix`).  The differential suite
-#: pins the two to identical outputs.
-BACKENDS = ("reference", "vectorized")
+__all__ = ["SimGraph", "SimGraphBuilder", "DEFAULT_TAU"]
 
 #: Default similarity threshold. The paper's Table 2 reports mean scores in
 #: the 0.002-0.006 range with SimGraph keeping ~5.9 out-edges per user; a
@@ -150,18 +145,16 @@ class SimGraphBuilder:
         precision/reach knob — low caps sharpen precision (best F1) at
         the cost of propagation reach.  ``None`` (default) disables it.
     backend:
-        ``"reference"`` (default) runs the per-user BFS + inverted-index
-        loop; ``"vectorized"`` computes the same edges through sparse
-        matrix products (:mod:`repro.core.simmatrix`) in chunks — much
-        faster on large corpora, guaranteed edge-identical by the
-        differential test suite.
+        Accepts only ``"vectorized"``, the one build.  The keyword stays
+        because the end-to-end ledger's frozen tier builder
+        (``benchmarks/e2e/tier.py``) passes it.
     chunk_size:
-        Sources scored per sparse product in the vectorized build.
+        Sources scored per sparse product.
     metrics:
         Observability registry (default: no-op :data:`repro.obs.NULL`).
         A real registry records the ``simgraph.build`` span, pairs
-        scored / edges kept counters, an out-degree histogram and — on
-        the vectorized path — chunk timings.
+        scored / edges kept counters, an out-degree histogram and chunk
+        timings.
     """
 
     def __init__(
@@ -169,7 +162,7 @@ class SimGraphBuilder:
         tau: float = DEFAULT_TAU,
         hops: int = 2,
         max_influencers: int | None = None,
-        backend: str = "reference",
+        backend: str = "vectorized",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         metrics: MetricsRegistry | None = None,
     ):
@@ -181,16 +174,13 @@ class SimGraphBuilder:
             raise ValueError(
                 f"max_influencers must be positive, got {max_influencers}"
             )
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; available: {', '.join(BACKENDS)}"
-            )
+        if backend != "vectorized":
+            raise ValueError(f"unknown backend {backend!r}; available: vectorized")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
         self.tau = tau
         self.hops = hops
         self.max_influencers = max_influencers
-        self.backend = backend
         self.chunk_size = chunk_size
         self.metrics = metrics if metrics is not None else NULL
 
@@ -214,22 +204,16 @@ class SimGraphBuilder:
         sources = list(users) if users is not None else list(exploration_graph.nodes())
         with metrics.span("simgraph.build"):
             metrics.counter("simgraph.sources").inc(len(sources))
-            if self.backend == "vectorized":
-                pairs: Iterable[tuple[int, dict[int, float]]] = simgraph_edges(
-                    exploration_graph,
-                    profiles,
-                    sources,
-                    tau=self.tau,
-                    hops=self.hops,
-                    max_influencers=self.max_influencers,
-                    chunk_size=self.chunk_size,
-                    metrics=metrics,
-                )
-            else:
-                pairs = (
-                    (u, self.edges_for_user(u, exploration_graph, profiles))
-                    for u in sources
-                )
+            pairs = simgraph_edges(
+                exploration_graph,
+                profiles,
+                sources,
+                tau=self.tau,
+                hops=self.hops,
+                max_influencers=self.max_influencers,
+                chunk_size=self.chunk_size,
+                metrics=metrics,
+            )
             result = DiGraph()
             edges_kept = metrics.counter("simgraph.edges_kept")
             out_degree = metrics.histogram("simgraph.out_degree")
@@ -239,21 +223,3 @@ class SimGraphBuilder:
                 for w, score in kept.items():
                     result.add_edge(u, w, weight=score)
         return SimGraph(result, tau=self.tau)
-
-    def edges_for_user(
-        self,
-        user: int,
-        exploration_graph: FollowGraph | DiGraph,
-        profiles: RetweetProfiles,
-    ) -> dict[int, float]:
-        """The would-be out-edges of one user (used by :meth:`build`)."""
-        if user not in exploration_graph or not profiles.has_profile(user):
-            return {}
-        candidates = k_hop_neighborhood(exploration_graph, user, self.hops)
-        self.metrics.counter("simgraph.pairs_scored").inc(len(candidates))
-        scores = similarities_from(profiles, user, candidates=candidates)
-        kept = {w: s for w, s in scores.items() if s >= self.tau}
-        if self.max_influencers is not None and len(kept) > self.max_influencers:
-            strongest = top_k_items(kept, self.max_influencers)
-            kept = dict(strongest)
-        return kept

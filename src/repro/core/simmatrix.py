@@ -20,7 +20,8 @@ are scored in chunks against the shared :class:`SimilarityMatrix`, and a
 chunk's k-hop candidate sets come from boolean sparse products over the
 exploration graph's CSR (:func:`reachability_matrix`).
 
-The backend is locked to the reference implementation by
+The build is locked to the per-user Def. 4.1 loop, kept as a test oracle
+(``tests/test_simgraph_oracle.py``), by
 ``tests/test_backend_differential.py``: identical SimGraph edge sets,
 similarities within 1e-12.
 """
@@ -326,12 +327,11 @@ def simgraph_edges(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     metrics: MetricsRegistry | None = None,
 ) -> list[tuple[int, dict[int, float]]]:
-    """Vectorized equivalent of the per-user reference build loop.
+    """The edges of Def. 4.1, ``chunk_size`` sources per sparse product.
 
     Returns ``(source, {influencer: sim})`` pairs for every source that
-    gains at least one edge — exactly the edges the reference
-    ``SimGraphBuilder`` would create, scored ``chunk_size`` sources per
-    sparse product.
+    gains at least one edge — exactly the edges the per-user loop (walk
+    ``hops`` out, score, keep ``sim >= tau``, cap) would create.
 
     ``metrics`` records candidate-mask assembly and per-chunk scoring
     timings and chunk/pair counters.
@@ -379,7 +379,7 @@ def _chunk_edges(
     The candidate mask (``reach``, one row per source) is applied to the
     *complex Gram* rows before any score is computed, so similarities
     are only ever evaluated for the (source, k-hop candidate) pairs the
-    reference build would score.  The mask's diagonal is empty, which
+    per-user loop would score.  The mask's diagonal is empty, which
     also removes self-similarity entries.
     """
     row_idx = np.asarray(
@@ -423,7 +423,7 @@ def edges_from_masked_gram(
             continue
         if max_influencers is not None and row_sims.size > max_influencers:
             # Retain the max_influencers largest (score, user id) pairs —
-            # the exact tie-break of utils.topk.TopK on the reference path.
+            # the exact tie-break of utils.topk.top_k_items.
             strongest = np.lexsort((row_cols, row_sims))[-max_influencers:]
             row_sims = row_sims[strongest]
             row_cols = row_cols[strongest]

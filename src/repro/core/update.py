@@ -17,6 +17,10 @@ evaluating on the final 5%:
   region — dirty users, co-retweeters of weight-changed tweets and
   their exploration fringe — is rescored; everything else is copied
   through untouched.
+
+The online service maintains with *delta* and *from scratch* only; the
+other three serve the Figure 16 comparison, the examples and the
+offline ``simgraph maintain`` command.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ __all__ = [
     "update_weights",
     "delta",
     "STRATEGIES",
-    "ALL_STRATEGIES",
     "UpdateStrategy",
     "apply_strategy",
 ]
@@ -136,9 +139,6 @@ STRATEGIES: dict[str, UpdateStrategy] = {
     "delta": delta,
 }
 
-#: Every strategy name the service and ``apply_strategy`` accept.
-ALL_STRATEGIES = STRATEGIES
-
 
 def apply_strategy(
     name: str,
@@ -155,13 +155,13 @@ def apply_strategy(
     are checkpointed between the two, so the dirty-set-driven strategies
     see exactly ``extra`` as the delta.
     """
-    if name not in ALL_STRATEGIES:
+    if name not in STRATEGIES:
         raise KeyError(
-            f"unknown strategy {name!r}; available: {sorted(ALL_STRATEGIES)}"
+            f"unknown strategy {name!r}; available: {sorted(STRATEGIES)}"
         )
     if builder is None:
         builder = SimGraphBuilder(tau=old.tau)
     profiles = RetweetProfiles(train)
     profiles.mark_clean()
     profiles.extend(extra)
-    return ALL_STRATEGIES[name](old, follow_graph, profiles, builder)
+    return STRATEGIES[name](old, follow_graph, profiles, builder)

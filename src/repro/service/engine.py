@@ -10,9 +10,11 @@ deployable object a platform would actually run:
   at most ``daily_budget`` notifications per user per day, first-come at
   emission time (a live service cannot retro-rank a day it has already
   delivered);
-* **maintenance** — the SimGraph is rebuilt on a simulated-time interval
-  with any §6.3 update strategy (default *crossfold*, the paper's
-  recommended cheap refresh).
+* **maintenance** — on a simulated-time interval the SimGraph is
+  refreshed by ``delta`` (default: only the region that changed is
+  rescored, edge-identical to a rebuild) or rebuilt ``from scratch``
+  (the exact oracle).  The paper's other §6.3 strategies are compared
+  offline (:mod:`repro.core.update`, Figure 16).
 
 Example
 -------
@@ -45,10 +47,9 @@ from repro.core.propagation_csr import (
     nonseed_candidates,
 )
 from repro.core.scheduler import DelayPolicy, PostponedScheduler, PropagationTask
-from repro.core.simgraph import BACKENDS, DEFAULT_TAU, SimGraph, SimGraphBuilder
+from repro.core.simgraph import DEFAULT_TAU, SimGraph, SimGraphBuilder
 from repro.core.thresholds import DynamicThreshold, ThresholdPolicy
 from repro.core.delta import DeltaPlan, DeltaReport, affected_region, apply_delta
-from repro.core.update import ALL_STRATEGIES
 from repro.core.warmcache import DEFAULT_CAPACITY, WarmStateCache
 from repro.data.models import Retweet, Tweet
 from repro.exceptions import ConfigError, DatasetError
@@ -66,6 +67,12 @@ __all__ = [
 DAY = 86400.0
 HOUR = 3600.0
 
+#: What maintenance can run: ``delta`` rescores the region that changed,
+#: ``from scratch`` rebuilds the whole graph — the oracle the
+#: differential replays select, as ``prop_backend="reference"`` is for
+#: propagation.
+REBUILD_STRATEGIES = ("delta", "from scratch")
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -81,13 +88,10 @@ class ServiceConfig:
     max_tweet_age: float = 72 * HOUR
     #: Simulated seconds between SimGraph maintenance runs.
     rebuild_interval: float = 7 * DAY
-    #: §6.3 strategy used at maintenance time.
-    rebuild_strategy: str = "crossfold"
+    #: Maintenance strategy, one of :data:`REBUILD_STRATEGIES`.
+    rebuild_strategy: str = "delta"
     #: Postpone propagation per tweet (None = propagate per retweet).
     use_scheduler: bool = True
-    #: SimGraph build backend: "reference" (pure-Python loop) or
-    #: "vectorized" (sparse matmul; identical edges, faster rebuilds).
-    backend: str = "reference"
     #: Propagation backend: "csr" (compiled numpy arrays) or
     #: "reference" (the pure-Python frontier loop, the readable Alg. 1
     #: oracle).  Identical results on both.
@@ -106,11 +110,6 @@ class ServiceConfig:
             raise ConfigError("tau must be non-negative")
         if not 0 < self.min_score < 1:
             raise ConfigError("min_score must be in (0, 1)")
-        if self.backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; "
-                f"available: {', '.join(BACKENDS)}"
-            )
         if self.prop_backend not in PROP_BACKENDS:
             raise ConfigError(
                 f"unknown propagation backend {self.prop_backend!r}; "
@@ -121,10 +120,10 @@ class ServiceConfig:
 
 
 def _check_strategy(name: str) -> None:
-    if name not in ALL_STRATEGIES:
+    if name not in REBUILD_STRATEGIES:
         raise ConfigError(
             f"unknown rebuild strategy {name!r}; "
-            f"available: {sorted(ALL_STRATEGIES)}"
+            f"available: {', '.join(REBUILD_STRATEGIES)}"
         )
 
 
@@ -262,10 +261,7 @@ class RecommendationService:
         self._clock = 0.0
         self.stats = ServiceStats()
         self._builder = SimGraphBuilder(
-            tau=self.config.tau,
-            backend=self.config.backend,
-            hops=self._hops,
-            metrics=self.metrics,
+            tau=self.config.tau, hops=self._hops, metrics=self.metrics
         )
         self._csr: CSRSimGraph | None = None
         self._install(SimGraph(DiGraph(), tau=self.config.tau))
@@ -347,8 +343,9 @@ class RecommendationService:
     # Maintenance
     # ------------------------------------------------------------------
     def rebuild(self, strategy: str | None = None) -> SimGraph:
-        """Refresh the SimGraph now with ``strategy`` (default from
-        config) and return the refreshed graph.
+        """Refresh the SimGraph now with ``strategy`` (one of
+        :data:`REBUILD_STRATEGIES`; default from config) and return the
+        refreshed graph.
 
         The ``"delta"`` strategy rescores only the affected region
         (:func:`repro.core.delta.affected_region`): users whose profiles
@@ -372,12 +369,12 @@ class RecommendationService:
                 or self.edge_count == 0
             ):
                 # First build, explicit rebuild, or bootstrap from an empty
-                # graph must come from the follow graph: the incremental
-                # strategies need a previous SimGraph with edges to refresh.
+                # graph must come from the follow graph: a delta needs a
+                # previous SimGraph with edges to refresh.
                 used = "from scratch"
                 built = self._builder.build(self.follow_graph, self.profiles)
-            elif name == "delta":
-                used = name
+            else:
+                used = "delta"
                 graph = self.follow_graph
                 fresh = graph.new_sources()
                 # A new edge also extends the 2-hop reach of everyone
@@ -390,16 +387,11 @@ class RecommendationService:
                     hops=self._hops,
                 )
                 built, report = self._apply_delta(plan)
-            else:
-                used = name
-                built = ALL_STRATEGIES[name](
-                    self._simgraph, self.follow_graph, self.profiles, self._builder
-                )
         self.metrics.counter(f"service.rebuild[{used}]").inc()
         self.metrics.histogram(
             f"service.rebuild_seconds[{used}]", timing=True
         ).observe(time.perf_counter() - started)
-        # Dirt consumed: every strategy has now seen the accumulated
+        # Dirt consumed: either strategy has now seen the accumulated
         # profile changes and follow additions.
         self.profiles.mark_clean()
         self.follow_graph.mark_clean()
@@ -451,9 +443,9 @@ class RecommendationService:
     def _invalidate_warm(self, report: DeltaReport | None) -> None:
         """Drop warm propagation state made stale by a rebuild.
 
-        Without a delta report (any non-delta strategy) or after a
-        topology change, every cached fixpoint may reference rows that
-        no longer exist — full flush.  A weights-only delta keeps all
+        Without a delta report (a from-scratch build or an adopted
+        graph) or after a topology change, every cached fixpoint may
+        reference rows that no longer exist — full flush.  A weights-only delta keeps all
         topology, so only tweets whose seed sets intersect the affected
         users are evicted; a cached fixpoint can also *transitively*
         touch re-weighed rows, but warm state is only ever a starting

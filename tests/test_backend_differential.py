@@ -1,11 +1,14 @@
-"""Differential harness: the vectorized backend vs the reference path.
+"""Differential harness: the SimGraph build vs the Def. 4.1 oracle.
 
-The vectorized sparse backend (:mod:`repro.core.simmatrix`) is only
-trustworthy because this suite pins it to the reference implementation:
-on randomized synthetic corpora both backends must produce **identical**
-SimGraph edge sets (and node sets), similarities within 1e-12, and the
-end-to-end recommender must emit identical top-k output.  Any change to
-either path that breaks agreement fails here first.
+The one build (:class:`SimGraphBuilder`, chunked sparse products in
+:mod:`repro.core.simmatrix`) is only trustworthy because this suite pins
+it to the per-user loop of ``tests/test_simgraph_oracle.py``: on
+randomized synthetic corpora both must produce **identical** SimGraph
+edge sets (and node sets), similarities within 1e-12, and the end-to-end
+recommender must emit identical top-k output whichever of the two built
+its graph.  Any change to the build that breaks agreement fails here
+first.  Cases keep their historical names: ``reference`` is the oracle,
+``vectorized`` the builder.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from repro.core import RetweetProfiles, SimGraphBuilder, SimGraphRecommender
 from repro.data import temporal_split
 from repro.synth import SynthConfig, generate_dataset
 from repro.utils.topk import top_k_items
+from tests.test_simgraph_oracle import oracle_build
 
 #: Randomized synthetic corpora of several seeds/sizes (acceptance asks
 #: for at least three).
@@ -52,12 +56,8 @@ def corpus(request):
 
 def build_pair(dataset, profiles, exploration_graph=None, users=None, **kw):
     graph = exploration_graph if exploration_graph is not None else dataset.follow_graph
-    reference = SimGraphBuilder(backend="reference", **kw).build(
-        graph, profiles, users=users
-    )
-    vectorized = SimGraphBuilder(backend="vectorized", **kw).build(
-        graph, profiles, users=users
-    )
+    reference = oracle_build(graph, profiles, users=users, **kw)
+    vectorized = SimGraphBuilder(**kw).build(graph, profiles, users=users)
     return reference, vectorized
 
 
@@ -107,12 +107,10 @@ class TestSimGraphDifferential:
     def test_chunked_build_identical(self, corpus):
         """A build cut into many small chunks returns the exact edges."""
         dataset, profiles = corpus
-        reference = SimGraphBuilder(tau=0.001).build(
+        reference = oracle_build(dataset.follow_graph, profiles, tau=0.001)
+        chunked = SimGraphBuilder(tau=0.001, chunk_size=32).build(
             dataset.follow_graph, profiles
         )
-        chunked = SimGraphBuilder(
-            tau=0.001, backend="vectorized", chunk_size=32
-        ).build(dataset.follow_graph, profiles)
         assert_same_simgraph(reference, chunked)
 
 
@@ -123,9 +121,12 @@ class TestRecommenderDifferential:
     def recommendations(self):
         dataset = generate_dataset(CONFIGS[1])
         split = temporal_split(dataset)
+        oracle = oracle_build(
+            dataset.follow_graph, RetweetProfiles(split.train)
+        )
         outputs = {}
-        for backend in ("reference", "vectorized"):
-            recommender = SimGraphRecommender(backend=backend)
+        for backend, simgraph in (("reference", oracle), ("vectorized", None)):
+            recommender = SimGraphRecommender(simgraph=simgraph)
             recommender.fit(dataset, split.train)
             emitted = []
             for event in split.test[:40]:

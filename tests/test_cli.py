@@ -34,6 +34,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
 
+    @pytest.mark.parametrize("command", ["build-simgraph", "evaluate", "maintain"])
+    def test_backend_flag_is_gone(self, command, capsys):
+        """One SimGraph build is left, so there is nothing to choose."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "ds", "--backend", "vectorized"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_dataset_written(self, dataset_dir):
@@ -67,21 +75,6 @@ class TestBuildSimgraph:
         assert code == 0
         assert "Nb of nodes" in out
 
-    def test_vectorized_backend_runs(self, dataset_dir, capsys):
-        code = main([
-            "build-simgraph", str(dataset_dir), "--tau", "0.001",
-            "--backend", "vectorized",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "backend=vectorized" in out
-        assert "Nb of nodes" in out
-
-    def test_backend_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["build-simgraph", "ds", "--backend", "gpu"]
-            )
 
 
 class TestEvaluate:
@@ -102,10 +95,10 @@ class TestEvaluate:
         assert code == 2
         assert "unknown methods" in capsys.readouterr().err
 
-    def test_backend_flag_accepted(self, dataset_dir, capsys):
+    def test_simgraph_method_runs(self, dataset_dir, capsys):
         code = main([
             "evaluate", str(dataset_dir), "--methods", "simgraph",
-            "--backend", "vectorized", "--k", "5", "--per-stratum", "20",
+            "--k", "5", "--per-stratum", "20",
         ])
         out = capsys.readouterr().out
         assert code == 0

@@ -9,6 +9,7 @@ from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.delta import DeltaPlan, affected_region, apply_delta
 from repro.graph import DiGraph, FollowGraph
 from repro.obs import MetricsRegistry
+from tests.test_simgraph_oracle import BUILDS, build_with
 
 
 def follow_chain(*edges) -> DiGraph:
@@ -251,14 +252,14 @@ class TestApplyDelta:
         assert snapshot["counters"]["maintenance.rows_recomputed"] >= 1
         assert snapshot["counters"]["maintenance.pairs_rescored"] >= 1
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_dirty_only_fringe_still_equals_from_scratch(self, backend):
+    @pytest.mark.parametrize("origin", BUILDS)
+    def test_dirty_only_fringe_still_equals_from_scratch(self, origin):
         graph = follow_chain(*DIRTY_ONLY_FOLLOWS)
         profiles = RetweetProfiles()
         for user, tweet in DIRTY_ONLY_HISTORY:
             profiles.add(user, tweet)
-        builder = SimGraphBuilder(tau=1e-6, backend=backend)
-        old = builder.build(graph, profiles)
+        builder = SimGraphBuilder(tau=1e-6)
+        old = build_with(origin, graph, profiles, builder)
         assert old.graph.has_edge(FOLLOWER, CLEAN)
         profiles.mark_clean()
         profiles.add(DIRTY, 10)
@@ -350,8 +351,7 @@ def ring_world(components: int, size: int = 20):
     return graph, profiles
 
 
-@pytest.mark.parametrize("backend", ["reference", "vectorized"])
-def test_delta_memory_follows_the_region_not_the_corpus(backend):
+def test_delta_memory_follows_the_region_not_the_corpus():
     """One fixed delta inside the first ring, on a corpus of 100 rings
     and of 400, from the compiled graph a service holds: what
     ``apply_delta`` allocates at its peak may grow only by the spliced
@@ -361,7 +361,7 @@ def test_delta_memory_follows_the_region_not_the_corpus(backend):
 
     def peak(components):
         graph, profiles = ring_world(components)
-        builder = SimGraphBuilder(tau=1e-6, backend=backend)
+        builder = SimGraphBuilder(tau=1e-6)
         built = builder.build(graph, profiles)
         old = ArraySimGraph.from_csr(CSRSimGraph.from_simgraph(built), built.tau)
         profiles.mark_clean()

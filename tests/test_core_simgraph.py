@@ -6,6 +6,7 @@ from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data.builders import DatasetBuilder
 from repro.graph.digraph import DiGraph
+from tests.test_simgraph_oracle import oracle_build
 
 
 def linear_world():
@@ -38,8 +39,10 @@ class TestBuilderValidation:
             SimGraphBuilder(max_influencers=0)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            SimGraphBuilder(backend="gpu")
+        """One build is left; the per-user loop is a test oracle now."""
+        for name in ("gpu", "reference"):
+            with pytest.raises(ValueError, match="available: vectorized$"):
+                SimGraphBuilder(backend=name)
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError):
@@ -47,23 +50,25 @@ class TestBuilderValidation:
 
 
 class TestVectorizedBackend:
+    """The sparse build against the Def. 4.1 oracle loop."""
+
     @pytest.mark.parametrize("kwargs", [{}, {"hops": 1}, {"max_influencers": 1}])
     def test_matches_reference(self, kwargs):
         dataset, profiles = linear_world()
-        reference = SimGraphBuilder(tau=0.0, **kwargs).build(
+        reference = oracle_build(
+            dataset.follow_graph, profiles, tau=0.0, **kwargs
+        )
+        vectorized = SimGraphBuilder(tau=0.0, **kwargs).build(
             dataset.follow_graph, profiles
         )
-        vectorized = SimGraphBuilder(
-            tau=0.0, backend="vectorized", **kwargs
-        ).build(dataset.follow_graph, profiles)
         assert set(vectorized.graph.edges()) == set(reference.graph.edges())
 
     def test_restricted_sources_match(self):
         dataset, profiles = linear_world()
-        reference = SimGraphBuilder(tau=0.0).build(
-            dataset.follow_graph, profiles, users=[2]
+        reference = oracle_build(
+            dataset.follow_graph, profiles, tau=0.0, users=[2]
         )
-        vectorized = SimGraphBuilder(tau=0.0, backend="vectorized").build(
+        vectorized = SimGraphBuilder(tau=0.0).build(
             dataset.follow_graph, profiles, users=[2]
         )
         assert set(vectorized.graph.edges()) == set(reference.graph.edges())

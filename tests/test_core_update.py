@@ -5,7 +5,6 @@ import pytest
 from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import SimGraphBuilder
 from repro.core.update import (
-    ALL_STRATEGIES,
     STRATEGIES,
     apply_strategy,
     crossfold,
@@ -36,7 +35,6 @@ class TestStrategies:
             "SimGraph updated",
             "delta",
         }
-        assert ALL_STRATEGIES is STRATEGIES
 
     def test_old_simgraph_is_identity(self, world):
         dataset, split, mid, builder, old = world

@@ -4,14 +4,15 @@ Pins the exactness contract of :mod:`repro.core.delta`:
 
 * ``delta`` produces the *same edge set* as ``from scratch`` with
   weights equal within 1e-12 (fringe pairs are accumulated from the
-  other side of the symmetric measure), on both build backends, with
-  and without a row cap;
+  other side of the symmetric measure), whether the old graph came from
+  the builder (``vectorized``) or from the Def. 4.1 oracle loop
+  (``reference``, ``tests/test_simgraph_oracle.py``), with and without
+  a row cap;
 * an empty delta is the identity (same object, no work);
 * the service's ``delta`` rebuild agrees with a from-scratch service on
   both propagation backends, and the compiled CSR it splices equals a
   recompile;
-* on the vectorized backend a recomputed row keeps the *edge order* a
-  from-scratch build gives it (the compiled kernel's segment sums, hence
+* a recomputed row keeps the *edge order* a from-scratch build gives it (the compiled kernel's segment sums, hence
   the served scores, depend on it).
 
 Property-based cases draw random contiguous slices of the held-out
@@ -34,6 +35,7 @@ from repro.data import temporal_split
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
 from tests.test_propagation_differential import assert_same_compiled
+from tests.test_simgraph_oracle import BUILDS, build_with
 
 TAU = 0.001
 
@@ -50,14 +52,13 @@ def corpus():
 
 
 @functools.lru_cache(maxsize=None)
-def old_graph(backend: str, max_influencers: int | None = None):
-    """The pre-delta SimGraph built on the train slice."""
+def old_graph(origin: str, max_influencers: int | None = None):
+    """The pre-delta SimGraph built on the train slice by ``origin``
+    (the oracle or the builder)."""
     dataset, split = corpus()
-    builder = SimGraphBuilder(
-        tau=TAU, backend=backend, max_influencers=max_influencers
-    )
-    return builder.build(
-        dataset.follow_graph, RetweetProfiles(split.train)
+    builder = SimGraphBuilder(tau=TAU, max_influencers=max_influencers)
+    return build_with(
+        origin, dataset.follow_graph, RetweetProfiles(split.train), builder
     ), builder
 
 
@@ -79,10 +80,10 @@ def held_out_slice(count: int):
 
 
 class TestDeltaMatchesFromScratch:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_exact_on_stream_slice(self, backend):
+    @pytest.mark.parametrize("origin", BUILDS)
+    def test_exact_on_stream_slice(self, origin):
         dataset, split = corpus()
-        old, _ = old_graph(backend)
+        old, _ = old_graph(origin)
         extra = held_out_slice(120)
         refreshed = apply_strategy(
             "delta", old, dataset.follow_graph, split.train, extra
@@ -93,10 +94,10 @@ class TestDeltaMatchesFromScratch:
         assert_same_edges(refreshed, full)
         assert set(refreshed.graph.nodes()) == set(full.graph.nodes())
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_exact_with_row_cap(self, backend):
+    @pytest.mark.parametrize("origin", BUILDS)
+    def test_exact_with_row_cap(self, origin):
         dataset, split = corpus()
-        old, builder = old_graph(backend, max_influencers=5)
+        old, builder = old_graph(origin, max_influencers=5)
         extra = held_out_slice(80)
         refreshed = apply_strategy(
             "delta", old, dataset.follow_graph, split.train, extra,
@@ -109,12 +110,15 @@ class TestDeltaMatchesFromScratch:
         assert_same_edges(refreshed, full)
 
     def test_build_backends_agree_after_delta(self):
+        """A delta over the oracle's rows (inverted-index walk order)
+        and over the builder's (sparse emission order) lands on the same
+        graph."""
         dataset, split = corpus()
         extra = held_out_slice(120)
         results = {}
-        for backend in ("reference", "vectorized"):
-            old, _ = old_graph(backend)
-            results[backend] = apply_strategy(
+        for origin in BUILDS:
+            old, _ = old_graph(origin)
+            results[origin] = apply_strategy(
                 "delta", old, dataset.follow_graph, split.train, extra
             )
         assert_same_edges(results["vectorized"], results["reference"])
@@ -138,7 +142,7 @@ def test_recomputed_rows_keep_from_scratch_edge_order():
     dataset = generate_dataset(SynthConfig(n_users=1200, n_communities=4, seed=23))
     split = temporal_split(dataset)
     profiles = RetweetProfiles(split.train)
-    builder = SimGraphBuilder(tau=TAU, backend="vectorized")
+    builder = SimGraphBuilder(tau=TAU)
     old = builder.build(dataset.follow_graph, profiles)
     profiles.mark_clean()
     for event in split.test[:400]:

@@ -9,12 +9,15 @@ observability layer trustworthy: if any engine became order-dependent
 value sneaking past the ``timing=True`` convention), this test is the
 tripwire.
 
-Both SimGraph build backends and both propagation backends are
-exercised; since the differential suites pin each pair to identical
-outputs, the *hit lists* of every variant must also agree with each
-other (their work metrics legitimately differ), and hash to a digest
-recorded at an earlier commit, so a change that moves recommendation
-quality cannot hide behind self-consistency.
+The SimGraph comes from the builder (``vectorized``) or from the
+Def. 4.1 oracle loop (``reference``, ``tests/test_simgraph_oracle.py``,
+handed to the recommender the way Figure 16 hands it an updated graph),
+and both propagation backends run on each; since the differential
+suites pin each pair to identical outputs, the *hit lists* of every
+variant must also agree with each other (their work metrics
+legitimately differ), and hash to a digest recorded at an earlier
+commit, so a change that moves recommendation quality cannot hide
+behind self-consistency.
 """
 
 from __future__ import annotations
@@ -24,18 +27,19 @@ import json
 
 import pytest
 
-from repro.core import SimGraphRecommender
+from repro.core import RetweetProfiles, SimGraphRecommender
 from repro.data import temporal_split
 from repro.eval import evaluate_sweep, run_replay, select_target_users
 from repro.obs import MetricsRegistry, validate_snapshot
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_simgraph_oracle import oracle_build
 
 CONFIG = SynthConfig(n_users=150, n_communities=4, seed=19)
 K_VALUES = [10, 30]
 
-#: (build backend, propagation backend) pipeline variants under the
-#: determinism gate.  Every variant must be self-deterministic, and all
+#: (who builds the SimGraph, propagation backend) pipeline variants
+#: under the determinism gate.  Every variant must be self-deterministic, and all
 #: variants must agree on the hit lists.
 VARIANTS = [
     ("reference", "reference"),
@@ -48,18 +52,25 @@ VARIANT_IDS = [f"{build}-{prop}" for build, prop in VARIANTS]
 
 #: sha256 of every variant's hits JSON as recorded at commit 5577740, the
 #: last commit whose recommender ran its own copy of the scoring loop:
-#: the adapter over the service must reproduce it byte for byte.
+#: the adapter over the service must reproduce it byte for byte, and so
+#: must every later commit (the per-user build loop left the library for
+#: the test oracle without moving it).
 HITS_SHA256 = "09bcbdfe61cd03e8f1566f8b02ecc3dbc09636edb4935e61159ddce24a215a87"
 
 
-def run_pipeline(backend: str, prop_backend: str) -> tuple[str, str]:
+def run_pipeline(build: str, prop_backend: str) -> tuple[str, str]:
     """One full seeded run; returns (snapshot_json, hits_json)."""
     dataset = generate_dataset(CONFIG)
     split = temporal_split(dataset)
     targets = select_target_users(split.train, per_stratum=50, seed=0)
     registry = MetricsRegistry()
+    simgraph = (
+        oracle_build(dataset.follow_graph, RetweetProfiles(split.train))
+        if build == "reference"
+        else None
+    )
     recommender = SimGraphRecommender(
-        backend=backend, prop_backend=prop_backend, metrics=registry
+        simgraph=simgraph, prop_backend=prop_backend, metrics=registry
     )
     result = run_replay(
         recommender, dataset, split.train, split.test, targets.all_users,

@@ -315,7 +315,6 @@ class TestShardedServeSmoke:
             2,
             ServiceConfig(
                 use_scheduler=False,
-                backend="reference",
                 prop_backend="reference",
                 **delta,
             ),

@@ -12,6 +12,7 @@ from repro.exceptions import ConfigError, DatasetError
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
 from tests.service_replay import drive_service, ingest_graph
+from tests.test_simgraph_oracle import oracle_build
 
 
 def warm_service(**config_kwargs) -> RecommendationService:
@@ -49,7 +50,7 @@ class TestConfig:
             {"rebuild_strategy": "bogus"},
             {"tau": -1.0},
             {"min_score": 0.0},
-            {"backend": "gpu"},
+            {"rebuild_strategy": "crossfold"},
             {"warm_cache_size": 0},
         ],
     )
@@ -75,10 +76,17 @@ class TestIngestion:
 
 class TestVectorizedBackend:
     def test_vectorized_service_matches_reference(self):
+        """The service's build against the Def. 4.1 oracle loop: same
+        edges, and a service that adopts the oracle's graph notifies the
+        same users."""
+        vectorized = warm_service()
         reference = warm_service()
-        vectorized = warm_service(backend="vectorized")
+        oracle = oracle_build(
+            reference.follow_graph, reference.profiles, tau=reference.config.tau
+        )
+        reference._adopt(oracle)
         assert set(vectorized.simgraph.graph.edges()) == set(
-            reference.simgraph.graph.edges()
+            oracle.graph.edges()
         )
         ref_notes = reference.retweet(user=0, tweet=200, at=600.0)
         vec_notes = vectorized.retweet(user=0, tweet=200, at=600.0)
@@ -302,9 +310,12 @@ class TestMaintenance:
         assert service.simgraph is graph
 
     def test_unknown_strategy_rejected(self):
+        """The service maintains by delta or from scratch; the other
+        §6.3 strategies are offline comparisons (repro.core.update)."""
         service = warm_service()
-        with pytest.raises(ConfigError):
-            service.rebuild("bogus")
+        for name in ("bogus", "crossfold", "SimGraph updated", "old SimGraph"):
+            with pytest.raises(ConfigError):
+                service.rebuild(name)
 
     def test_periodic_rebuild_triggers(self):
         service = warm_service(rebuild_interval=100.0)
@@ -312,20 +323,17 @@ class TestMaintenance:
         service.retweet(user=0, tweet=200, at=5000.0)
         assert service.stats.rebuilds > before
 
-    def test_crossfold_rebuild_runs_on_previous_graph(self):
-        service = warm_service()
-        service.rebuild("from scratch")
-        refreshed = service.rebuild("crossfold")
-        assert refreshed.node_count > 0
-
     @pytest.mark.parametrize(
         "strategy", ["crossfold", "SimGraph updated", "old SimGraph"]
     )
     def test_report_less_rebuild_recompiles_the_csr(self, strategy):
-        """The §6.3 strategies that produce no delta report have one CSR
-        refresh: compile the graph they returned.  The compiled engine
-        then delivers exactly what the reference loop delivers."""
+        """A graph the service did not maintain itself — a §6.3
+        strategy's, adopted the way Figure 16 hands one to the
+        recommender — comes with no delta report and has one CSR
+        refresh: compile it.  The compiled engine then delivers exactly
+        what the reference loop delivers."""
         from repro.core.csr import CSRSimGraph
+        from repro.core.update import STRATEGIES
         from tests.test_propagation_differential import assert_same_compiled
 
         dataset = generate_dataset(SynthConfig(n_users=300, seed=5))
@@ -351,9 +359,15 @@ class TestMaintenance:
             )
             return per_event
 
+        def adopt(service: RecommendationService) -> None:
+            service._adopt(STRATEGIES[strategy](
+                service.simgraph, service.follow_graph, service.profiles,
+                service._builder,
+            ))
+
         compiled = maintained("csr")
         before = compiled.metrics_snapshot()["counters"]
-        compiled.rebuild(strategy)
+        adopt(compiled)
         after = compiled.metrics_snapshot()["counters"]
         assert compiled.simgraph.edge_count > 0
         assert_same_compiled(
@@ -366,7 +380,7 @@ class TestMaintenance:
         assert after.get("propagation.csr_spliced", 0) == 0
 
         reference = maintained("reference")
-        reference.rebuild(strategy)
+        adopt(reference)
         delivered = next_50(compiled)
         assert any(delivered)
         assert delivered == next_50(reference)

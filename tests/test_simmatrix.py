@@ -124,11 +124,10 @@ class TestSimgraphEdges:
         graph = DiGraph()
         for u, v in [(1, 2), (2, 3), (3, 5), (1, 4), (5, 1)]:
             graph.add_edge(u, v)
-        from repro.core.simgraph import SimGraphBuilder
+        from tests.test_simgraph_oracle import oracle_edges_for_user
 
-        builder = SimGraphBuilder(tau=0.0, hops=2)
         expected = {
-            u: builder.edges_for_user(u, graph, shared_profiles)
+            u: oracle_edges_for_user(u, graph, shared_profiles, tau=0.0, hops=2)
             for u in graph.nodes()
         }
         expected = {u: kept for u, kept in expected.items() if kept}
