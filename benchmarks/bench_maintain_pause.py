@@ -3,14 +3,25 @@
     python benchmarks/bench_maintain_pause.py --label change
     python benchmarks/bench_maintain_pause.py --label parent --repo /path/to/parent
 
-The ``maintain`` ledger workload stalls its single worker once per
-window: 720 retweets after the last maintenance, ``service.rebuild()``
-runs a ``delta`` refresh on the server's executor thread.  This bench
-boots that very workload (``benchmarks/e2e``'s ``tier`` / ``workloads``,
-imported unchanged), absorbs the 719 pre-maintenance events by direct
-``service.retweet`` calls and times the one rebuild — once on the main
-thread, once on a fresh worker thread whose malloc arena is cold, each
-in a process of its own — split into the four stages of the pause:
+The ``maintain`` ledger workload comes due for maintenance once per
+window, 720 retweets after the last one.  This bench boots that very
+workload (``benchmarks/e2e``'s ``tier`` / ``workloads``, imported
+unchanged) and absorbs the 719 pre-maintenance events by direct
+``service.retweet`` calls.
+
+The ``handoff`` row (on a checkout whose service forks clock-triggered
+maintenance) then drives the 720th event and the ones after it at the
+workload's 120 events/s until the forked job is adopted, and records
+what the serving thread paid — the stall at the due event (the fork)
+and at the adopting event (load, install, invalidation; any wait for a
+late child) — beside the child's wall time, its CPU
+(``RUSAGE_CHILDREN``), its peak RSS and the due-to-adopt wall time.
+
+The ``main`` and ``thread`` rows time one explicit ``service.rebuild()``
+— the synchronous job, which is what the due event ran before the
+handoff — once on the main thread, once on a fresh worker thread whose
+malloc arena is cold, each in a process of its own, split into the
+four stages of the job:
 
 * ``affected_region`` — dirty sets to core / fringe / needed pairs;
 * ``core_state``      — restricted incidence, masked Gram, core rows;
@@ -51,6 +62,9 @@ RECORD = HERE / "BENCH_maintain_pause.json"
 #: rebuilds every 720 simulated steps; the 720th event triggers it).
 PRE_EVENTS = 719
 STAGES = ("affected_region", "core_state", "copy_surgery", "csr_refresh")
+#: The ``maintain`` workload's arrival rate (events per wall second).
+RATE = 120.0
+MODES = ("main", "thread", "handoff")
 
 
 def _usage() -> tuple[float, int, float]:
@@ -83,8 +97,9 @@ class StageClock:
         return {"wall_ms": wall, "minor_faults": int(faults), "system_ms": system}
 
 
-def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict:
-    """Boot ``maintain``, absorb the pre-maintenance events, time one rebuild."""
+def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict | None:
+    """Boot ``maintain``, absorb the pre-maintenance events, time one
+    maintenance (None: ``handoff`` on a checkout without one)."""
     sys.path[:0] = [str(repo / "src"), str(repo / "benchmarks" / "e2e")]
     import tier as tiers
     import workloads
@@ -93,6 +108,8 @@ def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict:
     import repro.service.engine as engine_module
     from repro.core.csr import CSRSimGraph
 
+    if mode == "handoff" and not hasattr(engine_module, "ADOPTION_LAG"):
+        return None
     workload = workloads.BY_NAME["maintain"]
     tier = tiers.ensure_tier(tiers.SMOKE if smoke else tiers.FULL)
     prepared = workloads.prepare(workload, tier, seed, seconds=10.0)
@@ -100,6 +117,11 @@ def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict:
     for request in prepared.requests[:PRE_EVENTS]:
         service.retweet(request.user, request.tweet, request.at)
     assert service.stats.rebuilds == 2, "maintenance fired before it was due"
+    if mode == "handoff":
+        try:
+            return handoff(service, prepared.requests[PRE_EVENTS:])
+        finally:
+            workloads.close(service)
 
     clock = StageClock()
     engine_module.affected_region = clock.wrap(
@@ -114,8 +136,8 @@ def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict:
     reports = []
     apply_delta = service._apply_delta
 
-    def reporting_apply_delta(plan):
-        reports.append(apply_delta(plan))
+    def reporting_apply_delta(*args):
+        reports.append(apply_delta(*args))
         return reports[-1]
 
     service._apply_delta = reporting_apply_delta
@@ -159,6 +181,60 @@ def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict:
     return row
 
 
+def handoff(service, requests: list) -> dict:
+    """Drive the due event and the ones after it at ``RATE`` until the
+    forked job is adopted; what each side of the handoff cost."""
+    def read() -> tuple[dict, dict, dict]:
+        snapshot = service.metrics_snapshot()
+        return (
+            snapshot["counters"], snapshot["gauges"], snapshot["histograms"],
+        )
+
+    def total(histograms: dict, name: str) -> float:
+        return histograms.get(name, {}).get("total", 0.0)
+
+    counters, _, histograms = read()
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    children_cpu = usage.ru_utime + usage.ru_stime
+    stalls = [total(histograms, "maintenance.stall_seconds")]
+    started = time.perf_counter()
+    adopted_at = None
+    for i, request in enumerate(requests):
+        delay = started + i / RATE - time.perf_counter()
+        if delay > 0:
+            time.sleep(delay)
+        service.retweet(request.user, request.tweet, request.at)
+        if i == 0:
+            assert service._job is not None, "maintenance did not start"
+            stalls.append(total(read()[2], "maintenance.stall_seconds"))
+        elif service._job is None:
+            adopted_at = time.perf_counter()
+            break
+    assert adopted_at is not None, "the job was not adopted in the window"
+    after, gauges, after_histograms = read()
+    stalls.append(total(after_histograms, "maintenance.stall_seconds"))
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {
+        "mode": "handoff",
+        "stall_at_start_ms": (stalls[1] - stalls[0]) * 1e3,
+        "stall_at_adoption_ms": (stalls[2] - stalls[1]) * 1e3,
+        "child_wall_ms": (
+            total(after_histograms, "service.rebuild_seconds[delta]")
+            - total(histograms, "service.rebuild_seconds[delta]")
+        ) * 1e3,
+        "child_cpu_ms": (usage.ru_utime + usage.ru_stime - children_cpu) * 1e3,
+        "child_peak_rss_mb": gauges.get("maintenance.child_peak_rss_mb", 0.0),
+        "due_to_adopt_ms": (adopted_at - started) * 1e3,
+        "events_to_adopt": i,
+        "counters": {
+            name: after[name] - counters.get(name, 0)
+            for name in sorted(after)
+            if name.startswith(("maintenance.", "propagation.csr_"))
+            and after[name] != counters.get(name, 0)
+        },
+    }
+
+
 def weights_only_refresh(csr_class, simgraph, changed: list[int]) -> dict:
     """Splicing the real run's changed rows into the compiled graph of
     the refreshed one (best of three): given the rows as a mapping, or,
@@ -184,7 +260,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--out", type=Path, help="record to rewrite")
-    parser.add_argument("--mode", choices=("main", "thread"),
+    parser.add_argument("--mode", choices=MODES,
                         help="(internal) measure one mode, print its row")
     args = parser.parse_args()
     repo = args.repo.resolve()
@@ -193,18 +269,29 @@ def main() -> int:
         return 0
 
     rows = {}
-    for mode in ("main", "thread"):
+    for mode in MODES:
         command = [
             sys.executable, __file__, "--repo", str(repo), "--mode", mode,
             "--seed", str(args.seed),
         ] + (["--smoke"] if args.smoke else [])
         proc = subprocess.run(command, capture_output=True, text=True, check=True)
-        rows[mode] = json.loads(proc.stdout.strip().splitlines()[-1])
-        rebuild = rows[mode]["rebuild"]
-        print(f"{args.label:>7} {mode:>6}: rebuild {rebuild['wall_ms']:8.1f} ms  "
+        row = json.loads(proc.stdout.strip().splitlines()[-1])
+        if row is None:
+            continue
+        rows[mode] = row
+        if mode == "handoff":
+            print(f"{args.label:>7} {mode:>7}: stall {row['stall_at_start_ms']:6.1f} ms "
+                  f"at the fork, {row['stall_at_adoption_ms']:6.1f} ms at adoption; "
+                  f"child {row['child_wall_ms']:6.1f} ms wall, "
+                  f"{row['child_cpu_ms']:6.1f} ms CPU, "
+                  f"{row['child_peak_rss_mb']:6.1f} MB peak; "
+                  f"due -> adopt {row['due_to_adopt_ms']:7.1f} ms")
+            continue
+        rebuild = row["rebuild"]
+        print(f"{args.label:>7} {mode:>7}: rebuild {rebuild['wall_ms']:8.1f} ms  "
               f"{rebuild['minor_faults']:6d} faults  sys {rebuild['system_ms']:6.1f} ms")
-        for name, stage in rows[mode]["stages"].items():
-            print(f"{'':>15} {name:<16} {stage['wall_ms']:8.1f} ms  "
+        for name, stage in row["stages"].items():
+            print(f"{'':>16} {name:<16} {stage['wall_ms']:8.1f} ms  "
                   f"{stage['minor_faults']:6d} faults")
 
     out = args.out if args.out is not None else (None if args.smoke else RECORD)

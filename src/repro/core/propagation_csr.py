@@ -148,6 +148,18 @@ class CSRWarmState:
             state._candidates = self._candidates
         return state
 
+    def on(self, graph: CSRSimGraph) -> "CSRWarmState":
+        """This fixpoint over ``graph``, a compiled graph that gives every
+        node the position this state's graph gives it (the result of a
+        delta that changed weights only): same arrays, same seeds."""
+        state = CSRWarmState(
+            graph, self.indices, self.values, self.extra, self.seeds,
+            self.seed_idx,
+        )
+        state._positive = self._positive
+        state._candidates = self._candidates
+        return state
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """``array`` itself when already read-only, else a read-only view."""

@@ -5,7 +5,8 @@ propagating to their influencees at the next iteration:
 
 * :class:`NoThreshold` — propagate every change (exact Algorithm 1);
 * :class:`StaticThreshold` — the paper's β: a fixed minimum delta;
-* :class:`DynamicThreshold` — the paper's γ(t) = m(t)^p / (k^p + m(t)^p),
+* :class:`DynamicThreshold` — the paper's γ(t) = m(t)^p / (k^p + m(t)^p)
+  (evaluated as 1 / (1 + (k / m(t))^p), which is monotone in floats),
   a Hill function of the tweet's popularity.  Fresh, barely-retweeted
   tweets get a near-zero threshold (deep propagation, they need the reach),
   while already-popular tweets get a high threshold (the network spreads
@@ -75,11 +76,17 @@ class DynamicThreshold:
         self.scale = scale
 
     def gamma(self, popularity: int) -> float:
-        """The raw Hill value γ(t) in [0, 1)."""
+        """The raw Hill value γ(t) in [0, 1].
+
+        Computed as ``1 / (1 + (k/m)^p)``: every step is a monotone
+        IEEE operation, so γ never decreases as ``m`` grows.  The
+        textbook ``m^p / (k^p + m^p)`` divides two values that both
+        round, and drops by one ulp near 1 (k=4.5, p=4.71875 between
+        m=9,589 and 10,449).
+        """
         if popularity <= 0:
             return 0.0
-        m_p = float(popularity) ** self.p
-        return m_p / (self.k**self.p + m_p)
+        return 1.0 / (1.0 + (self.k / popularity) ** self.p)
 
     def threshold_for(self, popularity: int) -> float:
         return self.scale * self.gamma(popularity)

@@ -183,6 +183,12 @@ class WarmStateCache:
             self.metrics.gauge("warmcache.size").set(len(self._entries))
         return dropped
 
+    def restate(self, convert) -> None:
+        """Replace every state by ``convert(state)``; recency order and
+        counters are untouched."""
+        for tweet, (created_at, state) in list(self._entries.items()):
+            self._entries[tweet] = (created_at, convert(state))
+
     def sweep(self, now: float) -> int:
         """Evict every entry past the horizon; returns the count evicted."""
         if self.max_age is None:

@@ -41,13 +41,19 @@ SNAPSHOT_SCHEMA = "repro.obs/1"
 
 
 class Counter:
-    """A monotonically increasing integer metric."""
+    """A monotonically increasing integer metric.
 
-    __slots__ = ("name", "value")
+    ``timing=True`` marks a count the host decides rather than the input
+    (how often a wait was late, how often a fork failed): like a
+    wall-clock reading, it is stripped from deterministic snapshots.
+    """
 
-    def __init__(self, name: str):
+    __slots__ = ("name", "value", "timing")
+
+    def __init__(self, name: str, timing: bool = False):
         self.name = name
         self.value = 0
+        self.timing = timing
 
     def inc(self, amount: int = 1) -> None:
         """Add ``amount`` (default 1) to the counter."""
@@ -216,11 +222,11 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Metric accessors
     # ------------------------------------------------------------------
-    def counter(self, name: str) -> Counter:
+    def counter(self, name: str, timing: bool = False) -> Counter:
         """Get or create the counter ``name``."""
         metric = self._counters.get(name)
         if metric is None:
-            metric = self._counters[name] = Counter(name)
+            metric = self._counters[name] = Counter(name, timing=timing)
         return metric
 
     def gauge(self, name: str, timing: bool = False) -> Gauge:
@@ -260,8 +266,9 @@ class MetricsRegistry:
         """JSON-serializable dump of every metric.
 
         ``deterministic=True`` strips everything wall-clock dependent:
-        span times, timing-gauge values, and timing-histogram value stats
-        (their observation *counts* are kept — those are reproducible).
+        span times, timing counters, timing-gauge values, and
+        timing-histogram value stats (their observation *counts* are
+        kept — those are reproducible).
         Two runs of a seeded pipeline must produce byte-identical
         deterministic snapshots; the e2e golden test enforces this.
         """
@@ -291,6 +298,7 @@ class MetricsRegistry:
             "counters": {
                 name: self._counters[name].value
                 for name in sorted(self._counters)
+                if not (deterministic and self._counters[name].timing)
             },
             "gauges": gauges,
             "histograms": histograms,
@@ -360,7 +368,7 @@ class NullRegistry(MetricsRegistry):
         self._null_histogram = _NullHistogram("null")
         self._null_span = _NullSpan()
 
-    def counter(self, name: str) -> Counter:
+    def counter(self, name: str, timing: bool = False) -> Counter:
         return self._null_counter
 
     def gauge(self, name: str, timing: bool = False) -> Gauge:

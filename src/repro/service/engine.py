@@ -14,7 +14,10 @@ deployable object a platform would actually run:
   refreshed by ``delta`` (default: only the region that changed is
   rescored, edge-identical to a rebuild) or rebuilt ``from scratch``
   (the exact oracle).  The paper's other §6.3 strategies are compared
-  offline (:mod:`repro.core.update`, Figure 16).
+  offline (:mod:`repro.core.update`, Figure 16).  Maintenance the clock
+  triggers runs in a forked child while the service keeps serving the
+  previous graph, which it adopts :data:`ADOPTION_LAG` of an interval
+  later — a bounded form of the paper's "old SimGraph" strategy.
 
 Example
 -------
@@ -32,13 +35,19 @@ engine — in :class:`RecommendationService`.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import shutil
+import tempfile
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.baselines.base import Recommendation
+from repro.core import persistence
 from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.profiles import RetweetProfiles
 from repro.core.propagation_csr import (
@@ -72,6 +81,12 @@ HOUR = 3600.0
 #: differential replays select, as ``prop_backend="reference"`` is for
 #: propagation.
 REBUILD_STRATEGIES = ("delta", "from scratch")
+
+#: Simulated time from a clock-triggered maintenance coming due to the
+#: service adopting its graph, as a fraction of ``rebuild_interval``.  A
+#: lag under one interval keeps at most one job in flight; the served
+#: graph is then at most 1.25 intervals stale.
+ADOPTION_LAG = 0.25
 
 
 @dataclass(frozen=True)
@@ -190,6 +205,160 @@ class _KnownUsers:
         return len(self.unseen(np.array([user]))) == 0
 
 
+class _Outcome(NamedTuple):
+    """What one maintenance job produced."""
+
+    #: The strategy that ran (a delta on a graph without edges, or the
+    #: first maintenance, builds from scratch).
+    used: str
+    #: The refreshed graph (None while a child's is still on disk).
+    built: SimGraph | None
+    #: The delta's report (None after a from-scratch build).
+    report: DeltaReport | None
+    #: Counter increments the job recorded (``maintenance.*``,
+    #: ``simgraph.*``).
+    counters: dict[str, int]
+    #: Wall seconds the job took (in a child, writing its graph too).
+    seconds: float
+    #: Peak resident MB of the child that ran it (0: it ran in-process).
+    peak_rss_mb: float = 0.0
+
+
+def _fork_child(target, args):
+    """Start ``target(*args)`` in a forked daemon child process."""
+    process = multiprocessing.get_context("fork").Process(
+        target=target, args=args, name="repro-maintenance", daemon=True
+    )
+    # Python 3.12+ warns (DeprecationWarning) that forking a process
+    # with other threads may deadlock the child; this child takes no
+    # lock another thread can hold (DESIGN.md).
+    process.start()
+    return process
+
+
+def _run_in_child(service: "RecommendationService", strategy: str, path: str,
+                  conn) -> None:
+    """The child's side of a handoff: run the job on the state inherited
+    at the due event, write its graph to ``path`` with the v2 section
+    writer and send the rest over ``conn``.  Returning ends the child
+    with ``os._exit`` (the fork start method's exit)."""
+    started = time.perf_counter()
+    outcome = service._lagged_job(strategy)
+    persistence.save_simgraph(outcome.built, path, format=2)
+    conn.send(outcome._replace(
+        built=None,
+        seconds=time.perf_counter() - started,
+        peak_rss_mb=_peak_rss_mb(),
+    ))
+    conn.close()
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set (``VmHWM``) in MB; 0 without
+    ``/proc``."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return float(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return 0.0
+
+
+class _Handoff:
+    """One clock-triggered maintenance job, from its due event to its
+    adoption.
+
+    From the due event on, the maintenance state — profiles, follow
+    graph, SimGraph — stays as it was: retweets absorbed meanwhile wait
+    here (``lagged``, with ``retweeters`` for the serving path's seeds),
+    and a follow-graph write adopts the job first.  So the job reads the
+    same state whether a forked child runs it at the due event or the
+    service runs it in-process at adoption.
+    """
+
+    def __init__(self, strategy: str, adopt_at: float):
+        self.strategy = strategy
+        #: Simulated time from which the next event adopts the job.
+        self.adopt_at = adopt_at
+        self.lagged: list[tuple[int, int]] = []
+        self.retweeters: dict[int, set[int]] = {}
+        self.process = None
+        self._conn = None
+        self._workdir: str | None = None
+        self._owner = os.getpid()
+        self._finalizer = None
+
+    def absorb(self, user: int, tweet: int) -> None:
+        self.lagged.append((user, tweet))
+        self.retweeters.setdefault(tweet, set()).add(user)
+
+    @property
+    def _path(self) -> str:
+        return os.path.join(self._workdir, "graph.simgraph")
+
+    def start(self, service: "RecommendationService") -> None:
+        """Fork the child that runs the job.  If the fork fails there is
+        no child, and the job runs in-process at adoption."""
+        self._workdir = tempfile.mkdtemp(prefix="repro-maintenance-")
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        try:
+            self.process = _fork_child(
+                _run_in_child, (service, self.strategy, self._path, writer)
+            )
+        except (OSError, ValueError, AssertionError):
+            # Out of processes or memory; no fork start method on this
+            # platform; or a daemonic process, which may not have children.
+            reader.close()
+            self.release()
+            return
+        finally:
+            writer.close()
+        self._conn = reader
+        # A service dropped with a job in flight stops its child.
+        self._finalizer = weakref.finalize(service, self.release)
+
+    def collect(self, metrics: MetricsRegistry) -> _Outcome | None:
+        """The child's outcome, its graph memory-mapped; waits for a
+        child still running (counted in ``maintenance.late``).  None
+        without a child, or when it died before sending one."""
+        if self._conn is None:
+            return None
+        if not self._conn.poll():
+            metrics.counter("maintenance.late", timing=True).inc()
+        try:
+            outcome = self._conn.recv()
+        except EOFError:
+            return None
+        finally:
+            self._conn.close()
+            self._conn = None
+        return outcome._replace(
+            built=persistence.load_simgraph(self._path, mmap=True)
+        )
+
+    def release(self) -> None:
+        """Stop (unless it delivered) and reap the child, and remove the
+        job's files.  Idempotent; does nothing in any process but the
+        one that started the job."""
+        if os.getpid() != self._owner:
+            return
+        if self._finalizer is not None:
+            self._finalizer.detach()
+            self._finalizer = None
+        if self.process is not None:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
+                self.process.kill()
+            self.process.join()
+            self.process = None
+        if self._workdir is not None:
+            shutil.rmtree(self._workdir, ignore_errors=True)
+            self._workdir = None
+
+
 @dataclass
 class ServiceStats:
     """Running counters of one service instance.
@@ -264,18 +433,26 @@ class RecommendationService:
             tau=self.config.tau, hops=self._hops, metrics=self.metrics
         )
         self._csr: CSRSimGraph | None = None
+        #: The clock-triggered maintenance in flight, if any.
+        self._job: _Handoff | None = None
         self._install(SimGraph(DiGraph(), tau=self.config.tau))
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def add_user(self, user: int) -> None:
-        """Register an account."""
+        """Register an account (adopting a maintenance job in flight
+        first: the follow graph stays as the job read it)."""
+        if self._job is not None:
+            self._adopt_maintenance()
         self.follow_graph.add_node(user)
 
     def add_follow(self, follower: int, followee: int) -> None:
         """Register a follow edge (auto-registers unknown accounts; a
-        repeated follow changes nothing)."""
+        repeated follow changes nothing).  Adopts a maintenance job in
+        flight first, as :meth:`add_user` does."""
+        if self._job is not None:
+            self._adopt_maintenance()
         self.follow_graph.add_edge(follower, followee)
 
     def post_tweet(self, tweet_id: int, author: int, at: float) -> None:
@@ -357,48 +534,163 @@ class RecommendationService:
         (:meth:`~repro.core.csr.CSRSimGraph.splice`).  On the ``csr``
         propagation backend the service keeps only the compiled graph
         after any rebuild.
+
+        An explicit call runs here and now, on the calling thread; a job
+        the clock started is adopted first.  Clock-triggered maintenance
+        after the first is lagged instead (:meth:`_start_maintenance`).
         """
         name = strategy if strategy is not None else self.config.rebuild_strategy
         _check_strategy(name)
+        if self._job is not None:
+            self._adopt_maintenance()
         started = time.perf_counter()
-        report: DeltaReport | None = None
         with self.metrics.span("service.rebuild"):
-            if (
-                self.stats.rebuilds == 0
-                or name == "from scratch"
-                or self.edge_count == 0
-            ):
-                # First build, explicit rebuild, or bootstrap from an empty
-                # graph must come from the follow graph: a delta needs a
-                # previous SimGraph with edges to refresh.
-                used = "from scratch"
-                built = self._builder.build(self.follow_graph, self.profiles)
-            else:
-                used = "delta"
-                graph = self.follow_graph
-                fresh = graph.new_sources()
-                # A new edge also extends the 2-hop reach of everyone
-                # already following its source.
-                _, followers = graph.reach(fresh, 1, reverse=True)
-                plan = affected_region(
-                    self.profiles,
-                    graph,
-                    extra_sources=graph.ids[np.union1d(fresh, followers)].tolist(),
-                    hops=self._hops,
-                )
-                built, report = self._apply_delta(plan)
+            used, built, report = self._maintain(name, self.metrics)
+        built = self._refresh(
+            _Outcome(used, built, report, {}, time.perf_counter() - started)
+        )
+        self.stats.last_rebuild_at = self._clock
+        return built
+
+    def close(self) -> None:
+        """Stop a maintenance job in flight: its child is killed and its
+        files removed.  Nothing is lost — the dirt the job would have
+        consumed waits for the next maintenance — and the service stays
+        usable."""
+        if self._job is not None:
+            self._discard_maintenance()
+
+    def _maintain(
+        self, strategy: str, metrics: MetricsRegistry
+    ) -> tuple[str, SimGraph, DeltaReport | None]:
+        """The maintenance job: ``(strategy used, refreshed graph, delta
+        report or None)`` from the current maintenance state.
+
+        Reads the profiles, the follow graph and the SimGraph and writes
+        none of them (the follow graph may compact its buffer), so it
+        gives the same graph in a forked child as in-process.
+        """
+        if (
+            self.stats.rebuilds == 0
+            or strategy == "from scratch"
+            or self.edge_count == 0
+        ):
+            # First build, explicit rebuild, or bootstrap from an empty
+            # graph must come from the follow graph: a delta needs a
+            # previous SimGraph with edges to refresh.
+            builder = SimGraphBuilder(
+                tau=self.config.tau, hops=self._hops, metrics=metrics
+            )
+            return "from scratch", builder.build(self.follow_graph, self.profiles), None
+        graph = self.follow_graph
+        fresh = graph.new_sources()
+        # A new edge also extends the 2-hop reach of everyone already
+        # following its source.
+        _, followers = graph.reach(fresh, 1, reverse=True)
+        plan = affected_region(
+            self.profiles,
+            graph,
+            extra_sources=graph.ids[np.union1d(fresh, followers)].tolist(),
+            hops=self._hops,
+        )
+        built, report = self._apply_delta(plan, metrics)
+        return "delta", built, report
+
+    def _lagged_job(self, strategy: str) -> _Outcome:
+        """:meth:`_maintain` for a lagged job, in a forked child or
+        in-process: its counters go to a registry of its own, and reach
+        the service's when the job is adopted."""
+        started = time.perf_counter()
+        metrics = MetricsRegistry()
+        used, built, report = self._maintain(strategy, metrics)
+        return _Outcome(
+            used, built, report, metrics.snapshot()["counters"],
+            time.perf_counter() - started,
+        )
+
+    def _start_maintenance(self) -> None:
+        """The due event of clock-triggered maintenance: fork the job.
+
+        The child inherits the state at this event and runs
+        :meth:`_maintain`, while this process keeps serving the current
+        graph; the first event at or after ``ADOPTION_LAG *
+        rebuild_interval`` from now adopts the result
+        (:meth:`_adopt_maintenance`).  The next maintenance is scheduled
+        from now, so the cadence is the interval's.
+        """
+        started = time.perf_counter()
+        job = _Handoff(
+            self.config.rebuild_strategy,
+            self._clock + ADOPTION_LAG * self.config.rebuild_interval,
+        )
+        job.start(self)
+        self._job = job
+        self.stats.last_rebuild_at = self._clock
+        self.metrics.gauge("maintenance.in_flight").set(1)
+        self.metrics.histogram(
+            "maintenance.stall_seconds", timing=True
+        ).observe(time.perf_counter() - started)
+
+    def _adopt_maintenance(self) -> None:
+        """Make the job in flight's graph current.
+
+        Takes the child's outcome — waiting if it is still running — or,
+        when there is none (the fork or the child failed), runs the job
+        in-process on the state it would have read.  Then, as a rebuild
+        does: its counters land, the dirt up to its due event is consumed
+        and the retweets held since become dirt for the next run, warm
+        state is invalidated by its report, and the engine is rebuilt
+        over the graph.
+        """
+        started = time.perf_counter()
+        job = self._job
+        outcome = job.collect(self.metrics)
+        if outcome is None:
+            self.metrics.counter("maintenance.child_failures", timing=True).inc()
+            outcome = self._lagged_job(job.strategy)
+        self._job = None
+        for name, value in outcome.counters.items():
+            self.metrics.counter(name).inc(value)
+        if outcome.peak_rss_mb:
+            self.metrics.gauge(
+                "maintenance.child_peak_rss_mb", timing=True
+            ).set(outcome.peak_rss_mb)
+        self._refresh(outcome, lagged=job.lagged)
+        # Reaped after the graph is in place: the child's exit overlaps
+        # the adoption above.
+        job.release()
+        self.metrics.gauge("maintenance.in_flight").set(0)
+        self.metrics.histogram(
+            "maintenance.stall_seconds", timing=True
+        ).observe(time.perf_counter() - started)
+
+    def _discard_maintenance(self) -> None:
+        """Drop the job in flight unadopted; the retweets it held reach
+        the profiles, and its dirt stays for the next run."""
+        job, self._job = self._job, None
+        job.release()
+        for user, tweet in job.lagged:
+            self.profiles.add(user, tweet)
+        self.metrics.gauge("maintenance.in_flight").set(0)
+
+    def _refresh(
+        self, outcome: _Outcome, lagged: Sequence[tuple[int, int]] = ()
+    ) -> SimGraph:
+        """Install a finished job's graph; returns the graph held."""
+        used = outcome.used
         self.metrics.counter(f"service.rebuild[{used}]").inc()
         self.metrics.histogram(
             f"service.rebuild_seconds[{used}]", timing=True
-        ).observe(time.perf_counter() - started)
+        ).observe(outcome.seconds)
         # Dirt consumed: either strategy has now seen the accumulated
         # profile changes and follow additions.
         self.profiles.mark_clean()
         self.follow_graph.mark_clean()
-        self._invalidate_warm(report)
-        built = self._install(built, report=report)
+        for user, tweet in lagged:
+            self.profiles.add(user, tweet)
+        self._invalidate_warm(outcome.report)
+        built = self._install(outcome.built, report=outcome.report)
         self.stats.rebuilds += 1
-        self.stats.last_rebuild_at = self._clock
         return built
 
     def load_snapshot(self, path, mmap: bool = True) -> SimGraph:
@@ -419,19 +711,20 @@ class RecommendationService:
         maintenance splices new ones from them instead of writing
         through.  Returns the loaded graph.
         """
-        from repro.core.persistence import load_simgraph
-
-        adopted = self._adopt(load_simgraph(path, mmap=mmap))
+        adopted = self._adopt(persistence.load_simgraph(path, mmap=mmap))
         self.metrics.counter("service.snapshot_loads").inc()
         return adopted
 
     def _adopt(self, simgraph: SimGraph) -> SimGraph:
         """Make ``simgraph`` the current graph without building it.
 
-        Counts as a rebuild (see :meth:`load_snapshot`); the offline
-        recommender adopts an injected SimGraph the same way.  Returns
-        the graph the service now holds (:meth:`_install`).
+        Counts as a rebuild (see :meth:`load_snapshot`) and discards a
+        maintenance job in flight; the offline recommender adopts an
+        injected SimGraph the same way.  Returns the graph the service
+        now holds (:meth:`_install`).
         """
+        if self._job is not None:
+            self._discard_maintenance()
         adopted = self._install(simgraph)
         self._invalidate_warm(None)
         self.profiles.mark_clean()
@@ -461,7 +754,7 @@ class RecommendationService:
         stale = [
             tweet
             for tweet in self._warm.tweets()
-            if not self.profiles.retweeters(tweet).isdisjoint(affected)
+            if not self._retweeters(tweet).isdisjoint(affected)
         ]
         dropped = self._warm.invalidate_tweets(stale)
         self.metrics.counter("maintenance.cache_invalidations").inc(dropped)
@@ -512,28 +805,39 @@ class RecommendationService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _rebuild_due(self, at: float) -> bool:
-        """Would advancing the clock to ``at`` trigger maintenance?
+    def _maintenance_due(self, at: float) -> bool:
+        """Would advancing the clock to ``at`` adopt or start maintenance?
 
         Exposed as a predicate (not just inlined in :meth:`_advance`)
         because batched ingestion must flush deferred propagation
-        *before* a rebuild invalidates the warm cache and recompiles the
-        engine mid-batch.
+        *before* an adoption or a rebuild invalidates the warm cache and
+        recompiles the engine mid-batch.
         """
+        return (
+            self._job is not None and at >= self._job.adopt_at
+        ) or self._rebuild_due(at)
+
+    def _rebuild_due(self, at: float) -> bool:
         due = self.stats.last_rebuild_at + self.config.rebuild_interval
         if self.stats.rebuilds == 0 or at >= due:
             return self.profiles.user_count > 0 or self.stats.rebuilds == 0
         return False
 
     def _advance(self, at: float) -> None:
+        """Move the clock to ``at``: adopt a job whose lag is over, then
+        run the first build or start lagged maintenance if one is due."""
         if at < self._clock:
             raise DatasetError(
                 f"time must be monotone: {at} < current clock {self._clock}"
             )
-        rebuild = self._rebuild_due(at)
         self._clock = at
-        if rebuild:
-            self.rebuild()
+        if self._job is not None and at >= self._job.adopt_at:
+            self._adopt_maintenance()
+        if self._rebuild_due(at):
+            if self.stats.rebuilds == 0:
+                self.rebuild()
+            else:
+                self._start_maintenance()
 
     def _tick(self, at: float) -> None:
         """Advance the clock to a retweet at ``at`` and count it."""
@@ -566,13 +870,26 @@ class RecommendationService:
         """Pair each task with its seed set as of now: the tweet's
         retweeters plus the task's users."""
         return [
-            (task, self.profiles.retweeters(task.tweet).union(task.users))
+            (task, self._retweeters(task.tweet).union(task.users))
             for task in tasks
         ]
 
     def _absorb(self, event: Retweet) -> None:
-        self.profiles.add(event.user, event.tweet)
+        if self._job is None:
+            self.profiles.add(event.user, event.tweet)
+        else:
+            self._job.absorb(event.user, event.tweet)
         self._known_of(event.tweet).add(event.user)
+
+    def _retweeters(self, tweet: int) -> frozenset[int]:
+        """Everyone who shared ``tweet``: the profiles' retweeters and,
+        while a maintenance job is in flight, those it holds."""
+        retweeters = self.profiles.retweeters(tweet)
+        if self._job is not None:
+            held = self._job.retweeters.get(tweet)
+            if held:
+                return retweeters.union(held)
+        return retweeters
 
     def _known_of(self, tweet: int) -> _KnownUsers:
         known = self._known.get(tweet)
@@ -717,10 +1034,10 @@ class RecommendationService:
           earlier event of this run released; the flush comes before any
           of the event's tasks is deferred, so its release is still
           delivered by one ``_deliver`` call, as sequentially;
-        * an event whose timestamp makes maintenance due (the rebuild
-          recompiles the engine and invalidates warm state, so deferred
-          work must be scored against the pre-rebuild graph it was
-          released under).
+        * an event whose timestamp makes maintenance due or adopts a
+          job in flight (either may install a new graph, recompiling the
+          engine and invalidating warm state, so deferred work must be
+          scored against the graph it was released under).
 
         The only tolerated divergence from sequential ingestion is
         warm-cache **LRU victim order** when the cache thrashes at
@@ -763,7 +1080,7 @@ class RecommendationService:
             pending_tweets.clear()
 
         for i, (user, tweet, at) in enumerate(events):
-            if pending and self._rebuild_due(at):
+            if pending and self._maintenance_due(at):
                 flush_pending()
             if tweet in pending_tweets:
                 flush_pending()
@@ -840,13 +1157,15 @@ class RecommendationService:
     def _candidates(self, state, tweet: int) -> tuple[np.ndarray, np.ndarray]:
         """Recommendees of ``tweet`` in a fixpoint ``state``, by user."""
         return nonseed_candidates(
-            state, self.profiles.retweeters(tweet), self.config.min_score
+            state, self._retweeters(tweet), self.config.min_score
         )
 
     # ------------------------------------------------------------------
     # SimGraph and engine
     # ------------------------------------------------------------------
-    def _apply_delta(self, plan: DeltaPlan) -> tuple[SimGraph, DeltaReport]:
+    def _apply_delta(
+        self, plan: DeltaPlan, metrics: MetricsRegistry
+    ) -> tuple[SimGraph, DeltaReport]:
         """Rescore ``plan``'s region; return ``(built, report)``."""
         return apply_delta(
             self._simgraph,
@@ -854,7 +1173,7 @@ class RecommendationService:
             self.profiles,
             self._builder,
             plan=plan,
-            metrics=self.metrics,
+            metrics=metrics,
         )
 
     def _install(
@@ -877,7 +1196,12 @@ class RecommendationService:
                     )
             elif not report.noop:
                 self.metrics.counter("propagation.csr_spliced").inc()
-            self._csr = simgraph.csr()
+            old, self._csr = self._csr, simgraph.csr()
+            if report is not None and self._csr is not old:
+                # Warm state outlives a delta only when the delta kept
+                # the topology (_invalidate_warm), and so every node's
+                # position: move the survivors onto the new arrays.
+                self._warm.restate(lambda state: state.on(self._csr))
         self._simgraph = simgraph
         self._engine = make_propagation_engine(
             simgraph,
@@ -919,7 +1243,7 @@ class RecommendationService:
         unknown = [t for t in tweet_ids if t not in self.tweets]
         if unknown:
             raise DatasetError(f"unknown tweet ids {unknown}")
-        seed_sets = [self.profiles.retweeters(t) for t in tweet_ids]
+        seed_sets = [self._retweeters(t) for t in tweet_ids]
         self._engine.propagate_many(
             seed_sets,
             popularities=[len(seeds) for seeds in seed_sets],

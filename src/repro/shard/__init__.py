@@ -15,7 +15,8 @@ class ShardedRecommendationService(RecommendationService):
     """A :class:`RecommendationService` running ``config`` as given.
 
     ``n_shards`` must be positive and is otherwise unused, as is
-    ``start_method``: nothing is forked, so there is nothing to close.
+    ``start_method``: no shard worker is forked.  ``close()`` is the
+    service's own (it stops a maintenance child in flight).
     """
 
     def __init__(self, n_shards: int, config=None, start_method=None):

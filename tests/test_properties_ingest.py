@@ -3,8 +3,9 @@ where the per-event replay ends.
 
 One stream, drawn with repeated tweets, same-tweet gaps longer than the
 scheduler's ``min_delay`` (an event that releases its own tweet's batch),
-maintenance falling due mid-stream and tweets aging past the relevance
-horizon, is ingested twice: one ``retweet`` per event, and as arbitrary
+maintenance falling due mid-stream — and, a quarter interval later
+(the adoption lag), being adopted mid-stream — and tweets aging past the
+relevance horizon, is ingested twice: one ``retweet`` per event, and as arbitrary
 consecutive ``ingest_batch`` chunks.  Deliveries (event by event, then the
 final drain), ``known_pairs()``, the warm cache's contents and
 ``ServiceStats`` must be equal, on both propagation engines, scheduler on
@@ -105,12 +106,36 @@ CROSS_RELEASE = (
     [[(2, 3, 0.0), (1, 3, 61.0), (1, 1, 61.0), (1, 1, 122.0)]],
 )
 
+# Maintenance is due at t=950 (the interval is 900 s) and, because the
+# forked job is adopted a quarter interval later, adopted at t=1180: both
+# inside one batch.
+ADOPTION = (
+    [(2, 1, 400.0), (3, 2, 800.0), (4, 1, 950.0), (5, 3, 1000.0),
+     (6, 1, 1180.0), (7, 2, 1200.0)],
+    [[(2, 1, 400.0), (3, 2, 800.0), (4, 1, 950.0), (5, 3, 1000.0),
+      (6, 1, 1180.0), (7, 2, 1200.0)]],
+)
+
+
+def test_adoption_example_adopts_inside_one_batch():
+    """The lag puts the due point and the adoption of ADOPTION's
+    maintenance in the same ``ingest_batch``."""
+    (chunk,) = ADOPTION[1]
+    service = world(True, "csr")
+    rebuilds = service.stats.rebuilds
+    service.ingest_batch(chunk)
+    assert service.stats.last_rebuild_at == 950.0
+    assert service.stats.rebuilds == rebuilds + 1
+    assert service._job is None
+    service.close()
+
 
 @pytest.mark.parametrize("use_scheduler", [False, True])
 @pytest.mark.parametrize("prop_backend", ["reference", "csr"])
 @settings(max_examples=60)
 @example(stream=SELF_RELEASE)
 @example(stream=CROSS_RELEASE)
+@example(stream=ADOPTION)
 @given(stream=partitioned_streams())
 def test_any_partition_equals_per_event_replay(
     use_scheduler, prop_backend, stream

@@ -5,7 +5,8 @@ pieces of the paper whose correctness is a set of *inequalities*, not a
 worked example — exactly what property testing covers best:
 
 * γ(t) = m^p / (k^p + m^p) is bounded in [0, 1), monotone in the
-  popularity m(t), equals 1/2 at m = k, and rejects non-positive k/p;
+  popularity m(t) (also exhaustively, over 1..10^6 on a grid of k and
+  p), equals 1/2 at m = k, and rejects non-positive k/p;
 * the δ scheduler never releases a batch before its due time, releases
   batches in non-decreasing due-time order, keeps users FIFO within a
   batch, and loses / duplicates no event.
@@ -13,6 +14,7 @@ worked example — exactly what property testing covers best:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +53,24 @@ def test_gamma_is_monotone_in_popularity(k, p, m, step):
     """More popular tweets never get a *lower* threshold (paper §5.4)."""
     policy = DynamicThreshold(k=k, p=p)
     assert policy.gamma(m + step) >= policy.gamma(m)
+
+
+#: The property's k and p ranges on a grid: both ends, the defaults, and
+#: the pair whose textbook form dropped by one ulp between m=9,589 and
+#: 10,449 (found by the property above under a random profile).
+GRID_K = (0.1, 1.0, 4.5, 20.0, 1e3, 1e4)
+GRID_P = (0.1, 1.0, 2.0, 4.71875, 8.0)
+
+
+@pytest.mark.parametrize("k", GRID_K)
+def test_gamma_is_monotone_over_every_popularity(k):
+    """Every popularity 1..10^6: γ never drops.  (The textbook
+    m^p / (k^p + m^p) drops by one ulp 111 times on this grid.)"""
+    n = 10**6
+    for p in GRID_P:
+        gamma = DynamicThreshold(k=k, p=p).gamma
+        values = np.fromiter(map(gamma, range(1, n + 1)), np.float64, count=n)
+        assert not (np.diff(values) < 0).any(), (k, p)
 
 
 @given(k=st.integers(min_value=1, max_value=10**4), p=ps)

@@ -299,6 +299,30 @@ class TestScopedWarmInvalidation:
         service.rebuild("delta")
         assert service._warm.tweets() == before
 
+    def test_kept_state_warm_starts_the_next_retweet(self):
+        """A state the weights-only delta kept is moved onto the spliced
+        arrays on ``csr`` (it used to be refused there as compiled
+        against another graph): the next retweet of its tweet
+        warm-starts from it and delivers what the reference engine's
+        dict state gives."""
+
+        def next_retweet(prop_backend: str) -> list[tuple]:
+            service = two_group_service(prop_backend=prop_backend)
+            service.retweet(user=0, tweet=200, at=60.0)
+            service.retweet(user=5, tweet=201, at=61.0)
+            service.rebuild("delta")
+            service.retweet(user=0, tweet=200, at=70.0)
+            service.retweet(user=5, tweet=201, at=71.0)
+            service.retweet(user=1, tweet=200, at=80.0)
+            service.rebuild("delta")
+            assert 201 in service._warm.tweets()
+            hits = service.stats.warm_hits
+            delivered = service.retweet(user=6, tweet=201, at=90.0)
+            assert service.stats.warm_hits == hits + 1
+            return deliveries(delivered)
+
+        assert next_retweet("csr") == next_retweet("reference")
+
 
 class TestMaintenance:
     def test_explicit_rebuild(self):

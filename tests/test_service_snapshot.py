@@ -75,9 +75,13 @@ def test_load_counts_as_rebuild(tmp_path):
     service.post_tweet(tweet_id=1, author=0, at=10.0)
     service.retweet(user=1, tweet=1, at=20.0)
     assert service.simgraph is loaded
-    # ... but once profiles hold data, a rebuild eventually falls due.
+    # ... but once profiles hold data, a rebuild eventually falls due,
+    # and is adopted after the adoption lag (a quarter interval).
     service.post_tweet(tweet_id=2, author=0, at=10.0 + 8 * DAY)
+    assert service.stats.last_rebuild_at == 10.0 + 8 * DAY
+    service.post_tweet(tweet_id=3, author=0, at=10.0 + 10 * DAY)
     assert service.stats.rebuilds == rebuilds_before + 2
+    assert service.simgraph is not loaded
 
 
 def test_mmap_loaded_graph_survives_maintenance(tmp_path):
