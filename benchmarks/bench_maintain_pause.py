@@ -35,6 +35,10 @@ four stages of the job:
 Each stage carries ``resource.getrusage(RUSAGE_THREAD)`` minor faults
 and system time beside its wall time: on a cold arena a page fault costs
 tens of microseconds, so transient megabytes are themselves a stage.
+A second run of each of those rows, under ``tracemalloc`` (whose hooks
+would slow the first), adds each stage's traced peak above what was
+allocated when it began (``tracemalloc_peak_mb``; ``copy_surgery``'s is
+that of the whole ``apply_delta``, ``core_state`` included).
 
 The stages are timed by rebinding module globals from outside (the way
 ``benchmarks/e2e/tracer.py`` does), so ``--repo`` can point the same
@@ -54,7 +58,10 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 RECORD = HERE / "BENCH_maintain_pause.json"
@@ -73,13 +80,28 @@ def _usage() -> tuple[float, int, float]:
 
 
 class StageClock:
-    """Wall ms, minor faults and system ms of named calls, accumulated."""
+    """Wall ms, minor faults and system ms of named calls, accumulated,
+    and — while ``tracemalloc`` traces — each call's traced peak above
+    what was allocated when it began, nested calls included."""
 
     def __init__(self) -> None:
         self.totals: dict[str, list[float]] = {}
+        self.peaks: dict[str, float] = {}
+        #: [allocated at start, highest peak seen] of the calls running.
+        self._open: list[list[int]] = []
+
+    def _seen(self, peak: int) -> None:
+        for frame in self._open:
+            frame[1] = max(frame[1], peak)
 
     def wrap(self, name: str, fn):
         def timed(*args, **kwargs):
+            tracing = tracemalloc.is_tracing()
+            if tracing:
+                current, peak = tracemalloc.get_traced_memory()
+                self._seen(peak)
+                self._open.append([current, current])
+                tracemalloc.reset_peak()
             started = _usage()
             try:
                 return fn(*args, **kwargs)
@@ -89,17 +111,29 @@ class StageClock:
                 total[0] += (ended[0] - started[0]) * 1e3
                 total[1] += ended[1] - started[1]
                 total[2] += (ended[2] - started[2]) * 1e3
+                if tracing:
+                    self._seen(tracemalloc.get_traced_memory()[1])
+                    base, peak = self._open.pop()
+                    self.peaks[name] = max(
+                        self.peaks.get(name, 0.0), (peak - base) / 2**20
+                    )
 
         return timed
 
     def row(self, name: str) -> dict:
         wall, faults, system = self.totals.get(name, (0.0, 0, 0.0))
-        return {"wall_ms": wall, "minor_faults": int(faults), "system_ms": system}
+        row = {"wall_ms": wall, "minor_faults": int(faults), "system_ms": system}
+        if name in self.peaks:
+            row["tracemalloc_peak_mb"] = self.peaks[name]
+        return row
 
 
-def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict | None:
+def measure(
+    repo: Path, mode: str, seed: int, smoke: bool, memory: bool = False
+) -> dict | None:
     """Boot ``maintain``, absorb the pre-maintenance events, time one
-    maintenance (None: ``handoff`` on a checkout without one)."""
+    maintenance (None: ``handoff`` on a checkout without one); with
+    ``memory``, under ``tracemalloc``."""
     sys.path[:0] = [str(repo / "src"), str(repo / "benchmarks" / "e2e")]
     import tier as tiers
     import workloads
@@ -144,20 +178,27 @@ def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict | None:
     rebuild = clock.wrap("rebuild", service.rebuild)
 
     before = service.metrics_snapshot()["counters"]
+    if memory:
+        tracemalloc.start()
     if mode == "thread":
         worker = threading.Thread(target=rebuild)
         worker.start()
         worker.join()
     else:
         rebuild()
+    if memory:
+        tracemalloc.stop()
     after = service.metrics_snapshot()["counters"]
     assert service.stats.rebuilds == 3
 
     stages = {name: clock.row(name) for name in STAGES}
     whole = clock.row("apply_delta")
     stages["copy_surgery"] = {
-        key: whole[key] - stages["core_state"][key] for key in whole
+        key: whole[key] - stages["core_state"][key]
+        for key in ("wall_ms", "minor_faults", "system_ms")
     }
+    if memory:
+        stages["copy_surgery"]["tracemalloc_peak_mb"] = whole["tracemalloc_peak_mb"]
     _, report = reports[0]
     row = {
         "mode": mode,
@@ -174,7 +215,7 @@ def measure(repo: Path, mode: str, seed: int, smoke: bool) -> dict | None:
             and after[name] != before.get(name, 0)
         },
     }
-    if mode == "main":
+    if mode == "main" and not memory:
         row["weights_only_refresh_ms"] = weights_only_refresh(
             CSRSimGraph, service.simgraph, sorted(report.changed_users)
         )
@@ -237,12 +278,22 @@ def handoff(service, requests: list) -> dict:
 
 def weights_only_refresh(csr_class, simgraph, changed: list[int]) -> dict:
     """Splicing the real run's changed rows into the compiled graph of
-    the refreshed one (best of three): given the rows as a mapping, or,
-    on a checkout whose splice reads them from a dict graph, given that
-    graph."""
+    the refreshed one (best of three): given the rows as arrays (row
+    ids, lengths, targets, weights), or on an older checkout as a
+    mapping, or, older still, as the dict graph they are read from."""
     compiled = csr_class.from_simgraph(simgraph)
-    takes_rows = "rows" in inspect.signature(compiled.splice).parameters
-    args = (compiled.rows(changed),) if takes_rows else (simgraph, changed)
+    parameters = inspect.signature(compiled.splice).parameters
+    if "lengths" in parameters:
+        from repro.core.csr import gather_ranges
+
+        rows = np.asarray(changed, dtype=np.int64)
+        flat, lengths = gather_ranges(compiled.inf_indptr, compiled.positions(rows)[0])
+        targets = compiled.users[compiled.inf_indices[flat]]
+        args = (rows, lengths, targets, compiled.inf_weights[flat])
+    elif "rows" in parameters:
+        args = (compiled.rows(changed),)
+    else:
+        args = (simgraph, changed)
     best = float("inf")
     for _ in range(3):
         started = time.perf_counter()
@@ -262,23 +313,37 @@ def main() -> int:
     parser.add_argument("--out", type=Path, help="record to rewrite")
     parser.add_argument("--mode", choices=MODES,
                         help="(internal) measure one mode, print its row")
+    parser.add_argument("--memory", action="store_true",
+                        help="(internal) measure under tracemalloc")
     args = parser.parse_args()
     repo = args.repo.resolve()
     if args.mode is not None:
-        print(json.dumps(measure(repo, args.mode, args.seed, args.smoke)))
+        row = measure(repo, args.mode, args.seed, args.smoke, args.memory)
+        print(json.dumps(row))
         return 0
+
+    def run(mode: str, *extra: str) -> dict | None:
+        command = [
+            sys.executable, __file__, "--repo", str(repo), "--mode", mode,
+            "--seed", str(args.seed), *extra,
+        ] + (["--smoke"] if args.smoke else [])
+        proc = subprocess.run(command, capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout.strip().splitlines()[-1])
 
     rows = {}
     for mode in MODES:
-        command = [
-            sys.executable, __file__, "--repo", str(repo), "--mode", mode,
-            "--seed", str(args.seed),
-        ] + (["--smoke"] if args.smoke else [])
-        proc = subprocess.run(command, capture_output=True, text=True, check=True)
-        row = json.loads(proc.stdout.strip().splitlines()[-1])
+        row = run(mode)
         if row is None:
             continue
         rows[mode] = row
+        if mode != "handoff":
+            traced = run(mode, "--memory")
+            for name in ("rebuild", *STAGES):
+                part = row["rebuild"] if name == "rebuild" else row["stages"][name]
+                traced_part = (
+                    traced["rebuild"] if name == "rebuild" else traced["stages"][name]
+                )
+                part["tracemalloc_peak_mb"] = traced_part["tracemalloc_peak_mb"]
         if mode == "handoff":
             print(f"{args.label:>7} {mode:>7}: stall {row['stall_at_start_ms']:6.1f} ms "
                   f"at the fork, {row['stall_at_adoption_ms']:6.1f} ms at adoption; "
@@ -292,7 +357,8 @@ def main() -> int:
               f"{rebuild['minor_faults']:6d} faults  sys {rebuild['system_ms']:6.1f} ms")
         for name, stage in row["stages"].items():
             print(f"{'':>16} {name:<16} {stage['wall_ms']:8.1f} ms  "
-                  f"{stage['minor_faults']:6d} faults")
+                  f"{stage['minor_faults']:6d} faults  "
+                  f"{stage['tracemalloc_peak_mb']:7.1f} MB traced peak")
 
     out = args.out if args.out is not None else (None if args.smoke else RECORD)
     if out is None:

@@ -33,8 +33,8 @@ rebuild without a report (the other §6.3 strategies) recompiles with
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -42,7 +42,24 @@ from scipy import sparse
 from repro.core.simgraph import SimGraph
 from repro.graph.digraph import DiGraph
 
-__all__ = ["ArraySimGraph", "CSRSimGraph", "gather_ranges"]
+__all__ = ["ArraySimGraph", "CSRSimGraph", "gather_ranges", "lookup"]
+
+
+def lookup(
+    keys: np.ndarray, probes: np.ndarray, order: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(at, found)``: for each probe, the position of an equal entry
+    of ``keys`` and whether there is one (``at`` is meaningless where
+    not).  A binary search through ``order``, the ascending argsort of
+    ``keys`` (computed when not given)."""
+    if not len(keys):
+        return np.zeros(len(probes), dtype=np.int64), np.zeros(len(probes), dtype=bool)
+    if order is None:
+        order = np.argsort(keys, kind="stable")
+    at = np.searchsorted(keys, probes, sorter=order)
+    at[at == len(keys)] = 0
+    at = order[at]
+    return at, keys[at] == probes
 
 
 def gather_ranges(
@@ -87,7 +104,7 @@ class CSRSimGraph:
 
     __slots__ = (
         "users", "index", "inf_indptr", "inf_indices", "inf_weights",
-        "inf_counts", "out_indptr", "out_indices",
+        "inf_counts", "out_indptr", "out_indices", "_order",
     )
 
     def __init__(
@@ -125,6 +142,7 @@ class CSRSimGraph:
         ).tocsc()
         self.out_indices = transpose.indices.astype(np.int64, copy=False)
         self.out_indptr = transpose.indptr.astype(np.int64, copy=False)
+        self._order: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -134,77 +152,91 @@ class CSRSimGraph:
         """Compile ``simgraph`` (one pass over its nodes and edges): the
         splice of all of its rows into an empty graph."""
         graph = simgraph.graph
-        nodes = list(graph.nodes())
+        nodes = np.fromiter(graph.nodes(), dtype=np.int64)
+        rows = [graph.out_row(u) for u in nodes.tolist()]
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        size = int(lengths.sum())
         none = np.empty(0, dtype=np.int64)
         empty = cls(none, np.zeros(1, dtype=np.int64), none, none.astype(float))
-        return empty.splice({u: graph.out_row(u) for u in nodes}, appended=nodes)
+        return empty.splice(
+            nodes,
+            lengths,
+            np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=size),
+            np.fromiter(
+                chain.from_iterable(row.values() for row in rows),
+                dtype=np.float64,
+                count=size,
+            ),
+            appended=nodes,
+        )
+
+    def positions(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, present)`` of the ids in ``users`` (an absent
+        id's position is meaningless): a binary search through a sort
+        of :attr:`users` made on first use."""
+        if self._order is None:
+            self._order = np.argsort(self.users, kind="stable")
+        return lookup(self.users, users, self._order)
 
     def splice(
         self,
-        rows: Mapping[int, Mapping[int, float]],
-        removed: Iterable[int] = (),
-        appended: Sequence[int] = (),
+        rows: np.ndarray,
+        lengths: np.ndarray,
+        targets: np.ndarray,
+        weights: np.ndarray,
+        removed: np.ndarray | Sequence[int] = (),
+        appended: np.ndarray | Sequence[int] = (),
     ) -> "CSRSimGraph":
         """This graph with ``rows`` replaced, ``removed`` nodes dropped
         and ``appended`` nodes added.
 
-        ``rows`` maps a user to its whole new ``{influencer: similarity}``
-        row, in edge order (any change: weights, edges added or removed,
-        order); every other row is kept.  A removed node must have no
-        edge left in either direction.  Surviving nodes keep their order
-        and appended ones follow, in the order given — the order a
-        :class:`DiGraph` gets from the same edits, whose node removal
-        keeps the rest in place and whose node creation appends.  Runs of
-        unchanged rows are block-copied to their new offsets (their
-        targets remapped when a node before them went); the result
-        equals ``from_simgraph`` of the edited graph array for array.
-        This structure is only read (a memory-mapped one included) and
-        stays valid.
+        The new rows come as arrays: ``rows`` are distinct user ids, in
+        any order, and row ``rows[k]`` is the next ``lengths[k]`` entries
+        of ``targets`` (influencer ids) and ``weights``, in edge order
+        (any change: weights, edges added or removed, order); every
+        other row is kept.  A removed node must have no edge left in
+        either direction.  Surviving nodes keep their order and appended
+        ones follow, in the order given — the order a :class:`DiGraph`
+        gets from the same edits, whose node removal keeps the rest in
+        place and whose node creation appends.  Runs of unchanged rows
+        are block-copied to their new offsets (their targets remapped
+        when a node before them went); the result equals
+        ``from_simgraph`` of the edited graph array for array.  This
+        structure is only read (a memory-mapped one included) and stays
+        valid.
         """
+        rows = np.asarray(rows, dtype=np.int64)
+        appended = np.asarray(appended, dtype=np.int64)
         n_old = len(self.users)
-        gone = np.fromiter((self.index[u] for u in removed), dtype=np.int64)
+        gone, _ = self.positions(np.asarray(removed, dtype=np.int64))
         keep = np.ones(n_old, dtype=bool)
         keep[gone] = False
         remap = None
-        users, index = self.users, self.index
+        users, index, order = self.users, self.index, self._order
         if len(gone) or len(appended):
-            users = np.concatenate(
-                (self.users[keep], np.asarray(appended, dtype=np.int64))
-            )
+            users = np.concatenate((self.users[keep], appended))
             index = dict(zip(users.tolist(), range(len(users))))
+            order = None
             if len(gone):
                 remap = np.cumsum(keep) - 1
+        if order is None:
+            order = np.argsort(users, kind="stable")
         n = len(users)
 
-        position_of = index.__getitem__
-        changed = sorted(rows, key=position_of)
-        at = np.fromiter(
-            map(position_of, changed), dtype=np.int64, count=len(changed)
-        )
-        lengths: list[int] = []
-        targets: list[int] = []
-        values: list[float] = []
-        for u in changed:
-            row = rows[u]
-            lengths.append(len(row))
-            targets.extend(map(position_of, row))
-            values.extend(row.values())
+        at, _ = lookup(users, rows, order)
         counts = np.zeros(n, dtype=np.int64)
         counts[: int(keep.sum())] = self.inf_counts[keep]
         counts[at] = lengths
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        weights = np.empty(len(indices), dtype=np.float64)
+        values = np.empty(len(indices), dtype=np.float64)
 
         # Unchanged rows: the changed and removed ones cut the old row
         # range into runs, and a run's edges are contiguous in old and
         # new alike.
-        old_at = np.fromiter(
-            (self.index[u] for u in changed if u in self.index),
-            dtype=np.int64,
-        )
-        cuts = np.union1d(old_at, gone)
+        old_at, present = self.positions(rows)
+        cuts = np.union1d(old_at[present], gone)
         first = np.concatenate(([0], cuts + 1))
         last = np.concatenate((cuts, [n_old]))
         source = self.inf_indptr[first]
@@ -219,27 +251,13 @@ class CSRSimGraph:
         ):
             run = old_indices[lo : lo + size]
             indices[to : to + size] = run if remap is None else remap[run]
-            weights[to : to + size] = old_weights[lo : lo + size]
+            values[to : to + size] = old_weights[lo : lo + size]
         flat, _ = gather_ranges(indptr, at)
-        indices[flat] = targets
-        weights[flat] = values
-        return CSRSimGraph(users, indptr, indices, weights, index=index)
-
-    def rows(self, users: Iterable[int]) -> dict[int, dict[int, float]]:
-        """``{user: {influencer: similarity}}`` of the compiled
-        ``users``, each row in edge order, read in position order
-        (users the graph does not hold are left out)."""
-        index = self.index
-        at = np.array(
-            sorted({index[u] for u in users if u in index}), dtype=np.int64
-        )
-        flat, lengths = gather_ranges(self.inf_indptr, at)
-        targets = iter(self.users[self.inf_indices[flat]].tolist())
-        weights = iter(self.inf_weights[flat].tolist())
-        return {
-            user: dict(zip(islice(targets, length), islice(weights, length)))
-            for user, length in zip(self.users[at].tolist(), lengths.tolist())
-        }
+        indices[flat] = lookup(users, np.asarray(targets), order)[0]
+        values[flat] = weights
+        spliced = CSRSimGraph(users, indptr, indices, values, index=index)
+        spliced._order = order
+        return spliced
 
     def influenced(self, user: int) -> list[int]:
         """Users whose rows hold ``user``, by ascending position."""

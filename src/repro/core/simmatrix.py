@@ -208,6 +208,10 @@ class SimilarityMatrix:
         """Vectorized :meth:`user_at` (returns plain Python ints)."""
         return self._users_arr[positions].tolist()
 
+    def users_array(self, positions: np.ndarray) -> np.ndarray:
+        """:meth:`users_at` as an ``int64`` array."""
+        return self._users_arr[positions]
+
     def __contains__(self, user: int) -> bool:
         return user in self.index
 
@@ -392,6 +396,46 @@ def _chunk_edges(
     )
 
 
+def masked_gram_edges(
+    matrix: SimilarityMatrix,
+    row_idx: np.ndarray,
+    masked: sparse.csr_matrix,
+    tau: float,
+    max_influencers: int | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score, threshold and cap the rows of one masked chunk Gram.
+
+    ``masked`` is ``gram_rows(row_idx)`` times a candidate mask.  Returns
+    the kept edges as aligned arrays ``(row, influencer, sim)``: ``row``
+    is the chunk row (non-decreasing), ``influencer`` a user id, and a
+    row's edges come in the order the product emitted its columns.  A
+    row over the cap keeps its ``max_influencers`` largest (score, user
+    id) pairs — the exact tie-break of ``utils.topk.top_k_items`` —
+    listed in ascending (score, id) order.  The full build and delta
+    maintenance both end here, which is what keeps a recomputed row's
+    edge order equal to a from-scratch one's.
+    """
+    local, sims = matrix.sims_from_gram(masked, row_idx)
+    cols = masked.indices
+    keep = sims >= tau
+    local, cols, sims = local[keep], cols[keep], sims[keep]
+    if max_influencers is not None:
+        over = np.bincount(local, minlength=len(row_idx)) > max_influencers
+        capped = over[local]
+        if capped.any():
+            # Over-cap rows in ascending (score, column) order, of which
+            # each keeps its last max_influencers; a stable sort by row
+            # then puts them back among the uncapped rows.
+            at = np.flatnonzero(capped)
+            at = at[np.lexsort((cols[at], sims[at], local[at]))]
+            ends = np.searchsorted(local[at], local[at], side="right")
+            at = at[ends - np.arange(len(at)) <= max_influencers]
+            at = np.concatenate((np.flatnonzero(~capped), at))
+            at = at[np.argsort(local[at], kind="stable")]
+            local, cols, sims = local[at], cols[at], sims[at]
+    return local, matrix.users_array(cols), sims
+
+
 def edges_from_masked_gram(
     matrix: SimilarityMatrix,
     chunk: list[int],
@@ -400,34 +444,15 @@ def edges_from_masked_gram(
     tau: float,
     max_influencers: int | None,
 ) -> list[tuple[int, dict[int, float]]]:
-    """Score, threshold and cap the rows of one masked chunk Gram.
-
-    ``masked`` is ``gram_rows(row_idx)`` times a candidate mask; row
-    ``j`` becomes ``chunk[j]``'s ``{influencer: sim}`` in the order the
-    product emitted its columns (sources left with no edge are skipped).
-    The full build and delta maintenance both end here, which is what
-    keeps a recomputed row's edge order equal to a from-scratch one's.
-    """
-    _, sims = matrix.sims_from_gram(masked, row_idx)
-    indptr, cols = masked.indptr, masked.indices
-    edges: list[tuple[int, dict[int, float]]] = []
-    for j, u in enumerate(chunk):
-        row = slice(indptr[j], indptr[j + 1])
-        row_sims = sims[row]
-        row_cols = cols[row]
-        keep = row_sims >= tau
-        if not keep.all():
-            row_sims = row_sims[keep]
-            row_cols = row_cols[keep]
-        if row_sims.size == 0:
-            continue
-        if max_influencers is not None and row_sims.size > max_influencers:
-            # Retain the max_influencers largest (score, user id) pairs —
-            # the exact tie-break of utils.topk.top_k_items.
-            strongest = np.lexsort((row_cols, row_sims))[-max_influencers:]
-            row_sims = row_sims[strongest]
-            row_cols = row_cols[strongest]
-        edges.append(
-            (u, dict(zip(matrix.users_at(row_cols), row_sims.tolist())))
-        )
-    return edges
+    """:func:`masked_gram_edges` as rows: ``(chunk[j], {influencer:
+    sim})`` in edge order, for every source left with an edge."""
+    local, influencers, sims = masked_gram_edges(
+        matrix, row_idx, masked, tau, max_influencers
+    )
+    bounds = np.searchsorted(local, np.arange(len(chunk) + 1)).tolist()
+    influencers, sims = influencers.tolist(), sims.tolist()
+    return [
+        (u, dict(zip(influencers[lo:hi], sims[lo:hi])))
+        for u, lo, hi in zip(chunk, bounds, bounds[1:])
+        if lo < hi
+    ]

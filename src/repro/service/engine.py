@@ -42,6 +42,7 @@ import tempfile
 import time
 import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -744,18 +745,22 @@ class RecommendationService:
         touch re-weighed rows, but warm state is only ever a starting
         point for further propagation, so the bounded staleness trades
         a deterministic, strictly-scoped flush for recomputation work.
+        The seeds of every cached tweet are tested against the report's
+        sorted ``affected_users`` in one vectorized membership test.
         """
         if report is None or report.topology_changed:
             self._warm.clear()
             return
         if report.noop:
             return
-        affected = report.affected_users
-        stale = [
-            tweet
-            for tweet in self._warm.tweets()
-            if not self._retweeters(tweet).isdisjoint(affected)
-        ]
+        tweets = self._warm.tweets()
+        seeds = [self._retweeters(tweet) for tweet in tweets]
+        owner = np.repeat(np.arange(len(tweets)), [len(ids) for ids in seeds])
+        hit = np.isin(
+            np.fromiter(chain.from_iterable(seeds), dtype=np.int64),
+            report.affected_users,
+        )
+        stale = [tweets[i] for i in np.unique(owner[hit]).tolist()]
         dropped = self._warm.invalidate_tweets(stale)
         self.metrics.counter("maintenance.cache_invalidations").inc(dropped)
 

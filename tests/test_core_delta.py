@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.core import RetweetProfiles, SimGraphBuilder
@@ -80,7 +81,7 @@ class TestAffectedRegion:
         plan = affected_region(profiles, DiGraph())
         assert plan.dirty_users == {3}
         assert plan.dirty_tweets == {10}
-        assert plan.core == {1, 2, 3}
+        assert set(plan.core.tolist()) == {1, 2, 3}
 
     def test_fresh_tweet_keeps_core_small(self):
         profiles = RetweetProfiles()
@@ -89,7 +90,7 @@ class TestAffectedRegion:
         profiles.mark_clean()
         profiles.add(3, 99)  # fresh tweet: no co-retweeters to drag in
         plan = affected_region(profiles, DiGraph())
-        assert plan.core == {3}
+        assert set(plan.core.tolist()) == {3}
 
     def test_fringe_is_khop_in_neighbourhood(self):
         # 5 -> 4 -> 3(core): both 4 and 5 reach the core within 2 hops.
@@ -98,8 +99,8 @@ class TestAffectedRegion:
         profiles.mark_clean()
         profiles.add(3, 10)
         plan = affected_region(profiles, graph, hops=2)
-        assert plan.core == {3}
-        assert plan.fringe == {4, 5}
+        assert plan.core.tolist() == [3]
+        assert plan.fringe.tolist() == [4, 5]
         assert plan.needed == {3: {4, 5}}
         assert plan.candidates == {4: {3}, 5: {3}}
 
@@ -109,7 +110,7 @@ class TestAffectedRegion:
         profiles.mark_clean()
         profiles.add(3, 10)
         plan = affected_region(profiles, graph, hops=2)
-        assert 6 not in plan.fringe  # three hops away
+        assert 6 not in plan.fringe.tolist()  # three hops away
 
     def test_core_users_never_in_fringe(self):
         graph = follow_chain((2, 1))
@@ -118,14 +119,14 @@ class TestAffectedRegion:
         profiles.add(1, 10)
         profiles.add(2, 11)
         plan = affected_region(profiles, graph)
-        assert plan.core == {1, 2}
-        assert plan.fringe == frozenset()
+        assert plan.core.tolist() == [1, 2]
+        assert plan.fringe.tolist() == []
 
     def test_extra_sources_join_core(self):
         profiles = RetweetProfiles()
         profiles.mark_clean()
         plan = affected_region(profiles, DiGraph(), extra_sources=[7])
-        assert plan.core == {7}
+        assert plan.core.tolist() == [7]
         assert not plan.is_empty
 
     def test_fringe_is_of_dirty_users_only(self):
@@ -141,9 +142,9 @@ class TestAffectedRegion:
             profiles, follow_chain(*DIRTY_ONLY_FOLLOWS, (6, 7)),
             extra_sources=[7],
         )
-        assert plan.core == {DIRTY, CLEAN, 7}
+        assert set(plan.core.tolist()) == {DIRTY, CLEAN, 7}
         assert plan.needed == {DIRTY: {NEAR}}
-        assert plan.fringe == {NEAR}
+        assert plan.fringe.tolist() == [NEAR]
 
     def test_empty_delta_is_empty_plan(self):
         profiles = RetweetProfiles()
@@ -151,7 +152,7 @@ class TestAffectedRegion:
         profiles.mark_clean()
         plan = affected_region(profiles, DiGraph())
         assert plan.is_empty
-        assert plan.affected == frozenset()
+        assert plan.affected.tolist() == []
 
     def test_affected_is_core_union_fringe(self):
         graph = follow_chain((5, 4), (4, 3))
@@ -159,15 +160,17 @@ class TestAffectedRegion:
         profiles.mark_clean()
         profiles.add(3, 10)
         plan = affected_region(profiles, graph)
-        assert plan.affected == plan.core | plan.fringe
+        assert set(plan.affected.tolist()) == set(plan.core.tolist()) | set(
+            plan.fringe.tolist()
+        )
 
     def test_candidates_is_reverse_of_needed(self):
-        needed = {1: {4, 5}, 2: {4}}
         plan = DeltaPlan(
-            core=frozenset({1, 2}), fringe=frozenset({4, 5}),
-            needed=needed, dirty_users=frozenset(),
-            dirty_tweets=frozenset(),
+            core=np.array([1, 2]), fringe=np.array([4, 5]),
+            pair_core=np.array([1, 1, 2]), pair_fringe=np.array([4, 5, 4]),
+            dirty_users=frozenset(), dirty_tweets=frozenset(),
         )
+        assert plan.needed == {1: {4, 5}, 2: {4}}
         assert plan.candidates == {4: {1, 2}, 5: {1}}
 
 
@@ -189,7 +192,7 @@ class TestApplyDelta:
         assert report.noop
         assert report.core_size == 0
         assert not report.topology_changed
-        assert report.changed_users == frozenset()
+        assert report.changed_users.tolist() == []
 
     def test_report_counts_match_plan(self):
         graph, profiles, builder, old = self.build_world()
@@ -202,8 +205,8 @@ class TestApplyDelta:
         assert report.core_size == len(plan.core)
         assert report.fringe_size == len(plan.fringe)
         assert report.rows_patched == len(plan.fringe)
-        assert report.affected_users == plan.affected
-        assert report.changed_users <= report.affected_users
+        assert np.array_equal(report.affected_users, plan.affected)
+        assert np.isin(report.changed_users, report.affected_users).all()
 
     def test_weight_only_delta_not_topology_changed(self):
         # A fresh solo tweet only grows |L_1|: every pair keeps its
@@ -264,7 +267,7 @@ class TestApplyDelta:
         profiles.mark_clean()
         profiles.add(DIRTY, 10)
         refreshed, report = apply_delta(old, graph, profiles, builder)
-        assert FOLLOWER not in report.affected_users
+        assert FOLLOWER not in report.affected_users.tolist()
         assert report.rows_patched == 1 and report.pairs_needed == 1
         expected = edge_map(builder.build(graph, profiles))
         actual = edge_map(refreshed)
@@ -272,7 +275,7 @@ class TestApplyDelta:
         for pair, weight in actual.items():
             assert weight == pytest.approx(expected[pair], abs=1e-12)
         # The row nobody looked at is carried over as it was.
-        assert FOLLOWER not in report.changed_users
+        assert FOLLOWER not in report.changed_users.tolist()
         assert list(refreshed.influencers(FOLLOWER)) == list(
             old.influencers(FOLLOWER)
         )

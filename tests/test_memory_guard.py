@@ -1,5 +1,6 @@
-"""What the serving state costs: the follow graph is arrays, and a delta
-after a memory-mapped boot never builds the dict SimGraph."""
+"""What the serving state costs: the follow graph is arrays, a delta's
+working set is arrays, and a delta after a memory-mapped boot never
+builds the dict SimGraph."""
 
 from __future__ import annotations
 
@@ -7,8 +8,11 @@ import tracemalloc
 
 import numpy as np
 
-from repro.core.csr import ArraySimGraph
+from repro.core import RetweetProfiles, SimGraphBuilder
+from repro.core.csr import ArraySimGraph, CSRSimGraph
+from repro.core.delta import apply_delta
 from repro.core.persistence import save_simgraph
+from repro.graph import FollowGraph
 from repro.service import RecommendationService
 from tests.test_service_snapshot import built_service
 
@@ -54,6 +58,43 @@ def test_delta_after_mmap_boot_keeps_no_dict_graph(tmp_path):
         assert graph._graph_cache is None
     counters = service.metrics_snapshot()["counters"]
     assert counters["propagation.csr_spliced"] == 1
+
+
+def test_delta_working_set_is_arrays_per_needed_pair():
+    """A dirty user with 20k followers who share nothing with it: 20,009
+    needed pairs, no edge added or removed.  ``apply_delta`` (planning
+    included) may allocate at its peak 120 bytes per needed pair beyond
+    the spliced arrays.  The plan's pairs, the attention keys and the
+    old rows it reads are int64 arrays: ~84 bytes per pair, walk
+    included.  The dict path (a ``needed`` dict of sets, the pairs as
+    Python ints, a fringe frozenset) measured 212-265 bytes per pair."""
+    followers = 20_000
+    graph, profiles = FollowGraph(), RetweetProfiles()
+    for u in range(10):
+        for v in range(10):
+            if u != v:
+                graph.add_edge(u, v)
+        profiles.add(u, 1000 + u % 3)
+    for follower in range(100, 100 + followers):
+        graph.add_edge(follower, 0)
+    builder = SimGraphBuilder(tau=1e-6)
+    built = builder.build(graph, profiles)
+    old = ArraySimGraph.from_csr(CSRSimGraph.from_simgraph(built), built.tau)
+    profiles.mark_clean()
+    profiles.add(0, 5000)
+    assert graph.edge_count  # compacted before tracing
+    tracemalloc.start()
+    try:
+        refreshed, report = apply_delta(old, graph, profiles, builder)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.pairs_needed > followers
+    assert report.edges_added == report.edges_removed == 0
+    spliced = sum(section.nbytes for section in refreshed.arrays())
+    assert peak <= 120 * report.pairs_needed + spliced, (
+        (peak - spliced) / report.pairs_needed
+    )
 
 
 def test_csr_service_keeps_only_the_compiled_graph():

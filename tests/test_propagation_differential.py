@@ -695,8 +695,14 @@ def test_splice_equals_recompile_property(case):
     ]
     for u in removed:
         graph.remove_node(u)
+    rows = [u for u in changed if u in graph]
     spliced = compiled.splice(
-        {u: graph.out_row(u) for u in changed if u in graph},
+        np.array(rows, dtype=np.int64),
+        np.array([len(graph.out_row(u)) for u in rows], dtype=np.int64),
+        np.array([v for u in rows for v in graph.out_row(u)], dtype=np.int64),
+        np.array(
+            [w for u in rows for w in graph.out_row(u).values()], dtype=float
+        ),
         removed=[u for u in removed if u in compiled],
         appended=[u for u in graph.nodes() if u not in compiled],
     )
