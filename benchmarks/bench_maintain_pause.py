@@ -281,7 +281,10 @@ def weights_only_refresh(csr_class, simgraph, changed: list[int]) -> dict:
     the refreshed one (best of three): given the rows as arrays (row
     ids, lengths, targets, weights), or on an older checkout as a
     mapping, or, older still, as the dict graph they are read from."""
-    compiled = csr_class.from_simgraph(simgraph)
+    compiled = (
+        simgraph.csr() if hasattr(simgraph, "csr")
+        else csr_class.from_simgraph(simgraph)
+    )
     parameters = inspect.signature(compiled.splice).parameters
     if "lengths" in parameters:
         from repro.core.csr import gather_ranges

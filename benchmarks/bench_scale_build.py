@@ -7,7 +7,7 @@ scale path per tier:
 1. **chunked synthesis** — :class:`~repro.synth.stream.ChunkedGenerator`
    streams the retweet log in time-ordered windows; the full corpus is
    assembled into a :class:`~repro.data.columnar.ColumnarDataset`;
-2. **graph snapshot** — an :class:`~repro.core.csr.ArraySimGraph` over
+2. **graph snapshot** — a :class:`~repro.core.simgraph.SimGraph` over
    the corpus's follow CSR (weights ``1/log(1 + in_degree)``, a
    structural stand-in with the corpus's exact topology: similarity
    *semantics* are covered by the tier-1 differential suites, while
@@ -39,9 +39,9 @@ import time
 
 import numpy as np
 
-from repro.core.csr import ArraySimGraph
 from repro.core.persistence import load_simgraph, save_simgraph
 from repro.core.propagation_csr import make_propagation_engine
+from repro.core.simgraph import SimGraph
 from repro.synth import ChunkedGenerator, SynthConfig
 from repro.synth.config import DAY
 from repro.utils.tables import render_table
@@ -65,13 +65,13 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _standin_simgraph(dataset, tau: float = 0.001) -> ArraySimGraph:
+def _standin_simgraph(dataset, tau: float = 0.001) -> SimGraph:
     """Follow-topology graph with ``1/log(1 + in_degree)`` weights."""
     n = dataset.user_count
     targets = dataset.follow_targets
     in_degree = np.bincount(targets, minlength=n).astype(np.float64)
     weights = 1.0 / np.log1p(in_degree[targets] + 1.0)
-    return ArraySimGraph(
+    return SimGraph(
         users=dataset.user_ids,
         indptr=dataset.follow_indptr,
         indices=targets,

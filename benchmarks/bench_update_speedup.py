@@ -94,7 +94,7 @@ def _timed(fn, rounds=1):
 
 
 def _edge_map(simgraph):
-    return {(u, v): w for u, v, w in simgraph.graph.edges()}
+    return {(u, v): w for u, v, w in simgraph.to_digraph().edges()}
 
 
 def _inject_delta(profiles, fraction, seed):

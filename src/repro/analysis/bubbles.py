@@ -83,7 +83,7 @@ def identify_bubbles(
     """
     if backbone_size is not None and backbone_size < 1:
         raise ValueError(f"backbone_size must be positive, got {backbone_size}")
-    graph = simgraph.graph
+    graph = simgraph.to_digraph()
     if backbone_size is not None:
         from repro.graph.digraph import DiGraph
         from repro.utils.topk import top_k_items

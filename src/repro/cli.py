@@ -110,11 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-snapshot", default=None, metavar="PATH",
         help="persist the built SimGraph to PATH (atomic write)",
     )
-    build.add_argument(
-        "--snapshot-format", type=int, choices=[1, 2], default=2,
-        help="snapshot format: 1 = JSONL edges (diffable), 2 = binary "
-        "CSR blobs (mmap-loadable in milliseconds; default)",
-    )
 
     ev = sub.add_parser("evaluate", help="replay-evaluate recommenders")
     ev.add_argument("dataset", help="dataset directory")
@@ -300,11 +295,8 @@ def _cmd_build_simgraph(args: argparse.Namespace) -> int:
     if args.save_snapshot:
         from repro.core.persistence import save_simgraph
 
-        save_simgraph(simgraph, args.save_snapshot, format=args.snapshot_format)
-        print(
-            f"saved snapshot (format v{args.snapshot_format}) "
-            f"to {args.save_snapshot}"
-        )
+        save_simgraph(simgraph, args.save_snapshot)
+        print(f"saved snapshot to {args.save_snapshot}")
     if registry is not None:
         _write_metrics(registry, args.metrics_json)
     return 0

@@ -89,12 +89,12 @@ never sort a Gram here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.core.csr import ArraySimGraph, CSRSimGraph, gather_ranges, lookup
+from repro.core.csr import CSRSimGraph, gather_ranges, lookup
 from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.core.simmatrix import (
@@ -103,9 +103,11 @@ from repro.core.simmatrix import (
     masked_gram_edges,
     reachability_matrix,
 )
-from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
 from repro.obs import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DiGraph
 
 __all__ = ["DeltaPlan", "DeltaReport", "affected_region", "apply_delta"]
 
@@ -387,10 +389,9 @@ def apply_delta(
 
     Returns ``(refreshed, report)``.  With an empty delta the *same*
     graph object is returned and the report is a no-op.  Otherwise
-    ``refreshed`` is an :class:`~repro.core.csr.ArraySimGraph` over the
-    arrays :meth:`~repro.core.csr.CSRSimGraph.splice` made from the
-    compiled ``old`` (a dict-backed ``old`` is compiled first), and its
-    edges are identical to ``builder.build(exploration_graph,
+    ``refreshed`` is the :class:`SimGraph` over the arrays
+    :meth:`~repro.core.csr.CSRSimGraph.splice` made from ``old.csr()``,
+    and its edges are identical to ``builder.build(exploration_graph,
     profiles)`` — a full from-scratch rebuild — with weights equal up
     to last-ulp float round-off on patched fringe pairs (see module
     docstring); the differential suite pins both properties.  Rows and
@@ -415,11 +416,7 @@ def apply_delta(
         core = np.union1d(core, fringe)
         fringe = pair_core = pair_fringe = _NO_IDS
     metrics.counter("maintenance.affected_users").inc(len(core) + len(fringe))
-    compiled = (
-        old.csr()
-        if isinstance(old, ArraySimGraph)
-        else CSRSimGraph.from_simgraph(old)
-    )
+    compiled = old.csr()
 
     with metrics.span("maintenance.delta"):
         # The surgery's working set dies with its frame, so the splice
@@ -452,7 +449,7 @@ def apply_delta(
     ):
         metrics.counter(f"maintenance.{name}").inc(getattr(report, name))
     metrics.counter("maintenance.rows_changed").inc(len(edit.changed))
-    return ArraySimGraph.from_csr(spliced, old.tau), report
+    return SimGraph.from_csr(spliced, old.tau), report
 
 
 class _Edit(NamedTuple):

@@ -2,22 +2,20 @@
 
 Building the similarity graph is the expensive step (the paper's 311
 ms/user adds up to 1.4 hours at crawl scale), so a deployed service wants
-to snapshot it.  Two formats round-trip a graph exactly, including τ and
-edge weights:
+to snapshot it.  :func:`save_simgraph` writes one format, **format 2**:
+a binary columnar layout — a JSON header line padded to a 4 KiB-multiple
+block, followed by the raw little-endian CSR sections (``users``,
+``indptr``, ``indices``, ``weights``) at 64-byte-aligned offsets recorded
+in the header.  With ``load_simgraph(path, mmap=True)`` the sections are
+``np.memmap``-ed zero-copy into a :class:`~repro.core.simgraph.SimGraph`
+— a million-edge graph is ready for the ``csr`` propagation backend in
+milliseconds, without ever materializing a dict adjacency.
 
-* **format 1** — a compact JSONL edge dump with a metadata header: line 1
-  is the header, each further line one ``[source, target, weight]`` edge.
-  Human-greppable, fine for thousands of users.
-* **format 2** — a binary columnar layout for paper-scale graphs: a
-  JSON header line padded to a 4 KiB-multiple block, followed by the raw
-  little-endian CSR sections (``users``, ``indptr``, ``indices``,
-  ``weights``) at 64-byte-aligned offsets recorded in the header.  With
-  ``load_simgraph(path, mmap=True)`` the sections are ``np.memmap``-ed
-  zero-copy and wrapped in an :class:`~repro.core.csr.ArraySimGraph`
-  — a million-edge graph is ready for the ``csr`` propagation backend
-  in milliseconds, without ever materializing a dict adjacency.
+:func:`load_simgraph` also reads **format 1**, the JSONL edge dump
+earlier versions wrote (line 1 the header, each further line one
+``[source, target, weight]`` edge), so existing snapshots stay usable.
 
-Both save paths write to a ``.tmp`` sibling and ``os.replace`` it into
+The save writes to a ``.tmp`` sibling and ``os.replace``-s it into
 place, so a crash mid-write can never leave a truncated file under the
 snapshot's name.  Both load paths validate weights (finite, strictly
 positive — a corrupted snapshot must fail loudly, not propagate NaNs
@@ -33,13 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.simgraph import SimGraph
 from repro.exceptions import DatasetError
-from repro.graph.digraph import DiGraph
 
 __all__ = ["save_simgraph", "load_simgraph"]
 
+#: The JSONL edge dump earlier versions wrote; read, never written.
 FORMAT_VERSION = 1
 FORMAT_VERSION_V2 = 2
 
@@ -60,37 +57,33 @@ _V2_SECTIONS = (
 
 
 def save_simgraph(
-    simgraph: SimGraph, path: str | Path, format: int = FORMAT_VERSION
+    simgraph: SimGraph, path: str | Path, format: int = FORMAT_VERSION_V2
 ) -> Path:
-    """Write ``simgraph`` to ``path`` atomically.
+    """Write ``simgraph`` to ``path`` atomically in format 2.
 
-    ``format=1`` writes the JSONL edge dump; ``format=2`` writes the
-    binary columnar layout (see module docstring).  Either way the data
-    lands in a ``.tmp`` sibling first and is renamed over ``path`` only
-    once fully flushed — a crash mid-write leaves the previous snapshot
-    (or nothing) in place, never a truncated file.
+    ``format`` accepts only 2 (format 1 is read, never written).  The
+    data lands in a ``.tmp`` sibling first and is renamed over ``path``
+    only once fully flushed — a crash mid-write leaves the previous
+    snapshot (or nothing) in place, never a truncated file.
     """
+    if format != FORMAT_VERSION_V2:
+        raise DatasetError(
+            f"unknown snapshot format {format!r} to write; "
+            f"only format {FORMAT_VERSION_V2} is written"
+        )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if format == FORMAT_VERSION:
-        _save_v1(simgraph, path)
-    elif format == FORMAT_VERSION_V2:
-        _save_v2(simgraph, path)
-    else:
-        raise DatasetError(f"unknown snapshot format {format!r}")
+    _save_v2(simgraph, path)
     return path
 
 
 def load_simgraph(path: str | Path, mmap: bool = False) -> SimGraph:
-    """Load a snapshot written by :func:`save_simgraph` (either format).
+    """Load a snapshot of either format (see module docstring).
 
     With ``mmap=True`` (format 2 only) the CSR sections are memory-mapped
-    read-only and the returned graph is an
-    :class:`~repro.core.csr.ArraySimGraph`: count/row queries and the
-    ``csr`` propagation backend run straight off the mapped arrays, and
-    the dict adjacency is only materialized if some legacy consumer asks
-    for ``.graph``.  Weights are validated (finite, strictly positive)
-    on every path; corrupted or truncated files raise
+    read-only: count/row queries and the ``csr`` propagation backend run
+    straight off the mapped arrays.  Weights are validated (finite,
+    strictly positive) on every path; corrupted or truncated files raise
     :class:`~repro.exceptions.DatasetError`.
     """
     path = Path(path)
@@ -109,7 +102,7 @@ def load_simgraph(path: str | Path, mmap: bool = False) -> SimGraph:
         if mmap:
             raise DatasetError(
                 f"{path}: mmap=True requires a format-2 binary snapshot "
-                "(this file is format 1; re-save with format=2)"
+                "(this file is format 1; load it and save it again)"
             )
         return _load_v1(path, header)
     if fmt == FORMAT_VERSION_V2:
@@ -124,13 +117,13 @@ def _replace_atomically(tmp: Path, path: Path) -> None:
     os.replace(tmp, path)
 
 
-def _write_atomic(path: Path, writer, mode: str) -> None:
+def _write_atomic(path: Path, writer) -> None:
     """Run ``writer(handle)`` against ``<path>.tmp``, then rename over
     ``path``.  The tmp file is fsynced before the rename and removed on
     any failure, so readers only ever see complete snapshots."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, mode) as f:
+        with open(tmp, "wb") as f:
             writer(f)
             f.flush()
             os.fsync(f.fileno())
@@ -141,53 +134,41 @@ def _write_atomic(path: Path, writer, mode: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Format 1 — JSONL edge dump
+# Format 1 — JSONL edge dump (read only)
 # ----------------------------------------------------------------------
-def _save_v1(simgraph: SimGraph, path: Path) -> None:
-    isolated = [
-        node
-        for node in simgraph.graph.nodes()
-        if simgraph.graph.out_degree(node) == 0
-        and simgraph.graph.in_degree(node) == 0
-    ]
-    header = {
-        "format": FORMAT_VERSION,
-        "tau": simgraph.tau,
-        "nodes": simgraph.node_count,
-        "edges": simgraph.edge_count,
-        "isolated": sorted(isolated),
-    }
-
-    def writer(f):
-        f.write(json.dumps(header) + "\n")
-        for u, v, w in simgraph.graph.edges():
-            f.write(json.dumps([u, v, w]) + "\n")
-
-    _write_atomic(path, writer, "w")
-
-
 def _load_v1(path: Path, header: dict) -> SimGraph:
-    graph = DiGraph()
+    sources: list[int] = []
+    targets: list[int] = []
+    weights: list[float] = []
+    seen: set[tuple[int, int]] = set()
     with open(path, encoding="utf-8") as f:
         f.readline()  # header, already parsed
-        for node in header.get("isolated", ()):
-            graph.add_node(node)
         for line_no, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
                 u, v, w = json.loads(line)
-            except (json.JSONDecodeError, ValueError) as exc:
+                u, v, weight = int(u), int(v), float(w)
+            except (json.JSONDecodeError, TypeError, ValueError) as exc:
                 raise DatasetError(f"{path}:{line_no}: malformed edge") from exc
-            weight = float(w)
             if not math.isfinite(weight) or weight <= 0.0:
                 raise DatasetError(
                     f"{path}:{line_no}: invalid weight {w!r} "
                     "(must be finite and positive)"
                 )
-            graph.add_edge(u, v, weight=weight)
-    simgraph = SimGraph(graph, tau=float(header["tau"]))
+            if u == v:
+                raise DatasetError(f"{path}:{line_no}: self-loop on {u}")
+            if (u, v) in seen:
+                raise DatasetError(f"{path}:{line_no}: duplicate edge {u} -> {v}")
+            seen.add((u, v))
+            sources.append(u)
+            targets.append(v)
+            weights.append(weight)
+    simgraph = SimGraph.from_edges(
+        sources, targets, weights, tau=float(header["tau"]),
+        nodes=header.get("isolated", ()),
+    )
     expected = (header.get("nodes"), header.get("edges"))
     actual = (simgraph.node_count, simgraph.edge_count)
     if expected != actual:
@@ -204,13 +185,7 @@ def _simgraph_arrays(
     simgraph: SimGraph,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four CSR sections of ``simgraph``, in canonical dtypes."""
-    if isinstance(simgraph, ArraySimGraph):
-        users, indptr, indices, weights = simgraph.arrays()
-    else:
-        csr = CSRSimGraph.from_simgraph(simgraph)
-        users, indptr, indices, weights = (
-            csr.users, csr.inf_indptr, csr.inf_indices, csr.inf_weights,
-        )
+    users, indptr, indices, weights = simgraph.arrays()
     return (
         np.ascontiguousarray(users, dtype="<i8"),
         np.ascontiguousarray(indptr, dtype="<i8"),
@@ -263,10 +238,10 @@ def _save_v2(simgraph: SimGraph, path: Path) -> None:
             f.seek(data_start + section["offset"])
             f.write(arrays[name].tobytes())
 
-    _write_atomic(path, writer, "wb")
+    _write_atomic(path, writer)
 
 
-def _load_v2(path: Path, header: dict, mmap: bool) -> ArraySimGraph:
+def _load_v2(path: Path, header: dict, mmap: bool) -> SimGraph:
     try:
         data_start = int(header["data_start"])
         sections = header["sections"]
@@ -336,12 +311,8 @@ def _load_v2(path: Path, header: dict, mmap: bool) -> ArraySimGraph:
                 f"{path}: invalid weight {weights[i]!r} at edge {i} "
                 "(must be finite and positive)"
             )
-    if nodes:
-        # Our writers emit users strictly sorted, so uniqueness is one
-        # O(n) diff; np.unique would sort-copy the whole (possibly
-        # memory-mapped) section — hundreds of ms at a million nodes.
-        diffs = np.diff(users)
-        if np.any(diffs <= 0) and len(np.unique(users)) != nodes:
-            raise DatasetError(f"{path}: duplicate node ids")
-    return ArraySimGraph(users, indptr, indices, weights,
-                         tau=float(header["tau"]))
+    # Users are in node order (first appearance), not sorted, so
+    # uniqueness takes a sort-copy of the section.
+    if len(np.unique(users)) != nodes:
+        raise DatasetError(f"{path}: duplicate node ids")
+    return SimGraph(users, indptr, indices, weights, tau=float(header["tau"]))

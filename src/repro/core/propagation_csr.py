@@ -289,7 +289,7 @@ class CSRPropagationEngine:
         self.tolerance = tolerance
         self.max_iterations = max_iterations
         self.metrics = metrics if metrics is not None else NULL
-        self.csr = csr if csr is not None else CSRSimGraph.from_simgraph(simgraph)
+        self.csr = csr if csr is not None else simgraph.csr()
         n = self.csr.node_count
         self._p = np.zeros(n, dtype=np.float64)
         self._seed_mask = np.zeros(n, dtype=bool)

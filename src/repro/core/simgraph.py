@@ -18,10 +18,11 @@ follow graph.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.core.csr import CSRSimGraph, gather_ranges
 from repro.core.profiles import RetweetProfiles
 from repro.core.simmatrix import DEFAULT_CHUNK_SIZE, simgraph_edges
 from repro.graph.digraph import DiGraph
@@ -40,32 +41,140 @@ DEFAULT_TAU = 0.001
 class SimGraph:
     """The similarity graph: nodes are users, edge u -> w weighs sim(u, w).
 
-    ``F_u`` (:meth:`influencers`) is the out-neighbourhood of ``u``.
+    ``F_u`` (:meth:`influencers`) is the out-neighbourhood of ``u``.  The
+    edges live in flat CSR sections: ``users`` (position -> user id),
+    ``indptr``, ``indices`` (influencer positions) and ``weights`` —
+    possibly ``np.memmap``-backed (:func:`repro.core.persistence.
+    load_simgraph`), so a million-edge graph "loads" in the time it
+    takes to parse a header.
+
+    * count, membership and row queries are answered from the arrays
+      (plus an id index built on first use);
+    * :meth:`csr` compiles the :class:`~repro.core.csr.CSRSimGraph` the
+      ``csr`` propagation backend and delta maintenance consume, sharing
+      the arrays zero-copy;
+    * :meth:`to_digraph` materializes a dict adjacency once, for
+      :meth:`influenced` (the reference engine's frontier walk) and the
+      offline Table 4 / Figure 5 / bubble analyses.
     """
 
-    def __init__(self, graph: DiGraph, tau: float):
-        self.graph = graph
-        self.tau = tau
+    def __init__(
+        self,
+        users: np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        tau: float,
+    ):
+        n = len(users)
+        if len(indptr) != n + 1:
+            raise ValueError(
+                f"indptr must have {n + 1} entries, got {len(indptr)}"
+            )
+        if len(indices) != len(weights):
+            raise ValueError(
+                f"indices ({len(indices)}) and weights ({len(weights)}) "
+                "must have the same length"
+            )
+        self._users = users
+        self._indptr = indptr
+        self._indices = indices
+        self._weights = weights
+        self.tau = float(tau)
+        self._digraph: DiGraph | None = None
+        self._csr: CSRSimGraph | None = None
+        self._id_index: dict[int, int] | None = None
+
+    @classmethod
+    def from_edges(
+        cls,
+        sources: Iterable[int],
+        targets: Iterable[int],
+        weights: Iterable[float],
+        tau: float,
+        nodes: Iterable[int] = (),
+    ) -> "SimGraph":
+        """The graph of the edges ``sources[k] -> targets[k]`` weighing
+        ``weights[k]``, over ``nodes`` and the edges' endpoints.
+
+        Nodes are numbered in first appearance over ``nodes`` and then
+        ``(sources[0], targets[0], sources[1], targets[1], …)``, and a
+        row keeps its edges in the order given — the order a dict
+        adjacency fed the same nodes and edges one at a time keeps.
+        Edges must be distinct and not self-loops.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        nodes = np.asarray(list(nodes), dtype=np.int64)
+        # Runs of equal sources: a source first appears at a run's head.
+        heads = np.flatnonzero(np.diff(sources, prepend=sources[:1] - 1))
+        lengths = np.diff(heads, append=len(sources))
+        # Each id's earliest slot in nodes + (s0, t0, s1, t1, ...).
+        source_ids, at = np.unique(sources[heads], return_index=True)
+        target_ids, first_target = np.unique(targets, return_index=True)
+        ids = np.concatenate((nodes, source_ids, target_ids))
+        slots = np.concatenate((
+            np.arange(-len(nodes), 0), 2 * heads[at], 2 * first_target + 1
+        ))
+        by_id = np.lexsort((slots, ids))
+        ids, slots = ids[by_id], slots[by_id]
+        earliest = np.diff(ids, prepend=ids[:1] - 1) != 0
+        ids, slots = ids[earliest], slots[earliest]
+        order = np.argsort(slots)
+        position = np.empty(len(ids), dtype=np.int64)
+        position[order] = np.arange(len(ids))
+        cols = position[np.searchsorted(ids, targets)]
+        rows = position[np.searchsorted(ids, sources[heads])]
+        if np.any(np.diff(rows) < 0):
+            # Lay the runs out by row; a row's runs keep their order.
+            by_row = np.argsort(rows, kind="stable")
+            flat, _ = gather_ranges(np.append(heads, len(sources)), by_row)
+            cols, weights = cols[flat], weights[flat]
+        counts = np.zeros(len(ids), dtype=np.int64)
+        np.add.at(counts, rows, lengths)
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return cls(ids[order], indptr, cols, weights, tau)
+
+    @classmethod
+    def from_csr(cls, csr: CSRSimGraph, tau: float) -> "SimGraph":
+        """The SimGraph of an already compiled graph (its arrays and its
+        :meth:`csr`)."""
+        graph = cls(
+            csr.users, csr.inf_indptr, csr.inf_indices, csr.inf_weights, tau
+        )
+        graph._csr = csr
+        return graph
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
+    def _index(self) -> dict[int, int]:
+        if self._csr is not None:
+            return self._csr.index
+        if self._id_index is None:
+            self._id_index = {
+                int(u): i for i, u in enumerate(self._users.tolist())
+            }
+        return self._id_index
+
     @property
     def node_count(self) -> int:
         """Number of users present in the similarity graph."""
-        return self.graph.node_count
+        return len(self._users)
 
     @property
     def edge_count(self) -> int:
         """Number of similarity edges."""
-        return self.graph.edge_count
+        return len(self._indices)
 
     def __contains__(self, user: int) -> bool:
-        return user in self.graph
+        return user in self._index()
 
-    def users(self) -> Iterable[int]:
-        """All users present in the graph."""
-        return self.graph.nodes()
+    def users(self) -> Iterator[int]:
+        """All users present in the graph, in node order."""
+        return iter(self._users.tolist())
 
     def influencers(self, user: int) -> tuple[tuple[int, float], ...]:
         """F_u with similarity weights: the users who influence ``user``.
@@ -74,41 +183,93 @@ class SimGraph:
         iterate these in hot loops) can never mutate graph state through
         the return value.
         """
-        if user not in self.graph:
+        i = self._index().get(user)
+        if i is None:
             return ()
-        return tuple(self.graph.out_edges(user))
+        lo, hi = int(self._indptr[i]), int(self._indptr[i + 1])
+        targets = self._users[self._indices[lo:hi]].tolist()
+        return tuple(zip(targets, self._weights[lo:hi].tolist()))
 
     def influencer_count(self, user: int) -> int:
         """|F_u|."""
-        if user not in self.graph:
+        i = self._index().get(user)
+        if i is None:
             return 0
-        return self.graph.out_degree(user)
+        return int(self._indptr[i + 1] - self._indptr[i])
 
     def influenced(self, user: int) -> tuple[int, ...]:
-        """Users that ``user`` influences (in-neighbours), as a snapshot."""
-        if user not in self.graph:
+        """Users that ``user`` influences (in-neighbours), as a snapshot.
+
+        Answered through :meth:`to_digraph`'s cached adjacency."""
+        graph = self.to_digraph()
+        if user not in graph:
             return ()
-        return tuple(self.graph.predecessors(user))
+        return tuple(graph.predecessors(user))
 
     def similarity(self, u: int, v: int) -> float:
         """Stored edge weight sim(u, v); 0.0 when no edge exists."""
-        if self.graph.has_edge(u, v):
-            return self.graph.weight(u, v)
+        for target, weight in self.influencers(u):
+            if target == v:
+                return weight
         return 0.0
+
+    def arrays(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(users, indptr, indices, weights)`` — the raw CSR sections."""
+        return self._users, self._indptr, self._indices, self._weights
+
+    def csr(self) -> CSRSimGraph:
+        """The compiled structure for the ``csr`` propagation backend.
+
+        Built lazily and cached; shares the underlying arrays zero-copy
+        (a memory-mapped snapshot stays on disk until rows are touched).
+        """
+        if self._csr is None:
+            self._csr = CSRSimGraph(
+                self._users, self._indptr, self._indices, self._weights
+            )
+        return self._csr
+
+    def to_digraph(self) -> DiGraph:
+        """The dict-of-dict adjacency, in node and edge order: built on
+        first call and cached, so callers must treat it as read-only."""
+        if self._digraph is None:
+            graph = DiGraph()
+            users = self._users.tolist()
+            graph.add_nodes(users)
+            indptr = self._indptr
+            for i, u in enumerate(users):
+                lo, hi = int(indptr[i]), int(indptr[i + 1])
+                if lo == hi:
+                    continue
+                graph.set_row(
+                    u,
+                    {
+                        users[j]: w
+                        for j, w in zip(
+                            self._indices[lo:hi].tolist(),
+                            self._weights[lo:hi].tolist(),
+                        )
+                    },
+                )
+            self._digraph = graph
+        return self._digraph
 
     # ------------------------------------------------------------------
     # Reporting (paper Table 4 / Figure 5)
     # ------------------------------------------------------------------
     def mean_similarity(self) -> float:
         """Average edge weight (Table 4's "Mean Similarity Score")."""
-        weights = [w for _, _, w in self.graph.edges()]
-        if not weights:
+        if len(self._weights) == 0:
             return 0.0
-        return float(np.mean(weights))
+        return float(np.mean(self._weights))
 
     def summary(self, sample_size: int = 200, seed: int = 0) -> GraphSummary:
         """Structural summary (degrees, diameter, path lengths)."""
-        return summarize_graph(self.graph, sample_size=sample_size, seed=seed)
+        return summarize_graph(
+            self.to_digraph(), sample_size=sample_size, seed=seed
+        )
 
     def table4_rows(self, sample_size: int = 200, seed: int = 0) -> list[tuple[str, object]]:
         """The rows of the paper's Table 4."""
@@ -194,17 +355,19 @@ class SimGraphBuilder:
 
         ``exploration_graph`` is walked ``hops`` levels from each user to
         collect candidates (pass the follow graph for the standard
-        construction, a previous SimGraph's graph for *crossfold*);
+        construction, a previous SimGraph's rows for *crossfold*);
         ``users`` optionally restricts the sources explored.
 
         Users without retweets never gain edges — they are the cold-start
-        population absent from the paper's Table 4 graph.
+        population absent from the paper's Table 4 graph.  The scored
+        chunks' edge arrays are joined into the CSR sections directly:
+        nodes in first appearance, edges in emission order.
         """
         metrics = self.metrics
         sources = list(users) if users is not None else list(exploration_graph.nodes())
         with metrics.span("simgraph.build"):
             metrics.counter("simgraph.sources").inc(len(sources))
-            pairs = simgraph_edges(
+            rows, influencers, sims = simgraph_edges(
                 exploration_graph,
                 profiles,
                 sources,
@@ -214,12 +377,10 @@ class SimGraphBuilder:
                 chunk_size=self.chunk_size,
                 metrics=metrics,
             )
-            result = DiGraph()
-            edges_kept = metrics.counter("simgraph.edges_kept")
+            metrics.counter("simgraph.edges_kept").inc(len(rows))
             out_degree = metrics.histogram("simgraph.out_degree")
-            for u, kept in pairs:
-                edges_kept.inc(len(kept))
-                out_degree.observe(len(kept))
-                for w, score in kept.items():
-                    result.add_edge(u, w, weight=score)
-        return SimGraph(result, tau=self.tau)
+            # A source's edges are one run of ``rows``.
+            starts = np.flatnonzero(np.diff(rows, prepend=rows[:1] - 1))
+            for degree in np.diff(starts, append=len(rows)).tolist():
+                out_degree.observe(degree)
+            return SimGraph.from_edges(rows, influencers, sims, self.tau)

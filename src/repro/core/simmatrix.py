@@ -29,15 +29,17 @@ similarities within 1e-12.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.profiles import RetweetProfiles
-from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
 from repro.obs import NULL, MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DiGraph
 
 __all__ = [
     "SimilarityMatrix",
@@ -330,70 +332,54 @@ def simgraph_edges(
     max_influencers: int | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     metrics: MetricsRegistry | None = None,
-) -> list[tuple[int, dict[int, float]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges of Def. 4.1, ``chunk_size`` sources per sparse product.
 
-    Returns ``(source, {influencer: sim})`` pairs for every source that
-    gains at least one edge — exactly the edges the per-user loop (walk
-    ``hops`` out, score, keep ``sim >= tau``, cap) would create.
+    Returns aligned arrays ``(source, influencer, sim)`` of user ids and
+    scores — exactly the edges the per-user loop (walk ``hops`` out,
+    score, keep ``sim >= tau``, cap) would create.  A source's edges are
+    contiguous, sources come in the order given (a repeated source
+    once), and a row's edges in the order :func:`masked_gram_edges`
+    emits them.
 
     ``metrics`` records candidate-mask assembly and per-chunk scoring
     timings and chunk/pair counters.
     """
     metrics = metrics if metrics is not None else NULL
     graph = FollowGraph.of(exploration_graph)
-    eligible = [
-        u
-        for u in sources
-        if u in graph and profiles.has_profile(u)
-    ]
+    eligible = list(dict.fromkeys(
+        u for u in sources if u in graph and profiles.has_profile(u)
+    ))
+    none = np.empty(0, dtype=np.int64)
+    edges = [(none, none, none.astype(np.float64))]
     if not eligible:
-        return []
+        return edges[0]
     with metrics.span("simgraph.candidate_masks"):
         matrix = SimilarityMatrix(profiles, extra_users=graph.nodes())
         columns = matrix.positions(graph.ids)
-    chunks = [
-        eligible[start : start + chunk_size]
-        for start in range(0, len(eligible), chunk_size)
-    ]
-    metrics.counter("simgraph.chunks").inc(len(chunks))
+    starts = range(0, len(eligible), chunk_size)
+    metrics.counter("simgraph.chunks").inc(len(starts))
     chunk_timings = metrics.histogram("simgraph.chunk_seconds", timing=True)
-    edges: list[tuple[int, dict[int, float]]] = []
+    pairs_scored = metrics.counter("simgraph.pairs_scored")
     with metrics.span("simgraph.score_chunks"):
-        for chunk in chunks:
+        for start in starts:
             started = time.perf_counter()
+            chunk = eligible[start : start + chunk_size]
+            ids = np.asarray(chunk, dtype=np.int64)
             reach = reachability_matrix(graph, hops, matrix, chunk, columns)
-            edges.extend(
-                _chunk_edges(matrix, reach, chunk, tau, max_influencers, metrics)
+            # The mask is applied to the *complex Gram* rows before any
+            # score is computed, so similarities are only evaluated for
+            # the (source, candidate) pairs the per-user loop scores; its
+            # empty diagonal also removes self-similarity.
+            row_idx, _ = matrix.positions(ids)
+            masked = matrix.gram_rows(row_idx).multiply(reach).tocsr()
+            pairs_scored.inc(int(masked.nnz))
+            local, influencers, sims = masked_gram_edges(
+                matrix, row_idx, masked, tau, max_influencers
             )
+            edges.append((ids[local], influencers, sims))
             chunk_timings.observe(time.perf_counter() - started)
-    return edges
-
-
-def _chunk_edges(
-    matrix: SimilarityMatrix,
-    reach: sparse.csr_matrix,
-    chunk: list[int],
-    tau: float,
-    max_influencers: int | None,
-    metrics: MetricsRegistry,
-) -> list[tuple[int, dict[int, float]]]:
-    """Score one chunk of sources and threshold/cap their edges.
-
-    The candidate mask (``reach``, one row per source) is applied to the
-    *complex Gram* rows before any score is computed, so similarities
-    are only ever evaluated for the (source, k-hop candidate) pairs the
-    per-user loop would score.  The mask's diagonal is empty, which
-    also removes self-similarity entries.
-    """
-    row_idx = np.asarray(
-        [matrix.position(u) for u in chunk], dtype=np.int64
-    )
-    masked = matrix.gram_rows(row_idx).multiply(reach).tocsr()
-    metrics.counter("simgraph.pairs_scored").inc(int(masked.nnz))
-    return edges_from_masked_gram(
-        matrix, chunk, row_idx, masked, tau, max_influencers
-    )
+    return tuple(np.concatenate(column) for column in zip(*edges))
 
 
 def masked_gram_edges(
@@ -434,25 +420,3 @@ def masked_gram_edges(
             at = at[np.argsort(local[at], kind="stable")]
             local, cols, sims = local[at], cols[at], sims[at]
     return local, matrix.users_array(cols), sims
-
-
-def edges_from_masked_gram(
-    matrix: SimilarityMatrix,
-    chunk: list[int],
-    row_idx: np.ndarray,
-    masked: sparse.csr_matrix,
-    tau: float,
-    max_influencers: int | None,
-) -> list[tuple[int, dict[int, float]]]:
-    """:func:`masked_gram_edges` as rows: ``(chunk[j], {influencer:
-    sim})`` in edge order, for every source left with an edge."""
-    local, influencers, sims = masked_gram_edges(
-        matrix, row_idx, masked, tau, max_influencers
-    )
-    bounds = np.searchsorted(local, np.arange(len(chunk) + 1)).tolist()
-    influencers, sims = influencers.tolist(), sims.tolist()
-    return [
-        (u, dict(zip(influencers[lo:hi], sims[lo:hi])))
-        for u, lo, hi in zip(chunk, bounds, bounds[1:])
-        if lo < hi
-    ]

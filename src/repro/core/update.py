@@ -25,14 +25,18 @@ offline ``simgraph maintain`` command.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from repro.core.delta import apply_delta
 from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data.models import Retweet
-from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DiGraph
 
 __all__ = [
     "from_scratch",
@@ -48,7 +52,8 @@ __all__ = [
 #: Signature shared by all strategies: (old graph, follow graph, updated
 #: profiles, builder) -> refreshed graph.
 UpdateStrategy = Callable[
-    [SimGraph, FollowGraph | DiGraph, RetweetProfiles, SimGraphBuilder], SimGraph
+    [SimGraph, "FollowGraph | DiGraph", RetweetProfiles, SimGraphBuilder],
+    SimGraph,
 ]
 
 
@@ -85,9 +90,16 @@ def crossfold(
     weight — the strategy Figure 16 shows tracking *from scratch* almost
     perfectly at a much lower cost (it explores the SimGraph, whose
     out-degree is ~6, instead of the follow graph, whose 2-hop
-    neighbourhoods are thousands of users).
+    neighbourhoods are thousands of users).  The walk runs on the old
+    graph's compiled arrays, its influencer rows as the out-edges.
     """
-    return builder.build(old.graph, profiles)
+    csr = old.csr()
+    exploration = FollowGraph.from_csr(
+        csr.users,
+        (csr.inf_indptr, csr.inf_indices),
+        (csr.out_indptr, csr.out_indices),
+    )
+    return builder.build(exploration, profiles)
 
 
 def update_weights(
@@ -104,11 +116,12 @@ def update_weights(
     """
     from repro.core.similarity import similarity
 
-    refreshed = DiGraph()
-    refreshed.add_nodes(old.graph.nodes())
-    for u, v, _ in old.graph.edges():
-        refreshed.add_edge(u, v, weight=similarity(profiles, u, v))
-    return SimGraph(refreshed, tau=old.tau)
+    users, indptr, indices, _ = old.arrays()
+    pairs = zip(np.repeat(users, np.diff(indptr)).tolist(), users[indices].tolist())
+    weights = np.array(
+        [similarity(profiles, u, v) for u, v in pairs], dtype=np.float64
+    )
+    return SimGraph(users, indptr, indices, weights, tau=old.tau)
 
 
 def delta(

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.baselines.base import Recommendation
 from repro.core import persistence
-from repro.core.csr import ArraySimGraph, CSRSimGraph
+from repro.core.csr import CSRSimGraph
 from repro.core.profiles import RetweetProfiles
 from repro.core.propagation_csr import (
     PROP_BACKENDS,
@@ -63,7 +63,6 @@ from repro.core.delta import DeltaPlan, DeltaReport, affected_region, apply_delt
 from repro.core.warmcache import DEFAULT_CAPACITY, WarmStateCache
 from repro.data.models import Retweet, Tweet
 from repro.exceptions import ConfigError, DatasetError
-from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
 from repro.obs import MetricsRegistry
 
@@ -436,7 +435,7 @@ class RecommendationService:
         self._csr: CSRSimGraph | None = None
         #: The clock-triggered maintenance in flight, if any.
         self._job: _Handoff | None = None
-        self._install(SimGraph(DiGraph(), tau=self.config.tau))
+        self._install(SimGraph.from_edges((), (), (), tau=self.config.tau))
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -690,9 +689,9 @@ class RecommendationService:
         for user, tweet in lagged:
             self.profiles.add(user, tweet)
         self._invalidate_warm(outcome.report)
-        built = self._install(outcome.built, report=outcome.report)
+        self._install(outcome.built, report=outcome.report)
         self.stats.rebuilds += 1
-        return built
+        return outcome.built
 
     def load_snapshot(self, path, mmap: bool = True) -> SimGraph:
         """Adopt a persisted SimGraph snapshot as the current graph.
@@ -721,18 +720,17 @@ class RecommendationService:
 
         Counts as a rebuild (see :meth:`load_snapshot`) and discards a
         maintenance job in flight; the offline recommender adopts an
-        injected SimGraph the same way.  Returns the graph the service
-        now holds (:meth:`_install`).
+        injected SimGraph the same way.  Returns ``simgraph``.
         """
         if self._job is not None:
             self._discard_maintenance()
-        adopted = self._install(simgraph)
+        self._install(simgraph)
         self._invalidate_warm(None)
         self.profiles.mark_clean()
         self.follow_graph.mark_clean()
         self.stats.rebuilds += 1
         self.stats.last_rebuild_at = self._clock
-        return adopted
+        return simgraph
 
     def _invalidate_warm(self, report: DeltaReport | None) -> None:
         """Drop warm propagation state made stale by a rebuild.
@@ -1183,22 +1181,17 @@ class RecommendationService:
 
     def _install(
         self, simgraph: SimGraph, report: DeltaReport | None = None
-    ) -> SimGraph:
+    ) -> None:
         """Make ``simgraph`` current and build the engine over it.
 
-        On the ``csr`` backend the compiled graph is all the service
-        keeps: a delta (``report``) hands back the graph it spliced, and
-        anything else is compiled here — an array-backed (snapshot)
-        graph zero-copy — in place of its dict form.  Returns the graph
-        the service now holds.
+        On the ``csr`` backend the engine runs on ``simgraph.csr()``: a
+        delta (``report``) hands back the graph it spliced, already
+        compiled, and anything else is compiled here, sharing its
+        arrays.
         """
         if self.config.prop_backend == "csr":
             if report is None:
                 self.metrics.counter("propagation.csr_compiled").inc()
-                if not isinstance(simgraph, ArraySimGraph):
-                    simgraph = ArraySimGraph.from_csr(
-                        CSRSimGraph.from_simgraph(simgraph), simgraph.tau
-                    )
             elif not report.noop:
                 self.metrics.counter("propagation.csr_spliced").inc()
             old, self._csr = self._csr, simgraph.csr()
@@ -1215,7 +1208,6 @@ class RecommendationService:
             metrics=self.metrics,
             csr=self._csr,
         )
-        return simgraph
 
     @property
     def simgraph(self) -> SimGraph:

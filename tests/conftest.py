@@ -15,7 +15,6 @@ from hypothesis import settings
 
 from repro.core.simgraph import SimGraph
 from repro.data.builders import DatasetBuilder
-from repro.graph.digraph import DiGraph
 from repro.synth import SynthConfig, generate_dataset
 
 # Hypothesis profiles: "ci" pins the search to a fixed seed with no
@@ -38,14 +37,12 @@ def paper_example() -> SimGraph:
     x->y (0.8) — wired so Examples 4.3 and 5.1 hold:
     after x shares t1, p(w) = 0.25 and then p(u) = 0.0625.
     """
-    graph = DiGraph()
-    graph.add_edge(U, V, weight=0.3)
-    graph.add_edge(U, W, weight=0.5)
-    graph.add_edge(W, X, weight=0.5)
-    graph.add_edge(W, Y, weight=0.1)
-    graph.add_edge(V, Y, weight=0.4)
-    graph.add_edge(X, Y, weight=0.8)
-    return SimGraph(graph, tau=0.0)
+    return SimGraph.from_edges(
+        [U, U, W, W, V, X],
+        [V, W, X, Y, Y, Y],
+        [0.3, 0.5, 0.5, 0.1, 0.4, 0.8],
+        tau=0.0,
+    )
 
 
 @pytest.fixture

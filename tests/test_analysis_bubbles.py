@@ -11,6 +11,7 @@ from repro.analysis.bubbles import (
 from repro.baselines.base import Recommendation
 from repro.core.simgraph import SimGraph
 from repro.graph.digraph import DiGraph
+from tests.test_simgraph_oracle import simgraph_of
 
 
 def two_bubble_simgraph() -> SimGraph:
@@ -22,7 +23,7 @@ def two_bubble_simgraph() -> SimGraph:
             for v in members:
                 if u != v:
                     g.add_edge(u, v, weight=0.5)
-    return SimGraph(g, tau=0.0)
+    return simgraph_of(g, tau=0.0)
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ SIM_TOLERANCE = 1e-12
 
 
 def edge_map(simgraph) -> dict[tuple[int, int], float]:
-    return {(u, v): w for u, v, w in simgraph.graph.edges()}
+    return {(u, v): w for u, v, w in simgraph.to_digraph().edges()}
 
 
 def assert_same_simgraph(reference, vectorized) -> None:
@@ -100,7 +100,7 @@ class TestSimGraphDifferential:
             dataset.follow_graph, profiles
         )
         reference, vectorized = build_pair(
-            dataset, profiles, exploration_graph=previous.graph, tau=0.001
+            dataset, profiles, exploration_graph=previous.to_digraph(), tau=0.001
         )
         assert_same_simgraph(reference, vectorized)
 
@@ -123,7 +123,7 @@ class TestRecommenderDifferential:
         split = temporal_split(dataset)
         oracle = oracle_build(
             dataset.follow_graph, RetweetProfiles(split.train)
-        )
+        ).compile()
         outputs = {}
         for backend, simgraph in (("reference", oracle), ("vectorized", None)):
             recommender = SimGraphRecommender(simgraph=simgraph)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import RetweetProfiles, SimGraphBuilder
-from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.delta import DeltaPlan, affected_region, apply_delta
 from repro.graph import DiGraph, FollowGraph
 from repro.obs import MetricsRegistry
@@ -32,7 +31,7 @@ DIRTY_ONLY_HISTORY = (
 
 
 def edge_map(simgraph):
-    return {(u, v): w for u, v, w in simgraph.graph.edges()}
+    return {(u, v): w for u, v, w in simgraph.to_digraph().edges()}
 
 
 class TestDirtyTracking:
@@ -215,12 +214,12 @@ class TestApplyDelta:
         profiles.add(1, 99)
         refreshed, report = apply_delta(old, graph, profiles, builder)
         assert not report.topology_changed
-        assert {(u, v) for u, v, _ in refreshed.graph.edges()} == {
-            (u, v) for u, v, _ in old.graph.edges()
+        assert {(u, v) for u, v, _ in refreshed.to_digraph().edges()} == {
+            (u, v) for u, v, _ in old.to_digraph().edges()
         }
         full = builder.build(graph, profiles)
-        assert {(u, v, w) for u, v, w in refreshed.graph.edges()} == {
-            (u, v, w) for u, v, w in full.graph.edges()
+        assert {(u, v, w) for u, v, w in refreshed.to_digraph().edges()} == {
+            (u, v, w) for u, v, w in full.to_digraph().edges()
         }
 
     def test_edge_gain_flags_topology_changed(self):
@@ -230,20 +229,20 @@ class TestApplyDelta:
         profiles.add(2, 20)
         builder = SimGraphBuilder(tau=1e-6)
         old = builder.build(graph, profiles)
-        assert old.graph.edge_count == 0
+        assert old.to_digraph().edge_count == 0
         profiles.mark_clean()
         profiles.add(2, 10)  # first shared tweet: edges appear
         refreshed, report = apply_delta(old, graph, profiles, builder)
         assert report.topology_changed
-        assert refreshed.graph.edge_count == 2
+        assert refreshed.to_digraph().edge_count == 2
 
     def test_old_graph_is_not_mutated(self):
         graph, profiles, builder, old = self.build_world()
-        before = sorted(old.graph.edges())
+        before = sorted(old.to_digraph().edges())
         profiles.add(1, 99)
         refreshed, _ = apply_delta(old, graph, profiles, builder)
         assert refreshed is not old
-        assert sorted(old.graph.edges()) == before
+        assert sorted(old.to_digraph().edges()) == before
 
     def test_metrics_counters_fire(self):
         graph, profiles, builder, old = self.build_world()
@@ -263,7 +262,7 @@ class TestApplyDelta:
             profiles.add(user, tweet)
         builder = SimGraphBuilder(tau=1e-6)
         old = build_with(origin, graph, profiles, builder)
-        assert old.graph.has_edge(FOLLOWER, CLEAN)
+        assert old.to_digraph().has_edge(FOLLOWER, CLEAN)
         profiles.mark_clean()
         profiles.add(DIRTY, 10)
         refreshed, report = apply_delta(old, graph, profiles, builder)
@@ -313,8 +312,8 @@ class TestApplyDelta:
         # Fringe rows cannot be partially patched under a row cap.
         assert report.fringe_size == 0
         full = capped.build(graph, profiles)
-        assert {(u, v) for u, v, _ in refreshed.graph.edges()} == {
-            (u, v) for u, v, _ in full.graph.edges()
+        assert {(u, v) for u, v, _ in refreshed.to_digraph().edges()} == {
+            (u, v) for u, v, _ in full.to_digraph().edges()
         }
 
     def test_dropped_user_prunes_isolated_nodes(self):
@@ -324,7 +323,7 @@ class TestApplyDelta:
         profiles.add(2, 10)
         builder = SimGraphBuilder(tau=1e-6)
         old = builder.build(graph, profiles)
-        assert set(old.graph.nodes()) == {1, 2}
+        assert set(old.to_digraph().nodes()) == {1, 2}
         profiles.mark_clean()
         # Tweet 10 goes viral: m(10) explodes and the pair's similarity
         # collapses below any meaningful tau.
@@ -333,7 +332,7 @@ class TestApplyDelta:
         profiles.add(3, 10)
         refreshed, report = apply_delta(old_strict, graph, profiles, strict)
         full = strict.build(graph, profiles)
-        assert set(refreshed.graph.nodes()) == set(full.graph.nodes())
+        assert set(refreshed.to_digraph().nodes()) == set(full.to_digraph().nodes())
 
     def test_tau_and_hops_inherited_from_old(self):
         graph, profiles, builder, old = self.build_world()
@@ -365,8 +364,8 @@ def test_delta_memory_follows_the_region_not_the_corpus():
     def peak(components):
         graph, profiles = ring_world(components)
         builder = SimGraphBuilder(tau=1e-6)
-        built = builder.build(graph, profiles)
-        old = ArraySimGraph.from_csr(CSRSimGraph.from_simgraph(built), built.tau)
+        old = builder.build(graph, profiles)
+        old.csr()  # compiled outside the traced region
         profiles.mark_clean()
         for user in range(5):
             profiles.add(user, (user + 7) % 20)

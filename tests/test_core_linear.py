@@ -10,6 +10,7 @@ from repro.exceptions import ConvergenceError
 from repro.graph.digraph import DiGraph
 
 from tests.conftest import U, W, X
+from tests.test_simgraph_oracle import simgraph_of
 
 
 class TestStructure:
@@ -51,7 +52,7 @@ class TestDiagnostics:
         )
 
     def test_empty_system(self):
-        system = LinearSystem(SimGraph(DiGraph(), tau=0.0))
+        system = LinearSystem(SimGraph.from_edges((), (), (), tau=0.0))
         assert system.size == 0
         assert system.iteration_norm() == 0.0
         assert system.spectral_radius_estimate() == 0.0
@@ -127,7 +128,7 @@ def random_simgraph(draw):
     for u, v, w in edges:
         graph.add_edge(u, v, weight=w)
     seeds = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
-    return SimGraph(graph, tau=0.0), seeds
+    return simgraph_of(graph, tau=0.0), seeds
 
 
 @settings(max_examples=40, deadline=None)

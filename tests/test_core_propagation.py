@@ -9,6 +9,7 @@ from repro.core.thresholds import StaticThreshold
 from repro.graph.digraph import DiGraph
 
 from tests.conftest import U, V, W, X, Y
+from tests.test_simgraph_oracle import simgraph_of
 
 
 class TestPaperExample:
@@ -89,7 +90,7 @@ class TestCycles:
         graph.add_edge(1, 0, weight=0.9)
         graph.add_edge(0, 2, weight=0.9)
         graph.add_edge(1, 2, weight=0.9)
-        return SimGraph(graph, tau=0.0)
+        return simgraph_of(graph, tau=0.0)
 
     def test_cyclic_graph_converges(self):
         engine = PropagationEngine(self.make_cycle())
@@ -121,7 +122,7 @@ class TestThresholdOptimization:
         graph = DiGraph()
         for i in range(30):
             graph.add_edge(i, i + 1, weight=0.5)
-        simgraph = SimGraph(graph, tau=0.0)
+        simgraph = simgraph_of(graph, tau=0.0)
         exact = PropagationEngine(simgraph).propagate(seeds=[30])
         cut = PropagationEngine(
             simgraph, threshold=StaticThreshold(0.05)
@@ -151,7 +152,7 @@ class TestWarmStart:
         graph = DiGraph()
         for i in range(50):
             graph.add_edge(i, i + 1, weight=0.5)
-        simgraph = SimGraph(graph, tau=0.0)
+        simgraph = simgraph_of(graph, tau=0.0)
         engine = PropagationEngine(simgraph)
         first = engine.propagate(seeds=[50])
         # Re-running with the same seeds warm should do (almost) no work.
@@ -183,7 +184,7 @@ def random_simgraph(draw):
     for u, v, w in edges:
         graph.add_edge(u, v, weight=w)
     seeds = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-    return SimGraph(graph, tau=0.0), seeds
+    return simgraph_of(graph, tau=0.0), seeds
 
 
 @settings(max_examples=60, deadline=None)

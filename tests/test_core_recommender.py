@@ -9,6 +9,7 @@ from repro.data.builders import DatasetBuilder
 from repro.data.models import Retweet
 from repro.exceptions import ConfigError, DatasetError
 from repro.graph.digraph import DiGraph
+from tests.test_simgraph_oracle import simgraph_of
 
 
 def co_retweet_world():
@@ -44,7 +45,7 @@ class TestFit:
         dataset, train = co_retweet_world()
         graph = DiGraph()
         graph.add_edge(0, 1, weight=0.5)
-        injected = SimGraph(graph, tau=0.0)
+        injected = simgraph_of(graph, tau=0.0)
         rec = SimGraphRecommender(simgraph=injected)
         rec.fit(dataset, train)
         assert rec.simgraph is injected

@@ -61,7 +61,7 @@ class TestVectorizedBackend:
         vectorized = SimGraphBuilder(tau=0.0, **kwargs).build(
             dataset.follow_graph, profiles
         )
-        assert set(vectorized.graph.edges()) == set(reference.graph.edges())
+        assert set(vectorized.to_digraph().edges()) == set(reference.to_digraph().edges())
 
     def test_restricted_sources_match(self):
         dataset, profiles = linear_world()
@@ -71,7 +71,7 @@ class TestVectorizedBackend:
         vectorized = SimGraphBuilder(tau=0.0).build(
             dataset.follow_graph, profiles, users=[2]
         )
-        assert set(vectorized.graph.edges()) == set(reference.graph.edges())
+        assert set(vectorized.to_digraph().edges()) == set(reference.to_digraph().edges())
 
 
 class TestTwoHopSemantics:
@@ -115,7 +115,7 @@ class TestTwoHopSemantics:
         simgraph = SimGraphBuilder(tau=0.0).build(
             dataset.follow_graph, profiles
         )
-        for u, v, w in simgraph.graph.edges():
+        for u, v, w in simgraph.to_digraph().edges():
             assert w == pytest.approx(similarity(profiles, u, v))
 
     def test_users_parameter_restricts_sources(self):
@@ -123,7 +123,7 @@ class TestTwoHopSemantics:
         simgraph = SimGraphBuilder(tau=0.0).build(
             dataset.follow_graph, profiles, users=[2]
         )
-        assert all(u == 2 for u, _, _ in simgraph.graph.edges())
+        assert all(u == 2 for u, _, _ in simgraph.to_digraph().edges())
 
     def test_max_influencers_cap(self):
         dataset, profiles = linear_world()
@@ -172,7 +172,7 @@ class TestSimGraphQueries:
         )
 
     def test_mean_similarity_empty(self):
-        assert SimGraph(DiGraph(), tau=0.1).mean_similarity() == 0.0
+        assert SimGraph.from_edges((), (), (), tau=0.1).mean_similarity() == 0.0
 
     def test_table4_rows_labels(self, paper_example):
         labels = [label for label, _ in paper_example.table4_rows(sample_size=10)]

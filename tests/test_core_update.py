@@ -48,8 +48,8 @@ class TestStrategies:
         profiles.extend(mid)
         rebuilt = from_scratch(old, dataset.follow_graph, profiles, builder)
         assert rebuilt is not old
-        old_edges = set((u, v) for u, v, _ in old.graph.edges())
-        new_edges = set((u, v) for u, v, _ in rebuilt.graph.edges())
+        old_edges = set((u, v) for u, v, _ in old.to_digraph().edges())
+        new_edges = set((u, v) for u, v, _ in rebuilt.to_digraph().edges())
         assert old_edges != new_edges
 
     def test_update_weights_keeps_topology(self, world):
@@ -57,8 +57,8 @@ class TestStrategies:
         profiles = RetweetProfiles(split.train)
         profiles.extend(mid)
         refreshed = update_weights(old, dataset.follow_graph, profiles, builder)
-        old_edges = set((u, v) for u, v, _ in old.graph.edges())
-        new_edges = set((u, v) for u, v, _ in refreshed.graph.edges())
+        old_edges = set((u, v) for u, v, _ in old.to_digraph().edges())
+        new_edges = set((u, v) for u, v, _ in refreshed.to_digraph().edges())
         assert old_edges == new_edges
 
     def test_update_weights_recomputes_weights(self, world):
@@ -68,8 +68,8 @@ class TestStrategies:
         refreshed = update_weights(old, dataset.follow_graph, profiles, builder)
         changed = sum(
             1
-            for u, v, w in refreshed.graph.edges()
-            if abs(w - old.graph.weight(u, v)) > 1e-12
+            for u, v, w in refreshed.to_digraph().edges()
+            if abs(w - old.to_digraph().weight(u, v)) > 1e-12
         )
         assert changed > 0
 
@@ -82,8 +82,8 @@ class TestStrategies:
         profiles = RetweetProfiles(split.train)
         profiles.extend(mid)
         full = from_scratch(old, dataset.follow_graph, profiles, builder)
-        delta_edges = {(u, v): w for u, v, w in via_delta.graph.edges()}
-        full_edges = {(u, v): w for u, v, w in full.graph.edges()}
+        delta_edges = {(u, v): w for u, v, w in via_delta.to_digraph().edges()}
+        full_edges = {(u, v): w for u, v, w in full.to_digraph().edges()}
         assert set(delta_edges) == set(full_edges)
         # Fringe pairs are scored from the core side of the symmetric
         # walk, so weights may differ by last-ulp round-off.
@@ -104,8 +104,8 @@ class TestStrategies:
         # Crossfold may add transitive edges absent from the old graph.
         assert folded.node_count > 0
         # Every crossfold source was reachable in the old SimGraph.
-        for u, _, _ in folded.graph.edges():
-            assert u in old.graph
+        for u, _, _ in folded.to_digraph().edges():
+            assert u in old
 
 
 class TestEmptyDeltaEquivalence:
@@ -122,28 +122,28 @@ class TestEmptyDeltaEquivalence:
         dataset, split, _, builder, old = world
         profiles = RetweetProfiles(split.train)  # no .extend(): empty delta
         rebuilt = from_scratch(old, dataset.follow_graph, profiles, builder)
-        assert sorted(rebuilt.graph.edges()) == sorted(old.graph.edges())
+        assert sorted(rebuilt.to_digraph().edges()) == sorted(old.to_digraph().edges())
         assert rebuilt.tau == old.tau
 
     def test_update_weights_with_empty_delta_keeps_weights(self, world):
         dataset, split, _, builder, old = world
         profiles = RetweetProfiles(split.train)
         refreshed = update_weights(old, dataset.follow_graph, profiles, builder)
-        old_edges = {(u, v) for u, v, _ in old.graph.edges()}
-        new_edges = {(u, v) for u, v, _ in refreshed.graph.edges()}
+        old_edges = {(u, v) for u, v, _ in old.to_digraph().edges()}
+        new_edges = {(u, v) for u, v, _ in refreshed.to_digraph().edges()}
         assert old_edges == new_edges
-        for u, v, w in refreshed.graph.edges():
-            assert w == pytest.approx(old.graph.weight(u, v), abs=1e-12)
+        for u, v, w in refreshed.to_digraph().edges():
+            assert w == pytest.approx(old.to_digraph().weight(u, v), abs=1e-12)
 
     def test_crossfold_with_empty_delta_preserves_old_edges(self, world):
         dataset, split, _, builder, old = world
         profiles = RetweetProfiles(split.train)
         folded = crossfold(old, dataset.follow_graph, profiles, builder)
-        old_edges = {(u, v) for u, v, _ in old.graph.edges()}
-        new_edges = {(u, v) for u, v, _ in folded.graph.edges()}
+        old_edges = {(u, v) for u, v, _ in old.to_digraph().edges()}
+        new_edges = {(u, v) for u, v, _ in folded.to_digraph().edges()}
         assert old_edges <= new_edges  # nothing dropped
         for u, v in old_edges:  # retained edges keep their exact weight
-            assert folded.graph.weight(u, v) == old.graph.weight(u, v)
+            assert folded.to_digraph().weight(u, v) == old.to_digraph().weight(u, v)
 
     def test_crossfold_via_apply_strategy_with_empty_slice(self, world):
         dataset, split, _, builder, old = world
@@ -151,8 +151,8 @@ class TestEmptyDeltaEquivalence:
             "crossfold", old, dataset.follow_graph, split.train, [],
             builder=builder,
         )
-        old_edges = {(u, v) for u, v, _ in old.graph.edges()}
-        assert old_edges <= {(u, v) for u, v, _ in folded.graph.edges()}
+        old_edges = {(u, v) for u, v, _ in old.to_digraph().edges()}
+        assert old_edges <= {(u, v) for u, v, _ in folded.to_digraph().edges()}
 
 
 class TestApplyStrategy:
@@ -170,7 +170,7 @@ class TestApplyStrategy:
         profiles = RetweetProfiles(split.train)
         profiles.extend(mid)
         direct = update_weights(old, dataset.follow_graph, profiles, builder)
-        assert sorted(via_name.graph.edges()) == sorted(direct.graph.edges())
+        assert sorted(via_name.to_digraph().edges()) == sorted(direct.to_digraph().edges())
 
     def test_default_builder_uses_old_tau(self, world):
         dataset, split, mid, _, old = world

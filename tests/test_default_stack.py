@@ -39,6 +39,7 @@ from repro.exceptions import ConfigError
 from repro.graph.digraph import DiGraph
 from repro.service import RecommendationService, ServiceConfig
 from repro.shard import ShardedRecommendationService
+from tests.test_simgraph_oracle import simgraph_of
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 TIER_PY = E2E / "tier.py"
@@ -85,7 +86,7 @@ def test_recommender_defaults_to_the_compiled_engine():
 def test_factory_defaults_to_the_compiled_engine():
     graph = DiGraph()
     graph.add_edge(0, 1, weight=0.5)
-    simgraph = SimGraph(graph, tau=0.1)
+    simgraph = simgraph_of(graph, tau=0.1)
     assert type(make_propagation_engine(simgraph)) is CSRPropagationEngine
     # The readable Alg. 1 loop stays selectable by name.
     oracle = make_propagation_engine(simgraph, prop_backend="reference")

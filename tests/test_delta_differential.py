@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RetweetProfiles, SimGraphBuilder
-from repro.core.csr import CSRSimGraph
 from repro.core.delta import affected_region, apply_delta
 from repro.core.simmatrix import DEFAULT_CHUNK_SIZE
 from repro.core.update import apply_strategy
@@ -35,7 +34,7 @@ from repro.data import temporal_split
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
 from tests.test_propagation_differential import assert_same_compiled
-from tests.test_simgraph_oracle import BUILDS, build_with
+from tests.test_simgraph_oracle import BUILDS, build_with, from_simgraph
 
 TAU = 0.001
 
@@ -63,7 +62,7 @@ def old_graph(origin: str, max_influencers: int | None = None):
 
 
 def edge_map(simgraph):
-    return {(u, v): w for u, v, w in simgraph.graph.edges()}
+    return {(u, v): w for u, v, w in simgraph.to_digraph().edges()}
 
 
 def assert_same_edges(actual, expected, atol=WEIGHT_ATOL):
@@ -92,7 +91,7 @@ class TestDeltaMatchesFromScratch:
             "from scratch", old, dataset.follow_graph, split.train, extra
         )
         assert_same_edges(refreshed, full)
-        assert set(refreshed.graph.nodes()) == set(full.graph.nodes())
+        assert set(refreshed.to_digraph().nodes()) == set(full.to_digraph().nodes())
 
     @pytest.mark.parametrize("origin", BUILDS)
     def test_exact_with_row_cap(self, origin):
@@ -156,8 +155,8 @@ def test_recomputed_rows_keep_from_scratch_edge_order():
     assert report.topology_changed
     unsorted_rows = 0
     for user in sorted(plan.core):
-        row = list(refreshed.graph.out_row(user).items())
-        assert row == list(full.graph.out_row(user).items()), user
+        row = list(refreshed.to_digraph().out_row(user).items())
+        assert row == list(full.to_digraph().out_row(user).items()), user
         unsorted_rows += [v for v, _ in row] != sorted(v for v, _ in row)
     # The property has teeth only if emission order is not id order.
     assert unsorted_rows > 0
@@ -243,7 +242,7 @@ class TestServiceDelta:
         counters = service.metrics_snapshot()["counters"]
         assert counters.get("propagation.csr_spliced", 0) > 0
         assert_same_compiled(
-            service._csr, CSRSimGraph.from_simgraph(service.simgraph)
+            service._csr, from_simgraph(service.simgraph)
         )
 
     def test_delta_rebuilds_actually_ran(self, streams):

@@ -28,19 +28,18 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from repro.core import RetweetProfiles, SimGraphBuilder
-from repro.core.csr import ArraySimGraph, CSRSimGraph, gather_ranges
+from repro.core.csr import gather_ranges
 from repro.core.delta import affected_region, apply_delta
-from repro.core.simgraph import SimGraph
 from repro.core.simmatrix import (
     DEFAULT_CHUNK_SIZE,
     SimilarityMatrix,
-    edges_from_masked_gram,
     reachability_matrix,
 )
 from repro.data import temporal_split
 from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_simgraph_oracle import edges_from_masked_gram, simgraph_of
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 
@@ -141,11 +140,7 @@ def oracle_apply_delta(old, graph, profiles, builder, extra_sources=()):
         needed = {}
         fringe = frozenset()
     core_sorted = sorted(core)
-    compiled = (
-        old.csr()
-        if isinstance(old, ArraySimGraph)
-        else CSRSimGraph.from_simgraph(old)
-    )
+    compiled = old.csr()
     tau = builder.tau
     rows, sym, pairs_rescored = oracle_core_state(
         core_sorted, graph, profiles, builder, needed
@@ -295,12 +290,6 @@ def extra_sources_of(graph: FollowGraph) -> list[int]:
     return graph.ids[np.union1d(fresh, followers)].tolist()
 
 
-def compiled_graph(simgraph: SimGraph) -> ArraySimGraph:
-    return ArraySimGraph.from_csr(
-        CSRSimGraph.from_simgraph(simgraph), simgraph.tau
-    )
-
-
 @st.composite
 def delta_world(draw):
     """A follow graph, a history, an old SimGraph and a delta.
@@ -347,9 +336,9 @@ def play(world):
         for u, v, w in edges:
             if u != v:
                 arbitrary.add_edge(u, v, weight=w)
-        old = compiled_graph(SimGraph(arbitrary, tau=tau))
+        old = simgraph_of(arbitrary, tau=tau)
     else:
-        old = compiled_graph(builder.build(graph, profiles))
+        old = builder.build(graph, profiles)
     if kind != "built":
         for u, t in held:
             profiles.add(u, t)
@@ -387,7 +376,7 @@ def triangle():
 def test_weights_only_delta():
     graph, profiles = triangle()
     builder = SimGraphBuilder(tau=1e-6)
-    old = compiled_graph(builder.build(graph, profiles))
+    old = builder.build(graph, profiles)
     profiles.mark_clean()
     profiles.add(1, 99)
     refreshed, report = run_both(old, graph, profiles, builder)
@@ -398,7 +387,7 @@ def test_weights_only_delta():
 def test_topology_delta_appends_a_node():
     graph, profiles = triangle()
     builder = SimGraphBuilder(tau=1e-6)
-    old = compiled_graph(builder.build(graph, profiles))
+    old = builder.build(graph, profiles)
     profiles.mark_clean()
     graph.mark_clean()
     graph.add_edge(4, 1)
@@ -418,7 +407,7 @@ def test_node_removal():
     profiles.add(1, 10)
     profiles.add(2, 10)
     builder = SimGraphBuilder(tau=0.5)
-    old = compiled_graph(builder.build(graph, profiles))
+    old = builder.build(graph, profiles)
     profiles.mark_clean()
     for user in range(3, 8):  # m(10) = 7: the pair falls below tau
         profiles.add(user, 10)
@@ -432,7 +421,7 @@ def test_row_cap_promotes_the_fringe():
     graph.add_edge(4, 1)
     profiles.add(4, 10)
     builder = SimGraphBuilder(tau=1e-6, max_influencers=1)
-    old = compiled_graph(builder.build(graph, profiles))
+    old = builder.build(graph, profiles)
     profiles.mark_clean()
     profiles.add(1, 99)
     _, report = run_both(old, graph, profiles, builder)
@@ -451,7 +440,7 @@ def test_fringe_nodes_append_in_the_dict_surgery_set_order():
     graph.add_edge(1, 3)
     profiles = RetweetProfiles()
     builder = SimGraphBuilder(tau=1e-6)
-    old = compiled_graph(builder.build(graph, profiles))
+    old = builder.build(graph, profiles)
     for user in (3, 8, 1):
         profiles.add(user, 10)
     profiles.mark_clean()
@@ -471,7 +460,7 @@ def test_synthetic_stream_slices(kind):
     half = len(split.train) // 2
     builder = SimGraphBuilder(tau=0.001)
     seen = split.train if kind == "built" else split.train[:half]
-    old = compiled_graph(builder.build(graph, RetweetProfiles(seen)))
+    old = builder.build(graph, RetweetProfiles(seen))
     profiles = RetweetProfiles(split.train)
     profiles.mark_clean()
     for start in range(0, 240, 60):

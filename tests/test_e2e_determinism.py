@@ -65,7 +65,7 @@ def run_pipeline(build: str, prop_backend: str) -> tuple[str, str]:
     targets = select_target_users(split.train, per_stratum=50, seed=0)
     registry = MetricsRegistry()
     simgraph = (
-        oracle_build(dataset.follow_graph, RetweetProfiles(split.train))
+        oracle_build(dataset.follow_graph, RetweetProfiles(split.train)).compile()
         if build == "reference"
         else None
     )

@@ -29,7 +29,6 @@ import pytest
 
 import repro.service.engine as engine
 from repro.core import CSRSimGraph, SimGraphBuilder, save_simgraph
-from repro.core.csr import ArraySimGraph
 from repro.data import temporal_split
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import generate_dataset
@@ -96,9 +95,7 @@ def replay(prop_backend: str, strategy: str):
 
 
 def compiled(simgraph) -> CSRSimGraph:
-    if isinstance(simgraph, ArraySimGraph):
-        return simgraph.csr()
-    return CSRSimGraph.from_simgraph(simgraph)
+    return simgraph.csr()
 
 
 def no_fork(target, args):

@@ -1,6 +1,6 @@
-"""What the serving state costs: the follow graph is arrays, a delta's
-working set is arrays, and a delta after a memory-mapped boot never
-builds the dict SimGraph."""
+"""What the serving state costs: the follow graph is arrays, the build
+and a delta's working set are arrays, and neither a delta after a
+memory-mapped boot nor a from-scratch rebuild builds a dict adjacency."""
 
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ import tracemalloc
 import numpy as np
 
 from repro.core import RetweetProfiles, SimGraphBuilder
-from repro.core.csr import ArraySimGraph, CSRSimGraph
 from repro.core.delta import apply_delta
 from repro.core.persistence import save_simgraph
 from repro.graph import FollowGraph
 from repro.service import RecommendationService
 from tests.test_service_snapshot import built_service
+from tests.test_simgraph_oracle import dict_build
 
 
 def test_follow_graph_holds_under_40_bytes_per_follow():
@@ -43,7 +43,7 @@ def test_follow_graph_holds_under_40_bytes_per_follow():
 
 def test_delta_after_mmap_boot_keeps_no_dict_graph(tmp_path):
     """On ``csr`` the delta reads and splices arrays: neither the mapped
-    graph nor the refreshed one ever materializes ``.graph``."""
+    graph nor the refreshed one ever materializes its dict adjacency."""
     source = built_service(prop_backend="csr", rebuild_strategy="delta")
     path = save_simgraph(source.simgraph, tmp_path / "g.snap", format=2)
     service = built_service(prop_backend="csr", rebuild_strategy="delta")
@@ -54,8 +54,7 @@ def test_delta_after_mmap_boot_keeps_no_dict_graph(tmp_path):
     assert refreshed is not loaded
     assert service.simgraph is refreshed
     for graph in (loaded, refreshed):
-        assert isinstance(graph, ArraySimGraph)
-        assert graph._graph_cache is None
+        assert graph._digraph is None
     counters = service.metrics_snapshot()["counters"]
     assert counters["propagation.csr_spliced"] == 1
 
@@ -78,8 +77,8 @@ def test_delta_working_set_is_arrays_per_needed_pair():
     for follower in range(100, 100 + followers):
         graph.add_edge(follower, 0)
     builder = SimGraphBuilder(tau=1e-6)
-    built = builder.build(graph, profiles)
-    old = ArraySimGraph.from_csr(CSRSimGraph.from_simgraph(built), built.tau)
+    old = builder.build(graph, profiles)
+    old.csr()  # compiled before tracing
     profiles.mark_clean()
     profiles.add(0, 5000)
     assert graph.edge_count  # compacted before tracing
@@ -98,13 +97,49 @@ def test_delta_working_set_is_arrays_per_needed_pair():
 
 
 def test_csr_service_keeps_only_the_compiled_graph():
-    """A from-scratch rebuild on ``csr`` compiles the built graph and
-    keeps that alone; the reference engine keeps the dict graph."""
-    for prop_backend, kept in (("csr", ArraySimGraph), ("reference", None)):
+    """A from-scratch rebuild on ``csr`` compiles the built arrays and
+    keeps that alone; the reference engine reads the dict adjacency."""
+    for prop_backend in ("csr", "reference"):
         service = built_service(prop_backend=prop_backend)
         graph = service.rebuild("from scratch")
         assert service.simgraph is graph
-        assert isinstance(graph, ArraySimGraph) == (kept is not None)
-        if kept is not None:
-            assert graph._graph_cache is None
+        if prop_backend == "csr":
+            assert graph._digraph is None
             assert service._csr is graph.csr()
+        else:
+            service.retweet(user=3, tweet=101, at=700.0)
+            assert graph._digraph is not None
+
+
+def test_build_holds_under_80_bytes_per_kept_edge():
+    """A hub every user follows and is followed by, and one tweet they
+    all retweet: 600 users, 359,400 kept edges, scored 32 sources per
+    chunk so the edges, not a chunk's Gram, set the peak.  The build's
+    ``tracemalloc`` peak is 50 bytes per kept edge: chunk edge arrays
+    joined into the CSR sections.  Writing each kept edge into a dict
+    adjacency instead (``dict_build``, the build before it emitted
+    arrays) peaks at 161 bytes per edge, its compile not counted."""
+    users = 600
+    graph, profiles = FollowGraph(), RetweetProfiles()
+    for user in range(1, users):
+        graph.add_edge(user, 0)
+        graph.add_edge(0, user)
+    for user in range(users):
+        profiles.add(user, 1000)
+        profiles.add(user, 1001 + user % 7)
+    assert graph.edge_count  # compacted before tracing
+
+    def peak_per_edge(build) -> float:
+        tracemalloc.start()
+        try:
+            built = build(SimGraphBuilder(tau=1e-6, chunk_size=32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built.edge_count == users * (users - 1)
+        return peak / built.edge_count
+
+    arrays = peak_per_edge(lambda builder: builder.build(graph, profiles))
+    assert arrays <= 80, arrays
+    dicts = peak_per_edge(lambda builder: dict_build(builder, graph, profiles))
+    assert dicts > 80, dicts

@@ -3,12 +3,13 @@
 Hypothesis generates arbitrary small SimGraphs and locks down the
 cross-format contract:
 
-* both formats round-trip the exact edge set, weights and tau, and load
-  edge-identical to each other;
+* format 2 (the one written) and format 1 (read only; written here by
+  the test suite's :func:`save_v1`) round-trip the exact edge set,
+  weights and tau, and load edge-identical to each other;
 * ``mmap=True`` and eager v2 loads are bit-identical — same section
   bytes, same compiled CSR, same propagation fixpoints;
-* truncated, NaN-weight, non-positive-weight and otherwise corrupted
-  snapshots raise :class:`DatasetError` instead of loading quietly;
+* truncated, NaN-weight, non-positive-weight, duplicate-node and
+  otherwise corrupted snapshots raise :class:`DatasetError` instead of loading quietly;
 * saves are atomic: a crashing writer leaves the previous snapshot (and
   no ``.tmp`` litter) behind.
 """
@@ -22,12 +23,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.csr import ArraySimGraph
 from repro.core.persistence import load_simgraph, save_simgraph
 from repro.core.propagation_csr import make_propagation_engine
 from repro.core.simgraph import SimGraph
 from repro.exceptions import DatasetError
 from repro.graph.digraph import DiGraph
+from tests.test_simgraph_oracle import save_v1, simgraph_of
 
 
 @st.composite
@@ -48,7 +49,7 @@ def simgraphs(draw):
         if u != v and not graph.has_edge(u, v):
             graph.add_edge(u, v, weight=draw(weight))
     tau = draw(st.floats(min_value=1e-6, max_value=0.1, allow_nan=False))
-    return SimGraph(graph, tau=tau)
+    return simgraph_of(graph, tau=tau)
 
 
 def _edge_map(simgraph):
@@ -64,7 +65,7 @@ def _edge_map(simgraph):
 def test_v1_v2_load_edge_identical(tmp_path_factory, simgraph):
     """The two formats persist the same graph."""
     tmp = tmp_path_factory.mktemp("fmt")
-    p1 = save_simgraph(simgraph, tmp / "g.v1", format=1)
+    p1 = save_v1(simgraph, tmp / "g.v1")
     p2 = save_simgraph(simgraph, tmp / "g.v2", format=2)
     g1 = load_simgraph(p1)
     g2 = load_simgraph(p2)
@@ -84,8 +85,8 @@ def test_mmap_and_eager_bit_identical(tmp_path_factory, simgraph):
     path = save_simgraph(simgraph, tmp / "g.v2", format=2)
     mapped = load_simgraph(path, mmap=True)
     eager = load_simgraph(path, mmap=False)
-    assert isinstance(mapped, ArraySimGraph)
-    assert isinstance(eager, ArraySimGraph)
+    assert isinstance(mapped, SimGraph)
+    assert isinstance(eager, SimGraph)
     for a, b in zip(mapped.arrays(), eager.arrays()):
         assert a.tobytes() == b.tobytes()
     cm, ce = mapped.csr(), eager.csr()
@@ -108,18 +109,21 @@ def _small_graph():
     graph.add_edge(0, 1, weight=0.5)
     graph.add_edge(1, 2, weight=0.25)
     graph.add_edge(3, 0, weight=0.125)
-    return SimGraph(graph, tau=0.001)
+    return simgraph_of(graph, tau=0.001)
 
 
 def test_mmap_requires_v2(tmp_path):
-    path = save_simgraph(_small_graph(), tmp_path / "g.v1", format=1)
+    path = save_v1(_small_graph(), tmp_path / "g.v1")
     with pytest.raises(DatasetError, match="format-2"):
         load_simgraph(path, mmap=True)
 
 
 def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(DatasetError, match="unknown snapshot format"):
-        save_simgraph(_small_graph(), tmp_path / "g", format=3)
+    """Format 2 is the one format written; format 1 is read only."""
+    for format in (1, 3):
+        with pytest.raises(DatasetError, match="unknown snapshot format"):
+            save_simgraph(_small_graph(), tmp_path / "g", format=format)
+    assert not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize("mmap", [False, True])
@@ -151,7 +155,7 @@ def test_corrupt_v2_weight_raises(tmp_path, bad, mmap):
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1.0", "0"])
 def test_corrupt_v1_weight_raises(tmp_path, bad):
-    path = save_simgraph(_small_graph(), tmp_path / "g.v1", format=1)
+    path = save_v1(_small_graph(), tmp_path / "g.v1")
     lines = path.read_text().splitlines()
     u, v, _ = json.loads(lines[1])
     lines[1] = f"[{u}, {v}, {bad}]"
@@ -172,6 +176,21 @@ def test_corrupt_v2_indptr_raises(tmp_path):
         load_simgraph(path)
 
 
+@pytest.mark.parametrize("mmap", [False, True])
+def test_duplicate_node_ids_raise(tmp_path, mmap):
+    """Users are in node order, not sorted: a repeated id anywhere in
+    the section is caught."""
+    path = save_simgraph(_small_graph(), tmp_path / "g.v2")
+    with open(path, "rb") as f:
+        header = json.loads(f.readline())
+    offset = header["data_start"] + header["sections"]["users"]["offset"]
+    data = bytearray(path.read_bytes())
+    data[offset + 24 : offset + 32] = data[offset : offset + 8]
+    path.write_bytes(bytes(data))
+    with pytest.raises(DatasetError, match="duplicate node ids"):
+        load_simgraph(path, mmap=mmap)
+
+
 def test_garbage_header_raises(tmp_path):
     path = tmp_path / "junk"
     path.write_bytes(b"\x00\x01\x02 not json\n1234")
@@ -179,11 +198,10 @@ def test_garbage_header_raises(tmp_path):
         load_simgraph(path)
 
 
-@pytest.mark.parametrize("format", [1, 2])
-def test_save_is_atomic(tmp_path, format, monkeypatch):
+def test_save_is_atomic(tmp_path, monkeypatch):
     """A crash mid-write leaves the previous snapshot intact, no litter."""
     path = tmp_path / "g.snap"
-    save_simgraph(_small_graph(), path, format=format)
+    save_simgraph(_small_graph(), path)
     before = path.read_bytes()
 
     import repro.core.persistence as persistence
@@ -193,7 +211,7 @@ def test_save_is_atomic(tmp_path, format, monkeypatch):
 
     monkeypatch.setattr(persistence, "_replace_atomically", boom)
     with pytest.raises(OSError):
-        save_simgraph(_small_graph(), path, format=format)
+        save_simgraph(_small_graph(), path)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert not path.with_name(path.name + ".tmp").exists()
@@ -219,7 +237,7 @@ def test_v2_preserves_isolated_nodes(tmp_path):
     graph = DiGraph()
     graph.add_nodes(range(5))
     graph.add_edge(0, 1, weight=0.5)
-    path = save_simgraph(SimGraph(graph, tau=0.01), tmp_path / "g", format=2)
+    path = save_simgraph(simgraph_of(graph, tau=0.01), tmp_path / "g", format=2)
     loaded = load_simgraph(path, mmap=True)
     assert loaded.node_count == 5
     assert loaded.edge_count == 1

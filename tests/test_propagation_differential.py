@@ -37,7 +37,7 @@ from repro.core import (
     make_propagation_engine,
 )
 from repro.cli import build_parser
-from repro.core.csr import ArraySimGraph, CSRSimGraph
+from repro.core.csr import CSRSimGraph
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data import temporal_split
 from repro.exceptions import ConfigError
@@ -45,6 +45,7 @@ from repro.graph.digraph import DiGraph
 from repro.obs import NULL, MetricsRegistry, NullRegistry
 from repro.service import ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_simgraph_oracle import DictSimGraph, from_simgraph, simgraph_of
 
 PROB_TOLERANCE = 1e-12
 
@@ -65,7 +66,7 @@ def random_graph(n, m, seed):
         u, v = rng.randint(0, n, 2)
         if u != v:
             graph.add_edge(int(u), int(v), weight=float(rng.uniform(0.01, 0.99)))
-    return SimGraph(graph, tau=0.0)
+    return simgraph_of(graph, tau=0.0)
 
 
 def seed_sets_for(simgraph, seed, count=6, max_size=8):
@@ -370,7 +371,7 @@ def test_batch_memory_follows_touched_users_not_graph_size():
     indices = np.stack(
         [base + (offset + 1) % block, base + (offset + 2) % block], axis=1
     ).ravel()
-    graph = ArraySimGraph(
+    graph = SimGraph(
         users,
         np.arange(0, 2 * n + 1, 2, dtype=np.int64),
         indices,
@@ -408,7 +409,7 @@ def draw_simgraph(draw):
     graph.add_nodes(range(n))
     for u, v, w in edges:
         graph.add_edge(u, v, weight=w)
-    return SimGraph(graph, tau=0.0), n
+    return simgraph_of(graph, tau=0.0), n
 
 
 @st.composite
@@ -506,7 +507,7 @@ def test_one_engine_interleaving_property(case):
     reference engine return — results, dict order, warm-state arrays
     and every metric total."""
     simgraph, policy, steps = case
-    compiled = CSRSimGraph.from_simgraph(simgraph)
+    compiled = from_simgraph(simgraph)
     registries = {
         name: MetricsRegistry() for name in ("one", "fresh", "reference")
     }
@@ -681,12 +682,12 @@ def test_splice_equals_recompile_property(case):
     (every node left without an edge goes, as after delta surgery) — and
     never writes to its (here read-only) source."""
     simgraph, edits = case
-    compiled = CSRSimGraph.from_simgraph(simgraph)
+    compiled = from_simgraph(simgraph)
     for name in CSR_ARRAYS:
         getattr(compiled, name).flags.writeable = False
     before = {name: getattr(compiled, name).copy() for name in CSR_ARRAYS}
     index_before = dict(compiled.index)
-    updated = SimGraph(simgraph.graph.copy(), tau=simgraph.tau)
+    updated = DictSimGraph(simgraph.to_digraph().copy(), tau=simgraph.tau)
     graph = updated.graph
     changed = apply_edits(graph, edits)
     removed = [
@@ -707,7 +708,7 @@ def test_splice_equals_recompile_property(case):
         appended=[u for u in graph.nodes() if u not in compiled],
     )
     assert spliced is not compiled
-    assert_same_compiled(spliced, CSRSimGraph.from_simgraph(updated))
+    assert_same_compiled(spliced, from_simgraph(updated))
     assert spliced.inf_weights.flags.writeable
     for name in CSR_ARRAYS:
         assert np.array_equal(getattr(compiled, name), before[name]), name

@@ -18,6 +18,7 @@ from repro.data.dataset import TwitterDataset
 from repro.data.io import load_dataset, save_dataset
 from repro.data.models import Retweet, Tweet, User
 from repro.graph.digraph import DiGraph
+from tests.test_simgraph_oracle import simgraph_of
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +103,7 @@ def graph_and_seed_batches(draw):
             max_size=4,
         )
     )
-    return SimGraph(graph, tau=0.0), batches
+    return simgraph_of(graph, tau=0.0), batches
 
 
 @settings(max_examples=50, deadline=None)

@@ -12,7 +12,7 @@ from repro.exceptions import ConfigError, DatasetError
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
 from tests.service_replay import drive_service, ingest_graph
-from tests.test_simgraph_oracle import oracle_build
+from tests.test_simgraph_oracle import from_simgraph, oracle_build
 
 
 def warm_service(**config_kwargs) -> RecommendationService:
@@ -83,10 +83,10 @@ class TestVectorizedBackend:
         reference = warm_service()
         oracle = oracle_build(
             reference.follow_graph, reference.profiles, tau=reference.config.tau
-        )
+        ).compile()
         reference._adopt(oracle)
-        assert set(vectorized.simgraph.graph.edges()) == set(
-            oracle.graph.edges()
+        assert set(vectorized.simgraph.to_digraph().edges()) == set(
+            oracle.to_digraph().edges()
         )
         ref_notes = reference.retweet(user=0, tweet=200, at=600.0)
         vec_notes = vectorized.retweet(user=0, tweet=200, at=600.0)
@@ -356,7 +356,6 @@ class TestMaintenance:
         recommender — comes with no delta report and has one CSR
         refresh: compile it.  The compiled engine then delivers exactly
         what the reference loop delivers."""
-        from repro.core.csr import CSRSimGraph
         from repro.core.update import STRATEGIES
         from tests.test_propagation_differential import assert_same_compiled
 
@@ -395,7 +394,7 @@ class TestMaintenance:
         after = compiled.metrics_snapshot()["counters"]
         assert compiled.simgraph.edge_count > 0
         assert_same_compiled(
-            compiled._csr, CSRSimGraph.from_simgraph(compiled.simgraph)
+            compiled._csr, from_simgraph(compiled.simgraph)
         )
         assert (
             after["propagation.csr_compiled"]
@@ -415,7 +414,6 @@ class TestMaintenance:
         of the graph while every later position shifts down — either way
         nothing is recompiled, and the compiled structure is what
         compiling the new graph gives."""
-        from repro.core.csr import CSRSimGraph
         from tests.test_propagation_differential import assert_same_compiled
 
         service = RecommendationService(ServiceConfig(
@@ -432,7 +430,7 @@ class TestMaintenance:
         ):
             service.retweet(user=user, tweet=tweet, at=float(at))
         service.rebuild("from scratch")
-        assert set(service.simgraph.graph.nodes()) == {1, 2, 4, 5}
+        assert set(service.simgraph.to_digraph().nodes()) == {1, 2, 4, 5}
 
         def counters():
             return service.metrics_snapshot()["counters"]
@@ -446,11 +444,11 @@ class TestMaintenance:
         for at, user in enumerate(range(20, 26), start=20):
             service.retweet(user=user, tweet=10, at=float(at))
         service.rebuild("delta")
-        assert set(service.simgraph.graph.nodes()) == {4, 5}
+        assert set(service.simgraph.to_digraph().nodes()) == {4, 5}
         assert counters()["propagation.csr_spliced"] == 2
         assert counters()["propagation.csr_compiled"] == compiled
         assert_same_compiled(
-            service._csr, CSRSimGraph.from_simgraph(service.simgraph)
+            service._csr, from_simgraph(service.simgraph)
         )
 
 

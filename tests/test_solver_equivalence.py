@@ -15,6 +15,7 @@ from repro.core.simgraph import SimGraph
 from repro.graph.digraph import DiGraph
 
 from tests.conftest import U, V, W, X, Y
+from tests.test_simgraph_oracle import simgraph_of
 
 METHODS = ("solve_direct", "solve_jacobi", "solve_gauss_seidel", "solve_sor")
 
@@ -67,7 +68,7 @@ def random_simgraph(draw):
     for u, v, w in edges:
         graph.add_edge(u, v, weight=w)
     seeds = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
-    return SimGraph(graph, tau=0.0), seeds
+    return simgraph_of(graph, tau=0.0), seeds
 
 
 @settings(max_examples=40, deadline=None)

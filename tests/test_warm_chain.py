@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CSRPropagationEngine, CSRWarmState, PropagationEngine
-from repro.core.csr import CSRSimGraph
 from repro.core.propagation_csr import _sorted_unique, nonseed_candidates
 from repro.obs import MetricsRegistry
 from repro.service.engine import DAY, Candidates
@@ -28,6 +27,7 @@ from tests.test_propagation_differential import (
     random_graph,
 )
 from tests.test_service_engine import deliveries, warm_service
+from tests.test_simgraph_oracle import from_simgraph
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +251,7 @@ def test_state_of_another_compiled_graph_is_refused():
     simgraph = random_graph(50, 170, seed=29)
     engine = CSRPropagationEngine(simgraph)
     twin = CSRPropagationEngine(
-        simgraph, csr=CSRSimGraph.from_simgraph(simgraph)
+        simgraph, csr=from_simgraph(simgraph)
     )
     twin.propagate({0, 1})
     for seeds in ({0, 1, OFF_GRAPH}, {0, 1, 7}):
