@@ -6,7 +6,8 @@ scale path per tier:
 
 1. **chunked synthesis** — :class:`~repro.synth.stream.ChunkedGenerator`
    streams the retweet log in time-ordered windows; the full corpus is
-   assembled into a :class:`~repro.data.columnar.ColumnarDataset`;
+   assembled into a :class:`~repro.data.TwitterDataset`, whose columns
+   and follow CSR are the arrays the rest of the path reads;
 2. **graph snapshot** — a :class:`~repro.core.simgraph.SimGraph` over
    the corpus's follow CSR (weights ``1/log(1 + in_degree)``, a
    structural stand-in with the corpus's exact topology: similarity
@@ -26,7 +27,8 @@ Env knobs (used by the CI scale-smoke step):
 
 * ``SCALE_BENCH_SMOKE=1`` — one small tier, CI-sized;
 * ``SCALE_BENCH_FULL=1`` — add the 1M-user tier (several minutes);
-* ``SCALE_BENCH_JSON=path`` — dump measured rows as JSON for archival;
+* ``SCALE_BENCH_JSON=path`` — dump the measured rows (numbers) and the
+  ``conftest.bench_context`` block as JSON for archival;
 * ``SCALE_BENCH_RSS_MB=n`` — assert peak RSS stays under ``n`` MB.
 """
 
@@ -39,6 +41,7 @@ import time
 
 import numpy as np
 
+from conftest import bench_context
 from repro.core.persistence import load_simgraph, save_simgraph
 from repro.core.propagation_csr import make_propagation_engine
 from repro.core.simgraph import SimGraph
@@ -80,7 +83,7 @@ def _standin_simgraph(dataset, tau: float = 0.001) -> SimGraph:
     )
 
 
-def _dump_json(name, rows, header):
+def _dump_json(name, rows):
     path = os.environ.get("SCALE_BENCH_JSON")
     if not path:
         return
@@ -88,7 +91,8 @@ def _dump_json(name, rows, header):
     if os.path.exists(path):
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-    payload[name] = [dict(zip(header, row)) for row in rows]
+    payload["context"] = bench_context(SMOKE)
+    payload[name] = rows
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -142,18 +146,18 @@ def _run_tier(n_users, max_tweets, discovery, tmp_path):
         for rm, re_ in zip(results_m, results_e):
             assert rm.probabilities == re_.probabilities
 
-    return [
-        n_users,
-        dataset.tweet_count,
-        dataset.retweet_count,
-        simgraph.edge_count,
-        f"{corpus_s:.1f}",
-        f"{save_s * 1000:.0f}",
-        f"{mmap_s * 1000:.1f}",
-        f"{eager_s * 1000:.0f}",
-        f"{os.path.getsize(path) / 1e6:.1f}",
-        f"{_peak_rss_mb():.0f}",
-    ]
+    return {
+        "users": n_users,
+        "tweets": dataset.tweet_count,
+        "retweets": dataset.retweet_count,
+        "edges": simgraph.edge_count,
+        "corpus_s": corpus_s,
+        "save_ms": save_s * 1000,
+        "mmap_load_ms": mmap_s * 1000,
+        "eager_load_ms": eager_s * 1000,
+        "file_mb": os.path.getsize(path) / 1e6,
+        "peak_rss_mb": _peak_rss_mb(),
+    }
 
 
 def test_scale_build_and_snapshot(benchmark, emit, tmp_path):
@@ -169,10 +173,17 @@ def test_scale_build_and_snapshot(benchmark, emit, tmp_path):
         "mmap load (ms)", "eager load (ms)", "file (MB)", "peak RSS (MB)",
     ]
     emit(render_table(
-        header, rows,
+        header,
+        [
+            [r["users"], r["tweets"], r["retweets"], r["edges"],
+             f"{r['corpus_s']:.1f}", f"{r['save_ms']:.0f}",
+             f"{r['mmap_load_ms']:.1f}", f"{r['eager_load_ms']:.0f}",
+             f"{r['file_mb']:.1f}", f"{r['peak_rss_mb']:.0f}"]
+            for r in rows
+        ],
         title="Scale: chunked synthesis -> v2 snapshot -> mmap load",
     ))
-    _dump_json("scale_build", rows, header)
+    _dump_json("scale_build", rows)
     ceiling = os.environ.get("SCALE_BENCH_RSS_MB")
     if ceiling:
         peak = _peak_rss_mb()

@@ -423,10 +423,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config=ServiceConfig(prop_backend=args.prop_backend),
         metrics=registry,
     )
-    for user in dataset.users:
-        service.add_user(user)
-    for follower, followee, _ in dataset.follow_graph.edges():
-        service.add_follow(follower, followee)
+    service.follow_graph = dataset.follows.copy()
     # Posts before the cutoff land directly (time-ordered, so the
     # service clock stays monotone); later ones replay through the
     # server as control-plane requests interleaved with retweets.

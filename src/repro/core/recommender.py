@@ -12,10 +12,8 @@ from repro.core.scheduler import DelayPolicy
 from repro.core.simgraph import DEFAULT_TAU, SimGraph
 from repro.core.thresholds import ThresholdPolicy
 from repro.core.warmcache import DEFAULT_CAPACITY
-from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import TwitterDataset
 from repro.data.models import Retweet
-from repro.graph.followgraph import FollowGraph
 from repro.obs import NULL, MetricsRegistry
 # A module reference, not its names: repro.service imports repro.core.
 from repro.service import engine as service_engine
@@ -59,19 +57,11 @@ class SimGraphRecommender(Recommender):
         self.simgraph = simgraph
         self._service: service_engine.RecommendationService | None = None
 
-    def fit(self, dataset: TwitterDataset | ColumnarDataset, train: list[Retweet],
+    def fit(self, dataset: TwitterDataset, train: list[Retweet],
             target_users: set[int] | None = None) -> None:
         service = service_engine.RecommendationService(self.config, *self._service_args)
-        service.follow_graph = (
-            FollowGraph.from_csr(
-                dataset.user_ids,
-                (dataset.follow_indptr, dataset.follow_targets),
-                (dataset.follower_indptr, dataset.follower_sources),
-            )
-            if isinstance(dataset, ColumnarDataset)
-            else FollowGraph.of(dataset.follow_graph)
-        )
-        service.tweets = dataset.tweets
+        service.follow_graph = dataset.follows.copy()
+        service.tweets = dict(dataset.tweets.items())
         for retweet in train:
             service.absorb_retweet(retweet.user, retweet.tweet)
         if self.simgraph is None:

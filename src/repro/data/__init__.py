@@ -2,12 +2,10 @@
 paper's §3 characterization measurements."""
 
 from repro.data.builders import DatasetBuilder
-from repro.data.columnar import ColumnarDataset
 from repro.data.dataset import TwitterDataset
 from repro.data.io import load_dataset, save_dataset
 from repro.data.loaders import assemble_dataset, load_edge_list, load_retweet_csv
 from repro.data.models import ActivityClass, Retweet, Tweet, User
-from repro.data.protocol import DatasetProtocol
 from repro.data.split import TemporalSplit, temporal_split
 from repro.data.stats import (
     DatasetStats,
@@ -20,9 +18,7 @@ from repro.data.stats import (
 
 __all__ = [
     "ActivityClass",
-    "ColumnarDataset",
     "DatasetBuilder",
-    "DatasetProtocol",
     "DatasetStats",
     "Retweet",
     "TemporalSplit",

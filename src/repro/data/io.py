@@ -63,7 +63,7 @@ def save_dataset(dataset: TwitterDataset, directory: str | Path) -> Path:
         "users": dataset.user_count,
         "tweets": dataset.tweet_count,
         "retweets": dataset.retweet_count,
-        "follow_edges": dataset.follow_graph.edge_count,
+        "follow_edges": dataset.follows.edge_count,
     }
     with open(path / "meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2)
@@ -95,34 +95,41 @@ def load_dataset(directory: str | Path) -> TwitterDataset:
             f"unsupported dataset format {meta.get('format')!r}, "
             f"expected {FORMAT_VERSION}"
         )
-    dataset = TwitterDataset()
-    for record in _read_jsonl(path / "users.jsonl"):
-        dataset.add_user(
+    dataset = TwitterDataset.from_records(
+        [
             User(
                 id=record["id"],
                 community=record.get("community", 0),
                 interests=tuple(record.get("interests", ())),
             )
-        )
-    for record in _read_jsonl(path / "follows.jsonl"):
-        dataset.add_follow(record["follower"], record["followee"])
-    for record in _read_jsonl(path / "tweets.jsonl"):
-        dataset.add_tweet(
+            for record in _read_jsonl(path / "users.jsonl")
+        ],
+        [
+            (record["follower"], record["followee"])
+            for record in _read_jsonl(path / "follows.jsonl")
+        ],
+        [
             Tweet(
                 id=record["id"],
                 author=record["author"],
                 created_at=record["created_at"],
                 topic=record.get("topic", -1),
             )
-        )
-    for record in _read_jsonl(path / "retweets.jsonl"):
-        dataset.add_retweet(
+            for record in _read_jsonl(path / "tweets.jsonl")
+        ],
+        [
             Retweet(user=record["user"], tweet=record["tweet"], time=record["time"])
-        )
-    expected = (meta["users"], meta["tweets"], meta["retweets"])
-    actual = (dataset.user_count, dataset.tweet_count, dataset.retweet_count)
-    if expected != actual:
-        raise DatasetError(
-            f"meta counts {expected} disagree with loaded data {actual}"
-        )
+            for record in _read_jsonl(path / "retweets.jsonl")
+        ],
+    )
+    loaded = {
+        "users": dataset.user_count,
+        "follow_edges": dataset.follows.edge_count,
+        "tweets": dataset.tweet_count,
+        "retweets": dataset.retweet_count,
+    }
+    wrong = [f"{meta[kind]} {kind} in meta.json, {count} loaded"
+             for kind, count in loaded.items() if meta[kind] != count]
+    if wrong:
+        raise DatasetError(f"{path}: " + "; ".join(wrong))
     return dataset

@@ -96,19 +96,14 @@ def assemble_dataset(
     creation time is the first observed retweet (so lifetimes measured on
     such corpora are lower bounds).
     """
-    dataset = TwitterDataset()
     user_ids = {u for edge in edges for u in edge}
     user_ids.update(r.user for r in retweets)
     if tweets is None and retweets:
         user_ids.add(0)  # the unknown-author account
     if tweets is not None:
         user_ids.update(t.author for t in tweets)
-    for user_id in sorted(user_ids):
-        dataset.add_user(User(id=user_id))
-    for follower, followee in edges:
-        if follower == followee:
-            continue  # self-follows appear in dirty crawls; drop them
-        dataset.add_follow(follower, followee)
+    # Self-follows appear in dirty crawls; drop them.
+    edges = [(u, v) for u, v in edges if u != v]
     if tweets is None:
         first_seen: dict[int, float] = {}
         for retweet in retweets:
@@ -119,9 +114,9 @@ def assemble_dataset(
             Tweet(id=tweet_id, author=0, created_at=at)
             for tweet_id, at in sorted(first_seen.items())
         ]
-    for tweet in tweets:
-        dataset.add_tweet(tweet)
-    for retweet in sorted(retweets, key=lambda r: (r.time, r.user, r.tweet)):
-        dataset.add_retweet(retweet)
-    dataset.validate()
-    return dataset
+    return TwitterDataset.from_records(
+        [User(id=user_id) for user_id in sorted(user_ids)],
+        edges,
+        tweets,
+        sorted(retweets, key=lambda r: (r.time, r.user, r.tweet)),
+    )

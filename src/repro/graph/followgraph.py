@@ -5,12 +5,13 @@ tier) and reads them in bulk, walking the 2-hop neighbourhood ``N2(u)``
 (paper §4.1) of thousands of users per build or delta.  A dict-of-dicts
 :class:`~repro.graph.digraph.DiGraph` pays a row dict and a predecessor
 set per user for that; :class:`FollowGraph` holds the relation as tables
-(the shape of :class:`~repro.data.columnar.ColumnarDataset`): dense
-positions in first-appearance order, an out-edge CSR and its transpose,
-and a buffer of int32 position pairs that the first read after a write
-compacts into them.  Walks are boolean sparse products over the CSR, the
-matrix view of the graph (ten Thij et al., PAPERS.md).  ``DiGraph``
-stays the graph of offline code; :meth:`FollowGraph.of` converts one.
+(and :class:`~repro.data.dataset.TwitterDataset` holds its follows in
+one): dense positions in first-appearance order, an out-edge CSR and its
+transpose, and a buffer of int32 position pairs that the first read
+after a write compacts into them.  Walks are boolean sparse products
+over the CSR, the matrix view of the graph (ten Thij et al., PAPERS.md).
+``DiGraph`` stays the graph of offline code; :meth:`FollowGraph.of`
+converts one.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class FollowGraph:
     ) -> "FollowGraph":
         """Wrap finished arrays without copying them: node ids by
         position, and ``(indptr, indices)`` of the out-edges (no repeat
-        in a row) and of their transpose (sources ascending) — the
-        follow columns of :class:`~repro.data.columnar.ColumnarDataset`."""
+        in a row) and of their transpose (sources ascending), such as
+        a SimGraph's compiled influencer rows."""
         follows = cls()
         follows._ids = ids.tolist()
         follows._index = dict(zip(follows._ids, range(len(ids))))
@@ -117,6 +118,12 @@ class FollowGraph:
             j = self._append(v)
         self._src.append(i)
         self._dst.append(j)
+
+    def add_edges(self, sources: np.ndarray, targets: np.ndarray) -> None:
+        """Append the follows ``sources[k] -> targets[k]`` between
+        existing nodes, given by position (no self-loop)."""
+        self._src.frombytes(np.asarray(sources, dtype=np.intc).tobytes())
+        self._dst.frombytes(np.asarray(targets, dtype=np.intc).tobytes())
 
     def _append(self, node: int) -> int:
         position = self._index[node] = len(self._ids)
@@ -210,6 +217,17 @@ class FollowGraph:
         if len(self._id_array) != len(self._ids):
             self._id_array = np.array(self._ids, dtype=np.int64)
         return self._id_array
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the out-edges."""
+        self._compacted()
+        return self._out
+
+    def copy(self) -> "FollowGraph":
+        """A graph over the same arrays, not copied: writes to either
+        do not reach the other."""
+        self._compacted()
+        return FollowGraph.from_csr(self.ids, self._out, self._in)
 
     def positions(self, nodes: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """``(positions, present)`` of ``nodes`` (an absent node's

@@ -157,10 +157,7 @@ def prime_service(
     dataset = generate_dataset(SynthConfig(n_users=n_users, seed=seed))
     service = RecommendationService(config=config, metrics=metrics)
     users = sorted(dataset.users)
-    for user in users:
-        service.add_user(user)
-    for follower, followee, _ in dataset.follow_graph.edges():
-        service.add_follow(follower, followee)
+    service.follow_graph = dataset.follows.copy()
     for event in dataset.retweets():
         service.absorb_retweet(event.user, event.tweet)
     service.rebuild("from scratch")

@@ -36,22 +36,19 @@ def generate_dataset(config: SynthConfig | None = None) -> TwitterDataset:
         config, interests, follow_graph, rng=seeds.generator("activity")
     )
 
-    dataset = TwitterDataset()
-    for user_id in range(config.n_users):
-        dataset.add_user(
-            User(
-                id=user_id,
-                community=interests.community_of(user_id),
-                interests=tuple(
-                    round(float(w), 6) for w in interests.interests_of(user_id)
-                ),
-            )
+    users = [
+        User(
+            id=user_id,
+            community=interests.community_of(user_id),
+            interests=tuple(
+                round(float(w), 6) for w in interests.interests_of(user_id)
+            ),
         )
-    for follower, followee, _ in follow_graph.edges():
-        dataset.add_follow(follower, followee)
-    for tweet in tweets:
-        dataset.add_tweet(tweet)
-    for retweet in sorted(retweets, key=lambda r: (r.time, r.user, r.tweet)):
-        dataset.add_retweet(retweet)
-    dataset.validate()
-    return dataset
+        for user_id in range(config.n_users)
+    ]
+    return TwitterDataset.from_records(
+        users,
+        [(follower, followee) for follower, followee, _ in follow_graph.edges()],
+        tweets,
+        sorted(retweets, key=lambda r: (r.time, r.user, r.tweet)),
+    )

@@ -32,7 +32,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.data.columnar import ColumnarDataset
+from repro.data.dataset import TwitterDataset
 from repro.synth.activity import simulate_cascade
 from repro.synth.config import DAY, SynthConfig
 from repro.synth.socialgraph import sample_follow_edges
@@ -352,11 +352,17 @@ class ChunkedGenerator:
     # ------------------------------------------------------------------
     # Convenience sinks
     # ------------------------------------------------------------------
-    def to_columnar(self) -> ColumnarDataset:
-        """Consume the whole stream into a :class:`ColumnarDataset`."""
+    def to_columnar(self) -> TwitterDataset:
+        """Consume the whole stream into a :class:`TwitterDataset`."""
         chunks = list(self.chunks())
         frame = self.frame
-        return ColumnarDataset(
+        rt_users, rt_tweets, rt_times = (
+            np.concatenate([np.empty(0, dtype), *(getattr(c, name) for c in chunks)])
+            for name, dtype in (
+                ("users", np.int64), ("tweets", np.int64), ("times", np.float64)
+            )
+        )
+        return TwitterDataset.from_arrays(
             user_ids=np.arange(self.config.n_users, dtype=np.int64),
             user_communities=frame.communities,
             follow_src=frame.follow_src,
@@ -365,19 +371,7 @@ class ChunkedGenerator:
             tweet_authors=frame.tweet_authors,
             tweet_times=frame.tweet_times,
             tweet_topics=frame.tweet_topics,
-            rt_users=(
-                np.concatenate([c.users for c in chunks])
-                if chunks else _EMPTY_I64
-            ),
-            rt_tweets=(
-                np.concatenate([c.tweets for c in chunks])
-                if chunks else _EMPTY_I64
-            ),
-            rt_times=(
-                np.concatenate([c.times for c in chunks])
-                if chunks else np.empty(0, dtype=np.float64)
-            ),
-            check=False,
+            rt_users=rt_users, rt_tweets=rt_tweets, rt_times=rt_times,
         )
 
 

@@ -63,6 +63,14 @@ class TestErrors:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
+    def test_truncated_follows_rejected(self, tiny_dataset, tmp_path):
+        """A cut-off follows.jsonl is caught by meta.json's follow count."""
+        path = save_dataset(tiny_dataset, tmp_path / "ds")
+        lines = (path / "follows.jsonl").read_text().splitlines(keepends=True)
+        (path / "follows.jsonl").write_text("".join(lines[:-1]))
+        with pytest.raises(DatasetError, match="4 follow_edges in meta.json, 3 loaded"):
+            load_dataset(path)
+
     def test_corrupt_jsonl_rejected(self, tiny_dataset, tmp_path):
         path = save_dataset(tiny_dataset, tmp_path / "ds")
         with open(path / "retweets.jsonl", "a", encoding="utf-8") as f:

@@ -21,7 +21,6 @@ from scipy import sparse
 
 from repro.core.profiles import RetweetProfiles
 from repro.core.simmatrix import SimilarityMatrix, reachability_matrix
-from repro.data import ColumnarDataset
 from repro.exceptions import GraphError
 from repro.graph import DiGraph, FollowGraph
 from repro.synth import SynthConfig, generate_dataset
@@ -190,22 +189,20 @@ def test_reachability_matrix_equals_dict_walk(pair, hops, data):
 
 
 def test_columnar_csr_wraps_like_its_digraph():
-    """``from_csr`` over a ColumnarDataset's follow columns is the graph
-    its materialized DiGraph converts to."""
-    columnar = ColumnarDataset.from_dataset(
-        generate_dataset(SynthConfig(n_users=120, seed=4))
-    )
-    wrapped = FollowGraph.from_csr(
-        columnar.user_ids,
-        (columnar.follow_indptr, columnar.follow_targets),
-        (columnar.follower_indptr, columnar.follower_sources),
-    )
-    graph = columnar.follow_graph
+    """A copy of a dataset's follow graph wraps its arrays and is the
+    graph its materialized DiGraph converts to; writes to the copy stay
+    in the copy."""
+    dataset = generate_dataset(SynthConfig(n_users=120, seed=4))
+    wrapped = dataset.follows.copy()
+    assert wrapped.csr()[1] is dataset.follows.csr()[1]
+    graph = dataset.follow_graph
     assert list(wrapped.nodes()) == list(graph.nodes())
     assert wrapped.edge_count == graph.edge_count
     for u in graph.nodes():
         assert wrapped.successors(u) == list(graph.successors(u))
-        # Ids are sorted, so position order is id order.
+        # Users were registered by ascending id: position order is id order.
         assert wrapped.predecessors(u) == sorted(graph.predecessors(u))
-    wrapped.add_edge(-1, int(columnar.user_ids[0]))
+    wrapped.add_edge(-1, int(dataset.user_ids[0]))
     assert wrapped.ids[wrapped.new_sources()].tolist() == [-1]
+    assert -1 not in dataset.follows
+    assert dataset.follows.edge_count == graph.edge_count

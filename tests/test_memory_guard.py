@@ -1,6 +1,7 @@
-"""What the serving state costs: the follow graph is arrays, the build
-and a delta's working set are arrays, and neither a delta after a
-memory-mapped boot nor a from-scratch rebuild builds a dict adjacency."""
+"""What the serving state costs: the follow graph and the dataset are
+arrays, the build and a delta's working set are arrays, and neither a
+delta after a memory-mapped boot nor a from-scratch rebuild builds a
+dict adjacency."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ import numpy as np
 from repro.core import RetweetProfiles, SimGraphBuilder
 from repro.core.delta import apply_delta
 from repro.core.persistence import save_simgraph
+from repro.data import TwitterDataset
 from repro.graph import FollowGraph
 from repro.service import RecommendationService
+from repro.synth import SynthConfig, generate_dataset
 from tests.test_service_snapshot import built_service
 from tests.test_simgraph_oracle import dict_build
 
@@ -39,6 +42,37 @@ def test_follow_graph_holds_under_40_bytes_per_follow():
     finally:
         tracemalloc.stop()
     assert held / follows <= 40, held / follows
+
+
+def test_dataset_holds_under_48_bytes_per_record():
+    """A generated corpus (1,000 users, 40,858 records) registered one
+    ``add_*`` call at a time: after its first read the dataset holds at
+    most 48 bytes per user, follow, tweet and retweet — id, time and
+    position columns, the deduplicated CSR indexes and the follow
+    graph's id index — beside the caller's entity objects.  The
+    dict-of-objects container held 120 bytes per record on top of them."""
+    source = generate_dataset(SynthConfig(n_users=1000, seed=7))
+    users = list(source.users.values())
+    follows = [(u, v) for u, v, _ in source.follow_graph.edges()]
+    tweets = list(source.tweets.values())
+    retweets = source.retweets()
+    records = len(users) + len(follows) + len(tweets) + len(retweets)
+    tracemalloc.start()
+    try:
+        dataset = TwitterDataset()
+        for user in users:
+            dataset.add_user(user)
+        for follower, followee in follows:
+            dataset.add_follow(follower, followee)
+        for tweet in tweets:
+            dataset.add_tweet(tweet)
+        for retweet in retweets:
+            dataset.add_retweet(retweet)
+        assert dataset.popularity(tweets[0].id) >= 0  # compacts
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / records <= 48, held / records
 
 
 def test_delta_after_mmap_boot_keeps_no_dict_graph(tmp_path):

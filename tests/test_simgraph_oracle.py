@@ -18,7 +18,8 @@ was, the build wrote every kept edge into a dict adjacency
 back into arrays (:func:`from_simgraph`), and snapshots had a JSONL
 writer (:func:`save_v1`).  Those stay here as oracles: the property at
 the end requires the array build, crossfold, *SimGraph updated* and a
-v1 load to equal the dict path's compile array for array, with the same
+v1 load to equal the dict path's compile (for the load: of the dict
+path's own v1 read, :func:`load_v1`) array for array, with the same
 ``simgraph.*`` metrics.
 
 Suites that start from an existing SimGraph (delta maintenance, the
@@ -162,6 +163,22 @@ def save_v1(simgraph, path):
         for u, v, w in graph.edges():
             f.write(json.dumps([u, v, w]) + "\n")
     return path
+
+
+def load_v1(path) -> DictSimGraph:
+    """Read a format-1 snapshot into a dict adjacency, as the dict
+    SimGraph's loader did: the header's isolated nodes, then each edge
+    line in file order.  Node order is first appearance in the file, so
+    it can differ from the order of the graph :func:`save_v1` wrote (a
+    target is numbered before a source whose row comes later)."""
+    graph = DiGraph()
+    with open(path, encoding="utf-8") as f:
+        header = json.loads(f.readline())
+        graph.add_nodes(header["isolated"])
+        for line in f:
+            u, v, w = json.loads(line)
+            graph.add_edge(u, v, weight=float(w))
+    return DictSimGraph(graph, tau=float(header["tau"]))
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +442,8 @@ def test_array_build_equals_the_dict_build_compiled(tmp_path_factory, world):
     assert_same_arrays(simgraph_of(oracle.graph, oracle.tau), from_simgraph(oracle))
 
     path = save_v1(oracle, tmp_path_factory.mktemp("v1") / "g.v1")
-    assert_same_arrays(load_simgraph(path), from_simgraph(oracle))
+    assert_same_arrays(load_simgraph(path), from_simgraph(load_v1(path)))
+    assert sorted(load_v1(path).graph.edges()) == sorted(oracle.graph.edges())
 
     for u, t in later:
         profiles.add(u, t)
