@@ -2,8 +2,8 @@
 
 The CSR backend (``repro.core.propagation_csr``) runs Algorithm 1's
 frontier fixpoint over flat numpy arrays: each iteration is a handful of
-gathers and in-order segment sums instead of a Python loop over dict
-adjacency.  (``propagate_many`` is a loop over the same kernel, so a
+gathers and in-order segment sums instead of a Python loop over one
+user's row at a time.  (``propagate_many`` is a loop over the same kernel, so a
 batch leg would measure nothing the single leg does not.)
 
 Both engines must produce *identical* results (the differential suite

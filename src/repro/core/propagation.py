@@ -9,7 +9,10 @@ is iterated to fixpoint over the SimGraph.  The implementation is
 *frontier-based*: an iteration only recomputes users whose influential set
 changed in the previous round — on a sparse graph this touches a tiny
 subgraph rather than all of V, which is what makes per-message propagation
-fast (§6.3 reports 38ms/message at paper scale).
+fast (§6.3 reports 38ms/message at paper scale).  A round computes
+every new value from the previous round's values and applies them
+together, so the order in which the graph lists a user's influencees
+cannot change a result.
 
 Threshold optimization (§5.4): when a user's probability change falls
 below the policy's threshold, the value is still updated but is **not

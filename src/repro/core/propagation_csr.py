@@ -5,8 +5,8 @@
 "stop propagating for any following iteration" rule (§5.4), same
 tolerance stop test, same :class:`PropagationResult` — but every
 iteration is a handful of numpy gathers and segment sums over a
-:class:`~repro.core.csr.CSRSimGraph` instead of a Python loop over
-dict adjacency.  Per-row influencer order is preserved by the
+:class:`~repro.core.csr.CSRSimGraph` instead of a Python loop over one
+user's row at a time.  Per-row influencer order is preserved by the
 compilation and the segment sums accumulate in that order (in-order
 ``bincount``, never pairwise summation), so results are bit-identical
 to the reference engine; ``tests/test_propagation_differential.py``

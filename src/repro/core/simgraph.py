@@ -48,14 +48,14 @@ class SimGraph:
     load_simgraph`), so a million-edge graph "loads" in the time it
     takes to parse a header.
 
-    * count, membership and row queries are answered from the arrays
-      (plus an id index built on first use);
-    * :meth:`csr` compiles the :class:`~repro.core.csr.CSRSimGraph` the
-      ``csr`` propagation backend and delta maintenance consume, sharing
-      the arrays zero-copy;
-    * :meth:`to_digraph` materializes a dict adjacency once, for
-      :meth:`influenced` (the reference engine's frontier walk) and the
-      offline Table 4 / Figure 5 / bubble analyses.
+    * membership and row queries (:meth:`influencers`,
+      :meth:`influenced`) read :meth:`csr`, the compiled
+      :class:`~repro.core.csr.CSRSimGraph` both propagation engines and
+      delta maintenance consume: it shares the arrays zero-copy, holds
+      the graph's one id index and the transpose that answers
+      :meth:`influenced`;
+    * :meth:`to_digraph` materializes a dict adjacency once, for the
+      offline Table 4 / Figure 5 / bubble analyses only.
     """
 
     def __init__(
@@ -76,6 +76,11 @@ class SimGraph:
                 f"indices ({len(indices)}) and weights ({len(weights)}) "
                 "must have the same length"
             )
+        if int(indptr[0]) != 0 or int(indptr[-1]) != len(indices):
+            raise ValueError(
+                f"indptr must run from 0 to {len(indices)}, got "
+                f"{int(indptr[0])} to {int(indptr[-1])}"
+            )
         self._users = users
         self._indptr = indptr
         self._indices = indices
@@ -83,7 +88,6 @@ class SimGraph:
         self.tau = float(tau)
         self._digraph: DiGraph | None = None
         self._csr: CSRSimGraph | None = None
-        self._id_index: dict[int, int] | None = None
 
     @classmethod
     def from_edges(
@@ -150,15 +154,6 @@ class SimGraph:
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
-    def _index(self) -> dict[int, int]:
-        if self._csr is not None:
-            return self._csr.index
-        if self._id_index is None:
-            self._id_index = {
-                int(u): i for i, u in enumerate(self._users.tolist())
-            }
-        return self._id_index
-
     @property
     def node_count(self) -> int:
         """Number of users present in the similarity graph."""
@@ -170,7 +165,7 @@ class SimGraph:
         return len(self._indices)
 
     def __contains__(self, user: int) -> bool:
-        return user in self._index()
+        return user in self.csr().index
 
     def users(self) -> Iterator[int]:
         """All users present in the graph, in node order."""
@@ -183,28 +178,24 @@ class SimGraph:
         iterate these in hot loops) can never mutate graph state through
         the return value.
         """
-        i = self._index().get(user)
+        csr = self.csr()
+        i = csr.index.get(user)
         if i is None:
             return ()
-        lo, hi = int(self._indptr[i]), int(self._indptr[i + 1])
-        targets = self._users[self._indices[lo:hi]].tolist()
-        return tuple(zip(targets, self._weights[lo:hi].tolist()))
+        lo, hi = csr.inf_indptr[i : i + 2].tolist()
+        targets = csr.users[csr.inf_indices[lo:hi]].tolist()
+        return tuple(zip(targets, csr.inf_weights[lo:hi].tolist()))
 
     def influencer_count(self, user: int) -> int:
         """|F_u|."""
-        i = self._index().get(user)
-        if i is None:
-            return 0
-        return int(self._indptr[i + 1] - self._indptr[i])
+        csr = self.csr()
+        i = csr.index.get(user)
+        return 0 if i is None else int(csr.inf_counts[i])
 
     def influenced(self, user: int) -> tuple[int, ...]:
-        """Users that ``user`` influences (in-neighbours), as a snapshot.
-
-        Answered through :meth:`to_digraph`'s cached adjacency."""
-        graph = self.to_digraph()
-        if user not in graph:
-            return ()
-        return tuple(graph.predecessors(user))
+        """Users that ``user`` influences (in-neighbours), as a snapshot
+        in ascending node position: the compiled transpose's row."""
+        return tuple(self.csr().influenced(user))
 
     def similarity(self, u: int, v: int) -> float:
         """Stored edge weight sim(u, v); 0.0 when no edge exists."""

@@ -1,5 +1,6 @@
 """Tests for repro.core.simgraph (paper Definition 4.1 / Table 4)."""
 
+import numpy as np
 import pytest
 
 from repro.core.profiles import RetweetProfiles
@@ -134,10 +135,34 @@ class TestTwoHopSemantics:
             assert capped.influencer_count(user) <= 1
 
 
+class TestConstruction:
+    def sections(self, indptr):
+        users = np.array([1, 2], dtype=np.int64)
+        indices = np.array([1], dtype=np.int64)
+        weights = np.array([0.5])
+        return users, np.array(indptr, dtype=np.int64), indices, weights
+
+    def test_indptr_must_start_at_zero(self):
+        with pytest.raises(ValueError, match="indptr must run from 0 to 1"):
+            SimGraph(*self.sections([1, 1, 1]), tau=0.0)
+
+    def test_indptr_must_end_at_the_edge_count(self):
+        """A row range past the last edge would count influencers that
+        no row holds."""
+        with pytest.raises(ValueError, match="indptr must run from 0 to 1"):
+            SimGraph(*self.sections([0, 1, 3]), tau=0.0)
+
+
 class TestSimGraphQueries:
     def test_influencers_and_influenced(self, paper_example):
         assert dict(paper_example.influencers(0)) == {1: 0.3, 2: 0.5}
         assert sorted(paper_example.influenced(4)) == [1, 2, 3]
+
+    def test_influenced_in_node_order(self, paper_example):
+        order = list(paper_example.users())
+        for user in order:
+            influenced = list(paper_example.influenced(user))
+            assert influenced == sorted(influenced, key=order.index)
 
     def test_missing_user(self, paper_example):
         assert paper_example.influencers(99) == ()

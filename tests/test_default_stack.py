@@ -141,8 +141,10 @@ def test_shard2_never_builds_within_its_stream(frozen_workloads, tmp_path):
     """``shard2`` adopts the tier's v2 snapshot and its whole stream —
     warm-up plus a 10 s drain, ``--seconds`` of the ledger's runs —
     spans less simulated time than ``rebuild_interval``: no SimGraph is
-    built or maintained in it, so no build knob can move that row.
-    Driven here on a 300-user tier built by the frozen tier builder."""
+    built or maintained in it, so no build knob can move that row.  Its
+    reference engine walks the compiled transpose, so the served graph
+    never builds a dict adjacency either.  Driven here on a 300-user
+    tier built by the frozen tier builder."""
     workloads = frozen_workloads
     tier_module = sys.modules["tier"]
     spec = tier_module.TierSpec("test", n_users=300, live_tweets=30)
@@ -175,3 +177,4 @@ def test_shard2_never_builds_within_its_stream(frozen_workloads, tmp_path):
     assert snapshot["counters"]["service.snapshot_loads"] == 1
     assert service.stats.rebuilds == 1
     assert service.stats.events_ingested == len(requests) + spec.live_tweets
+    assert service.simgraph._digraph is None

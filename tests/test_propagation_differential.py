@@ -21,6 +21,7 @@ touches rather than for ``tasks x n``.
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -392,9 +393,9 @@ def test_batch_memory_follows_touched_users_not_graph_size():
     assert peak < tasks * n
 
 
-def draw_simgraph(draw):
-    """A small random SimGraph over users ``0..n-1``; returns (simgraph, n)."""
-    n = draw(st.integers(min_value=2, max_value=12))
+def draw_digraph(draw, users):
+    """A small random weighted DiGraph over ``users``, in their order."""
+    n = len(users)
     edges = draw(
         st.lists(
             st.tuples(
@@ -406,10 +407,16 @@ def draw_simgraph(draw):
         )
     )
     graph = DiGraph()
-    graph.add_nodes(range(n))
+    graph.add_nodes(users)
     for u, v, w in edges:
-        graph.add_edge(u, v, weight=w)
-    return simgraph_of(graph, tau=0.0), n
+        graph.add_edge(users[u], users[v], weight=w)
+    return graph
+
+
+def draw_simgraph(draw):
+    """A small random SimGraph over users ``0..n-1``; returns (simgraph, n)."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    return simgraph_of(draw_digraph(draw, list(range(n))), tau=0.0), n
 
 
 @st.composite
@@ -471,6 +478,73 @@ def test_warm_start_equivalence_property(case):
         assert set(cold.probabilities) <= set(incremental.probabilities)
         for user, p in cold.probabilities.items():
             assert incremental.probabilities[user] == pytest.approx(p, abs=1e-8)
+
+
+class ShuffledInfluence:
+    """A SimGraph whose :meth:`influenced` answers in a seeded random
+    order: the frontier walk's order is all that differs."""
+
+    def __init__(self, simgraph, seed):
+        self.simgraph = simgraph
+        self.rng = random.Random(seed)
+
+    def __contains__(self, user):
+        return user in self.simgraph
+
+    def influencers(self, user):
+        return self.simgraph.influencers(user)
+
+    def influenced(self, user):
+        users = list(self.simgraph.influenced(user))
+        self.rng.shuffle(users)
+        return tuple(users)
+
+
+@st.composite
+def order_case(draw):
+    """A random graph over user ids in a drawn node order, so a
+    predecessor set's hash order, the node order and a shuffle all
+    differ; seeds, warm seeds, a policy and a shuffle seed.  The ids
+    share their low ten bits, so in the engine's small sets they collide
+    and iteration follows insertion, which is the ``influenced`` order:
+    a Gauss-Seidel round (one reading this round's values) fails here."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    users = draw(
+        st.lists(
+            st.integers(0, 10**4).map(lambda k: k << 10),
+            min_size=n, max_size=n, unique=True,
+        )
+    )
+    graph = draw_digraph(draw, users)
+    seeds = draw(st.sets(st.sampled_from(users), min_size=1, max_size=n))
+    warm = draw(st.sets(st.sampled_from(users), max_size=3))
+    policy = draw(st.sampled_from(sorted(POLICIES)))
+    return graph, seeds, warm, policy, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(order_case())
+def test_frontier_order_cannot_change_a_value_property(case):
+    """Property: the reference fixpoint is Jacobi-style (a round reads
+    only the previous round's values) and muting depends on a user's own
+    delta, so the order ``influenced`` lists users in cannot change a
+    result or a threshold skip.  Three graphs: the dict oracle (its
+    predecessor sets in hash order), its compiled array SimGraph (the
+    transpose in node order) and a per-call shuffle of the latter."""
+    graph, seeds, warm, policy, shuffle = case
+    oracle = DictSimGraph(graph, tau=0.0)
+    compiled = oracle.compile()
+    outcomes = []
+    for simgraph in (oracle, compiled, ShuffledInfluence(compiled, shuffle)):
+        registry = MetricsRegistry()
+        engine = PropagationEngine(
+            simgraph, threshold=POLICIES[policy](), metrics=registry
+        )
+        initial = engine.propagate(warm).probabilities if warm else None
+        result = engine.propagate(seeds, initial=initial)
+        skips = registry.snapshot()["counters"].get("propagation.threshold_skips")
+        outcomes.append((result, skips))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 OFF_GRAPH = 10**6
