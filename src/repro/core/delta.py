@@ -259,14 +259,13 @@ def affected_region(
     radius.
     """
     graph = FollowGraph.of(exploration_graph)
-    dirty_users = profiles.dirty_users
-    dirty_tweets = profiles.dirty_tweets
+    dirty_users, dirty_tweets = profiles.dirt()
     core = np.unique(
         np.concatenate(
             [
-                np.fromiter(dirty_users, dtype=np.int64),
+                dirty_users,
                 np.fromiter(extra_sources, dtype=np.int64),
-                *(profiles.retweeters_array(t) for t in dirty_tweets),
+                *(profiles.retweeters_array(t) for t in dirty_tweets.tolist()),
             ]
         )
     )
@@ -274,7 +273,7 @@ def affected_region(
     # (module docstring): the rest of the core has no fringe.  u reaches
     # w within `hops` successor-steps iff w is in N_hops(u): walk the
     # predecessor direction from every dirty user at once.
-    sources, owner, found = _dirty_reach(graph, dirty_users, hops)
+    sources, owner, found = _dirty_reach(graph, dirty_users.tolist(), hops)
     pair_core, pair_fringe = sources[owner], graph.ids[found]
     del owner, found
     outside = ~np.isin(pair_fringe, core)
@@ -285,8 +284,8 @@ def affected_region(
         fringe=np.unique(pair_fringe),
         pair_core=pair_core[order],
         pair_fringe=pair_fringe[order],
-        dirty_users=dirty_users,
-        dirty_tweets=dirty_tweets,
+        dirty_users=frozenset(dirty_users.tolist()),
+        dirty_tweets=frozenset(dirty_tweets.tolist()),
         hops=hops,
     )
 

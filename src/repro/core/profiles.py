@@ -2,81 +2,124 @@
 
 A user's *profile* ``L_u`` is the set of tweets they retweeted (paper
 Def. 3.1); a tweet's *popularity* ``m(i)`` is its distinct-retweeter count.
-:class:`RetweetProfiles` maintains both maps plus the inverted index
-(tweet -> retweeters) that makes similarity computation output-sensitive,
-and supports incremental updates so the §6.3 maintenance strategies can
-refresh weights without a rebuild.
+Both come from one relation, the distinct ``(user, tweet)`` pairs, which
+:class:`RetweetProfiles` holds as arrays — the retweet graph as a growing
+sparse matrix (ten Thij et al., PAPERS.md), kept the way
+:class:`~repro.graph.followgraph.FollowGraph` keeps the follows:
 
-Two storage paths back the same query API:
+* the **base**: the pairs sorted both ways, user -> tweets and the
+  tweet -> users transpose, as CSR rows (:class:`_CSRIndex`).  Lookups
+  are binary searches with no per-pair Python object, which is what lets
+  a paper-scale corpus (:meth:`RetweetProfiles.from_arrays`) fit in RAM;
+* the **log**: every genuinely new pair :meth:`RetweetProfiles.add`
+  recorded since the last :meth:`~RetweetProfiles.mark_clean`, as two
+  int64 columns in arrival order.  Its *tail*, the pairs not merged into
+  the base yet, is indexed per tweet and per user, so the per-event
+  reads (``retweeters``, ``popularity``, the repeat check of ``add``)
+  stay cheap.  The tail is merged into the base at ``mark_clean`` and
+  whenever it outgrows :data:`TAIL_FRACTION` of the base, never by a
+  read.
 
-* the **dict path** (default constructor / :meth:`RetweetProfiles.add`)
-  keeps ``dict[int, set[int]]`` maps — ideal for the incremental stream
-  the delta engine consumes;
-* the **columnar path** (:meth:`RetweetProfiles.from_arrays`) freezes a
-  bulk-loaded corpus into sorted CSR arrays (user -> tweets and the
-  tweet -> users transpose): ``profile_size``/``popularity``/
-  ``tweet_weight`` are O(log n) indptr lookups with no per-pair Python
-  objects, which is what lets a paper-scale corpus fit in RAM.
-  Incremental ``add`` still works on such an instance — new pairs land
-  in a dict *overlay* on top of the immutable base, so dirty tracking
-  and the delta maintenance engine behave identically on both paths.
+Dirt is a watermark on the log.  A pair ``sim(u, v)`` can only change
+when ``u`` or ``v`` gained a tweet or both retweeted a tweet whose
+``m(i)`` — hence its ``1/log(1 + m(i))`` weight — changed, so the users
+and tweets of the log's pairs from the *clean index* on are exactly what
+the delta maintenance engine (:mod:`repro.core.delta`) needs to bound
+the region of the SimGraph it rescores.  ``mark_clean(upto)`` consumes
+the dirt up to a log index; :meth:`~RetweetProfiles.as_of` reads the
+profiles as they stood at one.
 
-It additionally tracks a *dirty set* since the last :meth:`mark_clean`
-checkpoint: users whose profile gained a tweet and tweets whose
-popularity ``m(i)`` — hence their ``1/log(1 + m(i))`` weight — changed.
-A pair ``sim(u, v)`` can only change when ``u`` or ``v`` is a dirty user
-or both retweeted a dirty tweet, so the dirty sets are exactly what the
-delta maintenance engine (:mod:`repro.core.delta`) needs to bound the
-region of the SimGraph it rescores.
-
-Query results (:meth:`profile`, :meth:`retweeters`) are **immutable
-snapshots** (``frozenset``): mutating a returned value can never corrupt
-the underlying profiles, for known and unknown keys alike.
+Ids are integers (``Retweet.user`` / ``.tweet`` are ``int``); both
+storage paths reject anything else with a :class:`DatasetError` that
+names the id.  Query results (:meth:`~RetweetProfiles.profile`,
+:meth:`~RetweetProfiles.retweeters`) are **immutable snapshots**
+(``frozenset``), for known and unknown keys alike.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from array import array
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.data.models import Retweet
+from repro.exceptions import DatasetError
 
 __all__ = ["RetweetProfiles"]
+
+#: The tail is merged into the base when it holds more pairs than this
+#: fraction of the base (and more than :data:`MIN_TAIL`): each merge
+#: copies the base once, so merges stay O(1) amortized per pair while
+#: the tail's per-pair set entries stay a small share of the memory.
+TAIL_FRACTION = 1 / 8
+#: The tail is not merged for its size while it holds this many pairs
+#: or fewer.
+MIN_TAIL = 4096
 
 _EMPTY_ROW = np.empty(0, dtype=np.int64)
 _EMPTY_SET: frozenset[int] = frozenset()
 
 
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _id(value, what: str) -> int:
+    """``value`` as a Python int, or a :class:`DatasetError` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DatasetError(
+            f"retweet {what} ids must be integers, got {value!r}"
+        ) from None
+
+
+def _id_column(values, what: str) -> np.ndarray:
+    column = np.asarray(values)
+    if len(column) and column.dtype.kind not in "iu":
+        column = np.array(
+            [_id(value, what) for value in column.tolist()], dtype=np.int64
+        )
+    return np.ascontiguousarray(column, dtype=np.int64)
+
+
 class _CSRIndex:
-    """One direction of the frozen pair set: sorted keys + CSR rows.
+    """One direction of the pair set: sorted keys + CSR rows.
 
     ``keys`` is sorted and unique; row ``i`` of ``items`` (the slice
     ``indptr[i]:indptr[i+1]``) holds the sorted partner ids of
     ``keys[i]``.  Lookup is a binary search — no per-key dict entry, so
-    a million-user index costs three flat arrays.
+    a million-user index costs three flat arrays.  An index is never
+    written: :meth:`merged` and :meth:`without` return new ones.
     """
 
-    __slots__ = ("keys", "indptr", "items")
+    __slots__ = ("keys", "indptr", "items", "_keys", "_indptr", "_items")
 
     def __init__(self, keys: np.ndarray, indptr: np.ndarray, items: np.ndarray):
         self.keys = keys
         self.indptr = indptr
         self.items = items
+        # The scalar lookups of the per-event path bisect these views,
+        # which yield Python ints without a numpy call per probe.
+        self._keys = memoryview(keys)
+        self._indptr = memoryview(indptr)
+        self._items = memoryview(items)
 
     @classmethod
-    def from_pairs(cls, keys: np.ndarray, values: np.ndarray) -> "_CSRIndex":
-        """Build from already-deduplicated pairs sorted by (key, value)."""
-        unique, counts = np.unique(keys, return_counts=True)
-        indptr = np.zeros(len(unique) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(unique, indptr, values)
+    def empty(cls) -> "_CSRIndex":
+        return cls(_EMPTY_ROW, np.zeros(1, dtype=np.int64), _EMPTY_ROW)
 
     def position(self, key: int) -> int:
         """Row of ``key`` or -1 when absent."""
-        i = int(np.searchsorted(self.keys, key))
-        if i < len(self.keys) and int(self.keys[i]) == key:
+        keys = self._keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
             return i
         return -1
 
@@ -84,39 +127,91 @@ class _CSRIndex:
         i = self.position(key)
         if i < 0:
             return _EMPTY_ROW
-        return self.items[self.indptr[i] : self.indptr[i + 1]]
+        return self.items[self._indptr[i] : self._indptr[i + 1]]
 
     def row_size(self, key: int) -> int:
         i = self.position(key)
         if i < 0:
             return 0
-        return int(self.indptr[i + 1] - self.indptr[i])
+        return self._indptr[i + 1] - self._indptr[i]
 
-    def contains_pair(self, key: int, value: int) -> bool:
-        row = self.row(key)
-        j = int(np.searchsorted(row, value))
-        return j < len(row) and int(row[j]) == value
+    def row_contains(self, i: int, value: int) -> bool:
+        """Does row ``i`` hold ``value``?"""
+        items, hi = self._items, self._indptr[i + 1]
+        j = bisect_left(items, value, self._indptr[i], hi)
+        return j < hi and items[j] == value
+
+    def _locate(
+        self, keys: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, found, at)`` of pairs sorted by (key, value): each
+        key's row (its insertion point when absent), whether it has one,
+        and the flat position of the first item not below its value in
+        that row — a binary search of every row at once."""
+        row = self.keys.searchsorted(keys)
+        found = row < len(self.keys)
+        found[found] = self.keys[row[found]] == keys[found]
+        lo = self.indptr[row]
+        ends = self.indptr[np.minimum(row + 1, len(self.keys))]
+        hi = np.where(found, ends, lo)
+        active = np.flatnonzero(lo < hi)
+        while len(active):
+            mid = (lo[active] + hi[active]) // 2
+            below = self.items[mid] < values[active]
+            lo[active[below]] = mid[below] + 1
+            hi[active[~below]] = mid[~below]
+            active = active[lo[active] < hi[active]]
+        return row, found, lo
+
+    def merged(self, keys: np.ndarray, values: np.ndarray) -> "_CSRIndex":
+        """This index plus the pairs ``(keys[k], values[k])``, none of
+        which it holds: the pairs are sorted, then inserted in place
+        (one copy of each array)."""
+        order = np.lexsort((values, keys))
+        keys, values = keys[order], values[order]
+        _, found, at = self._locate(keys, values)
+        fresh = keys[~found]
+        distinct = np.ones(len(fresh), dtype=bool)
+        np.not_equal(fresh[1:], fresh[:-1], out=distinct[1:])
+        fresh = fresh[distinct]
+        slots = self.keys.searchsorted(fresh)
+        merged_keys = np.insert(self.keys, slots, fresh)
+        counts = np.insert(np.diff(self.indptr), slots, 0)
+        counts += np.bincount(
+            merged_keys.searchsorted(keys), minlength=len(merged_keys)
+        )
+        return _CSRIndex(
+            merged_keys, _indptr(counts), np.insert(self.items, at, values)
+        )
+
+    def without(self, keys: np.ndarray, values: np.ndarray) -> "_CSRIndex":
+        """This index minus the pairs ``(keys[k], values[k])``, every one
+        of which it holds; a key left without items loses its row."""
+        order = np.lexsort((values, keys))
+        keys, values = keys[order], values[order]
+        row, _, at = self._locate(keys, values)
+        counts = np.diff(self.indptr)
+        counts -= np.bincount(row, minlength=len(counts))
+        kept = counts > 0
+        return _CSRIndex(
+            self.keys[kept], _indptr(counts[kept]), np.delete(self.items, at)
+        )
 
 
 class RetweetProfiles:
     """User -> retweeted-tweets map with the inverted tweet -> users index."""
 
     def __init__(self, retweets: Iterable[Retweet] = ()):
-        #: Dict storage.  On the columnar path these hold only the
-        #: *overlay* — pairs added after :meth:`from_arrays` froze the
-        #: base — and every overlay set is disjoint from its base row.
-        self._profiles: dict[int, set[int]] = {}
-        self._retweeters: dict[int, set[int]] = {}
-        self._by_user: _CSRIndex | None = None
-        self._by_tweet: _CSRIndex | None = None
-        #: Users/tweets present in the overlay but not the base (keeps
-        #: ``user_count``/``tweet_count`` O(1) on the columnar path).
-        self._extra_users = 0
-        self._extra_tweets = 0
-        self._dirty_users: set[int] = set()
-        self._dirty_tweets: set[int] = set()
-        for retweet in retweets:
-            self.add(retweet.user, retweet.tweet)
+        self._by_user = _CSRIndex.empty()
+        self._by_tweet = _CSRIndex.empty()
+        #: The log: the pairs added from the clean index on, in arrival
+        #: order (entry ``k`` has log index ``_clean + k``).
+        self._log_users = array("q")
+        self._log_tweets = array("q")
+        self._clean = 0
+        self._user_count = 0
+        self._new_tail(0)
+        self.extend(retweets)
 
     @classmethod
     def from_arrays(
@@ -129,13 +224,11 @@ class RetweetProfiles:
         ``users``/``tweets`` are parallel integer arrays — the raw
         retweet log, duplicates allowed (a repeat retweet changes
         neither ``L_u`` nor ``m(i)``, exactly like :meth:`add`).  The
-        result answers every query off flat CSR arrays; subsequent
-        :meth:`add` calls layer a dict overlay on top and feed the
-        dirty sets as usual.  The frozen base is *clean*: only overlay
-        additions dirty users/tweets.
+        distinct pairs become the base; the result is *clean*: only
+        later :meth:`add` calls make dirt.
         """
-        users = np.ascontiguousarray(users, dtype=np.int64)
-        tweets = np.ascontiguousarray(tweets, dtype=np.int64)
+        users = _id_column(users, "user")
+        tweets = _id_column(tweets, "tweet")
         if users.shape != tweets.shape:
             raise ValueError(
                 f"users ({users.shape}) and tweets ({tweets.shape}) "
@@ -154,50 +247,96 @@ class RetweetProfiles:
             t_sorted[1:] != t_sorted[:-1],
             out=fresh[1:],
         )
-        u_sorted = u_sorted[fresh]
-        t_sorted = t_sorted[fresh]
-        instance._by_user = _CSRIndex.from_pairs(u_sorted, t_sorted)
-        transpose = np.lexsort((u_sorted, t_sorted))
-        instance._by_tweet = _CSRIndex.from_pairs(
-            t_sorted[transpose], u_sorted[transpose]
+        users, tweets = u_sorted[fresh], t_sorted[fresh]
+        instance._install_base(
+            _CSRIndex.empty().merged(users, tweets),
+            _CSRIndex.empty().merged(tweets, users),
         )
         return instance
+
+    def _install_base(self, by_user: _CSRIndex, by_tweet: _CSRIndex) -> None:
+        """Make the pair set exactly the base ``by_user`` / ``by_tweet``:
+        the whole log is in it."""
+        self._by_user, self._by_tweet = by_user, by_tweet
+        self._user_count = len(by_user.keys)
+        self._new_tail(self.log_end)
 
     def add(self, user: int, tweet: int) -> None:
         """Record that ``user`` retweeted ``tweet`` (idempotent).
 
-        Only a genuinely new (user, tweet) pair dirties the user and the
-        tweet: a repeated retweet changes neither ``L_u`` nor ``m(i)``,
-        so it must not enlarge the maintenance region.
+        Only a genuinely new (user, tweet) pair reaches the log and so
+        dirties the user and the tweet: a repeated retweet changes
+        neither ``L_u`` nor ``m(i)``, so it must not enlarge the
+        maintenance region, wherever its first copy is held.  A
+        non-integer id raises :class:`DatasetError`.
         """
-        if self._by_user is not None and self._by_user.contains_pair(
-            user, tweet
-        ):
+        if type(user) is not int or type(tweet) is not int:
+            user, tweet = _id(user, "user"), _id(tweet, "tweet")
+        profile = self._tail_profiles.get(user)
+        if profile is not None and tweet in profile:
             return
-        profile = self._profiles.get(user)
+        row = self._by_user.position(user)
+        if row >= 0 and self._by_user.row_contains(row, tweet):
+            return
         if profile is None:
-            profile = self._profiles.setdefault(user, set())
-            if self._by_user is not None and self._by_user.position(user) < 0:
-                self._extra_users += 1
-        elif tweet in profile:
-            return
+            profile = self._tail_profiles[user] = set()
+            if row < 0:
+                self._user_count += 1
         profile.add(tweet)
-        retweeters = self._retweeters.get(tweet)
+        retweeters = self._tail_retweeters.get(tweet)
         if retweeters is None:
-            retweeters = self._retweeters.setdefault(tweet, set())
-            if (
-                self._by_tweet is not None
-                and self._by_tweet.position(tweet) < 0
-            ):
-                self._extra_tweets += 1
+            retweeters = self._tail_retweeters[tweet] = set()
         retweeters.add(user)
-        self._dirty_users.add(user)
-        self._dirty_tweets.add(tweet)
+        self._log_users.append(user)
+        self._log_tweets.append(tweet)
+        if self._clean + len(self._log_users) > self._tail_limit:
+            self._compact()
 
     def extend(self, retweets: Iterable[Retweet]) -> None:
         """Record a batch of retweet actions."""
         for retweet in retweets:
             self.add(retweet.user, retweet.tweet)
+
+    def log_pairs(
+        self, start: int, stop: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(users, tweets)`` of the log's pairs with log index in
+        ``[start, stop)`` (default: to the end); the log holds them
+        from the clean index on."""
+        lo = start - self._clean
+        if lo < 0:
+            raise ValueError(
+                f"log index {start} is before the clean index {self._clean}"
+            )
+        hi = len(self._log_users) if stop is None else stop - self._clean
+        return (
+            np.frombuffer(self._log_users[lo:hi], dtype=np.int64),
+            np.frombuffer(self._log_tweets[lo:hi], dtype=np.int64),
+        )
+
+    def _compact(self) -> None:
+        """Merge the tail into the base: only the tail is sorted, and
+        each direction copies its arrays once."""
+        end = self.log_end
+        if self._merged == end:
+            return
+        users, tweets = self.log_pairs(self._merged)
+        self._by_user = self._by_user.merged(users, tweets)
+        self._by_tweet = self._by_tweet.merged(tweets, users)
+        self._new_tail(end)
+
+    def _new_tail(self, merged: int) -> None:
+        """Start an empty tail at log index ``merged``: every pair
+        before it is in the base."""
+        #: The tail by user and by tweet.
+        self._tail_profiles: dict[int, set[int]] = {}
+        self._tail_retweeters: dict[int, set[int]] = {}
+        #: Log index of the first pair not in the base.
+        self._merged = merged
+        #: Log index past which the tail is merged into the base.
+        self._tail_limit = merged + max(
+            MIN_TAIL, int(TAIL_FRACTION * len(self._by_user.items))
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -209,75 +348,38 @@ class RetweetProfiles:
         freely, and mutating a *copy* (``set(...)``) never touches the
         stored profile.
         """
-        overlay = self._profiles.get(user)
-        if self._by_user is None:
-            return frozenset(overlay) if overlay else _EMPTY_SET
-        base = self._by_user.row(user)
-        if overlay:
-            return frozenset(base.tolist()).union(overlay)
-        if len(base) == 0:
-            return _EMPTY_SET
-        return frozenset(base.tolist())
+        return _snapshot(
+            self._by_user.row(user), self._tail_profiles.get(user)
+        )
 
     def profile_array(self, user: int) -> np.ndarray:
-        """L_u as a sorted int64 array (flat-array consumers).
-
-        Zero-copy on the columnar path when no overlay entry exists for
-        ``user``; otherwise a fresh sorted array.
-        """
-        overlay = self._profiles.get(user)
-        base = (
-            self._by_user.row(user) if self._by_user is not None else _EMPTY_ROW
-        )
-        if not overlay:
-            return base
-        merged = np.fromiter(overlay, dtype=np.int64, count=len(overlay))
-        if len(base):
-            merged = np.concatenate([base, merged])
-        merged.sort()
-        return merged
+        """L_u as a sorted int64 array (flat-array consumers); a view of
+        the base when the tail holds nothing of ``user``."""
+        return _sorted(self._by_user.row(user), self._tail_profiles.get(user))
 
     def profile_size(self, user: int) -> int:
         """|L_u| without copying the set."""
-        size = len(self._profiles.get(user, ()))
-        if self._by_user is not None:
-            size += self._by_user.row_size(user)
-        return size
+        return self._by_user.row_size(user) + len(
+            self._tail_profiles.get(user, ())
+        )
 
     def has_profile(self, user: int) -> bool:
         """True when ``user`` retweeted at least one tweet."""
-        if user in self._profiles:
-            return True
-        return self._by_user is not None and self._by_user.position(user) >= 0
+        return user in self._tail_profiles or self._by_user.position(user) >= 0
 
     def users(self) -> Iterator[int]:
-        """Every user with a non-empty profile."""
-        if self._by_user is None:
-            return iter(self._profiles.keys())
-        return self._chain_keys(self._by_user, self._profiles)
+        """Every user with a non-empty profile, ascending."""
+        return _keys(self._by_user, self._tail_profiles)
 
     def tweets(self) -> Iterator[int]:
-        """Every tweet retweeted at least once."""
-        if self._by_tweet is None:
-            return iter(self._retweeters.keys())
-        return self._chain_keys(self._by_tweet, self._retweeters)
-
-    @staticmethod
-    def _chain_keys(base: _CSRIndex, overlay: dict) -> Iterator[int]:
-        yield from base.keys.tolist()
-        if overlay:
-            base_keys = base.keys
-            for key in overlay:
-                i = int(np.searchsorted(base_keys, key))
-                if i >= len(base_keys) or int(base_keys[i]) != key:
-                    yield key
+        """Every tweet retweeted at least once, ascending."""
+        return _keys(self._by_tweet, self._tail_retweeters)
 
     def popularity(self, tweet: int) -> int:
         """m(i) — number of distinct users who retweeted ``tweet``."""
-        count = len(self._retweeters.get(tweet, ()))
-        if self._by_tweet is not None:
-            count += self._by_tweet.row_size(tweet)
-        return count
+        return self._by_tweet.row_size(tweet) + len(
+            self._tail_retweeters.get(tweet, ())
+        )
 
     def retweeters(self, tweet: int) -> frozenset[int]:
         """Distinct retweeters of ``tweet`` (immutable snapshot).
@@ -285,31 +387,15 @@ class RetweetProfiles:
         Like :meth:`profile`, the return value is a ``frozenset`` —
         safe to hold, never aliased to internal state.
         """
-        overlay = self._retweeters.get(tweet)
-        if self._by_tweet is None:
-            return frozenset(overlay) if overlay else _EMPTY_SET
-        base = self._by_tweet.row(tweet)
-        if overlay:
-            return frozenset(base.tolist()).union(overlay)
-        if len(base) == 0:
-            return _EMPTY_SET
-        return frozenset(base.tolist())
+        return _snapshot(
+            self._by_tweet.row(tweet), self._tail_retweeters.get(tweet)
+        )
 
     def retweeters_array(self, tweet: int) -> np.ndarray:
         """Distinct retweeters as a sorted int64 array."""
-        overlay = self._retweeters.get(tweet)
-        base = (
-            self._by_tweet.row(tweet)
-            if self._by_tweet is not None
-            else _EMPTY_ROW
+        return _sorted(
+            self._by_tweet.row(tweet), self._tail_retweeters.get(tweet)
         )
-        if not overlay:
-            return base
-        merged = np.fromiter(overlay, dtype=np.int64, count=len(overlay))
-        if len(base):
-            merged = np.concatenate([base, merged])
-        merged.sort()
-        return merged
 
     def tweet_weight(self, tweet: int) -> float:
         """The Def. 3.1 contribution of one common tweet: 1/log(1+m(i)).
@@ -322,13 +408,32 @@ class RetweetProfiles:
             return 0.0
         return 1.0 / math.log1p(m)
 
+    @property
+    def user_count(self) -> int:
+        """Number of users with at least one retweet."""
+        return self._user_count
+
+    @property
+    def tweet_count(self) -> int:
+        """Number of tweets retweeted at least once."""
+        by_tweet = self._by_tweet
+        return len(by_tweet.keys) + sum(
+            by_tweet.position(tweet) < 0 for tweet in self._tail_retweeters
+        )
+
     # ------------------------------------------------------------------
-    # Dirty tracking (delta maintenance, §6.3 at service scale)
+    # Dirt: the log from the clean index on (§6.3 at service scale)
     # ------------------------------------------------------------------
+    @property
+    def log_end(self) -> int:
+        """Log index the next new pair gets: new pairs ever added by
+        :meth:`add` (the base of :meth:`from_arrays` has none)."""
+        return self._clean + len(self._log_users)
+
     @property
     def dirty_users(self) -> frozenset[int]:
         """Users whose profile gained a tweet since :meth:`mark_clean`."""
-        return frozenset(self._dirty_users)
+        return frozenset(self._log_users)
 
     @property
     def dirty_tweets(self) -> frozenset[int]:
@@ -337,33 +442,85 @@ class RetweetProfiles:
         Their ``1/log(1 + m(i))`` weight changed, so every pair of their
         co-retweeters may have a stale similarity numerator.
         """
-        return frozenset(self._dirty_tweets)
+        return frozenset(self._log_tweets)
+
+    def dirt(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dirty users, dirty tweets)`` as ascending int64 arrays."""
+        users, tweets = self.log_pairs(self._clean)
+        return np.unique(users), np.unique(tweets)
 
     @property
     def has_dirty(self) -> bool:
         """True when any profile or tweet weight changed since the checkpoint."""
-        return bool(self._dirty_users) or bool(self._dirty_tweets)
+        return len(self._log_users) > 0
 
-    def mark_clean(self) -> None:
-        """Checkpoint: the current state is what the SimGraph was built from.
+    def mark_clean(self, upto: int | None = None) -> None:
+        """Checkpoint: the pairs before log index ``upto`` (default: all
+        of them) are what the SimGraph was built from.
 
-        Callers invoke this right after a (re)build; subsequent ``add``
-        calls accumulate the dirty sets the next delta maintenance run
-        consumes.
+        Callers invoke this right after a (re)build; the pairs from
+        ``upto`` on stay dirt for the next delta maintenance run.  The
+        tail is merged into the base here.
         """
-        self._dirty_users.clear()
-        self._dirty_tweets.clear()
+        end = self.log_end
+        upto = end if upto is None else upto
+        if not self._clean <= upto <= end:
+            raise ValueError(
+                f"clean index {upto} outside the log [{self._clean}, {end}]"
+            )
+        self._compact()
+        del self._log_users[: upto - self._clean]
+        del self._log_tweets[: upto - self._clean]
+        self._clean = upto
 
-    @property
-    def user_count(self) -> int:
-        """Number of users with at least one retweet."""
-        if self._by_user is None:
-            return len(self._profiles)
-        return len(self._by_user.keys) + self._extra_users
+    def as_of(self, index: int) -> "RetweetProfiles":
+        """The profiles as they stood when the log ended at ``index``
+        (the clean index or later): ``self`` when nothing was added
+        since, else a copy without the later pairs, whose dirt is the
+        log before ``index``.  Costs a copy of the base."""
+        end = self.log_end
+        if index == end:
+            return self
+        if not self._clean <= index <= end:
+            raise ValueError(
+                f"log index {index} outside the log [{self._clean}, {end}]"
+            )
+        if index < self._merged:
+            # Some later pairs are in the base already: take them out.
+            users, tweets = self.log_pairs(index, self._merged)
+            by_user = self._by_user.without(users, tweets)
+            by_tweet = self._by_tweet.without(tweets, users)
+        else:
+            users, tweets = self.log_pairs(self._merged, index)
+            by_user = self._by_user.merged(users, tweets)
+            by_tweet = self._by_tweet.merged(tweets, users)
+        view = RetweetProfiles()
+        view._log_users = self._log_users[: index - self._clean]
+        view._log_tweets = self._log_tweets[: index - self._clean]
+        view._clean = self._clean
+        view._install_base(by_user, by_tweet)
+        return view
 
-    @property
-    def tweet_count(self) -> int:
-        """Number of tweets retweeted at least once."""
-        if self._by_tweet is None:
-            return len(self._retweeters)
-        return len(self._by_tweet.keys) + self._extra_tweets
+
+def _snapshot(base: np.ndarray, tail: set[int] | None) -> frozenset[int]:
+    if not len(base):
+        return frozenset(tail) if tail else _EMPTY_SET
+    snapshot = frozenset(base.tolist())
+    return snapshot.union(tail) if tail else snapshot
+
+
+def _sorted(base: np.ndarray, tail: set[int] | None) -> np.ndarray:
+    if not tail:
+        return base
+    merged = np.concatenate(
+        (base, np.fromiter(tail, dtype=np.int64, count=len(tail)))
+    )
+    merged.sort()
+    return merged
+
+
+def _keys(base: _CSRIndex, tail: dict[int, set[int]]) -> Iterator[int]:
+    if not tail:
+        return iter(base.keys.tolist())
+    extra = np.fromiter(tail, dtype=np.int64, count=len(tail))
+    return iter(np.union1d(base.keys, extra).tolist())

@@ -42,7 +42,6 @@ import tempfile
 import time
 import weakref
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -175,8 +174,8 @@ class _KnownUsers:
 
     __slots__ = ("_sorted", "_added")
 
-    def __init__(self) -> None:
-        self._sorted = _NO_USERS
+    def __init__(self, users: np.ndarray = _NO_USERS) -> None:
+        self._sorted = users
         self._added: list[int] = []
 
     def add(self, user: int) -> None:
@@ -236,14 +235,14 @@ def _fork_child(target, args):
     return process
 
 
-def _run_in_child(service: "RecommendationService", strategy: str, path: str,
+def _run_in_child(service: "RecommendationService", job: "_Handoff", path: str,
                   conn) -> None:
     """The child's side of a handoff: run the job on the state inherited
     at the due event, write its graph to ``path`` with the v2 section
     writer and send the rest over ``conn``.  Returning ends the child
     with ``os._exit`` (the fork start method's exit)."""
     started = time.perf_counter()
-    outcome = service._lagged_job(strategy)
+    outcome = service._lagged_job(job)
     persistence.save_simgraph(outcome.built, path, format=2)
     conn.send(outcome._replace(
         built=None,
@@ -270,29 +269,25 @@ class _Handoff:
     """One clock-triggered maintenance job, from its due event to its
     adoption.
 
-    From the due event on, the maintenance state — profiles, follow
-    graph, SimGraph — stays as it was: retweets absorbed meanwhile wait
-    here (``lagged``, with ``retweeters`` for the serving path's seeds),
-    and a follow-graph write adopts the job first.  So the job reads the
-    same state whether a forked child runs it at the due event or the
+    The job reads the profiles as of ``due``, their log index at the due
+    event: retweets absorbed meanwhile go straight into the profiles, past
+    that index, and a follow-graph write adopts the job first, so the
+    follow graph and the SimGraph stay as they were.  So the job reads
+    the same state whether a forked child runs it at the due event or the
     service runs it in-process at adoption.
     """
 
-    def __init__(self, strategy: str, adopt_at: float):
+    def __init__(self, strategy: str, adopt_at: float, due: int):
         self.strategy = strategy
         #: Simulated time from which the next event adopts the job.
         self.adopt_at = adopt_at
-        self.lagged: list[tuple[int, int]] = []
-        self.retweeters: dict[int, set[int]] = {}
+        #: The profiles' log index at the due event.
+        self.due = due
         self.process = None
         self._conn = None
         self._workdir: str | None = None
         self._owner = os.getpid()
         self._finalizer = None
-
-    def absorb(self, user: int, tweet: int) -> None:
-        self.lagged.append((user, tweet))
-        self.retweeters.setdefault(tweet, set()).add(user)
 
     @property
     def _path(self) -> str:
@@ -305,7 +300,7 @@ class _Handoff:
         reader, writer = multiprocessing.Pipe(duplex=False)
         try:
             self.process = _fork_child(
-                _run_in_child, (service, self.strategy, self._path, writer)
+                _run_in_child, (service, self, self._path, writer)
             )
         except (OSError, ValueError, AssertionError):
             # Out of processes or memory; no fork start method on this
@@ -461,6 +456,7 @@ class RecommendationService:
             raise DatasetError(f"duplicate tweet id {tweet_id}")
         self._advance(at)
         self.tweets[tweet_id] = Tweet(id=tweet_id, author=author, created_at=at)
+        self._known_of(tweet_id)
 
     def retweet(self, user: int, tweet: int, at: float) -> list[Recommendation]:
         """Ingest a sharing action; return the notifications it released.
@@ -485,7 +481,7 @@ class RecommendationService:
         but triggers no scoring, delivery or scheduler work, and needs no
         tweet registration.
         """
-        self._absorb(Retweet(user=user, tweet=tweet, time=self._clock))
+        self._absorb(user, tweet)
 
     def flush(self, now: float | None = None) -> list[Recommendation]:
         """Drain the scheduler (end of stream / shutdown)."""
@@ -545,7 +541,7 @@ class RecommendationService:
             self._adopt_maintenance()
         started = time.perf_counter()
         with self.metrics.span("service.rebuild"):
-            used, built, report = self._maintain(name, self.metrics)
+            used, built, report = self._maintain(name, self.metrics, self.profiles)
         built = self._refresh(
             _Outcome(used, built, report, {}, time.perf_counter() - started)
         )
@@ -561,14 +557,14 @@ class RecommendationService:
             self._discard_maintenance()
 
     def _maintain(
-        self, strategy: str, metrics: MetricsRegistry
+        self, strategy: str, metrics: MetricsRegistry, profiles: RetweetProfiles
     ) -> tuple[str, SimGraph, DeltaReport | None]:
         """The maintenance job: ``(strategy used, refreshed graph, delta
-        report or None)`` from the current maintenance state.
+        report or None)`` from ``profiles`` and the current follow graph
+        and SimGraph.
 
-        Reads the profiles, the follow graph and the SimGraph and writes
-        none of them (the follow graph may compact its buffer), so it
-        gives the same graph in a forked child as in-process.
+        Writes none of them (the follow graph may compact its buffer), so
+        it gives the same graph in a forked child as in-process.
         """
         if (
             self.stats.rebuilds == 0
@@ -581,28 +577,31 @@ class RecommendationService:
             builder = SimGraphBuilder(
                 tau=self.config.tau, hops=self._hops, metrics=metrics
             )
-            return "from scratch", builder.build(self.follow_graph, self.profiles), None
+            return "from scratch", builder.build(self.follow_graph, profiles), None
         graph = self.follow_graph
         fresh = graph.new_sources()
         # A new edge also extends the 2-hop reach of everyone already
         # following its source.
         _, followers = graph.reach(fresh, 1, reverse=True)
         plan = affected_region(
-            self.profiles,
+            profiles,
             graph,
             extra_sources=graph.ids[np.union1d(fresh, followers)].tolist(),
             hops=self._hops,
         )
-        built, report = self._apply_delta(plan, metrics)
+        built, report = self._apply_delta(plan, metrics, profiles)
         return "delta", built, report
 
-    def _lagged_job(self, strategy: str) -> _Outcome:
+    def _lagged_job(self, job: _Handoff) -> _Outcome:
         """:meth:`_maintain` for a lagged job, in a forked child or
-        in-process: its counters go to a registry of its own, and reach
-        the service's when the job is adopted."""
+        in-process, on the profiles as of its due event (in the child,
+        the profiles themselves): its counters go to a registry of its
+        own, and reach the service's when the job is adopted."""
         started = time.perf_counter()
         metrics = MetricsRegistry()
-        used, built, report = self._maintain(strategy, metrics)
+        used, built, report = self._maintain(
+            job.strategy, metrics, self.profiles.as_of(job.due)
+        )
         return _Outcome(
             used, built, report, metrics.snapshot()["counters"],
             time.perf_counter() - started,
@@ -622,6 +621,7 @@ class RecommendationService:
         job = _Handoff(
             self.config.rebuild_strategy,
             self._clock + ADOPTION_LAG * self.config.rebuild_interval,
+            self.profiles.log_end,
         )
         job.start(self)
         self._job = job
@@ -638,16 +638,16 @@ class RecommendationService:
         when there is none (the fork or the child failed), runs the job
         in-process on the state it would have read.  Then, as a rebuild
         does: its counters land, the dirt up to its due event is consumed
-        and the retweets held since become dirt for the next run, warm
-        state is invalidated by its report, and the engine is rebuilt
-        over the graph.
+        (the retweets since stay dirt for the next run), warm state is
+        invalidated by its report, and the engine is rebuilt over the
+        graph.
         """
         started = time.perf_counter()
         job = self._job
         outcome = job.collect(self.metrics)
         if outcome is None:
             self.metrics.counter("maintenance.child_failures", timing=True).inc()
-            outcome = self._lagged_job(job.strategy)
+            outcome = self._lagged_job(job)
         self._job = None
         for name, value in outcome.counters.items():
             self.metrics.counter(name).inc(value)
@@ -655,7 +655,7 @@ class RecommendationService:
             self.metrics.gauge(
                 "maintenance.child_peak_rss_mb", timing=True
             ).set(outcome.peak_rss_mb)
-        self._refresh(outcome, lagged=job.lagged)
+        self._refresh(outcome, upto=job.due)
         # Reaped after the graph is in place: the child's exit overlaps
         # the adoption above.
         job.release()
@@ -665,18 +665,16 @@ class RecommendationService:
         ).observe(time.perf_counter() - started)
 
     def _discard_maintenance(self) -> None:
-        """Drop the job in flight unadopted; the retweets it held reach
-        the profiles, and its dirt stays for the next run."""
+        """Drop the job in flight unadopted; its dirt stays for the next
+        run."""
         job, self._job = self._job, None
         job.release()
-        for user, tweet in job.lagged:
-            self.profiles.add(user, tweet)
         self.metrics.gauge("maintenance.in_flight").set(0)
 
-    def _refresh(
-        self, outcome: _Outcome, lagged: Sequence[tuple[int, int]] = ()
-    ) -> SimGraph:
-        """Install a finished job's graph; returns the graph held."""
+    def _refresh(self, outcome: _Outcome, upto: int | None = None) -> SimGraph:
+        """Install a finished job's graph, built from the profiles up to
+        log index ``upto`` (default: all of them); returns the graph
+        held."""
         used = outcome.used
         self.metrics.counter(f"service.rebuild[{used}]").inc()
         self.metrics.histogram(
@@ -684,10 +682,8 @@ class RecommendationService:
         ).observe(outcome.seconds)
         # Dirt consumed: either strategy has now seen the accumulated
         # profile changes and follow additions.
-        self.profiles.mark_clean()
+        self.profiles.mark_clean(upto)
         self.follow_graph.mark_clean()
-        for user, tweet in lagged:
-            self.profiles.add(user, tweet)
         self._invalidate_warm(outcome.report)
         self._install(outcome.built, report=outcome.report)
         self.stats.rebuilds += 1
@@ -752,11 +748,10 @@ class RecommendationService:
         if report.noop:
             return
         tweets = self._warm.tweets()
-        seeds = [self._retweeters(tweet) for tweet in tweets]
+        seeds = [self.profiles.retweeters_array(tweet) for tweet in tweets]
         owner = np.repeat(np.arange(len(tweets)), [len(ids) for ids in seeds])
         hit = np.isin(
-            np.fromiter(chain.from_iterable(seeds), dtype=np.int64),
-            report.affected_users,
+            np.concatenate([_NO_USERS, *seeds]), report.affected_users
         )
         stale = [tweets[i] for i in np.unique(owner[hit]).tolist()]
         dropped = self._warm.invalidate_tweets(stale)
@@ -778,15 +773,22 @@ class RecommendationService:
         """Is ``user`` past notifying of ``tweet`` — already sharing it
         or already notified of it?"""
         known = self._known.get(tweet)
-        return known is not None and user in known
+        if known is None:
+            return user in self.profiles.retweeters(tweet)
+        return user in known
 
     def known_pairs(self) -> set[tuple[int, int]]:
         """Every ``(user, tweet)`` :meth:`knows` answers True for."""
-        return {
+        pairs = {
             (user, tweet)
             for tweet, known in self._known.items()
             for user in known.sorted().tolist()
         }
+        for tweet in self.profiles.tweets():
+            pairs.update(
+                (user, tweet) for user in self.profiles.retweeters(tweet)
+            )
+        return pairs
 
     def _refresh_health(self) -> None:
         """Mirror warm-cache and backlog state into stats and gauges.
@@ -866,38 +868,31 @@ class RecommendationService:
                 )
             ]
         released = self._seeded(tasks)
-        self._absorb(event)
+        self._absorb(event.user, event.tweet)
         return released
 
     def _seeded(self, tasks: list[PropagationTask]) -> list[Seeded]:
         """Pair each task with its seed set as of now: the tweet's
         retweeters plus the task's users."""
         return [
-            (task, self._retweeters(task.tweet).union(task.users))
+            (task, self.profiles.retweeters(task.tweet).union(task.users))
             for task in tasks
         ]
 
-    def _absorb(self, event: Retweet) -> None:
-        if self._job is None:
-            self.profiles.add(event.user, event.tweet)
-        else:
-            self._job.absorb(event.user, event.tweet)
-        self._known_of(event.tweet).add(event.user)
-
-    def _retweeters(self, tweet: int) -> frozenset[int]:
-        """Everyone who shared ``tweet``: the profiles' retweeters and,
-        while a maintenance job is in flight, those it holds."""
-        retweeters = self.profiles.retweeters(tweet)
-        if self._job is not None:
-            held = self._job.retweeters.get(tweet)
-            if held:
-                return retweeters.union(held)
-        return retweeters
+    def _absorb(self, user: int, tweet: int) -> None:
+        self.profiles.add(user, tweet)
+        known = self._known.get(tweet)
+        if known is not None:
+            known.add(user)
 
     def _known_of(self, tweet: int) -> _KnownUsers:
+        """The tweet's known users, seeded from its retweeters when it is
+        first posted or delivered; :meth:`_absorb` keeps it current."""
         known = self._known.get(tweet)
         if known is None:
-            known = self._known[tweet] = _KnownUsers()
+            known = self._known[tweet] = _KnownUsers(
+                self.profiles.retweeters_array(tweet).copy()
+            )
         return known
 
     def _score_tasks(self, released: list[Seeded]) -> list[Candidates]:
@@ -1123,7 +1118,7 @@ class RecommendationService:
             raise DatasetError(f"unknown tweet id {tweet}")
         self._tick(at)
         self.metrics.counter("service.warm_answers").inc()
-        self._absorb(Retweet(user=user, tweet=tweet, time=at))
+        self._absorb(user, tweet)
         state = self._warm.get(tweet, now=at)
         self._refresh_health()
         if state is None:
@@ -1160,20 +1155,21 @@ class RecommendationService:
     def _candidates(self, state, tweet: int) -> tuple[np.ndarray, np.ndarray]:
         """Recommendees of ``tweet`` in a fixpoint ``state``, by user."""
         return nonseed_candidates(
-            state, self._retweeters(tweet), self.config.min_score
+            state, self.profiles.retweeters(tweet), self.config.min_score
         )
 
     # ------------------------------------------------------------------
     # SimGraph and engine
     # ------------------------------------------------------------------
     def _apply_delta(
-        self, plan: DeltaPlan, metrics: MetricsRegistry
+        self, plan: DeltaPlan, metrics: MetricsRegistry, profiles: RetweetProfiles
     ) -> tuple[SimGraph, DeltaReport]:
-        """Rescore ``plan``'s region; return ``(built, report)``."""
+        """Rescore ``plan``'s region of ``profiles``; return ``(built,
+        report)``."""
         return apply_delta(
             self._simgraph,
             self.follow_graph,
-            self.profiles,
+            profiles,
             self._builder,
             plan=plan,
             metrics=metrics,
@@ -1240,7 +1236,7 @@ class RecommendationService:
         unknown = [t for t in tweet_ids if t not in self.tweets]
         if unknown:
             raise DatasetError(f"unknown tweet ids {unknown}")
-        seed_sets = [self._retweeters(t) for t in tweet_ids]
+        seed_sets = [self.profiles.retweeters(t) for t in tweet_ids]
         self._engine.propagate_many(
             seed_sets,
             popularities=[len(seeds) for seeds in seed_sets],

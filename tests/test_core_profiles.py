@@ -110,7 +110,7 @@ class TestReadOnlyViews:
 
 
 class TestFromArrays:
-    """The CSR-backed bulk path answers exactly like the dict path."""
+    """The bulk path answers exactly like pairs added one at a time."""
 
     PAIRS = [
         (1, 10), (1, 11), (2, 10), (2, 10),  # duplicate pair
@@ -118,12 +118,12 @@ class TestFromArrays:
     ]
 
     def _both(self):
-        dict_path = RetweetProfiles()
+        added = RetweetProfiles()
         for user, tweet in self.PAIRS:
-            dict_path.add(user, tweet)
+            added.add(user, tweet)
         users = np.array([p[0] for p in self.PAIRS])
         tweets = np.array([p[1] for p in self.PAIRS])
-        return dict_path, RetweetProfiles.from_arrays(users, tweets)
+        return added, RetweetProfiles.from_arrays(users, tweets)
 
     def test_queries_identical(self):
         ref, csr = self._both()

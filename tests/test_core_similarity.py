@@ -22,49 +22,49 @@ def profiles_from(pairs) -> RetweetProfiles:
 
 class TestSimilarity:
     def test_definition_3_1_by_hand(self):
-        # L1 = {a, b}, L2 = {a, c}; m(a) = 2 via both users.
-        profiles = profiles_from([(1, "a"), (1, "b"), (2, "a"), (2, "c")])
+        # L1 = {100, 101}, L2 = {100, 102}; m(100) = 2 via both users.
+        profiles = profiles_from([(1, 100), (1, 101), (2, 100), (2, 102)])
         expected = (1.0 / math.log(3)) / 3  # one common tweet, union of 3
         assert similarity(profiles, 1, 2) == pytest.approx(expected)
 
     def test_symmetry(self):
-        profiles = profiles_from([(1, "a"), (1, "b"), (2, "a")])
+        profiles = profiles_from([(1, 100), (1, 101), (2, 100)])
         assert similarity(profiles, 1, 2) == similarity(profiles, 2, 1)
 
     def test_self_similarity_zero(self):
-        profiles = profiles_from([(1, "a")])
+        profiles = profiles_from([(1, 100)])
         assert similarity(profiles, 1, 1) == 0.0
 
     def test_disjoint_profiles_zero(self):
-        profiles = profiles_from([(1, "a"), (2, "b")])
+        profiles = profiles_from([(1, 100), (2, 101)])
         assert similarity(profiles, 1, 2) == 0.0
 
     def test_empty_profile_zero(self):
-        profiles = profiles_from([(1, "a")])
+        profiles = profiles_from([(1, 100)])
         assert similarity(profiles, 1, 99) == 0.0
 
     def test_identical_profiles_maximal(self):
         profiles = profiles_from(
-            [(1, "a"), (1, "b"), (2, "a"), (2, "b"), (3, "a"), (3, "c")]
+            [(1, 100), (1, 101), (2, 100), (2, 101), (3, 100), (3, 102)]
         )
         assert similarity(profiles, 1, 2) > similarity(profiles, 1, 3)
 
     def test_popular_common_tweet_weighs_less(self):
         # Pair (1,2) shares a niche tweet; pair (3,4) shares a viral one.
-        pairs = [(1, "niche"), (2, "niche")]
-        pairs += [(u, "viral") for u in range(3, 40)]
+        pairs = [(1, 200), (2, 200)]
+        pairs += [(u, 201) for u in range(3, 40)]
         profiles = profiles_from(pairs)
         assert similarity(profiles, 1, 2) > similarity(profiles, 3, 4)
 
     def test_bounded_below_one(self):
-        profiles = profiles_from([(1, "a"), (2, "a")])
+        profiles = profiles_from([(1, 100), (2, 100)])
         assert 0.0 < similarity(profiles, 1, 2) < 1.0
 
 
 class TestSimilaritiesFrom:
     def test_matches_pairwise_calls(self):
         profiles = profiles_from(
-            [(1, "a"), (1, "b"), (2, "a"), (3, "b"), (3, "c"), (4, "z")]
+            [(1, 100), (1, 101), (2, 100), (3, 101), (3, 102), (4, 125)]
         )
         scores = similarities_from(profiles, 1)
         assert set(scores) == {2, 3}
@@ -72,33 +72,33 @@ class TestSimilaritiesFrom:
             assert score == pytest.approx(similarity(profiles, 1, v))
 
     def test_candidate_restriction(self):
-        profiles = profiles_from([(1, "a"), (2, "a"), (3, "a")])
+        profiles = profiles_from([(1, 100), (2, 100), (3, 100)])
         scores = similarities_from(profiles, 1, candidates={2})
         assert set(scores) == {2}
 
     def test_empty_profile_empty_result(self):
-        profiles = profiles_from([(1, "a")])
+        profiles = profiles_from([(1, 100)])
         assert similarities_from(profiles, 99) == {}
 
     def test_excludes_self(self):
-        profiles = profiles_from([(1, "a"), (2, "a")])
+        profiles = profiles_from([(1, 100), (2, 100)])
         assert 1 not in similarities_from(profiles, 1)
 
 
 class TestPairwiseSimilarities:
     def test_canonical_ordering(self):
-        profiles = profiles_from([(1, "a"), (2, "a"), (3, "a")])
+        profiles = profiles_from([(1, 100), (2, 100), (3, 100)])
         scores = pairwise_similarities(profiles)
         assert set(scores) == {(1, 2), (1, 3), (2, 3)}
 
     def test_restricted_pool(self):
-        profiles = profiles_from([(1, "a"), (2, "a"), (3, "a")])
+        profiles = profiles_from([(1, 100), (2, 100), (3, 100)])
         scores = pairwise_similarities(profiles, users=[1, 2])
         assert set(scores) == {(1, 2)}
 
     def test_values_match_direct(self):
         profiles = profiles_from(
-            [(1, "a"), (1, "b"), (2, "a"), (2, "c"), (3, "b")]
+            [(1, 100), (1, 101), (2, 100), (2, 102), (3, 101)]
         )
         for (u, v), score in pairwise_similarities(profiles).items():
             assert score == pytest.approx(similarity(profiles, u, v))
@@ -119,7 +119,7 @@ class TestPairwiseSimilarities:
 
         monkeypatch.setattr(module, "similarities_from", recording)
         profiles = profiles_from(
-            [(1, "a"), (2, "a"), (3, "a"), (4, "a"), (5, "b")]
+            [(1, 100), (2, 100), (3, 100), (4, 100), (5, 101)]
         )
         scores = module.pairwise_similarities(profiles)
         assert set(scores) == {(u, v) for u in range(1, 5) for v in range(u + 1, 5)}

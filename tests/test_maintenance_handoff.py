@@ -110,6 +110,12 @@ def counters(service) -> dict:
     return service.metrics_snapshot()["counters"]
 
 
+def held(service, job) -> list[tuple[int, int]]:
+    """The pairs the profiles absorbed from the job's due event on."""
+    users, tweets = service.profiles.log_pairs(job.due)
+    return list(zip(users.tolist(), tweets.tolist()))
+
+
 def job_in_flight(service):
     """Replay the stream until a job is in flight; the events left."""
     events = stream()
@@ -161,10 +167,10 @@ def test_lagged_graph_is_the_due_events():
     from-scratch build of the profiles as they stood then."""
     service = booted("csr", "from scratch")
     rest = job_in_flight(service)
-    expected = SimGraphBuilder(tau=service.config.tau).build(
-        service.follow_graph, service.profiles
-    )
     job = service._job
+    expected = SimGraphBuilder(tau=service.config.tau).build(
+        service.follow_graph, service.profiles.as_of(job.due)
+    )
     for event in rest:
         service.retweet(*event)
         if service._job is not job:
@@ -238,12 +244,12 @@ def test_explicit_rebuild_adopts_the_job_first():
     service = booted("csr", "delta")
     job_in_flight(service)
     job, rebuilds = service._job, service.stats.rebuilds
-    held = list(job.lagged)
+    absorbed = held(service, job)
     graph = service.rebuild("from scratch")
     assert service._job is None
     assert service.stats.rebuilds == rebuilds + 2
     assert not service.profiles.has_dirty
-    for user, tweet in held:
+    for user, tweet in absorbed:
         assert user in service.profiles.retweeters(tweet)
     expected = SimGraphBuilder(tau=service.config.tau).build(
         service.follow_graph, service.profiles
@@ -257,14 +263,14 @@ def test_load_snapshot_discards_the_job(tmp_path):
     path = save_simgraph(service.simgraph, tmp_path / "graph.simgraph", format=2)
     rest = job_in_flight(service)
     service.retweet(*rest[0])
-    held = list(service._job.lagged)
-    assert held
+    absorbed = held(service, service._job)
+    assert absorbed
     rebuilds = service.stats.rebuilds
     service.load_snapshot(path)
     assert service._job is None
     assert service.stats.rebuilds == rebuilds + 1
     assert not multiprocessing.active_children()
-    for user, tweet in held:
+    for user, tweet in absorbed:
         assert user in service.profiles.retweeters(tweet)
     assert counters(service).get("service.rebuild[delta]", 0) == rebuilds - 1
     assert service.metrics_snapshot()["gauges"]["maintenance.in_flight"] == 0
@@ -277,13 +283,14 @@ def test_close_discards_the_job_and_the_service_goes_on():
     job = service._job
     workdir = job._workdir
     due_dirt = service.profiles.dirty_users
+    absorbed = held(service, job)
     service.close()
     assert service._job is None
     assert not os.path.exists(workdir)
     assert not multiprocessing.active_children()
-    # Nothing is lost: the job's dirt and the held retweets wait for
-    # the next maintenance.
-    assert service.profiles.dirty_users >= due_dirt | {u for u, _ in job.lagged}
+    # Nothing is lost: the job's dirt and the retweets since its due
+    # event wait for the next maintenance.
+    assert service.profiles.dirty_users >= due_dirt | {u for u, _ in absorbed}
     rebuilds = service.stats.rebuilds
     for event in rest[1:]:
         service.retweet(*event)

@@ -36,8 +36,8 @@ def profiles_from(pairs) -> RetweetProfiles:
 def shared_profiles() -> RetweetProfiles:
     """Five users with overlapping profiles over six tweets."""
     return profiles_from(
-        [(1, "a"), (1, "b"), (2, "a"), (2, "c"), (3, "b"), (3, "c"),
-         (4, "d"), (5, "a"), (5, "b"), (5, "e")]
+        [(1, 100), (1, 101), (2, 100), (2, 102), (3, 101), (3, 102),
+         (4, 103), (5, 100), (5, 101), (5, 104)]
     )
 
 
