@@ -24,7 +24,7 @@ def test_ablation_topic_merging(benchmark, bench_dataset, bench_split,
 
     def small_user_degree(graph):
         thin = [
-            u for u in graph.users()
+            u for u in graph.users.tolist()
             if bench_profiles.profile_size(u) < 5
         ]
         if not thin:

@@ -51,7 +51,6 @@ unless ``--out`` is given.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import resource
 import subprocess
@@ -140,7 +139,6 @@ def measure(
 
     import repro.core.delta as delta_module
     import repro.service.engine as engine_module
-    from repro.core.csr import CSRSimGraph
 
     if mode == "handoff" and not hasattr(engine_module, "ADOPTION_LAG"):
         return None
@@ -217,7 +215,7 @@ def measure(
     }
     if mode == "main" and not memory:
         row["weights_only_refresh_ms"] = weights_only_refresh(
-            CSRSimGraph, service.simgraph, sorted(report.changed_users)
+            service.simgraph, sorted(report.changed_users)
         )
     return row
 
@@ -276,27 +274,18 @@ def handoff(service, requests: list) -> dict:
     }
 
 
-def weights_only_refresh(csr_class, simgraph, changed: list[int]) -> dict:
-    """Splicing the real run's changed rows into the compiled graph of
-    the refreshed one (best of three): given the rows as arrays (row
-    ids, lengths, targets, weights), or on an older checkout as a
-    mapping, or, older still, as the dict graph they are read from."""
-    compiled = (
-        simgraph.csr() if hasattr(simgraph, "csr")
-        else csr_class.from_simgraph(simgraph)
-    )
-    parameters = inspect.signature(compiled.splice).parameters
-    if "lengths" in parameters:
-        from repro.core.csr import gather_ranges
+def weights_only_refresh(simgraph, changed: list[int]) -> dict:
+    """Splicing the real run's changed rows, as arrays (row ids,
+    lengths, targets, weights), into the refreshed graph (best of
+    three) — into its compiled form on a checkout that still keeps one
+    beside the graph, as ``_csr``."""
+    from repro.core.csr import gather_ranges
 
-        rows = np.asarray(changed, dtype=np.int64)
-        flat, lengths = gather_ranges(compiled.inf_indptr, compiled.positions(rows)[0])
-        targets = compiled.users[compiled.inf_indices[flat]]
-        args = (rows, lengths, targets, compiled.inf_weights[flat])
-    elif "rows" in parameters:
-        args = (compiled.rows(changed),)
-    else:
-        args = (simgraph, changed)
+    compiled = getattr(simgraph, "_csr", None) or simgraph
+    rows = np.asarray(changed, dtype=np.int64)
+    flat, lengths = gather_ranges(compiled.inf_indptr, compiled.positions(rows)[0])
+    targets = compiled.users[compiled.inf_indices[flat]]
+    args = (rows, lengths, targets, compiled.inf_weights[flat])
     best = float("inf")
     for _ in range(3):
         started = time.perf_counter()

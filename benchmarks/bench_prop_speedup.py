@@ -193,7 +193,7 @@ def _one_more_retweet(label, simgraph):
     size (the whole list on a corpus too small for it).
     """
     engine = CSRPropagationEngine(simgraph, threshold=DynamicThreshold())
-    users = sorted(simgraph.users())
+    users = sorted(simgraph.users.tolist())
     rows = []
     for target in STATE_SIZES:
         count, most = 1, len(users) - CASE_REPEATS

@@ -138,10 +138,10 @@ def _run_tier(n_users, max_tweets, discovery, tmp_path):
     ][:16]
     if seeds:
         results_m = make_propagation_engine(
-            mapped, prop_backend="csr", csr=mapped.csr()
+            mapped, prop_backend="csr"
         ).propagate_many(seeds)
         results_e = make_propagation_engine(
-            eager, prop_backend="csr", csr=eager.csr()
+            eager, prop_backend="csr"
         ).propagate_many(seeds)
         for rm, re_ in zip(results_m, results_e):
             assert rm.probabilities == re_.probabilities

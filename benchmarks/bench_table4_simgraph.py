@@ -17,7 +17,7 @@ def test_table4_simgraph_characteristics(
     benchmark, bench_dataset, bench_profiles, sparse_simgraph, emit
 ):
     builder = SimGraphBuilder(tau=0.001)
-    users = sorted(sparse_simgraph.users())[:50]
+    users = sorted(sparse_simgraph.users.tolist())[:50]
 
     def per_user_init():
         builder.build(bench_dataset.follow_graph, bench_profiles, users=users)

@@ -54,7 +54,7 @@ def main() -> None:
     def low_activity_edges(graph):
         """Mean out-degree among users with < 5 train retweets."""
         thin = [
-            u for u in graph.users()
+            u for u in graph.users.tolist()
             if raw_profiles.profile_size(u) < 5
         ]
         if not thin:

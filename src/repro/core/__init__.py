@@ -4,7 +4,6 @@ postponed scheduling, the end-to-end recommender and the incremental
 maintenance strategies."""
 
 from repro.core.coldstart import ColdStartAugmenter
-from repro.core.csr import CSRSimGraph
 from repro.core.delta import (
     DeltaPlan,
     DeltaReport,
@@ -47,7 +46,6 @@ from repro.core.warmcache import WarmStateCache
 
 __all__ = [
     "CSRPropagationEngine",
-    "CSRSimGraph",
     "CSRWarmState",
     "ColdStartAugmenter",
     "DEFAULT_TAU",

@@ -39,12 +39,12 @@ candidates.  Everything else is carried over untouched.
 The whole run works on arrays, the matrix view of the graph (ten Thij et
 al., PAPERS.md): the plan's (dirty core user, fringe user) pairs are two
 aligned sorted id arrays, the old rows it compares and patches are
-gathered slices of the compiled graph
-(:class:`~repro.core.csr.CSRSimGraph`), the fringe surgery is a handful
-of key lookups over the attention pairs, and
-:meth:`~repro.core.csr.CSRSimGraph.splice` takes the changed rows as
-arrays and block-copies the rest into the refreshed graph — no dict
-SimGraph, no row dict, no per-pair Python object is built.
+gathered slices of the old :class:`~repro.core.simgraph.SimGraph`'s CSR
+arrays, the fringe surgery is a handful of key lookups over the
+attention pairs, and :meth:`~repro.core.simgraph.SimGraph.splice` takes
+the changed rows as arrays and block-copies the rest into the refreshed
+graph — no dict SimGraph, no row dict, no per-pair Python object is
+built.
 
 Fringe pair scores are computed from the core side (``sim`` is
 symmetric), so the whole run scores the core users' rows over the
@@ -81,7 +81,7 @@ surgery this module once ran (kept as the oracle in
   core rows by ascending id (the row's user, then its new targets in
   row order), then the fringe's new edges by ascending core id.
 
-The compiled CSR preserves row order, the propagation kernel's segment
+The SimGraph's CSR preserves row order, the propagation kernel's segment
 sums depend on it, and so does the end-to-end ledger's delivery digest:
 never sort a Gram here.
 """
@@ -94,7 +94,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 import numpy as np
 from scipy import sparse
 
-from repro.core.csr import CSRSimGraph, gather_ranges, lookup
+from repro.core.csr import gather_ranges, lookup
 from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.core.simmatrix import (
@@ -193,7 +193,7 @@ class DeltaReport:
       edge set or weights really moved (a superset check may rescore a
       pair back to its old value), over ``edges_added`` /
       ``edges_removed`` edges.  This is what the maintenance *cost* the
-      graph; compiled CSR state is spliced from exactly these rows.
+      graph; the refreshed SimGraph is spliced from exactly these rows.
 
     ``changed_users`` and ``affected_users`` (core ∪ fringe) are sorted
     ``int64`` id arrays.  ``topology_changed`` is True when any row
@@ -388,8 +388,7 @@ def apply_delta(
 
     Returns ``(refreshed, report)``.  With an empty delta the *same*
     graph object is returned and the report is a no-op.  Otherwise
-    ``refreshed`` is the :class:`SimGraph` over the arrays
-    :meth:`~repro.core.csr.CSRSimGraph.splice` made from ``old.csr()``,
+    ``refreshed`` is ``old``'s :meth:`~repro.core.simgraph.SimGraph.splice`,
     and its edges are identical to ``builder.build(exploration_graph,
     profiles)`` — a full from-scratch rebuild — with weights equal up
     to last-ulp float round-off on patched fringe pairs (see module
@@ -415,16 +414,15 @@ def apply_delta(
         core = np.union1d(core, fringe)
         fringe = pair_core = pair_fringe = _NO_IDS
     metrics.counter("maintenance.affected_users").inc(len(core) + len(fringe))
-    compiled = old.csr()
 
     with metrics.span("maintenance.delta"):
         # The surgery's working set dies with its frame, so the splice
         # allocates the refreshed arrays beside its input alone.
         edit = _surgery(
-            compiled, graph, profiles, builder, plan, core, fringe,
+            old, graph, profiles, builder, plan, core, fringe,
             pair_core, pair_fringe,
         )
-        spliced = compiled.splice(
+        spliced = old.splice(
             *edit.rows, removed=edit.removed, appended=edit.appended
         )
 
@@ -448,7 +446,7 @@ def apply_delta(
     ):
         metrics.counter(f"maintenance.{name}").inc(getattr(report, name))
     metrics.counter("maintenance.rows_changed").inc(len(edit.changed))
-    return SimGraph.from_csr(spliced, old.tau), report
+    return spliced, report
 
 
 class _Edit(NamedTuple):
@@ -475,15 +473,15 @@ class _FringeEdit(NamedTuple):
     created: np.ndarray
 
 
-def _old_rows(compiled: CSRSimGraph, users: np.ndarray) -> _Edges:
-    """The compiled rows of ``users`` (ids; one the graph does not hold
+def _old_rows(simgraph: SimGraph, users: np.ndarray) -> _Edges:
+    """The rows of ``users`` (ids; one the graph does not hold
     has none), in the order given."""
-    at, held = compiled.positions(users)
-    flat, lengths = gather_ranges(compiled.inf_indptr, at[held])
+    at, held = simgraph.positions(users)
+    flat, lengths = gather_ranges(simgraph.inf_indptr, at[held])
     return _Edges(
         users[held].repeat(lengths),
-        compiled.users[compiled.inf_indices[flat]],
-        compiled.inf_weights[flat],
+        simgraph.users[simgraph.inf_indices[flat]],
+        simgraph.inf_weights[flat],
     )
 
 
@@ -496,7 +494,7 @@ def _count(values: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 
 def _surgery(
-    compiled: CSRSimGraph,
+    simgraph: SimGraph,
     graph: FollowGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
@@ -516,7 +514,7 @@ def _surgery(
         core, graph, profiles, builder, pair_core, pair_fringe
     )
     n = len(core)
-    old = _old_rows(compiled, core)
+    old = _old_rows(simgraph, core)
     old_row = np.searchsorted(core, old.users)
     new_row = np.searchsorted(core, new.users)
     # One key per (row, target) edge, shared by the old and new rows.
@@ -558,7 +556,7 @@ def _surgery(
 
     if len(pair_core):
         edit = _fringe_surgery(
-            compiled, graph, builder.tau, plan, fringe, pair_core,
+            simgraph, graph, builder.tau, plan, fringe, pair_core,
             pair_fringe, scores,
         )
         written.append((edit.users, edit.lengths, edit.rows))
@@ -572,20 +570,20 @@ def _surgery(
 
     # A from-scratch build holds exactly the endpoints of kept edges;
     # drop any node the surgery left with no edge at all (an appended
-    # node ends an edge, so only compiled ones can go).
+    # node ends an edge, so only old ones can go).
     users = np.concatenate([part[0] for part in written])
     lengths = np.concatenate([part[1] for part in written])
     gained, dropped = np.concatenate(gained), np.concatenate(dropped)
     candidates = np.unique(np.concatenate(isolated))
-    at, held = compiled.positions(candidates)
+    at, held = simgraph.positions(candidates)
     candidates, at = candidates[held], at[held]
-    out_degree = compiled.inf_counts[at].copy()
+    out_degree = simgraph.inf_counts[at].copy()
     row, rewritten = lookup(users, candidates)
     out_degree[rewritten] = lengths[row[rewritten]]
     degree = (
         out_degree
-        + compiled.out_indptr[at + 1]
-        - compiled.out_indptr[at]
+        + simgraph.out_indptr[at + 1]
+        - simgraph.out_indptr[at]
         + _count(gained, candidates)
         - _count(dropped, candidates)
     )
@@ -593,7 +591,7 @@ def _surgery(
     stays = ~np.isin(users, removed)
     edges = _Edges.concat(part[2] for part in written)
     created = np.concatenate(created)
-    created = created[~compiled.positions(created)[1]]
+    created = created[~simgraph.positions(created)[1]]
     _, first = np.unique(created, return_index=True)
     return _Edit(
         rows=(users[stays], lengths[stays], edges.targets, edges.weights),
@@ -608,7 +606,7 @@ def _surgery(
 
 
 def _fringe_surgery(
-    compiled: CSRSimGraph,
+    simgraph: SimGraph,
     graph: FollowGraph,
     tau: float,
     plan: DeltaPlan,
@@ -633,10 +631,10 @@ def _fringe_surgery(
         fringe, scores.targets
     )
     dirty = np.unique(pair_core)
-    at, held = compiled.positions(dirty)
-    flat, counts = gather_ranges(compiled.out_indptr, at[held])
+    at, held = simgraph.positions(dirty)
+    flat, counts = gather_ranges(simgraph.out_indptr, at[held])
     rank, inside = lookup(
-        fringe, compiled.users[compiled.out_indices[flat]], np.arange(width)
+        fringe, simgraph.users[simgraph.out_indices[flat]], np.arange(width)
     )
     carried = np.searchsorted(core, dirty[held].repeat(counts)[inside])
     carried = carried * width + rank[inside]
@@ -650,7 +648,7 @@ def _fringe_surgery(
 
     # The old rows of the users paid attention to, keyed the same way
     # where an edge ends at a core user.
-    old = _old_rows(compiled, fringe[np.unique(u_rank)])
+    old = _old_rows(simgraph, fringe[np.unique(u_rank)])
     target, in_core = lookup(core, old.targets, np.arange(len(core)))
     old_key = np.where(
         in_core, target * width + np.searchsorted(fringe, old.users), -1
@@ -686,13 +684,13 @@ def _fringe_surgery(
         added=added,
         dropped=_Edges(fringe[u_rank[drop]], core[w_rank[drop]], score[drop]),
         created=_created_by_fringe(
-            compiled, graph, plan, scores, added, w_rank[add]
+            simgraph, graph, plan, scores, added, w_rank[add]
         ),
     )
 
 
 def _created_by_fringe(
-    compiled: CSRSimGraph,
+    simgraph: SimGraph,
     graph: FollowGraph,
     plan: DeltaPlan,
     scores: _Edges,
@@ -709,8 +707,8 @@ def _created_by_fringe(
     more; for those few users the set is rebuilt the way it was built.
     """
     position = np.arange(len(group))
-    fresh_u = ~compiled.positions(added.users)[1]
-    fresh_w = ~compiled.positions(added.targets)[1]
+    fresh_u = ~simgraph.positions(added.users)[1]
+    fresh_w = ~simgraph.positions(added.targets)[1]
     size = int(group.max()) + 1 if len(group) else 0
     edges_of = np.bincount(group, minlength=size)
     nodes_of = np.bincount(group, weights=fresh_u, minlength=size)
@@ -728,7 +726,7 @@ def _created_by_fringe(
                 graph.ids[found[lo:hi]].tolist(),
                 core,
                 scores.targets[slo:shi].tolist(),
-                compiled.influenced(w),
+                simgraph.influenced(w),
             )
             at = np.flatnonzero(group == g)
             rank = {u: i for i, u in enumerate(visit)}
@@ -738,7 +736,8 @@ def _created_by_fringe(
 
 
 def _near_order(
-    reached: list[int], core: set[int], scored: list[int], influenced: list[int]
+    reached: list[int], core: set[int], scored: list[int],
+    influenced: tuple[int, ...],
 ) -> list[int]:
     """The set of fringe users the dict surgery paid attention to for
     one dirty user, built by the operations it used, in iteration order:

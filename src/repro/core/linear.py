@@ -59,7 +59,7 @@ class LinearSystem:
     def __init__(self, simgraph: SimGraph, metrics: MetricsRegistry | None = None):
         self.simgraph = simgraph
         self.metrics = metrics if metrics is not None else NULL
-        self._users = sorted(simgraph.users())
+        self._users = sorted(simgraph.users.tolist())
         self._index = {user: i for i, user in enumerate(self._users)}
         n = len(self._users)
         rows: list[int] = []

@@ -5,19 +5,18 @@
 "stop propagating for any following iteration" rule (§5.4), same
 tolerance stop test, same :class:`PropagationResult` — but every
 iteration is a handful of numpy gathers and segment sums over a
-:class:`~repro.core.csr.CSRSimGraph` instead of a Python loop over one
-user's row at a time.  Per-row influencer order is preserved by the
-compilation and the segment sums accumulate in that order (in-order
-``bincount``, never pairwise summation), so results are bit-identical
-to the reference engine; ``tests/test_propagation_differential.py``
-pins both together.
+:class:`~repro.core.simgraph.SimGraph`'s CSR arrays instead of a Python
+loop over one user's row at a time.  The segment sums accumulate each
+row's influencers in edge order (in-order ``bincount``, never pairwise
+summation), so results are bit-identical to the reference engine;
+``tests/test_propagation_differential.py`` pins both together.
 
 There is one kernel, and a task costs time and memory in proportion to
 the users it *touches* (warm entries, seeds, updated users), not to the
 graph: probabilities and masks live in engine-owned scratch that each
 task resets by index, and ``propagate_many`` runs that kernel per task.
 :meth:`CSRPropagationEngine.take_state` returns a :class:`CSRWarmState`
-(member positions + values over the compiled index) that feeds the next
+(member positions + values over the graph's index) that feeds the next
 ``initial=`` without rebuilding a probability dict; the
 :class:`~repro.core.warmcache.WarmStateCache` stores these.
 
@@ -35,7 +34,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.csr import CSRSimGraph, gather_ranges
+from repro.core.csr import gather_ranges
 from repro.core.propagation import PropagationEngine, PropagationResult
 from repro.core.simgraph import SimGraph
 from repro.core.thresholds import NoThreshold, ThresholdPolicy
@@ -57,19 +56,20 @@ PROP_BACKENDS = ("csr", "reference")
 
 
 class CSRWarmState:
-    """A propagation fixpoint in compiled form, with the seeds it was
+    """A propagation fixpoint in array form, with the seeds it was
     pinned with.
 
-    ``indices``/``values`` hold the result membership over the compiled
-    user index of ``graph``; ``extra`` holds the (rare) members outside
-    the similarity graph — seeds and carried warm entries the graph
-    never saw.  Passing one of these as ``initial=`` is exactly
-    equivalent to passing the corresponding ``result.probabilities``
-    dict, minus the dict round-trip.
+    ``indices``/``values`` hold the result membership over the user
+    index of ``graph``, the :class:`SimGraph` it was computed on;
+    ``extra`` holds the (rare) members outside the similarity graph —
+    seeds and carried warm entries the graph never saw.  Passing one of
+    these as ``initial=`` is exactly equivalent to passing the
+    corresponding ``result.probabilities`` dict, minus the dict
+    round-trip.
 
     ``seeds`` / ``seed_idx`` are what the engine adds to the states it
-    emits: the seed set of the task and the compiled positions of the
-    seeds inside the graph.  They assert that every seed is a member at
+    emits: the seed set of the task and the positions of the seeds
+    inside the graph.  They assert that every seed is a member at
     exactly 1.0, which lets the next task of the tweet look up only the
     seeds it *adds* (and re-emit this fixpoint untouched when none of
     them is in the graph).  A hand-built state leaves them ``None`` and
@@ -86,7 +86,7 @@ class CSRWarmState:
 
     def __init__(
         self,
-        graph: CSRSimGraph,
+        graph: SimGraph,
         indices: np.ndarray,
         values: np.ndarray,
         extra: Mapping[int, float],
@@ -148,8 +148,8 @@ class CSRWarmState:
             state._candidates = self._candidates
         return state
 
-    def on(self, graph: CSRSimGraph) -> "CSRWarmState":
-        """This fixpoint over ``graph``, a compiled graph that gives every
+    def on(self, graph: SimGraph) -> "CSRWarmState":
+        """This fixpoint over ``graph``, a graph that gives every
         node the position this state's graph gives it (the result of a
         delta that changed weights only): same arrays, same seeds."""
         state = CSRWarmState(
@@ -257,9 +257,8 @@ class CSRPropagationEngine:
     """Algorithm 1 compiled to flat arrays (drop-in for the reference).
 
     Parameters mirror :class:`~repro.core.propagation.PropagationEngine`
-    exactly; ``csr`` optionally injects an already-compiled
-    :class:`CSRSimGraph` (e.g. the one a delta rebuild spliced at
-    maintenance time) so construction skips recompilation.
+    exactly.  Construction compiles ``simgraph`` (its id index and
+    transpose, built once per graph), so no task pays for that.
 
     The engine owns three ``n``-sized scratch arrays (probabilities,
     seed mask, mute mask), allocated once and all-zero between tasks: a
@@ -276,7 +275,6 @@ class CSRPropagationEngine:
         tolerance: float = 1e-10,
         max_iterations: int = 200,
         metrics: MetricsRegistry | None = None,
-        csr: CSRSimGraph | None = None,
     ):
         if tolerance < 0:
             raise ValueError(f"tolerance must be non-negative, got {tolerance}")
@@ -289,8 +287,10 @@ class CSRPropagationEngine:
         self.tolerance = tolerance
         self.max_iterations = max_iterations
         self.metrics = metrics if metrics is not None else NULL
-        self.csr = csr if csr is not None else simgraph.csr()
-        n = self.csr.node_count
+        # Compile here, so that no task pays for it: the reads build
+        # the index and the transpose (once per graph).
+        simgraph.index, simgraph.out_indptr, simgraph.out_indices
+        n = simgraph.node_count
         self._p = np.zeros(n, dtype=np.float64)
         self._seed_mask = np.zeros(n, dtype=bool)
         self._muted = np.zeros(n, dtype=bool)
@@ -382,7 +382,7 @@ class CSRPropagationEngine:
         if isinstance(initial, CSRWarmState):
             warm_idx, warm_val, off = initial.indices, initial.values, initial.extra
         else:
-            index = self.csr.index
+            index = self.simgraph.index
             inside = {index[u]: v for u, v in initial.items() if u in index}
             off = {u: v for u, v in initial.items() if u not in index}
             warm_idx = np.fromiter(inside, dtype=np.int64, count=len(inside))
@@ -398,7 +398,7 @@ class CSRPropagationEngine:
     def _propagate(self, seeds, popularity, initial):
         """One task over the engine's scratch: ``(result, warm state)``."""
         metrics = self.metrics
-        csr = self.csr
+        graph = self.simgraph
         seed_set = frozenset(seeds)
         if None in seed_set:
             seed_set -= {None}
@@ -410,10 +410,10 @@ class CSRPropagationEngine:
         # is a member at 1.0 already, so only the added seeds are new.
         pinned = None
         if initial and isinstance(initial, CSRWarmState):
-            if initial.graph is not csr:
+            if initial.graph is not graph:
                 raise ValueError(
-                    "warm state was compiled against a different "
-                    "CSRSimGraph; cold-start or pass a mapping instead"
+                    "warm state was computed on a different "
+                    "SimGraph; cold-start or pass a mapping instead"
                 )
             if (
                 initial.seeds is not None
@@ -421,7 +421,7 @@ class CSRPropagationEngine:
                 and initial.all_positive()
             ):
                 pinned = initial
-        index = csr.index
+        index = graph.index
         new_pos: list[int] = []
         off_seeds: list[int] = []
         for s in seed_set if pinned is None else seed_set - pinned.seeds:
@@ -475,8 +475,8 @@ class CSRPropagationEngine:
                         break
                     iterations += 1
                     frontier_hist.observe(int(frontier.size))
-                    flat, _ = gather_ranges(csr.out_indptr, frontier)
-                    dirty = _sorted_unique(csr.out_indices[flat])
+                    flat, _ = gather_ranges(graph.out_indptr, frontier)
+                    dirty = _sorted_unique(graph.out_indices[flat])
                     if dirty.size:
                         dirty = dirty[~seed_mask[dirty]]
                     if dirty.size == 0:
@@ -488,10 +488,10 @@ class CSRPropagationEngine:
                     # same left-to-right sequential sum the reference runs,
                     # bit for bit (``np.add.reduceat`` switches to pairwise
                     # summation on long rows and drifts by ULPs).
-                    flat, lengths = gather_ranges(csr.inf_indptr, dirty)
+                    flat, lengths = gather_ranges(graph.inf_indptr, dirty)
                     sums = np.bincount(
                         np.arange(dirty.size).repeat(lengths),
-                        weights=csr.inf_weights[flat] * p[csr.inf_indices[flat]],
+                        weights=graph.inf_weights[flat] * p[graph.inf_indices[flat]],
                         minlength=dirty.size,
                     )
                     new_p = sums / lengths
@@ -518,7 +518,7 @@ class CSRPropagationEngine:
         # Frozen in place: the state would otherwise take views.
         idx.flags.writeable = values.flags.writeable = False
         seed_idx.flags.writeable = False
-        state = CSRWarmState(csr, idx, values, extra, seed_set, seed_idx)
+        state = CSRWarmState(graph, idx, values, extra, seed_set, seed_idx)
         return self._finish(state, iterations, updates, skips, converged)
 
     def _finish(self, state, iterations, updates, skips, converged):
@@ -541,14 +541,8 @@ def make_propagation_engine(
     tolerance: float = 1e-10,
     max_iterations: int = 200,
     metrics: MetricsRegistry | None = None,
-    csr: CSRSimGraph | None = None,
 ) -> PropagationEngine | CSRPropagationEngine:
-    """Construct the propagation engine for ``prop_backend``.
-
-    ``csr`` (meaningful for the ``csr`` backend only) reuses an
-    already-compiled structure, e.g. a memory-mapped snapshot's
-    zero-copy one or the splice a delta rebuild produced.
-    """
+    """Construct the propagation engine for ``prop_backend``."""
     shared = dict(
         threshold=threshold,
         tolerance=tolerance,
@@ -558,7 +552,7 @@ def make_propagation_engine(
     if prop_backend == "reference":
         return PropagationEngine(simgraph, **shared)
     if prop_backend == "csr":
-        return CSRPropagationEngine(simgraph, csr=csr, **shared)
+        return CSRPropagationEngine(simgraph, **shared)
     raise ValueError(
         f"unknown propagation backend {prop_backend!r}; "
         f"available: {', '.join(PROP_BACKENDS)}"

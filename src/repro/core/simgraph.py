@@ -18,11 +18,13 @@ follow graph.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from repro.core.csr import CSRSimGraph, gather_ranges
+from repro.core.csr import gather_ranges, lookup
 from repro.core.profiles import RetweetProfiles
 from repro.core.simmatrix import DEFAULT_CHUNK_SIZE, simgraph_edges
 from repro.graph.digraph import DiGraph
@@ -42,20 +44,28 @@ class SimGraph:
     """The similarity graph: nodes are users, edge u -> w weighs sim(u, w).
 
     ``F_u`` (:meth:`influencers`) is the out-neighbourhood of ``u``.  The
-    edges live in flat CSR sections: ``users`` (position -> user id),
-    ``indptr``, ``indices`` (influencer positions) and ``weights`` —
-    possibly ``np.memmap``-backed (:func:`repro.core.persistence.
-    load_simgraph`), so a million-edge graph "loads" in the time it
-    takes to parse a header.
+    graph is a sparse matrix held in both directions (ten Thij et al.,
+    arXiv:1502.00166), the one object both propagation engines and delta
+    maintenance read:
 
-    * membership and row queries (:meth:`influencers`,
-      :meth:`influenced`) read :meth:`csr`, the compiled
-      :class:`~repro.core.csr.CSRSimGraph` both propagation engines and
-      delta maintenance consume: it shares the arrays zero-copy, holds
-      the graph's one id index and the transpose that answers
-      :meth:`influenced`;
-    * :meth:`to_digraph` materializes a dict adjacency once, for the
-      offline Table 4 / Figure 5 / bubble analyses only.
+    * ``users`` — position -> user id, in node order; ``index`` is its
+      inverse;
+    * ``inf_indptr`` / ``inf_indices`` / ``inf_weights`` — the CSR rows
+      of the influencer direction (``F_u`` by position, in edge order, so
+      a segment sum over a row is bit-identical to the reference
+      engine's sequential ``sum``), and ``inf_counts`` = ``|F_u|``;
+    * ``out_indptr`` / ``out_indices`` — the transpose: row ``i`` holds
+      the positions of the users ``users[i]`` influences.
+
+    The sections may be ``np.memmap``-backed
+    (:func:`repro.core.persistence.load_simgraph`).  ``index`` and the
+    transpose are built on first read, once each: a graph that is built
+    and only saved never pays for them, and
+    :class:`~repro.core.propagation_csr.CSRPropagationEngine` builds them
+    at construction so no task does.  A graph is never modified;
+    maintenance makes a new one (:meth:`splice`).  :meth:`to_digraph`
+    materializes a dict adjacency once, for the offline Table 4 /
+    Figure 5 / bubble analyses only.
     """
 
     def __init__(
@@ -81,13 +91,17 @@ class SimGraph:
                 f"indptr must run from 0 to {len(indices)}, got "
                 f"{int(indptr[0])} to {int(indptr[-1])}"
             )
-        self._users = users
-        self._indptr = indptr
-        self._indices = indices
-        self._weights = weights
+        # Plain-ndarray views: over a memory-mapped snapshot the sections
+        # arrive as ``np.memmap``, whose every fancy index pays for
+        # ``memmap.__getitem__`` + ``__array_finalize__``.  A view is
+        # still zero-copy and still read-only when the file is.
+        self.users, self.inf_indptr, self.inf_indices, self.inf_weights = (
+            section.view(np.ndarray)
+            for section in (users, indptr, indices, weights)
+        )
+        self.inf_counts = np.diff(self.inf_indptr)
         self.tau = float(tau)
         self._digraph: DiGraph | None = None
-        self._csr: CSRSimGraph | None = None
 
     @classmethod
     def from_edges(
@@ -141,15 +155,48 @@ class SimGraph:
         np.cumsum(counts, out=indptr[1:])
         return cls(ids[order], indptr, cols, weights, tau)
 
-    @classmethod
-    def from_csr(cls, csr: CSRSimGraph, tau: float) -> "SimGraph":
-        """The SimGraph of an already compiled graph (its arrays and its
-        :meth:`csr`)."""
-        graph = cls(
-            csr.users, csr.inf_indptr, csr.inf_indices, csr.inf_weights, tau
+    # ------------------------------------------------------------------
+    # Compiled on first read
+    # ------------------------------------------------------------------
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """user id -> position."""
+        return dict(zip(self.users.tolist(), range(len(self.users))))
+
+    @cached_property
+    def out_indptr(self) -> np.ndarray:
+        """Row pointers of the influenced direction."""
+        return self._transpose[0]
+
+    @cached_property
+    def out_indices(self) -> np.ndarray:
+        """Row positions of the influenced direction."""
+        return self._transpose[1]
+
+    @cached_property
+    def _transpose(self) -> tuple[np.ndarray, np.ndarray]:
+        # Edge (row u -> influencer v) means "v influences u", so bucket
+        # edge rows by their target position.  The conversion is a
+        # counting sort that walks rows in order, so each bucket stays
+        # in edge order — a deterministic compile.
+        n = len(self.users)
+        transpose = sparse.csr_matrix(
+            (
+                np.ones(len(self.inf_indices), dtype=np.int8),
+                self.inf_indices,
+                self.inf_indptr,
+            ),
+            shape=(n, n),
+        ).tocsc()
+        return (
+            transpose.indptr.astype(np.int64, copy=False),
+            transpose.indices.astype(np.int64, copy=False),
         )
-        graph._csr = csr
-        return graph
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """The ascending argsort of :attr:`users`."""
+        return np.argsort(self.users, kind="stable")
 
     # ------------------------------------------------------------------
     # Structure
@@ -157,19 +204,21 @@ class SimGraph:
     @property
     def node_count(self) -> int:
         """Number of users present in the similarity graph."""
-        return len(self._users)
+        return len(self.users)
 
     @property
     def edge_count(self) -> int:
         """Number of similarity edges."""
-        return len(self._indices)
+        return len(self.inf_indices)
 
     def __contains__(self, user: int) -> bool:
-        return user in self.csr().index
+        return user in self.index
 
-    def users(self) -> Iterator[int]:
-        """All users present in the graph, in node order."""
-        return iter(self._users.tolist())
+    def positions(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, present)`` of the ids in ``users`` (an absent
+        id's position is meaningless): a binary search through a sort
+        of :attr:`users` made on first use."""
+        return lookup(self.users, users, self._order)
 
     def influencers(self, user: int) -> tuple[tuple[int, float], ...]:
         """F_u with similarity weights: the users who influence ``user``.
@@ -178,24 +227,26 @@ class SimGraph:
         iterate these in hot loops) can never mutate graph state through
         the return value.
         """
-        csr = self.csr()
-        i = csr.index.get(user)
+        i = self.index.get(user)
         if i is None:
             return ()
-        lo, hi = csr.inf_indptr[i : i + 2].tolist()
-        targets = csr.users[csr.inf_indices[lo:hi]].tolist()
-        return tuple(zip(targets, csr.inf_weights[lo:hi].tolist()))
+        lo, hi = self.inf_indptr[i : i + 2].tolist()
+        targets = self.users[self.inf_indices[lo:hi]].tolist()
+        return tuple(zip(targets, self.inf_weights[lo:hi].tolist()))
 
     def influencer_count(self, user: int) -> int:
         """|F_u|."""
-        csr = self.csr()
-        i = csr.index.get(user)
-        return 0 if i is None else int(csr.inf_counts[i])
+        i = self.index.get(user)
+        return 0 if i is None else int(self.inf_counts[i])
 
     def influenced(self, user: int) -> tuple[int, ...]:
         """Users that ``user`` influences (in-neighbours), as a snapshot
-        in ascending node position: the compiled transpose's row."""
-        return tuple(self.csr().influenced(user))
+        in ascending node position: the transpose's row."""
+        i = self.index.get(user)
+        if i is None:
+            return ()
+        lo, hi = self.out_indptr[i : i + 2].tolist()
+        return tuple(self.users[self.out_indices[lo:hi]].tolist())
 
     def similarity(self, u: int, v: int) -> float:
         """Stored edge weight sim(u, v); 0.0 when no edge exists."""
@@ -208,28 +259,106 @@ class SimGraph:
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(users, indptr, indices, weights)`` — the raw CSR sections."""
-        return self._users, self._indptr, self._indices, self._weights
+        return self.users, self.inf_indptr, self.inf_indices, self.inf_weights
 
-    def csr(self) -> CSRSimGraph:
-        """The compiled structure for the ``csr`` propagation backend.
+    # ------------------------------------------------------------------
+    # Maintenance
+    # ------------------------------------------------------------------
+    def splice(
+        self,
+        rows: np.ndarray,
+        lengths: np.ndarray,
+        targets: np.ndarray,
+        weights: np.ndarray,
+        removed: np.ndarray | Sequence[int] = (),
+        appended: np.ndarray | Sequence[int] = (),
+    ) -> "SimGraph":
+        """This graph with ``rows`` replaced, ``removed`` nodes dropped
+        and ``appended`` nodes added, at the same ``tau``.
 
-        Built lazily and cached; shares the underlying arrays zero-copy
-        (a memory-mapped snapshot stays on disk until rows are touched).
+        The new rows come as arrays: ``rows`` are distinct user ids, in
+        any order, and row ``rows[k]`` is the next ``lengths[k]`` entries
+        of ``targets`` (influencer ids) and ``weights``, in edge order
+        (any change: weights, edges added or removed, order); every
+        other row is kept.  A removed node must have no edge left in
+        either direction.  Surviving nodes keep their order and appended
+        ones follow, in the order given — the order a dict adjacency
+        gets from the same edits, whose node removal keeps the rest in
+        place and whose node creation appends.  A removed id this graph
+        does not hold, or a row or target id the result does not hold,
+        raises :class:`ValueError`.  Runs of unchanged rows are
+        block-copied to their new offsets (their targets remapped when a
+        node before them went); the result equals the SimGraph of the
+        edited graph array for array, and shares this one's index and
+        sort when no node changed.  This graph is only read (a
+        memory-mapped one included) and stays valid.
         """
-        if self._csr is None:
-            self._csr = CSRSimGraph(
-                self._users, self._indptr, self._indices, self._weights
-            )
-        return self._csr
+        rows = np.asarray(rows, dtype=np.int64)
+        appended = np.asarray(appended, dtype=np.int64)
+        removed = np.asarray(removed, dtype=np.int64)
+        n_old = len(self.users)
+        gone, held = self.positions(removed)
+        _check_held(removed, held, "removed id")
+        keep = np.ones(n_old, dtype=bool)
+        keep[gone] = False
+        remap = np.cumsum(keep) - 1 if len(gone) else None
+        if len(gone) or len(appended):
+            users = np.concatenate((self.users[keep], appended))
+            index, order = None, np.argsort(users, kind="stable")
+        else:
+            users, index, order = self.users, self.index, self._order
+        n = len(users)
+
+        at, held = lookup(users, rows, order)
+        _check_held(rows, held, "row")
+        counts = np.zeros(n, dtype=np.int64)
+        counts[: int(keep.sum())] = self.inf_counts[keep]
+        counts[at] = lengths
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(int(indptr[-1]), dtype=np.int64)
+        values = np.empty(len(indices), dtype=np.float64)
+
+        # Unchanged rows: the changed and removed ones cut the old row
+        # range into runs, and a run's edges are contiguous in old and
+        # new alike.
+        old_at, present = self.positions(rows)
+        cuts = np.union1d(old_at[present], gone)
+        first = np.concatenate(([0], cuts + 1))
+        last = np.concatenate((cuts, [n_old]))
+        source = self.inf_indptr[first]
+        sizes = self.inf_indptr[last] - source
+        moved = np.flatnonzero(sizes)
+        new_first = first[moved] if remap is None else remap[first[moved]]
+        old_indices, old_weights = self.inf_indices, self.inf_weights
+        for lo, size, to in zip(
+            source[moved].tolist(),
+            sizes[moved].tolist(),
+            indptr[new_first].tolist(),
+        ):
+            run = old_indices[lo : lo + size]
+            indices[to : to + size] = run if remap is None else remap[run]
+            values[to : to + size] = old_weights[lo : lo + size]
+        flat, _ = gather_ranges(indptr, at)
+        targets = np.asarray(targets, dtype=np.int64)
+        target_at, held = lookup(users, targets, order)
+        _check_held(targets, held, "target")
+        indices[flat] = target_at
+        values[flat] = weights
+        spliced = SimGraph(users, indptr, indices, values, self.tau)
+        spliced._order = order
+        if index is not None:
+            spliced.index = index
+        return spliced
 
     def to_digraph(self) -> DiGraph:
         """The dict-of-dict adjacency, in node and edge order: built on
         first call and cached, so callers must treat it as read-only."""
         if self._digraph is None:
             graph = DiGraph()
-            users = self._users.tolist()
+            users = self.users.tolist()
             graph.add_nodes(users)
-            indptr = self._indptr
+            indptr = self.inf_indptr
             for i, u in enumerate(users):
                 lo, hi = int(indptr[i]), int(indptr[i + 1])
                 if lo == hi:
@@ -239,8 +368,8 @@ class SimGraph:
                     {
                         users[j]: w
                         for j, w in zip(
-                            self._indices[lo:hi].tolist(),
-                            self._weights[lo:hi].tolist(),
+                            self.inf_indices[lo:hi].tolist(),
+                            self.inf_weights[lo:hi].tolist(),
                         )
                     },
                 )
@@ -252,9 +381,9 @@ class SimGraph:
     # ------------------------------------------------------------------
     def mean_similarity(self) -> float:
         """Average edge weight (Table 4's "Mean Similarity Score")."""
-        if len(self._weights) == 0:
+        if len(self.inf_weights) == 0:
             return 0.0
-        return float(np.mean(self._weights))
+        return float(np.mean(self.inf_weights))
 
     def summary(self, sample_size: int = 200, seed: int = 0) -> GraphSummary:
         """Structural summary (degrees, diameter, path lengths)."""
@@ -279,6 +408,13 @@ class SimGraph:
             f"SimGraph(nodes={self.node_count}, edges={self.edge_count}, "
             f"tau={self.tau})"
         )
+
+
+def _check_held(ids: np.ndarray, held: np.ndarray, what: str) -> None:
+    """Refuse the first of ``ids`` whose ``held`` mask entry is false."""
+    if not held.all():
+        absent = int(ids[np.argmin(held)])
+        raise ValueError(f"splice: {what} {absent} is not a node of the graph")
 
 
 class SimGraphBuilder:

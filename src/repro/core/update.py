@@ -91,13 +91,12 @@ def crossfold(
     perfectly at a much lower cost (it explores the SimGraph, whose
     out-degree is ~6, instead of the follow graph, whose 2-hop
     neighbourhoods are thousands of users).  The walk runs on the old
-    graph's compiled arrays, its influencer rows as the out-edges.
+    graph's CSR arrays, its influencer rows as the out-edges.
     """
-    csr = old.csr()
     exploration = FollowGraph.from_csr(
-        csr.users,
-        (csr.inf_indptr, csr.inf_indices),
-        (csr.out_indptr, csr.out_indices),
+        old.users,
+        (old.inf_indptr, old.inf_indices),
+        (old.out_indptr, old.out_indices),
     )
     return builder.build(exploration, profiles)
 

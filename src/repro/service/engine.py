@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.baselines.base import Recommendation
 from repro.core import persistence
-from repro.core.csr import CSRSimGraph
 from repro.core.profiles import RetweetProfiles
 from repro.core.propagation_csr import (
     PROP_BACKENDS,
@@ -427,7 +426,6 @@ class RecommendationService:
         self._builder = SimGraphBuilder(
             tau=self.config.tau, hops=self._hops, metrics=self.metrics
         )
-        self._csr: CSRSimGraph | None = None
         #: The clock-triggered maintenance in flight, if any.
         self._job: _Handoff | None = None
         self._install(SimGraph.from_edges((), (), (), tau=self.config.tau))
@@ -526,10 +524,8 @@ class RecommendationService:
         tweets, followers whose candidate sets grew, and their
         exploration fringe.  Its report then scopes the warm-cache
         invalidation to tweets whose seeds intersect the affected users,
-        and the refreshed graph it returns is already compiled
-        (:meth:`~repro.core.csr.CSRSimGraph.splice`).  On the ``csr``
-        propagation backend the service keeps only the compiled graph
-        after any rebuild.
+        and the refreshed graph it returns is a splice of the old one
+        (:meth:`~repro.core.simgraph.SimGraph.splice`).
 
         An explicit call runs here and now, on the calling thread; a job
         the clock started is adopted first.  Clock-triggered maintenance
@@ -1180,29 +1176,25 @@ class RecommendationService:
     ) -> None:
         """Make ``simgraph`` current and build the engine over it.
 
-        On the ``csr`` backend the engine runs on ``simgraph.csr()``: a
-        delta (``report``) hands back the graph it spliced, already
-        compiled, and anything else is compiled here, sharing its
-        arrays.
+        On the ``csr`` backend a delta (``report``) hands back the graph
+        it spliced; anything else counts as a compile.
         """
         if self.config.prop_backend == "csr":
             if report is None:
                 self.metrics.counter("propagation.csr_compiled").inc()
             elif not report.noop:
                 self.metrics.counter("propagation.csr_spliced").inc()
-            old, self._csr = self._csr, simgraph.csr()
-            if report is not None and self._csr is not old:
+            if report is not None and simgraph is not self._simgraph:
                 # Warm state outlives a delta only when the delta kept
                 # the topology (_invalidate_warm), and so every node's
-                # position: move the survivors onto the new arrays.
-                self._warm.restate(lambda state: state.on(self._csr))
+                # position: move the survivors onto the new graph.
+                self._warm.restate(lambda state: state.on(simgraph))
         self._simgraph = simgraph
         self._engine = make_propagation_engine(
             simgraph,
             prop_backend=self.config.prop_backend,
             threshold=self.threshold,
             metrics=self.metrics,
-            csr=self._csr,
         )
 
     @property

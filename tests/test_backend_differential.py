@@ -41,7 +41,7 @@ def assert_same_simgraph(reference, vectorized) -> None:
     ref_edges = edge_map(reference)
     vec_edges = edge_map(vectorized)
     assert set(ref_edges) == set(vec_edges)
-    assert set(reference.users()) == set(vectorized.users())
+    assert set(reference.users()) == set(vectorized.users.tolist())
     for pair, weight in ref_edges.items():
         assert vec_edges[pair] == pytest.approx(weight, abs=SIM_TOLERANCE)
 

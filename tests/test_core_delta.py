@@ -365,7 +365,7 @@ def test_delta_memory_follows_the_region_not_the_corpus():
         graph, profiles = ring_world(components)
         builder = SimGraphBuilder(tau=1e-6)
         old = builder.build(graph, profiles)
-        old.csr()  # compiled outside the traced region
+        old.index, old.out_indptr, old.out_indices  # compiled outside the traced region
         profiles.mark_clean()
         for user in range(5):
             profiles.add(user, (user + 7) % 20)

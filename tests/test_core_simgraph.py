@@ -1,9 +1,13 @@
 """Tests for repro.core.simgraph (paper Definition 4.1 / Table 4)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core.persistence import save_simgraph
 from repro.core.profiles import RetweetProfiles
+from repro.core.propagation_csr import CSRPropagationEngine
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data.builders import DatasetBuilder
 from repro.graph.digraph import DiGraph
@@ -131,7 +135,7 @@ class TestTwoHopSemantics:
         capped = SimGraphBuilder(tau=0.0, max_influencers=1).build(
             dataset.follow_graph, profiles
         )
-        for user in capped.users():
+        for user in capped.users.tolist():
             assert capped.influencer_count(user) <= 1
 
 
@@ -159,7 +163,7 @@ class TestSimGraphQueries:
         assert sorted(paper_example.influenced(4)) == [1, 2, 3]
 
     def test_influenced_in_node_order(self, paper_example):
-        order = list(paper_example.users())
+        order = paper_example.users.tolist()
         for user in order:
             influenced = list(paper_example.influenced(user))
             assert influenced == sorted(influenced, key=order.index)
@@ -209,6 +213,51 @@ class TestSimGraphQueries:
             "Diameter",
             "Mean smallest path",
         ]
+
+
+#: What a compile adds to a graph's instance dict.
+COMPILED = {"index", "out_indptr", "out_indices"}
+
+
+@pytest.fixture
+def compiles(monkeypatch) -> Counter:
+    """How often any graph builds its id index and its transpose."""
+    counts: Counter = Counter()
+    for name in ("index", "_transpose"):
+        prop = SimGraph.__dict__[name]
+
+        def counted(graph, build=prop.func, name=name):
+            counts[name] += 1
+            return build(graph)
+
+        monkeypatch.setattr(prop, "func", counted)
+    return counts
+
+
+class TestCompile:
+    def test_the_engine_compiles_and_no_task_does(self, compiles):
+        graph = SimGraph.from_edges(
+            [0, 0, 2, 2, 1, 3], [1, 2, 3, 4, 4, 4],
+            [0.3, 0.5, 0.5, 0.1, 0.4, 0.8], tau=0.0,
+        )
+        assert not COMPILED & vars(graph).keys()
+        engine = CSRPropagationEngine(graph)
+        assert COMPILED <= vars(graph).keys()
+        assert compiles == {"index": 1, "_transpose": 1}
+        assert engine.propagate({3}).probabilities[0] == pytest.approx(0.0625)
+        engine.propagate_many([{4}, {3, 99}], initials=[None, engine.take_state()])
+        assert compiles == {"index": 1, "_transpose": 1}
+
+    def test_build_and_save_compile_nothing(self, compiles, tmp_path):
+        """The ledger's tier builds a graph and only saves it."""
+        dataset, profiles = linear_world()
+        simgraph = SimGraphBuilder(tau=0.0, backend="vectorized").build(
+            dataset.follow_graph, profiles
+        )
+        save_simgraph(simgraph, tmp_path / "graph.simgraph", format=2)
+        assert simgraph.edge_count > 0
+        assert not COMPILED & vars(simgraph).keys()
+        assert not compiles
 
 
 class TestOnSyntheticCorpus:

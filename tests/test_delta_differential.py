@@ -242,7 +242,7 @@ class TestServiceDelta:
         counters = service.metrics_snapshot()["counters"]
         assert counters.get("propagation.csr_spliced", 0) > 0
         assert_same_compiled(
-            service._csr, from_simgraph(service.simgraph)
+            service.simgraph, from_simgraph(service.simgraph)
         )
 
     def test_delta_rebuilds_actually_ran(self, streams):

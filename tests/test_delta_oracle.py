@@ -140,7 +140,7 @@ def oracle_apply_delta(old, graph, profiles, builder, extra_sources=()):
         needed = {}
         fringe = frozenset()
     core_sorted = sorted(core)
-    compiled = old.csr()
+    compiled = old
     tau = builder.tau
     rows, sym, pairs_rescored = oracle_core_state(
         core_sorted, graph, profiles, builder, needed

@@ -28,7 +28,7 @@ import warnings
 import pytest
 
 import repro.service.engine as engine
-from repro.core import CSRSimGraph, SimGraphBuilder, save_simgraph
+from repro.core import SimGraphBuilder, save_simgraph
 from repro.data import temporal_split
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import generate_dataset
@@ -94,10 +94,6 @@ def replay(prop_backend: str, strategy: str):
     return service, delivered, service.stats.rebuilds - before
 
 
-def compiled(simgraph) -> CSRSimGraph:
-    return simgraph.csr()
-
-
 def no_fork(target, args):
     raise OSError("fork refused")
 
@@ -155,7 +151,7 @@ def test_forked_equals_in_process(paths, prop_backend, strategy):
         forked.metrics_snapshot(deterministic=True), sort_keys=True
     ) == json.dumps(oracle.metrics_snapshot(deterministic=True), sort_keys=True)
     assert forked.stats == oracle.stats
-    assert_same_compiled(compiled(forked.simgraph), compiled(oracle.simgraph))
+    assert_same_compiled(forked.simgraph, oracle.simgraph)
     # The forked run really forked; the oracle really ran in-process.
     assert "maintenance.child_failures" not in counters(forked)
     assert counters(oracle)["maintenance.child_failures"] == oracle.stats.rebuilds - 1
@@ -176,7 +172,7 @@ def test_lagged_graph_is_the_due_events():
         if service._job is not job:
             break
     assert service._job is not job
-    assert_same_compiled(compiled(service.simgraph), compiled(expected))
+    assert_same_compiled(service.simgraph, expected)
 
 
 def test_killed_child_gives_the_same_graph(monkeypatch, paths):
@@ -191,7 +187,7 @@ def test_killed_child_gives_the_same_graph(monkeypatch, paths):
     monkeypatch.setattr(engine, "_fork_child", first_child_dies)
     service, got, _ = replay("csr", "delta")
     assert got == hits
-    assert_same_compiled(compiled(service.simgraph), compiled(reference.simgraph))
+    assert_same_compiled(service.simgraph, reference.simgraph)
     assert counters(service)["maintenance.child_failures"] == 1
     assert len(forks) >= 3
 
@@ -223,7 +219,7 @@ def test_late_child_blocks_the_adopting_event_and_is_counted(monkeypatch, paths)
     assert min(waits) >= 0.15
     assert counters(service)["maintenance.late"] - late >= len(waits)
     assert delivered == hits
-    assert_same_compiled(compiled(service.simgraph), compiled(reference.simgraph))
+    assert_same_compiled(service.simgraph, reference.simgraph)
 
 
 def test_finished_child_is_not_late():
@@ -254,7 +250,7 @@ def test_explicit_rebuild_adopts_the_job_first():
     expected = SimGraphBuilder(tau=service.config.tau).build(
         service.follow_graph, service.profiles
     )
-    assert_same_compiled(compiled(graph), compiled(expected))
+    assert_same_compiled(graph, expected)
     assert not multiprocessing.active_children()
 
 

@@ -140,7 +140,7 @@ def test_delta_working_set_is_arrays_per_needed_pair():
         graph.add_edge(follower, 0)
     builder = SimGraphBuilder(tau=1e-6)
     old = builder.build(graph, profiles)
-    old.csr()  # compiled before tracing
+    old.index, old.out_indptr, old.out_indices  # compiled before tracing
     profiles.mark_clean()
     profiles.add(0, 5000)
     assert graph.edge_count  # compacted before tracing
@@ -167,7 +167,7 @@ def test_csr_service_keeps_only_the_compiled_graph():
         graph = service.rebuild("from scratch")
         assert service.simgraph is graph
         if prop_backend == "csr":
-            assert service._csr is graph.csr()
+            assert service._engine.simgraph is graph
         else:
             service.retweet(user=3, tweet=101, at=700.0)
         assert graph._digraph is None

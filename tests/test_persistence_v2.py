@@ -55,7 +55,7 @@ def simgraphs(draw):
 def _edge_map(simgraph):
     return {
         (u, v): w
-        for u in simgraph.users()
+        for u in simgraph.users.tolist()
         for v, w in simgraph.influencers(u)
     }
 
@@ -89,16 +89,16 @@ def test_mmap_and_eager_bit_identical(tmp_path_factory, simgraph):
     assert isinstance(eager, SimGraph)
     for a, b in zip(mapped.arrays(), eager.arrays()):
         assert a.tobytes() == b.tobytes()
-    cm, ce = mapped.csr(), eager.csr()
+    cm, ce = mapped, eager
     assert cm.inf_indptr.tobytes() == ce.inf_indptr.tobytes()
     assert cm.inf_indices.tobytes() == ce.inf_indices.tobytes()
     assert cm.inf_weights.tobytes() == ce.inf_weights.tobytes()
-    seeds = [sorted(mapped.users())[:2]]
+    seeds = [sorted(mapped.users.tolist())[:2]]
     rm = make_propagation_engine(
-        mapped, prop_backend="csr", csr=cm
+        cm, prop_backend="csr"
     ).propagate_many(seeds)
     re_ = make_propagation_engine(
-        eager, prop_backend="csr", csr=ce
+        ce, prop_backend="csr"
     ).propagate_many(seeds)
     assert rm[0].probabilities == re_[0].probabilities
 
@@ -229,8 +229,7 @@ def test_mmap_arrays_are_readonly(tmp_path):
     builds new arrays from it."""
     path = save_simgraph(_small_graph(), tmp_path / "g.v2", format=2)
     mapped = load_simgraph(path, mmap=True)
-    csr = mapped.csr()
-    assert not csr.inf_weights.flags.writeable
+    assert not mapped.inf_weights.flags.writeable
 
 
 def test_v2_preserves_isolated_nodes(tmp_path):
@@ -241,4 +240,4 @@ def test_v2_preserves_isolated_nodes(tmp_path):
     loaded = load_simgraph(path, mmap=True)
     assert loaded.node_count == 5
     assert loaded.edge_count == 1
-    assert set(loaded.users()) == set(range(5))
+    assert set(loaded.users.tolist()) == set(range(5))

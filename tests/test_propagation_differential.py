@@ -38,7 +38,6 @@ from repro.core import (
     make_propagation_engine,
 )
 from repro.cli import build_parser
-from repro.core.csr import CSRSimGraph
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data import temporal_split
 from repro.exceptions import ConfigError
@@ -72,7 +71,7 @@ def random_graph(n, m, seed):
 
 def seed_sets_for(simgraph, seed, count=6, max_size=8):
     rng = np.random.RandomState(seed)
-    users = sorted(simgraph.users())
+    users = sorted(simgraph.users.tolist())
     sets = []
     for _ in range(count):
         size = rng.randint(1, max_size)
@@ -164,7 +163,7 @@ class TestEngineDifferential:
 
     def test_popularity_override_identical(self, simgraph, engine_cls):
         """γ(t) depends on popularity, which can exceed |seeds|."""
-        seeds = sorted(simgraph.users())[:4]
+        seeds = sorted(simgraph.users.tolist())[:4]
         for popularity in (None, 1, 50, 5000):
             assert_same_result(
                 PropagationEngine(simgraph, threshold=DynamicThreshold()).propagate(
@@ -177,7 +176,7 @@ class TestEngineDifferential:
 
     def test_iteration_budget_identical(self, simgraph, engine_cls):
         """Non-convergence (budget exhausted) must agree too."""
-        seeds = sorted(simgraph.users())[:3]
+        seeds = sorted(simgraph.users.tolist())[:3]
         for budget in (1, 2, 3):
             a = PropagationEngine(simgraph, max_iterations=budget).propagate(seeds)
             b = engine_cls(simgraph, max_iterations=budget).propagate(seeds)
@@ -329,7 +328,7 @@ def test_failed_task_leaves_scratch_clean(simgraph, failure):
     if failure == "foreign-warm-state":
         donor = CSRPropagationEngine(random_graph(10, 30, seed=99))
         donor.propagate([0])
-        with pytest.raises(ValueError, match="different CSRSimGraph"):
+        with pytest.raises(ValueError, match="different SimGraph"):
             # The first task of the batch completes, the second dies.
             engine.propagate_many(
                 [grown, sets[3]], initials=[state, donor.take_state()]
@@ -340,7 +339,7 @@ def test_failed_task_leaves_scratch_clean(simgraph, failure):
             engine.propagate(grown, initial=state)
         engine.threshold = policy
     elif failure == "mid-solve":
-        probe = CSRPropagationEngine(simgraph, threshold=policy, csr=engine.csr)
+        probe = CSRPropagationEngine(simgraph, threshold=policy)
         assert probe.propagate(grown, initial=state).iterations >= 2
         engine.metrics = _ExplodingFrontier(fuse=2)
         with pytest.raises(RuntimeError, match="metrics sink down"):
@@ -350,8 +349,8 @@ def test_failed_task_leaves_scratch_clean(simgraph, failure):
         engine.max_iterations = 1
         assert not engine.propagate(grown, initial=state).converged
         engine.max_iterations = 200
-    fresh = CSRPropagationEngine(simgraph, threshold=policy, csr=engine.csr)
-    probes = [{u} for u in sorted(simgraph.users())] + [grown]
+    fresh = CSRPropagationEngine(simgraph, threshold=policy)
+    probes = [{u} for u in sorted(simgraph.users.tolist())] + [grown]
     initials = [None] * (len(probes) - 1) + [state]
     assert engine.propagate_many(probes, initials=initials) == (
         fresh.propagate_many(probes, initials=initials)
@@ -379,7 +378,7 @@ def test_batch_memory_follows_touched_users_not_graph_size():
         np.full(2 * n, 0.5),
         tau=0.0,
     )
-    engine = CSRPropagationEngine(graph, csr=graph.csr())
+    engine = CSRPropagationEngine(graph)
     seed_sets = [{7 * block * t, 7 * block * t + 3} for t in range(tasks)]
     warmed = engine.propagate_many(seed_sets)
     assert all(len(r.probabilities) == block for r in warmed)
@@ -588,7 +587,7 @@ def test_one_engine_interleaving_property(case):
 
     def fresh(metrics=None):
         return CSRPropagationEngine(
-            simgraph, threshold=POLICIES[policy](), metrics=metrics, csr=compiled
+            compiled, threshold=POLICIES[policy](), metrics=metrics
         )
 
     def reference(metrics=None):
@@ -700,7 +699,7 @@ CSR_ARRAYS = (
 )
 
 
-def assert_same_compiled(actual: CSRSimGraph, expected: CSRSimGraph) -> None:
+def assert_same_compiled(actual: SimGraph, expected: SimGraph) -> None:
     for name in CSR_ARRAYS:
         got, want = getattr(actual, name), getattr(expected, name)
         assert got.dtype == want.dtype, name
@@ -787,3 +786,40 @@ def test_splice_equals_recompile_property(case):
     for name in CSR_ARRAYS:
         assert np.array_equal(getattr(compiled, name), before[name]), name
     assert compiled.index == index_before
+
+
+def three_users() -> SimGraph:
+    """Users 1, 2 and 3: 1 -> 2 and 2 -> 3."""
+    return SimGraph.from_edges([1, 2], [2, 3], [0.5, 0.25], tau=0.1)
+
+
+def test_splice_keeps_tau_and_shares_the_index_when_no_node_changes():
+    graph = three_users()
+    spliced = graph.splice([1], [1], [3], [0.75])
+    assert spliced.tau == graph.tau
+    assert spliced.index is graph.index
+    assert spliced._order is graph._order
+    assert dict(spliced.influencers(1)) == {3: 0.75}
+    assert spliced.influenced(3) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "edit, refused",
+    [
+        ({"rows": [99], "lengths": [1], "targets": [2]}, "row 99"),
+        ({"rows": [1], "lengths": [1], "targets": [42]}, "target 42"),
+        ({"removed": [77]}, "removed id 77"),
+    ],
+)
+def test_splice_refuses_ids_the_graph_does_not_hold(edit, refused):
+    """An id the graph does not hold is named, not read as some other
+    user's position (user 1's, whose row it would overwrite, whose id
+    it would target, or whose node it would drop)."""
+    graph = three_users()
+    edit = {"rows": [], "lengths": [], "targets": []} | edit
+    weights = [0.5] * len(edit["targets"])
+    with pytest.raises(ValueError, match=f"{refused} is not a node"):
+        graph.splice(
+            edit["rows"], edit["lengths"], edit["targets"], weights,
+            removed=edit.get("removed", ()),
+        )

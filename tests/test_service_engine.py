@@ -394,7 +394,7 @@ class TestMaintenance:
         after = compiled.metrics_snapshot()["counters"]
         assert compiled.simgraph.edge_count > 0
         assert_same_compiled(
-            compiled._csr, from_simgraph(compiled.simgraph)
+            compiled.simgraph, from_simgraph(compiled.simgraph)
         )
         assert (
             after["propagation.csr_compiled"]
@@ -448,7 +448,7 @@ class TestMaintenance:
         assert counters()["propagation.csr_spliced"] == 2
         assert counters()["propagation.csr_compiled"] == compiled
         assert_same_compiled(
-            service._csr, from_simgraph(service.simgraph)
+            service.simgraph, from_simgraph(service.simgraph)
         )
 
 

@@ -112,7 +112,7 @@ def test_mmap_boot_compiles_plain_read_only_views(tmp_path):
     before = path.read_bytes()
     service = built_service(prop_backend="csr", rebuild_strategy="delta")
     service.load_snapshot(path, mmap=True)
-    csr = service._csr
+    csr = service.simgraph
     for name in ("users", "inf_indptr", "inf_indices", "inf_weights"):
         section = getattr(csr, name)
         assert type(section) is np.ndarray, name
@@ -131,8 +131,8 @@ def test_mmap_boot_compiles_plain_read_only_views(tmp_path):
     counters = service.metrics_snapshot()["counters"]
     assert counters["propagation.csr_spliced"] == 1
     assert counters["propagation.csr_compiled"] == compiled
-    assert service._csr is not csr
-    assert service._csr.inf_weights.flags.writeable
+    assert service.simgraph is not csr
+    assert service.simgraph.inf_weights.flags.writeable
     assert path.read_bytes() == before
     service.post_tweet(tweet_id=300, author=3, at=800.0)
     assert service.retweet(user=1, tweet=300, at=900.0)

@@ -41,7 +41,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.csr import CSRSimGraph
 from repro.core.persistence import load_simgraph
 from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import DEFAULT_TAU, SimGraph, SimGraphBuilder
@@ -104,10 +103,10 @@ class DictSimGraph:
 
     def compile(self) -> SimGraph:
         """The array :class:`SimGraph` of this graph."""
-        return SimGraph.from_csr(from_simgraph(self), self.tau)
+        return from_simgraph(self)
 
 
-def from_simgraph(simgraph) -> CSRSimGraph:
+def from_simgraph(simgraph) -> SimGraph:
     """Compile ``simgraph``'s dict adjacency (one pass over its nodes
     and edges): the splice of all of its rows into an empty graph —
     nodes in the adjacency's order, each row in its edge order."""
@@ -117,7 +116,9 @@ def from_simgraph(simgraph) -> CSRSimGraph:
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     size = int(lengths.sum())
     none = np.empty(0, dtype=np.int64)
-    empty = CSRSimGraph(none, np.zeros(1, dtype=np.int64), none, none.astype(float))
+    empty = SimGraph(
+        none, np.zeros(1, dtype=np.int64), none, none.astype(float), simgraph.tau
+    )
     return empty.splice(
         nodes,
         lengths,
@@ -355,7 +356,7 @@ def test_sources_restrict_the_rows(corpus):
 # ----------------------------------------------------------------------
 # The array SimGraph against the dict one
 # ----------------------------------------------------------------------
-def assert_same_arrays(got: SimGraph, want: CSRSimGraph) -> None:
+def assert_same_arrays(got: SimGraph, want: SimGraph) -> None:
     expected = (want.users, want.inf_indptr, want.inf_indices, want.inf_weights)
     for name, a, b in zip(("users", "indptr", "indices", "weights"),
                           got.arrays(), expected):

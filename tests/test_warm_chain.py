@@ -81,7 +81,7 @@ def test_warm_chain_equals_reference_step_by_step(case):
         assert sorted(simgraph_positions(compiled, state.seeds)) == sorted(
             state.seed_idx.tolist()
         )
-        if previous and not any(s in compiled.csr for s in fresh):
+        if previous and not any(s in compiled.simgraph for s in fresh):
             # Nothing new inside the graph: the fixpoint is re-emitted.
             assert state.indices is previous.indices
             assert state.values is previous.values
@@ -98,7 +98,7 @@ def test_warm_chain_equals_reference_step_by_step(case):
 
 
 def simgraph_positions(engine, seeds):
-    return [engine.csr.index[s] for s in seeds if s in engine.csr.index]
+    return [engine.simgraph.index[s] for s in seeds if s in engine.simgraph.index]
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_states_cannot_be_written_through(chain):
 def test_hand_built_state_does_not_freeze_the_callers_arrays(chain):
     engine, first, _, _ = chain
     indices, values = first.indices.copy(), first.values.copy()
-    built = CSRWarmState(engine.csr, indices, values, {})
+    built = CSRWarmState(engine.simgraph, indices, values, {})
     with pytest.raises(ValueError, match="read-only"):
         built.values[0] = 0.5
     values[0] = values[0]  # the caller's own array stays writeable
@@ -212,7 +212,7 @@ def test_fallbacks_equal_the_reference(fallback, added):
         initial = state.probabilities()
     elif fallback == "hand-built":
         initial = CSRWarmState(
-            engine.csr, state.indices, state.values, dict(state.extra)
+            engine.simgraph, state.indices, state.values, dict(state.extra)
         )
         assert initial.seeds is None and initial.seed_idx is None
     elif fallback == "not-a-subset":
@@ -228,7 +228,7 @@ def test_fallbacks_equal_the_reference(fallback, added):
         )
         values[victim] = 0.0
         initial = CSRWarmState(
-            engine.csr, state.indices, values, dict(state.extra),
+            engine.simgraph, state.indices, values, dict(state.extra),
             seeds=state.seeds, seed_idx=state.seed_idx,
         )
         mapping = initial.probabilities()
@@ -250,12 +250,10 @@ def test_fallbacks_equal_the_reference(fallback, added):
 def test_state_of_another_compiled_graph_is_refused():
     simgraph = random_graph(50, 170, seed=29)
     engine = CSRPropagationEngine(simgraph)
-    twin = CSRPropagationEngine(
-        simgraph, csr=from_simgraph(simgraph)
-    )
+    twin = CSRPropagationEngine(from_simgraph(simgraph))
     twin.propagate({0, 1})
     for seeds in ({0, 1, OFF_GRAPH}, {0, 1, 7}):
-        with pytest.raises(ValueError, match="different CSRSimGraph"):
+        with pytest.raises(ValueError, match="different SimGraph"):
             engine.propagate(seeds, initial=twin.take_state())
     # ... and the engine is none the worse for it.
     assert engine.propagate({0, 1}) == twin.propagate({0, 1})
