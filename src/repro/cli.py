@@ -172,10 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-batch", type=int, default=32,
                      help="micro-batch size cap")
     srv.add_argument(
-        "--linger", type=float, default=0.002, metavar="S",
-        help="max seconds a non-full batch waits for company",
-    )
-    srv.add_argument(
         "--admit-rate", type=float, default=None, metavar="EPS",
         help="token-bucket refill rate in events/sec (default: admission "
         "disabled — every request takes the full path)",
@@ -208,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--burst-every", type=float, default=10.0, metavar="S")
     lg.add_argument("--burst-length", type=float, default=2.0, metavar="S")
     lg.add_argument("--max-batch", type=int, default=32)
-    lg.add_argument("--linger", type=float, default=0.002, metavar="S")
     lg.add_argument(
         "--calibrate", action="store_true",
         help="measure the worker's closed-loop saturation first and "
@@ -454,7 +449,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     config = ServeConfig(
         max_batch=args.max_batch,
-        max_linger=args.linger,
         rate=args.admit_rate,
         shed_depth=max(1024, len(requests) + 1),
         degrade_depth=(
@@ -475,7 +469,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     rows = [
         ["history events", len(history)],
         ["live requests", len(requests)],
-        ["max batch / linger", f"{args.max_batch} / {args.linger}s"],
+        ["max batch", args.max_batch],
         ["batches", snapshot["counters"].get("serve.batches", 0)],
         ["notifications", notifications],
         ["wall seconds", round(elapsed, 3)],
@@ -525,9 +519,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     else:
         profile = LoadProfile.steady(rate=args.rate)
 
-    serve_config = ServeConfig(
-        max_batch=args.max_batch, max_linger=args.linger
-    )
+    serve_config = ServeConfig(max_batch=args.max_batch)
     calibration = None
     if args.calibrate:
         primed = prime_service(
@@ -545,10 +537,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
         model = CapacityModel(service_seconds_per_event=1.0 / saturation_eps)
         serve_config = ServeConfig.from_capacity(
-            model,
-            slo_p99=args.slo,
-            max_batch=args.max_batch,
-            max_linger=args.linger,
+            model, slo_p99=args.slo, max_batch=args.max_batch
         )
         calibration = {
             "saturation_events_per_s": round(saturation_eps, 1),

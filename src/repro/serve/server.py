@@ -4,11 +4,14 @@
 RecommendationService` (or any backend with the same ingestion surface)
 into something a traffic stream can hit concurrently:
 
-* **micro-batching** — requests are admitted synchronously into one
-  ordered queue; a dispatcher coroutine drains it into batches of up to
-  ``max_batch`` requests, lingering at most ``max_linger`` seconds for
-  stragglers, and executes each batch on a single worker thread.  Inside
-  a batch, consecutive full-service retweets collapse into one
+* **natural batching** — requests are admitted synchronously on the
+  event loop into one FIFO inbox.  One worker thread blocks for the
+  first request, takes whatever else is queued (up to ``max_batch``),
+  runs the batch and posts all its outcomes back in one
+  ``call_soon_threadsafe``: one handoff each way per batch.  A lone
+  request goes at once; requests that arrive while a batch runs form
+  the next one.  Inside a batch, consecutive full-service retweets
+  collapse into one
   :meth:`~repro.service.engine.RecommendationService.ingest_batch` call
   and consecutive score requests into one ``score_batch`` call, so the
   batched propagation kernel is amortized across in-flight requests
@@ -35,7 +38,7 @@ into something a traffic stream can hit concurrently:
   a reference cycle among them waits for the thaw.
 
 Determinism: :func:`serve_stream` drives a whole request list through
-the server with every request admitted (in order) before the dispatcher
+the server with every request admitted (in order) before the worker
 starts, so batch composition — and therefore every service-side effect —
 is a pure function of the stream and the config.  At low load (no
 degradation) the responses are identical to calling the service
@@ -46,7 +49,8 @@ from __future__ import annotations
 
 import asyncio
 import gc
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -99,10 +103,8 @@ class ScoreRequest:
 class ServeConfig:
     """Front-end knobs: batching shape, admission ladder, SLO target."""
 
-    #: Largest request batch one dispatcher round executes.
+    #: Largest request batch the worker takes from the inbox at once.
     max_batch: int = 32
-    #: Seconds the dispatcher lingers for stragglers once a batch opened.
-    max_linger: float = 0.002
     #: Token-bucket refill (events/sec); None disables rate limiting.
     rate: float | None = None
     #: Token-bucket burst allowance.
@@ -119,10 +121,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigError(f"max_batch must be at least 1, got {self.max_batch}")
-        if self.max_linger < 0:
-            raise ConfigError(
-                f"max_linger must be non-negative, got {self.max_linger}"
-            )
         if self.slo_p99 <= 0:
             raise ConfigError(f"slo_p99 must be positive, got {self.slo_p99}")
         # Ladder validation is delegated to AdmissionConfig.
@@ -168,6 +166,16 @@ class ServeResponse:
     notifications: list[Recommendation] = field(default_factory=list)
     scores: dict[int, dict[int, float] | None] | None = None
     latency_s: float = 0.0
+
+    def __repr__(self) -> str:
+        # A summary: the default repr walks every notification, and
+        # asyncio's teardown can format the repr of a driver's result.
+        scored = None if self.scores is None else len(self.scores)
+        return (
+            f"ServeResponse(status={self.status!r}, "
+            f"served_from={self.served_from!r}, "
+            f"notifications={len(self.notifications)}, scores={scored})"
+        )
 
 
 class _Pending:
@@ -220,9 +228,12 @@ class AsyncRecommendationServer:
         self._admission = AdmissionController(
             self.config.admission(), metrics=self.metrics
         )
-        self._queue: asyncio.Queue[_Pending] = asyncio.Queue()
-        self._dispatcher: asyncio.Task | None = None
-        self._executor: ThreadPoolExecutor | None = None
+        #: Admitted requests not yet in a batch; ``None`` is stop's marker.
+        self._inbox: queue.SimpleQueue[_Pending | None] = queue.SimpleQueue()
+        self._worker: threading.Thread | None = None
+        #: Set by the worker (on the loop) as its last act.
+        self._worker_done: asyncio.Future | None = None
+        self._stopping = False
         self._can_batch = hasattr(service, "ingest_batch")
         self._can_degrade = hasattr(service, "warm_answer")
         #: Tweet ids announced by admitted PostRequests whose execution
@@ -233,35 +244,36 @@ class AsyncRecommendationServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Freeze the heap, boot the dispatcher loop and its worker thread."""
+        """Freeze the heap and boot the worker thread that owns batching."""
         global _running
-        if self._dispatcher is not None:
+        if self._worker is not None:
             raise ConfigError("server already started")
         _running += 1
         gc.freeze()
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve"
+        loop = asyncio.get_running_loop()
+        self._worker_done = loop.create_future()
+        self._worker = threading.Thread(
+            target=self._work, args=(loop, self._worker_done),
+            name="repro-serve", daemon=True,
         )
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        self._worker.start()
 
     async def stop(self) -> None:
-        """Drain the queue, stop the dispatcher and worker, thaw the heap."""
+        """Answer every queued request, join the worker, thaw the heap."""
         global _running
-        if self._dispatcher is None:
+        if self._worker is None:
             return
-        await self._queue.join()
-        self._dispatcher.cancel()
+        self._stopping = True
+        self._inbox.put(None)
         try:
-            await self._dispatcher
-        except asyncio.CancelledError:
-            pass
-        self._dispatcher = None
-        assert self._executor is not None
-        self._executor.shutdown(wait=True)
-        self._executor = None
-        _running -= 1
-        if not _running:
-            gc.unfreeze()
+            await self._worker_done
+        finally:
+            self._worker.join()
+            self._worker = None
+            self._stopping = False
+            _running -= 1
+            if not _running:
+                gc.unfreeze()
 
     async def __aenter__(self) -> "AsyncRecommendationServer":
         await self.start()
@@ -284,6 +296,9 @@ class AsyncRecommendationServer:
         now = loop.time()
         future: asyncio.Future = loop.create_future()
         self.metrics.counter("serve.requests").inc()
+        if self._stopping:
+            future.set_exception(ConfigError("server is stopping"))
+            return future
         try:
             mode = self._admit(request, now)
         except Exception as exc:  # invalid request: refuse pre-queue
@@ -293,8 +308,8 @@ class AsyncRecommendationServer:
             self.metrics.counter("serve.shed").inc()
             future.set_result(ServeResponse(status="shed"))
             return future
-        self._queue.put_nowait(_Pending(request, mode, future, now))
-        self.metrics.gauge("serve.queue_depth").set(self._queue.qsize())
+        self._inbox.put(_Pending(request, mode, future, now))
+        self.metrics.gauge("serve.queue_depth").set(self._inbox.qsize())
         return future
 
     async def submit(self, request) -> ServeResponse:
@@ -326,58 +341,52 @@ class AsyncRecommendationServer:
                     raise DatasetError(f"unknown tweet ids {missing}")
         else:
             raise ConfigError(f"unknown request type {type(request).__name__}")
-        decision = self._admission.admit(now, self._queue.qsize())
+        decision = self._admission.admit(now, self._inbox.qsize())
         if decision == "degraded" and not self._can_degrade:
             self.metrics.counter("serve.degrade_unsupported").inc()
             decision = "shed"
         return decision
 
     # ------------------------------------------------------------------
-    # Dispatch
+    # Batching (worker thread) and settling (loop)
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            first = await self._queue.get()
-            batch = [first]
-            deadline = loop.time() + self.config.max_linger
+    def _work(self, loop: asyncio.AbstractEventLoop, done: asyncio.Future) -> None:
+        """Worker thread: take what is queued, run it, post it back.  The
+        loop keeps admitting (and shedding) while a batch is in flight."""
+        inbox = self._inbox
+        running = True
+        while running:
+            batch = [inbox.get()]
             while len(batch) < self.config.max_batch:
-                if not self._queue.empty():
-                    batch.append(self._queue.get_nowait())
-                    continue
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
                 try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
+                    batch.append(inbox.get_nowait())
+                except queue.Empty:
                     break
-            await self._execute_batch(batch, loop)
+            if batch[-1] is None:  # stop's marker: nothing follows it
+                batch.pop()
+                running = False
+            if batch:
+                try:
+                    outcomes = self._run_batch(batch)
+                except Exception as exc:
+                    outcomes = [("error", exc)] * len(batch)
+                loop.call_soon_threadsafe(self._settle, loop, batch, outcomes)
+        loop.call_soon_threadsafe(done.set_result, None)
 
-    async def _execute_batch(self, batch: list[_Pending], loop) -> None:
+    def _settle(self, loop, batch: list[_Pending], outcomes: list) -> None:
+        """Resolve one batch's futures and record it (on the loop)."""
         self.metrics.counter("serve.batches").inc()
         self.metrics.histogram("serve.batch_size").observe(len(batch))
-        assert self._executor is not None
-        try:
-            # The blocking service work runs on the worker thread so the
-            # event loop keeps admitting (and shedding) while a batch is
-            # in flight — that's what makes backpressure observable.
-            outcomes = await loop.run_in_executor(
-                self._executor, self._run_batch, [p for p in batch]
-            )
-        except BaseException as exc:  # pragma: no cover - defensive
-            outcomes = [("error", exc)] * len(batch)
         latency_hist = self.metrics.histogram(
             "serve.latency_seconds", timing=True
         )
+        now = loop.time()
         for pending, (kind, payload) in zip(batch, outcomes):
-            latency = loop.time() - pending.enqueued_at
             if kind == "error":
                 if not pending.future.done():
                     pending.future.set_exception(payload)
             else:
+                latency = now - pending.enqueued_at
                 payload.latency_s = latency
                 latency_hist.observe(latency)
                 self.metrics.histogram(
@@ -385,8 +394,7 @@ class AsyncRecommendationServer:
                 ).observe(latency)
                 if not pending.future.done():
                     pending.future.set_result(payload)
-            self._queue.task_done()
-        self.metrics.gauge("serve.queue_depth").set(self._queue.qsize())
+        self.metrics.gauge("serve.queue_depth").set(self._inbox.qsize())
 
     # ------------------------------------------------------------------
     # Batch execution (worker thread)
@@ -541,7 +549,7 @@ def serve_stream(
 ) -> list[ServeResponse]:
     """Drive an ordered request stream through the server, deterministically.
 
-    Every request is admitted (in order) before the dispatcher starts,
+    Every request is admitted (in order) before the worker starts,
     so batches always fill to ``max_batch`` and their composition — and
     every service-side effect — is a pure function of the stream and the
     config.  This is the driver the differential and byte-stability

@@ -182,7 +182,7 @@ class TestIngestBatchEquality:
         responses = serve_stream(
             batched,
             [RetweetRequest(user=u, tweet=t, at=at) for u, t, at in events],
-            ServeConfig(max_batch=16, max_linger=0.0),
+            ServeConfig(max_batch=16),
             return_exceptions=True,
         )
         got = [
@@ -254,7 +254,7 @@ class TestServerVsDirect:
         responses = serve_stream(
             served,
             [RetweetRequest(user=u, tweet=t, at=at) for u, t, at in events],
-            ServeConfig(max_batch=16, max_linger=0.0),
+            ServeConfig(max_batch=16),
         )
         assert [r.status for r in responses] == ["ok"] * len(events)
         assert [as_tuples(r.notifications) for r in responses] == expected
@@ -296,7 +296,7 @@ class TestServerVsDirect:
             for kind, *r in stream
         ]
         responses = serve_stream(
-            served, requests, ServeConfig(max_batch=8, max_linger=0.0)
+            served, requests, ServeConfig(max_batch=8)
         )
         assert [as_tuples(r.notifications) for r in responses] == expected
 
@@ -327,7 +327,7 @@ class TestShardedServeSmoke:
         events = live_stream(single, n_events=18)
         live_stream(sharded)
         requests = [RetweetRequest(user=u, tweet=t, at=at) for u, t, at in events]
-        config = ServeConfig(max_batch=8, max_linger=0.0)
+        config = ServeConfig(max_batch=8)
         single_responses = serve_stream(single, requests, config)
         sharded_responses = serve_stream(sharded, requests, config)
         assert [r.status for r in sharded_responses] == ["ok"] * len(events)

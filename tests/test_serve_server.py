@@ -1,11 +1,16 @@
-"""Tests for repro.serve: admission ladder, micro-batching server."""
+"""Tests for repro.serve: admission ladder, batching server."""
 
 import asyncio
 import gc
 import json
+import math
+import sys
+import threading
+import time
 
 import pytest
 
+from repro.baselines.base import Recommendation
 from repro.exceptions import ConfigError, DatasetError
 from repro.obs import MetricsRegistry
 from repro.serve import (
@@ -16,6 +21,7 @@ from repro.serve import (
     RetweetRequest,
     ScoreRequest,
     ServeConfig,
+    ServeResponse,
     TokenBucket,
     serve_stream,
 )
@@ -138,7 +144,6 @@ class TestAdmissionController:
 class TestServeConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_batch": 0},
-        {"max_linger": -0.1},
         {"slo_p99": 0.0},
         {"shed_depth": 0},
         {"degrade_depth": 99, "shed_depth": 10},
@@ -186,7 +191,7 @@ class TestServeStream:
             for i in range(20)
         ]
         serve_stream(
-            service, requests, ServeConfig(max_batch=8, max_linger=0.0),
+            service, requests, ServeConfig(max_batch=8),
             metrics,
         )
         snapshot = metrics.snapshot()
@@ -251,7 +256,7 @@ class TestServeStream:
                 RetweetRequest(user=2, tweet=200, at=10.0),  # runs backwards
                 RetweetRequest(user=2, tweet=200, at=602.0),
             ],
-            ServeConfig(max_batch=8, max_linger=0.0),
+            ServeConfig(max_batch=8),
             return_exceptions=True,
         )
         assert [getattr(r, "status", None) for r in results] == [
@@ -394,7 +399,7 @@ class TestDeterminism:
             for i in range(12)
         ]
         serve_stream(
-            service, requests, ServeConfig(max_batch=4, max_linger=0.0),
+            service, requests, ServeConfig(max_batch=4),
             metrics,
         )
         serve_snap = json.dumps(
@@ -457,3 +462,205 @@ class TestServerLifecycle:
         response = asyncio.run(run())
         assert response.status == "ok"
         assert response.latency_s > 0.0
+
+
+class NoopService:
+    """Duck service that answers every retweet with nothing.
+
+    ``ingest_batch`` waits for ``release`` (set by default) after
+    signalling ``entered``, so a test can hold a batch in flight.
+    """
+
+    def __init__(self, delay: float = 0.0):
+        self.delay = delay
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.release.set()
+        #: Every event ingested, in the order the worker ran it.
+        self.seen: list[tuple] = []
+
+    def ingest_batch(self, events):
+        self.entered.set()
+        assert self.release.wait(10)
+        time.sleep(self.delay)
+        self.seen.extend(events)
+        return [[] for _ in events]
+
+    def retweet(self, user, tweet, at):
+        return self.ingest_batch([(user, tweet, at)])[0]
+
+    def warm_answer(self, user, tweet, at):
+        return None
+
+    def post_tweet(self, tweet_id, author, at):
+        pass
+
+
+def retweets(n: int) -> list[RetweetRequest]:
+    return [RetweetRequest(user=i, tweet=1, at=float(i)) for i in range(n)]
+
+
+class TestServeResponse:
+    def test_repr_summarises_the_payload(self):
+        notifications = [
+            Recommendation(user=i, tweet=7, score=0.5, time=1.0)
+            for i in range(10_000)
+        ]
+        response = ServeResponse(
+            status="ok", served_from="propagation",
+            notifications=notifications, scores={7: None, 8: {1: 0.5}},
+        )
+        text = repr(response)
+        assert len(text) < 200
+        assert "'ok'" in text and "'propagation'" in text
+        assert "10000" in text and "scores=2" in text
+
+
+class TestBackpressure:
+    def test_admission_runs_while_a_batch_is_in_flight(self):
+        """The ladder answers on the loop while the worker is busy: that
+        is why batches run on a thread of their own."""
+        service = NoopService()
+        service.release.clear()
+        metrics = MetricsRegistry()
+        config = ServeConfig(degrade_depth=2, shed_depth=4)
+
+        async def run():
+            server = AsyncRecommendationServer(service, config, metrics)
+            requests = retweets(8)
+            in_flight = [server.submit_nowait(r) for r in requests[:2]]
+            async with server:
+                while not service.entered.is_set():
+                    await asyncio.sleep(0.001)
+                # The worker holds both requests; the inbox is empty again.
+                later = [server.submit_nowait(r) for r in requests[2:]]
+                await asyncio.sleep(0.01)
+                assert not any(f.done() for f in in_flight + later[:4])
+                assert [f.result().status for f in later[4:]] == ["shed"] * 2
+                counters = metrics.snapshot()["counters"]
+                assert counters["serve.admission[degraded]"] == 2
+                assert counters["serve.admission[shed]"] == 2
+                service.release.set()
+                responses = await asyncio.wait_for(
+                    asyncio.gather(*in_flight, *later), 10
+                )
+            return [r.status for r in responses]
+
+        assert asyncio.run(run()) == (
+            ["ok"] * 4 + ["degraded"] * 2 + ["shed"] * 2
+        )
+
+
+class TestWorkerLoop:
+    def test_stop_answers_every_request_in_flight(self):
+        async def run():
+            server = AsyncRecommendationServer(
+                NoopService(delay=0.005), ServeConfig(max_batch=2)
+            )
+            await server.start()
+            futures = [server.submit_nowait(r) for r in retweets(7)]
+            await asyncio.wait_for(server.stop(), 10)
+            assert all(f.done() for f in futures)
+            return [f.result().status for f in futures]
+
+        assert asyncio.run(run()) == ["ok"] * 7
+
+    def test_submit_while_stopping_is_refused(self):
+        async def run():
+            server = AsyncRecommendationServer(NoopService())
+            await server.start()
+            stopping = asyncio.create_task(server.stop())
+            await asyncio.sleep(0)
+            refused = server.submit_nowait(retweets(1)[0])
+            await stopping
+            return refused
+
+        refused = asyncio.run(run())
+        with pytest.raises(ConfigError, match="stopping"):
+            refused.result()
+
+    def test_escaped_batch_error_resolves_the_batch(self):
+        def broken(batch):
+            raise RuntimeError("boom")
+
+        async def run():
+            server = AsyncRecommendationServer(NoopService())
+            server._run_batch = broken
+            failed = [server.submit_nowait(r) for r in retweets(3)]
+            async with server:
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*failed, return_exceptions=True), 10
+                )
+                del server._run_batch
+                # The worker survived the error and serves on.
+                after = await asyncio.wait_for(
+                    server.submit(retweets(1)[0]), 10
+                )
+            return outcomes, after
+
+        outcomes, after = asyncio.run(run())
+        assert all(
+            isinstance(o, RuntimeError) and str(o) == "boom" for o in outcomes
+        )
+        assert after.status == "ok"
+
+    def test_error_inside_async_with_joins_the_worker(self):
+        threads = threading.active_count()
+
+        async def run():
+            async with AsyncRecommendationServer(NoopService()) as server:
+                await server.submit(retweets(1)[0])
+                assert threading.active_count() == threads + 1
+                raise KeyError("client failure")
+
+        with pytest.raises(KeyError):
+            asyncio.run(run())
+        assert threading.active_count() == threads
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("n, max_batch", [(23, 5), (8, 8), (1, 4), (9, 1)])
+    def test_serve_stream_fills_every_batch(self, n, max_batch):
+        metrics = MetricsRegistry()
+        serve_stream(
+            NoopService(), retweets(n), ServeConfig(max_batch=max_batch),
+            metrics,
+        )
+        snapshot = metrics.snapshot()
+        batches = math.ceil(n / max_batch)
+        assert snapshot["counters"]["serve.batches"] == batches
+        sizes = snapshot["histograms"]["serve.batch_size"]
+        assert sizes["count"] == batches
+        assert sizes["max"] == min(n, max_batch)
+
+    def test_fifo_under_a_tiny_switch_interval(self):
+        """One consumer takes the inbox in arrival order, however the two
+        threads interleave: every request runs once, in order."""
+        service = NoopService()
+        metrics = MetricsRegistry()
+        requests = retweets(600)
+
+        async def run():
+            async with AsyncRecommendationServer(
+                service,
+                ServeConfig(max_batch=7, shed_depth=1000, degrade_depth=1000),
+                metrics,
+            ) as server:
+                futures = []
+                for start in range(0, len(requests), 3):
+                    futures += [
+                        server.submit_nowait(r)
+                        for r in requests[start:start + 3]
+                    ]
+                    await asyncio.sleep(0)
+                return await asyncio.wait_for(asyncio.gather(*futures), 30)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            responses = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.status for r in responses] == ["ok"] * len(requests)
+        assert service.seen == [(r.user, r.tweet, r.at) for r in requests]
+        sizes = metrics.snapshot()["histograms"]["serve.batch_size"]
+        assert sizes["total"] == len(requests) and sizes["max"] <= 7
