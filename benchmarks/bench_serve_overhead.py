@@ -6,7 +6,8 @@
 The service answers every retweet with nothing (``ingest_batch`` and
 ``retweet`` return empty lists), so all that is left is the serving
 front-end: admission, the inbox, batching, the handoffs between the
-event loop and the worker thread, and resolving the futures.  Each rate
+event loop and the worker thread (for requests that queue up; an idle
+server runs a lone request on the loop), and resolving the futures.  Each rate
 drives a fresh ``AsyncRecommendationServer`` open-loop through
 ``repro.serve.loadgen.run_open_loop`` (after an untimed warm-up slice on
 the same server) and records, per request:
@@ -15,14 +16,17 @@ the same server) and records, per request:
 * ``loop_cpu_us``     — CPU of the event-loop thread (``time.thread_time``);
 * ``voluntary_csw``   — voluntary context switches of the process
   (``getrusage``): each sleep/wake between the two threads is one;
-* ``p50_ms``          — median latency, enqueue to answer.
+* ``p50_ms``          — median latency, enqueue to answer;
+* ``loop_share``      — the share of the window's batches that ran on the
+  event loop (``serve.batches[loop]`` over ``serve.batches``).
 
 Each rate is measured ``REPEATS`` times and the medians are kept.  The
 script imports ``src/`` of ``--repo``, so the same file measures a
 checkout of the parent commit.  One run rewrites its ``--label`` row of
 ``benchmarks/BENCH_serve_overhead.json`` and leaves the other rows
 alone; ``--smoke`` runs short windows once and writes nowhere unless
-``--out`` is given.
+``--out`` is given, and asserts that at 120 req/s every batch ran on the
+loop: requests 8 ms apart over a no-op service never queue.
 """
 
 from __future__ import annotations
@@ -57,6 +61,12 @@ class NoopService:
         return []
 
 
+def batch_counts(metrics) -> tuple[int, int]:
+    """Batches settled so far, and how many of them ran on the loop."""
+    counters = metrics.snapshot()["counters"]
+    return counters.get("serve.batches", 0), counters.get("serve.batches[loop]", 0)
+
+
 def window(rate: float, seconds: float) -> dict:
     """Drive one open-loop window at ``rate``; per-request costs."""
     from repro.serve import AsyncRecommendationServer, RetweetRequest
@@ -71,6 +81,7 @@ def window(rate: float, seconds: float) -> dict:
         async with AsyncRecommendationServer(NoopService()) as server:
             warm = requests[:WARMUP]
             await run_open_loop(server, warm, [i / rate for i in range(WARMUP)], rate)
+            batches0 = batch_counts(server.metrics)
             loop0, cpu0 = time.thread_time(), time.process_time()
             csw0 = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
             report = await run_open_loop(
@@ -78,6 +89,10 @@ def window(rate: float, seconds: float) -> dict:
             )
             loop1, cpu1 = time.thread_time(), time.process_time()
             csw1 = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
+            batches, on_loop = (
+                after - before
+                for after, before in zip(batch_counts(server.metrics), batches0)
+            )
         assert report.responses == n and not report.dropped, report.to_dict()
         return {
             "requests": n,
@@ -85,6 +100,7 @@ def window(rate: float, seconds: float) -> dict:
             "loop_cpu_us": (loop1 - loop0) / n * 1e6,
             "voluntary_csw": (csw1 - csw0) / n,
             "p50_ms": report.percentiles("ok")["p50"] * 1e3,
+            "loop_share": on_loop / batches,
         }
 
     return asyncio.run(run())
@@ -115,7 +131,13 @@ def main() -> int:
     for rate, row in rates.items():
         print(f"{args.label:>7} {rate:>4}/s: cpu {row['cpu_us']:7.1f} us/req "
               f"(loop {row['loop_cpu_us']:6.1f})  "
-              f"{row['voluntary_csw']:5.2f} csw/req  p50 {row['p50_ms']:6.3f} ms")
+              f"{row['voluntary_csw']:5.2f} csw/req  p50 {row['p50_ms']:6.3f} ms  "
+              f"loop share {row['loop_share']:.2f}")
+    if args.smoke and rates["120"]["loop_share"] != 1.0:
+        raise SystemExit(
+            f"at 120 req/s {rates['120']['loop_share']:.3f} of batches ran "
+            "on the loop; an idle server must run every lone request there"
+        )
 
     out = args.out if args.out is not None else (None if args.smoke else RECORD)
     if out is None:

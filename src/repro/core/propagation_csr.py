@@ -265,7 +265,9 @@ class CSRPropagationEngine:
     task scatters its seeds and warm entries in, runs, gathers its
     result out and resets exactly the positions it wrote.  One engine
     must therefore not run two tasks at once — it is **single-threaded
-    by contract** (the server runs its batches on a one-worker pool).
+    by contract** (the server runs at most one batch at a time: on the
+    event loop for a lone request on an idle server, otherwise on its
+    one worker thread).
     """
 
     def __init__(

@@ -5,12 +5,18 @@ RecommendationService` (or any backend with the same ingestion surface)
 into something a traffic stream can hit concurrently:
 
 * **natural batching** — requests are admitted synchronously on the
-  event loop into one FIFO inbox.  One worker thread blocks for the
-  first request, takes whatever else is queued (up to ``max_batch``),
-  runs the batch and posts all its outcomes back in one
-  ``call_soon_threadsafe``: one handoff each way per batch.  A lone
-  request goes at once; requests that arrive while a batch runs form
-  the next one.  Inside a batch, consecutive full-service retweets
+  event loop.  A started server with nothing outstanding (no request
+  admitted and not yet answered) holds a lone request and runs it on
+  the loop at its next turn: no thread handoff, so an idle server
+  answers at the cost of the work.  Anything else goes into one FIFO
+  inbox (a held request first, so arrival order holds): one worker
+  thread blocks for the first request, takes whatever else is queued
+  (up to ``max_batch``), runs the batch and posts all its outcomes back
+  in one ``call_soon_threadsafe``.  Requests that arrive while a batch
+  runs form the next one, and the loop keeps admitting and shedding
+  meanwhile.  At most one batch runs at a time: the loop runs one only
+  when nothing is outstanding, so the worker is idle.  Inside a batch,
+  consecutive full-service retweets
   collapse into one
   :meth:`~repro.service.engine.RecommendationService.ingest_batch` call
   and consecutive score requests into one ``score_batch`` call, so the
@@ -228,8 +234,13 @@ class AsyncRecommendationServer:
         self._admission = AdmissionController(
             self.config.admission(), metrics=self.metrics
         )
-        #: Admitted requests not yet in a batch; ``None`` is stop's marker.
+        #: Admitted requests for the worker; ``None`` is stop's marker.
         self._inbox: queue.SimpleQueue[_Pending | None] = queue.SimpleQueue()
+        #: A lone request the loop runs at its next turn (or None).
+        self._lone: _Pending | None = None
+        #: Requests admitted and not yet settled, held one included.
+        #: Read and written on the loop only.
+        self._outstanding = 0
         self._worker: threading.Thread | None = None
         #: Set by the worker (on the loop) as its last act.
         self._worker_done: asyncio.Future | None = None
@@ -264,6 +275,7 @@ class AsyncRecommendationServer:
         if self._worker is None:
             return
         self._stopping = True
+        self._release_lone()
         self._inbox.put(None)
         try:
             await self._worker_done
@@ -308,8 +320,16 @@ class AsyncRecommendationServer:
             self.metrics.counter("serve.shed").inc()
             future.set_result(ServeResponse(status="shed"))
             return future
-        self._inbox.put(_Pending(request, mode, future, now))
-        self.metrics.gauge("serve.queue_depth").set(self._inbox.qsize())
+        pending = _Pending(request, mode, future, now)
+        # Nothing outstanding: the worker is idle, so the loop may run it.
+        if self._outstanding == 0 and self._worker is not None:
+            self._lone = pending
+            loop.call_soon(self._run_lone, loop)
+        else:
+            self._release_lone()
+            self._inbox.put(pending)
+        self._outstanding += 1
+        self.metrics.gauge("serve.queue_depth").set(self._depth())
         return future
 
     async def submit(self, request) -> ServeResponse:
@@ -341,15 +361,37 @@ class AsyncRecommendationServer:
                     raise DatasetError(f"unknown tweet ids {missing}")
         else:
             raise ConfigError(f"unknown request type {type(request).__name__}")
-        decision = self._admission.admit(now, self._inbox.qsize())
+        decision = self._admission.admit(now, self._depth())
         if decision == "degraded" and not self._can_degrade:
             self.metrics.counter("serve.degrade_unsupported").inc()
             decision = "shed"
         return decision
 
+    def _depth(self) -> int:
+        """Admitted requests not yet in a batch (the ladder's depth)."""
+        return self._inbox.qsize() + (self._lone is not None)
+
+    def _release_lone(self) -> None:
+        """Hand a held lone request to the worker, ahead of what follows."""
+        if self._lone is not None:
+            self._inbox.put(self._lone)
+            self._lone = None
+
     # ------------------------------------------------------------------
-    # Batching (worker thread) and settling (loop)
+    # Batching (loop or worker thread) and settling (loop)
     # ------------------------------------------------------------------
+    def _run_lone(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Run the held request on the loop, unless it went to the worker."""
+        pending = self._lone
+        if pending is None:
+            return
+        self._lone = None
+        try:
+            outcomes = self._run_batch([pending])
+        except Exception as exc:
+            outcomes = [("error", exc)]
+        self._settle(loop, "loop", [pending], outcomes)
+
     def _work(self, loop: asyncio.AbstractEventLoop, done: asyncio.Future) -> None:
         """Worker thread: take what is queued, run it, post it back.  The
         loop keeps admitting (and shedding) while a batch is in flight."""
@@ -370,12 +412,18 @@ class AsyncRecommendationServer:
                     outcomes = self._run_batch(batch)
                 except Exception as exc:
                     outcomes = [("error", exc)] * len(batch)
-                loop.call_soon_threadsafe(self._settle, loop, batch, outcomes)
+                loop.call_soon_threadsafe(
+                    self._settle, loop, "worker", batch, outcomes
+                )
         loop.call_soon_threadsafe(done.set_result, None)
 
-    def _settle(self, loop, batch: list[_Pending], outcomes: list) -> None:
+    def _settle(
+        self, loop, site: str, batch: list[_Pending], outcomes: list
+    ) -> None:
         """Resolve one batch's futures and record it (on the loop)."""
+        self._outstanding -= len(batch)
         self.metrics.counter("serve.batches").inc()
+        self.metrics.counter(f"serve.batches[{site}]").inc()
         self.metrics.histogram("serve.batch_size").observe(len(batch))
         latency_hist = self.metrics.histogram(
             "serve.latency_seconds", timing=True
@@ -394,10 +442,10 @@ class AsyncRecommendationServer:
                 ).observe(latency)
                 if not pending.future.done():
                     pending.future.set_result(payload)
-        self.metrics.gauge("serve.queue_depth").set(self._inbox.qsize())
+        self.metrics.gauge("serve.queue_depth").set(self._depth())
 
     # ------------------------------------------------------------------
-    # Batch execution (worker thread)
+    # Batch execution (loop or worker thread)
     # ------------------------------------------------------------------
     def _run_batch(self, batch: list[_Pending]) -> list[tuple[str, object]]:
         """Execute one ordered batch; per-request outcome tuples.

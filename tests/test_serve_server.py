@@ -464,6 +464,27 @@ class TestServerLifecycle:
         assert response.latency_s > 0.0
 
 
+class ExclusiveService:
+    """Duck service that raises if two calls ever overlap."""
+
+    def __init__(self):
+        self._busy = threading.Lock()
+        self.seen: list[tuple] = []
+
+    def ingest_batch(self, events):
+        if not self._busy.acquire(blocking=False):
+            raise RuntimeError("two batches ran at once")
+        try:
+            time.sleep(0)
+            self.seen.extend(events)
+            return [[] for _ in events]
+        finally:
+            self._busy.release()
+
+    def retweet(self, user, tweet, at):
+        return self.ingest_batch([(user, tweet, at)])[0]
+
+
 class NoopService:
     """Duck service that answers every retweet with nothing.
 
@@ -476,14 +497,17 @@ class NoopService:
         self.entered = threading.Event()
         self.release = threading.Event()
         self.release.set()
-        #: Every event ingested, in the order the worker ran it.
+        #: Every event ingested, in the order it ran.
         self.seen: list[tuple] = []
+        #: The thread each ``ingest_batch`` call ran on.
+        self.threads: list[int] = []
 
     def ingest_batch(self, events):
         self.entered.set()
         assert self.release.wait(10)
         time.sleep(self.delay)
         self.seen.extend(events)
+        self.threads.append(threading.get_ident())
         return [[] for _ in events]
 
     def retweet(self, user, tweet, at):
@@ -519,7 +543,7 @@ class TestServeResponse:
 class TestBackpressure:
     def test_admission_runs_while_a_batch_is_in_flight(self):
         """The ladder answers on the loop while the worker is busy: that
-        is why batches run on a thread of their own."""
+        is why a backlog runs on a thread of its own."""
         service = NoopService()
         service.release.clear()
         metrics = MetricsRegistry()
@@ -583,26 +607,39 @@ class TestWorkerLoop:
         def broken(batch):
             raise RuntimeError("boom")
 
+        metrics = MetricsRegistry()
+
         async def run():
-            server = AsyncRecommendationServer(NoopService())
+            server = AsyncRecommendationServer(NoopService(), metrics=metrics)
             server._run_batch = broken
             failed = [server.submit_nowait(r) for r in retweets(3)]
             async with server:
                 outcomes = await asyncio.wait_for(
                     asyncio.gather(*failed, return_exceptions=True), 10
                 )
+                # The same error on the loop, for a lone request.
+                lone = await asyncio.wait_for(
+                    asyncio.gather(
+                        server.submit_nowait(retweets(1)[0]),
+                        return_exceptions=True,
+                    ),
+                    10,
+                )
                 del server._run_batch
-                # The worker survived the error and serves on.
+                # Both sites survived the error and serve on.
                 after = await asyncio.wait_for(
                     server.submit(retweets(1)[0]), 10
                 )
-            return outcomes, after
+            return outcomes + lone, after
 
         outcomes, after = asyncio.run(run())
-        assert all(
+        assert len(outcomes) == 4 and all(
             isinstance(o, RuntimeError) and str(o) == "boom" for o in outcomes
         )
         assert after.status == "ok"
+        counters = metrics.snapshot()["counters"]
+        assert counters["serve.batches[worker]"] >= 1
+        assert counters["serve.batches[loop]"] == 2
 
     def test_error_inside_async_with_joins_the_worker(self):
         threads = threading.active_count()
@@ -628,6 +665,8 @@ class TestWorkerLoop:
         snapshot = metrics.snapshot()
         batches = math.ceil(n / max_batch)
         assert snapshot["counters"]["serve.batches"] == batches
+        # Submitted before start: nothing is held for the loop.
+        assert snapshot["counters"]["serve.batches[worker]"] == batches
         sizes = snapshot["histograms"]["serve.batch_size"]
         assert sizes["count"] == batches
         assert sizes["max"] == min(n, max_batch)
@@ -664,3 +703,137 @@ class TestWorkerLoop:
         assert service.seen == [(r.user, r.tweet, r.at) for r in requests]
         sizes = metrics.snapshot()["histograms"]["serve.batch_size"]
         assert sizes["total"] == len(requests) and sizes["max"] <= 7
+
+
+class TestExecutionSites:
+    """An idle server runs a lone request on the loop; a backlog goes to
+    the worker.  Either way at most one batch runs at a time, in order."""
+
+    def test_lone_requests_run_on_the_loop(self):
+        service = NoopService()
+        metrics = MetricsRegistry()
+
+        async def run():
+            async with AsyncRecommendationServer(
+                service, metrics=metrics
+            ) as server:
+                return [
+                    await asyncio.wait_for(server.submit(r), 10)
+                    for r in retweets(3)
+                ]
+
+        assert [r.status for r in asyncio.run(run())] == ["ok"] * 3
+        assert service.threads == [threading.get_ident()] * 3
+        snapshot = metrics.snapshot()
+        counters = snapshot["counters"]
+        assert counters["serve.batches"] == 3
+        assert counters["serve.batches[loop]"] == 3
+        assert "serve.batches[worker]" not in counters
+        assert snapshot["histograms"]["serve.batch_size"]["count"] == 3
+
+    def test_a_held_request_counts_toward_the_depth(self):
+        metrics = MetricsRegistry()
+
+        async def run():
+            async with AsyncRecommendationServer(
+                NoopService(), ServeConfig(degrade_depth=1, shed_depth=2),
+                metrics,
+            ) as server:
+                first = server.submit_nowait(retweets(1)[0])
+                depth = metrics.snapshot()["gauges"]["serve.queue_depth"]
+                second = server.submit_nowait(retweets(2)[1])
+                return depth, await asyncio.wait_for(
+                    asyncio.gather(first, second), 10
+                )
+
+        depth, (first, second) = asyncio.run(run())
+        assert depth == 1
+        assert (first.status, second.status) == ("ok", "degraded")
+
+    def test_requests_of_one_turn_run_on_the_worker(self):
+        service = NoopService()
+        metrics = MetricsRegistry()
+        requests = retweets(3)
+
+        async def run():
+            async with AsyncRecommendationServer(
+                service, metrics=metrics
+            ) as server:
+                futures = [server.submit_nowait(r) for r in requests[:2]]
+                await asyncio.wait_for(asyncio.gather(*futures), 10)
+                on_worker = list(service.threads)
+                # Both answered, the server is idle again.
+                await asyncio.wait_for(server.submit(requests[2]), 10)
+            return on_worker
+
+        on_worker = asyncio.run(run())
+        assert service.seen == [(r.user, r.tweet, r.at) for r in requests]
+        assert on_worker and threading.get_ident() not in on_worker
+        assert service.threads[len(on_worker):] == [threading.get_ident()]
+        counters = metrics.snapshot()["counters"]
+        assert counters["serve.batches[worker]"] == len(on_worker)
+        assert counters["serve.batches[loop]"] == 1
+
+    def test_fifo_across_sites_under_a_tiny_switch_interval(self):
+        """Single requests one loop turn apart, then bursts of three: the
+        loop and the worker both run batches, never two at once, and
+        every request runs once, in order."""
+        service = ExclusiveService()
+        metrics = MetricsRegistry()
+        requests = retweets(600)
+        sizes = [1, 1, 1, 3, 3, 3]
+
+        async def run():
+            async with AsyncRecommendationServer(
+                service,
+                ServeConfig(max_batch=7, shed_depth=1000, degrade_depth=1000),
+                metrics,
+            ) as server:
+                futures = []
+                start = 0
+                for turn in range(len(requests)):
+                    if start >= len(requests):
+                        break
+                    size = sizes[turn % len(sizes)]
+                    futures += [
+                        server.submit_nowait(r)
+                        for r in requests[start:start + size]
+                    ]
+                    start += size
+                    await asyncio.sleep(0)
+                return await asyncio.wait_for(asyncio.gather(*futures), 30)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            responses = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.status for r in responses] == ["ok"] * len(requests)
+        assert service.seen == [(r.user, r.tweet, r.at) for r in requests]
+        counters = metrics.snapshot()["counters"]
+        assert counters["serve.batches[loop]"] >= 1
+        assert counters["serve.batches[worker]"] >= 1
+        assert (
+            counters["serve.batches[loop]"] + counters["serve.batches[worker]"]
+            == counters["serve.batches"]
+        )
+
+    def test_stop_before_the_next_turn_answers_a_lone_request(self):
+        service = NoopService()
+        metrics = MetricsRegistry()
+
+        async def run():
+            server = AsyncRecommendationServer(service, metrics=metrics)
+            await server.start()
+            future = server.submit_nowait(retweets(1)[0])
+            # Awaited directly, stop() runs before the loop's next turn.
+            await server.stop()
+            assert future.done()
+            return future.result()
+
+        assert asyncio.run(run()).status == "ok"
+        assert service.seen == [(0, 1, 0.0)]
+        counters = metrics.snapshot()["counters"]
+        assert counters["serve.batches[worker]"] == 1
+        assert "serve.batches[loop]" not in counters
