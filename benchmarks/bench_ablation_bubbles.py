@@ -22,7 +22,7 @@ def test_ablation_bubble_escape(benchmark, bench_dataset, bench_split,
         identify_bubbles, args=(bench_simgraph,), kwargs={"seed": 0},
         rounds=1, iterations=1,
     )
-    q = modularity(bench_simgraph.to_digraph(), bubbles.labels)
+    q = modularity(bench_simgraph.topology(), bubbles.labels)
     recommendations = replay_results["SimGraph"].candidates
     audience = {}
     for event in bench_split.test:

@@ -14,7 +14,7 @@ from repro.utils.tables import render_table
 def test_fig05_simgraph_paths(benchmark, bench_dataset, sparse_simgraph, emit):
     counts = benchmark.pedantic(
         path_length_sample,
-        args=(sparse_simgraph.to_digraph(),),
+        args=(sparse_simgraph.topology(),),
         kwargs={"sample_size": 120, "seed": 0},
         rounds=1,
         iterations=1,

@@ -31,7 +31,7 @@ def test_table4_simgraph_characteristics(
     assert 0 < sparse_simgraph.node_count <= bench_dataset.user_count
     assert sparse_simgraph.mean_similarity() > 0.0
     # In-degree flatter than the follow graph's (paper §4.1).
-    _, sim_in = degree_arrays(sparse_simgraph.to_digraph())
+    _, sim_in = degree_arrays(sparse_simgraph.topology())
     _, follow_in = degree_arrays(bench_dataset.follow_graph)
     sim_ratio = sim_in.max() / max(sim_in.mean(), 1e-9)
     follow_ratio = follow_in.max() / max(follow_in.mean(), 1e-9)

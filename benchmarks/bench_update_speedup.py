@@ -43,6 +43,8 @@ import os
 import random
 import time
 
+import numpy as np
+
 from repro.core import RetweetProfiles, SimGraphBuilder
 from repro.core.delta import apply_delta
 from repro.data import temporal_split
@@ -94,7 +96,9 @@ def _timed(fn, rounds=1):
 
 
 def _edge_map(simgraph):
-    return {(u, v): w for u, v, w in simgraph.to_digraph().edges()}
+    users, indptr, indices, weights = simgraph.arrays()
+    sources = np.repeat(users, np.diff(indptr)).tolist()
+    return dict(zip(zip(sources, users[indices].tolist()), weights.tolist()))
 
 
 def _inject_delta(profiles, fraction, seed):

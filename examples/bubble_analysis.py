@@ -27,7 +27,7 @@ def main() -> None:
     assert simgraph is not None
 
     bubbles = identify_bubbles(simgraph, seed=0)
-    q = modularity(simgraph.to_digraph(), bubbles.labels)
+    q = modularity(simgraph.topology(), bubbles.labels)
     sizes = sorted(bubbles.sizes().values(), reverse=True)
     print(f"SimGraph: {simgraph.node_count} users, {simgraph.edge_count} edges")
     print(f"bubbles found: {bubbles.bubble_count} (modularity {q:.3f})")

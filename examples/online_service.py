@@ -26,7 +26,8 @@ def main() -> None:
 
     for user_id in dataset.users:
         service.add_user(user_id)
-    for follower, followee, _ in dataset.follow_graph.edges():
+    followers, followees = dataset.follow_graph.edge_arrays()
+    for follower, followee in zip(followers.tolist(), followees.tolist()):
         service.add_follow(follower, followee)
 
     # Merge tweets and retweets into one chronological event stream.

@@ -24,9 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.baselines.base import Recommendation
 from repro.core.simgraph import SimGraph
 from repro.graph.communities import label_propagation_communities
+from repro.graph.followgraph import FollowGraph
 
 __all__ = [
     "BubbleMap",
@@ -83,22 +86,29 @@ def identify_bubbles(
     """
     if backbone_size is not None and backbone_size < 1:
         raise ValueError(f"backbone_size must be positive, got {backbone_size}")
-    graph = simgraph.to_digraph()
-    if backbone_size is not None:
-        from repro.graph.digraph import DiGraph
-        from repro.utils.topk import top_k_items
-
-        backbone = DiGraph()
-        backbone.add_nodes(graph.nodes())
-        for user in graph.nodes():
-            edges = dict(graph.out_edges(user))
-            for target, weight in top_k_items(edges, backbone_size):
-                backbone.add_edge(user, target, weight=weight)
-        graph = backbone
+    if backbone_size is None:
+        graph = simgraph.topology()
+    else:
+        graph = _backbone(simgraph, backbone_size)
     labels = label_propagation_communities(
         graph, max_iterations=max_iterations, seed=seed
     )
     return BubbleMap(labels={int(u): int(b) for u, b in labels.items()})
+
+
+def _backbone(simgraph: SimGraph, size: int) -> FollowGraph:
+    """Each row of ``simgraph`` cut to its ``size`` strongest edges, by
+    (weight, target id) descending, in edge order."""
+    users, indptr, indices, weights = simgraph.arrays()
+    rows = np.repeat(np.arange(len(users)), np.diff(indptr))
+    ranked = np.lexsort((-users[indices], -weights, rows))
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[ranked] = np.arange(len(rows)) - indptr[rows[ranked]]
+    keep = rank < size
+    backbone = FollowGraph()
+    backbone.add_nodes(users.tolist())
+    backbone.add_edges(rows[keep], indices[keep])
+    return backbone
 
 
 def recommendation_locality(

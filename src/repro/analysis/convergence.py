@@ -20,7 +20,7 @@ from repro.core.profiles import RetweetProfiles
 from repro.core.propagation import PropagationEngine
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data.models import Retweet
-from repro.graph.digraph import DiGraph
+from repro.graph.followgraph import FollowGraph
 
 __all__ = ["ConvergenceStudy", "study_convergence", "norms_by_tau"]
 
@@ -98,7 +98,7 @@ def study_convergence(
 
 
 def norms_by_tau(
-    follow_graph: DiGraph,
+    follow_graph: FollowGraph,
     profiles: RetweetProfiles,
     taus: list[float],
 ) -> list[tuple[float, float, float]]:

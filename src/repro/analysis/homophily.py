@@ -15,13 +15,16 @@ Two experiments over a sample of sufficiently-active users:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.core.profiles import RetweetProfiles
 from repro.core.similarity import similarities_from
 from repro.data.dataset import TwitterDataset
-from repro.graph.traversal import bfs_distances
+from repro.exceptions import GraphError
+from repro.graph.followgraph import FollowGraph
+from repro.graph.metrics import hop_distances
 from repro.utils.rng import make_rng
 from repro.utils.topk import top_k_items
 
@@ -76,6 +79,27 @@ def sample_active_users(
     return sorted(eligible[i] for i in picked)
 
 
+def _distance_rows(
+    graph: FollowGraph, users: list[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Each of ``users`` with its follow-graph distances to every node
+    by position (``inf``: unreachable), from a multi-source BFS over a
+    bounded block of users at a time."""
+    at, present = graph.positions(users)
+    if not present.all():
+        absent = users[int(np.argmin(present))]
+        raise GraphError(f"node {absent!r} does not exist")
+    rows = (row for block in hop_distances(graph, at) for row in block)
+    return zip(users, rows)
+
+
+def _hops(graph: FollowGraph, row: np.ndarray, peers) -> list[float]:
+    """``row``'s distance to each of ``peers`` (``inf`` for a peer that
+    is not a node)."""
+    where, known = graph.positions(peers)
+    return np.where(known, row[where], np.inf).tolist()
+
+
 def similarity_by_distance(
     dataset: TwitterDataset,
     profiles: RetweetProfiles,
@@ -85,22 +109,20 @@ def similarity_by_distance(
     """The Table-2 experiment.
 
     For each sampled user, every peer with a non-zero similarity is
-    bucketed by follow-graph distance (one BFS per user covers all peers);
-    unreachable peers land in the "Impossible" bucket.  Distances beyond
-    ``max_distance`` are folded into the last bucket, as the tail is
-    negligible (Table 2 stops at 6).
+    bucketed by follow-graph distance (one BFS row per user covers all
+    peers); unreachable peers land in the "Impossible" bucket.
+    Distances beyond ``max_distance`` are folded into the last bucket,
+    as the tail is negligible (Table 2 stops at 6).
     """
     sums: dict[int | None, float] = {}
     counts: dict[int | None, int] = {}
-    for u in users:
+    graph = dataset.follow_graph
+    for u, row in _distance_rows(graph, users):
         scores = similarities_from(profiles, u)
         if not scores:
             continue
-        distances = bfs_distances(dataset.follow_graph, u)
-        for v, score in scores.items():
-            distance: int | None = distances.get(v)
-            if distance is not None and distance > max_distance:
-                distance = max_distance
+        for score, hops in zip(scores.values(), _hops(graph, row, scores)):
+            distance = None if hops == np.inf else min(int(hops), max_distance)
             sums[distance] = sums.get(distance, 0.0) + score
             counts[distance] = counts.get(distance, 0) + 1
     total_pairs = sum(counts.values())
@@ -139,15 +161,15 @@ def top_rank_distances(
     like the paper's "4" column).
     """
     per_rank_distances: list[list[int]] = [[] for _ in range(top_n)]
-    for u in users:
+    graph = dataset.follow_graph
+    for u, row in _distance_rows(graph, users):
         scores = similarities_from(profiles, u)
         if len(scores) < top_n:
             continue
         ranked = top_k_items(scores, top_n)
-        distances = bfs_distances(dataset.follow_graph, u, max_depth=max_distance)
-        for rank, (v, _score) in enumerate(ranked):
-            distance = distances.get(v, max_distance)
-            per_rank_distances[rank].append(min(distance, max_distance))
+        hops = _hops(graph, row, [v for v, _score in ranked])
+        for rank, distance in enumerate(hops):
+            per_rank_distances[rank].append(int(min(distance, max_distance)))
     rows: list[TopRankDistanceRow] = []
     for rank, rank_distances in enumerate(per_rank_distances, start=1):
         if not rank_distances:

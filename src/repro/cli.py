@@ -418,7 +418,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config=ServiceConfig(prop_backend=args.prop_backend),
         metrics=registry,
     )
-    service.follow_graph = dataset.follows.copy()
+    service.follow_graph = dataset.follow_graph.copy()
     # Posts before the cutoff land directly (time-ordered, so the
     # service clock stays monotone); later ones replay through the
     # server as control-plane requests interleaved with retweets.

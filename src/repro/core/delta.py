@@ -89,7 +89,7 @@ never sort a Gram here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -105,9 +105,6 @@ from repro.core.simmatrix import (
 )
 from repro.graph.followgraph import FollowGraph
 from repro.obs import MetricsRegistry
-
-if TYPE_CHECKING:
-    from repro.graph.digraph import DiGraph
 
 __all__ = ["DeltaPlan", "DeltaReport", "affected_region", "apply_delta"]
 
@@ -245,7 +242,7 @@ class _Edges(NamedTuple):
 
 def affected_region(
     profiles: RetweetProfiles,
-    exploration_graph: FollowGraph | DiGraph,
+    graph: FollowGraph,
     extra_sources: Iterable[int] = (),
     hops: int = 2,
 ) -> DeltaPlan:
@@ -258,7 +255,6 @@ def affected_region(
     rule is unsound.  ``hops`` must match the builder's exploration
     radius.
     """
-    graph = FollowGraph.of(exploration_graph)
     dirty_users, dirty_tweets = profiles.dirt()
     core = np.unique(
         np.concatenate(
@@ -378,7 +374,7 @@ def _vectorized_core_state(
 
 def apply_delta(
     old: SimGraph,
-    exploration_graph: FollowGraph | DiGraph,
+    graph: FollowGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
     plan: DeltaPlan | None = None,
@@ -389,9 +385,9 @@ def apply_delta(
     Returns ``(refreshed, report)``.  With an empty delta the *same*
     graph object is returned and the report is a no-op.  Otherwise
     ``refreshed`` is ``old``'s :meth:`~repro.core.simgraph.SimGraph.splice`,
-    and its edges are identical to ``builder.build(exploration_graph,
-    profiles)`` — a full from-scratch rebuild — with weights equal up
-    to last-ulp float round-off on patched fringe pairs (see module
+    and its edges are identical to ``builder.build(graph, profiles)``
+    — a full from-scratch rebuild — with weights equal up to last-ulp
+    float round-off on patched fringe pairs (see module
     docstring); the differential suite pins both properties.  Rows and
     nodes are ordered by the module's edge-order contract.
 
@@ -400,7 +396,6 @@ def apply_delta(
     unsound — fringe rows are promoted to full recomputation instead.
     """
     metrics = metrics if metrics is not None else builder.metrics
-    graph = FollowGraph.of(exploration_graph)
     if plan is None:
         plan = affected_region(profiles, graph, hops=builder.hops)
     metrics.counter("maintenance.dirty_users").inc(len(plan.dirty_users))

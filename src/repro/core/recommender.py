@@ -60,7 +60,7 @@ class SimGraphRecommender(Recommender):
     def fit(self, dataset: TwitterDataset, train: list[Retweet],
             target_users: set[int] | None = None) -> None:
         service = service_engine.RecommendationService(self.config, *self._service_args)
-        service.follow_graph = dataset.follows.copy()
+        service.follow_graph = dataset.follow_graph.copy()
         service.tweets = dict(dataset.tweets.items())
         for retweet in train:
             service.absorb_retweet(retweet.user, retweet.tweet)

@@ -27,7 +27,6 @@ from scipy import sparse
 from repro.core.csr import gather_ranges, lookup
 from repro.core.profiles import RetweetProfiles
 from repro.core.simmatrix import DEFAULT_CHUNK_SIZE, simgraph_edges
-from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
 from repro.graph.metrics import GraphSummary, summarize_graph
 from repro.obs import NULL, MetricsRegistry
@@ -63,9 +62,10 @@ class SimGraph:
     and only saved never pays for them, and
     :class:`~repro.core.propagation_csr.CSRPropagationEngine` builds them
     at construction so no task does.  A graph is never modified;
-    maintenance makes a new one (:meth:`splice`).  :meth:`to_digraph`
-    materializes a dict adjacency once, for the offline Table 4 /
-    Figure 5 / bubble analyses only.
+    maintenance makes a new one (:meth:`splice`).  :meth:`topology`
+    wraps the rows and the transpose as a
+    :class:`~repro.graph.FollowGraph` for the graph analyses (Table 4,
+    Figure 5, bubbles) and the *crossfold* walk.
     """
 
     def __init__(
@@ -101,7 +101,6 @@ class SimGraph:
         )
         self.inf_counts = np.diff(self.inf_indptr)
         self.tau = float(tau)
-        self._digraph: DiGraph | None = None
 
     @classmethod
     def from_edges(
@@ -351,30 +350,15 @@ class SimGraph:
             spliced.index = index
         return spliced
 
-    def to_digraph(self) -> DiGraph:
-        """The dict-of-dict adjacency, in node and edge order: built on
-        first call and cached, so callers must treat it as read-only."""
-        if self._digraph is None:
-            graph = DiGraph()
-            users = self.users.tolist()
-            graph.add_nodes(users)
-            indptr = self.inf_indptr
-            for i, u in enumerate(users):
-                lo, hi = int(indptr[i]), int(indptr[i + 1])
-                if lo == hi:
-                    continue
-                graph.set_row(
-                    u,
-                    {
-                        users[j]: w
-                        for j, w in zip(
-                            self.inf_indices[lo:hi].tolist(),
-                            self.inf_weights[lo:hi].tolist(),
-                        )
-                    },
-                )
-            self._digraph = graph
-        return self._digraph
+    def topology(self) -> FollowGraph:
+        """The edges ``u -> w`` (``w`` influences ``u``) as a
+        :class:`~repro.graph.FollowGraph` over these arrays: nodes in
+        node order, rows in edge order, no copy."""
+        return FollowGraph.from_csr(
+            self.users,
+            (self.inf_indptr, self.inf_indices),
+            (self.out_indptr, self.out_indices),
+        )
 
     # ------------------------------------------------------------------
     # Reporting (paper Table 4 / Figure 5)
@@ -388,7 +372,7 @@ class SimGraph:
     def summary(self, sample_size: int = 200, seed: int = 0) -> GraphSummary:
         """Structural summary (degrees, diameter, path lengths)."""
         return summarize_graph(
-            self.to_digraph(), sample_size=sample_size, seed=seed
+            self.topology(), sample_size=sample_size, seed=seed
         )
 
     def table4_rows(self, sample_size: int = 200, seed: int = 0) -> list[tuple[str, object]]:
@@ -474,7 +458,7 @@ class SimGraphBuilder:
 
     def build(
         self,
-        exploration_graph: FollowGraph | DiGraph,
+        exploration_graph: FollowGraph,
         profiles: RetweetProfiles,
         users: Iterable[int] | None = None,
     ) -> SimGraph:

@@ -29,7 +29,7 @@ similarities within 1e-12.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy import sparse
@@ -37,9 +37,6 @@ from scipy import sparse
 from repro.core.profiles import RetweetProfiles
 from repro.graph.followgraph import FollowGraph
 from repro.obs import NULL, MetricsRegistry
-
-if TYPE_CHECKING:
-    from repro.graph.digraph import DiGraph
 
 __all__ = [
     "SimilarityMatrix",
@@ -286,7 +283,7 @@ class SimilarityMatrix:
 
 
 def reachability_matrix(
-    graph: FollowGraph | DiGraph,
+    graph: FollowGraph,
     hops: int,
     matrix: SimilarityMatrix,
     sources: Iterable[int],
@@ -309,7 +306,6 @@ def reachability_matrix(
     ``columns`` is ``matrix.positions(graph.ids)``; a caller scoring
     many chunks against one graph computes it once.
     """
-    graph = FollowGraph.of(graph)
     if columns is None:
         columns = matrix.positions(graph.ids)
     at, inside = graph.positions(sources)
@@ -324,7 +320,7 @@ def reachability_matrix(
 
 
 def simgraph_edges(
-    exploration_graph: FollowGraph | DiGraph,
+    graph: FollowGraph,
     profiles: RetweetProfiles,
     sources: Iterable[int],
     tau: float,
@@ -346,7 +342,6 @@ def simgraph_edges(
     timings and chunk/pair counters.
     """
     metrics = metrics if metrics is not None else NULL
-    graph = FollowGraph.of(exploration_graph)
     eligible = list(dict.fromkeys(
         u for u in sources if u in graph and profiles.has_profile(u)
     ))

@@ -25,7 +25,7 @@ offline ``simgraph maintain`` command.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data.models import Retweet
 from repro.graph.followgraph import FollowGraph
-
-if TYPE_CHECKING:
-    from repro.graph.digraph import DiGraph
 
 __all__ = [
     "from_scratch",
@@ -52,14 +49,14 @@ __all__ = [
 #: Signature shared by all strategies: (old graph, follow graph, updated
 #: profiles, builder) -> refreshed graph.
 UpdateStrategy = Callable[
-    [SimGraph, "FollowGraph | DiGraph", RetweetProfiles, SimGraphBuilder],
+    [SimGraph, FollowGraph, RetweetProfiles, SimGraphBuilder],
     SimGraph,
 ]
 
 
 def from_scratch(
     old: SimGraph,
-    follow_graph: FollowGraph | DiGraph,
+    follow_graph: FollowGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> SimGraph:
@@ -69,7 +66,7 @@ def from_scratch(
 
 def old_simgraph(
     old: SimGraph,
-    follow_graph: FollowGraph | DiGraph,
+    follow_graph: FollowGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> SimGraph:
@@ -79,7 +76,7 @@ def old_simgraph(
 
 def crossfold(
     old: SimGraph,
-    follow_graph: FollowGraph | DiGraph,
+    follow_graph: FollowGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> SimGraph:
@@ -93,17 +90,12 @@ def crossfold(
     neighbourhoods are thousands of users).  The walk runs on the old
     graph's CSR arrays, its influencer rows as the out-edges.
     """
-    exploration = FollowGraph.from_csr(
-        old.users,
-        (old.inf_indptr, old.inf_indices),
-        (old.out_indptr, old.out_indices),
-    )
-    return builder.build(exploration, profiles)
+    return builder.build(old.topology(), profiles)
 
 
 def update_weights(
     old: SimGraph,
-    follow_graph: FollowGraph | DiGraph,
+    follow_graph: FollowGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> SimGraph:
@@ -125,7 +117,7 @@ def update_weights(
 
 def delta(
     old: SimGraph,
-    follow_graph: FollowGraph | DiGraph,
+    follow_graph: FollowGraph,
     profiles: RetweetProfiles,
     builder: SimGraphBuilder,
 ) -> SimGraph:
@@ -155,7 +147,7 @@ STRATEGIES: dict[str, UpdateStrategy] = {
 def apply_strategy(
     name: str,
     old: SimGraph,
-    follow_graph: FollowGraph | DiGraph,
+    follow_graph: FollowGraph,
     train: list[Retweet],
     extra: list[Retweet],
     builder: SimGraphBuilder | None = None,

@@ -1,7 +1,6 @@
 """Dataset layer: entities, container, chronological split, IO and the
 paper's §3 characterization measurements."""
 
-from repro.data.builders import DatasetBuilder
 from repro.data.dataset import TwitterDataset
 from repro.data.io import load_dataset, save_dataset
 from repro.data.loaders import assemble_dataset, load_edge_list, load_retweet_csv
@@ -18,7 +17,6 @@ from repro.data.stats import (
 
 __all__ = [
     "ActivityClass",
-    "DatasetBuilder",
     "DatasetStats",
     "Retweet",
     "TemporalSplit",

@@ -17,8 +17,9 @@ handful of arrays rather than one Python object per entity:
 ``add_*`` check a record and append it to a buffer that the first read
 after a write compacts, as ``FollowGraph`` does; :meth:`from_arrays`
 puts whole columns through the same checks.  ``users`` and ``tweets``
-are id -> object views built on access, and ``follow_graph`` is a
-cached :class:`~repro.graph.DiGraph` for offline code.
+are id -> object views built on access; ``follow_graph`` is the
+:class:`~repro.graph.FollowGraph` itself, which the service and every
+offline analysis read.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from repro.data.models import ActivityClass, Retweet, Tweet, User
 from repro.exceptions import DatasetError, GraphError
-from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
 
 __all__ = ["TwitterDataset"]
@@ -142,7 +142,7 @@ class TwitterDataset:
     def __init__(self) -> None:
         #: The follow relation; its nodes are the users.  Read it; write
         #: through ``add_user`` / ``add_follow``.
-        self.follows = FollowGraph()
+        self.follow_graph = FollowGraph()
         self._communities = array("i")
         self._interests: dict[int, tuple[float, ...]] = {}
         self._user_rank = _NO_IDS
@@ -160,7 +160,6 @@ class TwitterDataset:
         #: record.
         self._log_sorted, self._last_time = True, None
         self._indexes = None
-        self._graph: DiGraph | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -254,9 +253,8 @@ class TwitterDataset:
         bad = _repeats(ids) | (self._user_positions(ids) >= 0)
         if bad.any():
             raise DatasetError(f"duplicate user id {ids[bad.argmax()]}")
-        self.follows.add_nodes(ids.tolist())
+        self.follow_graph.add_nodes(ids.tolist())
         self._communities.frombytes(np.asarray(communities, np.intc).tobytes())
-        self._graph = None
 
     def _add_follows(self, followers, followees) -> None:
         pairs = np.asarray((followers, followees), dtype=np.int64)
@@ -271,8 +269,7 @@ class TwitterDataset:
             raise GraphError(
                 f"self-loop on node {int(followers[k])!r} is not allowed"
             )
-        self.follows.add_edges(i, j)
-        self._graph = None
+        self.follow_graph.add_edges(i, j)
 
     def _add_tweets(self, ids, authors, times, topics) -> None:
         ids = np.asarray(ids, dtype=np.int64)
@@ -318,11 +315,11 @@ class TwitterDataset:
             column.frombytes(values.tobytes())
 
     def _user_positions(self, ids) -> np.ndarray:
-        """Position of each of ``ids`` in :attr:`follows`, or -1."""
+        """Position of each of ``ids`` in :attr:`follow_graph`, or -1."""
         if len(ids) < 64:  # a few records: the graph's own id index
-            at, present = self.follows.positions(np.asarray(ids).tolist())
+            at, present = self.follow_graph.positions(np.asarray(ids).tolist())
             return np.where(present, at, -1)
-        known = self.follows.ids
+        known = self.follow_graph.ids
         if len(self._user_rank) != len(known):
             self._user_rank = np.argsort(known, kind="stable")
         return _find(known, self._user_rank, ids)
@@ -372,7 +369,7 @@ class TwitterDataset:
     @property
     def user_count(self) -> int:
         """Number of registered users."""
-        return self.follows.node_count
+        return self.follow_graph.node_count
 
     @property
     def tweet_count(self) -> int:
@@ -386,18 +383,18 @@ class TwitterDataset:
 
     @property
     def user_ids(self) -> np.ndarray:
-        """``int64`` user ids, by position in :attr:`follows`."""
-        return self.follows.ids
+        """``int64`` user ids, by position in :attr:`follow_graph`."""
+        return self.follow_graph.ids
 
     @property
     def follow_indptr(self) -> np.ndarray:
         """Row pointers of the follow CSR (rows by user position)."""
-        return self.follows.csr()[0]
+        return self.follow_graph.csr()[0]
 
     @property
     def follow_targets(self) -> np.ndarray:
         """Followee positions of the follow CSR, rows in insertion order."""
-        return self.follows.csr()[1]
+        return self.follow_graph.csr()[1]
 
     def retweet_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The log as (users, tweets, times) columns, chronological."""
@@ -450,12 +447,13 @@ class TwitterDataset:
     def users(self) -> Mapping[int, User]:
         """id -> :class:`User`, in registration order."""
         return _Entities(
-            self.follows.ids, lambda user_id: self._user_positions([user_id])[0],
+            self.follow_graph.ids,
+            lambda user_id: self._user_positions([user_id])[0],
             self._make_user,
         )
 
     def _make_user(self, i: int) -> User:
-        user_id = int(self.follows.ids[i])
+        user_id = int(self.follow_graph.ids[i])
         return User(
             id=user_id, community=self._communities[i],
             interests=self._interests.get(user_id, ()),
@@ -487,32 +485,16 @@ class TwitterDataset:
     def followees(self, user_id: int) -> list[int]:
         """Accounts ``user_id`` follows, in follow order."""
         self._check_user(user_id)
-        return self.follows.successors(user_id)
+        return self.follow_graph.successors(user_id)
 
     def followers(self, user_id: int) -> list[int]:
         """Accounts following ``user_id``, in registration order."""
         self._check_user(user_id)
-        return self.follows.predecessors(user_id)
+        return self.follow_graph.predecessors(user_id)
 
     def _check_user(self, user_id: int) -> None:
-        if user_id not in self.follows:
+        if user_id not in self.follow_graph:
             raise DatasetError(f"unknown user id {user_id}")
-
-    @property
-    def follow_graph(self) -> DiGraph:
-        """The follow relation as a :class:`DiGraph` for offline code:
-        built on first use in :attr:`follows`' node and row order, and
-        kept until the next user or follow."""
-        if self._graph is None:
-            graph = DiGraph()
-            ids = self.follows.ids
-            graph.add_nodes(ids.tolist())
-            indptr, targets = self.follows.csr()
-            for i in np.flatnonzero(np.diff(indptr)).tolist():
-                row = ids[targets[indptr[i] : indptr[i + 1]]].tolist()
-                graph.set_row(int(ids[i]), dict.fromkeys(row, 1.0))
-            self._graph = graph
-        return self._graph
 
     def time_span(self) -> tuple[float, float]:
         """(first, last) timestamps over tweets and retweets."""
@@ -526,13 +508,12 @@ class TwitterDataset:
         """Put every stored record through :meth:`from_arrays`' checks
         again; raise on corruption."""
         self._compact()
-        ids = self.follows.ids
-        indptr, targets = self.follows.csr()
+        follow_src, follow_dst = self.follow_graph.edge_arrays()
         tweet_ids, authors, times, topics = self._tweets
         rt_users, rt_tweets, rt_times = self._log
         self.from_arrays(
-            user_ids=ids, follow_src=np.repeat(ids, np.diff(indptr)),
-            follow_dst=ids[targets], tweet_ids=tweet_ids,
+            user_ids=self.follow_graph.ids, follow_src=follow_src,
+            follow_dst=follow_dst, tweet_ids=tweet_ids,
             tweet_authors=authors, tweet_times=times, rt_users=rt_users,
             rt_tweets=rt_tweets, rt_times=rt_times,
         )

@@ -39,7 +39,8 @@ def save_dataset(dataset: TwitterDataset, directory: str | Path) -> Path:
             }
             f.write(json.dumps(record) + "\n")
     with open(path / "follows.jsonl", "w", encoding="utf-8") as f:
-        for follower, followee, _ in dataset.follow_graph.edges():
+        followers, followees = dataset.follow_graph.edge_arrays()
+        for follower, followee in zip(followers.tolist(), followees.tolist()):
             f.write(json.dumps({"follower": follower, "followee": followee}) + "\n")
     with open(path / "tweets.jsonl", "w", encoding="utf-8") as f:
         for tweet in dataset.tweets.values():
@@ -63,7 +64,7 @@ def save_dataset(dataset: TwitterDataset, directory: str | Path) -> Path:
         "users": dataset.user_count,
         "tweets": dataset.tweet_count,
         "retweets": dataset.retweet_count,
-        "follow_edges": dataset.follows.edge_count,
+        "follow_edges": dataset.follow_graph.edge_count,
     }
     with open(path / "meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2)
@@ -124,7 +125,7 @@ def load_dataset(directory: str | Path) -> TwitterDataset:
     )
     loaded = {
         "users": dataset.user_count,
-        "follow_edges": dataset.follows.edge_count,
+        "follow_edges": dataset.follow_graph.edge_count,
         "tweets": dataset.tweet_count,
         "retweets": dataset.retweet_count,
     }

@@ -1,9 +1,9 @@
 """Core entities of a microblogging dataset.
 
 Mirrors what the paper's crawl collected per account (§3): the follow
-edges live in a :class:`repro.graph.DiGraph`, while tweets and retweet
-actions are the value objects defined here.  Timestamps are float seconds
-since the dataset epoch.
+edges live in a :class:`repro.graph.FollowGraph`, while tweets and
+retweet actions are the value objects defined here.  Timestamps are
+float seconds since the dataset epoch.
 """
 
 from __future__ import annotations

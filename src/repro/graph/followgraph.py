@@ -2,16 +2,16 @@
 
 The service learns follows one at a time (1.6M of them at the 100k-user
 tier) and reads them in bulk, walking the 2-hop neighbourhood ``N2(u)``
-(paper §4.1) of thousands of users per build or delta.  A dict-of-dicts
-:class:`~repro.graph.digraph.DiGraph` pays a row dict and a predecessor
-set per user for that; :class:`FollowGraph` holds the relation as tables
-(and :class:`~repro.data.dataset.TwitterDataset` holds its follows in
-one): dense positions in first-appearance order, an out-edge CSR and its
-transpose, and a buffer of int32 position pairs that the first read
-after a write compacts into them.  Walks are boolean sparse products
-over the CSR, the matrix view of the graph (ten Thij et al., PAPERS.md).
-``DiGraph`` stays the graph of offline code; :meth:`FollowGraph.of`
-converts one.
+(paper §4.1) of thousands of users per build or delta.  The offline
+analyses read the same graph: breadth-first distances for Tables 1-3
+and Figs. 1/5, degrees, communities.  :class:`FollowGraph` holds the
+relation as tables (and :class:`~repro.data.dataset.TwitterDataset`
+holds its follows in one): dense positions in first-appearance order,
+an out-edge CSR and its transpose, and a buffer of int32 position pairs
+that the first read after a write compacts into them.  Walks are
+boolean sparse products over the CSR, the matrix view of the graph (ten
+Thij et al., PAPERS.md); a SimGraph's influencer rows wrap into one
+with :meth:`FollowGraph.from_csr`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import GraphError
-from repro.graph.digraph import DiGraph
 
 __all__ = ["FollowGraph"]
 
@@ -61,18 +60,6 @@ class FollowGraph:
         #: Ascending positions of the sources of edges new since
         #: mark_clean, as of the last compaction.
         self._new = _NO_POSITIONS
-
-    @classmethod
-    def of(cls, graph: "FollowGraph | DiGraph") -> "FollowGraph":
-        """``graph`` itself, or a :class:`DiGraph`'s nodes and edges in
-        its node and row order."""
-        if isinstance(graph, cls):
-            return graph
-        follows = cls()
-        follows.add_nodes(graph.nodes())
-        for u, v, _ in graph.edges():
-            follows.add_edge(u, v)
-        return follows
 
     @classmethod
     def from_csr(
@@ -222,6 +209,13 @@ class FollowGraph:
         """``(indptr, indices)`` of the out-edges."""
         self._compacted()
         return self._out
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sources, targets)``: the ids of every follow, row by row
+        in node order, each row in insertion order."""
+        indptr, indices = self.csr()
+        ids = self.ids
+        return np.repeat(ids, np.diff(indptr)), ids[indices]
 
     def copy(self) -> "FollowGraph":
         """A graph over the same arrays, not copied: writes to either

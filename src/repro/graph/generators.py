@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigError
-from repro.graph.digraph import DiGraph
+from repro.graph.followgraph import FollowGraph
 from repro.utils.rng import make_rng
 
 __all__ = ["community_preferential_graph"]
@@ -51,7 +51,7 @@ def community_preferential_graph(
     community_bias: float = 0.7,
     seed: int | np.random.Generator | None = None,
     max_attempts: int = 20,
-) -> DiGraph:
+) -> FollowGraph:
     """Generate a directed follow graph with homophily.
 
     Parameters
@@ -84,7 +84,7 @@ def community_preferential_graph(
         raise ConfigError(f"community_bias must be in [0, 1], got {community_bias}")
     rng = make_rng(seed)
     n = len(out_degrees)
-    graph = DiGraph()
+    graph = FollowGraph()
     graph.add_nodes(range(n))
     if n <= 1:
         return graph
@@ -103,11 +103,14 @@ def community_preferential_graph(
     for source in order:
         source = int(source)
         label = communities[source]
+        # A source's edges are all drawn here, so its own targets are
+        # the duplicates to avoid.
+        chosen: set[int] = set()
         for _ in range(int(out_degrees[source])):
             target = _draw_target(
                 rng,
                 source,
-                graph,
+                chosen,
                 global_sampler,
                 community_samplers[label],
                 community_bias,
@@ -115,6 +118,7 @@ def community_preferential_graph(
             )
             if target is None:
                 continue
+            chosen.add(target)
             graph.add_edge(source, target)
             global_sampler.bump(target)
             community_samplers[communities[target]].bump(target)
@@ -124,7 +128,7 @@ def community_preferential_graph(
 def _draw_target(
     rng: np.random.Generator,
     source: int,
-    graph: DiGraph,
+    chosen: set[int],
     global_sampler: _PreferentialSampler,
     community_sampler: _PreferentialSampler,
     community_bias: float,
@@ -136,6 +140,6 @@ def _draw_target(
             candidate = community_sampler.draw(rng)
         else:
             candidate = global_sampler.draw(rng)
-        if candidate != source and not graph.has_edge(source, candidate):
+        if candidate != source and candidate not in chosen:
             return candidate
     return None

@@ -4,28 +4,34 @@ Table 1 and Table 4 report node/edge counts, mean degrees, diameter and
 average path length; Figures 1 and 5 report the distribution of shortest
 path lengths.  Exact all-pairs computation is quadratic, so — like the
 paper, which samples 2,000 users — the expensive measures are estimated
-from BFS trees rooted at a random node sample.
+from BFS trees rooted at a random node sample.  Degrees come from the
+CSR row pointers; distances from a multi-source breadth-first search
+over the CSR (:func:`hop_distances`), a bounded block of sources at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Iterator
 
 import numpy as np
+from scipy import sparse
 
-from repro.graph.digraph import DiGraph
-from repro.graph.traversal import bfs_distances
+from repro.graph.followgraph import FollowGraph
 from repro.utils.rng import make_rng
 
 __all__ = [
     "GraphSummary",
     "degree_arrays",
+    "hop_distances",
     "path_length_sample",
     "summarize_graph",
 ]
 
-Node = Hashable
+#: Distances held at once by :func:`hop_distances`: sources per block
+#: times nodes (32 MB of float64).
+_BLOCK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -56,19 +62,40 @@ class GraphSummary:
         ]
 
 
-def degree_arrays(graph: DiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Return (out_degrees, in_degrees) arrays over all nodes."""
-    out_degrees = np.fromiter(
-        (graph.out_degree(n) for n in graph.nodes()), dtype=np.int64
+def degree_arrays(graph: FollowGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Return (out_degrees, in_degrees) arrays over all nodes, in node
+    order."""
+    indptr, indices = graph.csr()
+    return np.diff(indptr), np.bincount(indices, minlength=graph.node_count)
+
+
+def hop_distances(
+    graph: FollowGraph, sources: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Breadth-first distances along follows from each node position in
+    ``sources``: one float row per source over every node (0 at the
+    source, ``inf`` where unreachable), yielded in blocks of rows whose
+    cells stay under a fixed bound."""
+    # Imported here: csgraph adds ~2 MB of RSS to every process that
+    # imports this module, the serving ones included, which never call it.
+    from scipy.sparse.csgraph import shortest_path
+
+    indptr, indices = graph.csr()
+    n = graph.node_count
+    step = sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(n, n)
     )
-    in_degrees = np.fromiter(
-        (graph.in_degree(n) for n in graph.nodes()), dtype=np.int64
-    )
-    return out_degrees, in_degrees
+    sources = np.asarray(sources, dtype=np.int64)
+    block = max(1, _BLOCK_CELLS // max(n, 1))
+    for start in range(0, len(sources), block):
+        yield shortest_path(
+            step, method="D", unweighted=True,
+            indices=sources[start : start + block],
+        )
 
 
 def path_length_sample(
-    graph: DiGraph,
+    graph: FollowGraph,
     sample_size: int = 200,
     seed: int | np.random.Generator | None = 0,
 ) -> dict[int, int]:
@@ -80,24 +107,25 @@ def path_length_sample(
     rows of Tables 1 and 4.
     """
     rng = make_rng(seed)
-    nodes = list(graph.nodes())
-    if not nodes:
+    n = graph.node_count
+    if not n:
         return {}
-    if len(nodes) > sample_size:
-        indexes = rng.choice(len(nodes), size=sample_size, replace=False)
-        sources = [nodes[i] for i in indexes]
+    if n > sample_size:
+        sources = rng.choice(n, size=sample_size, replace=False)
     else:
-        sources = nodes
+        sources = np.arange(n)
     counts: dict[int, int] = {}
-    for source in sources:
-        for distance in bfs_distances(graph, source).values():
-            if distance > 0:
-                counts[distance] = counts.get(distance, 0) + 1
-    return counts
+    for block in hop_distances(graph, sources):
+        for row in block:
+            found = np.bincount(row[np.isfinite(row)].astype(np.int64))
+            for distance, count in enumerate(found.tolist()):
+                if distance and count:
+                    counts[distance] = counts.get(distance, 0) + count
+    return dict(sorted(counts.items()))
 
 
 def summarize_graph(
-    graph: DiGraph,
+    graph: FollowGraph,
     sample_size: int = 200,
     seed: int | np.random.Generator | None = 0,
 ) -> GraphSummary:

@@ -157,7 +157,7 @@ def prime_service(
     dataset = generate_dataset(SynthConfig(n_users=n_users, seed=seed))
     service = RecommendationService(config=config, metrics=metrics)
     users = sorted(dataset.users)
-    service.follow_graph = dataset.follows.copy()
+    service.follow_graph = dataset.follow_graph.copy()
     for event in dataset.retweets():
         service.absorb_retweet(event.user, event.tweet)
     service.rebuild("from scratch")

@@ -32,7 +32,7 @@ from collections import deque
 import numpy as np
 
 from repro.data.models import Retweet, Tweet
-from repro.graph.digraph import DiGraph
+from repro.graph.followgraph import FollowGraph
 from repro.synth.config import SynthConfig
 from repro.synth.interests import InterestModel
 from repro.utils.powerlaw import sample_bounded_zipf
@@ -44,7 +44,7 @@ __all__ = ["simulate_activity", "simulate_cascade"]
 def simulate_activity(
     config: SynthConfig,
     interests: InterestModel,
-    follow_graph: DiGraph,
+    follow_graph: FollowGraph,
     rng: int | np.random.Generator | None = None,
 ) -> tuple[list[Tweet], list[Retweet]]:
     """Simulate the full observation window.
@@ -60,7 +60,7 @@ def simulate_activity(
         x_max=config.max_tweets_per_user,
         size=config.n_users,
     )
-    followers = _follower_arrays(follow_graph, config.n_users)
+    followers = _CSRFollowers(*follow_graph.edge_arrays(), config.n_users)
     alignment = np.minimum(interests.interest_matrix * config.n_topics, 1.0)
     topic_pools = _topic_pools(alignment, config.discovery_min_alignment)
 
@@ -156,6 +156,30 @@ def simulate_cascade(
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+class _CSRFollowers:
+    """``followers.get(user)`` adapter over the reverse-follow CSR.
+
+    :func:`simulate_cascade` looks followers up through a mapping
+    interface; this serves zero-copy CSR row views instead of per-user
+    arrays in a dict.
+    """
+
+    __slots__ = ("indptr", "sources")
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray, n: int):
+        order = np.lexsort((src, dst))
+        keys = dst[order]
+        self.sources = np.ascontiguousarray(src[order])
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        unique, counts = np.unique(keys, return_counts=True)
+        self.indptr[unique + 1] = counts
+        np.cumsum(self.indptr, out=self.indptr)
+
+    def get(self, user: int, default: np.ndarray = _EMPTY) -> np.ndarray:
+        row = self.sources[self.indptr[user] : self.indptr[user + 1]]
+        return row if len(row) else default
+
+
 def _topic_pools(
     alignment: np.ndarray, min_alignment: float
 ) -> dict[int, np.ndarray]:
@@ -166,21 +190,6 @@ def _topic_pools(
             alignment[:, topic] >= min_alignment
         ).astype(np.int64)
     return pools
-
-
-def _follower_arrays(
-    follow_graph: DiGraph, n_users: int
-) -> dict[int, np.ndarray]:
-    """Precompute each user's follower list as an index array."""
-    return {
-        user: np.fromiter(
-            follow_graph.predecessors(user),
-            dtype=np.int64,
-            count=follow_graph.in_degree(user),
-        )
-        for user in range(n_users)
-        if user in follow_graph and follow_graph.in_degree(user) > 0
-    }
 
 
 def _draw_virality(rng: np.random.Generator, tail: float) -> float:

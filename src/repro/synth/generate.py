@@ -46,9 +46,10 @@ def generate_dataset(config: SynthConfig | None = None) -> TwitterDataset:
         )
         for user_id in range(config.n_users)
     ]
+    followers, followees = follow_graph.edge_arrays()
     return TwitterDataset.from_records(
         users,
-        [(follower, followee) for follower, followee, _ in follow_graph.edges()],
+        list(zip(followers.tolist(), followees.tolist())),
         tweets,
         sorted(retweets, key=lambda r: (r.time, r.user, r.tweet)),
     )

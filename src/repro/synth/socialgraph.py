@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.digraph import DiGraph
+from repro.graph.followgraph import FollowGraph
 from repro.graph.generators import community_preferential_graph
 from repro.synth.config import SynthConfig
 from repro.utils.powerlaw import sample_bounded_zipf
@@ -23,7 +23,7 @@ def build_follow_graph(
     config: SynthConfig,
     communities: np.ndarray,
     rng: int | np.random.Generator | None = None,
-) -> DiGraph:
+) -> FollowGraph:
     """Generate the follow graph for ``config`` and ``communities``.
 
     Out-degrees are bounded-zipf samples (capped at ``n_users - 1``); the

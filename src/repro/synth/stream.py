@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.data.dataset import TwitterDataset
-from repro.synth.activity import simulate_cascade
+from repro.synth.activity import _CSRFollowers, simulate_cascade
 from repro.synth.config import DAY, SynthConfig
 from repro.synth.socialgraph import sample_follow_edges
 from repro.utils.powerlaw import sample_bounded_zipf
@@ -41,8 +41,6 @@ from repro.utils.rng import SeedSequenceFactory
 
 __all__ = ["ChunkedGenerator", "CorpusFrame", "SynthChunk",
            "generate_dataset_chunked"]
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -75,30 +73,6 @@ class CorpusFrame:
     @property
     def n_users(self) -> int:
         return len(self.communities)
-
-
-class _CSRFollowers:
-    """``followers.get(user)`` adapter over the reverse-follow CSR.
-
-    :func:`simulate_cascade` looks followers up through a mapping
-    interface; this serves zero-copy CSR row views instead of per-user
-    arrays in a dict.
-    """
-
-    __slots__ = ("indptr", "sources")
-
-    def __init__(self, src: np.ndarray, dst: np.ndarray, n: int):
-        order = np.lexsort((src, dst))
-        keys = dst[order]
-        self.sources = np.ascontiguousarray(src[order])
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        unique, counts = np.unique(keys, return_counts=True)
-        self.indptr[unique + 1] = counts
-        np.cumsum(self.indptr, out=self.indptr)
-
-    def get(self, user: int, default: np.ndarray = _EMPTY_I64) -> np.ndarray:
-        row = self.sources[self.indptr[user] : self.indptr[user + 1]]
-        return row if len(row) else default
 
 
 class ChunkedGenerator:

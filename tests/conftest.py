@@ -14,8 +14,8 @@ import pytest
 from hypothesis import settings
 
 from repro.core.simgraph import SimGraph
-from repro.data.builders import DatasetBuilder
 from repro.synth import SynthConfig, generate_dataset
+from tests.builders import DatasetBuilder
 
 # Hypothesis profiles: "ci" pins the search to a fixed seed with no
 # deadline so the differential/property suites are bit-reproducible across

@@ -15,13 +15,14 @@ from typing import Callable, Iterable
 from repro.baselines.base import Recommendation
 from repro.data.dataset import TwitterDataset
 from repro.data.models import Retweet
+from tests.test_graph_oracle import follow_pairs
 
 
 def ingest_graph(service, dataset: TwitterDataset) -> None:
     """Register the dataset's users and follow edges, deterministically."""
     for user in sorted(dataset.users):
         service.add_user(user)
-    for follower, followee, _ in dataset.follow_graph.edges():
+    for follower, followee in follow_pairs(dataset.follow_graph):
         service.add_follow(follower, followee)
 
 

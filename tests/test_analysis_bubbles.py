@@ -10,7 +10,7 @@ from repro.analysis.bubbles import (
 )
 from repro.baselines.base import Recommendation
 from repro.core.simgraph import SimGraph
-from repro.graph.digraph import DiGraph
+from tests.test_graph_oracle import DiGraph
 from tests.test_simgraph_oracle import simgraph_of
 
 

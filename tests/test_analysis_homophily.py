@@ -8,7 +8,7 @@ from repro.analysis.homophily import (
     top_rank_distances,
 )
 from repro.core.profiles import RetweetProfiles
-from repro.data.builders import DatasetBuilder
+from tests.builders import DatasetBuilder
 
 
 def homophily_world():

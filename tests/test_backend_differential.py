@@ -19,6 +19,7 @@ from repro.core import RetweetProfiles, SimGraphBuilder, SimGraphRecommender
 from repro.data import temporal_split
 from repro.synth import SynthConfig, generate_dataset
 from repro.utils.topk import top_k_items
+from tests.test_graph_oracle import digraph_of, to_digraph
 from tests.test_simgraph_oracle import oracle_build
 
 #: Randomized synthetic corpora of several seeds/sizes (acceptance asks
@@ -33,7 +34,7 @@ SIM_TOLERANCE = 1e-12
 
 
 def edge_map(simgraph) -> dict[tuple[int, int], float]:
-    return {(u, v): w for u, v, w in simgraph.to_digraph().edges()}
+    return {(u, v): w for u, v, w in to_digraph(simgraph).edges()}
 
 
 def assert_same_simgraph(reference, vectorized) -> None:
@@ -56,7 +57,7 @@ def corpus(request):
 
 def build_pair(dataset, profiles, exploration_graph=None, users=None, **kw):
     graph = exploration_graph if exploration_graph is not None else dataset.follow_graph
-    reference = oracle_build(graph, profiles, users=users, **kw)
+    reference = oracle_build(digraph_of(graph), profiles, users=users, **kw)
     vectorized = SimGraphBuilder(**kw).build(graph, profiles, users=users)
     return reference, vectorized
 
@@ -100,7 +101,7 @@ class TestSimGraphDifferential:
             dataset.follow_graph, profiles
         )
         reference, vectorized = build_pair(
-            dataset, profiles, exploration_graph=previous.to_digraph(), tau=0.001
+            dataset, profiles, exploration_graph=previous.topology(), tau=0.001
         )
         assert_same_simgraph(reference, vectorized)
 

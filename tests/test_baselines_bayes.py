@@ -3,8 +3,8 @@
 import pytest
 
 from repro.baselines.bayes import BayesRecommender
-from repro.data.builders import DatasetBuilder
 from repro.data.models import Retweet
+from tests.builders import DatasetBuilder
 
 
 def follow_world():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.baselines.cf import CollaborativeFilteringRecommender
-from repro.data.builders import DatasetBuilder
 from repro.data.models import Retweet
+from tests.builders import DatasetBuilder
 
 
 def cf_world():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.baselines.graphjet import GraphJetRecommender
-from repro.data.builders import DatasetBuilder
 from repro.data.models import Retweet
+from tests.builders import DatasetBuilder
 
 HOUR = 3600.0
 

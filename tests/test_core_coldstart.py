@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.coldstart import ColdStartAugmenter
 from repro.core.recommender import SimGraphRecommender
-from repro.data.builders import DatasetBuilder
 from repro.data.models import Retweet
+from tests.builders import DatasetBuilder
 
 
 def cold_world():

@@ -7,13 +7,14 @@ import pytest
 
 from repro.core import RetweetProfiles, SimGraphBuilder
 from repro.core.delta import DeltaPlan, affected_region, apply_delta
-from repro.graph import DiGraph, FollowGraph
+from repro.graph import FollowGraph
 from repro.obs import MetricsRegistry
+from tests.test_graph_oracle import to_digraph
 from tests.test_simgraph_oracle import BUILDS, build_with
 
 
-def follow_chain(*edges) -> DiGraph:
-    graph = DiGraph()
+def follow_chain(*edges) -> FollowGraph:
+    graph = FollowGraph()
     for u, v in edges:
         graph.add_edge(u, v)
     return graph
@@ -31,7 +32,7 @@ DIRTY_ONLY_HISTORY = (
 
 
 def edge_map(simgraph):
-    return {(u, v): w for u, v, w in simgraph.to_digraph().edges()}
+    return {(u, v): w for u, v, w in to_digraph(simgraph).edges()}
 
 
 class TestDirtyTracking:
@@ -77,7 +78,7 @@ class TestAffectedRegion:
             profiles.add(user, 10)
         profiles.mark_clean()
         profiles.add(3, 10)
-        plan = affected_region(profiles, DiGraph())
+        plan = affected_region(profiles, FollowGraph())
         assert plan.dirty_users == {3}
         assert plan.dirty_tweets == {10}
         assert set(plan.core.tolist()) == {1, 2, 3}
@@ -88,7 +89,7 @@ class TestAffectedRegion:
             profiles.add(user, 10)
         profiles.mark_clean()
         profiles.add(3, 99)  # fresh tweet: no co-retweeters to drag in
-        plan = affected_region(profiles, DiGraph())
+        plan = affected_region(profiles, FollowGraph())
         assert set(plan.core.tolist()) == {3}
 
     def test_fringe_is_khop_in_neighbourhood(self):
@@ -124,7 +125,7 @@ class TestAffectedRegion:
     def test_extra_sources_join_core(self):
         profiles = RetweetProfiles()
         profiles.mark_clean()
-        plan = affected_region(profiles, DiGraph(), extra_sources=[7])
+        plan = affected_region(profiles, FollowGraph(), extra_sources=[7])
         assert plan.core.tolist() == [7]
         assert not plan.is_empty
 
@@ -149,7 +150,7 @@ class TestAffectedRegion:
         profiles = RetweetProfiles()
         profiles.add(1, 10)
         profiles.mark_clean()
-        plan = affected_region(profiles, DiGraph())
+        plan = affected_region(profiles, FollowGraph())
         assert plan.is_empty
         assert plan.affected.tolist() == []
 
@@ -214,12 +215,12 @@ class TestApplyDelta:
         profiles.add(1, 99)
         refreshed, report = apply_delta(old, graph, profiles, builder)
         assert not report.topology_changed
-        assert {(u, v) for u, v, _ in refreshed.to_digraph().edges()} == {
-            (u, v) for u, v, _ in old.to_digraph().edges()
+        assert {(u, v) for u, v, _ in to_digraph(refreshed).edges()} == {
+            (u, v) for u, v, _ in to_digraph(old).edges()
         }
         full = builder.build(graph, profiles)
-        assert {(u, v, w) for u, v, w in refreshed.to_digraph().edges()} == {
-            (u, v, w) for u, v, w in full.to_digraph().edges()
+        assert {(u, v, w) for u, v, w in to_digraph(refreshed).edges()} == {
+            (u, v, w) for u, v, w in to_digraph(full).edges()
         }
 
     def test_edge_gain_flags_topology_changed(self):
@@ -229,20 +230,20 @@ class TestApplyDelta:
         profiles.add(2, 20)
         builder = SimGraphBuilder(tau=1e-6)
         old = builder.build(graph, profiles)
-        assert old.to_digraph().edge_count == 0
+        assert to_digraph(old).edge_count == 0
         profiles.mark_clean()
         profiles.add(2, 10)  # first shared tweet: edges appear
         refreshed, report = apply_delta(old, graph, profiles, builder)
         assert report.topology_changed
-        assert refreshed.to_digraph().edge_count == 2
+        assert to_digraph(refreshed).edge_count == 2
 
     def test_old_graph_is_not_mutated(self):
         graph, profiles, builder, old = self.build_world()
-        before = sorted(old.to_digraph().edges())
+        before = sorted(to_digraph(old).edges())
         profiles.add(1, 99)
         refreshed, _ = apply_delta(old, graph, profiles, builder)
         assert refreshed is not old
-        assert sorted(old.to_digraph().edges()) == before
+        assert sorted(to_digraph(old).edges()) == before
 
     def test_metrics_counters_fire(self):
         graph, profiles, builder, old = self.build_world()
@@ -262,7 +263,7 @@ class TestApplyDelta:
             profiles.add(user, tweet)
         builder = SimGraphBuilder(tau=1e-6)
         old = build_with(origin, graph, profiles, builder)
-        assert old.to_digraph().has_edge(FOLLOWER, CLEAN)
+        assert to_digraph(old).has_edge(FOLLOWER, CLEAN)
         profiles.mark_clean()
         profiles.add(DIRTY, 10)
         refreshed, report = apply_delta(old, graph, profiles, builder)
@@ -312,8 +313,8 @@ class TestApplyDelta:
         # Fringe rows cannot be partially patched under a row cap.
         assert report.fringe_size == 0
         full = capped.build(graph, profiles)
-        assert {(u, v) for u, v, _ in refreshed.to_digraph().edges()} == {
-            (u, v) for u, v, _ in full.to_digraph().edges()
+        assert {(u, v) for u, v, _ in to_digraph(refreshed).edges()} == {
+            (u, v) for u, v, _ in to_digraph(full).edges()
         }
 
     def test_dropped_user_prunes_isolated_nodes(self):
@@ -323,7 +324,7 @@ class TestApplyDelta:
         profiles.add(2, 10)
         builder = SimGraphBuilder(tau=1e-6)
         old = builder.build(graph, profiles)
-        assert set(old.to_digraph().nodes()) == {1, 2}
+        assert set(to_digraph(old).nodes()) == {1, 2}
         profiles.mark_clean()
         # Tweet 10 goes viral: m(10) explodes and the pair's similarity
         # collapses below any meaningful tau.
@@ -332,7 +333,7 @@ class TestApplyDelta:
         profiles.add(3, 10)
         refreshed, report = apply_delta(old_strict, graph, profiles, strict)
         full = strict.build(graph, profiles)
-        assert set(refreshed.to_digraph().nodes()) == set(full.to_digraph().nodes())
+        assert set(to_digraph(refreshed).nodes()) == set(to_digraph(full).nodes())
 
     def test_tau_and_hops_inherited_from_old(self):
         graph, profiles, builder, old = self.build_world()

@@ -7,9 +7,9 @@ from repro.core.linear import LinearSystem
 from repro.core.propagation import PropagationEngine
 from repro.core.simgraph import SimGraph
 from repro.exceptions import ConvergenceError
-from repro.graph.digraph import DiGraph
 
 from tests.conftest import U, W, X
+from tests.test_graph_oracle import DiGraph
 from tests.test_simgraph_oracle import simgraph_of
 
 

@@ -10,7 +10,7 @@ import pytest
 from repro.core.persistence import load_simgraph, save_simgraph
 from repro.core.simgraph import SimGraph
 from repro.exceptions import DatasetError
-from repro.graph.digraph import DiGraph
+from tests.test_graph_oracle import DiGraph, to_digraph
 from tests.test_simgraph_oracle import save_v1, simgraph_of
 
 
@@ -19,8 +19,8 @@ class TestRoundTrip:
         path = save_simgraph(paper_example, tmp_path / "graph.simgraph")
         loaded = load_simgraph(path)
         assert loaded.tau == paper_example.tau
-        assert sorted(loaded.to_digraph().edges()) == sorted(
-            paper_example.to_digraph().edges()
+        assert sorted(to_digraph(loaded).edges()) == sorted(
+            to_digraph(paper_example).edges()
         )
 
     def test_isolated_nodes_preserved(self, tmp_path):

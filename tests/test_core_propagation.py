@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.propagation import PropagationEngine
 from repro.core.simgraph import SimGraph
 from repro.core.thresholds import StaticThreshold
-from repro.graph.digraph import DiGraph
 
 from tests.conftest import U, V, W, X, Y
+from tests.test_graph_oracle import DiGraph
 from tests.test_simgraph_oracle import simgraph_of
 
 

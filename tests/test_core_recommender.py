@@ -5,10 +5,10 @@ import pytest
 from repro.core.recommender import SimGraphRecommender
 from repro.core.scheduler import DelayPolicy
 from repro.core.simgraph import SimGraph
-from repro.data.builders import DatasetBuilder
 from repro.data.models import Retweet
 from repro.exceptions import ConfigError, DatasetError
-from repro.graph.digraph import DiGraph
+from tests.builders import DatasetBuilder
+from tests.test_graph_oracle import DiGraph
 from tests.test_simgraph_oracle import simgraph_of
 
 

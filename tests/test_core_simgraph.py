@@ -9,8 +9,8 @@ from repro.core.persistence import save_simgraph
 from repro.core.profiles import RetweetProfiles
 from repro.core.propagation_csr import CSRPropagationEngine
 from repro.core.simgraph import SimGraph, SimGraphBuilder
-from repro.data.builders import DatasetBuilder
-from repro.graph.digraph import DiGraph
+from tests.builders import DatasetBuilder
+from tests.test_graph_oracle import to_digraph
 from tests.test_simgraph_oracle import oracle_build
 
 
@@ -66,7 +66,7 @@ class TestVectorizedBackend:
         vectorized = SimGraphBuilder(tau=0.0, **kwargs).build(
             dataset.follow_graph, profiles
         )
-        assert set(vectorized.to_digraph().edges()) == set(reference.to_digraph().edges())
+        assert set(to_digraph(vectorized).edges()) == set(to_digraph(reference).edges())
 
     def test_restricted_sources_match(self):
         dataset, profiles = linear_world()
@@ -76,7 +76,7 @@ class TestVectorizedBackend:
         vectorized = SimGraphBuilder(tau=0.0).build(
             dataset.follow_graph, profiles, users=[2]
         )
-        assert set(vectorized.to_digraph().edges()) == set(reference.to_digraph().edges())
+        assert set(to_digraph(vectorized).edges()) == set(to_digraph(reference).edges())
 
 
 class TestTwoHopSemantics:
@@ -120,7 +120,7 @@ class TestTwoHopSemantics:
         simgraph = SimGraphBuilder(tau=0.0).build(
             dataset.follow_graph, profiles
         )
-        for u, v, w in simgraph.to_digraph().edges():
+        for u, v, w in to_digraph(simgraph).edges():
             assert w == pytest.approx(similarity(profiles, u, v))
 
     def test_users_parameter_restricts_sources(self):
@@ -128,7 +128,7 @@ class TestTwoHopSemantics:
         simgraph = SimGraphBuilder(tau=0.0).build(
             dataset.follow_graph, profiles, users=[2]
         )
-        assert all(u == 2 for u, _, _ in simgraph.to_digraph().edges())
+        assert all(u == 2 for u, _, _ in to_digraph(simgraph).edges())
 
     def test_max_influencers_cap(self):
         dataset, profiles = linear_world()

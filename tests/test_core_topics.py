@@ -8,8 +8,8 @@ from repro.core.topics import (
     merge_by_label,
     topic_profiles,
 )
-from repro.data.builders import DatasetBuilder
 from repro.data.models import Retweet
+from tests.builders import DatasetBuilder
 
 
 def labelled_world():

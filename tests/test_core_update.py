@@ -14,6 +14,7 @@ from repro.core.update import (
     update_weights,
 )
 from repro.data import temporal_split
+from tests.test_graph_oracle import to_digraph
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +49,8 @@ class TestStrategies:
         profiles.extend(mid)
         rebuilt = from_scratch(old, dataset.follow_graph, profiles, builder)
         assert rebuilt is not old
-        old_edges = set((u, v) for u, v, _ in old.to_digraph().edges())
-        new_edges = set((u, v) for u, v, _ in rebuilt.to_digraph().edges())
+        old_edges = set((u, v) for u, v, _ in to_digraph(old).edges())
+        new_edges = set((u, v) for u, v, _ in to_digraph(rebuilt).edges())
         assert old_edges != new_edges
 
     def test_update_weights_keeps_topology(self, world):
@@ -57,8 +58,8 @@ class TestStrategies:
         profiles = RetweetProfiles(split.train)
         profiles.extend(mid)
         refreshed = update_weights(old, dataset.follow_graph, profiles, builder)
-        old_edges = set((u, v) for u, v, _ in old.to_digraph().edges())
-        new_edges = set((u, v) for u, v, _ in refreshed.to_digraph().edges())
+        old_edges = set((u, v) for u, v, _ in to_digraph(old).edges())
+        new_edges = set((u, v) for u, v, _ in to_digraph(refreshed).edges())
         assert old_edges == new_edges
 
     def test_update_weights_recomputes_weights(self, world):
@@ -66,10 +67,11 @@ class TestStrategies:
         profiles = RetweetProfiles(split.train)
         profiles.extend(mid)
         refreshed = update_weights(old, dataset.follow_graph, profiles, builder)
+        before = to_digraph(old)
         changed = sum(
             1
-            for u, v, w in refreshed.to_digraph().edges()
-            if abs(w - old.to_digraph().weight(u, v)) > 1e-12
+            for u, v, w in to_digraph(refreshed).edges()
+            if abs(w - before.weight(u, v)) > 1e-12
         )
         assert changed > 0
 
@@ -82,8 +84,8 @@ class TestStrategies:
         profiles = RetweetProfiles(split.train)
         profiles.extend(mid)
         full = from_scratch(old, dataset.follow_graph, profiles, builder)
-        delta_edges = {(u, v): w for u, v, w in via_delta.to_digraph().edges()}
-        full_edges = {(u, v): w for u, v, w in full.to_digraph().edges()}
+        delta_edges = {(u, v): w for u, v, w in to_digraph(via_delta).edges()}
+        full_edges = {(u, v): w for u, v, w in to_digraph(full).edges()}
         assert set(delta_edges) == set(full_edges)
         # Fringe pairs are scored from the core side of the symmetric
         # walk, so weights may differ by last-ulp round-off.
@@ -104,7 +106,7 @@ class TestStrategies:
         # Crossfold may add transitive edges absent from the old graph.
         assert folded.node_count > 0
         # Every crossfold source was reachable in the old SimGraph.
-        for u, _, _ in folded.to_digraph().edges():
+        for u, _, _ in to_digraph(folded).edges():
             assert u in old
 
 
@@ -122,28 +124,30 @@ class TestEmptyDeltaEquivalence:
         dataset, split, _, builder, old = world
         profiles = RetweetProfiles(split.train)  # no .extend(): empty delta
         rebuilt = from_scratch(old, dataset.follow_graph, profiles, builder)
-        assert sorted(rebuilt.to_digraph().edges()) == sorted(old.to_digraph().edges())
+        assert sorted(to_digraph(rebuilt).edges()) == sorted(to_digraph(old).edges())
         assert rebuilt.tau == old.tau
 
     def test_update_weights_with_empty_delta_keeps_weights(self, world):
         dataset, split, _, builder, old = world
         profiles = RetweetProfiles(split.train)
         refreshed = update_weights(old, dataset.follow_graph, profiles, builder)
-        old_edges = {(u, v) for u, v, _ in old.to_digraph().edges()}
-        new_edges = {(u, v) for u, v, _ in refreshed.to_digraph().edges()}
+        old_edges = {(u, v) for u, v, _ in to_digraph(old).edges()}
+        new_edges = {(u, v) for u, v, _ in to_digraph(refreshed).edges()}
         assert old_edges == new_edges
-        for u, v, w in refreshed.to_digraph().edges():
-            assert w == pytest.approx(old.to_digraph().weight(u, v), abs=1e-12)
+        before = to_digraph(old)
+        for u, v, w in to_digraph(refreshed).edges():
+            assert w == pytest.approx(before.weight(u, v), abs=1e-12)
 
     def test_crossfold_with_empty_delta_preserves_old_edges(self, world):
         dataset, split, _, builder, old = world
         profiles = RetweetProfiles(split.train)
         folded = crossfold(old, dataset.follow_graph, profiles, builder)
-        old_edges = {(u, v) for u, v, _ in old.to_digraph().edges()}
-        new_edges = {(u, v) for u, v, _ in folded.to_digraph().edges()}
+        old_edges = {(u, v) for u, v, _ in to_digraph(old).edges()}
+        new_edges = {(u, v) for u, v, _ in to_digraph(folded).edges()}
         assert old_edges <= new_edges  # nothing dropped
+        before, after = to_digraph(old), to_digraph(folded)
         for u, v in old_edges:  # retained edges keep their exact weight
-            assert folded.to_digraph().weight(u, v) == old.to_digraph().weight(u, v)
+            assert after.weight(u, v) == before.weight(u, v)
 
     def test_crossfold_via_apply_strategy_with_empty_slice(self, world):
         dataset, split, _, builder, old = world
@@ -151,8 +155,8 @@ class TestEmptyDeltaEquivalence:
             "crossfold", old, dataset.follow_graph, split.train, [],
             builder=builder,
         )
-        old_edges = {(u, v) for u, v, _ in old.to_digraph().edges()}
-        assert old_edges <= {(u, v) for u, v, _ in folded.to_digraph().edges()}
+        old_edges = {(u, v) for u, v, _ in to_digraph(old).edges()}
+        assert old_edges <= {(u, v) for u, v, _ in to_digraph(folded).edges()}
 
 
 class TestApplyStrategy:
@@ -170,7 +174,7 @@ class TestApplyStrategy:
         profiles = RetweetProfiles(split.train)
         profiles.extend(mid)
         direct = update_weights(old, dataset.follow_graph, profiles, builder)
-        assert sorted(via_name.to_digraph().edges()) == sorted(direct.to_digraph().edges())
+        assert sorted(to_digraph(via_name).edges()) == sorted(to_digraph(direct).edges())
 
     def test_default_builder_uses_old_tau(self, world):
         dataset, split, mid, _, old = world

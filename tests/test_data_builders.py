@@ -1,9 +1,9 @@
-"""Tests for repro.data.builders."""
+"""Tests for the DatasetBuilder test fixture helper (tests/builders.py)."""
 
 import pytest
 
-from repro.data.builders import DatasetBuilder
 from repro.exceptions import DatasetError
+from tests.builders import DatasetBuilder
 
 
 class TestDatasetBuilder:

@@ -10,7 +10,7 @@ import pytest
 from repro.data import Retweet, Tweet, TwitterDataset, User, temporal_split
 from repro.data.stats import retweets_per_tweet, retweets_per_user
 from repro.exceptions import DatasetError, GraphError
-from tests.test_dataset_oracle import assert_same_digraph, generated_pair
+from tests.test_dataset_oracle import assert_same_follows, generated_pair
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ class TestProtocolParity:
             )
 
     def test_follow_graph_materialization(self, columnar, object_dataset):
-        assert_same_digraph(columnar.follow_graph, object_dataset.follow_graph)
+        assert_same_follows(columnar.follow_graph, object_dataset.follow_graph)
 
     def test_entity_mappings(self, columnar, object_dataset):
         assert list(columnar.users.items()) == list(object_dataset.users.items())
@@ -203,7 +203,7 @@ class TestConstruction:
             )
         )
         assert ds.followees(1) == [2]
-        assert ds.follows.edge_count == 2
+        assert ds.follow_graph.edge_count == 2
 
     def test_empty_dataset_round_trip(self):
         ds = TwitterDataset()

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.data.builders import DatasetBuilder
 from repro.data.split import temporal_split
 from repro.exceptions import DatasetError
+from tests.builders import DatasetBuilder
 
 
 def build_stream(n_actions: int = 20):

@@ -28,7 +28,7 @@ class TestRawDistributions:
         assert lifetimes[1] == pytest.approx(60.0 / 3600.0)
 
     def test_lifetimes_exclude_never_retweeted(self):
-        from repro.data.builders import DatasetBuilder
+        from tests.builders import DatasetBuilder
 
         ds = (
             DatasetBuilder()

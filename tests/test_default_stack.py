@@ -36,9 +36,10 @@ from repro.core import (
 from repro.core.propagation_csr import PROP_BACKENDS
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.exceptions import ConfigError
-from repro.graph.digraph import DiGraph
 from repro.service import RecommendationService, ServiceConfig
 from repro.shard import ShardedRecommendationService
+from tests.test_graph_oracle import DiGraph
+from tests.test_memory_guard import holds_no_dict_adjacency
 from tests.test_simgraph_oracle import simgraph_of
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
@@ -177,4 +178,4 @@ def test_shard2_never_builds_within_its_stream(frozen_workloads, tmp_path):
     assert snapshot["counters"]["service.snapshot_loads"] == 1
     assert service.stats.rebuilds == 1
     assert service.stats.events_ingested == len(requests) + spec.live_tweets
-    assert service.simgraph._digraph is None
+    assert holds_no_dict_adjacency(service.simgraph)

@@ -33,6 +33,7 @@ from repro.core.update import apply_strategy
 from repro.data import temporal_split
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_graph_oracle import follow_pairs, to_digraph
 from tests.test_propagation_differential import assert_same_compiled
 from tests.test_simgraph_oracle import BUILDS, build_with, from_simgraph
 
@@ -62,7 +63,7 @@ def old_graph(origin: str, max_influencers: int | None = None):
 
 
 def edge_map(simgraph):
-    return {(u, v): w for u, v, w in simgraph.to_digraph().edges()}
+    return {(u, v): w for u, v, w in to_digraph(simgraph).edges()}
 
 
 def assert_same_edges(actual, expected, atol=WEIGHT_ATOL):
@@ -91,7 +92,7 @@ class TestDeltaMatchesFromScratch:
             "from scratch", old, dataset.follow_graph, split.train, extra
         )
         assert_same_edges(refreshed, full)
-        assert set(refreshed.to_digraph().nodes()) == set(full.to_digraph().nodes())
+        assert set(to_digraph(refreshed).nodes()) == set(to_digraph(full).nodes())
 
     @pytest.mark.parametrize("origin", BUILDS)
     def test_exact_with_row_cap(self, origin):
@@ -154,9 +155,10 @@ def test_recomputed_rows_keep_from_scratch_edge_order():
     full = builder.build(dataset.follow_graph, profiles)
     assert report.topology_changed
     unsorted_rows = 0
+    got, want = to_digraph(refreshed), to_digraph(full)
     for user in sorted(plan.core):
-        row = list(refreshed.to_digraph().out_row(user).items())
-        assert row == list(full.to_digraph().out_row(user).items()), user
+        row = list(got.out_row(user).items())
+        assert row == list(want.out_row(user).items()), user
         unsorted_rows += [v for v, _ in row] != sorted(v for v, _ in row)
     # The property has teeth only if emission order is not id order.
     assert unsorted_rows > 0
@@ -193,7 +195,7 @@ def replay_service(rebuild_strategy: str, prop_backend: str):
         use_scheduler=False,
         min_score=1e-6,
     ))
-    for u, v, _ in dataset.follow_graph.edges():
+    for u, v in follow_pairs(dataset.follow_graph):
         service.add_follow(u, v)
     for event in split.train:
         service.absorb_retweet(event.user, event.tweet)

@@ -36,9 +36,9 @@ from repro.core.simmatrix import (
     reachability_matrix,
 )
 from repro.data import temporal_split
-from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_graph_oracle import DiGraph
 from tests.test_simgraph_oracle import edges_from_masked_gram, simgraph_of
 
 _NO_IDS = np.empty(0, dtype=np.int64)
@@ -456,7 +456,7 @@ def test_synthetic_stream_slices(kind):
     in slices, each absorbed as a delta of the last refreshed graph."""
     dataset = generate_dataset(SynthConfig(n_users=300, n_communities=4, seed=11))
     split = temporal_split(dataset)
-    graph = FollowGraph.of(dataset.follow_graph)
+    graph = dataset.follow_graph.copy()
     half = len(split.train) // 2
     builder = SimGraphBuilder(tau=0.001)
     seen = split.train if kind == "built" else split.train[:half]

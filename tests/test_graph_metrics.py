@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.graph.digraph import DiGraph
 from repro.graph.metrics import (
     GraphSummary,
     degree_arrays,
     path_length_sample,
     summarize_graph,
 )
+from repro.graph import FollowGraph
 
 
-def cycle_graph(n: int) -> DiGraph:
-    g = DiGraph()
+def cycle_graph(n: int) -> FollowGraph:
+    g = FollowGraph()
     for i in range(n):
         g.add_edge(i, (i + 1) % n)
     return g
@@ -25,7 +25,7 @@ class TestDegreeArrays:
         assert in_deg.tolist() == [1] * 5
 
     def test_star_degrees(self):
-        g = DiGraph()
+        g = FollowGraph()
         for leaf in range(1, 5):
             g.add_edge(0, leaf)
         out_deg, in_deg = degree_arrays(g)
@@ -41,7 +41,7 @@ class TestPathLengthSample:
         assert counts == {1: 4, 2: 4, 3: 4}
 
     def test_empty_graph(self):
-        assert path_length_sample(DiGraph()) == {}
+        assert path_length_sample(FollowGraph()) == {}
 
     def test_deterministic_under_seed(self):
         g = cycle_graph(30)
@@ -64,12 +64,12 @@ class TestSummarizeGraph:
         assert summary.mean_path_length == pytest.approx(3.0)
 
     def test_empty_graph_summary(self):
-        summary = summarize_graph(DiGraph())
+        summary = summarize_graph(FollowGraph())
         assert summary.node_count == 0
         assert summary.diameter == 0
 
     def test_edgeless_graph(self):
-        g = DiGraph()
+        g = FollowGraph()
         g.add_nodes(range(4))
         summary = summarize_graph(g)
         assert summary.mean_path_length == 0.0

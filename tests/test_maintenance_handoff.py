@@ -33,8 +33,9 @@ from repro.data import temporal_split
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import generate_dataset
 from tests.test_e2e_determinism import CONFIG
-from tests.test_properties_ingest import warm_contents
+from tests.test_graph_oracle import follow_pairs
 from tests.test_propagation_differential import assert_same_compiled
+from tests.test_properties_ingest import warm_contents
 
 DAY = 86400.0
 #: Two days: the replayed stream (~8.5 simulated days) holds four
@@ -63,7 +64,7 @@ def booted(prop_backend: str = "csr", strategy: str = "delta"):
         use_scheduler=False,
         min_score=1e-6,
     ))
-    for u, v, _ in dataset.follow_graph.edges():
+    for u, v in follow_pairs(dataset.follow_graph):
         service.add_follow(u, v)
     for event in split.train:
         service.absorb_retweet(event.user, event.tweet)

@@ -2,21 +2,26 @@
 and the dataset are arrays, the build and a delta's working set are
 arrays, and neither a
 delta after a memory-mapped boot nor a from-scratch rebuild nor a
-served retweet on either engine builds a dict adjacency."""
+served retweet on either engine builds a dict adjacency — nor do the
+offline analyses, which walk the same follow graph."""
 
 from __future__ import annotations
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from repro.core import RetweetProfiles, SimGraphBuilder
+from repro.analysis import identify_bubbles, sample_active_users
+from repro.analysis.homophily import similarity_by_distance
+from repro.core import RetweetProfiles, SimGraph, SimGraphBuilder
 from repro.core.delta import apply_delta
 from repro.core.persistence import save_simgraph
-from repro.data import TwitterDataset
+from repro.data import TwitterDataset, compute_dataset_stats
 from repro.graph import FollowGraph
 from repro.service import RecommendationService
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_graph_oracle import follow_pairs
 from tests.test_service_snapshot import built_service
 from tests.test_simgraph_oracle import dict_build
 
@@ -45,16 +50,22 @@ def test_follow_graph_holds_under_40_bytes_per_follow():
     assert held / follows <= 40, held / follows
 
 
-def test_dataset_holds_under_48_bytes_per_record():
+@pytest.fixture(scope="module")
+def corpus() -> TwitterDataset:
+    """A generated corpus: 1,000 users, 40,858 records."""
+    return generate_dataset(SynthConfig(n_users=1000, seed=7))
+
+
+def test_dataset_holds_under_48_bytes_per_record(corpus):
     """A generated corpus (1,000 users, 40,858 records) registered one
     ``add_*`` call at a time: after its first read the dataset holds at
     most 48 bytes per user, follow, tweet and retweet — id, time and
     position columns, the deduplicated CSR indexes and the follow
     graph's id index — beside the caller's entity objects.  The
     dict-of-objects container held 120 bytes per record on top of them."""
-    source = generate_dataset(SynthConfig(n_users=1000, seed=7))
+    source = corpus
     users = list(source.users.values())
-    follows = [(u, v) for u, v, _ in source.follow_graph.edges()]
+    follows = [(u, v) for u, v in follow_pairs(source.follow_graph)]
     tweets = list(source.tweets.values())
     retweets = source.retweets()
     records = len(users) + len(follows) + len(tweets) + len(retweets)
@@ -103,6 +114,52 @@ def test_absorbed_retweets_hold_under_64_bytes_each():
     assert service.profiles.log_end == len(set(pairs))
 
 
+def test_offline_readers_hold_no_dict_adjacency(corpus):
+    """The paper's offline analyses on a generated corpus (1,000 users,
+    17,961 follows, a 44,047-edge SimGraph built beforehand): reading
+    ``dataset.follow_graph``, the §3 statistics (Table 1, Fig. 1), Table
+    2 and the SimGraph's bubbles keep at most 8 bytes per follow once
+    they return (4 measured), and peak at 160 (118).  They walk the CSR
+    arrays; the peak is the bubble backbone's sort or a block of BFS
+    distance rows.  Reading a dict-of-sets copy of the follow graph and
+    a dict view of the SimGraph, as they did before, kept 329 bytes per
+    follow and peaked at 389."""
+    dataset = corpus
+    profiles = RetweetProfiles(dataset.retweets())
+    users = sample_active_users(dataset, sample_size=50)
+    follows = dataset.follow_graph.edge_count  # compacts
+    simgraph = SimGraphBuilder(tau=0.001).build(dataset.follow_graph, profiles)
+    simgraph.out_indptr  # compiled before tracing
+    # ``hop_distances`` imports csgraph on first use: import it before
+    # tracing, so that the module's own allocations are not counted.
+    import scipy.sparse.csgraph  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        results = (
+            dataset.follow_graph,
+            compute_dataset_stats(dataset),
+            similarity_by_distance(dataset, profiles, users),
+            identify_bubbles(simgraph, seed=0),
+        )
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert results[1].graph.edge_count == follows
+    assert held / follows <= 8, held / follows
+    assert peak / follows <= 160, peak / follows
+    assert holds_no_dict_adjacency(simgraph)
+
+
+def holds_no_dict_adjacency(graph: SimGraph) -> bool:
+    """Nothing on ``graph`` is a dict but its id index."""
+    return not any(
+        isinstance(value, dict)
+        for name, value in vars(graph).items()
+        if name != "index"
+    )
+
+
 def test_delta_after_mmap_boot_keeps_no_dict_graph(tmp_path):
     """On ``csr`` the delta reads and splices arrays: neither the mapped
     graph nor the refreshed one ever materializes its dict adjacency."""
@@ -116,7 +173,7 @@ def test_delta_after_mmap_boot_keeps_no_dict_graph(tmp_path):
     assert refreshed is not loaded
     assert service.simgraph is refreshed
     for graph in (loaded, refreshed):
-        assert graph._digraph is None
+        assert holds_no_dict_adjacency(graph)
     counters = service.metrics_snapshot()["counters"]
     assert counters["propagation.csr_spliced"] == 1
 
@@ -170,7 +227,7 @@ def test_csr_service_keeps_only_the_compiled_graph():
             assert service._engine.simgraph is graph
         else:
             service.retweet(user=3, tweet=101, at=700.0)
-        assert graph._digraph is None
+        assert holds_no_dict_adjacency(graph)
 
 
 def test_build_holds_under_80_bytes_per_kept_edge():

@@ -27,7 +27,7 @@ from repro.core.persistence import load_simgraph, save_simgraph
 from repro.core.propagation_csr import make_propagation_engine
 from repro.core.simgraph import SimGraph
 from repro.exceptions import DatasetError
-from repro.graph.digraph import DiGraph
+from tests.test_graph_oracle import DiGraph
 from tests.test_simgraph_oracle import save_v1, simgraph_of
 
 

@@ -41,10 +41,10 @@ from repro.cli import build_parser
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.data import temporal_split
 from repro.exceptions import ConfigError
-from repro.graph.digraph import DiGraph
 from repro.obs import NULL, MetricsRegistry, NullRegistry
 from repro.service import ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_graph_oracle import DiGraph, to_digraph
 from tests.test_simgraph_oracle import DictSimGraph, from_simgraph, simgraph_of
 
 PROB_TOLERANCE = 1e-12
@@ -760,7 +760,7 @@ def test_splice_equals_recompile_property(case):
         getattr(compiled, name).flags.writeable = False
     before = {name: getattr(compiled, name).copy() for name in CSR_ARRAYS}
     index_before = dict(compiled.index)
-    updated = DictSimGraph(simgraph.to_digraph().copy(), tau=simgraph.tau)
+    updated = DictSimGraph(to_digraph(simgraph).copy(), tau=simgraph.tau)
     graph = updated.graph
     changed = apply_edits(graph, edits)
     removed = [

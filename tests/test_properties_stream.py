@@ -17,7 +17,7 @@ from repro.core.simgraph import SimGraph
 from repro.data.dataset import TwitterDataset
 from repro.data.io import load_dataset, save_dataset
 from repro.data.models import Retweet, Tweet, User
-from repro.graph.digraph import DiGraph
+from tests.test_graph_oracle import DiGraph, follow_pairs
 from tests.test_simgraph_oracle import simgraph_of
 
 
@@ -179,8 +179,8 @@ def test_io_round_trip_lossless(tmp_path_factory, dataset):
     assert loaded.user_count == dataset.user_count
     assert loaded.tweet_count == dataset.tweet_count
     assert loaded.retweets() == dataset.retweets()
-    assert sorted(loaded.follow_graph.edges()) == sorted(
-        dataset.follow_graph.edges()
+    assert sorted(follow_pairs(loaded.follow_graph)) == sorted(
+        follow_pairs(dataset.follow_graph)
     )
     for user in dataset.users:
         assert loaded.profile(user) == dataset.profile(user)

@@ -23,6 +23,7 @@ import pytest
 from repro.serve import RetweetRequest, PostRequest, ServeConfig, serve_stream
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_graph_oracle import follow_pairs
 
 SYNTH = SynthConfig(n_users=120, seed=9)
 
@@ -39,7 +40,7 @@ def populate(service: RecommendationService) -> RecommendationService:
     dataset = generate_dataset(SYNTH)
     for user in dataset.users:
         service.add_user(user)
-    for follower, followee, _ in dataset.follow_graph.edges():
+    for follower, followee in follow_pairs(dataset.follow_graph):
         service.add_follow(follower, followee)
     for event in dataset.retweets():
         service.absorb_retweet(event.user, event.tweet)

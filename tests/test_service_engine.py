@@ -12,6 +12,7 @@ from repro.exceptions import ConfigError, DatasetError
 from repro.service import RecommendationService, ServiceConfig
 from repro.synth import SynthConfig, generate_dataset
 from tests.service_replay import drive_service, ingest_graph
+from tests.test_graph_oracle import to_digraph
 from tests.test_simgraph_oracle import from_simgraph, oracle_build
 
 
@@ -85,8 +86,8 @@ class TestVectorizedBackend:
             reference.follow_graph, reference.profiles, tau=reference.config.tau
         ).compile()
         reference._adopt(oracle)
-        assert set(vectorized.simgraph.to_digraph().edges()) == set(
-            oracle.to_digraph().edges()
+        assert set(to_digraph(vectorized.simgraph).edges()) == set(
+            to_digraph(oracle).edges()
         )
         ref_notes = reference.retweet(user=0, tweet=200, at=600.0)
         vec_notes = vectorized.retweet(user=0, tweet=200, at=600.0)
@@ -430,7 +431,7 @@ class TestMaintenance:
         ):
             service.retweet(user=user, tweet=tweet, at=float(at))
         service.rebuild("from scratch")
-        assert set(service.simgraph.to_digraph().nodes()) == {1, 2, 4, 5}
+        assert set(to_digraph(service.simgraph).nodes()) == {1, 2, 4, 5}
 
         def counters():
             return service.metrics_snapshot()["counters"]
@@ -444,7 +445,7 @@ class TestMaintenance:
         for at, user in enumerate(range(20, 26), start=20):
             service.retweet(user=user, tweet=10, at=float(at))
         service.rebuild("delta")
-        assert set(service.simgraph.to_digraph().nodes()) == {4, 5}
+        assert set(to_digraph(service.simgraph).nodes()) == {4, 5}
         assert counters()["propagation.csr_spliced"] == 2
         assert counters()["propagation.csr_compiled"] == compiled
         assert_same_compiled(

@@ -51,12 +51,17 @@ from repro.core.simmatrix import (
     reachability_matrix,
 )
 from repro.core.update import crossfold, update_weights
-from repro.graph.digraph import DiGraph
 from repro.graph.followgraph import FollowGraph
-from repro.graph.traversal import k_hop_neighborhood
 from repro.obs import MetricsRegistry
 from repro.synth import SynthConfig, generate_dataset
 from repro.utils.topk import top_k_items
+from tests.test_graph_oracle import (
+    DiGraph,
+    digraph_of,
+    follow_graph_of,
+    k_hop_neighborhood,
+    to_digraph,
+)
 
 #: Who built a SimGraph a suite starts from (see module docstring).
 BUILDS = ("reference", "vectorized")
@@ -110,7 +115,7 @@ def from_simgraph(simgraph) -> SimGraph:
     """Compile ``simgraph``'s dict adjacency (one pass over its nodes
     and edges): the splice of all of its rows into an empty graph —
     nodes in the adjacency's order, each row in its edge order."""
-    graph = simgraph.to_digraph()
+    graph = to_digraph(simgraph)
     nodes = np.fromiter(graph.nodes(), dtype=np.int64)
     rows = [graph.out_row(u) for u in nodes.tolist()]
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
@@ -146,7 +151,7 @@ def save_v1(simgraph, path):
     """Write ``simgraph`` as a format-1 snapshot (the JSONL edge dump
     ``load_simgraph`` still reads): a header line, then one
     ``[source, target, weight]`` line per edge in adjacency order."""
-    graph = simgraph.to_digraph()
+    graph = to_digraph(simgraph)
     isolated = [
         node
         for node in graph.nodes()
@@ -204,7 +209,7 @@ def dict_build(builder, exploration_graph, profiles, users=None) -> DictSimGraph
     """``builder.build`` as it ran while it wrote a dict: the same
     chunked scoring, each source's kept row added edge by edge."""
     metrics = builder.metrics
-    graph = FollowGraph.of(exploration_graph)
+    graph = follow_graph_of(exploration_graph)
     sources = list(users) if users is not None else list(graph.nodes())
     result = DiGraph()
     with metrics.span("simgraph.build"):
@@ -279,7 +284,10 @@ def oracle_build(
     max_influencers: int | None = None,
     users=None,
 ) -> DictSimGraph:
-    """The SimGraph of ``users`` (default: every node), row by row."""
+    """The SimGraph of ``users`` (default: every node), row by row,
+    walking ``exploration_graph`` as dicts."""
+    if isinstance(exploration_graph, FollowGraph):
+        exploration_graph = digraph_of(exploration_graph)
     sources = exploration_graph.nodes() if users is None else users
     graph = DiGraph()
     for u in list(sources):

@@ -10,8 +10,12 @@ from repro.core.simmatrix import (
     reachability_matrix,
     simgraph_edges,
 )
-from repro.graph.digraph import DiGraph
-from repro.graph.traversal import k_hop_neighborhood
+from repro.graph import FollowGraph
+from tests.test_graph_oracle import (
+    DiGraph,
+    follow_graph_of,
+    k_hop_neighborhood,
+)
 
 
 def random_digraph(n: int, edge_probability: float, seed: int) -> DiGraph:
@@ -88,7 +92,7 @@ class TestSimilarityMatrix:
         assert matrix.users_at(positions) == [1, 3, 5]
 
 
-def universe_of(graph: DiGraph) -> SimilarityMatrix:
+def universe_of(graph) -> SimilarityMatrix:
     """A matrix whose universe is exactly the graph's nodes."""
     return SimilarityMatrix(RetweetProfiles(), extra_users=graph.nodes())
 
@@ -99,18 +103,22 @@ class TestReachabilityMatrix:
         graph = random_digraph(40, edge_probability=0.08, seed=3)
         matrix = universe_of(graph)
         users = sorted(graph.nodes())
-        reach = reachability_matrix(graph, hops, matrix, users)
+        reach = reachability_matrix(
+            follow_graph_of(graph), hops, matrix, users
+        )
         for u in users:
             row = reach.getrow(matrix.position(u))
             reached = {users[c] for c in row.indices}
             assert reached == k_hop_neighborhood(graph, u, hops)
 
     def test_empty_graph(self):
-        reach = reachability_matrix(DiGraph(), 2, universe_of(DiGraph()), [])
+        reach = reachability_matrix(
+            FollowGraph(), 2, universe_of(FollowGraph()), []
+        )
         assert reach.shape == (0, 0)
 
     def test_cycle_excludes_source(self):
-        graph = DiGraph()
+        graph = FollowGraph()
         graph.add_edge(0, 1)
         graph.add_edge(1, 0)
         reach = reachability_matrix(graph, 2, universe_of(graph), [0, 1])
@@ -141,7 +149,8 @@ class TestSimgraphEdges:
         expected = {u: kept for u, kept in expected.items() if kept}
         actual = rows_of(
             simgraph_edges(
-                graph, shared_profiles, list(graph.nodes()), tau=0.0, hops=2
+                follow_graph_of(graph), shared_profiles, list(graph.nodes()),
+                tau=0.0, hops=2,
             )
         )
         assert set(actual) == set(expected)
@@ -151,13 +160,13 @@ class TestSimgraphEdges:
                 assert actual[u][v] == pytest.approx(score, abs=1e-12)
 
     def test_no_eligible_sources(self, shared_profiles):
-        graph = DiGraph()
+        graph = FollowGraph()
         graph.add_edge(100, 101)  # no profiles on these nodes
         edges = simgraph_edges(graph, shared_profiles, [100, 101], tau=0.0)
         assert [len(column) for column in edges] == [0, 0, 0]
 
     def test_small_chunks_equal_one_chunk(self, shared_profiles):
-        graph = DiGraph()
+        graph = FollowGraph()
         for u, v in [(1, 2), (2, 3), (3, 5), (1, 4), (5, 1)]:
             graph.add_edge(u, v)
         sources = list(graph.nodes())

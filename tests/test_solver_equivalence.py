@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.linear import LinearSystem
 from repro.core.simgraph import SimGraph
-from repro.graph.digraph import DiGraph
 
 from tests.conftest import U, V, W, X, Y
+from tests.test_graph_oracle import DiGraph
 from tests.test_simgraph_oracle import simgraph_of
 
 METHODS = ("solve_direct", "solve_jacobi", "solve_gauss_seidel", "solve_sor")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.synth import SynthConfig, generate_dataset
+from tests.test_graph_oracle import follow_pairs
 
 
 class TestGenerateDataset:
@@ -33,7 +34,7 @@ class TestGenerateDataset:
         a = generate_dataset(config)
         b = generate_dataset(config)
         assert a.retweets() == b.retweets()
-        assert sorted(a.follow_graph.edges()) == sorted(b.follow_graph.edges())
+        assert sorted(follow_pairs(a.follow_graph)) == sorted(follow_pairs(b.follow_graph))
 
     def test_seed_changes_output(self):
         a = generate_dataset(SynthConfig(n_users=100, seed=1))
