@@ -381,17 +381,6 @@ def _cmd_maintain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_metrics_snapshot(registry, path: str | None) -> None:
-    if not path:
-        return
-    print()
-    print(render_report(registry))
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(registry.snapshot(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote metrics snapshot to {path}")
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         PostRequest,
@@ -486,7 +475,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["feature", "value"], rows,
         title="Serve replay (micro-batched asyncio front-end)",
     ))
-    _write_metrics_snapshot(registry, args.metrics_json)
+    if args.metrics_json:
+        _write_metrics(registry, args.metrics_json)
     return 0
 
 
@@ -597,7 +587,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote run report to {args.out}")
-    _write_metrics_snapshot(registry, args.metrics_json)
+    if args.metrics_json:
+        _write_metrics(registry, args.metrics_json)
     return 0
 
 

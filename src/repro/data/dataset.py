@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -83,6 +83,15 @@ def _merged(columns: tuple, buffers: tuple) -> tuple[tuple, tuple]:
         for old, new in zip(columns, buffers)
     )
     return merged, tuple(array(new.typecode) for new in buffers)
+
+
+def _check_ids(kind: str, ids: np.ndarray) -> None:
+    """Ids are non-negative, as :class:`User` and :class:`Tweet` require."""
+    negative = ids < 0
+    if negative.any():
+        raise ValueError(
+            f"{kind} id must be non-negative, got {ids[negative.argmax()]}"
+        )
 
 
 def _repeats(ids: np.ndarray) -> np.ndarray:
@@ -144,7 +153,6 @@ class TwitterDataset:
         #: through ``add_user`` / ``add_follow``.
         self.follow_graph = FollowGraph()
         self._communities = array("i")
-        self._interests: dict[int, tuple[float, ...]] = {}
         self._user_rank = _NO_IDS
         #: Tweet id / author / creation time / topic, and the log's
         #: user / tweet / time columns.
@@ -167,8 +175,6 @@ class TwitterDataset:
     def add_user(self, user: User) -> None:
         """Register ``user``; duplicate ids are rejected."""
         self._add_users([user.id], [user.community])
-        if user.interests:
-            self._interests[user.id] = user.interests
 
     def add_follow(self, follower: int, followee: int) -> None:
         """Record that ``follower`` follows ``followee``."""
@@ -225,31 +231,12 @@ class TwitterDataset:
         dataset._add_retweets(rt_users, rt_tweets, rt_times)
         return dataset
 
-    @classmethod
-    def from_records(
-        cls, users: Sequence[User], follows: Sequence[tuple[int, int]],
-        tweets: Sequence[Tweet], retweets: Sequence[Retweet],
-    ) -> "TwitterDataset":
-        """What ``add_*`` over these records, kind by kind, would build,
-        put through the checks a batch at a time."""
-        dataset = cls()
-        for add, rows in (
-            (dataset._add_users, [(u.id, u.community) for u in users]),
-            (dataset._add_follows, follows),
-            (dataset._add_tweets,
-             [(t.id, t.author, t.created_at, t.topic) for t in tweets]),
-            (dataset._add_retweets, [(r.user, r.tweet, r.time) for r in retweets]),
-        ):
-            if len(rows):
-                add(*zip(*rows))
-        dataset._interests = {u.id: u.interests for u in users if u.interests}
-        return dataset
-
     # The checks: each batch of records is checked against the dataset
     # and the records before it, then appended.  ``add_*`` pass one
-    # record, ``from_arrays`` / ``from_records`` whole columns.
+    # record, ``from_arrays`` whole columns.
     def _add_users(self, ids, communities) -> None:
         ids = np.asarray(ids, dtype=np.int64)
+        _check_ids("user", ids)
         bad = _repeats(ids) | (self._user_positions(ids) >= 0)
         if bad.any():
             raise DatasetError(f"duplicate user id {ids[bad.argmax()]}")
@@ -273,6 +260,7 @@ class TwitterDataset:
 
     def _add_tweets(self, ids, authors, times, topics) -> None:
         ids = np.asarray(ids, dtype=np.int64)
+        _check_ids("tweet", ids)
         authors = np.asarray(authors, dtype=np.int64)
         repeated = _repeats(ids) | self._tweet_times(ids)[0]
         unknown = self._user_positions(authors) < 0
@@ -453,10 +441,8 @@ class TwitterDataset:
         )
 
     def _make_user(self, i: int) -> User:
-        user_id = int(self.follow_graph.ids[i])
         return User(
-            id=user_id, community=self._communities[i],
-            interests=self._interests.get(user_id, ()),
+            id=int(self.follow_graph.ids[i]), community=self._communities[i]
         )
 
     @property

@@ -4,7 +4,7 @@ A :class:`~repro.data.dataset.TwitterDataset` is saved as a directory of
 JSON-lines files — one per entity kind — so large corpora stream instead of
 loading one giant JSON document.  The layout:
 
-    <dir>/users.jsonl      {"id":..,"community":..,"interests":[..]}
+    <dir>/users.jsonl      {"id":..,"community":..}
     <dir>/follows.jsonl    {"follower":..,"followee":..}
     <dir>/tweets.jsonl     {"id":..,"author":..,"created_at":..,"topic":..}
     <dir>/retweets.jsonl   {"user":..,"tweet":..,"time":..}
@@ -17,8 +17,9 @@ import json
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from repro.data.dataset import TwitterDataset
-from repro.data.models import Retweet, Tweet, User
 from repro.exceptions import DatasetError
 
 __all__ = ["save_dataset", "load_dataset"]
@@ -30,35 +31,20 @@ def save_dataset(dataset: TwitterDataset, directory: str | Path) -> Path:
     """Write ``dataset`` under ``directory`` (created if needed)."""
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    with open(path / "users.jsonl", "w", encoding="utf-8") as f:
-        for user in dataset.users.values():
-            record = {
-                "id": user.id,
-                "community": user.community,
-                "interests": list(user.interests),
-            }
-            f.write(json.dumps(record) + "\n")
-    with open(path / "follows.jsonl", "w", encoding="utf-8") as f:
-        followers, followees = dataset.follow_graph.edge_arrays()
-        for follower, followee in zip(followers.tolist(), followees.tolist()):
-            f.write(json.dumps({"follower": follower, "followee": followee}) + "\n")
-    with open(path / "tweets.jsonl", "w", encoding="utf-8") as f:
-        for tweet in dataset.tweets.values():
-            record = {
-                "id": tweet.id,
-                "author": tweet.author,
-                "created_at": tweet.created_at,
-                "topic": tweet.topic,
-            }
-            f.write(json.dumps(record) + "\n")
-    with open(path / "retweets.jsonl", "w", encoding="utf-8") as f:
-        for retweet in dataset.retweets():
-            record = {
-                "user": retweet.user,
-                "tweet": retweet.tweet,
-                "time": retweet.time,
-            }
-            f.write(json.dumps(record) + "\n")
+    follows = zip(*(c.tolist() for c in dataset.follow_graph.edge_arrays()))
+    retweets = zip(*(c.tolist() for c in dataset.retweet_arrays()))
+    for kind, keys, rows in (
+        ("users", ("id", "community"),
+         ((u.id, u.community) for u in dataset.users.values())),
+        ("follows", ("follower", "followee"), follows),
+        ("tweets", ("id", "author", "created_at", "topic"),
+         ((t.id, t.author, t.created_at, t.topic)
+          for t in dataset.tweets.values())),
+        ("retweets", ("user", "tweet", "time"), retweets),
+    ):
+        with open(path / f"{kind}.jsonl", "w", encoding="utf-8") as f:
+            for row in rows:
+                f.write(json.dumps(dict(zip(keys, row))) + "\n")
     meta = {
         "format": FORMAT_VERSION,
         "users": dataset.user_count,
@@ -83,6 +69,15 @@ def _read_jsonl(path: Path) -> Iterator[dict]:
                 raise DatasetError(f"{path}:{line_no}: invalid JSON") from exc
 
 
+def _column(
+    records: list[dict], key: str, default: object = None, dtype=np.int64
+) -> np.ndarray:
+    """``key`` of every record (``default`` where absent, if given)."""
+    if default is None:
+        return np.array([record[key] for record in records], dtype=dtype)
+    return np.array([record.get(key, default) for record in records], dtype=dtype)
+
+
 def load_dataset(directory: str | Path) -> TwitterDataset:
     """Load a dataset previously written by :func:`save_dataset`."""
     path = Path(directory)
@@ -96,32 +91,22 @@ def load_dataset(directory: str | Path) -> TwitterDataset:
             f"unsupported dataset format {meta.get('format')!r}, "
             f"expected {FORMAT_VERSION}"
         )
-    dataset = TwitterDataset.from_records(
-        [
-            User(
-                id=record["id"],
-                community=record.get("community", 0),
-                interests=tuple(record.get("interests", ())),
-            )
-            for record in _read_jsonl(path / "users.jsonl")
-        ],
-        [
-            (record["follower"], record["followee"])
-            for record in _read_jsonl(path / "follows.jsonl")
-        ],
-        [
-            Tweet(
-                id=record["id"],
-                author=record["author"],
-                created_at=record["created_at"],
-                topic=record.get("topic", -1),
-            )
-            for record in _read_jsonl(path / "tweets.jsonl")
-        ],
-        [
-            Retweet(user=record["user"], tweet=record["tweet"], time=record["time"])
-            for record in _read_jsonl(path / "retweets.jsonl")
-        ],
+    users, follows, tweets, retweets = (
+        list(_read_jsonl(path / f"{kind}.jsonl"))
+        for kind in ("users", "follows", "tweets", "retweets")
+    )
+    dataset = TwitterDataset.from_arrays(
+        user_ids=_column(users, "id"),
+        user_communities=_column(users, "community", default=0),
+        follow_src=_column(follows, "follower"),
+        follow_dst=_column(follows, "followee"),
+        tweet_ids=_column(tweets, "id"),
+        tweet_authors=_column(tweets, "author"),
+        tweet_times=_column(tweets, "created_at", dtype=np.float64),
+        tweet_topics=_column(tweets, "topic", default=-1),
+        rt_users=_column(retweets, "user"),
+        rt_tweets=_column(retweets, "tweet"),
+        rt_times=_column(retweets, "time", dtype=np.float64),
     )
     loaded = {
         "users": dataset.user_count,

@@ -19,8 +19,10 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+import numpy as np
+
 from repro.data.dataset import TwitterDataset
-from repro.data.models import Retweet, Tweet, User
+from repro.data.models import Retweet, Tweet
 from repro.exceptions import DatasetError
 
 __all__ = ["load_edge_list", "load_retweet_csv", "assemble_dataset"]
@@ -96,27 +98,34 @@ def assemble_dataset(
     creation time is the first observed retweet (so lifetimes measured on
     such corpora are lower bounds).
     """
-    user_ids = {u for edge in edges for u in edge}
-    user_ids.update(r.user for r in retweets)
-    if tweets is None and retweets:
-        user_ids.add(0)  # the unknown-author account
-    if tweets is not None:
-        user_ids.update(t.author for t in tweets)
-    # Self-follows appear in dirty crawls; drop them.
-    edges = [(u, v) for u, v in edges if u != v]
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    follows = pairs[pairs[:, 0] != pairs[:, 1]]  # dirty crawls self-follow
+    log = _columns(retweets, user=np.int64, tweet=np.int64, time=np.float64)
+    order = np.lexsort((log[1], log[0], log[2]))  # by time, user, tweet
+    rt_users, rt_tweets, rt_times = (column[order] for column in log)
     if tweets is None:
-        first_seen: dict[int, float] = {}
-        for retweet in retweets:
-            current = first_seen.get(retweet.tweet)
-            if current is None or retweet.time < current:
-                first_seen[retweet.tweet] = retweet.time
+        # In the chronological log a tweet first occurs at its first retweet.
+        ids, first = np.unique(rt_tweets, return_index=True)
         tweets = [
             Tweet(id=tweet_id, author=0, created_at=at)
-            for tweet_id, at in sorted(first_seen.items())
+            for tweet_id, at in zip(ids.tolist(), rt_times[first].tolist())
         ]
-    return TwitterDataset.from_records(
-        [User(id=user_id) for user_id in sorted(user_ids)],
-        edges,
-        tweets,
-        sorted(retweets, key=lambda r: (r.time, r.user, r.tweet)),
+    tweet_ids, authors, created, topics = _columns(
+        tweets, id=np.int64, author=np.int64, created_at=np.float64,
+        topic=np.int64,
+    )
+    return TwitterDataset.from_arrays(
+        user_ids=np.unique(np.concatenate((pairs.ravel(), rt_users, authors))),
+        follow_src=follows[:, 0], follow_dst=follows[:, 1],
+        tweet_ids=tweet_ids, tweet_authors=authors, tweet_times=created,
+        tweet_topics=topics, rt_users=rt_users, rt_tweets=rt_tweets,
+        rt_times=rt_times,
+    )
+
+
+def _columns(records: list, **dtypes) -> tuple[np.ndarray, ...]:
+    """One array per attribute named in ``dtypes``, over ``records``."""
+    return tuple(
+        np.array([getattr(record, name) for record in records], dtype=dtype)
+        for name, dtype in dtypes.items()
     )

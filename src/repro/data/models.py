@@ -8,7 +8,7 @@ float seconds since the dataset epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["User", "Tweet", "Retweet", "ActivityClass"]
 
@@ -46,13 +46,12 @@ class ActivityClass:
 class User:
     """A platform account.
 
-    ``interests`` is the latent topic-mixture vector used only by the
-    synthetic generator; real-data loaders leave it empty.
+    ``community`` is the synthetic generator's latent community label
+    (0 for real data).
     """
 
     id: int
     community: int = 0
-    interests: tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.id < 0:

@@ -6,12 +6,7 @@ from repro.synth.config import SynthConfig
 from repro.synth.generate import generate_dataset
 from repro.synth.interests import InterestModel
 from repro.synth.socialgraph import build_follow_graph, sample_follow_edges
-from repro.synth.stream import (
-    ChunkedGenerator,
-    CorpusFrame,
-    SynthChunk,
-    generate_dataset_chunked,
-)
+from repro.synth.stream import ChunkedGenerator, CorpusFrame, SynthChunk
 
 __all__ = [
     "ChunkedGenerator",
@@ -21,7 +16,6 @@ __all__ = [
     "SynthConfig",
     "build_follow_graph",
     "generate_dataset",
-    "generate_dataset_chunked",
     "sample_follow_edges",
     "simulate_activity",
     "simulate_cascade",

@@ -31,14 +31,26 @@ from collections import deque
 
 import numpy as np
 
-from repro.data.models import Retweet, Tweet
 from repro.graph.followgraph import FollowGraph
 from repro.synth.config import SynthConfig
 from repro.synth.interests import InterestModel
 from repro.utils.powerlaw import sample_bounded_zipf
 from repro.utils.rng import make_rng
 
-__all__ = ["simulate_activity", "simulate_cascade"]
+__all__ = [
+    "sample_tweet_counts", "simulate_activity", "simulate_cascade", "topic_pools",
+]
+
+
+def sample_tweet_counts(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+    """Bounded-zipf number of original posts per user."""
+    return sample_bounded_zipf(
+        rng,
+        alpha=config.tweets_alpha,
+        x_min=config.min_tweets_per_user,
+        x_max=config.max_tweets_per_user,
+        size=config.n_users,
+    )
 
 
 def simulate_activity(
@@ -46,72 +58,72 @@ def simulate_activity(
     interests: InterestModel,
     follow_graph: FollowGraph,
     rng: int | np.random.Generator | None = None,
-) -> tuple[list[Tweet], list[Retweet]]:
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Simulate the full observation window.
 
-    Returns the list of published tweets and the chronologically *unsorted*
-    list of retweet actions (the dataset container sorts on demand).
+    Returns the tweet columns ``(ids, authors, created_at, topics)``,
+    author by author, and the retweet log's ``(users, tweets, times)``
+    columns in chronological order (ties by user, then tweet).
     """
     rng = make_rng(rng)
-    tweets_per_user = sample_bounded_zipf(
-        rng,
-        alpha=config.tweets_alpha,
-        x_min=config.min_tweets_per_user,
-        x_max=config.max_tweets_per_user,
-        size=config.n_users,
-    )
+    tweets_per_user = sample_tweet_counts(config, rng)
     followers = _CSRFollowers(*follow_graph.edge_arrays(), config.n_users)
     alignment = np.minimum(interests.interest_matrix * config.n_topics, 1.0)
-    topic_pools = _topic_pools(alignment, config.discovery_min_alignment)
+    pools = topic_pools(alignment, config.discovery_min_alignment)
 
-    tweets: list[Tweet] = []
-    retweets: list[Retweet] = []
-    tweet_id = 0
-    for author in range(config.n_users):
-        creation_times = np.sort(
-            rng.uniform(0.0, config.time_span, size=int(tweets_per_user[author]))
-        )
-        for created_at in creation_times:
+    rows = []
+    for author, count in enumerate(tweets_per_user.tolist()):
+        for created_at in np.sort(rng.uniform(0.0, config.time_span, size=count)):
             topic = interests.draw_topic(author, rng)
-            tweet = Tweet(
-                id=tweet_id, author=author, created_at=float(created_at),
-                topic=topic,
+            cascade = simulate_cascade(
+                author, float(created_at), topic, config, followers,
+                alignment, rng, topic_pools=pools,
             )
-            tweets.append(tweet)
-            tweet_id += 1
-            retweets.extend(
-                simulate_cascade(
-                    tweet, config, followers, alignment, rng,
-                    topic_pools=topic_pools,
-                )
-            )
-    return tweets, retweets
+            rows.append((author, created_at, topic, *cascade))
+    authors, created, topics, users, times = zip(*rows)
+    ids = np.arange(len(rows), dtype=np.int64)
+    log = (
+        np.concatenate(users),
+        np.repeat(ids, [len(cascade) for cascade in users]),
+        np.concatenate(times),
+    )
+    order = np.lexsort((log[1], log[0], log[2]))  # by time, user, tweet
+    return (
+        (ids, np.array(authors, dtype=np.int64),
+         np.array(created, dtype=np.float64),
+         np.array(topics, dtype=np.int64)),
+        tuple(column[order] for column in log),
+    )
 
 
 def simulate_cascade(
-    tweet: Tweet,
+    author: int,
+    created_at: float,
+    topic: int,
     config: SynthConfig,
     followers: dict[int, np.ndarray],
     alignment: np.ndarray,
     rng: np.random.Generator,
     topic_pools: dict[int, np.ndarray] | None = None,
-) -> list[Retweet]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the retweet cascade of one tweet.
 
-    Each user gets a single conversion draw per cascade (their first
-    exposure); sharers expose their own followers — plus a Poisson-sized
-    sample of topically-affine *discovery* users when ``topic_pools`` is
-    given — one hop deeper, with the conversion probability decayed by
-    ``depth_decay``.
+    Returns the retweeters and their retweet times, in the order the
+    cascade reached them.  Each user gets a single conversion draw per
+    cascade (their first exposure); sharers expose their own followers —
+    plus a Poisson-sized sample of topically-affine *discovery* users
+    when ``topic_pools`` is given — one hop deeper, with the conversion
+    probability decayed by ``depth_decay``.
     """
     virality = _draw_virality(rng, config.virality_tail)
-    horizon = tweet.created_at + config.max_lifetime
-    attempted: set[int] = {tweet.author}
-    actions: list[Retweet] = []
-    pool = topic_pools.get(tweet.topic) if topic_pools else None
+    horizon = created_at + config.max_lifetime
+    attempted: set[int] = {author}
+    users: list[int] = []
+    times: list[float] = []
+    pool = topic_pools.get(topic) if topic_pools else None
     # Queue of (sharer, share_time, depth of *their* followers).
-    queue: deque[tuple[int, float, int]] = deque([(tweet.author, tweet.created_at, 0)])
-    while queue and len(actions) < config.max_cascade_size:
+    queue: deque[tuple[int, float, int]] = deque([(author, created_at, 0)])
+    while queue and len(users) < config.max_cascade_size:
         sharer, share_time, depth = queue.popleft()
         audience = followers.get(sharer, _EMPTY)
         if pool is not None and pool.size and config.discovery_mean > 0:
@@ -132,7 +144,7 @@ def simulate_cascade(
         probs = (
             config.base_retweet_rate
             * virality
-            * alignment[candidates, tweet.topic]
+            * alignment[candidates, topic]
             * config.depth_decay**depth
         )
         np.clip(probs, 0.0, 0.95, out=probs)
@@ -142,18 +154,22 @@ def simulate_cascade(
         delays = rng.lognormal(
             config.delay_log_mean, config.delay_log_sigma, size=converted.size
         )
-        for user, delay in zip(converted, delays):
-            share_at = share_time + float(delay)
+        for user, delay in zip(converted.tolist(), delays.tolist()):
+            share_at = share_time + delay
             if share_at > horizon or share_at > config.time_span:
                 continue
-            actions.append(Retweet(user=int(user), tweet=tweet.id, time=share_at))
-            queue.append((int(user), share_at, depth + 1))
-            if len(actions) >= config.max_cascade_size:
+            users.append(user)
+            times.append(share_at)
+            queue.append((user, share_at, depth + 1))
+            if len(users) >= config.max_cascade_size:
                 break
-    return actions
+    if not users:
+        return _EMPTY, _NO_TIMES
+    return np.array(users, dtype=np.int64), np.array(times, dtype=np.float64)
 
 
 _EMPTY = np.empty(0, dtype=np.int64)
+_NO_TIMES = np.empty(0, dtype=np.float64)
 
 
 class _CSRFollowers:
@@ -180,16 +196,22 @@ class _CSRFollowers:
         return row if len(row) else default
 
 
-def _topic_pools(
+def topic_pools(
     alignment: np.ndarray, min_alignment: float
 ) -> dict[int, np.ndarray]:
-    """Per topic, the users reachable through the discovery channel."""
-    pools: dict[int, np.ndarray] = {}
-    for topic in range(alignment.shape[1]):
-        pools[topic] = np.flatnonzero(
-            alignment[:, topic] >= min_alignment
-        ).astype(np.int64)
-    return pools
+    """Per topic, the users reachable through the discovery channel.
+
+    Alignment is never negative, so at ``min_alignment <= 0`` every
+    topic's pool is the whole population, shared rather than searched.
+    """
+    n_users, n_topics = alignment.shape
+    if min_alignment <= 0.0:
+        everyone = np.arange(n_users, dtype=np.int64)
+        return {topic: everyone for topic in range(n_topics)}
+    return {
+        topic: np.flatnonzero(alignment[:, topic] >= min_alignment).astype(np.int64)
+        for topic in range(n_topics)
+    }
 
 
 def _draw_virality(rng: np.random.Generator, tail: float) -> float:

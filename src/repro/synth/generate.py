@@ -2,13 +2,15 @@
 
 ``generate_dataset(SynthConfig(...))`` wires the three synthesis stages —
 interest model, follow graph, activity simulation — into a validated
-:class:`~repro.data.dataset.TwitterDataset`.
+:class:`~repro.data.dataset.TwitterDataset`, built from columns by
+:meth:`~repro.data.dataset.TwitterDataset.from_arrays`.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.data.dataset import TwitterDataset
-from repro.data.models import User
 from repro.synth.activity import simulate_activity
 from repro.synth.config import SynthConfig
 from repro.synth.interests import InterestModel
@@ -32,24 +34,22 @@ def generate_dataset(config: SynthConfig | None = None) -> TwitterDataset:
     follow_graph = build_follow_graph(
         config, interests.communities, rng=seeds.generator("socialgraph")
     )
-    tweets, retweets = simulate_activity(
-        config, interests, follow_graph, rng=seeds.generator("activity")
-    )
-
-    users = [
-        User(
-            id=user_id,
-            community=interests.community_of(user_id),
-            interests=tuple(
-                round(float(w), 6) for w in interests.interests_of(user_id)
-            ),
+    (tweet_ids, authors, created, topics), (rt_users, rt_tweets, rt_times) = (
+        simulate_activity(
+            config, interests, follow_graph, rng=seeds.generator("activity")
         )
-        for user_id in range(config.n_users)
-    ]
-    followers, followees = follow_graph.edge_arrays()
-    return TwitterDataset.from_records(
-        users,
-        list(zip(followers.tolist(), followees.tolist())),
-        tweets,
-        sorted(retweets, key=lambda r: (r.time, r.user, r.tweet)),
+    )
+    follow_src, follow_dst = follow_graph.edge_arrays()
+    return TwitterDataset.from_arrays(
+        user_ids=np.arange(config.n_users, dtype=np.int64),
+        user_communities=interests.communities,
+        follow_src=follow_src,
+        follow_dst=follow_dst,
+        tweet_ids=tweet_ids,
+        tweet_authors=authors,
+        tweet_times=created,
+        tweet_topics=topics,
+        rt_users=rt_users,
+        rt_tweets=rt_tweets,
+        rt_times=rt_times,
     )

@@ -31,7 +31,7 @@ class InterestModel:
         rng = make_rng(rng)
         self.communities = self._assign_communities(rng)
         self._home_topics = self._assign_home_topics(rng)
-        self.interest_matrix = self._build_interests(rng)
+        self.interest_matrix = self._build_interest_matrix(rng)
 
     def _assign_communities(self, rng: np.random.Generator) -> np.ndarray:
         """Zipf-ish community sizes: a few big communities, many small."""
@@ -53,7 +53,7 @@ class InterestModel:
             for _ in range(cfg.n_communities)
         ]
 
-    def _build_interests(self, rng: np.random.Generator) -> np.ndarray:
+    def _build_interest_matrix(self, rng: np.random.Generator) -> np.ndarray:
         cfg = self.config
         matrix = np.empty((cfg.n_users, cfg.n_topics), dtype=np.float64)
         for user in range(cfg.n_users):
@@ -76,10 +76,6 @@ class InterestModel:
     def home_topics(self, community: int) -> np.ndarray:
         """Home topics of ``community``."""
         return self._home_topics[community]
-
-    def interests_of(self, user: int) -> np.ndarray:
-        """Topic-interest vector of ``user`` (sums to 1)."""
-        return self.interest_matrix[user]
 
     def draw_topic(self, user: int, rng: np.random.Generator) -> int:
         """Sample a tweet topic from ``user``'s interest vector."""

@@ -16,7 +16,19 @@ from repro.synth.config import SynthConfig
 from repro.utils.powerlaw import sample_bounded_zipf
 from repro.utils.rng import make_rng
 
-__all__ = ["build_follow_graph", "sample_follow_edges"]
+__all__ = ["build_follow_graph", "sample_follow_edges", "sample_out_degrees"]
+
+
+def sample_out_degrees(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+    """Bounded-zipf target out-degrees, capped at ``n_users - 1``."""
+    max_degree = min(config.max_out_degree, config.n_users - 1)
+    return sample_bounded_zipf(
+        rng,
+        alpha=config.out_degree_alpha,
+        x_min=min(config.min_out_degree, max_degree),
+        x_max=max_degree,
+        size=config.n_users,
+    )
 
 
 def build_follow_graph(
@@ -26,21 +38,12 @@ def build_follow_graph(
 ) -> FollowGraph:
     """Generate the follow graph for ``config`` and ``communities``.
 
-    Out-degrees are bounded-zipf samples (capped at ``n_users - 1``); the
-    edge-wiring combines preferential attachment with community bias.
+    Out-degrees come from :func:`sample_out_degrees`; the edge-wiring
+    combines preferential attachment with community bias.
     """
     rng = make_rng(rng)
-    max_degree = min(config.max_out_degree, config.n_users - 1)
-    min_degree = min(config.min_out_degree, max_degree)
-    out_degrees = sample_bounded_zipf(
-        rng,
-        alpha=config.out_degree_alpha,
-        x_min=min_degree,
-        x_max=max_degree,
-        size=config.n_users,
-    )
     return community_preferential_graph(
-        out_degrees=out_degrees,
+        out_degrees=sample_out_degrees(config, rng),
         communities=[int(c) for c in communities],
         community_bias=config.community_bias,
         seed=rng,
@@ -66,8 +69,12 @@ def sample_follow_edges(
     heavy-tailed shape, without the sequential dependence), and all
     edges are drawn at once with cumulative-weight binary search —
     community-biased exactly like the loop version.  Self-loops and
-    duplicate pairs are dropped afterwards, so realized out-degree can
-    fall slightly short of target, matching the loop version's caveat.
+    duplicate pairs are dropped afterwards and not redrawn, so realized
+    out-degree falls short of target, most for the heaviest users: on
+    the 2,000-user evaluation config 27,017 of 33,580 target follows
+    survive (-19.5 %; -33.9 % among out-degree >= 100), and 4.9 % are
+    lost at 100k users.  The loop version redraws and realizes every
+    target follow.
     """
     n = len(out_degrees)
     out_degrees = np.asarray(out_degrees, dtype=np.int64)

@@ -1,8 +1,9 @@
 """Chunked, array-scale synthetic corpus generation.
 
-:func:`repro.synth.generate.generate_dataset` materializes every entity
-as a Python object and tops out around tens of thousands of users.  This
-module generates the same *kind* of corpus — homophilous interests,
+:func:`repro.synth.generate.generate_dataset` draws its frame —
+interest vectors, the follow graph, tweet times — user by user and edge
+by edge, and tops out around tens of thousands of users.  This module
+generates the same *kind* of corpus — homophilous interests,
 heavy-tailed follow graph, cascade-driven retweets — at paper scale
 (ROADMAP item 1: the crawl is 2.2M users):
 
@@ -19,10 +20,17 @@ future tweet can emit an earlier one — and whole windows below ``t``
 can be flushed, sorted, as chunks.  The pending buffer is bounded by
 the events inside one ``max_lifetime`` horizon, not the corpus.
 
-Determinism: output is a pure function of the config (same named seed
-streams as the object generator), but the vectorized algorithms draw in
-a different order, so a chunked corpus is *statistically* — not
-bitwise — equivalent to :func:`generate_dataset`'s.
+The rest is shared with the object generator: the cascade core
+(:func:`~repro.synth.activity.simulate_cascade`, which returns columns),
+the discovery pools, the out-degree and tweets-per-user draws, and the
+one constructor, :meth:`TwitterDataset.from_arrays`.
+
+Determinism: output is a pure function of the config, drawn from the
+same named seed streams (``interests``, ``socialgraph``, ``activity``)
+as the object generator.  Its frame samplers draw differently (gamma
+matrices for the Dirichlet rows, a static-attractiveness edge sampler,
+one vector of tweet times), so a chunked corpus is *statistically* —
+not bitwise — equivalent to :func:`generate_dataset`'s.
 """
 
 from __future__ import annotations
@@ -33,14 +41,17 @@ from typing import Iterator
 import numpy as np
 
 from repro.data.dataset import TwitterDataset
-from repro.synth.activity import _CSRFollowers, simulate_cascade
+from repro.synth.activity import (
+    _CSRFollowers,
+    sample_tweet_counts,
+    simulate_cascade,
+    topic_pools,
+)
 from repro.synth.config import DAY, SynthConfig
-from repro.synth.socialgraph import sample_follow_edges
-from repro.utils.powerlaw import sample_bounded_zipf
+from repro.synth.socialgraph import sample_follow_edges, sample_out_degrees
 from repro.utils.rng import SeedSequenceFactory
 
-__all__ = ["ChunkedGenerator", "CorpusFrame", "SynthChunk",
-           "generate_dataset_chunked"]
+__all__ = ["ChunkedGenerator", "CorpusFrame", "SynthChunk"]
 
 
 @dataclass(frozen=True)
@@ -102,27 +113,13 @@ class ChunkedGenerator:
         alignment = self._build_alignment(interests_rng, communities)
 
         social_rng = self._seeds.generator("socialgraph")
-        max_degree = min(cfg.max_out_degree, cfg.n_users - 1)
-        min_degree = min(cfg.min_out_degree, max_degree)
-        out_degrees = sample_bounded_zipf(
-            social_rng,
-            alpha=cfg.out_degree_alpha,
-            x_min=min_degree,
-            x_max=max_degree,
-            size=cfg.n_users,
-        )
         follow_src, follow_dst = sample_follow_edges(
-            out_degrees, communities, cfg.community_bias, social_rng
+            sample_out_degrees(cfg, social_rng), communities,
+            cfg.community_bias, social_rng,
         )
 
         activity_rng = self._seeds.generator("activity")
-        tweets_per_user = sample_bounded_zipf(
-            activity_rng,
-            alpha=cfg.tweets_alpha,
-            x_min=cfg.min_tweets_per_user,
-            x_max=cfg.max_tweets_per_user,
-            size=cfg.n_users,
-        )
+        tweets_per_user = sample_tweet_counts(cfg, activity_rng)
         n_tweets = int(tweets_per_user.sum())
         authors = np.repeat(
             np.arange(cfg.n_users, dtype=np.int64), tweets_per_user
@@ -150,10 +147,15 @@ class ChunkedGenerator:
         weights = 1.0 / np.arange(1, cfg.n_communities + 1, dtype=np.float64)
         weights /= weights.sum()
         labels = rng.choice(cfg.n_communities, size=cfg.n_users, p=weights)
-        present = np.zeros(cfg.n_communities, dtype=bool)
-        present[np.unique(labels)] = True
-        for community in np.flatnonzero(~present):
-            labels[int(rng.integers(cfg.n_users))] = community
+        # Every community gets a member, taken from a community that can
+        # spare one (n_communities <= n_users, so one always can).
+        sizes = np.bincount(labels, minlength=cfg.n_communities)
+        for community in np.flatnonzero(sizes == 0):
+            donors = np.flatnonzero(sizes[labels] >= 2)
+            user = donors[int(rng.integers(len(donors)))]
+            sizes[labels[user]] -= 1
+            sizes[community] = 1
+            labels[user] = community
         return labels.astype(np.int64)
 
     def _build_alignment(
@@ -239,58 +241,36 @@ class ChunkedGenerator:
         followers = _CSRFollowers(
             frame.follow_src, frame.follow_dst, cfg.n_users
         )
-        if cfg.discovery_min_alignment <= 0.0:
-            everyone = np.arange(cfg.n_users, dtype=np.int64)
-            topic_pools = {t: everyone for t in range(cfg.n_topics)}
-        else:
-            topic_pools = {
-                t: np.flatnonzero(
-                    frame.alignment[:, t] >= cfg.discovery_min_alignment
-                ).astype(np.int64)
-                for t in range(cfg.n_topics)
-            }
+        pools = topic_pools(frame.alignment, cfg.discovery_min_alignment)
 
-        pending_users: list[np.ndarray] = []
-        pending_tweets: list[np.ndarray] = []
-        pending_times: list[np.ndarray] = []
+        # Undrained (users, tweets, times) column triples.
+        pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         flushed_until = 0.0
 
-        tweet = _TweetView()
-        for i in range(len(frame.tweet_ids)):
-            created = float(frame.tweet_times[i])
+        columns = zip(
+            frame.tweet_ids, frame.tweet_authors, frame.tweet_times,
+            frame.tweet_topics,
+        )
+        for tweet_id, author, created, topic in columns:
+            created = float(created)
             while created >= flushed_until + self.window:
                 chunk = self._drain(
-                    pending_users, pending_tweets, pending_times,
-                    flushed_until, flushed_until + self.window,
+                    pending, flushed_until, flushed_until + self.window
                 )
                 flushed_until += self.window
                 if chunk is not None:
                     yield chunk
-            tweet.id = int(frame.tweet_ids[i])
-            tweet.author = int(frame.tweet_authors[i])
-            tweet.created_at = created
-            tweet.topic = int(frame.tweet_topics[i])
-            actions = simulate_cascade(
-                tweet, cfg, followers, frame.alignment, rng,
-                topic_pools=topic_pools,
+            users, times = simulate_cascade(
+                int(author), created, int(topic), cfg, followers,
+                frame.alignment, rng, topic_pools=pools,
             )
-            if actions:
-                pending_users.append(
-                    np.fromiter((a.user for a in actions), dtype=np.int64,
-                                count=len(actions))
-                )
-                pending_tweets.append(
-                    np.full(len(actions), tweet.id, dtype=np.int64)
-                )
-                pending_times.append(
-                    np.fromiter((a.time for a in actions), dtype=np.float64,
-                                count=len(actions))
-                )
+            if len(users):
+                tweets = np.full(len(users), tweet_id, dtype=np.int64)
+                pending.append((users, tweets, times))
         # Everything left is final; flush window by window to the end.
-        while pending_users:
+        while pending:
             chunk = self._drain(
-                pending_users, pending_tweets, pending_times,
-                flushed_until, flushed_until + self.window,
+                pending, flushed_until, flushed_until + self.window
             )
             flushed_until += self.window
             if chunk is not None:
@@ -298,24 +278,21 @@ class ChunkedGenerator:
 
     @staticmethod
     def _drain(
-        pending_users: list[np.ndarray],
-        pending_tweets: list[np.ndarray],
-        pending_times: list[np.ndarray],
+        pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
         start: float,
         end: float,
     ) -> SynthChunk | None:
         """Extract the events with ``start <= time < end`` as one chunk."""
-        if not pending_users:
+        if not pending:
             return None
-        users = np.concatenate(pending_users)
-        tweets = np.concatenate(pending_tweets)
-        times = np.concatenate(pending_times)
+        users, tweets, times = (np.concatenate(c) for c in zip(*pending))
         inside = times < end
         if not inside.any():
             return None
-        pending_users[:] = [users[~inside]] if (~inside).any() else []
-        pending_tweets[:] = [tweets[~inside]] if (~inside).any() else []
-        pending_times[:] = [times[~inside]] if (~inside).any() else []
+        later = ~inside
+        pending[:] = (
+            [(users[later], tweets[later], times[later])] if later.any() else []
+        )
         users, tweets, times = users[inside], tweets[inside], times[inside]
         order = np.lexsort((tweets, users, times))
         return SynthChunk(
@@ -347,26 +324,3 @@ class ChunkedGenerator:
             tweet_topics=frame.tweet_topics,
             rt_users=rt_users, rt_tweets=rt_tweets, rt_times=rt_times,
         )
-
-
-class _TweetView:
-    """Mutable stand-in for :class:`~repro.data.models.Tweet`.
-
-    :func:`simulate_cascade` only reads ``id``/``author``/``created_at``
-    /``topic``; reusing one view object avoids allocating millions of
-    frozen dataclass instances on the hot path.
-    """
-
-    __slots__ = ("id", "author", "created_at", "topic")
-
-
-def generate_dataset_chunked(
-    config: SynthConfig | None = None, window: float = DAY
-) -> Iterator[SynthChunk]:
-    """Stream a synthetic corpus's retweet log as time-ordered chunks.
-
-    Thin wrapper over :class:`ChunkedGenerator` for consumers that only
-    need the event stream; instantiate the class directly when the
-    static frame (follow edges, tweet columns) is needed too.
-    """
-    yield from ChunkedGenerator(config, window=window).chunks()

@@ -218,12 +218,11 @@ class TestConstruction:
         with pytest.raises(DatasetError, match="unknown user"):
             columnar.followees(-5)
 
-    def test_interests_preserved(self):
+    def test_community_preserved(self):
         ds = TwitterDataset()
-        ds.add_user(User(id=1, community=2, interests=(0.25, 0.75)))
+        ds.add_user(User(id=1, community=2))
         ds.add_user(User(id=2))
         ds.add_tweet(Tweet(id=7, author=1, created_at=0.0))
         ds.add_retweet(Retweet(user=2, tweet=7, time=1.0))
-        assert ds.users[1].interests == (0.25, 0.75)
         assert ds.users[1].community == 2
-        assert ds.users[2].interests == ()
+        assert ds.users[2].community == 0

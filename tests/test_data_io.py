@@ -34,7 +34,16 @@ class TestRoundTrip:
         sample = next(iter(small_dataset.users.values()))
         reloaded = loaded.users[sample.id]
         assert reloaded.community == sample.community
-        assert reloaded.interests == sample.interests
+
+    def test_interests_key_of_older_directories_ignored(self, tiny_dataset, tmp_path):
+        path = save_dataset(tiny_dataset, tmp_path / "ds")
+        lines = (path / "users.jsonl").read_text().splitlines()
+        records = [dict(json.loads(line), interests=[0.5, 0.5]) for line in lines]
+        (path / "users.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
+        )
+        loaded = load_dataset(path)
+        assert list(loaded.users.values()) == list(tiny_dataset.users.values())
 
     def test_creates_directory(self, tiny_dataset, tmp_path):
         target = tmp_path / "nested" / "dir"

@@ -9,15 +9,10 @@ class TestUser:
     def test_defaults(self):
         user = User(id=3)
         assert user.community == 0
-        assert user.interests == ()
 
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):
             User(id=-1)
-
-    def test_interests_stored(self):
-        user = User(id=0, interests=(0.5, 0.5))
-        assert sum(user.interests) == pytest.approx(1.0)
 
 
 class TestTweet:

@@ -386,19 +386,24 @@ def test_add_and_read_interleavings_answer_like_the_dict_dataset(calls):
 # ----------------------------------------------------------------------
 # Generated corpora
 # ----------------------------------------------------------------------
-class _DictFromRecords(DictTwitterDataset):
+class _DictFromArrays(DictTwitterDataset):
     @classmethod
-    def from_records(cls, users, follows, tweets, retweets):
-        """The generator's records through ``add_*``, kind by kind."""
+    def from_arrays(cls, *, user_ids, user_communities, follow_src, follow_dst,
+                    tweet_ids, tweet_authors, tweet_times, tweet_topics,
+                    rt_users, rt_tweets, rt_times):
+        """The generator's columns through ``add_*``, row by row, kind by
+        kind."""
         dataset = cls()
-        for user in users:
-            dataset.add_user(user)
-        for follower, followee in follows:
+        for user_id, community in zip(user_ids.tolist(), user_communities.tolist()):
+            dataset.add_user(User(id=user_id, community=community))
+        for follower, followee in zip(follow_src.tolist(), follow_dst.tolist()):
             dataset.add_follow(follower, followee)
-        for tweet in tweets:
-            dataset.add_tweet(tweet)
-        for retweet in retweets:
-            dataset.add_retweet(retweet)
+        for row in zip(*(c.tolist() for c in (
+            tweet_ids, tweet_authors, tweet_times, tweet_topics
+        ))):
+            dataset.add_tweet(Tweet(*row))
+        for row in zip(rt_users.tolist(), rt_tweets.tolist(), rt_times.tolist()):
+            dataset.add_retweet(Retweet(*row))
         dataset.validate()
         return dataset
 
@@ -408,7 +413,7 @@ def generated_pair(n_users: int, seed: int):
     config = SynthConfig(n_users=n_users, seed=seed)
     got = generate_dataset(config)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(generate_module, "TwitterDataset", _DictFromRecords)
+        patch.setattr(generate_module, "TwitterDataset", _DictFromArrays)
         want = generate_dataset(config)
     return got, want
 

@@ -1,5 +1,6 @@
 """Tests for repro.graph.communities."""
 
+import numpy as np
 import pytest
 
 from repro.graph import FollowGraph
@@ -21,7 +22,35 @@ def two_cliques(bridge: bool = True) -> FollowGraph:
     return g
 
 
+def planted_partition(
+    n_blocks: int = 4, size: int = 30, p_in: float = 0.3,
+    p_cross: float = 0.01, seed: int = 3,
+) -> tuple[FollowGraph, np.ndarray]:
+    """Dense random blocks joined by sparse cross edges, and each node's
+    block."""
+    rng = np.random.default_rng(seed)
+    blocks = np.repeat(np.arange(n_blocks), size)
+    same = blocks[:, None] == blocks[None, :]
+    follows = rng.random((len(blocks), len(blocks))) < np.where(same, p_in, p_cross)
+    np.fill_diagonal(follows, False)
+    g = FollowGraph()
+    g.add_nodes(range(len(blocks)))
+    g.add_edges(*np.nonzero(follows))
+    return g, blocks
+
+
 class TestLabelPropagation:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_planted_blocks_recovered_for_every_seed(self, seed):
+        """A partition the graph states plainly is found from any start
+        order: one label per block, a different one for each block."""
+        g, blocks = planted_partition()
+        assert g.edge_count > 0
+        labels = label_propagation_communities(g, seed=seed)
+        found = np.array([labels[node] for node in range(len(blocks))])
+        pairs = set(zip(blocks.tolist(), found.tolist()))
+        assert len(pairs) == len(set(blocks.tolist())) == len(set(found.tolist()))
+
     def test_two_cliques_separated(self):
         labels = label_propagation_communities(two_cliques(), seed=0)
         first = {labels[i] for i in range(4)}

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.models import Tweet
-from repro.synth.activity import simulate_activity, simulate_cascade
+from repro.synth.activity import simulate_activity, simulate_cascade, topic_pools
 from repro.synth.config import SynthConfig
 from repro.synth.interests import InterestModel
 from repro.synth.socialgraph import build_follow_graph
@@ -35,45 +34,47 @@ class TestFollowGraph:
         assert sorted(follow_pairs(again)) == sorted(follow_pairs(graph))
 
 
+@pytest.fixture(scope="module")
+def activity(world):
+    config, interests, graph = world
+    return simulate_activity(config, interests, graph, rng=3)
+
+
 class TestSimulateActivity:
-    def test_events_within_window(self, world):
-        config, interests, graph = world
-        tweets, retweets = simulate_activity(config, interests, graph, rng=3)
-        for tweet in tweets:
-            assert 0.0 <= tweet.created_at <= config.time_span
-        for retweet in retweets:
-            assert retweet.time <= config.time_span
+    def test_events_within_window(self, world, activity):
+        config = world[0]
+        (_, _, created, _), (_, _, times) = activity
+        assert ((created >= 0.0) & (created <= config.time_span)).all()
+        assert (times <= config.time_span).all()
 
-    def test_tweet_ids_unique_sequential(self, world):
-        config, interests, graph = world
-        tweets, _ = simulate_activity(config, interests, graph, rng=3)
-        ids = [t.id for t in tweets]
-        assert ids == list(range(len(ids)))
+    def test_tweet_ids_unique_sequential(self, activity):
+        ids = activity[0][0]
+        assert ids.tolist() == list(range(len(ids)))
 
-    def test_retweets_reference_tweets(self, world):
-        config, interests, graph = world
-        tweets, retweets = simulate_activity(config, interests, graph, rng=3)
-        tweet_ids = {t.id for t in tweets}
-        assert all(r.tweet in tweet_ids for r in retweets)
+    def test_retweets_reference_tweets(self, activity):
+        (ids, _, _, _), (_, tweets, _) = activity
+        assert np.isin(tweets, ids).all()
 
-    def test_authors_never_retweet_own(self, world):
-        config, interests, graph = world
-        tweets, retweets = simulate_activity(config, interests, graph, rng=3)
-        author = {t.id: t.author for t in tweets}
-        assert all(author[r.tweet] != r.user for r in retweets)
+    def test_authors_never_retweet_own(self, activity):
+        (_, authors, _, _), (users, tweets, _) = activity
+        assert (authors[tweets] != users).all()
 
-    def test_no_duplicate_user_tweet_pairs(self, world):
-        config, interests, graph = world
-        _, retweets = simulate_activity(config, interests, graph, rng=3)
-        pairs = [(r.user, r.tweet) for r in retweets]
-        assert len(pairs) == len(set(pairs))
+    def test_no_duplicate_user_tweet_pairs(self, activity):
+        _, (users, tweets, _) = activity
+        pairs = set(zip(users.tolist(), tweets.tolist()))
+        assert len(pairs) == len(users)
 
-    def test_deterministic_under_seed(self, world):
+    def test_retweet_log_chronological(self, activity):
+        _, (users, tweets, times) = activity
+        rows = list(zip(times.tolist(), users.tolist(), tweets.tolist()))
+        assert rows == sorted(rows)
+
+    def test_deterministic_under_seed(self, world, activity):
         config, interests, graph = world
-        a = simulate_activity(config, interests, graph, rng=3)
-        b = simulate_activity(config, interests, graph, rng=3)
-        assert a[0] == b[0]
-        assert a[1] == b[1]
+        again = simulate_activity(config, interests, graph, rng=3)
+        for got, want in zip((*again[0], *again[1]), (*activity[0], *activity[1])):
+            assert np.array_equal(got, want)
+            assert got.dtype == want.dtype
 
 
 class TestSimulateCascade:
@@ -89,10 +90,13 @@ class TestSimulateCascade:
                              base_retweet_rate=0.9, discovery_mean=0.0)
         _, alignment = self.make_inputs(config)
         followers = {0: np.arange(1, 50, dtype=np.int64)}
-        tweet = Tweet(id=0, author=0, created_at=100.0, topic=0)
         rng = np.random.default_rng(0)
-        actions = simulate_cascade(tweet, config, followers, alignment, rng)
-        assert all(r.time > tweet.created_at for r in actions)
+        users, times = simulate_cascade(
+            0, 100.0, 0, config, followers, alignment, rng
+        )
+        assert len(users) == len(times) > 0
+        assert (times > 100.0).all()
+        assert users.dtype == np.int64 and times.dtype == np.float64
 
     def test_cascade_size_capped(self):
         config = SynthConfig(n_users=100, n_communities=2, seed=1,
@@ -101,19 +105,17 @@ class TestSimulateCascade:
         _, alignment = self.make_inputs(config)
         alignment[:] = 1.0
         followers = {u: np.arange(100, dtype=np.int64) for u in range(100)}
-        tweet = Tweet(id=0, author=0, created_at=0.0, topic=0)
         rng = np.random.default_rng(0)
-        actions = simulate_cascade(tweet, config, followers, alignment, rng)
-        assert len(actions) <= 5
+        users, _ = simulate_cascade(0, 0.0, 0, config, followers, alignment, rng)
+        assert len(users) <= 5
 
     def test_no_followers_no_discovery_no_actions(self):
         config = SynthConfig(n_users=10, n_communities=2, seed=1,
                              discovery_mean=0.0)
         _, alignment = self.make_inputs(config)
-        tweet = Tweet(id=0, author=0, created_at=0.0, topic=0)
         rng = np.random.default_rng(0)
-        actions = simulate_cascade(tweet, config, {}, alignment, rng)
-        assert actions == []
+        users, times = simulate_cascade(0, 0.0, 0, config, {}, alignment, rng)
+        assert len(users) == len(times) == 0
 
     def test_discovery_reaches_nonfollowers(self):
         config = SynthConfig(n_users=80, n_communities=2, seed=1,
@@ -121,13 +123,25 @@ class TestSimulateCascade:
         _, alignment = self.make_inputs(config)
         alignment[:] = 1.0
         pools = {0: np.arange(80, dtype=np.int64)}
-        tweet = Tweet(id=0, author=0, created_at=0.0, topic=0)
         rng = np.random.default_rng(0)
-        actions = simulate_cascade(
-            tweet, config, {}, alignment, rng, topic_pools=pools
+        users, _ = simulate_cascade(
+            0, 0.0, 0, config, {}, alignment, rng, topic_pools=pools
         )
         # No follow edges at all, yet the cascade converts via discovery.
-        assert len(actions) > 0
+        assert len(users) > 0
+
+
+class TestTopicPools:
+    def test_shortcut_pools_equal_the_searched_ones(self):
+        alignment = np.random.default_rng(4).random((30, 5))
+        alignment[3] = 0.0
+        shortcut = topic_pools(alignment, 0.0)
+        for topic, pool in shortcut.items():
+            assert np.array_equal(pool, np.flatnonzero(alignment[:, topic] >= 0.0))
+        searched = topic_pools(alignment, 0.5)
+        for topic, pool in searched.items():
+            assert np.array_equal(pool, np.flatnonzero(alignment[:, topic] >= 0.5))
+            assert pool.dtype == np.int64
 
 
 class TestPaperShapes:

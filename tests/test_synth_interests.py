@@ -38,7 +38,7 @@ class TestInterestVectors:
         for user in range(0, 200, 17):
             community = model.community_of(user)
             home = model.home_topics(community)
-            home_mass = model.interests_of(user)[home].sum()
+            home_mass = model.interest_matrix[user, home].sum()
             assert home_mass > config.interest_concentration * 0.8
 
     def test_same_community_users_more_similar(self, model):

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.synth import (
-    ChunkedGenerator,
-    SynthConfig,
-    generate_dataset_chunked,
-    sample_follow_edges,
-)
+from repro.synth import ChunkedGenerator, SynthConfig, sample_follow_edges
 from repro.synth.config import DAY, HOUR
 
 CONFIG = SynthConfig(n_users=300, seed=13)
@@ -60,10 +56,6 @@ class TestChunkStream:
         assert np.array_equal(coarse_users, fine_users)
         assert len(fine) >= len(chunks)
 
-    def test_function_wrapper(self):
-        total = sum(len(c) for c in generate_dataset_chunked(CONFIG))
-        assert total > 0
-
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             ChunkedGenerator(CONFIG, window=0.0)
@@ -91,6 +83,20 @@ class TestFrame:
         assert len(np.unique(generator.frame.communities)) == (
             CONFIG.n_communities
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_community_inhabited_at_any_size(self, data):
+        """Filling an empty community never empties another, however
+        few users there are per community."""
+        n_users = data.draw(st.integers(2, 200), label="n_users")
+        n_communities = data.draw(st.integers(1, n_users), label="n_communities")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        config = SynthConfig(
+            n_users=n_users, n_communities=n_communities, seed=seed
+        )
+        communities = ChunkedGenerator(config).frame.communities
+        assert np.array_equal(np.unique(communities), np.arange(n_communities))
 
     def test_tweets_creation_ordered(self, generator):
         assert np.all(np.diff(generator.frame.tweet_times) >= 0)
