@@ -62,7 +62,12 @@ def bench_context(smoke: bool) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "git_sha": git("rev-parse", "HEAD"),
-        "git_dirty": bool(git("status", "--porcelain")),
+        # The records themselves are left out: a run that writes two
+        # benches' rows would otherwise call its own tree dirty.
+        "git_dirty": bool(git(
+            "status", "--porcelain", "--",
+            ":(top)", ":(top,exclude)benchmarks/BENCH_*.json",
+        )),
         "smoke": smoke,
     }
 

@@ -94,7 +94,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy import sparse
 
-from repro.core.csr import gather_ranges, lookup
+from repro.core.csr import gather_ranges, lookup, sorted_unique
 from repro.core.profiles import RetweetProfiles
 from repro.core.simgraph import SimGraph, SimGraphBuilder
 from repro.core.simmatrix import (
@@ -256,7 +256,7 @@ def affected_region(
     radius.
     """
     dirty_users, dirty_tweets = profiles.dirt()
-    core = np.unique(
+    core = sorted_unique(
         np.concatenate(
             [
                 dirty_users,
@@ -277,7 +277,7 @@ def affected_region(
     order = np.lexsort((pair_fringe, pair_core))
     return DeltaPlan(
         core=core,
-        fringe=np.unique(pair_fringe),
+        fringe=sorted_unique(pair_fringe),
         pair_core=pair_core[order],
         pair_fringe=pair_fringe[order],
         dirty_users=frozenset(dirty_users.tolist()),
@@ -513,7 +513,7 @@ def _surgery(
     old_row = np.searchsorted(core, old.users)
     new_row = np.searchsorted(core, new.users)
     # One key per (row, target) edge, shared by the old and new rows.
-    codes = np.unique(np.concatenate((old.targets, new.targets)))
+    codes = sorted_unique(np.concatenate((old.targets, new.targets)))
     old_key = old_row * len(codes) + np.searchsorted(codes, old.targets)
     new_key = new_row * len(codes) + np.searchsorted(codes, new.targets)
     match, kept = lookup(old_key, new_key)
@@ -569,7 +569,7 @@ def _surgery(
     users = np.concatenate([part[0] for part in written])
     lengths = np.concatenate([part[1] for part in written])
     gained, dropped = np.concatenate(gained), np.concatenate(dropped)
-    candidates = np.unique(np.concatenate(isolated))
+    candidates = sorted_unique(np.concatenate(isolated))
     at, held = simgraph.positions(candidates)
     candidates, at = candidates[held], at[held]
     out_degree = simgraph.inf_counts[at].copy()
@@ -592,7 +592,7 @@ def _surgery(
         rows=(users[stays], lengths[stays], edges.targets, edges.weights),
         removed=removed,
         appended=created[np.sort(first)],
-        changed=np.unique(users),
+        changed=sorted_unique(users),
         topology_changed=topology_changed,
         edges_added=len(gained),
         edges_removed=len(dropped),
@@ -625,7 +625,7 @@ def _fringe_surgery(
     scored = np.searchsorted(core, scores.users) * width + np.searchsorted(
         fringe, scores.targets
     )
-    dirty = np.unique(pair_core)
+    dirty = sorted_unique(pair_core)
     at, held = simgraph.positions(dirty)
     flat, counts = gather_ranges(simgraph.out_indptr, at[held])
     rank, inside = lookup(
@@ -643,7 +643,7 @@ def _fringe_surgery(
 
     # The old rows of the users paid attention to, keyed the same way
     # where an edge ends at a core user.
-    old = _old_rows(simgraph, fringe[np.unique(u_rank)])
+    old = _old_rows(simgraph, fringe[sorted_unique(u_rank)])
     target, in_core = lookup(core, old.targets, np.arange(len(core)))
     old_key = np.where(
         in_core, target * width + np.searchsorted(fringe, old.users), -1
@@ -656,7 +656,7 @@ def _fringe_surgery(
     add = kept & ~has_old
     drop = ~kept & has_old
     act = add | drop | (kept & ~same)
-    users = fringe[np.unique(u_rank[act])]
+    users = fringe[sorted_unique(u_rank[act])]
 
     # Patched rows: old edges in place (re-weighed, or dropped), then
     # the new ones by ascending w.

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.csr import sorted_unique
 from repro.core.simgraph import SimGraph
 from repro.exceptions import DatasetError
 
@@ -313,6 +314,6 @@ def _load_v2(path: Path, header: dict, mmap: bool) -> SimGraph:
             )
     # Users are in node order (first appearance), not sorted, so
     # uniqueness takes a sort-copy of the section.
-    if len(np.unique(users)) != nodes:
+    if len(sorted_unique(users)) != nodes:
         raise DatasetError(f"{path}: duplicate node ids")
     return SimGraph(users, indptr, indices, weights, tau=float(header["tau"]))

@@ -53,8 +53,10 @@ class SimGraph:
       of the influencer direction (``F_u`` by position, in edge order, so
       a segment sum over a row is bit-identical to the reference
       engine's sequential ``sum``), and ``inf_counts`` = ``|F_u|``;
-    * ``out_indptr`` / ``out_indices`` — the transpose: row ``i`` holds
-      the positions of the users ``users[i]`` influences.
+    * ``out_indptr`` / ``out_indices`` / ``out_edges`` — the transpose:
+      row ``i`` holds the positions of the users ``users[i]``
+      influences, and ``out_edges`` the id (flat position in the
+      influencer arrays) of each of those edges.
 
     The sections may be ``np.memmap``-backed
     (:func:`repro.core.persistence.load_simgraph`).  ``index`` and the
@@ -173,15 +175,22 @@ class SimGraph:
         return self._transpose[1]
 
     @cached_property
-    def _transpose(self) -> tuple[np.ndarray, np.ndarray]:
+    def out_edges(self) -> np.ndarray:
+        """Edge id of each entry of :attr:`out_indices`: the entry's
+        position in ``inf_indices`` / ``inf_weights``."""
+        return self._transpose[2]
+
+    @cached_property
+    def _transpose(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Edge (row u -> influencer v) means "v influences u", so bucket
         # edge rows by their target position.  The conversion is a
         # counting sort that walks rows in order, so each bucket stays
-        # in edge order — a deterministic compile.
+        # in edge order — a deterministic compile — and carries each
+        # edge's id along in the data slot.
         n = len(self.users)
         transpose = sparse.csr_matrix(
             (
-                np.ones(len(self.inf_indices), dtype=np.int8),
+                np.arange(len(self.inf_indices), dtype=np.int64),
                 self.inf_indices,
                 self.inf_indptr,
             ),
@@ -190,6 +199,7 @@ class SimGraph:
         return (
             transpose.indptr.astype(np.int64, copy=False),
             transpose.indices.astype(np.int64, copy=False),
+            transpose.data,
         )
 
     @cached_property

@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.baselines.base import Recommendation
 from repro.core import persistence
+from repro.core.csr import sorted_unique
 from repro.core.profiles import RetweetProfiles
 from repro.core.propagation_csr import (
     PROP_BACKENDS,
@@ -749,7 +750,7 @@ class RecommendationService:
         hit = np.isin(
             np.concatenate([_NO_USERS, *seeds]), report.affected_users
         )
-        stale = [tweets[i] for i in np.unique(owner[hit]).tolist()]
+        stale = [tweets[i] for i in sorted_unique(owner[hit]).tolist()]
         dropped = self._warm.invalidate_tweets(stale)
         self.metrics.counter("maintenance.cache_invalidations").inc(dropped)
 

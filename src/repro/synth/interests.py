@@ -16,7 +16,27 @@ import numpy as np
 from repro.synth.config import SynthConfig
 from repro.utils.rng import make_rng
 
-__all__ = ["InterestModel"]
+__all__ = ["InterestModel", "assign_communities"]
+
+
+def assign_communities(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+    """Zipf-ish community sizes: a few big communities, many small.
+
+    Every community gets a member, taken from a community that can
+    spare one (``n_communities <= n_users``, so one always can); when
+    no community is empty nothing more is drawn from ``rng``.
+    """
+    weights = 1.0 / np.arange(1, config.n_communities + 1, dtype=np.float64)
+    weights /= weights.sum()
+    labels = rng.choice(config.n_communities, size=config.n_users, p=weights)
+    sizes = np.bincount(labels, minlength=config.n_communities)
+    for community in np.flatnonzero(sizes == 0):
+        donors = np.flatnonzero(sizes[labels] >= 2)
+        user = donors[int(rng.integers(len(donors)))]
+        sizes[labels[user]] -= 1
+        sizes[community] = 1
+        labels[user] = community
+    return labels.astype(np.int64)
 
 
 class InterestModel:
@@ -29,22 +49,9 @@ class InterestModel:
     ):
         self.config = config
         rng = make_rng(rng)
-        self.communities = self._assign_communities(rng)
+        self.communities = assign_communities(config, rng)
         self._home_topics = self._assign_home_topics(rng)
         self.interest_matrix = self._build_interest_matrix(rng)
-
-    def _assign_communities(self, rng: np.random.Generator) -> np.ndarray:
-        """Zipf-ish community sizes: a few big communities, many small."""
-        cfg = self.config
-        weights = 1.0 / np.arange(1, cfg.n_communities + 1, dtype=np.float64)
-        weights /= weights.sum()
-        labels = rng.choice(cfg.n_communities, size=cfg.n_users, p=weights)
-        # Guarantee every community has at least one member so downstream
-        # per-community structures are never empty.
-        for community in range(cfg.n_communities):
-            if not (labels == community).any():
-                labels[int(rng.integers(cfg.n_users))] = community
-        return labels
 
     def _assign_home_topics(self, rng: np.random.Generator) -> list[np.ndarray]:
         cfg = self.config

@@ -48,6 +48,7 @@ from repro.synth.activity import (
     topic_pools,
 )
 from repro.synth.config import DAY, SynthConfig
+from repro.synth.interests import assign_communities
 from repro.synth.socialgraph import sample_follow_edges, sample_out_degrees
 from repro.utils.rng import SeedSequenceFactory
 
@@ -109,7 +110,7 @@ class ChunkedGenerator:
     def _build_frame(self) -> CorpusFrame:
         cfg = self.config
         interests_rng = self._seeds.generator("interests")
-        communities = self._assign_communities(interests_rng)
+        communities = assign_communities(cfg, interests_rng)
         alignment = self._build_alignment(interests_rng, communities)
 
         social_rng = self._seeds.generator("socialgraph")
@@ -141,22 +142,6 @@ class ChunkedGenerator:
             tweet_times=times,
             tweet_topics=topics.astype(np.int32),
         )
-
-    def _assign_communities(self, rng: np.random.Generator) -> np.ndarray:
-        cfg = self.config
-        weights = 1.0 / np.arange(1, cfg.n_communities + 1, dtype=np.float64)
-        weights /= weights.sum()
-        labels = rng.choice(cfg.n_communities, size=cfg.n_users, p=weights)
-        # Every community gets a member, taken from a community that can
-        # spare one (n_communities <= n_users, so one always can).
-        sizes = np.bincount(labels, minlength=cfg.n_communities)
-        for community in np.flatnonzero(sizes == 0):
-            donors = np.flatnonzero(sizes[labels] >= 2)
-            user = donors[int(rng.integers(len(donors)))]
-            sizes[labels[user]] -= 1
-            sizes[community] = 1
-            labels[user] = community
-        return labels.astype(np.int64)
 
     def _build_alignment(
         self, rng: np.random.Generator, communities: np.ndarray

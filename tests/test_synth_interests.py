@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.synth.config import SynthConfig
 from repro.synth.interests import InterestModel
@@ -25,6 +26,20 @@ class TestCommunities:
     def test_skewed_sizes(self, model):
         sizes = np.bincount(model.communities, minlength=5)
         assert sizes.max() > 2 * sizes.min()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_community_inhabited_at_any_size(self, data):
+        """Filling an empty community never empties another, however
+        few users there are per community."""
+        n_users = data.draw(st.integers(2, 200), label="n_users")
+        n_communities = data.draw(st.integers(1, n_users), label="n_communities")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        config = SynthConfig(
+            n_users=n_users, n_communities=n_communities, seed=seed
+        )
+        communities = InterestModel(config, rng=seed).communities
+        assert np.array_equal(np.unique(communities), np.arange(n_communities))
 
 
 class TestInterestVectors:
