@@ -21,9 +21,12 @@ costs a tweet whose fixpoint already holds ~300 and ~3,000 users, by
 where the retweeter sits: outside the SimGraph (the fixpoint is
 re-emitted), inside it (a frontier of one), or with no warm state (cold).
 
-A full run rewrites ``benchmarks/BENCH_prop_speedup.json`` — numeric
-rows per bench plus one ``context`` block (cores, versions, git sha,
-smoke flag).  A smoke run never touches that committed record.
+Every time is the median of ``PASSES`` timed passes after one untimed
+warm-up pass (one timed pass in a smoke run).  A full run rewrites
+``benchmarks/BENCH_prop_speedup.json`` — numeric rows per bench plus one
+``context`` block (cores, versions, git sha, smoke flag) and a
+``timing`` block (warm-up and timed passes, statistic).  A smoke run
+never touches that committed record.
 
 Env knobs (used by the CI smoke step):
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import statistics
 import time
 
 from conftest import BENCH_CONFIG, bench_context
@@ -82,10 +86,22 @@ MATRIX_PATH = os.path.join(
 )
 
 
+#: Timed passes per row, after one untimed warm-up pass; a row is the
+#: median pass.  One pass with no warm-up moved the record by ±30 %
+#: between runs of unchanged code.
+PASSES = 1 if SMOKE else 5
+
+
 def _timed(fn):
-    start = time.perf_counter()
+    """``(result, seconds)``: ``fn``'s result and the median wall time
+    of ``PASSES`` calls after one untimed call."""
     result = fn()
-    return result, time.perf_counter() - start
+    elapsed = []
+    for _ in range(PASSES):
+        start = time.perf_counter()
+        result = fn()
+        elapsed.append(time.perf_counter() - start)
+    return result, statistics.median(elapsed)
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,6 +128,7 @@ def _record(name, rows) -> None:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
     payload["context"] = bench_context(SMOKE)
+    payload["timing"] = {"warmup_passes": 1, "passes": PASSES, "statistic": "median"}
     payload[name] = rows
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -247,9 +264,9 @@ def test_warm_cache_incremental_speedup(benchmark, emit):
             return results
 
         warm_engine = CSRPropagationEngine(simgraph)
-        cache = WarmStateCache(capacity=len(steps))
 
         def run_warm():
+            cache = WarmStateCache(capacity=len(steps))
             results = []
             for tweet, waves in enumerate(steps):
                 for seeds in waves:

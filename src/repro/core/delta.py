@@ -165,7 +165,7 @@ class DeltaPlan:
     @property
     def affected(self) -> np.ndarray:
         """Everyone whose row is rebuilt or patched."""
-        return np.union1d(self.core, self.fringe)
+        return sorted_unique(np.concatenate((self.core, self.fringe)))
 
     @property
     def is_empty(self) -> bool:
@@ -258,11 +258,11 @@ def affected_region(
     dirty_users, dirty_tweets = profiles.dirt()
     core = sorted_unique(
         np.concatenate(
-            [
+            (
                 dirty_users,
                 np.fromiter(extra_sources, dtype=np.int64),
-                *(profiles.retweeters_array(t) for t in dirty_tweets.tolist()),
-            ]
+                profiles.retweeter_rows(dirty_tweets)[1],
+            )
         )
     )
     # Only a dirty user's scores toward non-core users can have moved
@@ -270,16 +270,29 @@ def affected_region(
     # w within `hops` successor-steps iff w is in N_hops(u): walk the
     # predecessor direction from every dirty user at once.
     sources, owner, found = _dirty_reach(graph, dirty_users.tolist(), hops)
-    pair_core, pair_fringe = sources[owner], graph.ids[found]
-    del owner, found
-    outside = ~np.isin(pair_fringe, core)
-    pair_core, pair_fringe = pair_core[outside], pair_fringe[outside]
-    order = np.lexsort((pair_fringe, pair_core))
+    ids = graph.ids
+    outside = np.ones(len(ids), dtype=bool)
+    at, held = graph.positions(core.tolist())
+    outside[at[held]] = False
+    keep = outside[found]
+    del outside
+    # Each source's walk by ascending fringe id: one sort of (source,
+    # rank of the found id) keys.
+    by_id = np.argsort(ids)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[by_id] = np.arange(len(ids))
+    walks = owner[keep] * len(ids) + rank[found[keep]]
+    del owner, found, keep, rank
+    walks.sort()
+    walker, walked = np.divmod(walks, len(ids))
+    del walks
+    in_fringe = np.zeros(len(ids), dtype=bool)
+    in_fringe[walked] = True
     return DeltaPlan(
         core=core,
-        fringe=sorted_unique(pair_fringe),
-        pair_core=pair_core[order],
-        pair_fringe=pair_fringe[order],
+        fringe=ids[by_id[np.flatnonzero(in_fringe)]],
+        pair_core=sources[walker],
+        pair_fringe=ids[by_id[walked]],
         dirty_users=frozenset(dirty_users.tolist()),
         dirty_tweets=frozenset(dirty_tweets.tolist()),
         hops=hops,
@@ -406,7 +419,7 @@ def apply_delta(
     core, fringe = plan.core, plan.fringe
     pair_core, pair_fringe = plan.pair_core, plan.pair_fringe
     if builder.max_influencers is not None and len(fringe):
-        core = np.union1d(core, fringe)
+        core = sorted_unique(np.concatenate((core, fringe)))
         fringe = pair_core = pair_fringe = _NO_IDS
     metrics.counter("maintenance.affected_users").inc(len(core) + len(fringe))
 
@@ -429,7 +442,7 @@ def apply_delta(
         rows_patched=len(fringe),
         pairs_rescored=edit.pairs_rescored,
         changed_users=edit.changed,
-        affected_users=np.union1d(core, fringe),
+        affected_users=sorted_unique(np.concatenate((core, fringe))),
         topology_changed=edit.topology_changed,
         pairs_needed=len(pair_core),
         edges_added=edit.edges_added,
@@ -583,11 +596,11 @@ def _surgery(
         - _count(dropped, candidates)
     )
     removed = candidates[degree == 0]
-    stays = ~np.isin(users, removed)
+    stays = ~lookup(removed, users)[1]
     edges = _Edges.concat(part[2] for part in written)
     created = np.concatenate(created)
     created = created[~simgraph.positions(created)[1]]
-    _, first = np.unique(created, return_index=True)
+    _, first = sorted_unique(created, return_index=True)
     return _Edit(
         rows=(users[stays], lengths[stays], edges.targets, edges.weights),
         removed=removed,
@@ -619,39 +632,34 @@ def _fringe_surgery(
     """
     core = plan.core
     width = len(fringe)
-    needed = np.searchsorted(core, pair_core) * width + np.searchsorted(
-        fringe, pair_fringe
-    )
-    scored = np.searchsorted(core, scores.users) * width + np.searchsorted(
-        fringe, scores.targets
-    )
+    needed = _pair_keys(core, fringe, pair_core, pair_fringe)
+    scored = _pair_keys(core, fringe, scores.users, scores.targets)
     dirty = sorted_unique(pair_core)
     at, held = simgraph.positions(dirty)
     flat, counts = gather_ranges(simgraph.out_indptr, at[held])
-    rank, inside = lookup(
-        fringe, simgraph.users[simgraph.out_indices[flat]], np.arange(width)
+    carried = _pair_keys(
+        core,
+        fringe,
+        dirty[held].repeat(counts),
+        simgraph.users[simgraph.out_indices[flat]],
     )
-    carried = np.searchsorted(core, dirty[held].repeat(counts)[inside])
-    carried = carried * width + rank[inside]
+    # ``needed`` ascends: the plan's pairs are sorted.
     carried = carried[lookup(needed, carried, np.arange(len(needed)))[1]]
-    del needed, flat, rank, inside
-    attention = np.union1d(scored, carried)
+    del needed, flat
+    attention = sorted_unique(np.concatenate((scored, carried)))
     w_rank, u_rank = np.divmod(attention, width)
     match, found = lookup(scored, attention)
     score = np.zeros(len(attention))
     score[found] = scores.weights[match[found]]
 
-    # The old rows of the users paid attention to, keyed the same way
-    # where an edge ends at a core user.
+    # The old rows of the users paid attention to; ``toward`` are their
+    # edges that end at a core user, keyed the same way.
     old = _old_rows(simgraph, fringe[sorted_unique(u_rank)])
-    target, in_core = lookup(core, old.targets, np.arange(len(core)))
-    old_key = np.where(
-        in_core, target * width + np.searchsorted(fringe, old.users), -1
-    )
-    del target, in_core
+    toward = np.flatnonzero(lookup(core, old.targets, np.arange(len(core)))[1])
+    old_key = _pair_keys(core, fringe, old.targets[toward], old.users[toward])
     match, has_old = lookup(old_key, attention)
     same = has_old.copy()
-    same[has_old] = old.weights[match[has_old]] == score[has_old]
+    same[has_old] = old.weights[toward[match[has_old]]] == score[has_old]
     kept = score >= tau
     add = kept & ~has_old
     drop = ~kept & has_old
@@ -660,17 +668,14 @@ def _fringe_surgery(
 
     # Patched rows: old edges in place (re-weighed, or dropped), then
     # the new ones by ascending w.
-    pair, patched = lookup(attention, old_key)
-    survives = np.isin(old.users, users) & ~(patched & drop[pair])
-    weights = np.where(patched & kept[pair], score[pair], old.weights)
+    pair, patched = lookup(attention, old_key, np.arange(len(attention)))
+    survives = lookup(users, old.users, np.arange(len(users)))[1]
+    survives[toward[patched & drop[pair]]] = False
+    reweighed = patched & kept[pair]
+    old.weights[toward[reweighed]] = score[pair[reweighed]]
     order = np.lexsort((w_rank[add], u_rank[add]))
     added = _Edges(fringe[u_rank[add]], core[w_rank[add]], score[add])
-    rows = _Edges.concat(
-        (
-            _Edges(old.users, old.targets, weights).take(survives),
-            added.take(order),
-        )
-    )
+    rows = _Edges.concat((old.take(survives), added.take(order)))
     rows = rows.take(np.argsort(rows.users, kind="stable"))
     return _FringeEdit(
         users=users,
@@ -682,6 +687,17 @@ def _fringe_surgery(
             simgraph, graph, plan, scores, added, w_rank[add]
         ),
     )
+
+
+def _pair_keys(
+    core: np.ndarray, fringe: np.ndarray, w: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """The key of each pair (dirty ``w``, fringe ``u``): its ranks in
+    ``core`` and ``fringe`` (both ascending), in one int64.  A ``u``
+    outside the fringe gets a key no fringe pair has (-1)."""
+    w_rank, _ = lookup(core, w, np.arange(len(core)))
+    u_rank, inside = lookup(fringe, u, np.arange(len(fringe)))
+    return np.where(inside, w_rank * len(fringe) + u_rank, -1)
 
 
 def _created_by_fringe(
