@@ -65,22 +65,26 @@ class SimilarityMatrix:
     def __init__(
         self, profiles: RetweetProfiles, extra_users: Iterable[int] = ()
     ):
-        universe = set(profiles.users())
-        universe.update(extra_users)
-        users = sorted(universe)
-        tweets = sorted(profiles.tweets())
-        tweet_index = {t: j for j, t in enumerate(tweets)}
+        users = sorted_unique(
+            np.concatenate(
+                (
+                    np.fromiter(profiles.users(), dtype=np.int64),
+                    np.fromiter(extra_users, dtype=np.int64),
+                )
+            )
+        )
+        tweets = np.fromiter(profiles.tweets(), dtype=np.int64)
+        # Every profile in one batch read, each ascending, so each row's
+        # columns come ascending too.
+        sizes, retweeted = profiles.profile_rows(users)
         indptr = np.zeros(len(users) + 1, dtype=np.int64)
-        cols: list[int] = []
-        for i, user in enumerate(users):
-            cols.extend(tweet_index[t] for t in sorted(profiles.profile(user)))
-            indptr[i + 1] = len(cols)
+        np.cumsum(sizes, out=indptr[1:])
         self._assemble(
             profiles,
-            np.asarray(users, dtype=np.int64),
-            np.asarray(tweets, dtype=np.int64),
+            users,
+            tweets,
             indptr,
-            np.asarray(cols, dtype=np.int64),
+            lookup(tweets, retweeted)[0],
             sizes=np.diff(indptr),
         )
 
@@ -146,8 +150,10 @@ class SimilarityMatrix:
         )
         weights = profiles.tweet_weights(tweets)
         # Complex-weighted incidence: one matmul returns numerator (real)
-        # and overlap count (imaginary) on a single sparsity pattern.
-        self._Bc = (self._B @ sparse.diags(weights + 1j)).tocsr()
+        # and overlap count (imaginary) on a single sparsity pattern.  It
+        # is kept transposed as CSR: a product with a CSC view converts
+        # the whole incidence on every call.
+        self._Bc_t = (self._B @ sparse.diags(weights + 1j)).T.tocsr()
         self._sizes = sizes
 
     # ------------------------------------------------------------------
@@ -227,7 +233,7 @@ class SimilarityMatrix:
         for ``u`` at universe position ``row_idx[r]`` — the raw material
         both :meth:`similarity_rows` and the chunked build consume.
         """
-        return (self._B[row_idx] @ self._Bc.T).tocsr()
+        return (self._B[row_idx] @ self._Bc_t).tocsr()
 
     def sims_from_gram(
         self, gram: sparse.csr_matrix, row_idx: np.ndarray

@@ -12,8 +12,6 @@ arrays: the rows, the transpose, ``new_sources()`` and the edge count.
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -38,10 +36,12 @@ class ThreeSortFollowGraph(FollowGraph):
     """A :class:`FollowGraph` that compacts with the three sorts."""
 
     def _compacted(self) -> None:
-        n = len(self._ids)
+        self._resolve()
+        n = len(self._index)
         indptr, indices = self._out
         rows = len(indptr) - 1
-        if not len(self._src):
+        batches = self._position_batches()
+        if not batches:
             if rows < n:
                 grow = np.full(n - rows, indptr[-1])
                 self._out = (np.concatenate((indptr, grow)), indices)
@@ -51,12 +51,12 @@ class ThreeSortFollowGraph(FollowGraph):
         src = np.concatenate(
             (
                 np.repeat(np.arange(rows, dtype=np.int32), np.diff(indptr)),
-                np.frombuffer(self._src, dtype=np.intc),
+                *(pairs[0::2] for pairs in batches),
             ),
             dtype=np.int32,
         )
         dst = np.concatenate(
-            (indices, np.frombuffer(self._dst, dtype=np.intc)), dtype=np.int32
+            (indices, *(pairs[1::2] for pairs in batches)), dtype=np.int32
         )
         key = dst.astype(np.int64)
         key *= n
@@ -77,7 +77,7 @@ class ThreeSortFollowGraph(FollowGraph):
         )
         self._in = into
         self._new = np.union1d(self._new, added).astype(np.int32)
-        self._src, self._dst, self._clean = array("i"), array("i"), 0
+        self._batches, self._clean = [], 0
 
 
 def assert_same_arrays(graph: FollowGraph, oracle: FollowGraph) -> None:

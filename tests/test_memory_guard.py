@@ -50,6 +50,34 @@ def test_follow_graph_holds_under_40_bytes_per_follow():
     assert held / follows <= 40, held / follows
 
 
+def test_follow_replay_peaks_no_higher_than_probing_writes():
+    """20k users and 200k follows, registered one call at a time and
+    then read once: the traced peak per follow stays at or below the
+    57.35 B that the writes which probed the node index and appended
+    positions at once peaked at (the first read's compaction sets it),
+    and the replay alone within 20 B (18.33 B then; follows buffered as
+    id pairs without a bound would add 16 B)."""
+    rng = np.random.default_rng(7)
+    users, follows = 20_000, 200_000
+    followers = rng.integers(users, size=follows)
+    followees = (followers + rng.integers(1, users, size=follows)) % users
+    pairs = list(zip(followers.tolist(), followees.tolist()))
+    tracemalloc.start()
+    try:
+        service = RecommendationService()
+        for user in range(users):
+            service.add_user(user)
+        for follower, followee in pairs:
+            service.add_follow(follower, followee)
+        _, replay_peak = tracemalloc.get_traced_memory()
+        assert service.follow_graph.edge_count <= follows  # compacts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert replay_peak / follows <= 20, replay_peak / follows
+    assert peak / follows <= 57.35, peak / follows
+
+
 @pytest.fixture(scope="module")
 def corpus() -> TwitterDataset:
     """A generated corpus: 1,000 users, 40,858 records."""

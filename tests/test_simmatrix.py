@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from repro.core.profiles import RetweetProfiles
 from repro.core.similarity import similarities_from, similarity
@@ -176,3 +178,52 @@ class TestSimgraphEdges:
         )
         for a, b in zip(one, many):
             assert a.tobytes() == b.tobytes()
+
+
+def per_user_incidence(profiles: RetweetProfiles, extra_users=()):
+    """The incidence as ``SimilarityMatrix.__init__`` built it before its
+    batch read, one user at a time: ``(users, tweets, indptr, cols)``."""
+    universe = set(profiles.users())
+    universe.update(extra_users)
+    users = sorted(universe)
+    tweets = sorted(profiles.tweets())
+    tweet_index = {t: j for j, t in enumerate(tweets)}
+    indptr = np.zeros(len(users) + 1, dtype=np.int64)
+    cols: list[int] = []
+    for i, user in enumerate(users):
+        cols.extend(tweet_index[t] for t in sorted(profiles.profile(user)))
+        indptr[i + 1] = len(cols)
+    return users, tweets, indptr, np.asarray(cols, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-5, 30), st.integers(0, 40)), max_size=80),
+    st.lists(st.integers(-10, 40), max_size=10),
+    st.integers(0, 80),
+)
+def test_batch_incidence_equals_the_per_user_build(pairs, extra, clean_at):
+    """The incidence, its weighted transpose and the profile sizes equal
+    the per-user build's, with the profiles split between their base
+    (before ``clean_at``) and their tail."""
+    profiles = profiles_from(pairs[:clean_at])
+    profiles.mark_clean()
+    for user, tweet in pairs[clean_at:]:
+        profiles.add(user, tweet)
+    matrix = SimilarityMatrix(profiles, extra_users=iter(extra))
+    users, tweets, indptr, cols = per_user_incidence(profiles, extra)
+    assert matrix._users_arr.tolist() == users
+    want = sparse.csr_matrix(
+        (np.ones(len(cols)), cols, indptr), shape=(len(users), len(tweets))
+    )
+    for name in ("indptr", "indices", "data"):
+        got = getattr(matrix._B, name)
+        assert got.dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(got, getattr(want, name))
+    np.testing.assert_array_equal(matrix._sizes, np.diff(indptr))
+    weights = [profiles.tweet_weight(t) for t in tweets]
+    weighted = (want @ sparse.diags(np.asarray(weights) + 1j)).tocsr()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(
+            getattr(matrix._Bc_t, name), getattr(weighted.T.tocsr(), name)
+        )
