@@ -480,7 +480,10 @@ class RecommendationService:
         but triggers no scoring, delivery or scheduler work, and needs no
         tweet registration.
         """
-        self._absorb(user, tweet)
+        self.profiles.add(user, tweet)
+        known = self._known.get(tweet)
+        if known is not None:
+            known.add(user)
 
     def flush(self, now: float | None = None) -> list[Recommendation]:
         """Drain the scheduler (end of stream / shutdown)."""
@@ -865,7 +868,7 @@ class RecommendationService:
                 )
             ]
         released = self._seeded(tasks)
-        self._absorb(event.user, event.tweet)
+        self.absorb_retweet(event.user, event.tweet)
         return released
 
     def _seeded(self, tasks: list[PropagationTask]) -> list[Seeded]:
@@ -876,15 +879,9 @@ class RecommendationService:
             for task in tasks
         ]
 
-    def _absorb(self, user: int, tweet: int) -> None:
-        self.profiles.add(user, tweet)
-        known = self._known.get(tweet)
-        if known is not None:
-            known.add(user)
-
     def _known_of(self, tweet: int) -> _KnownUsers:
         """The tweet's known users, seeded from its retweeters when it is
-        first posted or delivered; :meth:`_absorb` keeps it current."""
+        first posted or delivered; :meth:`absorb_retweet` keeps it current."""
         known = self._known.get(tweet)
         if known is None:
             known = self._known[tweet] = _KnownUsers(
@@ -1115,7 +1112,7 @@ class RecommendationService:
             raise DatasetError(f"unknown tweet id {tweet}")
         self._tick(at)
         self.metrics.counter("service.warm_answers").inc()
-        self._absorb(user, tweet)
+        self.absorb_retweet(user, tweet)
         state = self._warm.get(tweet, now=at)
         self._refresh_health()
         if state is None:

@@ -42,13 +42,13 @@ class TestDirtyTracking:
         profiles.add(2, 10)
         assert profiles.dirty_users == {1, 2}
         assert profiles.dirty_tweets == {10}
-        assert profiles.has_dirty
+        assert len(profiles.dirt()[0]) > 0
 
     def test_mark_clean_resets(self):
         profiles = RetweetProfiles()
         profiles.add(1, 10)
         profiles.mark_clean()
-        assert not profiles.has_dirty
+        assert len(profiles.dirt()[0]) == 0
         assert profiles.dirty_users == frozenset()
         assert profiles.dirty_tweets == frozenset()
 
@@ -57,7 +57,7 @@ class TestDirtyTracking:
         profiles.add(1, 10)
         profiles.mark_clean()
         profiles.add(1, 10)
-        assert not profiles.has_dirty
+        assert len(profiles.dirt()[0]) == 0
 
     def test_new_retweet_dirties_user_and_tweet(self):
         profiles = RetweetProfiles()

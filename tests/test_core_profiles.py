@@ -144,7 +144,7 @@ class TestFromArrays:
 
     def test_bulk_base_is_clean(self):
         _, csr = self._both()
-        assert not csr.has_dirty
+        assert len(csr.dirt()[0]) == 0
         assert csr.dirty_users == frozenset()
 
     def test_overlay_add_on_frozen_base(self):
@@ -160,7 +160,7 @@ class TestFromArrays:
         assert csr.dirty_users == {1, 42}
         assert csr.dirty_tweets == {99, 10}
         csr.mark_clean()
-        assert not csr.has_dirty
+        assert len(csr.dirt()[0]) == 0
 
     def test_array_accessors(self):
         _, csr = self._both()

@@ -142,6 +142,33 @@ def test_absorbed_retweets_hold_under_64_bytes_each():
     assert service.profiles.log_end == len(set(pairs))
 
 
+def test_retweet_replay_peaks_no_higher_than_probing_writes():
+    """The corpus above, absorbed one ``absorb_retweet`` call at a time
+    and then read once: the traced peak per retweet stays at or below
+    the 56.06 B that the writes which probed the tail and the base on
+    every call peaked at.  The log as write buffer is resolved when it
+    reaches the merge bound, so its raw suffix and the pass over it
+    stay within what the tail's sets cost."""
+    rng = np.random.default_rng(7)
+    retweets = 50_000
+    users = rng.integers(5_000, size=retweets)
+    tweets = rng.zipf(1.5, size=retweets) % 20_000
+    pairs = list(zip(users.tolist(), tweets.tolist()))
+    distinct = len(set(pairs))
+    tracemalloc.start()
+    try:
+        service = RecommendationService()
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for user, tweet in pairs:
+            service.absorb_retweet(user, tweet)
+        assert service.profiles.log_end == distinct
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / retweets <= 56.06, (peak - before) / retweets
+
+
 def test_offline_readers_hold_no_dict_adjacency(corpus):
     """The paper's offline analyses on a generated corpus (1,000 users,
     17,961 follows, a 44,047-edge SimGraph built beforehand): reading

@@ -266,7 +266,7 @@ class TestScopedWarmInvalidation:
         service.rebuild("delta")
         service.retweet(user=0, tweet=200, at=70.0)
         service.retweet(user=5, tweet=201, at=71.0)
-        assert not service.profiles.has_dirty
+        assert len(service.profiles.dirt()[0]) == 0
         assert set(service._warm.tweets()) >= {200, 201}
         return service
 
