@@ -85,7 +85,7 @@ def _distance_rows(
     """Each of ``users`` with its follow-graph distances to every node
     by position (``inf``: unreachable), from a multi-source BFS over a
     bounded block of users at a time."""
-    at, present = graph.positions(users)
+    at, present = graph.positions(np.asarray(users, dtype=np.int64))
     if not present.all():
         absent = users[int(np.argmin(present))]
         raise GraphError(f"node {absent!r} does not exist")
@@ -93,10 +93,12 @@ def _distance_rows(
     return zip(users, rows)
 
 
-def _hops(graph: FollowGraph, row: np.ndarray, peers) -> list[float]:
+def _hops(
+    graph: FollowGraph, row: np.ndarray, peers: list[int]
+) -> list[float]:
     """``row``'s distance to each of ``peers`` (``inf`` for a peer that
     is not a node)."""
-    where, known = graph.positions(peers)
+    where, known = graph.positions(np.asarray(peers, dtype=np.int64))
     return np.where(known, row[where], np.inf).tolist()
 
 
@@ -121,7 +123,7 @@ def similarity_by_distance(
         scores = similarities_from(profiles, u)
         if not scores:
             continue
-        for score, hops in zip(scores.values(), _hops(graph, row, scores)):
+        for score, hops in zip(scores.values(), _hops(graph, row, list(scores))):
             distance = None if hops == np.inf else min(int(hops), max_distance)
             sums[distance] = sums.get(distance, 0.0) + score
             counts[distance] = counts.get(distance, 0) + 1

@@ -1,18 +1,19 @@
 """Array helpers over CSR sections.
 
 The SimGraph (:class:`~repro.core.simgraph.SimGraph`), the propagation
-kernel and delta maintenance all work on flat CSR arrays.  Three
+kernel and delta maintenance all work on flat CSR arrays.  Four
 operations recur across them: finding the positions of ids in an id
 array (:func:`lookup`), gathering the elements of a set of CSR rows
-(:func:`gather_ranges`, over :func:`ranges`) and the distinct ids of an
-id array (:func:`sorted_unique`).
+(:func:`gather_ranges`, over :func:`ranges`), the row pointers of rows
+of given lengths (:func:`indptr`) and the distinct ids of an id array
+(:func:`sorted_unique`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gather_ranges", "lookup", "ranges", "sorted_unique"]
+__all__ = ["gather_ranges", "indptr", "lookup", "ranges", "sorted_unique"]
 
 
 def lookup(
@@ -80,6 +81,13 @@ def gather_ranges(
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
     return ranges(starts, lengths), lengths
+
+
+def indptr(counts: np.ndarray) -> np.ndarray:
+    """The int64 row pointers of rows holding ``counts[i]`` entries."""
+    pointers = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=pointers[1:])
+    return pointers
 
 
 def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -269,10 +269,10 @@ def affected_region(
     # (module docstring): the rest of the core has no fringe.  u reaches
     # w within `hops` successor-steps iff w is in N_hops(u): walk the
     # predecessor direction from every dirty user at once.
-    sources, owner, found = _dirty_reach(graph, dirty_users.tolist(), hops)
+    sources, owner, found = _dirty_reach(graph, dirty_users, hops)
     ids = graph.ids
     outside = np.ones(len(ids), dtype=bool)
-    at, held = graph.positions(core.tolist())
+    at, held = graph.positions(core)
     outside[at[held]] = False
     keep = outside[found]
     del outside
@@ -300,19 +300,16 @@ def affected_region(
 
 
 def _dirty_reach(
-    graph: FollowGraph, dirty_users: Iterable[int], hops: int
+    graph: FollowGraph, dirty_users: np.ndarray, hops: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(sources, owner, found)``: the dirty users the follow graph
-    holds, ascending, and the walk against the follows from them
+    """``(sources, owner, found)``: the dirty users (ascending ids) the
+    follow graph holds, and the walk against the follows from them
     (:meth:`~repro.graph.followgraph.FollowGraph.reach`; ``found`` are
     positions).  A source's slice of the walk does not depend on the
     order the sources come in."""
-    sources = np.array(
-        sorted(w for w in dirty_users if w in graph), dtype=np.int64
-    )
-    at, _ = graph.positions(sources.tolist())
-    owner, found = graph.reach(at, hops, reverse=True)
-    return sources, owner, found
+    at, held = graph.positions(dirty_users)
+    owner, found = graph.reach(at[held], hops, reverse=True)
+    return dirty_users[held], owner, found
 
 
 def _vectorized_core_state(
@@ -726,7 +723,9 @@ def _created_by_fringe(
     nodes_of += np.bincount(group, weights=fresh_w, minlength=size) > 0
     ambiguous = np.flatnonzero((edges_of >= 2) & (nodes_of >= 2))
     if len(ambiguous):
-        sources, owner, found = _dirty_reach(graph, plan.dirty_users, plan.hops)
+        sources, owner, found = _dirty_reach(
+            graph, np.array(sorted(plan.dirty_users), dtype=np.int64), plan.hops
+        )
         core = set(plan.core.tolist())
         for g in ambiguous.tolist():
             w = int(plan.core[g])

@@ -54,7 +54,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.core.csr import lookup, ranges, sorted_unique
+from repro.core.csr import indptr, lookup, ranges, sorted_unique
 from repro.data.models import Retweet
 from repro.exceptions import DatasetError
 
@@ -80,12 +80,6 @@ BULK_SUFFIX = 2048
 
 _EMPTY_ROW = np.empty(0, dtype=np.int64)
 _EMPTY_SET: frozenset[int] = frozenset()
-
-
-def _indptr(counts: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
 
 
 def _id(value, what: str) -> int:
@@ -259,7 +253,7 @@ class _CSRIndex:
         )
         return _CSRIndex(
             np.insert(self.keys, slots, fresh),
-            _indptr(counts),
+            indptr(counts),
             np.insert(self.items, at, values),
         )
 
@@ -273,7 +267,7 @@ class _CSRIndex:
         counts -= np.bincount(row, minlength=len(counts))
         kept = counts > 0
         return _CSRIndex(
-            self.keys[kept], _indptr(counts[kept]), np.delete(self.items, at)
+            self.keys[kept], indptr(counts[kept]), np.delete(self.items, at)
         )
 
 

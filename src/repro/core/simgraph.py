@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
+from repro.core import csr
 from repro.core.csr import gather_ranges, lookup, sorted_unique
 from repro.core.profiles import RetweetProfiles
 from repro.core.simmatrix import DEFAULT_CHUNK_SIZE, simgraph_edges
@@ -156,9 +157,7 @@ class SimGraph:
             cols, weights = cols[flat], weights[flat]
         counts = np.zeros(len(ids), dtype=np.int64)
         np.add.at(counts, rows, lengths)
-        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(ids[order], indptr, cols, weights, tau)
+        return cls(ids[order], csr.indptr(counts), cols, weights, tau)
 
     # ------------------------------------------------------------------
     # Compiled on first read
@@ -327,8 +326,7 @@ class SimGraph:
         counts = np.zeros(n, dtype=np.int64)
         counts[: int(keep.sum())] = self.inf_counts[keep]
         counts[at] = lengths
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        indptr = csr.indptr(counts)
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
         values = np.empty(len(indices), dtype=np.float64)
 

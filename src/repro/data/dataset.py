@@ -10,9 +10,14 @@ handful of arrays rather than one Python object per entity:
   order; a community column sits beside them;
 * tweets: id / author / creation-time / topic columns, registration
   order;
-* retweets: the raw log as three columns, with deduplicated CSR indexes
-  for tweet -> retweeters (popularity m(i)), user -> profile (L_u) and
+* retweets: the raw log as three columns.  Its distinct (user, tweet)
+  pairs are read through a :class:`~repro.core.profiles.RetweetProfiles`
+  built over the log (popularity m(i), retweeters, profiles L_u), beside
   per-user action counts (activity strata).
+
+Users are found through the follow graph's lookup
+(:meth:`~repro.graph.FollowGraph.positions`), tweets by
+:func:`~repro.core.csr.lookup` over their id column.
 
 ``add_*`` check a record and append it to a buffer that the first read
 after a write compacts, as ``FollowGraph`` does; :meth:`from_arrays`
@@ -40,42 +45,6 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_TIMES = np.empty(0, dtype=np.float64)
 
 
-def _pairs_csr(
-    keys: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct ``(key, value)`` pairs as ``(unique keys, indptr, values)``:
-    row ``i`` holds the sorted partners of ``unique keys[i]``."""
-    pairs = np.unique(np.stack((keys, values)), axis=1)
-    unique, counts = np.unique(pairs[0], return_counts=True)
-    indptr = np.zeros(len(unique) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return unique, indptr, pairs[1]
-
-
-def _row(csr: tuple[np.ndarray, np.ndarray, np.ndarray], key: int) -> np.ndarray:
-    keys, indptr, values = csr
-    i = keys.searchsorted(key)
-    if i == len(keys) or keys[i] != key:
-        return _NO_IDS
-    return values[indptr[i] : indptr[i + 1]]
-
-
-def _find(ids: np.ndarray, rank: np.ndarray, keys) -> np.ndarray:
-    """Position in ``ids`` (put in order by ``rank``) of each of
-    ``keys``, or -1."""
-    keys = np.asarray(keys, dtype=np.int64)
-    if not len(ids):
-        return np.full(keys.shape, -1)
-    at = rank[np.minimum(np.searchsorted(ids, keys, sorter=rank), len(ids) - 1)]
-    return np.where(ids[at] == keys, at, -1)
-
-
-def _position(ids: np.ndarray, rank: np.ndarray, key: int) -> int:
-    """:func:`_find` for one key."""
-    k = ids.searchsorted(key, sorter=rank)
-    return int(rank[k]) if k < len(ids) and ids[rank[k]] == key else -1
-
-
 def _merged(columns: tuple, buffers: tuple) -> tuple[tuple, tuple]:
     """``columns`` with ``buffers`` appended, and emptied buffers."""
     merged = tuple(
@@ -99,7 +68,9 @@ def _repeats(ids: np.ndarray) -> np.ndarray:
     first = np.ones(len(ids), dtype=bool)
     if len(ids) < 2:
         return ~first
-    first[np.unique(ids, return_index=True)[1]] = False
+    from repro.core.csr import sorted_unique  # repro.core imports us
+
+    first[sorted_unique(ids, return_index=True)[1]] = False
     return first
 
 
@@ -107,13 +78,13 @@ class _Entities(Mapping):
     """Read-only id -> entity view over an id column; an object is built
     per access."""
 
-    __slots__ = ("_ids", "_find", "_make")
+    __slots__ = ("_ids", "_locate", "_make")
 
     def __init__(
-        self, ids: np.ndarray, find: Callable[[int], int],
+        self, ids: np.ndarray, locate: Callable[[int], int],
         make: Callable[[int], object],
     ):
-        self._ids, self._find, self._make = ids, find, make
+        self._ids, self._locate, self._make = ids, locate, make
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._ids.tolist())
@@ -122,7 +93,7 @@ class _Entities(Mapping):
         return len(self._ids)
 
     def __getitem__(self, key: int):
-        i = self._find(key) if isinstance(key, (int, np.integer)) else -1
+        i = self._locate(key) if isinstance(key, (int, np.integer)) else -1
         if i < 0:
             raise KeyError(key)
         return self._make(i)
@@ -153,7 +124,6 @@ class TwitterDataset:
         #: through ``add_user`` / ``add_follow``.
         self.follow_graph = FollowGraph()
         self._communities = array("i")
-        self._user_rank = _NO_IDS
         #: Tweet id / author / creation time / topic, and the log's
         #: user / tweet / time columns.
         self._tweets = (_NO_IDS, _NO_IDS, _NO_TIMES, np.empty(0, np.int32))
@@ -304,20 +274,24 @@ class TwitterDataset:
 
     def _user_positions(self, ids) -> np.ndarray:
         """Position of each of ``ids`` in :attr:`follow_graph`, or -1."""
-        if len(ids) < 64:  # a few records: the graph's own id index
-            at, present = self.follow_graph.positions(np.asarray(ids).tolist())
-            return np.where(present, at, -1)
-        known = self.follow_graph.ids
-        if len(self._user_rank) != len(known):
-            self._user_rank = np.argsort(known, kind="stable")
-        return _find(known, self._user_rank, ids)
+        at, present = self.follow_graph.positions(ids)
+        return np.where(present, at, -1)
+
+    def _tweet_positions(self, ids) -> np.ndarray:
+        """Position of each of ``ids`` in the compacted tweet column, or
+        -1."""
+        from repro.core.csr import lookup  # repro.core imports us
+
+        ids = np.asarray(ids, dtype=np.int64)
+        at, known = lookup(self._tweets[0], ids, self._tweet_rank)
+        return np.where(known, at, -1)
 
     def _tweet_times(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which of ``ids`` are tweets, and their creation times (0 where
         not)."""
         if len(self._new_tweets[0]) > len(self._new_tweet_times):
             self._compact()  # buffered by from_arrays: not in the dict
-        at = _find(self._tweets[0], self._tweet_rank, ids)
+        at = self._tweet_positions(ids)
         known = at >= 0
         created = np.zeros(len(ids))
         created[known] = self._tweets[2][at[known]]
@@ -339,16 +313,20 @@ class TwitterDataset:
             self._indexes = None
 
     def _index(self):
-        """Retweeter and profile CSRs, and action counts aligned with the
-        profile's users."""
+        """The log's distinct pairs as :class:`RetweetProfiles`, and the
+        users who acted (ascending) with their action counts."""
         if self._indexes is None or len(self._new_log[0]):
+            from repro.core.csr import sorted_unique  # repro.core imports us
+            from repro.core.profiles import RetweetProfiles
+
             self._compact()
             users, tweets, _ = self._log
-            profiles = _pairs_csr(users, tweets)
-            counts = np.bincount(
-                np.searchsorted(profiles[0], users), minlength=len(profiles[0])
+            actors, slot = sorted_unique(users, return_inverse=True)
+            self._indexes = (
+                RetweetProfiles.from_arrays(users, tweets),
+                actors,
+                np.bincount(slot, minlength=len(actors)),
             )
-            self._indexes = (_pairs_csr(tweets, users), profiles, counts)
         return self._indexes
 
     # ------------------------------------------------------------------
@@ -400,7 +378,7 @@ class TwitterDataset:
 
     def popularity(self, tweet_id: int) -> int:
         """m(i): number of distinct users who retweeted ``tweet_id``."""
-        return len(self.retweeters_array(tweet_id))
+        return self._index()[0].popularity(tweet_id)
 
     def retweeters(self, tweet_id: int) -> set[int]:
         """Distinct users who retweeted ``tweet_id``."""
@@ -408,15 +386,16 @@ class TwitterDataset:
 
     def retweeters_array(self, tweet_id: int) -> np.ndarray:
         """Distinct retweeters of ``tweet_id``, ascending (a view)."""
-        return _row(self._index()[0], tweet_id)
+        return self._index()[0].retweeters_array(tweet_id)
 
     def profile(self, user_id: int) -> set[int]:
         """L_u: the set of tweets ``user_id`` has retweeted."""
-        return set(_row(self._index()[1], user_id).tolist())
+        return set(self._index()[0].profile_array(user_id).tolist())
 
     def user_retweet_count(self, user_id: int) -> int:
-        """Total sharing actions performed by ``user_id``."""
-        _, (users, _, _), counts = self._index()
+        """Total sharing actions performed by ``user_id``, repeats
+        included."""
+        _, users, counts = self._index()
         i = users.searchsorted(user_id)
         return int(counts[i]) if i < len(users) and users[i] == user_id else 0
 
@@ -450,9 +429,8 @@ class TwitterDataset:
         """id -> :class:`Tweet`, in registration order."""
         self._compact()
         ids, authors, times, topics = self._tweets
-        rank = self._tweet_rank
         return _Entities(
-            ids, lambda tweet_id: _position(ids, rank, tweet_id),
+            ids, lambda tweet_id: self._tweet_positions([tweet_id])[0],
             lambda i: Tweet(
                 id=int(ids[i]), author=int(authors[i]),
                 created_at=float(times[i]), topic=int(topics[i]),
@@ -465,8 +443,10 @@ class TwitterDataset:
         The paper restricts both training and evaluation to messages with
         >= 2 retweets (§3.1.2, §6.1).
         """
-        tweets, indptr, _ = self._index()[0]
-        return set(tweets[np.diff(indptr) >= min_retweets].tolist())
+        profiles = self._index()[0]
+        tweets = np.fromiter(profiles.tweets(), dtype=np.int64)
+        popularity, _ = profiles.retweeter_rows(tweets)
+        return set(tweets[popularity >= min_retweets].tolist())
 
     def followees(self, user_id: int) -> list[int]:
         """Accounts ``user_id`` follows, in follow order."""

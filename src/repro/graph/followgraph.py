@@ -43,12 +43,9 @@ _SHARE, _MIN_PAIRS = 16, 1024
 #: Node ids spanning at most this many times their count are found
 #: through a table indexed by id.
 _DENSE = 4
-
-
-def _indptr(counts: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
+#: :meth:`FollowGraph.positions` finds fewer ids than this through the
+#: id index, more through :meth:`FollowGraph._lookup`.
+_FEW_IDS = 64
 
 
 def _shrunk(indptr: np.ndarray, dropped: np.ndarray) -> np.ndarray:
@@ -307,6 +304,8 @@ class FollowGraph:
                 self._out = (np.concatenate((indptr, grow)), indices)
                 self._in = (np.concatenate((self._in[0], grow)), self._in[1])
             return
+        from repro.core import csr  # repro.core imports us
+
         self._finder = None
         fresh_from = len(indices) + self._clean
         src = np.concatenate(
@@ -322,7 +321,7 @@ class FollowGraph:
         # The rows: edges by source, each row in arrival order.  ``rank``
         # is the arrival rank of each row position (None: the same).
         if np.all(src[1:] >= src[:-1]):
-            out_indptr = _indptr(np.bincount(src, minlength=n))
+            out_indptr = csr.indptr(np.bincount(src, minlength=n))
             rank = None
             targets = dst
         else:
@@ -401,13 +400,23 @@ class FollowGraph:
         return FollowGraph.from_csr(self.ids, self._out, self._in)
 
     def positions(self, nodes: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        """``(positions, present)`` of ``nodes`` (an absent node's
-        position is meaningless)."""
+        """``(positions, present)`` of ``nodes``, an id array or any
+        iterable of ids (an absent node's position is meaningless).  A
+        few ids are looked up in the id index, more in one pass of
+        :meth:`_lookup`."""
         self._resolve()
-        get = self._index.get
-        at = np.fromiter((get(u, -1) for u in nodes), dtype=np.int64)
+        if not isinstance(nodes, np.ndarray):
+            nodes = list(nodes)
+        if len(nodes) >= _FEW_IDS:
+            at = self._lookup(np.asarray(nodes, dtype=np.int64))
+            at = at.astype(np.int64)
+        else:
+            get = self._index.get
+            ids = nodes.tolist() if isinstance(nodes, np.ndarray) else nodes
+            at = np.fromiter((get(u, -1) for u in ids), np.int64, len(ids))
         present = at >= 0
-        return np.where(present, at, 0), present
+        at[~present] = 0
+        return at, present
 
     def successors(self, node: int) -> list[int]:
         """Whom ``node`` follows, in insertion order."""

@@ -30,7 +30,7 @@ import repro.synth.generate as generate_module
 from repro.data import Retweet, Tweet, TwitterDataset, User
 from repro.data.models import ActivityClass
 from repro.exceptions import DatasetError, ReproError
-from repro.graph import FollowGraph
+from repro.graph import FollowGraph, followgraph
 from repro.synth import SynthConfig, generate_dataset
 from tests.test_graph_oracle import DiGraph
 
@@ -349,9 +349,18 @@ def replay(records: dict[str, list[tuple]]):
     return oracle, None
 
 
+@pytest.mark.parametrize("few_ids", [0, 2**31], ids=["lookup", "dict"])
 @settings(max_examples=300, deadline=None)
-@given(interleavings())
-def test_add_and_read_interleavings_answer_like_the_dict_dataset(calls):
+@given(calls=interleavings())
+def test_add_and_read_interleavings_answer_like_the_dict_dataset(few_ids, calls):
+    """Every user lookup goes through ``FollowGraph.positions``: once
+    with each of its two paths forced, ``from_arrays`` included."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(followgraph, "_FEW_IDS", few_ids)
+        check_interleaving(calls)
+
+
+def check_interleaving(calls: list[tuple]) -> None:
     got, want = TwitterDataset(), DictTwitterDataset()
     accepted = {"user": [], "follow": [], "tweet": [], "retweet": []}
     attempted = {kind: [] for kind in accepted}

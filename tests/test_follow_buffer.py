@@ -184,3 +184,43 @@ def test_a_replay_resolves_in_passes_the_size_of_the_graph():
             held = max(held, len(g._pairs) // 2)
     assert 0 < held <= max(users // followgraph._SHARE, followgraph._MIN_PAIRS)
     assert_same(graph, oracle)
+
+
+@pytest.mark.parametrize("count", [63, 64, 65])
+@pytest.mark.parametrize("spacing", [1, 1000], ids=["table", "search"])
+def test_positions_answer_like_the_id_dict(count, spacing):
+    """Fewer than ``_FEW_IDS`` ids are found in the id index, more by
+    one ``_lookup`` pass (a table over dense ids, a binary search over
+    sparse ones): either way, as the probing graph's id -> position dict
+    says, for nodes, ids only the unresolved buffer names, and absent,
+    negative and past-the-last ids, given as a list or as an array."""
+    assert followgraph._FEW_IDS == 64
+    nodes = 7 + spacing * np.arange(60)
+    rng = np.random.default_rng(count + spacing)
+    graph, oracle = FollowGraph(), ProbingFollowGraph()
+    for g in (graph, oracle):
+        g.add_nodes(nodes[:40].tolist())
+        for u, v in zip(nodes[30:50].tolist(), nodes[41:60].tolist()):
+            g.add_edge(u, v)
+    assert len(graph._pairs)  # nodes[40:] are in the buffer only
+    want = {node: at for at, node in enumerate(oracle.nodes())}
+    pool = np.concatenate(
+        (nodes, nodes + 1, [-1, -7, -(2**40), int(nodes[-1]) + 1, 2**40])
+    )
+    probes = rng.choice(pool, size=count)
+    for given in (probes.tolist(), probes):
+        at, present = graph.positions(given)
+        assert at.dtype == np.int64 and present.dtype == bool
+        assert present.tolist() == [p in want for p in probes.tolist()]
+        assert at[present].tolist() == [
+            want[p] for p in probes.tolist() if p in want
+        ]
+    for empty in ([], np.empty(0, dtype=np.int64)):
+        at, present = graph.positions(empty)
+        assert at.dtype == np.int64 and not len(at) and not len(present)
+
+
+def test_positions_on_an_empty_graph_find_nothing():
+    for count in (3, 65):
+        at, present = FollowGraph().positions(np.arange(count))
+        assert not present.any() and at.dtype == np.int64

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import FollowGraph
-from repro.graph.followgraph import _indptr
+from repro.core import csr
 
 NODES = st.integers(0, 7)
 OPS = st.lists(
@@ -66,13 +66,13 @@ class ThreeSortFollowGraph(FollowGraph):
         first = np.ones(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=first[1:])
         kept = order[first]
-        into = (_indptr(np.bincount(dst[kept], minlength=n)), src[kept])
+        into = (csr.indptr(np.bincount(dst[kept], minlength=n)), src[kept])
         keep = np.zeros(len(src), dtype=bool)
         keep[kept] = True
         added = src[fresh_from:][keep[fresh_from:]]
         src, dst = src[keep], dst[keep]
         self._out = (
-            _indptr(np.bincount(src, minlength=n)),
+            csr.indptr(np.bincount(src, minlength=n)),
             dst[np.argsort(src, kind="stable")],
         )
         self._in = into
